@@ -32,7 +32,7 @@ from .errors import (BadParameter, ExcludedParameters, InsufficientDecades,
                      WindowContaminated, ZeroMean)
 from .kernel import asymptotic_coefficient
 from .model import DispersionSymbol, ModelParams
-from .solver import DatumSpec, SolverConfig, make_datum, solve
+from .solver import DatumSpec, EtdPropagator, SolverConfig, make_datum, solve
 from .spectral import Field, Grid
 
 MIN_POINTS_PER_DECADE = 30
@@ -279,25 +279,18 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
     w = Weight(gamma)
     alpha = params.alpha
     n_steps = int(round(T / dt))
-    targets = np.unique(np.clip(
+    targets = set(np.clip(
         np.round(np.logspace(0.0, math.log10(n_steps), n_samples)).astype(int),
-        1, n_steps))
-
-    from .solver import EtdPropagator  # local to keep module import light
+        1, n_steps).tolist())
 
     prop = EtdPropagator(grid, sym, params, dt)
-    uhat = np.fft.fft(u0.samples) * prop.mask
     ts, qs = [], []
-    step = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for tgt in targets:
-            while step < tgt:
-                uhat = prop.step(uhat)
-                step += 1
-            field = Field(grid, np.fft.ifft(uhat))
-            tval = step * dt
-            ts.append(tval)
-            qs.append(tval ** alpha * weighted_norm(field, p, w))
+        for step, uhat in prop.evolve(prop.forward(u0), n_steps):
+            if step in targets:
+                tval = step * dt
+                ts.append(tval)
+                qs.append(tval ** alpha * weighted_norm(prop.physical(uhat), p, w))
     ts = np.array(ts)
     qs = np.array(qs)
     norm0 = weighted_norm(u0, p, w)

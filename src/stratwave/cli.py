@@ -111,7 +111,8 @@ def cmd_simulate(args) -> int:
     full_cfg = {"model": model_cfg, "datum": datum_cfg,
                 "grid": {"N": grid.N, "L": grid.L},
                 "solver": {"dt": args.dt, "T": args.T, "mode": args.mode,
-                           "snapshots": list(snaps)},
+                           "snapshots": list(snaps),
+                           "linear_only": args.linear_only},
                 "seed": args.seed}
     out = _resolve_out(args, full_cfg, "simulate")
 
@@ -121,7 +122,8 @@ def cmd_simulate(args) -> int:
         if args.mode == "picard":
             from .solver import picard_solve
             uT, rep = picard_solve(sym, params, u0,
-                                   SolverConfig(dt=dt, T=args.T, mode="picard"))
+                                   SolverConfig(dt=dt, T=args.T, mode="picard",
+                                                linear_only=args.linear_only))
             field_to_csv(uT, rundir.register(f"snapshot_t{args.T:g}.csv"))
             diag = {"picard": rep, "dt_used": dt}
             final = rundir.commit(full_cfg, diag)

@@ -23,6 +23,9 @@ Two solver modes:
 The nonlinearity is evaluated pseudo-spectrally in the conservative form
 -(1/(k+1)) d_x (u^{k+1}) with generalized 2/(k+2) dealiasing, which keeps
 the discrete L2 balance of the continuum term up to aliasing residue.
+
+Both modes run on one real-field core, EtdPropagator: solutions are real,
+so states are rfft half-spectra and every transform is a real FFT.
 """
 
 from __future__ import annotations
@@ -33,9 +36,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BadParameter, NoContraction, NonFinite
+from .errors import BadParameter, GridMismatch, NoContraction, NonFinite
 from .model import DispersionSymbol, ModelParams, linear_multiplier
-from .spectral import Field, Grid, SpectralField, dealias_mask
+from .spectral import REAL_HINT_TOL, Field, Grid, SpectralField
 
 # ---------------------------------------------------------------------------
 # Initial data
@@ -146,34 +149,30 @@ _PHI_SWITCH = 0.1
 _PHI_TERMS = 12
 
 
-def _phi1(z: np.ndarray) -> np.ndarray:
+def _phi(z: np.ndarray, order: int) -> np.ndarray:
+    """phi_1 (order 1) or phi_2 (order 2), by Taylor series for small |z|."""
     out = np.empty_like(z)
     small = np.abs(z) < _PHI_SWITCH
     zb = z[~small]
-    out[~small] = (np.exp(zb) - 1.0) / zb
+    out[~small] = (np.exp(zb) - 1.0 - (order - 1) * zb) / zb ** order
     zs = z[small]
     acc = np.zeros_like(zs)
-    for q in range(_PHI_TERMS, 0, -1):
-        acc = acc * zs + 1.0 / math.factorial(q)
-    out[small] = acc
-    return out
-
-
-def _phi2(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    small = np.abs(z) < _PHI_SWITCH
-    zb = z[~small]
-    out[~small] = (np.exp(zb) - 1.0 - zb) / zb ** 2
-    zs = z[small]
-    acc = np.zeros_like(zs)
-    for q in range(_PHI_TERMS + 1, 1, -1):
+    for q in range(_PHI_TERMS + order - 1, order - 1, -1):
         acc = acc * zs + 1.0 / math.factorial(q)
     out[small] = acc
     return out
 
 
 class EtdPropagator:
-    """Precomputed ETD2 multipliers for one (grid, model, dt) combination."""
+    """The ETD2 stepper on rfft half-spectra, built once per (grid, model, dt).
+
+    States are the unnormalised ``numpy.fft.rfft`` coefficients of a real
+    field: N/2 + 1 values for j = 0..N/2.  A real solution needs a Hermitian
+    linear symbol, L(-xi) = conj L(xi), i.e. an even dispersion symbol p;
+    every built-in symbol is even, and an odd custom one raises BadParameter.
+    Energy and dissipation rate come from exact discrete Parseval on the
+    half-spectrum, so recording them costs no transform.
+    """
 
     def __init__(self, grid: Grid, sym: DispersionSymbol, params: ModelParams,
                  dt: float, dealias_k: Optional[int] = None,
@@ -184,40 +183,83 @@ class EtdPropagator:
         self.params = params
         self.dt = dt
         self.k = params.k if dealias_k is None else dealias_k
+        if self.k < 1:
+            raise BadParameter(f"k must be >= 1, got {self.k}")
         self.linear_only = linear_only
-        L = linear_multiplier(grid.xi, sym, params)
-        z = L * dt
+        j = np.arange(grid.N // 2 + 1)
+        xi = grid.dxi * j
+        both = linear_multiplier(np.concatenate([xi, -xi]), sym, params)
+        self.L, L_neg = both[:j.size], both[j.size:]
+        if np.max(np.abs(L_neg - np.conj(self.L))) > 1e-12 * np.max(np.abs(self.L)):
+            raise BadParameter(
+                "linear symbol is not Hermitian on the grid: the dispersion "
+                "symbol p must be even for real solutions")
+        z = self.L * dt
         self.exp_full = np.exp(z)
-        self.coeff1 = dt * _phi1(z)
-        self.coeff2 = dt * _phi2(z)
-        self.mask = dealias_mask(grid, self.k)
-        self.ikx = 1j * grid.xi
+        self.coeff1 = dt * _phi(z, 1)
+        self.coeff2 = dt * _phi(z, 2)
+        self.mask = np.where(j > grid.N / (self.k + 2), 0.0, 1.0)
+        self.nl_mult = -(1j * xi / (self.k + 1)) * self.mask
+        # |u|^2 dx summed over the full spectrum: modes 1..N/2-1 appear twice
+        self.weight = (np.where((j == 0) | (j == grid.N // 2), 1.0, 2.0)
+                       * grid.dx / grid.N)
+        self.rate_weight = self.L.real * self.weight
+
+    def forward(self, u: Field) -> np.ndarray:
+        """Dealiased half-spectrum of a real field."""
+        if u.grid != self.grid:
+            raise GridMismatch(f"{u.grid!r} vs {self.grid!r}")
+        s = u.samples
+        amax = float(np.max(np.abs(s)))
+        if amax > 0 and float(np.max(np.abs(s.imag))) > REAL_HINT_TOL * amax:
+            raise BadParameter("the solver needs real data; the field has a "
+                               "significant imaginary part")
+        return np.fft.rfft(s.real) * self.mask
+
+    def physical(self, uhat: np.ndarray) -> Field:
+        return Field(self.grid, np.fft.irfft(uhat, n=self.grid.N), is_real_hint=True)
+
+    def energy(self, uhat: np.ndarray) -> float:
+        """Discrete L2 norm of the field, by Parseval."""
+        return float(np.sqrt(np.dot(self.weight, uhat.real ** 2 + uhat.imag ** 2)))
+
+    def dissipation(self, uhat: np.ndarray) -> float:
+        """(1/2) d/dt ||u||^2 under the linear flow: the Re phi-weighted norm."""
+        return float(np.dot(self.rate_weight, uhat.real ** 2 + uhat.imag ** 2))
 
     def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
         """N(u) = -(1/(k+1)) d_x(u^{k+1}) evaluated pseudo-spectrally."""
         if self.linear_only:
             return np.zeros_like(uhat)
-        u = np.fft.ifft(uhat)
-        what = np.fft.fft(u ** (self.k + 1)) * self.mask
-        return -(self.ikx / (self.k + 1)) * what
+        u = np.fft.irfft(uhat, n=self.grid.N)
+        return self.nl_mult * np.fft.rfft(u ** (self.k + 1))
 
     def step(self, uhat: np.ndarray) -> np.ndarray:
         n0 = self.nonlinear(uhat)
         a = self.exp_full * uhat + self.coeff1 * n0
-        n1 = self.nonlinear(a)
-        return a + self.coeff2 * (n1 - n0)
+        return a + self.coeff2 * (self.nonlinear(a) - n0)
+
+    def evolve(self, uhat: np.ndarray, n_steps: int):
+        """Yield (i, state after i steps) for i = 0..n_steps.
+
+        Raises NonFinite as soon as a state is not finite.
+        """
+        yield 0, uhat
+        for i in range(1, n_steps + 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                uhat = self.step(uhat)
+            if not np.all(np.isfinite(uhat)):
+                raise NonFinite(f"non-finite state at t = {i * self.dt:.6g}",
+                                t=i * self.dt)
+            yield i, uhat
 
 
 def etd_step(u: Field, dt: float, sym: DispersionSymbol, params: ModelParams,
              dealias_k: Optional[int] = None, linear_only: bool = False) -> Field:
     """One ETD2 step; raises NonFinite when the result is not finite."""
     prop = EtdPropagator(u.grid, sym, params, dt, dealias_k, linear_only)
-    uhat = np.fft.fft(u.samples) * prop.mask
-    with np.errstate(over="ignore", invalid="ignore"):
-        uhat = prop.step(uhat)
-    if not np.all(np.isfinite(uhat)):
-        raise NonFinite("non-finite state after one step", t=dt)
-    return Field(grid=u.grid, samples=np.fft.ifft(uhat))
+    *_, (_, uhat) = prop.evolve(prop.forward(u), 1)
+    return prop.physical(uhat)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +300,23 @@ class Trajectory:
 
 
 def _snapshot_steps(cfg: SolverConfig, n_steps: int) -> dict:
-    """Map step index -> requested snapshot time (quantized to the dt grid)."""
+    """Map step index -> requested snapshot time.
+
+    Each time must lie on the dt grid (to 1e-9 relative) and on a step of
+    its own; anything else raises BadParameter rather than being moved.
+    """
     wanted = cfg.snapshot_times if cfg.snapshot_times is not None else (cfg.T,)
     out = {}
     for t in sorted(set(wanted)):
-        if t < 0 or t > cfg.T + 1e-12:
+        step = int(round(t / cfg.dt))
+        if t < 0 or step > n_steps:
             raise BadParameter(f"snapshot time {t} outside [0, T]")
-        out[min(int(round(t / cfg.dt)), n_steps)] = t
+        if abs(step * cfg.dt - t) > 1e-9 * t:
+            raise BadParameter(f"snapshot time {t} is not a multiple of dt={cfg.dt}")
+        if step in out:
+            raise BadParameter(
+                f"snapshot times {out[step]} and {t} fall on the same step {step}")
+        out[step] = t
     return out
 
 
@@ -275,34 +327,20 @@ def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     n_steps = int(round(cfg.T / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.T) > 1e-9 * cfg.T:
         raise BadParameter(f"T={cfg.T} is not an integer number of steps of dt={cfg.dt}")
-    prop = EtdPropagator(grid, sym, params, cfg.dt, cfg.dealias_k, cfg.linear_only)
-    uhat = np.fft.fft(u0.samples) * prop.mask
     snap_at = _snapshot_steps(cfg, n_steps)
+    prop = EtdPropagator(grid, sym, params, cfg.dt, cfg.dealias_k, cfg.linear_only)
 
     energies = np.empty(n_steps + 1)
     rates = np.empty(n_steps + 1)
-
-    def record(i):
-        energies[i] = float(np.sqrt(np.sum(np.abs(np.fft.ifft(uhat)) ** 2) * grid.dx))
-        spec = SpectralField(grid, grid.dx * grid._sign * uhat)
-        rates[i] = dissipation_rate(spec, params)
-
     times: List[float] = []
     snapshots: List[Field] = []
-    record(0)
-    if 0 in snap_at:
-        times.append(0.0)
-        snapshots.append(Field(grid, np.fft.ifft(uhat)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, n_steps + 1):
-            uhat = prop.step(uhat)
-            if not np.all(np.isfinite(uhat)):
-                raise NonFinite(
-                    f"non-finite state at t = {step * cfg.dt:.6g}", t=step * cfg.dt)
-            record(step)
+        for step, uhat in prop.evolve(prop.forward(u0), n_steps):
+            energies[step] = prop.energy(uhat)
+            rates[step] = prop.dissipation(uhat)
             if step in snap_at:
                 times.append(step * cfg.dt)
-                snapshots.append(Field(grid, np.fft.ifft(uhat)))
+                snapshots.append(prop.physical(uhat))
     return Trajectory(
         times=times,
         snapshots=snapshots,
@@ -323,28 +361,17 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     (consistent with the second-order integrator).  Divergence is detected
     through per-iteration contraction factors.
     """
-    grid = u0.grid
     M = int(round(cfg.T / cfg.dt))
     if M < 1:
         raise BadParameter("picard needs at least one step")
     dt = cfg.dt
-    L = linear_multiplier(grid.xi, sym, params)
-    mask = dealias_mask(grid, params.k if cfg.dealias_k is None else cfg.dealias_k)
-    ikx = 1j * grid.xi
-    kpow = params.k + 1
-
-    def nonlin(uhat):
-        u = np.fft.ifft(uhat)
-        return -(ikx / kpow) * (np.fft.fft(u ** kpow) * mask)
-
-    u0hat = np.fft.fft(u0.samples) * mask
+    prop = EtdPropagator(u0.grid, sym, params, dt, cfg.dealias_k, cfg.linear_only)
+    L = prop.L
+    u0hat = prop.forward(u0)
     prop_full = [np.exp(L * (i * dt)) for i in range(M + 1)]
     prop_half = [None] + [np.exp(L * ((d - 0.5) * dt)) for d in range(1, M + 1)]
 
     traj = [prop_full[i] * u0hat for i in range(M + 1)]
-
-    def l2(uhat):
-        return float(np.sqrt(np.sum(np.abs(np.fft.ifft(uhat)) ** 2) * grid.dx))
 
     factors: List[float] = []
     prev_diff = None
@@ -353,14 +380,14 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(cfg.picard_max_iter):
             iterations = it + 1
-            mids = [nonlin(0.5 * (traj[i] + traj[i + 1])) for i in range(M)]
+            mids = [prop.nonlinear(0.5 * (traj[i] + traj[i + 1])) for i in range(M)]
             new = [traj[0]]
             for i in range(1, M + 1):
                 acc = prop_full[i] * u0hat
                 for l in range(i):
                     acc = acc + dt * prop_half[i - l] * mids[l]
                 new.append(acc)
-            diff = max(l2(new[i] - traj[i]) for i in range(1, M + 1))
+            diff = max(prop.energy(new[i] - traj[i]) for i in range(1, M + 1))
             if not np.isfinite(diff):
                 diff = np.inf
             traj = new
@@ -380,5 +407,4 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
         "converged": converged,
         "final_update": prev_diff,
     }
-    final = Field(grid, np.fft.ifft(traj[M]))
-    return final, report
+    return prop.physical(traj[M]), report

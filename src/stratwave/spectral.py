@@ -169,13 +169,6 @@ def dealias(F: SpectralField, k: int) -> SpectralField:
     return SpectralField(grid=g, coefficients=coeffs)
 
 
-def dealias_mask(grid: Grid, k: int) -> np.ndarray:
-    """Boolean-as-float mask used by dealias (1 on kept modes)."""
-    if k < 1:
-        raise BadParameter(f"k must be >= 1, got {k}")
-    return np.where(np.abs(grid.j) > grid.N / (k + 2), 0.0, 1.0)
-
-
 def convolve(f: Field, g: Field, real_hint: bool = False) -> Field:
     """Continuum-normalised convolution (f*g)(x) = int f(y) g(x-y) dy."""
     _check_same_grid(f, g)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stratwave import (DatumSpec, ExcludedParameters, Field, Grid,
-                       InsufficientDecades, SolverConfig, SpectralField, Weight,
+                       InsufficientDecades, NonFinite, SolverConfig, SpectralField, Weight,
                        WindowContaminated, ZeroMean, dichotomy_experiment,
                        growth_envelope, kernel_hat, lower_bound_check,
                        make_datum, mean, preset, tail_exponent, to_physical,
@@ -234,3 +234,13 @@ def test_weighted_persistence_full_run():
     assert rep["bounded"]
     assert rep["low_t_slope"] >= -0.05
     assert rep["fitted_C"] > 0
+
+
+def test_weighted_persistence_reports_blow_up():
+    # the unstable run of test_nonfinite_detection must raise, not return NaNs
+    sym, params = preset("ost")
+    g = Grid(2 ** 10, 50.0)
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=50.0), g)
+    with pytest.raises(NonFinite):
+        weighted_persistence_experiment(sym, params, u0, p=2.0, gamma=0.5,
+                                        T=5.0, dt=0.1)

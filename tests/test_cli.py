@@ -116,6 +116,40 @@ def test_simulate_picard_mode(tmp_path, ost_config, gauss_datum):
     assert (out / "snapshot_t0.05.csv").exists()
 
 
+def test_simulate_picard_linear_only(tmp_path, ost_config):
+    datum = write_json(tmp_path / "datum.json",
+                       {"kind": "gaussian", "sigma0": 1.0, "amp": 0.5})
+    common = ["simulate", "--config", ost_config, "--datum", datum,
+              "--T", "0.05", "--dt", "0.01", "--grid", "N=1024,L=50"]
+    fields = {}
+    for name, extra in (("pic", ["--mode", "picard"]),
+                        ("pic_lin", ["--mode", "picard", "--linear-only"]),
+                        ("etd_lin", ["--mode", "etd", "--linear-only"])):
+        out = tmp_path / name
+        assert main(["--quiet", "--out", str(out)] + common + extra) == 0
+        data = np.loadtxt(out / "snapshot_t0.05.csv", delimiter=",", skiprows=1)
+        fields[name] = data[:, 1] + 1j * data[:, 2]
+    dx = 100.0 / 1024
+
+    def l2(a, b):
+        return float(np.sqrt(np.sum(np.abs(a - b) ** 2) * dx))
+
+    assert l2(fields["pic_lin"], fields["etd_lin"]) <= 1e-10
+    assert l2(fields["pic_lin"], fields["pic"]) > 1e-6  # the flag is honoured
+
+
+def test_simulate_rejects_off_grid_snapshots(tmp_path, ost_config, gauss_datum,
+                                             capsys):
+    out = tmp_path / "offgrid"
+    rc = main(["--quiet", "--out", str(out), "simulate", "--config", ost_config,
+               "--datum", gauss_datum, "--T", "0.2", "--dt", "0.001",
+               "--grid", "N=256,L=20", "--snapshots", "0.1,0.1004,0.1507"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "BadParameter" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_decay_fit_command(tmp_path, ost_config, capsys):
     out = tmp_path / "kernel.csv"
     main(["--quiet", "--out", str(out), "kernel", "--config", ost_config,

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stratwave import (DatumSpec, DispersionSymbol, Field, Grid, NoContraction,
-                       NonFinite, SolverConfig, SpectralField, dissipation_rate,
-                       energy, etd_step, growth_envelope, kernel_hat,
-                       make_datum, picard_solve, preset, solve, tail_exponent,
-                       to_physical, to_spectral, validate_params)
+from oracles import etd2_reference
+from stratwave import (DatumSpec, DispersionSymbol, EtdPropagator, Field, Grid,
+                       NoContraction, NonFinite, SolverConfig, SpectralField,
+                       dissipation_rate, energy, etd_step, growth_envelope,
+                       kernel_hat, make_datum, picard_solve, preset, solve,
+                       tail_exponent, to_physical, to_spectral, validate_params)
 from stratwave.errors import BadParameter
+from stratwave.model import SMOOTH
+from stratwave.solver import _snapshot_steps
 
 
 def l2_diff(a: Field, b: Field) -> float:
@@ -115,6 +119,91 @@ def test_nonfinite_detection():
     with pytest.raises(NonFinite) as err:
         solve(sym, params, u0, SolverConfig(dt=0.1, T=5.0))
     assert err.value.t is not None and err.value.t > 0
+
+
+@pytest.mark.parametrize("name", ["ost", "gost", "bo_perturbed", "chen_lee",
+                                  "dgbo_perturbed"])
+def test_real_stepper_matches_complex_reference(name):
+    sym, params = preset(name)
+    g = Grid(2 ** 11, 64.0)
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=0.5), g)
+    dt = 1e-3
+    ref = etd2_reference(u0.samples.real, g.L, params.m, params.n, params.k,
+                         params.eta, sym, dt, 10)
+    prop = EtdPropagator(g, sym, params, dt)
+    states = dict(prop.evolve(prop.forward(u0), 10))
+    for i in (1, 10):
+        got = prop.physical(states[i]).samples
+        rel = np.linalg.norm(got - ref[i - 1]) / np.linalg.norm(ref[i - 1])
+        assert rel <= 1e-12, (i, rel)
+
+
+_VALID_N = [n for n in range(1, 13) if not (n % 4 == 1 and n >= 5)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sym=st.sampled_from([DispersionSymbol.kdv(), DispersionSymbol.bo(),
+                            DispersionSymbol.dgbo(0.5)]),
+       m=st.sampled_from([2, 3]), n=st.sampled_from(_VALID_N),
+       k=st.integers(1, 4), eta=st.floats(0.05, 5.0),
+       N=st.sampled_from([16, 64, 256]), L=st.floats(2.0, 100.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_parseval_energy_and_dissipation(sym, m, n, k, eta, N, L, seed):
+    params = validate_params(m, n, k, eta)
+    g = Grid(N, L)
+    prop = EtdPropagator(g, sym, params, 1e-3)
+    u = Field(g, np.random.default_rng(seed).standard_normal(N))
+    uhat = np.fft.rfft(u.real)   # unmasked, so the Nyquist weight counts too
+    assert prop.energy(uhat) == pytest.approx(u.l2_norm(), rel=1e-12)
+    # n = 1 has an amplification band, so the rate can cancel: compare
+    # against the sum of the absolute contributions
+    expect = dissipation_rate(to_spectral(u), params)
+    scale = float(np.dot(np.abs(prop.rate_weight), np.abs(uhat) ** 2))
+    assert abs(prop.dissipation(uhat) - expect) <= 1e-12 * scale
+    if n != 1:
+        assert prop.dissipation(uhat) == pytest.approx(expect, rel=1e-12)
+
+
+def test_odd_dispersion_symbol_rejected():
+    odd = DispersionSymbol.custom(lambda xi: xi, sigma=1.0, origin_regularity=SMOOTH)
+    params = validate_params(3, 1, 1, 1.0)
+    g = Grid(2 ** 8, 20.0)
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), g)
+    with pytest.raises(BadParameter, match="Hermitian"):
+        solve(odd, params, u0, SolverConfig(dt=1e-2, T=0.1))
+    with pytest.raises(BadParameter, match="Hermitian"):
+        etd_step(u0, 1e-2, odd, params)
+    with pytest.raises(BadParameter, match="Hermitian"):
+        picard_solve(odd, params, u0, SolverConfig(dt=1e-2, T=0.1, mode="picard"))
+    # an even custom symbol is accepted
+    even = DispersionSymbol.custom(lambda xi: xi ** 2, sigma=2.0,
+                                   origin_regularity=SMOOTH)
+    solve(even, params, u0, SolverConfig(dt=1e-2, T=0.1))
+
+
+def test_complex_datum_rejected():
+    sym, params = preset("ost")
+    g = Grid(2 ** 8, 20.0)
+    u = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), g)
+    u0 = Field(g, u.samples * (1.0 + 0.1j))
+    with pytest.raises(BadParameter, match="real data"):
+        solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1))
+    with pytest.raises(BadParameter, match="real data"):
+        etd_step(u0, 1e-2, sym, params)
+    with pytest.raises(BadParameter, match="real data"):
+        picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1, mode="picard"))
+
+
+def test_snapshot_times_off_grid_or_colliding_rejected():
+    # 0.1004 lies between steps; it used to be moved onto step 100 and drop 0.1
+    cfg = SolverConfig(dt=1e-3, T=0.2, snapshot_times=(0.1, 0.1004, 0.1507))
+    with pytest.raises(BadParameter, match="not a multiple of dt"):
+        _snapshot_steps(cfg, 200)
+    cfg = SolverConfig(dt=1e-3, T=0.2, snapshot_times=(0.1, 0.1 + 1e-12))
+    with pytest.raises(BadParameter, match="same step"):
+        _snapshot_steps(cfg, 200)
+    cfg = SolverConfig(dt=1e-3, T=0.2, snapshot_times=(0.15, 0.0, 0.1, 0.1))
+    assert _snapshot_steps(cfg, 200) == {0: 0.0, 100: 0.1, 150: 0.15}
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +324,19 @@ def test_picard_matches_etd_small_data():
     assert report["converged"]
     assert all(f < 1 for f in report["contraction_factors"])
     assert l2_diff(u_etd, u_pic) <= 1e-6
+
+
+def test_picard_linear_only_matches_etd_linear_only():
+    sym, params = preset("ost")
+    g = Grid(2 ** 10, 50.0)
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.5), g)
+    u_etd = solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1,
+                                                linear_only=True)).snapshots[-1]
+    u_pic, report = picard_solve(sym, params, u0,
+                                 SolverConfig(dt=1e-2, T=0.1, mode="picard",
+                                              linear_only=True))
+    assert report["converged"]
+    assert l2_diff(u_etd, u_pic) <= 1e-10
 
 
 def test_picard_no_contraction_for_large_data():
