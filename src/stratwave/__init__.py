@@ -13,13 +13,15 @@ from .spectral import (Field, Grid, SpectralField, convolve, dealias,
                        field_to_binary, field_to_csv, hilbert, integral,
                        to_physical, to_spectral, wrap_contamination)
 from .kernel import (KernelField, asymptotic_coefficient, kernel_derivative_field,
-                     kernel_field, kernel_hat, leading_jump,
-                     verify_pointwise_bound)
+                     kernel_field, kernel_hat, leading_jump)
 from .solver import (DatumSpec, EtdPropagator, SolverConfig, Trajectory,
-                     datum_from_config, dissipation_rate, energy, etd_step,
-                     make_datum, picard_solve, solve)
-from .analysis import (DecayFit, Weight, dichotomy_experiment, growth_envelope,
-                       lower_bound_check, mean, tail_exponent, weighted_norm,
-                       weighted_persistence_experiment, zero_mean_project)
+                     datum_from_config, dissipation_rate, etd_step, make_datum,
+                     picard_solve, solve)
+from .analysis import (DecayFit, Weight, dichotomy_experiment, energy_experiment,
+                       growth_envelope, growth_experiment, kernel_report,
+                       lower_bound_check, lower_bound_experiment, tail_exponent,
+                       verify_pointwise_bound, weighted_norm,
+                       weighted_persistence_experiment, window_mask,
+                       zero_mean_project)
 
 __version__ = "0.1.0"

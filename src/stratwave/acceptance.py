@@ -20,13 +20,13 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .analysis import (dichotomy_experiment, growth_envelope, lower_bound_check,
-                       mean, tail_exponent, weighted_persistence_experiment)
+from .analysis import (dichotomy_experiment, energy_experiment, growth_experiment,
+                       kernel_report, lower_bound_experiment, tail_exponent,
+                       weighted_persistence_experiment)
 from .errors import ExcludedParameters
-from .kernel import (asymptotic_coefficient, kernel_derivative_field,
-                     kernel_field, kernel_hat)
+from .kernel import kernel_derivative_field, kernel_field, kernel_hat
 from .model import DispersionSymbol, preset, validate_params
-from .solver import (DatumSpec, SolverConfig, make_datum, picard_solve, solve)
+from .solver import DatumSpec, SolverConfig, make_datum, picard_solve, solve
 from .spectral import Field, Grid, convolve
 
 
@@ -48,9 +48,11 @@ class CriterionResult:
 KDV = DispersionSymbol.kdv()
 
 
-def _both_side_exponents(fieldv, window):
-    left, right = tail_exponent(fieldv, window)
-    return left.exponent, right.exponent
+def _tail_result(cid: str, fieldv, window, target: float, tol: float) -> CriterionResult:
+    lo, hi = (fit.exponent for fit in tail_exponent(fieldv, window))
+    ok = abs(lo - target) <= tol and abs(hi - target) <= tol
+    return CriterionResult(cid, ok, f"exponent {target} +- {tol}",
+                           {"left": lo, "right": hi})
 
 
 def crit_k_mod_even() -> CriterionResult:
@@ -95,22 +97,14 @@ def crit_k_tail_1() -> CriterionResult:
 
     L = 3200 keeps image contamination at x = 200 near 0.2% (the wrap rule).
     """
-    grid = Grid(2 ** 19, 3200.0)
-    kf = kernel_field(1.0, grid, KDV, validate_params(3, 1, 1, 1.0))
-    lo, hi = _both_side_exponents(kf.field, (20.0, 200.0))
-    ok = abs(lo - 2.0) <= 0.1 and abs(hi - 2.0) <= 0.1
-    return CriterionResult("K-TAIL-1", ok, "exponent 2.0 +- 0.1",
-                           {"left": lo, "right": hi})
+    kf = kernel_field(1.0, Grid(2 ** 19, 3200.0), KDV, validate_params(3, 1, 1, 1.0))
+    return _tail_result("K-TAIL-1", kf.field, (20.0, 200.0), 2.0, 0.1)
 
 
 def crit_k_tail_2() -> CriterionResult:
     """Kernel tail exponent 3 for (m=3, n=2, t=1), +-0.15 (smooth symbol)."""
-    grid = Grid(2 ** 18, 1600.0)
-    kf = kernel_field(1.0, grid, KDV, validate_params(3, 2, 1, 1.0))
-    lo, hi = _both_side_exponents(kf.field, (30.0, 250.0))
-    ok = abs(lo - 3.0) <= 0.15 and abs(hi - 3.0) <= 0.15
-    return CriterionResult("K-TAIL-2", ok, "exponent 3.0 +- 0.15",
-                           {"left": lo, "right": hi})
+    kf = kernel_field(1.0, Grid(2 ** 18, 1600.0), KDV, validate_params(3, 2, 1, 1.0))
+    return _tail_result("K-TAIL-2", kf.field, (30.0, 250.0), 3.0, 0.15)
 
 
 def crit_k_tail_4() -> CriterionResult:
@@ -122,37 +116,24 @@ def crit_k_tail_4() -> CriterionResult:
     x ~ 500; window [600, 1400] on an L = 3200 box measures the true power
     law a decade above the FFT noise floor.
     """
-    grid = Grid(2 ** 19, 3200.0)
-    kf = kernel_field(0.5, grid, KDV, validate_params(2, 4, 1, 4.0))
-    lo, hi = _both_side_exponents(kf.field, (600.0, 1400.0))
-    ok = abs(lo - 5.0) <= 0.25 and abs(hi - 5.0) <= 0.25
-    return CriterionResult("K-TAIL-4", ok, "exponent 5.0 +- 0.25",
-                           {"left": lo, "right": hi})
+    kf = kernel_field(0.5, Grid(2 ** 19, 3200.0), KDV, validate_params(2, 4, 1, 4.0))
+    return _tail_result("K-TAIL-4", kf.field, (600.0, 1400.0), 5.0, 0.25)
 
 
 def crit_k_const() -> CriterionResult:
     """|x|^2 |K(1, x)| within 5% of 1/pi for (m=3, n=1, eta=1) on [50, 200]."""
-    grid = Grid(2 ** 19, 3200.0)
-    params = validate_params(3, 1, 1, 1.0)
-    kf = kernel_field(1.0, grid, KDV, params)
-    target = asymptotic_coefficient(1.0, params)  # = 1/pi
-    x = grid.x
-    msk = (np.abs(x) >= 50.0) & (np.abs(x) <= 200.0)
-    vals = np.abs(x[msk]) ** 2 * np.abs(kf.field.samples[msk])
-    dev = float(np.max(np.abs(vals - target)) / target)
-    return CriterionResult("K-CONST", dev <= 0.05,
+    kf = kernel_field(1.0, Grid(2 ** 19, 3200.0), KDV, validate_params(3, 1, 1, 1.0))
+    rep = kernel_report(kf, (50.0, 200.0))
+    return CriterionResult("K-CONST", rep["max_rel_dev"] <= 0.05,
                            "x^2|K| within 5% of 1/pi = 0.31831",
-                           {"max_rel_dev": dev, "target": target})
+                           {"max_rel_dev": rep["max_rel_dev"], "target": rep["A_predicted"]})
 
 
 def crit_k_deriv() -> CriterionResult:
     """d_x K tail exponent n+2 = 3 for (m=3, n=1, t=1), +-0.15."""
-    grid = Grid(2 ** 19, 3200.0)
-    dk = kernel_derivative_field(1.0, grid, KDV, validate_params(3, 1, 1, 1.0))
-    lo, hi = _both_side_exponents(dk, (20.0, 150.0))
-    ok = abs(lo - 3.0) <= 0.15 and abs(hi - 3.0) <= 0.15
-    return CriterionResult("K-DERIV", ok, "exponent 3.0 +- 0.15",
-                           {"left": lo, "right": hi})
+    dk = kernel_derivative_field(1.0, Grid(2 ** 19, 3200.0), KDV,
+                                 validate_params(3, 1, 1, 1.0))
+    return _tail_result("K-DERIV", dk, (20.0, 150.0), 3.0, 0.15)
 
 
 def crit_s_conv() -> CriterionResult:
@@ -164,10 +145,8 @@ def crit_s_conv() -> CriterionResult:
     for dt in (1e-3, 5e-4, 2.5e-4):
         cfg = SolverConfig(dt=dt, T=0.25, snapshot_times=(0.25,))
         finals.append(solve(sym, params, u0, cfg).snapshots[-1])
-    d12 = float(np.sqrt(np.sum(np.abs(finals[0].samples - finals[1].samples) ** 2)
-                        * grid.dx))
-    d23 = float(np.sqrt(np.sum(np.abs(finals[1].samples - finals[2].samples) ** 2)
-                        * grid.dx))
+    d12 = Field(grid, finals[0].samples - finals[1].samples).l2_norm()
+    d23 = Field(grid, finals[1].samples - finals[2].samples).l2_norm()
     order = math.log2(d12 / d23)
     return CriterionResult("S-CONV", order >= 1.9, "observed order >= 1.9",
                            {"order": order, "d12": d12, "d23": d23})
@@ -183,8 +162,7 @@ def crit_s_xcheck() -> CriterionResult:
     u_pic, report = picard_solve(sym, params, u0,
                                  SolverConfig(dt=1e-3, T=0.1, mode="picard",
                                               picard_tol=1e-12))
-    diff = float(np.sqrt(np.sum(np.abs(u_etd.samples - u_pic.samples) ** 2)
-                         * grid.dx))
+    diff = Field(grid, u_etd.samples - u_pic.samples).l2_norm()
     return CriterionResult("S-XCHECK", diff <= 1e-6, "||picard - etd||_2 <= 1e-6",
                            {"l2_diff": diff, "picard_iterations": report["iterations"]})
 
@@ -193,12 +171,10 @@ def crit_e_mono() -> CriterionResult:
     """Energy non-increasing per step (slack 1e-10) for (2,2) and (2,3)."""
     grid = Grid(2 ** 12, 64.0)
     u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=0.5), grid)
-    worst = -np.inf
-    for n in (2, 3):
-        params = validate_params(2, n, 1, 1.0)
-        traj = solve(KDV, params, u0, SolverConfig(dt=1e-3, T=1.0))
-        worst = max(worst, float(np.max(np.diff(traj.energy_series))))
-    return CriterionResult("E-MONO", worst <= 1e-10,
+    reps = [energy_experiment(KDV, validate_params(2, n, 1, 1.0), u0, T=1.0, dt=1e-3)
+            for n in (2, 3)]
+    worst = max(rep["max_step_increase"] for rep in reps)
+    return CriterionResult("E-MONO", all(rep["checks"]["monotone"] for rep in reps),
                            "max per-step energy increase <= 1e-10",
                            {"max_increase": worst})
 
@@ -208,13 +184,11 @@ def crit_e_grow() -> CriterionResult:
     sym, params = preset("ost")
     grid = Grid(2 ** 12, 64.0)
     u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=0.5), grid)
-    traj = solve(sym, params, u0, SolverConfig(dt=1e-3, T=1.0))
-    bound = traj.energy_series[0] * np.exp(params.eta * traj.energy_times) * 1.01
-    ratio = float(np.max(traj.energy_series / bound))
-    return CriterionResult("E-GROW", ratio <= 1.0,
+    rep = energy_experiment(sym, params, u0, T=1.0, dt=1e-3)
+    return CriterionResult("E-GROW", rep["checks"]["growth_bound"],
                            "energy within e^{eta t} * 1.01 envelope",
-                           {"max_ratio": ratio,
-                            "peak_energy": float(np.max(traj.energy_series))})
+                           {"max_ratio": rep["max_envelope_ratio"],
+                            "peak_energy": rep["peak_energy"]})
 
 
 def _t2_run(gamma: float) -> tuple:
@@ -228,7 +202,7 @@ def _t2_run(gamma: float) -> tuple:
     u0 = make_datum(DatumSpec(kind="algebraic", gamma=gamma, c=0.5), grid)
     cfg = SolverConfig(dt=1e-3, T=1.0, snapshot_times=(1.0,))
     traj = solve(sym, params, u0, cfg)
-    return _both_side_exponents(traj.snapshots[-1], (20.0, 120.0))
+    return tuple(fit.exponent for fit in tail_exponent(traj.snapshots[-1], (20.0, 120.0)))
 
 
 def crit_t2_decay() -> CriterionResult:
@@ -256,22 +230,16 @@ def crit_t3_dichotomy() -> CriterionResult:
 
 def crit_t3_lower() -> CriterionResult:
     """Lower bound: linear-only ratio 1 +- 0.05 outermost; nonlinear in [0.5, 2]."""
-    from .spectral import SpectralField, to_physical, to_spectral
-
     sym, params = preset("ost")
     grid = Grid(2 ** 17, 800.0)
-    u0 = make_datum(DatumSpec(kind="algebraic", gamma=3.0, c=1.0), grid)
-    khat = kernel_hat(1.0, grid.xi, sym, params)
-    ulin = to_physical(SpectralField(grid, khat * to_spectral(u0).coefficients))
     windows = [(40.0, 80.0), (60.0, 120.0), (100.0, 200.0)]
-    rep_lin = lower_bound_check(ulin, 1.0, params, mean(u0), windows=windows)
-    lin_ok = abs(rep_lin["outer_ratio_median"] - 1.0) <= 0.05
-
+    u0 = make_datum(DatumSpec(kind="algebraic", gamma=3.0, c=1.0), grid)
+    rep_lin = lower_bound_experiment(sym, params, u0, T=1.0, dt=1e-3,
+                                     linear_only=True, windows=windows)
     u0n = make_datum(DatumSpec(kind="algebraic", gamma=3.0, c=0.1), grid)
-    traj = solve(sym, params, u0n, SolverConfig(dt=1e-3, T=1.0, snapshot_times=(1.0,)))
-    rep_nl = lower_bound_check(traj.snapshots[-1], 1.0, params, mean(u0n),
-                               windows=windows)
-    ok = lin_ok and rep_nl["passes"]
+    rep_nl = lower_bound_experiment(sym, params, u0n, T=1.0, dt=1e-3,
+                                    windows=windows)
+    ok = abs(rep_lin["outer_ratio_median"] - 1.0) <= 0.05 and rep_nl["passed"]
     return CriterionResult(
         "T3-LOWER", ok, "linear ratio 1.0 +- 0.05; nonlinear in [0.5, 2]",
         {"linear_outer_ratio": rep_lin["outer_ratio_median"],
@@ -298,14 +266,11 @@ def crit_t5_growth() -> CriterionResult:
     sym, params = preset("ost")
     grid = Grid(2 ** 16, 400.0)
     u0 = make_datum(DatumSpec(kind="growth", gamma=0.3, c0=1e-2), grid)
-    cfg = SolverConfig(dt=1e-3, T=0.5, snapshot_times=(0.125, 0.25, 0.375, 0.5))
-    traj = solve(sym, params, u0, cfg)
-    envs = [growth_envelope(u0, 0.3)] + [growth_envelope(s, 0.3)
-                                         for s in traj.snapshots]
-    worst = float(np.max(envs))
-    return CriterionResult("T5-GROWTH", worst <= 2e-2,
+    rep = growth_experiment(sym, params, u0, gamma=0.3, T=0.5, dt=1e-3,
+                            snapshot_times=(0.125, 0.25, 0.375, 0.5), bound=2e-2)
+    return CriterionResult("T5-GROWTH", rep["passed"],
                            "envelope <= 2 C0 = 0.02 on all snapshots",
-                           {"max_envelope": worst})
+                           {"max_envelope": rep["max_envelope"]})
 
 
 def crit_cl_guard() -> CriterionResult:

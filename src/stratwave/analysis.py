@@ -18,6 +18,9 @@ The experiment drivers operationalize the three spatial-behavior results:
 * weighted_persistence_experiment: samples t^alpha ||u(t)||_{L^p_w} on a
   log-spaced t grid; bounded means finite sup and non-divergence as t -> 0
   (log-log slope >= -0.05 on the smallest decade).
+
+These and the energy, growth and kernel reports below back both `stratwave
+experiment`/`stratwave kernel` and the acceptance criteria.
 """
 
 from __future__ import annotations
@@ -30,12 +33,29 @@ import numpy as np
 
 from .errors import (BadParameter, ExcludedParameters, InsufficientDecades,
                      WindowContaminated, ZeroMean)
-from .kernel import asymptotic_coefficient
+from .kernel import KernelField, asymptotic_coefficient, kernel_field, kernel_hat
 from .model import DispersionSymbol, ModelParams
 from .solver import DatumSpec, EtdPropagator, SolverConfig, make_datum, solve
-from .spectral import Field, Grid
+from .spectral import (Field, Grid, SpectralField, integral, to_physical,
+                       to_spectral, wrap_contamination)
 
 MIN_POINTS_PER_DECADE = 30
+
+
+def window_mask(grid: Grid, window: Tuple[float, float], side: str) -> np.ndarray:
+    """Samples with a <= x <= b ("right"), -b <= x <= -a ("left") or either ("both").
+
+    Raises BadParameter unless 0 < a < b, and WindowContaminated when b
+    passes the wrap-safe half-box L/2.
+    """
+    a, b = window
+    if not 0 < a < b:
+        raise BadParameter(f"window must satisfy 0 < a < b, got {window}")
+    if b > 0.5 * grid.L:
+        raise WindowContaminated(
+            f"window edge {b} exceeds wrap-safe half-box {0.5 * grid.L}")
+    right, left = (grid.x >= a) & (grid.x <= b), (grid.x <= -a) & (grid.x >= -b)
+    return {"right": right, "left": left, "both": right | left}[side]
 
 
 @dataclass
@@ -64,18 +84,15 @@ class DecayFit:
         return self.r_squared >= 0.98
 
 
-def _fit_side(x: np.ndarray, vals: np.ndarray, window, side: str) -> DecayFit:
+def _fit_side(f: Field, window, side: str) -> DecayFit:
     a, b = window
-    if side == "right":
-        msk = (x >= a) & (x <= b)
-    else:
-        msk = (x <= -a) & (x >= -b)
-    xa = np.abs(x[msk])
-    ya = np.abs(vals[msk])
+    msk = window_mask(f.grid, window, side)
+    xa = np.abs(f.grid.x[msk])
+    ya = np.abs(f.samples[msk])
     keep = ya > 0
     xa, ya = xa[keep], ya[keep]
     decades = math.log10(b / a)
-    if decades <= 0 or len(xa) / decades < MIN_POINTS_PER_DECADE:
+    if len(xa) / decades < MIN_POINTS_PER_DECADE:
         raise InsufficientDecades(
             f"{side} window [{a}, {b}]: {len(xa)} points over {decades:.2f} "
             f"decades (< {MIN_POINTS_PER_DECADE}/decade)")
@@ -94,16 +111,7 @@ def _fit_side(x: np.ndarray, vals: np.ndarray, window, side: str) -> DecayFit:
 
 def tail_exponent(f: Field, window: Tuple[float, float]) -> Tuple[DecayFit, DecayFit]:
     """Fit both tails of |f|; returns (left, right) DecayFit."""
-    a, b = window
-    grid = f.grid
-    if not 0 < a < b:
-        raise BadParameter(f"window must satisfy 0 < a < b, got {window}")
-    if b > 0.5 * grid.L:
-        raise WindowContaminated(
-            f"window edge {b} exceeds wrap-safe half-box {0.5 * grid.L}")
-    left = _fit_side(grid.x, f.samples, (a, b), "left")
-    right = _fit_side(grid.x, f.samples, (a, b), "right")
-    return left, right
+    return _fit_side(f, window, "left"), _fit_side(f, window, "right")
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +149,6 @@ def growth_envelope(u: Field, gamma: float) -> float:
     return float(np.max(np.abs(u.samples) / (1.0 + np.abs(u.grid.x)) ** gamma))
 
 
-def mean(u: Field) -> float:
-    """Discrete integral of u over the box (mean times box length)."""
-    return float(np.sum(u.samples.real) * u.grid.dx)
-
-
 def zero_mean_project(u: Field) -> Field:
     """Subtract the discrete mean; the result integrates to 0 exactly."""
     shifted = u.samples - np.sum(u.samples) / u.grid.N
@@ -159,6 +162,12 @@ def zero_mean_project(u: Field) -> Field:
 
 def _excluded_pair(params: ModelParams) -> bool:
     return params.m == 2 and (params.n == 1 or params.n % 2 == 0)
+
+
+def _check_decay_order(sym: DispersionSymbol, params: ModelParams) -> None:
+    if not sym.supports_decay_order(params.n):
+        raise ExcludedParameters(f"the {sym.kind} symbol is C^{sym.origin_regularity} "
+                                 f"at 0; the order-{params.n} tail law needs C^{params.n - 1}")
 
 
 def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams,
@@ -177,6 +186,7 @@ def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams,
         raise ExcludedParameters(
             f"(m, n) = ({params.m}, {params.n}): the dichotomy result excludes "
             f"(2, 1) and (2, 2d)")
+    _check_decay_order(sym, params)
     n = params.n
     eps = gamma_datum - (n + 1)
     if not 0 < eps <= 1:
@@ -206,8 +216,8 @@ def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams,
         "ordering": exp_zm >= exp_raw,
     }
     return {
-        "mean": mean(datum_raw),
-        "zero_mean_residual": mean(datum_zm),
+        "mean": integral(datum_raw),
+        "zero_mean_residual": integral(datum_zm),
         "exponent_nonzero_mean": exp_raw,
         "exponent_zero_mean": exp_zm,
         "per_side": {
@@ -238,24 +248,18 @@ def lower_bound_check(u: Field, t: float, params: ModelParams, u0_mean: float,
         hi = 0.45 * grid.L
         windows = [(hi / 4, hi / 2), (hi * 0.375, hi * 0.75), (hi / 2, hi)]
     A = asymptotic_coefficient(t, params)
-    n = params.n
     ratio_series = []
-    for (a, b) in windows:
-        if b > 0.5 * grid.L:
-            raise WindowContaminated(
-                f"window edge {b} exceeds wrap-safe half-box {0.5 * grid.L}")
-        msk = ((grid.x >= a) & (grid.x <= b)) | ((grid.x <= -a) & (grid.x >= -b))
-        r = np.abs(grid.x[msk]) ** (n + 1) * np.abs(u.samples[msk]) / (A * abs(u0_mean))
+    for window in windows:
+        msk = window_mask(grid, window, "both")
+        r = np.abs(grid.x[msk]) ** (params.n + 1) * np.abs(u.samples[msk]) / (A * abs(u0_mean))
         ratio_series.append(float(np.median(r)))
-    a, b = windows[-1]
-    msk = ((grid.x >= a) & (grid.x <= b)) | ((grid.x <= -a) & (grid.x >= -b))
-    r_outer = np.abs(grid.x[msk]) ** (n + 1) * np.abs(u.samples[msk]) / (A * abs(u0_mean))
-    passes = bool(band[0] <= float(np.min(r_outer)) and float(np.max(r_outer)) <= band[1])
+    # r now holds the outermost window's ratios
+    passes = bool(band[0] <= float(np.min(r)) and float(np.max(r)) <= band[1])
     return {
         "ratio_series": ratio_series,
         "outer_ratio_median": ratio_series[-1],
-        "outer_ratio_min": float(np.min(r_outer)),
-        "outer_ratio_max": float(np.max(r_outer)),
+        "outer_ratio_min": float(np.min(r)),
+        "outer_ratio_max": float(np.max(r)),
         "A_predicted": A,
         "windows": [list(w) for w in windows],
         "passes": passes,
@@ -313,3 +317,99 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
         "bounded": bounded,
         "passed": bounded,
     }
+
+
+def lower_bound_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field,
+                           T: float, dt: float, linear_only: bool = False,
+                           windows: Optional[Sequence[Tuple[float, float]]] = None) -> dict:
+    """lower_bound_check on u(T): Khat(T) u0hat when linear_only, else ETD2."""
+    _check_decay_order(sym, params)
+    if linear_only:
+        khat = kernel_hat(T, u0.grid.xi, sym, params)
+        u = to_physical(SpectralField(u0.grid, khat * to_spectral(u0).coefficients))
+    else:
+        u = solve(sym, params, u0, SolverConfig(dt=dt, T=T, snapshot_times=(T,))).snapshots[-1]
+    report = lower_bound_check(u, T, params, integral(u0), windows=windows)
+    return {**report, "passed": report["passes"]}
+
+
+def energy_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field,
+                      T: float, dt: float) -> dict:
+    """Checks ||u(t)||_2 <= ||u0|| e^{eta t} * 1.01 at every ETD2 step and,
+    when Re phi <= 0 (n even or n = 3 + 4d), no step increase above 1e-10."""
+    traj = solve(sym, params, u0, SolverConfig(dt=dt, T=T))
+    e = traj.energy_series
+    increase = float(np.max(np.diff(e)))
+    bound = e[0] * np.exp(params.eta * traj.energy_times) * 1.01
+    checks = {"growth_bound": bool(np.all(e <= bound))}
+    if params.n % 2 == 0 or params.n % 4 == 3:
+        checks["monotone"] = increase <= 1e-10
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = float(np.max(e / bound))
+    return {"max_step_increase": increase, "max_envelope_ratio": ratio,
+            "peak_energy": float(np.max(e)), "energy_initial": float(e[0]),
+            "energy_final": float(e[-1]), "checks": checks,
+            "passed": all(checks.values())}
+
+
+def growth_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field,
+                      gamma: float, T: float, dt: float,
+                      snapshot_times: Sequence[float], bound: float) -> dict:
+    """growth_envelope of the datum and every snapshot; passes if all <= bound."""
+    envs = [growth_envelope(u0, gamma)]
+    traj = solve(sym, params, u0,
+                 SolverConfig(dt=dt, T=T, snapshot_times=tuple(snapshot_times)))
+    envs += [growth_envelope(s, gamma) for s in traj.snapshots]
+    worst = float(np.max(envs))
+    return {"times": [0.0] + traj.times, "envelopes": envs,
+            "max_envelope": worst, "bound": bound, "passed": worst <= bound}
+
+
+def _weighted_sup(kf: KernelField, window: Tuple[float, float]) -> float:
+    """t^alpha sup over the window of |K(t, x)| (1 + |x|^{n+1})."""
+    g = kf.field.grid
+    msk = window_mask(g, window, "both")
+    w = np.abs(kf.field.samples[msk]) * (1.0 + np.abs(g.x[msk]) ** (kf.params.n + 1))
+    return float(np.max(w) * kf.t ** kf.params.alpha)
+
+
+def kernel_report(kf: KernelField,
+                  window: Optional[Tuple[float, float]] = None) -> dict:
+    """Mass, tail slopes and |x|^{n+1} constants of a kernel on a window
+    (default: 10 core widths (eta t)^{1/m}, at least 5, to 0.45 L).
+
+    max_rel_dev is the largest relative gap of |x|^{n+1} |K| from A(t);
+    theory_applies is False when p is not C^{n-1} at 0.
+    """
+    grid, params = kf.field.grid, kf.params
+    if window is None:
+        window = (max(10.0 * (params.eta * kf.t) ** (1.0 / params.m), 5.0),
+                  0.45 * grid.L)
+    left, right = tail_exponent(kf.field, window)
+    A = asymptotic_coefficient(kf.t, params)
+    msk = window_mask(grid, window, "both")
+    scaled = np.abs(grid.x[msk]) ** (params.n + 1) * np.abs(kf.field.samples[msk])
+    return {
+        "mass": kf.mass,
+        "tail_slope_left": -left.exponent,
+        "tail_slope_right": -right.exponent,
+        "fitted_C": _weighted_sup(kf, window),
+        "A_predicted": A,
+        "max_rel_dev": float(np.max(np.abs(scaled - A)) / A),
+        "window": list(window),
+        "wrap_contamination": wrap_contamination(grid, window[1], params.n + 1),
+        "theory_applies": kf.sym.supports_decay_order(params.n),
+    }
+
+
+def verify_pointwise_bound(kf: KernelField,
+                           window: Optional[Tuple[float, float]] = None) -> dict:
+    """kernel_report; passes when fitted_C is finite and within 10% of
+    refined_C, the same supremum on a grid of doubled N."""
+    report = kernel_report(kf, window)
+    grid, fitted_C = kf.field.grid, report["fitted_C"]
+    refined = kernel_field(kf.t, Grid(2 * grid.N, grid.L), kf.sym, kf.params)
+    refined_C = _weighted_sup(refined, tuple(report["window"]))
+    stable = abs(refined_C - fitted_C) <= 0.10 * fitted_C
+    return {**report, "refined_C": refined_C,
+            "passes": bool(np.isfinite(fitted_C) and stable)}

@@ -12,28 +12,27 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
+from types import SimpleNamespace
 
 from . import __version__
-from .acceptance import CRITERIA, run_acceptance
-from .analysis import (dichotomy_experiment, growth_envelope, lower_bound_check,
-                       mean, tail_exponent, weighted_persistence_experiment)
-from .errors import ConfigInvalid, StratwaveError
-from .kernel import asymptotic_coefficient, kernel_field, kernel_hat
+from .acceptance import run_acceptance
+from .analysis import (dichotomy_experiment, energy_experiment, growth_experiment,
+                       kernel_report, lower_bound_experiment, tail_exponent,
+                       weighted_persistence_experiment)
+from .errors import (BadParameter, ConfigInvalid, InvalidN, InvalidRange,
+                     NonFinite, StratwaveError)
+from .kernel import kernel_field
 from .model import PRESET_NAMES, model_from_config, preset
-from .runio import (DATUM_SCHEMA, EXPERIMENT_SCHEMA, MODEL_SCHEMA, RunDirectory,
-                    default_output_root, load_json, validate_config, write_json)
-from .solver import SolverConfig, datum_from_config, solve
-from .spectral import (Grid, SpectralField, field_from_csv, field_to_csv,
-                       to_physical, to_spectral, wrap_contamination)
+from .runio import (DATUM_SCHEMA, MODEL_SCHEMA, RunDirectory, default_output_root,
+                    experiment_schema, load_json, validate_config, write_json)
+from .solver import SolverConfig, datum_from_config, picard_solve, solve
+from .spectral import Grid, field_from_csv, field_to_csv, wrap_contamination
 
 EXIT_PASS, EXIT_ERROR, EXIT_ASSERT = 0, 1, 2
 
 
 def _checked_model(cfg: dict):
     """model_from_config with semantic failures mapped to ConfigInvalid."""
-    from .errors import BadParameter, InvalidN, InvalidRange
     try:
         return model_from_config(cfg)
     except (InvalidN, InvalidRange, BadParameter) as exc:
@@ -41,9 +40,19 @@ def _checked_model(cfg: dict):
 
 
 def _parse_grid(text: str) -> Grid:
-    """Parse 'N=65536,L=400' into a Grid."""
-    parts = dict(kv.split("=") for kv in text.split(","))
-    return Grid(int(parts["N"]), float(parts["L"]))
+    """Parse 'N=65536,L=400' into a Grid; anything malformed is ConfigInvalid."""
+    try:
+        parts = dict(kv.split("=", 1) for kv in text.split(","))
+        return Grid(int(parts["N"]), float(parts["L"]))
+    except (KeyError, ValueError) as exc:
+        raise ConfigInvalid(f"--grid {text!r}: expected N=<int>,L=<float> "
+                            f"({type(exc).__name__}: {exc})", path="--grid") from exc
+
+
+def _window(text: str):
+    """argparse type for 'a,b'; a malformed value is a usage error."""
+    a, b = (float(v) for v in text.split(","))
+    return a, b
 
 
 def _config_tag(cfg: dict) -> str:
@@ -68,27 +77,8 @@ def cmd_kernel(args) -> int:
     cfg = load_json(args.config)
     validate_config(cfg, MODEL_SCHEMA)
     sym, params = _checked_model(cfg)
-    grid = _parse_grid(args.grid)
-    kf = kernel_field(args.t, grid, sym, params)
-
-    win = (args.window if args.window
-           else (max(10.0 * (params.eta * args.t) ** (1.0 / params.m), 5.0),
-                 0.45 * grid.L))
-    left, right = tail_exponent(kf.field, win)
-    t_alpha = args.t ** params.alpha
-    x = grid.x
-    msk = (np.abs(x) >= win[0]) & (np.abs(x) <= win[1])
-    fitted_c = float(np.max(np.abs(kf.field.samples[msk])
-                            * (1 + np.abs(x[msk]) ** (params.n + 1))) * t_alpha)
-    report = {
-        "mass": kf.mass,
-        "tail_slope_left": -left.exponent,
-        "tail_slope_right": -right.exponent,
-        "fitted_C": fitted_c,
-        "A_predicted": asymptotic_coefficient(args.t, params),
-        "window": list(win),
-        "wrap_contamination": wrap_contamination(grid, win[1], params.n + 1),
-    }
+    kf = kernel_field(args.t, _parse_grid(args.grid), sym, params)
+    report = kernel_report(kf, tuple(args.window) if args.window else None)
     out = Path(args.out) if args.out else Path("kernel.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     field_to_csv(kf.field, out)
@@ -120,13 +110,11 @@ def cmd_simulate(args) -> int:
     rundir = RunDirectory(out)
     try:
         if args.mode == "picard":
-            from .solver import picard_solve
             uT, rep = picard_solve(sym, params, u0,
                                    SolverConfig(dt=dt, T=args.T, mode="picard",
                                                 linear_only=args.linear_only))
             field_to_csv(uT, rundir.register(f"snapshot_t{args.T:g}.csv"))
             diag = {"picard": rep, "dt_used": dt}
-            final = rundir.commit(full_cfg, diag)
         else:
             attempts = 0
             while True:
@@ -135,16 +123,14 @@ def cmd_simulate(args) -> int:
                                  SolverConfig(dt=dt, T=args.T, snapshot_times=snaps,
                                               linear_only=args.linear_only))
                     break
-                except StratwaveError as exc:
-                    # NonFinite recovery: halve dt a bounded number of times
-                    from .errors import NonFinite
-                    if isinstance(exc, NonFinite) and attempts < 2:
-                        attempts += 1
-                        dt *= 0.5
-                        if not args.quiet:
-                            print(f"instability at t={exc.t}; retrying with dt={dt}")
-                        continue
-                    raise
+                except NonFinite as exc:
+                    # halve dt a bounded number of times
+                    if attempts == 2:
+                        raise
+                    attempts += 1
+                    dt *= 0.5
+                    if not args.quiet:
+                        print(f"instability at t={exc.t}; retrying with dt={dt}")
             for t, snap in zip(traj.times, traj.snapshots):
                 field_to_csv(snap, rundir.register(f"snapshot_t{t:g}.csv"))
             with open(rundir.register("energy.csv"), "w") as fh:
@@ -155,7 +141,7 @@ def cmd_simulate(args) -> int:
             diag = {"wrap_contamination_estimate":
                     wrap_contamination(grid, 0.45 * grid.L, params.n + 1),
                     "dt_used": dt, "n_steps": traj.diagnostics["n_steps"]}
-            final = rundir.commit(full_cfg, diag)
+        final = rundir.commit(full_cfg, diag)
     except BaseException:
         rundir.abort()
         raise
@@ -165,9 +151,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_decay_fit(args) -> int:
-    f = field_from_csv(args.infile)
-    a, b = (float(v) for v in args.window.split(","))
-    left, right = tail_exponent(f, (a, b))
+    left, right = tail_exponent(field_from_csv(args.infile), args.window)
     report = {
         side.side: {"slope": side.slope, "exponent": side.exponent,
                     "stderr": side.stderr, "r_squared": side.r_squared,
@@ -182,77 +166,56 @@ def cmd_decay_fit(args) -> int:
     return EXIT_PASS
 
 
+_NEEDS_DATUM = {"required": ["datum"]}
+
+#: experiment kind -> (what its config needs beyond the common schema, the
+#: analysis call; r carries cfg, exp, solver, sym, params, grid, u0, dt, T)
+EXPERIMENTS = {
+    "dichotomy": (
+        {"properties": {"experiment": {"required": ["gamma_datum"]}}},
+        lambda r: dichotomy_experiment(
+            r.sym, r.params, r.exp["gamma_datum"], r.T, r.grid, r.dt,
+            window=tuple(r.exp["window"]) if "window" in r.exp else None,
+            amplitude=r.exp.get("amplitude", 0.5),
+            exponent_tol=r.exp.get("exponent_tol", 0.15),
+            improvement_fraction=r.exp.get("improvement_fraction", 0.7))),
+    "weighted": (_NEEDS_DATUM, lambda r: weighted_persistence_experiment(
+        r.sym, r.params, r.u0, p=r.exp.get("p", 2.0), gamma=r.exp.get("gamma", 0.5),
+        T=r.T, dt=r.dt)),
+    "growth": (
+        {"required": ["datum"], "properties": {"datum": {"required": ["gamma"]}}},
+        lambda r: growth_experiment(
+            r.sym, r.params, r.u0, r.cfg["datum"]["gamma"], r.T, r.dt,
+            snapshot_times=r.solver.get("snapshots", [r.T]),
+            bound=r.exp.get("bound", 2.0 * r.cfg["datum"].get("c0", 0.01)))),
+    "lowerbound": (_NEEDS_DATUM, lambda r: lower_bound_experiment(
+        r.sym, r.params, r.u0, r.T, r.dt,
+        linear_only=r.solver.get("linear_only", False),
+        windows=[tuple(w) for w in r.exp["windows"]] if "windows" in r.exp else None)),
+    "energy": (_NEEDS_DATUM,
+               lambda r: energy_experiment(r.sym, r.params, r.u0, r.T, r.dt)),
+}
+EXPERIMENT_SCHEMA = experiment_schema({k: needs for k, (needs, _) in EXPERIMENTS.items()})
+
+
 def cmd_experiment(args) -> int:
     cfg = load_json(args.config)
     validate_config(cfg, EXPERIMENT_SCHEMA)
-    exp = cfg["experiment"]
-    if exp["kind"] != args.kind:
+    kind = cfg["experiment"]["kind"]
+    if kind != args.kind:
         raise ConfigInvalid(
-            f"config experiment.kind={exp['kind']!r} but subcommand is {args.kind!r}",
+            f"config experiment.kind={kind!r} but subcommand is {args.kind!r}",
             path="$.experiment.kind")
     sym, params = _checked_model(cfg["model"])
     grid = Grid(cfg["grid"]["N"], cfg["grid"]["L"])
-    solver_cfg = cfg.get("solver", {})
-    dt = solver_cfg.get("dt", 1e-3)
-    T = solver_cfg.get("T", 1.0)
-    out = _resolve_out(args, cfg, f"experiment-{args.kind}")
-    rundir = RunDirectory(out)
+    solver = cfg.get("solver", {})
+    r = SimpleNamespace(
+        cfg=cfg, exp=cfg["experiment"], solver=solver, sym=sym, params=params,
+        grid=grid, dt=solver.get("dt", 1e-3), T=solver.get("T", 1.0),
+        u0=datum_from_config(cfg["datum"], grid) if "datum" in cfg else None)
+    rundir = RunDirectory(_resolve_out(args, cfg, f"experiment-{kind}"))
     try:
-        if args.kind == "dichotomy":
-            report = dichotomy_experiment(
-                sym, params, gamma_datum=exp["gamma_datum"], T=T, grid=grid,
-                dt=dt, window=tuple(exp["window"]) if "window" in exp else None,
-                amplitude=exp.get("amplitude", 0.5),
-                exponent_tol=exp.get("exponent_tol", 0.15),
-                improvement_fraction=exp.get("improvement_fraction", 0.7))
-        elif args.kind == "weighted":
-            u0 = datum_from_config(cfg["datum"], grid)
-            report = weighted_persistence_experiment(
-                sym, params, u0, p=exp.get("p", 2.0), gamma=exp.get("gamma", 0.5),
-                T=T, dt=dt)
-        elif args.kind == "growth":
-            u0 = datum_from_config(cfg["datum"], grid)
-            gamma = cfg["datum"]["gamma"]
-            c0 = cfg["datum"].get("c0", 0.01)
-            snaps = tuple(solver_cfg.get("snapshots", [T]))
-            traj = solve(sym, params, u0,
-                         SolverConfig(dt=dt, T=T, snapshot_times=snaps))
-            envs = [growth_envelope(s, gamma) for s in traj.snapshots]
-            report = {"times": list(traj.times), "envelopes": envs,
-                      "bound": exp.get("bound", 2.0 * c0),
-                      "passed": max(envs) <= exp.get("bound", 2.0 * c0)}
-        elif args.kind == "lowerbound":
-            u0 = datum_from_config(cfg["datum"], grid)
-            m0 = mean(u0)
-            if solver_cfg.get("linear_only", False):
-                khat = kernel_hat(T, grid.xi, sym, params)
-                u = to_physical(SpectralField(
-                    grid, khat * to_spectral(u0).coefficients))
-            else:
-                traj = solve(sym, params, u0,
-                             SolverConfig(dt=dt, T=T, snapshot_times=(T,)))
-                u = traj.snapshots[-1]
-            report = lower_bound_check(
-                u, T, params, m0,
-                windows=[tuple(w) for w in exp["windows"]] if "windows" in exp
-                else None)
-            report["passed"] = report["passes"]
-        elif args.kind == "energy":
-            u0 = datum_from_config(cfg["datum"], grid)
-            traj = solve(sym, params, u0, SolverConfig(dt=dt, T=T))
-            increases = float(np.max(np.diff(traj.energy_series)))
-            bound = traj.energy_series[0] * np.exp(params.eta * traj.energy_times) * 1.01
-            growth_ok = bool(np.all(traj.energy_series <= bound))
-            dissipative = params.n % 2 == 0 or params.n % 4 == 3
-            checks = {"growth_bound": growth_ok}
-            if dissipative:
-                checks["monotone"] = increases <= 1e-10
-            report = {"max_step_increase": increases,
-                      "energy_initial": float(traj.energy_series[0]),
-                      "energy_final": float(traj.energy_series[-1]),
-                      "checks": checks, "passed": all(checks.values())}
-        else:  # pragma: no cover - argparse restricts choices
-            raise ConfigInvalid(f"unknown experiment kind {args.kind!r}")
+        report = EXPERIMENTS[kind][1](r)
         write_json(rundir.register("report.json"), report)
         final = rundir.commit(cfg)
     except BaseException:
@@ -292,9 +255,16 @@ def cmd_acceptance(args) -> int:
     return EXIT_PASS if summary["n_passed"] == summary["n_total"] else EXIT_ASSERT
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 (bad input); 2 stays 'a science assertion failed'."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="stratwave",
-                                 description="spectral dispersive-dissipative lab")
+    ap = _Parser(prog="stratwave", description="spectral dispersive-dissipative lab")
     ap.add_argument("--version", action="version", version=__version__)
     ap.add_argument("--out", default=None, help="output file or directory")
     ap.add_argument("--threads", type=int, default=1)
@@ -335,13 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decay-fit", help="fit tail exponents of a CSV field",
                        parents=[common])
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--window", required=True, help="a,b")
+    p.add_argument("--window", type=_window, required=True, help="a,b")
     p.set_defaults(func=cmd_decay_fit)
 
     p = sub.add_parser("experiment", help="run a named experiment",
                        parents=[common])
-    p.add_argument("kind", choices=("dichotomy", "weighted", "growth",
-                                    "lowerbound", "energy"))
+    p.add_argument("kind", choices=tuple(EXPERIMENTS))
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_experiment)
 
@@ -356,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    np.random.seed(args.seed)
     try:
         return args.func(args)
     except ConfigInvalid as exc:

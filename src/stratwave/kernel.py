@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import UnderResolved, WindowContaminated
+from .errors import UnderResolved
 from .model import DispersionSymbol, ModelParams, linear_multiplier
 from .spectral import Field, Grid, SpectralField, integral, to_physical
 
@@ -109,51 +108,3 @@ def asymptotic_coefficient(t: float, params: ModelParams) -> float:
     if t <= 0:
         raise UnderResolved(f"t must be positive, got {t}")
     return abs(leading_jump(params)) * t / (2.0 * np.pi)
-
-
-def _window_mask(grid: Grid, window: Tuple[float, float], side: str):
-    a, b = window
-    if side == "right":
-        return (grid.x >= a) & (grid.x <= b)
-    return (grid.x <= -a) & (grid.x >= -b)
-
-
-def verify_pointwise_bound(kf: KernelField,
-                           window: Optional[Tuple[float, float]] = None) -> dict:
-    """Check sup_x |K| t^alpha (1 + |x|^{n+1}) is finite and grid-stable.
-
-    fitted_C is the window supremum of the weighted kernel; it must agree
-    within 10% with the value recomputed on a grid of doubled N.  The report
-    also carries both one-sided tail slopes (least squares on log-log).
-    """
-    from .analysis import tail_exponent  # local import to avoid a cycle
-
-    grid = kf.field.grid
-    params = kf.params
-    if window is None:
-        core = (params.eta * kf.t) ** (1.0 / params.m)
-        window = (max(10.0 * core, 8.0 * grid.dx * 16), 0.45 * grid.L)
-    a, b = window
-    if b > 0.5 * grid.L:
-        raise WindowContaminated(
-            f"window edge {b} beyond wrap-safe half-box {0.5 * grid.L}")
-
-    def weighted_sup(k: KernelField) -> float:
-        g = k.field.grid
-        msk = _window_mask(g, (a, b), "right") | _window_mask(g, (a, b), "left")
-        w = np.abs(k.field.samples[msk]) * (1.0 + np.abs(g.x[msk]) ** (params.n + 1))
-        return float(np.max(w) * k.t ** params.alpha)
-
-    fitted_C = weighted_sup(kf)
-    refined = kernel_field(kf.t, Grid(2 * grid.N, grid.L), kf.sym, params)
-    refined_C = weighted_sup(refined)
-    stable = abs(refined_C - fitted_C) <= 0.10 * fitted_C
-    left, right = tail_exponent(kf.field, (a, b))
-    return {
-        "fitted_C": fitted_C,
-        "refined_C": refined_C,
-        "passes": bool(np.isfinite(fitted_C) and stable),
-        "tail_slope_left": -left.exponent,
-        "tail_slope_right": -right.exponent,
-        "window": [a, b],
-    }

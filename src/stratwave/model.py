@@ -142,6 +142,8 @@ def validate_params(m: int, n: int, k: int, eta: float) -> ModelParams:
     Rejects n = 5 + 4d (d >= 0): for those, |Khat(t, xi)| ~ exp(eta|xi|^n t)
     and the construction fails.
     """
+    if any(isinstance(v, bool) for v in (m, n, k)):
+        raise InvalidRange(f"m, n and k must be integers, not bool: got {(m, n, k)}")
     if m not in (2, 3):
         raise InvalidRange(f"m must be 2 or 3, got {m}")
     if not isinstance(n, (int, np.integer)) or n < 1:

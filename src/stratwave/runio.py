@@ -89,33 +89,45 @@ SOLVER_SCHEMA = {
     "additionalProperties": False,
 }
 
-EXPERIMENT_SCHEMA = {
-    "type": "object",
-    "required": ["model", "grid", "experiment"],
-    "properties": {
-        "model": MODEL_SCHEMA,
-        "grid": GRID_SCHEMA,
-        "solver": SOLVER_SCHEMA,
-        "datum": DATUM_SCHEMA,
-        "experiment": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["dichotomy", "weighted", "growth",
-                                  "lowerbound", "energy"]},
-            },
+def experiment_schema(requires: dict) -> dict:
+    """Experiment-config schema with one oneOf branch per kind; requires maps
+    each kind to the extra schema its branch adds (the fields it reads)."""
+    return {
+        "type": "object",
+        "required": ["model", "grid", "experiment"],
+        "properties": {
+            "model": MODEL_SCHEMA,
+            "grid": GRID_SCHEMA,
+            "solver": SOLVER_SCHEMA,
+            "datum": DATUM_SCHEMA,
+            "experiment": {"type": "object", "required": ["kind"],
+                           "properties": {"kind": {"enum": list(requires)}}},
+            "seed": {"type": "integer"},
         },
-        "seed": {"type": "integer"},
-    },
-    "additionalProperties": False,
-}
+        "additionalProperties": False,
+        "oneOf": [
+            {"allOf": [{"properties": {"experiment": {
+                "properties": {"kind": {"const": kind}}}}}, extra]}
+            for kind, extra in requires.items()
+        ],
+    }
+
+
+def _explain(err):
+    """A oneOf error's cause: the first error of the branch that did not fail
+    on a const (its kind matched); None when every branch failed on its kind."""
+    if err.validator != "oneOf" or not err.context:
+        return err
+    wrong_kind = {e.relative_schema_path[0] for e in err.context if e.validator == "const"}
+    causes = [e for e in err.context if e.relative_schema_path[0] not in wrong_kind]
+    return min(causes, key=lambda e: e.json_path) if causes else None
 
 
 def validate_config(cfg: dict, schema: dict) -> None:
     validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: e.json_path)
+    errors = [e for e in map(_explain, validator.iter_errors(cfg)) if e is not None]
     if errors:
-        err = errors[0]
+        err = min(errors, key=lambda e: e.json_path)
         raise ConfigInvalid(f"{err.json_path}: {err.message}", path=err.json_path)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import BadParameter, GridMismatch, NoContraction, NonFinite
 from .model import DispersionSymbol, ModelParams, linear_multiplier
-from .spectral import REAL_HINT_TOL, Field, Grid, SpectralField
+from .spectral import REAL_HINT_TOL, Field, Grid, SpectralField, dealias_keep
 
 # ---------------------------------------------------------------------------
 # Initial data
@@ -119,11 +119,6 @@ def datum_from_config(cfg: dict, grid: Grid) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def energy(u: Field) -> float:
-    """Discrete L2 norm of u."""
-    return u.l2_norm()
-
-
 def dissipation_rate(U: SpectralField, params: ModelParams) -> float:
     """(1/2) d/dt ||u||_2^2 under the linear flow:
 
@@ -183,8 +178,6 @@ class EtdPropagator:
         self.params = params
         self.dt = dt
         self.k = params.k if dealias_k is None else dealias_k
-        if self.k < 1:
-            raise BadParameter(f"k must be >= 1, got {self.k}")
         self.linear_only = linear_only
         j = np.arange(grid.N // 2 + 1)
         xi = grid.dxi * j
@@ -198,7 +191,7 @@ class EtdPropagator:
         self.exp_full = np.exp(z)
         self.coeff1 = dt * _phi(z, 1)
         self.coeff2 = dt * _phi(z, 2)
-        self.mask = np.where(j > grid.N / (self.k + 2), 0.0, 1.0)
+        self.mask = dealias_keep(j, grid.N, self.k).astype(float)
         self.nl_mult = -(1j * xi / (self.k + 1)) * self.mask
         # |u|^2 dx summed over the full spectrum: modes 1..N/2-1 appear twice
         self.weight = (np.where((j == 0) | (j == grid.N // 2), 1.0, 2.0)

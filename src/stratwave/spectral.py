@@ -156,16 +156,20 @@ def hilbert(f: Field) -> Field:
     return to_physical(SpectralField(g, mult * F.coefficients))
 
 
-def dealias(F: SpectralField, k: int) -> SpectralField:
-    """Zero coefficients with |j| > N/(k+2) (keeps fraction 2/(k+2) of modes).
+def dealias_keep(j: np.ndarray, N: int, k: int) -> np.ndarray:
+    """The modes the dealias rule keeps: |j| <= N/(k+2), a fraction 2/(k+2).
 
     Generalized 2/3-rule for the degree-(k+1) nonlinearity u^{k+1}.
-    Idempotent, norm non-increasing.
     """
     if k < 1:
         raise BadParameter(f"k must be >= 1, got {k}")
+    return np.abs(j) <= N / (k + 2)
+
+
+def dealias(F: SpectralField, k: int) -> SpectralField:
+    """Zero the coefficients dealias_keep drops; idempotent, norm non-increasing."""
     g = F.grid
-    coeffs = np.where(np.abs(g.j) > g.N / (k + 2), 0.0, F.coefficients)
+    coeffs = np.where(dealias_keep(g.j, g.N, k), F.coefficients, 0.0)
     return SpectralField(grid=g, coefficients=coeffs)
 
 

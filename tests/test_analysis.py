@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from stratwave import (DatumSpec, ExcludedParameters, Field, Grid,
+from stratwave import (DatumSpec, DispersionSymbol, ExcludedParameters, Field, Grid,
                        InsufficientDecades, NonFinite, SolverConfig, SpectralField, Weight,
                        WindowContaminated, ZeroMean, dichotomy_experiment,
-                       growth_envelope, kernel_hat, lower_bound_check,
-                       make_datum, mean, preset, tail_exponent, to_physical,
-                       to_spectral, validate_params, weighted_norm,
-                       weighted_persistence_experiment, zero_mean_project)
+                       energy_experiment, growth_envelope, growth_experiment,
+                       integral, kernel_field, kernel_hat, kernel_report,
+                       lower_bound_check, lower_bound_experiment, make_datum, preset,
+                       tail_exponent, to_physical, to_spectral, validate_params,
+                       verify_pointwise_bound, weighted_norm,
+                       weighted_persistence_experiment, window_mask,
+                       zero_mean_project)
 from stratwave.errors import BadParameter
 
 
@@ -102,12 +105,12 @@ def test_growth_envelope_exact_profile_and_scaling():
 def test_mean_gaussian_and_odd():
     g = Grid(2 ** 14, 100.0)
     gauss = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=1.0), g)
-    assert mean(gauss) == pytest.approx(math.sqrt(2 * math.pi), rel=1e-10)
+    assert integral(gauss) == pytest.approx(math.sqrt(2 * math.pi), rel=1e-10)
     # sin vanishes at the unpaired x = -L sample, so oddness is exact
     odd_trig = Field(g, np.sin(3 * np.pi * g.x / g.L))
-    assert abs(mean(odd_trig)) <= 1e-12
+    assert abs(integral(odd_trig)) <= 1e-12
     odd = Field(g, g.x * (1.0 + g.x ** 2) ** (-4.0))
-    assert abs(mean(odd)) <= 1e-12
+    assert abs(integral(odd)) <= 1e-12
 
 
 def test_zero_mean_projection():
@@ -115,7 +118,7 @@ def test_zero_mean_projection():
     g = Grid(2 ** 10, 50.0)
     u = Field(g, rng.standard_normal(g.N))
     v = zero_mean_project(u)
-    assert abs(mean(v)) <= 1e-12
+    assert abs(integral(v)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +137,7 @@ def test_lower_bound_linear_ratio_converges_to_one():
     u0 = make_datum(DatumSpec(kind="algebraic", gamma=3.0, c=1.0), g)
     u = linear_evolve(sym, params, u0, 1.0)
     windows = [(40.0, 80.0), (60.0, 120.0), (100.0, 200.0)]
-    report = lower_bound_check(u, 1.0, params, mean(u0), windows=windows)
+    report = lower_bound_check(u, 1.0, params, integral(u0), windows=windows)
     ratios = report["ratio_series"]
     assert abs(ratios[-1] - 1.0) <= 0.05
     # monotone approach within 5% noise slack
@@ -244,3 +247,80 @@ def test_weighted_persistence_reports_blow_up():
     with pytest.raises(NonFinite):
         weighted_persistence_experiment(sym, params, u0, p=2.0, gamma=0.5,
                                         T=5.0, dt=0.1)
+
+
+# ---------------------------------------------------------------------------
+# window masks, the decay-order gate, the CLI-facing experiments
+# ---------------------------------------------------------------------------
+
+def test_window_mask_sides_and_guards():
+    g = Grid(64, 16.0)
+    right = window_mask(g, (2.0, 6.0), "right")
+    left = window_mask(g, (2.0, 6.0), "left")
+    assert np.array_equal(g.x[right], -g.x[left][::-1])
+    assert np.all((g.x[right] >= 2.0) & (g.x[right] <= 6.0))
+    assert np.array_equal(window_mask(g, (2.0, 6.0), "both"), left | right)
+    with pytest.raises(BadParameter):
+        window_mask(g, (6.0, 2.0), "both")
+    with pytest.raises(BadParameter):
+        window_mask(g, (0.0, 2.0), "right")
+    with pytest.raises(WindowContaminated):
+        window_mask(g, (2.0, 8.5), "left")
+
+
+def test_decay_order_gate():
+    # BO is only C^0 at the origin: the order-3 tail law does not apply
+    sym, params = DispersionSymbol.bo(), validate_params(3, 3, 1, 1.0)
+    grid = Grid(2 ** 10, 50.0)
+    u0 = make_datum(DatumSpec(kind="algebraic", gamma=3.0), grid)
+    with pytest.raises(ExcludedParameters, match="C\\^0"):
+        dichotomy_experiment(sym, params, 4.5, 0.1, grid)
+    for linear_only in (True, False):
+        with pytest.raises(ExcludedParameters):
+            lower_bound_experiment(sym, params, u0, 0.1, 1e-2, linear_only)
+    kf = kernel_field(1.0, Grid(2 ** 14, 200.0), sym, params)
+    assert kernel_report(kf)["theory_applies"] is False
+    ost = kernel_field(1.0, Grid(2 ** 14, 200.0), *preset("ost"))
+    assert kernel_report(ost)["theory_applies"] is True
+
+
+def test_kernel_report_matches_verify_pointwise_bound():
+    sym, params = preset("ost")
+    kf = kernel_field(1.0, Grid(2 ** 16, 400.0), sym, params)
+    rep = kernel_report(kf, (20.0, 150.0))
+    ver = verify_pointwise_bound(kf, (20.0, 150.0))
+    for key in rep:
+        assert ver[key] == rep[key]
+    assert rep["A_predicted"] == pytest.approx(1 / math.pi)
+    assert rep["window"] == [20.0, 150.0] and ver["passes"]
+
+
+def test_energy_experiment_checks():
+    grid = Grid(2 ** 10, 50.0)
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=0.5), grid)
+    # n = 2 dissipates: monotone is checked; n = 1 (OST) has an amplification band
+    rep = energy_experiment(preset("ost")[0], validate_params(2, 2, 1, 1.0), u0,
+                            T=0.1, dt=1e-2)
+    assert set(rep["checks"]) == {"growth_bound", "monotone"} and rep["passed"]
+    assert rep["max_step_increase"] < 0
+    assert rep["peak_energy"] == rep["energy_initial"] == pytest.approx(u0.l2_norm())
+    rep = energy_experiment(*preset("ost"), u0, T=0.1, dt=1e-2)
+    assert set(rep["checks"]) == {"growth_bound"} and rep["passed"]
+    assert rep["max_envelope_ratio"] <= 1.0
+    zero = energy_experiment(*preset("ost"), Field(grid, np.zeros(grid.N)),
+                             T=0.1, dt=1e-2)
+    assert zero["passed"] and zero["peak_energy"] == 0.0
+
+
+def test_growth_experiment_includes_datum():
+    sym, params = preset("ost")
+    grid = Grid(2 ** 12, 100.0)
+    u0 = make_datum(DatumSpec(kind="growth", gamma=0.3, c0=1e-2), grid)
+    rep = growth_experiment(sym, params, u0, 0.3, T=0.1, dt=2e-3,
+                            snapshot_times=(0.05, 0.1), bound=2e-2)
+    assert rep["times"] == [0.0, 0.05, 0.1]
+    assert rep["envelopes"][0] == growth_envelope(u0, 0.3)
+    assert rep["max_envelope"] == max(rep["envelopes"]) and rep["passed"]
+    tight = growth_experiment(sym, params, u0, 0.3, T=0.1, dt=2e-3,
+                              snapshot_times=(0.1,), bound=1e-9)
+    assert not tight["passed"]

@@ -257,3 +257,69 @@ def test_stratwave_out_env(tmp_path, ost_config, gauss_datum, monkeypatch):
     assert rc == 0
     runs = list((tmp_path / "root").iterdir())
     assert len(runs) == 1 and (runs[0] / "run.json").exists()
+
+
+@pytest.mark.parametrize("grid", ["N=4096", "L=100", "foo", "N=4096,L=x",
+                                  "N=4096.5,L=100", "N=4096;L=100"])
+@pytest.mark.parametrize("command", ["kernel", "simulate"])
+def test_malformed_grid_is_config_error(tmp_path, ost_config, gauss_datum,
+                                        capsys, grid, command):
+    args = {"kernel": ["kernel", "--config", ost_config, "--t", "1.0"],
+            "simulate": ["simulate", "--config", ost_config, "--datum",
+                         gauss_datum, "--T", "0.1", "--dt", "0.01"]}[command]
+    rc = main(["--quiet", "--out", str(tmp_path / "out"), *args, "--grid", grid])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "--grid" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--config", "m.json", "--t", "1.0", "--window", "1", "x"],
+    ["kernel", "--t", "1.0"],                       # --config is required
+    ["decay-fit", "--in", "k.csv", "--window", "20;120"],
+])
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["kernel", "--help"]])
+def test_version_and_help_exit_0(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("kind,cfg,missing", [
+    ("dichotomy", {"experiment": {"kind": "dichotomy"}}, "gamma_datum"),
+    ("energy", {"experiment": {"kind": "energy"}}, "datum"),
+    ("growth", {"experiment": {"kind": "growth"},
+                "datum": {"kind": "gaussian", "sigma0": 1.0}}, "gamma"),
+])
+def test_experiment_schema_per_kind(tmp_path, capsys, kind, cfg, missing):
+    path = write_json(tmp_path / "exp.json", {
+        "model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
+        "solver": {"dt": 0.01, "T": 0.1}, **cfg})
+    out = tmp_path / "run"
+    rc = main(["--quiet", "--out", str(out), "experiment", kind, "--config", path])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{missing}' is a required property" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
+@pytest.mark.parametrize("model,applies", [
+    ({"symbol": {"kind": "bo"}, "m": 3, "n": 3, "k": 1, "eta": 1.0}, False),
+    ({"preset": "ost"}, True),
+])
+def test_kernel_report_theory_applies(tmp_path, model, applies):
+    out = tmp_path / "kernel.csv"
+    rc = main(["--quiet", "--out", str(out), "kernel", "--config",
+               write_json(tmp_path / "model.json", model), "--t", "1.0",
+               "--grid", "N=16384,L=200"])
+    assert rc == 0
+    assert json.loads(out.with_suffix(".json").read_text())["theory_applies"] is applies

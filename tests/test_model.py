@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from stratwave import (DispersionSymbol, InvalidN, InvalidRange, UnknownPreset,
                        amplification_bound, dissipation_symbol,
@@ -35,6 +36,26 @@ def test_alpha_rule(m, n, k, eta, alpha):
 def test_excluded_n(n):
     with pytest.raises(InvalidN):
         validate_params(2, n, 1, 1.0)
+
+
+@given(m=st.sampled_from([2, 3]), d=st.integers(0, 10 ** 6))
+def test_every_n_five_plus_4d_rejected(m, d):
+    with pytest.raises(InvalidN):
+        validate_params(m, 5 + 4 * d, 1, 1.0)
+
+
+@given(m=st.sampled_from([2, 3]), flag=st.booleans(), which=st.sampled_from("mnk"))
+def test_bool_parameters_rejected(m, flag, which):
+    args = {"m": m, "n": 1, "k": 1}
+    args[which] = flag
+    with pytest.raises(InvalidRange):
+        validate_params(args["m"], args["n"], args["k"], 1.0)
+
+
+@given(m=st.sampled_from([2, 3]), n=st.integers(1, 10 ** 6).filter(
+    lambda n: not (n >= 5 and n % 4 == 1)), k=st.integers(1, 5))
+def test_admissible_alpha_in_range(m, n, k):
+    assert 0 < validate_params(m, n, k, 1.0).alpha <= 0.5
 
 
 @pytest.mark.parametrize("m,n,k,eta", [
