@@ -247,6 +247,8 @@ def lower_bound_check(u: Field, t: float, params: ModelParams, u0_mean: float,
     if windows is None:
         hi = 0.45 * grid.L
         windows = [(hi / 4, hi / 2), (hi * 0.375, hi * 0.75), (hi / 2, hi)]
+    elif not windows:
+        raise BadParameter("lower bound needs at least one window")
     A = asymptotic_coefficient(t, params)
     ratio_series = []
     for window in windows:
@@ -322,14 +324,19 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
 def lower_bound_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field,
                            T: float, dt: float, linear_only: bool = False,
                            windows: Optional[Sequence[Tuple[float, float]]] = None) -> dict:
-    """lower_bound_check on u(T): Khat(T) u0hat when linear_only, else ETD2."""
+    """lower_bound_check on u(T): Khat(T) u0hat when linear_only, else ETD2.
+
+    A datum with zero integral raises ZeroMean before any evolution."""
     _check_decay_order(sym, params)
+    u0_mean = integral(u0)
+    if u0_mean == 0:
+        raise ZeroMean("lower bound requires a datum with nonzero integral")
     if linear_only:
         khat = kernel_hat(T, u0.grid.xi, sym, params)
         u = to_physical(SpectralField(u0.grid, khat * to_spectral(u0).coefficients))
     else:
         u = solve(sym, params, u0, SolverConfig(dt=dt, T=T, snapshot_times=(T,))).snapshots[-1]
-    report = lower_bound_check(u, T, params, integral(u0), windows=windows)
+    report = lower_bound_check(u, T, params, u0_mean, windows=windows)
     return {**report, "passed": report["passes"]}
 
 

@@ -195,7 +195,12 @@ EXPERIMENTS = {
     "energy": (_NEEDS_DATUM,
                lambda r: energy_experiment(r.sym, r.params, r.u0, r.T, r.dt)),
 }
-EXPERIMENT_SCHEMA = experiment_schema({k: needs for k, (needs, _) in EXPERIMENTS.items()})
+_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
+EXPERIMENT_SCHEMA = experiment_schema(
+    {k: needs for k, (needs, _) in EXPERIMENTS.items()},
+    {"window": _PAIR, "windows": {"type": "array", "items": _PAIR, "minItems": 1},
+     **dict.fromkeys(("gamma_datum", "p", "gamma", "bound", "amplitude",
+                      "exponent_tol", "improvement_fraction"), {"type": "number"})})
 
 
 def cmd_experiment(args) -> int:

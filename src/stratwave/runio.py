@@ -89,9 +89,10 @@ SOLVER_SCHEMA = {
     "additionalProperties": False,
 }
 
-def experiment_schema(requires: dict) -> dict:
+def experiment_schema(requires: dict, fields: dict) -> dict:
     """Experiment-config schema with one oneOf branch per kind; requires maps
-    each kind to the extra schema its branch adds (the fields it reads)."""
+    each kind to the extra schema its branch adds (the fields it reads), and
+    fields maps each optional experiment parameter to its type."""
     return {
         "type": "object",
         "required": ["model", "grid", "experiment"],
@@ -101,7 +102,7 @@ def experiment_schema(requires: dict) -> dict:
             "solver": SOLVER_SCHEMA,
             "datum": DATUM_SCHEMA,
             "experiment": {"type": "object", "required": ["kind"],
-                           "properties": {"kind": {"enum": list(requires)}}},
+                           "properties": {"kind": {"enum": list(requires)}, **fields}},
             "seed": {"type": "integer"},
         },
         "additionalProperties": False,

@@ -31,6 +31,7 @@ so states are rfft half-spectra and every transform is a real FFT.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Tuple
 
@@ -345,26 +346,44 @@ def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     )
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine: the ceiling on picard_solve's
+    iterate storage."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
                  cfg: SolverConfig) -> Tuple[Field, dict]:
     """Duhamel fixed point on [0, T]; returns the field at T and a report.
 
-    The iterate is stored on the step grid; the tau integral uses the
-    midpoint rule with u at midpoints approximated by endpoint averages
-    (consistent with the second-order integrator).  Divergence is detected
-    through per-iteration contraction factors.
+    The iterate is one (M+1) x (N/2+1) array of half-spectra on the step
+    grid, overwritten in place.  The tau integral uses the midpoint rule
+    with u at midpoints approximated by endpoint averages, streamed through
+    new[i] = E new[i-1] + dt E_{1/2} N((old[i-1] + old[i])/2), E = exp(L dt),
+    E_{1/2} = exp(L dt/2): O(M N) work per iteration.  Raises BadParameter
+    before any step when the array would exceed physical memory.
+    Divergence is detected through per-iteration contraction factors.
     """
     M = int(round(cfg.T / cfg.dt))
     if M < 1:
         raise BadParameter("picard needs at least one step")
+    need = 16 * (M + 1) * (u0.grid.N // 2 + 1)
+    limit = _physical_memory()
+    if need > limit:
+        raise BadParameter(
+            f"picard iterate storage of {need} bytes ((M+1) x (N/2+1) complex "
+            f"values) exceeds the {limit} bytes of physical memory")
     dt = cfg.dt
     prop = EtdPropagator(u0.grid, sym, params, dt, cfg.dealias_k, cfg.linear_only)
-    L = prop.L
-    u0hat = prop.forward(u0)
-    prop_full = [np.exp(L * (i * dt)) for i in range(M + 1)]
-    prop_half = [None] + [np.exp(L * ((d - 0.5) * dt)) for d in range(1, M + 1)]
+    E = prop.exp_full
+    dt_E_half = dt * np.exp(prop.L * (0.5 * dt))
 
-    traj = [prop_full[i] * u0hat for i in range(M + 1)]
+    traj = np.empty((M + 1, E.size), dtype=complex)
+    traj[0] = prop.forward(u0)
+    for i in range(1, M + 1):
+        traj[i] = E * traj[i - 1]
+    old = np.empty_like(E)          # old[i-1] once traj[i-1] holds new[i-1]
+    norms = np.empty(M)
 
     factors: List[float] = []
     prev_diff = None
@@ -373,17 +392,15 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(cfg.picard_max_iter):
             iterations = it + 1
-            mids = [prop.nonlinear(0.5 * (traj[i] + traj[i + 1])) for i in range(M)]
-            new = [traj[0]]
+            old[:] = traj[0]
             for i in range(1, M + 1):
-                acc = prop_full[i] * u0hat
-                for l in range(i):
-                    acc = acc + dt * prop_half[i - l] * mids[l]
-                new.append(acc)
-            diff = max(prop.energy(new[i] - traj[i]) for i in range(1, M + 1))
+                mid = prop.nonlinear(0.5 * (old + traj[i]))
+                old[:] = traj[i]
+                traj[i] = E * traj[i - 1] + dt_E_half * mid
+                norms[i - 1] = prop.energy(traj[i] - old)
+            diff = float(np.max(norms))
             if not np.isfinite(diff):
                 diff = np.inf
-            traj = new
             if prev_diff is not None and prev_diff > 0:
                 factors.append(diff / prev_diff if np.isfinite(diff) else np.inf)
                 if len(factors) >= 3 and all(f > 1.0 for f in factors[-3:]):

@@ -116,3 +116,54 @@ def etd2_reference(u0: np.ndarray, L_dx: float, m: int, n: int, k: int,
         uh = a + c2 * (nonlin(a) - n0)
         out.append(np.fft.ifft(uh))
     return out
+
+
+def picard_reference(u0: np.ndarray, L_dx: float, m: int, n: int, k: int,
+                     eta: float, p, dt: float, n_steps: int, tol: float,
+                     max_iter: int = 30, linear_only: bool = False):
+    """Duhamel/Picard iteration by the direct O(M^2) sum on the full spectrum.
+
+    Each iterate is rebuilt from scratch on the step grid,
+
+        new[i] = e^{L i dt} u0hat + dt sum_{l<i} e^{L (i-l-1/2) dt} N_l,
+
+    N_l the nonlinearity at the endpoint average (old[l] + old[l+1]) / 2,
+    with one stored propagator per time offset.  Iterates until
+    max_i ||new[i] - old[i]||_2 < tol.  Returns the physical samples at
+    n_steps dt and (iterations, converged, final update).
+    """
+    N = len(u0)
+    dx = 2.0 * L_dx / N
+    j = np.fft.fftfreq(N, d=1.0 / N)
+    xi = (np.pi / L_dx) * j
+    L = np.array([-1j * float(p(x)) * x + phi_piecewise(x, m, n, eta) for x in xi])
+    keep = (np.abs(j) <= N / (k + 2)).astype(float)
+
+    def nonlin(uh):
+        if linear_only:
+            return np.zeros_like(uh)
+        u = np.fft.ifft(uh)
+        return -(1j * xi / (k + 1)) * np.fft.fft(u ** (k + 1)) * keep
+
+    def norm(uh):
+        return math.sqrt(float(np.sum(np.abs(uh) ** 2)) * dx / N)
+
+    M = n_steps
+    u0h = np.fft.fft(np.asarray(u0, dtype=complex)) * keep
+    full = [np.exp(L * (i * dt)) for i in range(M + 1)]
+    half = [None] + [np.exp(L * ((d - 0.5) * dt)) for d in range(1, M + 1)]
+    traj = [full[i] * u0h for i in range(M + 1)]
+    diff = None
+    for it in range(1, max_iter + 1):
+        mids = [nonlin(0.5 * (traj[i] + traj[i + 1])) for i in range(M)]
+        new = [traj[0]]
+        for i in range(1, M + 1):
+            acc = full[i] * u0h
+            for l in range(i):
+                acc = acc + dt * half[i - l] * mids[l]
+            new.append(acc)
+        diff = max(norm(new[i] - traj[i]) for i in range(1, M + 1))
+        traj = new
+        if diff < tol:
+            return np.fft.ifft(traj[M]), (it, True, diff)
+    return np.fft.ifft(traj[M]), (max_iter, False, diff)

@@ -162,6 +162,29 @@ def test_lower_bound_window_guard():
         lower_bound_check(u, 1.0, params, 1.0, windows=[(10.0, 80.0)])
 
 
+def test_lower_bound_empty_windows_rejected():
+    sym, params = preset("ost")
+    g = Grid(2 ** 12, 100.0)
+    u = make_datum(DatumSpec(kind="gaussian", sigma0=1.0), g)
+    with pytest.raises(BadParameter, match="at least one window"):
+        lower_bound_check(u, 1.0, params, 1.0, windows=[])
+
+
+@pytest.mark.parametrize("linear_only", [True, False])
+def test_lower_bound_experiment_zero_mean_before_evolution(monkeypatch, linear_only):
+    import stratwave.analysis as analysis
+
+    def evolved(*args, **kwargs):
+        raise AssertionError("evolved a datum with zero integral")
+
+    monkeypatch.setattr(analysis, "solve", evolved)
+    monkeypatch.setattr(analysis, "kernel_hat", evolved)
+    sym, params = preset("ost")
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.0), Grid(2 ** 10, 50.0))
+    with pytest.raises(ZeroMean):
+        lower_bound_experiment(sym, params, u0, 0.1, 1e-2, linear_only)
+
+
 # ---------------------------------------------------------------------------
 # dichotomy experiment
 # ---------------------------------------------------------------------------

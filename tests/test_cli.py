@@ -312,6 +312,45 @@ def test_experiment_schema_per_kind(tmp_path, capsys, kind, cfg, missing):
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 
+@pytest.mark.parametrize("kind,experiment,datum", [
+    ("dichotomy", {"gamma_datum": 2.5, "window": [1]}, None),
+    ("lowerbound", {"windows": []}, {"kind": "gaussian", "sigma0": 1.0}),
+    ("lowerbound", {"windows": [[1, "2"]]}, {"kind": "gaussian", "sigma0": 1.0}),
+    ("weighted", {"p": "2"}, {"kind": "gaussian", "sigma0": 1.0}),
+    ("growth", {"bound": [1.0]}, {"kind": "growth", "gamma": 0.3}),
+    ("dichotomy", {"gamma_datum": 2.5, "exponent_tol": None}, None),
+])
+def test_experiment_parameters_typed(tmp_path, capsys, kind, experiment, datum):
+    cfg = {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
+           "solver": {"dt": 0.01, "T": 0.1},
+           "experiment": {"kind": kind, **experiment}}
+    if datum is not None:
+        cfg["datum"] = datum
+    out = tmp_path / "run"
+    rc = main(["--quiet", "--out", str(out), "experiment", kind, "--config",
+               write_json(tmp_path / "exp.json", cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "$.experiment." in err
+    assert "Traceback" not in err
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
+def test_simulate_picard_memory_guard(tmp_path, capsys, monkeypatch, ost_config,
+                                      gauss_datum):
+    import stratwave.solver as solver_module
+    monkeypatch.setattr(solver_module, "_physical_memory", lambda: 1024)
+    out = tmp_path / "picrun"
+    rc = main(["--quiet", "--out", str(out), "simulate", "--config", ost_config,
+               "--datum", gauss_datum, "--T", "0.05", "--dt", "0.01",
+               "--mode", "picard", "--grid", "N=1024,L=50"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error [BadParameter]" in err and "physical memory" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
 @pytest.mark.parametrize("model,applies", [
     ({"symbol": {"kind": "bo"}, "m": 3, "n": 3, "k": 1, "eta": 1.0}, False),
     ({"preset": "ost"}, True),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import etd2_reference
+from oracles import etd2_reference, picard_reference
 from stratwave import (DatumSpec, DispersionSymbol, EtdPropagator, Field, Grid,
                        NoContraction, NonFinite, SolverConfig, SpectralField,
                        dissipation_rate, etd_step, growth_envelope,
@@ -12,6 +12,7 @@ from stratwave import (DatumSpec, DispersionSymbol, EtdPropagator, Field, Grid,
                        tail_exponent, to_physical, to_spectral, validate_params)
 from stratwave.errors import BadParameter
 from stratwave.model import SMOOTH
+import stratwave.solver as solver_module
 from stratwave.solver import _snapshot_steps
 
 
@@ -346,6 +347,63 @@ def test_picard_no_contraction_for_large_data():
     with pytest.raises(NoContraction):
         picard_solve(sym, params, u0,
                      SolverConfig(dt=5e-3, T=0.5, mode="picard"))
+
+
+@pytest.mark.parametrize("name,linear_only", [
+    ("ost", False), ("gost", False), ("bo_perturbed", False), ("chen_lee", False),
+    ("dgbo_perturbed", False), ("ost", True)])
+def test_picard_matches_direct_duhamel_reference(name, linear_only):
+    sym, params = preset(name)
+    g = Grid(2 ** 11, 64.0)
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=0.1), g)
+    dt, M, tol = 1e-3, 50, 1e-12
+    ref, (iterations, converged, _) = picard_reference(
+        u0.samples.real, g.L, params.m, params.n, params.k, params.eta, sym,
+        dt, M, tol, linear_only=linear_only)
+    got, report = picard_solve(sym, params, u0,
+                               SolverConfig(dt=dt, T=M * dt, mode="picard",
+                                            picard_tol=tol, linear_only=linear_only))
+    assert (report["iterations"], report["converged"]) == (iterations, converged)
+    assert converged and iterations >= (1 if linear_only else 3)
+    rel = np.linalg.norm(got.samples - ref) / np.linalg.norm(ref)
+    assert rel <= 1e-12, rel
+
+
+def test_picard_memory_guard_raises_before_any_step(monkeypatch):
+    sym, params = preset("ost")
+    g = Grid(2 ** 10, 50.0)
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), g)
+    # 11 x 513 complex values need 90288 bytes
+    monkeypatch.setattr(solver_module, "_physical_memory", lambda: 90287)
+
+    def no_propagator(*args, **kwargs):
+        raise AssertionError("built a propagator before the memory check")
+
+    monkeypatch.setattr(solver_module, "EtdPropagator", no_propagator)
+    with pytest.raises(BadParameter, match="90288 bytes.*90287 bytes"):
+        picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1, mode="picard"))
+    monkeypatch.setattr(solver_module, "_physical_memory", lambda: 90288)
+    with pytest.raises(AssertionError, match="before the memory check"):
+        picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1, mode="picard"))
+
+
+def test_physical_memory_is_positive():
+    assert solver_module._physical_memory() > 0
+
+
+_PRESETS = ["ost", "gost", "bo_perturbed", "chen_lee", "dgbo_perturbed"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(_PRESETS), N=st.sampled_from([16, 64, 256, 1024]),
+       L=st.floats(2.0, 100.0), s=st.floats(1e-4, 1.0), t=st.floats(1e-4, 1.0))
+def test_linear_semigroup_law(name, N, L, s, t):
+    # exp(L s) exp(L t) = exp(L (s + t)) on the half-spectrum
+    sym, params = preset(name)
+    g = Grid(N, L)
+    e_s, e_t, e_st = (EtdPropagator(g, sym, params, dt).exp_full
+                      for dt in (s, t, s + t))
+    assert np.max(np.abs(e_s * e_t - e_st)) <= 1e-12 * np.max(np.abs(e_st))
 
 
 def test_solver_config_guards():

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from stratwave import (Field, Grid, GridMismatch, SpectralField, convolve,
-                       dealias, derivative, field_from_binary, field_from_csv,
-                       field_to_binary, field_to_csv, hilbert, integral,
-                       to_physical, to_spectral, wrap_contamination)
+from stratwave import (EtdPropagator, Field, Grid, GridMismatch, SpectralField,
+                       convolve, dealias, derivative, field_from_binary,
+                       field_from_csv, field_to_binary, field_to_csv, hilbert,
+                       integral, preset, to_physical, to_spectral,
+                       wrap_contamination)
 from stratwave.errors import BadParameter
+from stratwave.spectral import dealias_keep
+
+_PRESETS = ["ost", "gost", "bo_perturbed", "chen_lee", "dgbo_perturbed"]
 
 
 def random_field(grid, rng, real=True):
@@ -170,6 +175,41 @@ def test_dealias_idempotent_projection():
     twice = dealias(once, 2)
     assert np.array_equal(once.coefficients, twice.coefficients)
     assert np.linalg.norm(once.coefficients) <= np.linalg.norm(F.coefficients)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from([16, 64, 256, 4096]), k=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_dealias_keep_mask_idempotent(N, k, seed):
+    g = Grid(N, 10.0)
+    F = to_spectral(random_field(g, np.random.default_rng(seed)))
+    once = dealias(F, k)
+    assert np.array_equal(dealias(once, k).coefficients, once.coefficients)
+    keep = dealias_keep(g.j, N, k)
+    assert np.array_equal(np.flatnonzero(once.coefficients != 0),
+                          np.flatnonzero(keep & (F.coefficients != 0)))
+    # the mask is even in j, so it maps real fields to real fields
+    assert np.array_equal(keep, dealias_keep(-g.j, N, k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(_PRESETS), N=st.sampled_from([16, 64, 256, 4096]),
+       L=st.floats(2.0, 100.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_half_spectrum_round_trip_band_limited(name, N, L, seed):
+    # physical(forward(u)) = u for a real u inside the dealias band
+    sym, params = preset(name)
+    g = Grid(N, L)
+    prop = EtdPropagator(g, sym, params, 1e-3)
+    rng = np.random.default_rng(seed)
+    coeffs = (rng.standard_normal(N // 2 + 1)
+              + 1j * rng.standard_normal(N // 2 + 1)) * prop.mask
+    coeffs[0] = coeffs[0].real
+    u = Field(g, np.fft.irfft(coeffs, n=N))
+    uhat = prop.forward(u)
+    back = prop.physical(uhat)
+    assert np.max(np.abs(back.samples - u.samples)) <= 1e-12 * np.max(np.abs(u.samples))
+    # and the mask applied twice through the transform changes nothing more
+    assert np.max(np.abs(prop.forward(back) - uhat)) <= 1e-12 * np.max(np.abs(uhat))
 
 
 # ---------------------------------------------------------------------------
