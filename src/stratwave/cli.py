@@ -26,7 +26,8 @@ from .model import PRESET_NAMES, model_from_config, preset
 from .runio import (DATUM_SCHEMA, MODEL_SCHEMA, RunDirectory, default_output_root,
                     experiment_schema, load_json, validate_config, write_json)
 from .solver import SolverConfig, datum_from_config, picard_solve, solve
-from .spectral import Grid, field_from_csv, field_to_csv, wrap_contamination
+from .spectral import (Grid, _write_csv, field_from_csv, field_to_csv,
+                       wrap_contamination)
 
 EXIT_PASS, EXIT_ERROR, EXIT_ASSERT = 0, 1, 2
 
@@ -110,10 +111,12 @@ def cmd_simulate(args) -> int:
     rundir = RunDirectory(out)
     try:
         if args.mode == "picard":
-            uT, rep = picard_solve(sym, params, u0,
-                                   SolverConfig(dt=dt, T=args.T, mode="picard",
-                                                linear_only=args.linear_only))
-            field_to_csv(uT, rundir.register(f"snapshot_t{args.T:g}.csv"))
+            _, rep = picard_solve(sym, params, u0,
+                                  SolverConfig(dt=dt, T=args.T, mode="picard",
+                                               snapshot_times=snaps,
+                                               linear_only=args.linear_only))
+            for t, snap in rep.pop("snapshots"):
+                field_to_csv(snap, rundir.register(f"snapshot_t{t:g}.csv"))
             diag = {"picard": rep, "dt_used": dt}
         else:
             attempts = 0
@@ -133,11 +136,9 @@ def cmd_simulate(args) -> int:
                         print(f"instability at t={exc.t}; retrying with dt={dt}")
             for t, snap in zip(traj.times, traj.snapshots):
                 field_to_csv(snap, rundir.register(f"snapshot_t{t:g}.csv"))
-            with open(rundir.register("energy.csv"), "w") as fh:
-                fh.write("t,l2,dissipation\n")
-                for t, e, d in zip(traj.energy_times, traj.energy_series,
-                                   traj.dissipation_series):
-                    fh.write(f"{t:.17g},{e:.17g},{d:.17g}\n")
+            _write_csv(rundir.register("energy.csv"), "t,l2,dissipation",
+                       (traj.energy_times, traj.energy_series,
+                        traj.dissipation_series))
             diag = {"wrap_contamination_estimate":
                     wrap_contamination(grid, 0.45 * grid.L, params.n + 1),
                     "dt_used": dt, "n_steps": traj.diagnostics["n_steps"]}

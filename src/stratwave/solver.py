@@ -361,12 +361,16 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     with u at midpoints approximated by endpoint averages, streamed through
     new[i] = E new[i-1] + dt E_{1/2} N((old[i-1] + old[i])/2), E = exp(L dt),
     E_{1/2} = exp(L dt/2): O(M N) work per iteration.  Raises BadParameter
-    before any step when the array would exceed physical memory.
-    Divergence is detected through per-iteration contraction factors.
+    before any step when a snapshot time is off the step grid or collides
+    with another (as solve does), or when the array would exceed physical
+    memory.  Divergence is detected through per-iteration contraction
+    factors.  The report's "snapshots" entry lists (t, field) at the
+    requested snapshot times (default (T,)), taken from the final iterate.
     """
     M = int(round(cfg.T / cfg.dt))
     if M < 1:
         raise BadParameter("picard needs at least one step")
+    snap_at = _snapshot_steps(cfg, M)
     need = 16 * (M + 1) * (u0.grid.N // 2 + 1)
     limit = _physical_memory()
     if need > limit:
@@ -416,5 +420,6 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
         "contraction_factors": factors,
         "converged": converged,
         "final_update": prev_diff,
+        "snapshots": [(step * dt, prop.physical(traj[step])) for step in snap_at],
     }
     return prop.physical(traj[M]), report

@@ -207,28 +207,51 @@ def wrap_contamination(grid: Grid, x_edge: float, exponent: float) -> float:
 BINARY_MAGIC = b"STWV"
 BINARY_VERSION = 1
 
+#: rows formatted per '%' operation and written per call in CSV output; the
+#: text and value buffers stay a few hundred kB whatever the field size
+CSV_BLOCK_ROWS = 1024
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """Write a header line, then equal-length float columns as '%.17g' rows.
+
+    Round-trip exact; formats one block of CSV_BLOCK_ROWS rows per '%'
+    operation, so no N x len(columns) array or whole-file string is built.
+    """
+    width = len(columns)
+    row = ",".join(["%.17g"] * width) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
+            values = [None] * (width * len(block[0]))
+            for k, col in enumerate(block):
+                values[k::width] = col
+            fh.write((row * len(block[0])) % tuple(values))
+
 
 def field_to_csv(f: Field, path) -> None:
     """Write columns x, re, im with round-trip-exact float formatting."""
-    with open(path, "w") as fh:
-        fh.write("x,re,im\n")
-        for xv, sv in zip(f.grid.x, f.samples):
-            fh.write(f"{xv:.17g},{sv.real:.17g},{sv.imag:.17g}\n")
+    _write_csv(path, "x,re,im", (f.grid.x, f.samples.real, f.samples.imag))
 
 
 def field_from_csv(path, grid: Optional[Grid] = None) -> Field:
-    """Read a field written by field_to_csv; the grid is inferred from x."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    """Read a field written by field_to_csv; the grid is inferred from x.
+
+    A non-numeric value or a ragged row raises BadParameter; an x column
+    that is not the grid's (to 1e-12 L) raises GridMismatch.
+    """
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except ValueError as exc:
+        raise BadParameter(f"{path}: not a numeric (x, re, im) CSV: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != 3:
         raise BadParameter(f"{path}: expected 3 columns (x, re, im)")
     x = data[:, 0]
-    N = len(x)
-    dx = x[1] - x[0]
-    L = -x[0]
     if grid is None:
-        grid = Grid(N, L)
-    if grid.N != N or abs(grid.dx - dx) > 1e-12 * abs(dx):
-        raise GridMismatch(f"{path}: CSV grid does not match {grid!r}")
+        grid = Grid(len(x), -x[0])
+    if grid.N != len(x) or not np.all(np.abs(x - grid.x) <= 1e-12 * grid.L):
+        raise GridMismatch(f"{path}: CSV x column does not match {grid!r}")
     return Field(grid=grid, samples=data[:, 1] + 1j * data[:, 2])
 
 

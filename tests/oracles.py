@@ -167,3 +167,23 @@ def picard_reference(u0: np.ndarray, L_dx: float, m: int, n: int, k: int,
         if diff < tol:
             return np.fft.ifft(traj[M]), (it, True, diff)
     return np.fft.ifft(traj[M]), (max_iter, False, diff)
+
+
+def csv_reference(f, path) -> None:
+    """The per-row CSV writer: one f-string and one write call per row.
+
+    Kept verbatim as the byte-for-byte reference for the block writer.
+    """
+    with open(path, "w") as fh:
+        fh.write("x,re,im\n")
+        for xv, sv in zip(f.grid.x, f.samples):
+            fh.write(f"{xv:.17g},{sv.real:.17g},{sv.imag:.17g}\n")
+
+
+def energy_csv_reference(traj, path) -> None:
+    """The per-row energy.csv writer of `stratwave simulate`, kept verbatim."""
+    with open(path, "w") as fh:
+        fh.write("t,l2,dissipation\n")
+        for t, e, d in zip(traj.energy_times, traj.energy_series,
+                           traj.dissipation_series):
+            fh.write(f"{t:.17g},{e:.17g},{d:.17g}\n")

@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import csv_reference, energy_csv_reference
+from stratwave import Field, Grid, SolverConfig, field_to_csv, preset, solve
 from stratwave.cli import main
 from stratwave.runio import sha256_file
+from stratwave.solver import datum_from_config
 
 
 def write_json(path, obj):
@@ -83,6 +86,25 @@ def test_simulate_run_directory(tmp_path, ost_config, gauss_datum):
     assert len(energy_lines) == 12  # header + 11 steps
 
 
+def test_simulate_csv_bytes_match_per_row_reference(tmp_path, ost_config,
+                                                    gauss_datum):
+    out = tmp_path / "run1"
+    rc = main(["--quiet", "--out", str(out), "simulate", "--config", ost_config,
+               "--datum", gauss_datum, "--T", "0.1", "--dt", "0.01",
+               "--grid", "N=1024,L=50", "--snapshots", "0.05,0.1"])
+    assert rc == 0
+    sym, params = preset("ost")
+    u0 = datum_from_config(json.loads(Path(gauss_datum).read_text()), Grid(1024, 50.0))
+    traj = solve(sym, params, u0,
+                 SolverConfig(dt=0.01, T=0.1, snapshot_times=(0.05, 0.1)))
+    energy_csv_reference(traj, tmp_path / "energy.csv")
+    assert (out / "energy.csv").read_bytes() == (tmp_path / "energy.csv").read_bytes()
+    for t, snap in zip(traj.times, traj.snapshots):
+        ref = tmp_path / f"ref_t{t:g}.csv"
+        csv_reference(snap, ref)
+        assert (out / f"snapshot_t{t:g}.csv").read_bytes() == ref.read_bytes()
+
+
 def test_simulate_refuses_existing_dir(tmp_path, ost_config, gauss_datum, capsys):
     out = tmp_path / "run2"
     out.mkdir()
@@ -114,6 +136,55 @@ def test_simulate_picard_mode(tmp_path, ost_config, gauss_datum):
     manifest = json.loads((out / "run.json").read_text())
     assert manifest["diagnostics"]["picard"]["converged"]
     assert (out / "snapshot_t0.05.csv").exists()
+
+
+def test_simulate_picard_writes_every_snapshot(tmp_path, ost_config, gauss_datum):
+    common = ["--quiet", "simulate", "--config", ost_config, "--datum", gauss_datum,
+              "--T", "0.05", "--dt", "0.01", "--grid", "N=1024,L=50"]
+    runs = {}
+    for name, extra in (("pic", ["--mode", "picard", "--snapshots", "0.02,0.05"]),
+                        ("pic_T", ["--mode", "picard"]),
+                        ("etd", ["--snapshots", "0.02,0.05"])):
+        runs[name] = tmp_path / name
+        assert main(["--out", str(runs[name])] + common + extra) == 0
+    manifest = json.loads((runs["pic"] / "run.json").read_text())
+    assert set(manifest["outputs"]) == {"snapshot_t0.02.csv", "snapshot_t0.05.csv"}
+    assert "snapshots" not in manifest["diagnostics"]["picard"]
+    assert {p.name for p in runs["pic_T"].iterdir()} == {"run.json",
+                                                         "snapshot_t0.05.csv"}
+    # the fixed point does not depend on which times are written out
+    assert ((runs["pic"] / "snapshot_t0.05.csv").read_bytes()
+            == (runs["pic_T"] / "snapshot_t0.05.csv").read_bytes())
+
+    def load(run, t):
+        data = np.loadtxt(run / f"snapshot_t{t}.csv", delimiter=",", skiprows=1)
+        return data[:, 1] + 1j * data[:, 2]
+
+    dx = 100.0 / 1024
+    for t in ("0.02", "0.05"):
+        diff = load(runs["pic"], t) - load(runs["etd"], t)
+        assert np.sqrt(np.sum(np.abs(diff) ** 2) * dx) <= 1e-6
+    assert np.max(np.abs(load(runs["pic"], "0.02") - load(runs["pic"], "0.05"))) > 1e-6
+
+
+@pytest.mark.parametrize("snapshots", ["0.02,0.025", "0.02,0.020000000001", "0.02,0.06"])
+def test_simulate_picard_rejects_bad_snapshots(tmp_path, capsys, monkeypatch,
+                                               ost_config, gauss_datum, snapshots):
+    import stratwave.solver as solver_module
+
+    def no_propagator(*args, **kwargs):
+        raise AssertionError("built a propagator before checking the snapshot times")
+
+    monkeypatch.setattr(solver_module, "EtdPropagator", no_propagator)
+    out = tmp_path / "picrun"
+    rc = main(["--quiet", "--out", str(out), "simulate", "--config", ost_config,
+               "--datum", gauss_datum, "--T", "0.05", "--dt", "0.01",
+               "--mode", "picard", "--grid", "N=1024,L=50", "--snapshots", snapshots])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error [BadParameter]" in err and "snapshot time" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 
 def test_simulate_picard_linear_only(tmp_path, ost_config):
@@ -159,6 +230,27 @@ def test_decay_fit_command(tmp_path, ost_config, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["right"]["exponent"] == pytest.approx(2.0, abs=0.15)
     assert report["left"]["valid"] is True
+
+
+@pytest.mark.parametrize("bad_line,error", [
+    ("-1.75,abc,0", "error [BadParameter]"),   # non-numeric value
+    ("-1.75,1", "error [BadParameter]"),       # ragged row
+    ("0.01,1,0", "error [GridMismatch]"),      # x off the uniform grid
+])
+def test_decay_fit_rejects_malformed_csv(tmp_path, capsys, bad_line, error):
+    g = Grid(16, 2.0)
+    path = tmp_path / "f.csv"
+    field_to_csv(Field(g, np.ones(g.N)), path)
+    lines = path.read_text().splitlines()
+    row = 2 if bad_line.startswith("-1.75") else 9  # x[1] = -1.75, x[8] = 0
+    lines[row] = bad_line
+    path.write_text("\n".join(lines) + "\n")
+    fit = tmp_path / "fit.json"
+    rc = main(["--out", str(fit), "decay-fit", "--in", str(path), "--window", "0.5,1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert error in err and "Traceback" not in err
+    assert not fit.exists()
 
 
 def test_experiment_energy(tmp_path, ost_config, gauss_datum):

@@ -1,12 +1,18 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import csv_reference
 from stratwave import (EtdPropagator, Field, Grid, GridMismatch, SpectralField,
                        convolve, dealias, derivative, field_from_binary,
                        field_from_csv, field_to_binary, field_to_csv, hilbert,
                        integral, preset, to_physical, to_spectral,
                        wrap_contamination)
+from stratwave import spectral
 from stratwave.errors import BadParameter
 from stratwave.spectral import dealias_keep
 
@@ -232,6 +238,44 @@ def test_csv_round_trip(tmp_path):
     back = field_from_csv(path)
     assert back.grid == g
     assert np.max(np.abs(back.samples - f.samples)) == 0.0
+
+
+_CSV_SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                 -1.7976931348623157e308, np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from([16, 64, 512, 1024, 2048]),
+       block_offset=st.sampled_from([None, -1, 0, 1]),
+       L=st.floats(0.1, 1e4), real=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       values=st.lists(st.sampled_from(_CSV_SPECIALS) | st.floats(), max_size=24))
+def test_csv_bytes_match_per_row_reference(N, block_offset, L, real, seed, values):
+    """The block writer's bytes equal the per-row writer's for every field.
+
+    block_offset None keeps CSV_BLOCK_ROWS (N = 16..512 below it, 1024 at it,
+    2048 two blocks); -1/0/+1 set the block to N-1, N, N+1 rows, so the last
+    block holds 1 row, exactly fills, or is one row short.
+    """
+    rng = np.random.default_rng(seed)
+    g = Grid(N, L)
+    samples = rng.standard_normal(N) * 10.0 ** rng.integers(-300, 300, N)
+    if not real:
+        samples = samples + 1j * rng.standard_normal(N)
+    samples = samples.astype(complex)
+    for v in values:  # specials and arbitrary floats at random re/im positions
+        i = rng.integers(N)
+        if real or rng.random() < 0.5:
+            samples[i] = complex(v, samples[i].imag)
+        else:
+            samples[i] = complex(samples[i].real, v)
+    f = Field(g, samples)
+    block = spectral.CSV_BLOCK_ROWS if block_offset is None else N + block_offset
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(spectral, "CSV_BLOCK_ROWS", block):
+        got, ref = Path(tmp, "got.csv"), Path(tmp, "ref.csv")
+        field_to_csv(f, got)
+        csv_reference(f, ref)
+        assert got.read_bytes() == ref.read_bytes()
 
 
 def test_binary_round_trip(tmp_path):
