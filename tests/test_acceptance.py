@@ -1,19 +1,67 @@
-"""Acceptance suite: every criterion at its stated tolerance.
+"""Acceptance suite: every criterion at its stated tolerance, and its golden values.
 
 Each test prints the one-line pass/fail record (visible with pytest -s or in
 the CLI driver `stratwave acceptance`).  Criteria carry their own grid
 choices; rationale lives in stratwave.acceptance.
+
+Every criterion runs at most once per session (the `acceptance_results`
+fixture); test_criterion checks its verdict and test_golden compares its
+measured values with tests/acceptance_golden.json, written by
+tests/make_acceptance_golden.py.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
 from stratwave.acceptance import CRITERIA, run_criterion
 
 CRITERION_IDS = list(CRITERIA.keys())
+GOLDEN = json.loads((Path(__file__).resolve().parent / "acceptance_golden.json").read_text())
+
+#: signal values (exponents, ratios, orders, envelopes, energies) match to this
+SIGNAL_RTOL = 1e-9
+#: rounding-noise values only need to stay below this multiple of golden,
+#: which is still far below each criterion's own tolerance
+NOISE_FACTOR = 100.0
+NOISE = {("K-MOD-EVEN", "max_diff"), ("K-MASS", "worst_mass_error"),
+         ("K-SEMI", "rel_error"), ("S-XCHECK", "l2_diff")}
+#: integer counts and flags match exactly
+EXACT = {("S-XCHECK", "picard_iterations"), ("CL-GUARD", "raised")}
+
+
+class _Results(dict):
+    """cid -> CriterionResult, running a criterion the first time it is asked for."""
+
+    def __missing__(self, cid):
+        self[cid] = result = run_criterion(cid)
+        return result
+
+
+@pytest.fixture(scope="session")
+def acceptance_results():
+    return _Results()
 
 
 @pytest.mark.parametrize("cid", CRITERION_IDS)
-def test_criterion(cid):
-    result = run_criterion(cid)
+def test_criterion(cid, acceptance_results):
+    result = acceptance_results[cid]
     print(result.line())
     assert result.passed, result.line()
+
+
+@pytest.mark.parametrize("cid", CRITERION_IDS)
+def test_golden(cid, acceptance_results):
+    measured, golden = acceptance_results[cid].measured, GOLDEN[cid]
+    assert sorted(measured) == sorted(golden)
+    for key, want in golden.items():
+        got = measured[key]
+        if (cid, key) in EXACT:
+            assert got == want, f"{cid}.{key}: {got!r} != golden {want!r}"
+        elif (cid, key) in NOISE:
+            assert got <= NOISE_FACTOR * want, \
+                f"{cid}.{key}: {got!r} > {NOISE_FACTOR:g} x golden {want!r}"
+        else:
+            assert got == pytest.approx(want, rel=SIGNAL_RTOL, abs=0.0), \
+                f"{cid}.{key}: {got!r} vs golden {want!r}"
