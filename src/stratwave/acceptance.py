@@ -309,9 +309,9 @@ CRITERIA: Dict[str, Callable[[], CriterionResult]] = {
 
 
 def run_criterion(cid: str) -> CriterionResult:
-    start = time.time()
+    start = time.perf_counter()
     result = CRITERIA[cid]()
-    result.seconds = time.time() - start
+    result.seconds = time.perf_counter() - start
     return result
 
 

@@ -33,11 +33,11 @@ import numpy as np
 
 from .errors import (BadParameter, ExcludedParameters, InsufficientDecades,
                      WindowContaminated, ZeroMean)
-from .kernel import KernelField, asymptotic_coefficient, kernel_field, kernel_hat
-from .model import DispersionSymbol, ModelParams
+from .kernel import KernelField, asymptotic_coefficient, kernel_field
+from .model import DispersionSymbol, ModelParams, half_spectrum_multiplier
 from .solver import DatumSpec, EtdPropagator, SolverConfig, make_datum, solve
-from .spectral import (Field, Grid, SpectralField, integral, to_physical,
-                       to_spectral, wrap_contamination)
+from .spectral import (Field, Grid, from_half_spectrum, half_spectrum, integral,
+                       wrap_contamination)
 
 MIN_POINTS_PER_DECADE = 30
 
@@ -332,8 +332,8 @@ def lower_bound_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field
     if u0_mean == 0:
         raise ZeroMean("lower bound requires a datum with nonzero integral")
     if linear_only:
-        khat = kernel_hat(T, u0.grid.xi, sym, params)
-        u = to_physical(SpectralField(u0.grid, khat * to_spectral(u0).coefficients))
+        khat = np.exp(half_spectrum_multiplier(u0.grid, sym, params) * T)
+        u = from_half_spectrum(u0.grid, khat * half_spectrum(u0))
     else:
         u = solve(sym, params, u0, SolverConfig(dt=dt, T=T, snapshot_times=(T,))).snapshots[-1]
     report = lower_bound_check(u, T, params, u0_mean, windows=windows)

@@ -15,7 +15,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 from . import __version__
-from .acceptance import run_acceptance
+from .acceptance import CRITERIA, run_acceptance
 from .analysis import (dichotomy_experiment, energy_experiment, growth_experiment,
                        kernel_report, lower_bound_experiment, tail_exponent,
                        weighted_persistence_experiment)
@@ -233,14 +233,18 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
-    ids = None
+    ids, source = None, None
     if args.suite:
         suite = load_json(args.suite)
-        if not isinstance(suite, list):
+        if not isinstance(suite, list) or not all(isinstance(c, str) for c in suite):
             raise ConfigInvalid("suite file must be a JSON list of criterion ids")
-        ids = suite
-    if args.only:
-        ids = args.only
+        ids, source = suite, args.suite
+    if args.only is not None:
+        ids, source = args.only, "--only"
+    if ids is not None and not any(cid in CRITERIA for cid in ids):
+        # zero criteria would run, and 0/0 would read as a pass
+        raise ConfigInvalid(f"{source}: no known criterion id in {ids}",
+                            path=source)
     results, skipped = run_acceptance(ids, threads=args.threads, quiet=args.quiet)
     for cid in skipped:
         print(f"[SKIP] {cid}: unknown criterion id", file=sys.stderr)

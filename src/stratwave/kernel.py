@@ -4,10 +4,11 @@ The semigroup kernel is defined through its transform
 
     Khat(t, xi) = exp(L(xi) t),    L(xi) = -i p(xi) xi + phi_{m,n}(xi),
 
-and realized on a grid by sampling Khat at the xi_j nodes and inverse
-transforming, so the computed field is the 2L-periodization of the continuum
-kernel; truncation beyond Nyquist is controlled by the exp(-eta|xi|^m t)
-spectral decay (UnderResolved guards the resolution precondition).
+and realized on a grid by sampling Khat at the xi_j >= 0 nodes and inverse
+transforming with irfft (K is real: L is Hermitian for even p), so the
+computed field is the 2L-periodization of the continuum kernel; truncation
+beyond Nyquist is controlled by the exp(-eta|xi|^m t) spectral decay
+(UnderResolved guards the resolution precondition).
 
 Tail structure.  Repeated integration by parts across the xi = 0 kink of
 phi gives a boundary-jump series
@@ -33,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnderResolved
-from .model import DispersionSymbol, ModelParams, linear_multiplier
-from .spectral import Field, Grid, SpectralField, integral, to_physical
+from .model import (DispersionSymbol, ModelParams, half_spectrum_multiplier,
+                    linear_multiplier)
+from .spectral import Field, Grid, from_half_spectrum, integral
 
 #: required ratio between Nyquist frequency and the spectral decay scale
 NYQUIST_FACTOR = 8.0
@@ -71,15 +73,22 @@ def _check_resolution(t: float, grid: Grid, params: ModelParams):
         )
 
 
+def _half_kernel_hat(t: float, grid: Grid, sym: DispersionSymbol,
+                     params: ModelParams) -> np.ndarray:
+    """Khat(t, xi_j) for j = 0..N/2; BadParameter when L is not Hermitian."""
+    _check_resolution(t, grid, params)
+    return np.exp(half_spectrum_multiplier(grid, sym, params) * t)
+
+
 def kernel_field(t: float, grid: Grid, sym: DispersionSymbol,
                  params: ModelParams) -> KernelField:
-    """Sampled kernel on the grid (periodized continuum kernel)."""
-    _check_resolution(t, grid, params)
-    coeffs = kernel_hat(t, grid.xi, sym, params)
-    # kernels are real whenever p is even; every built-in symbol is
-    real = sym.kind in ("kdv", "bo", "dgbo")
+    """Sampled kernel on the grid (periodized continuum kernel).
+
+    Built by irfft of the half-spectrum, so it is real with an imaginary
+    part of exactly 0; an odd custom p (complex kernel) raises BadParameter.
+    """
     return KernelField(
-        field=to_physical(SpectralField(grid, coeffs), real_hint=real),
+        field=from_half_spectrum(grid, _half_kernel_hat(t, grid, sym, params)),
         t=t, sym=sym, params=params,
     )
 
@@ -87,9 +96,9 @@ def kernel_field(t: float, grid: Grid, sym: DispersionSymbol,
 def kernel_derivative_field(t: float, grid: Grid, sym: DispersionSymbol,
                             params: ModelParams) -> Field:
     """d_x K(t, .): inverse transform of (i xi) Khat; tail ~ |x|^-(n+2)."""
-    _check_resolution(t, grid, params)
-    coeffs = 1j * grid.xi * kernel_hat(t, grid.xi, sym, params)
-    return to_physical(SpectralField(grid, coeffs))
+    khat = _half_kernel_hat(t, grid, sym, params)
+    xi = grid.dxi * np.arange(khat.size)
+    return from_half_spectrum(grid, 1j * xi * khat)
 
 
 def leading_jump(params: ModelParams) -> complex:

@@ -184,6 +184,25 @@ def linear_multiplier(xi, sym: DispersionSymbol, params: ModelParams):
     return L
 
 
+def half_spectrum_multiplier(grid, sym: DispersionSymbol,
+                             params: ModelParams) -> np.ndarray:
+    """L(xi_j) on the rfft half-spectrum of a Grid: xi_j = j dxi, j = 0..N/2.
+
+    A real field stays real under exp(L t) only when L is Hermitian,
+    L(-xi) = conj L(xi), i.e. when p is even; every built-in symbol is.
+    Raises BadParameter when L(-xi_j) differs from conj L(xi_j) by more than
+    1e-12 max |L| on the grid.
+    """
+    xi = grid.dxi * np.arange(grid.N // 2 + 1)
+    both = linear_multiplier(np.concatenate([xi, -xi]), sym, params)
+    L, L_neg = both[:xi.size], both[xi.size:]
+    if np.max(np.abs(L_neg - np.conj(L))) > 1e-12 * np.max(np.abs(L)):
+        raise BadParameter(
+            "linear symbol is not Hermitian on the grid: the dispersion "
+            "symbol p must be even for real solutions and kernels")
+    return L
+
+
 def amplification_bound(params: ModelParams) -> float:
     """B(m, n) with sup_xi Re phi_{m,n} = eta * B.
 

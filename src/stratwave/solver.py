@@ -38,8 +38,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import BadParameter, GridMismatch, NoContraction, NonFinite
-from .model import DispersionSymbol, ModelParams, linear_multiplier
-from .spectral import REAL_HINT_TOL, Field, Grid, SpectralField, dealias_keep
+from .model import DispersionSymbol, ModelParams, half_spectrum_multiplier
+from .spectral import Field, Grid, SpectralField, dealias_keep, real_samples
 
 # ---------------------------------------------------------------------------
 # Initial data
@@ -182,12 +182,7 @@ class EtdPropagator:
         self.linear_only = linear_only
         j = np.arange(grid.N // 2 + 1)
         xi = grid.dxi * j
-        both = linear_multiplier(np.concatenate([xi, -xi]), sym, params)
-        self.L, L_neg = both[:j.size], both[j.size:]
-        if np.max(np.abs(L_neg - np.conj(self.L))) > 1e-12 * np.max(np.abs(self.L)):
-            raise BadParameter(
-                "linear symbol is not Hermitian on the grid: the dispersion "
-                "symbol p must be even for real solutions")
+        self.L = half_spectrum_multiplier(grid, sym, params)
         z = self.L * dt
         self.exp_full = np.exp(z)
         self.coeff1 = dt * _phi(z, 1)
@@ -203,12 +198,7 @@ class EtdPropagator:
         """Dealiased half-spectrum of a real field."""
         if u.grid != self.grid:
             raise GridMismatch(f"{u.grid!r} vs {self.grid!r}")
-        s = u.samples
-        amax = float(np.max(np.abs(s)))
-        if amax > 0 and float(np.max(np.abs(s.imag))) > REAL_HINT_TOL * amax:
-            raise BadParameter("the solver needs real data; the field has a "
-                               "significant imaginary part")
-        return np.fft.rfft(s.real) * self.mask
+        return np.fft.rfft(real_samples(u)) * self.mask
 
     def physical(self, uhat: np.ndarray) -> Field:
         return Field(self.grid, np.fft.irfft(uhat, n=self.grid.N), is_real_hint=True)

@@ -90,9 +90,7 @@ class Field:
                 f"samples shape {self.samples.shape} != grid size ({self.grid.N},)"
             )
         if self.is_real_hint:
-            amax = float(np.max(np.abs(self.samples)))
-            if amax > 0 and float(np.max(np.abs(self.samples.imag))) > REAL_HINT_TOL * amax:
-                raise BadParameter("is_real_hint set but imaginary part is significant")
+            real_samples(self)
 
     @property
     def real(self) -> np.ndarray:
@@ -116,6 +114,20 @@ class SpectralField:
             raise BadParameter("coefficient array does not match grid size")
 
 
+def real_samples(f: Field) -> np.ndarray:
+    """The real part of f's samples, for the real-field paths.
+
+    Raises BadParameter when the imaginary part exceeds REAL_HINT_TOL times
+    max |f|: a real-field path would silently drop it.
+    """
+    s = f.samples
+    amax = float(np.max(np.abs(s)))
+    if amax > 0 and float(np.max(np.abs(s.imag))) > REAL_HINT_TOL * amax:
+        raise BadParameter("expected real data; the field has a significant "
+                           "imaginary part")
+    return s.real
+
+
 def _check_same_grid(a, b):
     if a.grid != b.grid:
         raise GridMismatch(f"{a.grid!r} vs {b.grid!r}")
@@ -133,6 +145,31 @@ def to_physical(F: SpectralField, real_hint: bool = False) -> Field:
     g = F.grid
     samples = np.fft.ifft(F.coefficients * g._sign) / g.dx
     return Field(grid=g, samples=samples, is_real_hint=real_hint)
+
+
+def _half_sign(g: Grid) -> np.ndarray:
+    # (-1)^j for j = 0..N/2; FFT index N/2 holds j = -N/2, of the same parity
+    return g._sign[:g.N // 2 + 1]
+
+
+def half_spectrum(f: Field) -> np.ndarray:
+    """to_spectral of a real field on j = 0..N/2 only, by rfft.
+
+    The other half is the complex conjugate.  Raises BadParameter ("real
+    data") for a field with a significant imaginary part.
+    """
+    g = f.grid
+    return g.dx * _half_sign(g) * np.fft.rfft(real_samples(f))
+
+
+def from_half_spectrum(grid: Grid, coeffs: np.ndarray) -> Field:
+    """to_physical of the Hermitian spectrum whose j = 0..N/2 half is coeffs.
+
+    The result is real by construction (irfft), so its imaginary part is
+    exactly 0; the imaginary parts of coeffs at j = 0 and N/2 are ignored.
+    """
+    samples = np.fft.irfft(coeffs * _half_sign(grid), n=grid.N) / grid.dx
+    return Field(grid=grid, samples=samples)
 
 
 def derivative(f: Field) -> Field:
@@ -173,13 +210,11 @@ def dealias(F: SpectralField, k: int) -> SpectralField:
     return SpectralField(grid=g, coefficients=coeffs)
 
 
-def convolve(f: Field, g: Field, real_hint: bool = False) -> Field:
-    """Continuum-normalised convolution (f*g)(x) = int f(y) g(x-y) dy."""
+def convolve(f: Field, g: Field) -> Field:
+    """Continuum-normalised convolution (f*g)(x) = int f(y) g(x-y) dy of two
+    real fields, on half-spectra; complex input raises BadParameter."""
     _check_same_grid(f, g)
-    Ff = to_spectral(f)
-    Fg = to_spectral(g)
-    return to_physical(SpectralField(f.grid, Ff.coefficients * Fg.coefficients),
-                       real_hint=real_hint)
+    return from_half_spectrum(f.grid, half_spectrum(f) * half_spectrum(g))
 
 
 def integral(f: Field) -> float:

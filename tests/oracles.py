@@ -187,3 +187,28 @@ def energy_csv_reference(traj, path) -> None:
         for t, e, d in zip(traj.energy_times, traj.energy_series,
                            traj.dissipation_series):
             fh.write(f"{t:.17g},{e:.17g},{d:.17g}\n")
+
+
+def kernel_reference(t, grid, sym, params, derivative=False):
+    """K(t, .), or d_x K with derivative=True, by the complex full-spectrum
+    ifft of Khat (times i xi) on all N modes.
+
+    The builder kernel_field and kernel_derivative_field used before their
+    irfft half-spectrum builds, kept as their reference; its imaginary part
+    is rounding noise.
+    """
+    from stratwave.kernel import kernel_hat
+    from stratwave.spectral import SpectralField, to_physical
+
+    coeffs = kernel_hat(t, grid.xi, sym, params)
+    if derivative:
+        coeffs = 1j * grid.xi * coeffs
+    return to_physical(SpectralField(grid, coeffs))
+
+
+def convolve_reference(f, g):
+    """(f*g)(x) by the complex full-spectrum transform pair."""
+    from stratwave.spectral import SpectralField, to_physical, to_spectral
+
+    return to_physical(SpectralField(
+        f.grid, to_spectral(f).coefficients * to_spectral(g).coefficients))

@@ -178,7 +178,7 @@ def test_lower_bound_experiment_zero_mean_before_evolution(monkeypatch, linear_o
         raise AssertionError("evolved a datum with zero integral")
 
     monkeypatch.setattr(analysis, "solve", evolved)
-    monkeypatch.setattr(analysis, "kernel_hat", evolved)
+    monkeypatch.setattr(analysis, "half_spectrum_multiplier", evolved)
     sym, params = preset("ost")
     u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.0), Grid(2 ** 10, 50.0))
     with pytest.raises(ZeroMean):
@@ -289,6 +289,15 @@ def test_window_mask_sides_and_guards():
         window_mask(g, (0.0, 2.0), "right")
     with pytest.raises(WindowContaminated):
         window_mask(g, (2.0, 8.5), "left")
+
+
+@pytest.mark.parametrize("linear_only", [True, False])
+def test_lower_bound_experiment_rejects_complex_datum(linear_only):
+    sym, params = preset("ost")
+    u = make_datum(DatumSpec(kind="algebraic", gamma=3.0), Grid(2 ** 10, 50.0))
+    u0 = Field(u.grid, u.samples * (1.0 + 0.1j))
+    with pytest.raises(BadParameter, match="real data"):
+        lower_bound_experiment(sym, params, u0, 0.1, 1e-2, linear_only)
 
 
 def test_decay_order_gate():

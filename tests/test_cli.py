@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import csv_reference, energy_csv_reference
+from oracles import csv_reference, energy_csv_reference, kernel_reference
 from stratwave import Field, Grid, SolverConfig, field_to_csv, preset, solve
 from stratwave.cli import main
 from stratwave.runio import sha256_file
@@ -45,6 +45,27 @@ def test_kernel_command(tmp_path, ost_config):
     assert abs(report["mass"] - 1.0) <= 1e-8
     assert report["tail_slope_right"] == pytest.approx(-2.0, abs=0.15)
     assert report["A_predicted"] == pytest.approx(1 / np.pi)
+
+
+def test_kernel_csv_is_real(tmp_path, ost_config, capsys):
+    out = tmp_path / "kernel.csv"
+    rc = main(["--quiet", "--out", str(out), "kernel", "--config", ost_config,
+               "--t", "1.0", "--grid", "N=16384,L=200", "--window", "15", "90"])
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "x,re,im"
+    assert all(line.rsplit(",", 1)[1] == "0" for line in lines[1:])
+    sym, params = preset("ost")
+    ref = kernel_reference(1.0, Grid(16384, 200.0), sym, params).samples
+    re = np.loadtxt(out, delimiter=",", skiprows=1, usecols=1)
+    assert np.max(np.abs(re - ref.real)) <= 1e-12 * np.max(np.abs(ref))
+    # decay-fit on the file gives the kernel report's exponents
+    assert main(["decay-fit", "--in", str(out), "--window", "15,90"]) == 0
+    fit = json.loads(capsys.readouterr().out)
+    report = json.loads(out.with_suffix(".json").read_text())
+    for side in ("left", "right"):
+        assert fit[side]["exponent"] == pytest.approx(
+            -report[f"tail_slope_{side}"], rel=1e-12)
 
 
 def test_kernel_rejects_invalid_n(tmp_path, capsys):
@@ -338,6 +359,29 @@ def test_acceptance_unknown_id_skipped(tmp_path, capsys):
     summary = json.loads(out.read_text())
     assert summary["skipped"] == ["NO-SUCH-ID"]
     assert summary["n_passed"] == 1
+
+
+@pytest.mark.parametrize("selection", [
+    ["--suite", "[]"],
+    ["--only"],
+    ["--only", "NO-SUCH-ID"],
+    ["--suite", '["NO-SUCH-ID"]'],
+])
+def test_acceptance_without_known_criterion_rejected(tmp_path, capsys, selection):
+    out = tmp_path / "summary.json"
+    if selection[0] == "--suite":
+        (tmp_path / "suite.json").write_text(selection[1])
+        selection = ["--suite", str(tmp_path / "suite.json")]
+    rc = main(["--out", str(out), "acceptance", *selection])
+    assert rc == 1
+    assert "no known criterion id" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_acceptance_suite_of_non_strings_rejected(tmp_path, capsys):
+    suite = write_json(tmp_path / "suite.json", [["K-MASS"]])
+    assert main(["--out", str(tmp_path / "s.json"), "acceptance", "--suite", suite]) == 1
+    assert "config error" in capsys.readouterr().err
 
 
 def test_stratwave_out_env(tmp_path, ost_config, gauss_datum, monkeypatch):

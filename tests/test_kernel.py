@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from stratwave import (DispersionSymbol, Grid, UnderResolved, WindowContaminated,
-                       asymptotic_coefficient, convolve, kernel_derivative_field,
-                       kernel_field, kernel_hat, leading_jump, preset,
-                       tail_exponent, validate_params, verify_pointwise_bound)
+from stratwave import (BadParameter, DispersionSymbol, Grid, UnderResolved,
+                       WindowContaminated, asymptotic_coefficient, convolve,
+                       kernel_derivative_field, kernel_field, kernel_hat,
+                       leading_jump, preset, tail_exponent, validate_params,
+                       verify_pointwise_bound)
+from stratwave.model import SMOOTH
 
-from oracles import kernel_quadrature, leading_jump_reference
+from oracles import kernel_quadrature, kernel_reference, leading_jump_reference
 
 KDV = DispersionSymbol.kdv()
 
@@ -64,6 +66,31 @@ def test_semigroup_property():
     conv = convolve(k1, k2)
     rel = np.max(np.abs(conv.samples - k3.samples)) / np.max(np.abs(k3.samples))
     assert rel <= 1e-8
+
+
+@pytest.mark.parametrize("name", ["ost", "gost", "bo_perturbed", "chen_lee",
+                                  "dgbo_perturbed"])
+@pytest.mark.parametrize("t", [0.2, 1.0])
+def test_irfft_kernels_match_complex_reference(name, t):
+    g = Grid(2 ** 14, 200.0)
+    sym, params = preset(name)
+    for got, derivative in ((kernel_field(t, g, sym, params).field, False),
+                            (kernel_derivative_field(t, g, sym, params), True)):
+        ref = kernel_reference(t, g, sym, params, derivative).samples
+        assert np.max(np.abs(got.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.all(got.samples.imag == 0.0)
+
+
+def test_odd_symbol_kernel_rejected():
+    odd = DispersionSymbol.custom(lambda xi: xi, sigma=1.0, origin_regularity=SMOOTH)
+    params = validate_params(3, 1, 1, 1.0)
+    g = Grid(2 ** 10, 50.0)
+    with pytest.raises(BadParameter, match="Hermitian"):
+        kernel_field(1.0, g, odd, params)
+    with pytest.raises(BadParameter, match="Hermitian"):
+        kernel_derivative_field(1.0, g, odd, params)
+    even = DispersionSymbol.custom(lambda xi: xi ** 2, sigma=2.0, origin_regularity=SMOOTH)
+    assert abs(kernel_field(1.0, g, even, params).mass - 1.0) <= 1e-8
 
 
 def test_under_resolved_guard():

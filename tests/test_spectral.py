@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import csv_reference
+from oracles import convolve_reference, csv_reference
 from stratwave import (EtdPropagator, Field, Grid, GridMismatch, SpectralField,
                        convolve, dealias, derivative, field_from_binary,
                        field_from_csv, field_to_binary, field_to_csv, hilbert,
@@ -101,6 +101,27 @@ def test_grid_mismatch_detected():
     h = random_field(Grid(64, 11.0), rng)
     with pytest.raises(GridMismatch):
         convolve(f, h)
+
+
+@pytest.mark.parametrize("N,L", [(16, 1.0), (256, 8.0), (4096, 100.0)])
+def test_convolve_matches_complex_reference(N, L):
+    rng = np.random.default_rng(N)
+    g = Grid(N, L)
+    f, h = random_field(g, rng), random_field(g, rng)
+    got = convolve(f, h).samples
+    ref = convolve_reference(f, h).samples
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.all(got.imag == 0.0)
+
+
+def test_convolve_rejects_complex_data():
+    rng = np.random.default_rng(5)
+    g = Grid(64, 10.0)
+    f, h = random_field(g, rng), random_field(g, rng, real=False)
+    with pytest.raises(BadParameter, match="real data"):
+        convolve(f, h)
+    with pytest.raises(BadParameter, match="real data"):
+        convolve(h, f)
 
 
 # ---------------------------------------------------------------------------
