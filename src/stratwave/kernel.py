@@ -33,13 +33,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnderResolved
+from .errors import BadParameter, UnderResolved
 from .model import (DispersionSymbol, ModelParams, half_spectrum_multiplier,
                     linear_multiplier)
+from .solver import _physical_memory
 from .spectral import Field, Grid, from_half_spectrum, integral
 
 #: required ratio between Nyquist frequency and the spectral decay scale
 NYQUIST_FACTOR = 8.0
+
+#: peak bytes allocated per grid point by kernel_field and
+#: kernel_derivative_field: 4.5 x 8N, the bound tests/test_memory.py enforces
+#: (measured 4.0-4.22 x 8N for N = 2^16-2^19)
+KERNEL_PEAK_BYTES_PER_POINT = 36
 
 
 @dataclass
@@ -75,9 +81,22 @@ def _check_resolution(t: float, grid: Grid, params: ModelParams):
 
 def _half_kernel_hat(t: float, grid: Grid, sym: DispersionSymbol,
                      params: ModelParams) -> np.ndarray:
-    """Khat(t, xi_j) for j = 0..N/2; BadParameter when L is not Hermitian."""
+    """Khat(t, xi_j) for j = 0..N/2; BadParameter when L is not Hermitian.
+
+    Raises BadParameter before allocating when the kernel build's estimated
+    peak exceeds physical memory.
+    """
     _check_resolution(t, grid, params)
-    return np.exp(half_spectrum_multiplier(grid, sym, params) * t)
+    need = KERNEL_PEAK_BYTES_PER_POINT * grid.N
+    limit = _physical_memory()
+    if need > limit:
+        raise BadParameter(
+            f"kernel build at N={grid.N} needs an estimated {need} bytes "
+            f"({KERNEL_PEAK_BYTES_PER_POINT} per grid point), which exceeds "
+            f"the {limit} bytes of physical memory")
+    khat = half_spectrum_multiplier(grid, sym, params)
+    khat *= t
+    return np.exp(khat, out=khat)
 
 
 def kernel_field(t: float, grid: Grid, sym: DispersionSymbol,
@@ -97,8 +116,8 @@ def kernel_derivative_field(t: float, grid: Grid, sym: DispersionSymbol,
                             params: ModelParams) -> Field:
     """d_x K(t, .): inverse transform of (i xi) Khat; tail ~ |x|^-(n+2)."""
     khat = _half_kernel_hat(t, grid, sym, params)
-    xi = grid.dxi * np.arange(khat.size)
-    return from_half_spectrum(grid, 1j * xi * khat)
+    khat *= 1j * (grid.dxi * np.arange(khat.size))
+    return from_half_spectrum(grid, khat)
 
 
 def leading_jump(params: ModelParams) -> complex:

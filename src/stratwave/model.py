@@ -184,6 +184,11 @@ def linear_multiplier(xi, sym: DispersionSymbol, params: ModelParams):
     return L
 
 
+#: half-spectrum points per block in half_spectrum_multiplier, so its
+#: temporaries stay a few MB whatever the grid size
+MULTIPLIER_BLOCK = 4096
+
+
 def half_spectrum_multiplier(grid, sym: DispersionSymbol,
                              params: ModelParams) -> np.ndarray:
     """L(xi_j) on the rfft half-spectrum of a Grid: xi_j = j dxi, j = 0..N/2.
@@ -191,12 +196,20 @@ def half_spectrum_multiplier(grid, sym: DispersionSymbol,
     A real field stays real under exp(L t) only when L is Hermitian,
     L(-xi) = conj L(xi), i.e. when p is even; every built-in symbol is.
     Raises BadParameter when L(-xi_j) differs from conj L(xi_j) by more than
-    1e-12 max |L| on the grid.
+    1e-12 max |L| on the grid.  L and L(-xi) are evaluated in blocks of
+    MULTIPLIER_BLOCK points into the one result array.
     """
-    xi = grid.dxi * np.arange(grid.N // 2 + 1)
-    both = linear_multiplier(np.concatenate([xi, -xi]), sym, params)
-    L, L_neg = both[:xi.size], both[xi.size:]
-    if np.max(np.abs(L_neg - np.conj(L))) > 1e-12 * np.max(np.abs(L)):
+    size = grid.N // 2 + 1
+    L = np.empty(size, dtype=np.complex128)
+    gap = scale = 0.0
+    for start in range(0, size, MULTIPLIER_BLOCK):
+        xi = grid.dxi * np.arange(start, min(start + MULTIPLIER_BLOCK, size))
+        block = L[start:start + xi.size]
+        block[:] = linear_multiplier(xi, sym, params)
+        L_neg = linear_multiplier(-xi, sym, params)
+        gap = max(gap, float(np.max(np.abs(L_neg - np.conj(block)))))
+        scale = max(scale, float(np.max(np.abs(block))))
+    if gap > 1e-12 * scale:
         raise BadParameter(
             "linear symbol is not Hermitian on the grid: the dispersion "
             "symbol p must be even for real solutions and kernels")

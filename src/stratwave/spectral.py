@@ -30,9 +30,13 @@ from .errors import BadParameter, GridMismatch
 
 
 class Grid:
-    """Uniform periodic grid on [-L, L) with N = 2^q points (N >= 16)."""
+    """Uniform periodic grid on [-L, L) with N = 2^q points (N >= 16).
 
-    __slots__ = ("N", "L", "dx", "dxi", "x", "j", "xi", "_sign")
+    Only x is stored up front; the full-spectrum arrays j, xi and _sign are
+    built on first use and cached, so the real-field paths never hold them.
+    """
+
+    __slots__ = ("N", "L", "dx", "dxi", "x", "_j", "_xi", "_sign_full")
 
     def __init__(self, N: int, L: float):
         if N < 16 or (N & (N - 1)) != 0:
@@ -43,11 +47,33 @@ class Grid:
         self.L = float(L)
         self.dx = 2.0 * self.L / self.N
         self.dxi = np.pi / self.L
-        self.x = -self.L + self.dx * np.arange(self.N)
-        self.j = np.fft.fftfreq(self.N, d=1.0 / self.N).astype(np.int64)
-        self.xi = self.dxi * self.j
-        # exact (-1)^j phase relating FFT indexing to the x = -L origin
-        self._sign = np.where(self.j % 2 == 0, 1.0, -1.0)
+        # -L + dx * arange(N), built in place
+        self.x = np.arange(self.N, dtype=float)
+        self.x *= self.dx
+        self.x += -self.L
+        self._j = self._xi = self._sign_full = None
+
+    @property
+    def j(self) -> np.ndarray:
+        """Integer wavenumbers in FFT order: 0..N/2-1, then -N/2..-1."""
+        if self._j is None:
+            self._j = np.arange(self.N, dtype=np.int64)
+            self._j[self.N // 2:] -= self.N
+        return self._j
+
+    @property
+    def xi(self) -> np.ndarray:
+        """Angular frequencies xi_j = dxi j in FFT order."""
+        if self._xi is None:
+            self._xi = self.dxi * self.j
+        return self._xi
+
+    @property
+    def _sign(self) -> np.ndarray:
+        """Exact (-1)^j phase relating FFT indexing to the x = -L origin."""
+        if self._sign_full is None:
+            self._sign_full = _alternating_sign(self.N)
+        return self._sign_full
 
     @property
     def nyquist(self) -> float:
@@ -147,9 +173,16 @@ def to_physical(F: SpectralField, real_hint: bool = False) -> Field:
     return Field(grid=g, samples=samples, is_real_hint=real_hint)
 
 
+def _alternating_sign(size: int) -> np.ndarray:
+    """(-1)^i for i = 0..size-1; N is even, so FFT index i and j share parity."""
+    sign = np.ones(size)
+    sign[1::2] = -1.0
+    return sign
+
+
 def _half_sign(g: Grid) -> np.ndarray:
     # (-1)^j for j = 0..N/2; FFT index N/2 holds j = -N/2, of the same parity
-    return g._sign[:g.N // 2 + 1]
+    return _alternating_sign(g.N // 2 + 1)
 
 
 def half_spectrum(f: Field) -> np.ndarray:
@@ -168,7 +201,8 @@ def from_half_spectrum(grid: Grid, coeffs: np.ndarray) -> Field:
     The result is real by construction (irfft), so its imaginary part is
     exactly 0; the imaginary parts of coeffs at j = 0 and N/2 are ignored.
     """
-    samples = np.fft.irfft(coeffs * _half_sign(grid), n=grid.N) / grid.dx
+    samples = np.fft.irfft(coeffs * _half_sign(grid), n=grid.N)
+    samples /= grid.dx
     return Field(grid=grid, samples=samples)
 
 
@@ -285,9 +319,18 @@ def field_from_csv(path, grid: Optional[Grid] = None) -> Field:
     x = data[:, 0]
     if grid is None:
         grid = Grid(len(x), -x[0])
-    if grid.N != len(x) or not np.all(np.abs(x - grid.x) <= 1e-12 * grid.L):
+    if grid.N != len(x):
+        raise GridMismatch(f"{path}: CSV has {len(x)} rows, {grid!r} has {grid.N}")
+    gap = x - grid.x            # one buffer, freed before samples is allocated
+    np.abs(gap, out=gap)
+    if not np.all(gap <= 1e-12 * grid.L):
         raise GridMismatch(f"{path}: CSV x column does not match {grid!r}")
-    return Field(grid=grid, samples=data[:, 1] + 1j * data[:, 2])
+    del gap
+    # column by column, so re and im keep their bits (no re + 1j*im)
+    samples = np.empty(grid.N, dtype=np.complex128)
+    samples.real = data[:, 1]
+    samples.imag = data[:, 2]
+    return Field(grid=grid, samples=samples)
 
 
 def field_to_binary(f: Field, path) -> None:

@@ -487,6 +487,19 @@ def test_simulate_picard_memory_guard(tmp_path, capsys, monkeypatch, ost_config,
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 
+def test_kernel_memory_guard(tmp_path, capsys, monkeypatch, ost_config):
+    import stratwave.kernel as kernel_module
+    monkeypatch.setattr(kernel_module, "_physical_memory", lambda: 1024)
+    out = tmp_path / "kernel.csv"
+    rc = main(["--quiet", "--out", str(out), "kernel", "--config", ost_config,
+               "--t", "1.0", "--grid", "N=1024,L=50"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error [BadParameter]" in err and "physical memory" in err
+    assert "Traceback" not in err
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
 @pytest.mark.parametrize("model,applies", [
     ({"symbol": {"kind": "bo"}, "m": 3, "n": 3, "k": 1, "eta": 1.0}, False),
     ({"preset": "ost"}, True),

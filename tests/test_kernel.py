@@ -7,6 +7,7 @@ from stratwave import (BadParameter, DispersionSymbol, Grid, UnderResolved,
                        leading_jump, preset, tail_exponent, validate_params,
                        verify_pointwise_bound)
 from stratwave.model import SMOOTH
+import stratwave.kernel as kernel_module
 
 from oracles import kernel_quadrature, kernel_reference, leading_jump_reference
 
@@ -100,6 +101,24 @@ def test_under_resolved_guard():
         kernel_field(1e-4, g, sym, params)
     with pytest.raises(UnderResolved):
         kernel_field(0.0, Grid(2 ** 12, 100.0), sym, params)
+
+
+@pytest.mark.parametrize("build", [kernel_field, kernel_derivative_field])
+def test_kernel_memory_guard_raises_before_allocating(monkeypatch, build):
+    sym, params = preset("ost")
+    g = Grid(2 ** 10, 50.0)
+    # 36 bytes per point at N = 1024 is an estimate of 36864 bytes
+    monkeypatch.setattr(kernel_module, "_physical_memory", lambda: 36863)
+
+    def no_multiplier(*args, **kwargs):
+        raise AssertionError("allocated before the memory check")
+
+    monkeypatch.setattr(kernel_module, "half_spectrum_multiplier", no_multiplier)
+    with pytest.raises(BadParameter, match="36864 bytes.*36863 bytes"):
+        build(1.0, g, sym, params)
+    monkeypatch.setattr(kernel_module, "_physical_memory", lambda: 36864)
+    with pytest.raises(AssertionError, match="before the memory check"):
+        build(1.0, g, sym, params)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stratwave import (DispersionSymbol, InvalidN, InvalidRange, UnknownPreset,
+from stratwave import (DispersionSymbol, Grid, InvalidN, InvalidRange, UnknownPreset,
                        amplification_bound, dissipation_symbol,
                        fitted_growth_constant, linear_multiplier,
                        model_from_config, preset, validate_params)
 from stratwave.errors import BadParameter
+from stratwave.model import SMOOTH, half_spectrum_multiplier
+import stratwave.model as model_module
 
 from oracles import amplification_max, phi_piecewise
 
@@ -210,3 +212,27 @@ def test_model_from_config():
     with pytest.raises(InvalidN):
         model_from_config({"symbol": {"kind": "kdv"}, "m": 2, "n": 5, "k": 1,
                            "eta": 1.0})
+
+
+# ---------------------------------------------------------------------------
+# the blocked half-spectrum multiplier
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("block", [7, 16, 4096])
+@pytest.mark.parametrize("name", ["ost", "bo_perturbed", "dgbo_perturbed"])
+def test_half_spectrum_multiplier_equals_one_evaluation(monkeypatch, name, block):
+    monkeypatch.setattr(model_module, "MULTIPLIER_BLOCK", block)
+    sym, params = preset(name)
+    g = Grid(256, 20.0)     # 129 points: full blocks and a short last one
+    expect = linear_multiplier(g.dxi * np.arange(g.N // 2 + 1), sym, params)
+    assert np.array_equal(half_spectrum_multiplier(g, sym, params), expect)
+
+
+def test_half_spectrum_multiplier_checks_every_block(monkeypatch):
+    monkeypatch.setattr(model_module, "MULTIPLIER_BLOCK", 16)
+    g = Grid(256, 20.0)
+    xi_c = 0.9 * g.dxi * (g.N // 2)     # p is not even above xi_c: last block only
+    sym = DispersionSymbol.custom(lambda xi: xi ** 2 + np.where(xi > xi_c, xi, 0.0),
+                                  sigma=2.0, origin_regularity=SMOOTH)
+    with pytest.raises(BadParameter, match="Hermitian"):
+        half_spectrum_multiplier(g, sym, validate_params(3, 1, 1, 1.0))

@@ -39,6 +39,17 @@ def test_grid_basics():
     assert not g.resolves(np.pi / g.dx)
 
 
+@pytest.mark.parametrize("N,L", [(16, 1.0), (64, 10.0), (4096, 37.3), (2 ** 16, 1e3 / 3)])
+def test_grid_arrays_equal_direct_formulas(N, L):
+    g = Grid(N, L)
+    j = np.fft.fftfreq(N, d=1.0 / N).astype(np.int64)
+    assert np.array_equal(g.x, -g.L + g.dx * np.arange(N))
+    assert np.array_equal(g.j, j) and g.j.dtype == np.int64
+    assert np.array_equal(g.xi, g.dxi * j)
+    assert np.array_equal(g._sign, np.where(j % 2 == 0, 1.0, -1.0))
+    assert g.j is g.j and g.xi is g.xi and g._sign is g._sign   # cached
+
+
 @pytest.mark.parametrize("N", [15, 17, 100, 8])
 def test_grid_rejects_bad_sizes(N):
     with pytest.raises(BadParameter):
@@ -259,6 +270,11 @@ def test_csv_round_trip(tmp_path):
     back = field_from_csv(path)
     assert back.grid == g
     assert np.max(np.abs(back.samples - f.samples)) == 0.0
+    assert field_from_csv(path, g).grid is g
+    with pytest.raises(GridMismatch, match="128 rows"):
+        field_from_csv(path, Grid(256, 6.0))
+    with pytest.raises(GridMismatch, match="x column"):
+        field_from_csv(path, Grid(128, 6.5))
 
 
 _CSV_SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
@@ -297,6 +313,29 @@ def test_csv_bytes_match_per_row_reference(N, block_offset, L, real, seed, value
         field_to_csv(f, got)
         csv_reference(f, ref)
         assert got.read_bytes() == ref.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from([16, 64, 1024, 2048]), L=st.floats(0.1, 1e4),
+       seed=st.integers(0, 2 ** 32 - 1),
+       values=st.lists(st.sampled_from(_CSV_SPECIALS) | st.floats(allow_nan=False),
+                       max_size=24))
+def test_csv_read_back_is_bitwise(N, L, seed, values):
+    """field_from_csv(field_to_csv(f)) has f's bits in re and im, including
+    nan, +-inf, -0.0 and subnormals in either part (nan as the '%g' text
+    can carry it: the quiet positive nan)."""
+    rng = np.random.default_rng(seed)
+    samples = (rng.standard_normal(N) * 10.0 ** rng.integers(-300, 300, N)
+               + 1j * rng.standard_normal(N))
+    parts = samples.view(np.float64)        # re, im interleaved
+    parts[rng.integers(2 * N, size=len(values))] = values
+    f = Field(Grid(N, L), samples)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "f.csv")
+        field_to_csv(f, path)
+        back = field_from_csv(path)
+    assert back.grid == f.grid
+    assert np.array_equal(back.samples.view(np.uint64), f.samples.view(np.uint64))
 
 
 def test_binary_round_trip(tmp_path):
