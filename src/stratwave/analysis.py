@@ -35,7 +35,8 @@ from .errors import (BadParameter, ExcludedParameters, InsufficientDecades,
                      WindowContaminated, ZeroMean)
 from .kernel import KernelField, asymptotic_coefficient, kernel_field
 from .model import DispersionSymbol, ModelParams, half_spectrum_multiplier
-from .solver import DatumSpec, EtdPropagator, SolverConfig, make_datum, solve
+from .solver import (DatumSpec, EtdPropagator, SolverConfig, make_datum, solve,
+                     step_count)
 from .spectral import (Field, Grid, from_half_spectrum, half_spectrum, integral,
                        wrap_contamination)
 
@@ -284,7 +285,7 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
     grid = u0.grid
     w = Weight(gamma)
     alpha = params.alpha
-    n_steps = int(round(T / dt))
+    n_steps = step_count(T, dt)
     targets = set(np.clip(
         np.round(np.logspace(0.0, math.log10(n_steps), n_samples)).astype(int),
         1, n_steps).tolist())

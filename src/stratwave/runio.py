@@ -16,8 +16,6 @@ import time
 import uuid
 from pathlib import Path
 
-import jsonschema
-
 from . import __version__
 from .errors import ConfigInvalid
 
@@ -125,6 +123,8 @@ def _explain(err):
 
 
 def validate_config(cfg: dict, schema: dict) -> None:
+    import jsonschema  # on first use: commands that validate nothing never load it
+
     validator = jsonschema.Draft202012Validator(schema)
     errors = [e for e in map(_explain, validator.iter_errors(cfg)) if e is not None]
     if errors:

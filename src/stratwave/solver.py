@@ -159,15 +159,24 @@ def _phi(z: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
+def _kept_modes(N: int, k: int) -> int:
+    """K + 1: how many of the half-spectrum modes j = 0..N/2 dealias_keep keeps."""
+    return int(np.count_nonzero(dealias_keep(np.arange(N // 2 + 1), N, k)))
+
+
 class EtdPropagator:
     """The ETD2 stepper on rfft half-spectra, built once per (grid, model, dt).
 
     States are the unnormalised ``numpy.fft.rfft`` coefficients of a real
-    field: N/2 + 1 values for j = 0..N/2.  A real solution needs a Hermitian
-    linear symbol, L(-xi) = conj L(xi), i.e. an even dispersion symbol p;
-    every built-in symbol is even, and an odd custom one raises BadParameter.
-    Energy and dissipation rate come from exact discrete Parseval on the
-    half-spectrum, so recording them costs no transform.
+    field on the modes the dealias rule keeps: K + 1 values for j = 0..K,
+    K = floor(N/(k+2)), about 2/(k+2) of the N/2 + 1 half-spectrum.  Every
+    mode above K is zero after each step, so it is neither stored nor
+    stepped; ``physical`` restores it through the zero-padding of
+    ``irfft(uhat, n=N)``.  A real solution needs a Hermitian linear symbol,
+    L(-xi) = conj L(xi), i.e. an even dispersion symbol p; every built-in
+    symbol is even, and an odd custom one raises BadParameter.  Energy and
+    dissipation rate come from exact discrete Parseval on the half-spectrum,
+    so recording them costs no transform.
     """
 
     def __init__(self, grid: Grid, sym: DispersionSymbol, params: ModelParams,
@@ -181,46 +190,65 @@ class EtdPropagator:
         self.k = params.k if dealias_k is None else dealias_k
         self.linear_only = linear_only
         j = np.arange(grid.N // 2 + 1)
-        xi = grid.dxi * j
-        self.L = half_spectrum_multiplier(grid, sym, params)
+        L = half_spectrum_multiplier(grid, sym, params)
+        # |u|^2 dx summed over the full spectrum: modes 1..N/2-1 appear twice
+        self.weight = (np.where((j == 0) | (j == grid.N // 2), 1.0, 2.0)
+                       * grid.dx / grid.N)
+        self.rate_weight = L.real * self.weight
+        self.kept = _kept_modes(grid.N, self.k)
+        self.L = L[:self.kept].copy()
         z = self.L * dt
         self.exp_full = np.exp(z)
         self.coeff1 = dt * _phi(z, 1)
         self.coeff2 = dt * _phi(z, 2)
-        self.mask = dealias_keep(j, grid.N, self.k).astype(float)
-        self.nl_mult = -(1j * xi / (self.k + 1)) * self.mask
-        # |u|^2 dx summed over the full spectrum: modes 1..N/2-1 appear twice
-        self.weight = (np.where((j == 0) | (j == grid.N // 2), 1.0, 2.0)
-                       * grid.dx / grid.N)
-        self.rate_weight = self.L.real * self.weight
+        self.nl_mult = -(1j * (grid.dxi * j[:self.kept]) / (self.k + 1))
 
     def forward(self, u: Field) -> np.ndarray:
-        """Dealiased half-spectrum of a real field."""
+        """Dealiased half-spectrum of a real field: its kept modes."""
         if u.grid != self.grid:
             raise GridMismatch(f"{u.grid!r} vs {self.grid!r}")
-        return np.fft.rfft(real_samples(u)) * self.mask
+        return np.fft.rfft(real_samples(u))[:self.kept]
 
     def physical(self, uhat: np.ndarray) -> Field:
         return Field(self.grid, np.fft.irfft(uhat, n=self.grid.N), is_real_hint=True)
 
+    def _power(self, uhat: np.ndarray) -> np.ndarray:
+        """|uhat|^2 zero-padded to all N/2 + 1 modes.
+
+        The Parseval sums then run over N/2 + 1 terms whatever the length of
+        uhat (kept modes or a full half-spectrum), and so round alike.
+        """
+        power = np.zeros(self.weight.size)
+        power[:uhat.size] = uhat.real ** 2 + uhat.imag ** 2
+        return power
+
     def energy(self, uhat: np.ndarray) -> float:
         """Discrete L2 norm of the field, by Parseval."""
-        return float(np.sqrt(np.dot(self.weight, uhat.real ** 2 + uhat.imag ** 2)))
+        return float(np.sqrt(np.dot(self.weight, self._power(uhat))))
 
     def dissipation(self, uhat: np.ndarray) -> float:
         """(1/2) d/dt ||u||^2 under the linear flow: the Re phi-weighted norm."""
-        return float(np.dot(self.rate_weight, uhat.real ** 2 + uhat.imag ** 2))
+        return float(np.dot(self.rate_weight, self._power(uhat)))
+
+    def monitors(self, uhat: np.ndarray) -> Tuple[float, float]:
+        """(energy, dissipation) from one |uhat|^2, as solve records per step."""
+        power = self._power(uhat)
+        return (float(np.sqrt(np.dot(self.weight, power))),
+                float(np.dot(self.rate_weight, power)))
 
     def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
         """N(u) = -(1/(k+1)) d_x(u^{k+1}) evaluated pseudo-spectrally."""
         if self.linear_only:
             return np.zeros_like(uhat)
         u = np.fft.irfft(uhat, n=self.grid.N)
-        return self.nl_mult * np.fft.rfft(u ** (self.k + 1))
+        return self.nl_mult * np.fft.rfft(u ** (self.k + 1))[:self.kept]
 
     def step(self, uhat: np.ndarray) -> np.ndarray:
         n0 = self.nonlinear(uhat)
         a = self.exp_full * uhat + self.coeff1 * n0
+        # keep this one expression: numpy reuses large temporaries in place,
+        # swapping the operands of coeff2 * (...), and a complex product
+        # rounds differently with its operands swapped
         return a + self.coeff2 * (self.nonlinear(a) - n0)
 
     def evolve(self, uhat: np.ndarray, n_steps: int):
@@ -283,6 +311,16 @@ class Trajectory:
     diagnostics: dict = dc_field(default_factory=dict)
 
 
+def step_count(T: float, dt: float) -> int:
+    """The number of dt steps that reach T; BadParameter unless T is a
+    positive whole number of them (to 1e-9 relative)."""
+    ratio = T / dt if dt > 0 else math.nan
+    n_steps = int(round(ratio)) if math.isfinite(ratio) else 0
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * T:
+        raise BadParameter(f"T={T} is not a positive whole number of steps of dt={dt}")
+    return n_steps
+
+
 def _snapshot_steps(cfg: SolverConfig, n_steps: int) -> dict:
     """Map step index -> requested snapshot time.
 
@@ -308,9 +346,7 @@ def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
           cfg: SolverConfig) -> Trajectory:
     """Integrate to T with the ETD2 scheme, recording energy each step."""
     grid = u0.grid
-    n_steps = int(round(cfg.T / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.T) > 1e-9 * cfg.T:
-        raise BadParameter(f"T={cfg.T} is not an integer number of steps of dt={cfg.dt}")
+    n_steps = step_count(cfg.T, cfg.dt)
     snap_at = _snapshot_steps(cfg, n_steps)
     prop = EtdPropagator(grid, sym, params, cfg.dt, cfg.dealias_k, cfg.linear_only)
 
@@ -320,8 +356,7 @@ def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     snapshots: List[Field] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for step, uhat in prop.evolve(prop.forward(u0), n_steps):
-            energies[step] = prop.energy(uhat)
-            rates[step] = prop.dissipation(uhat)
+            energies[step], rates[step] = prop.monitors(uhat)
             if step in snap_at:
                 times.append(step * cfg.dt)
                 snapshots.append(prop.physical(uhat))
@@ -346,27 +381,30 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
                  cfg: SolverConfig) -> Tuple[Field, dict]:
     """Duhamel fixed point on [0, T]; returns the field at T and a report.
 
-    The iterate is one (M+1) x (N/2+1) array of half-spectra on the step
-    grid, overwritten in place.  The tau integral uses the midpoint rule
-    with u at midpoints approximated by endpoint averages, streamed through
+    The iterate is one (M+1) x (K+1) array on the step grid, overwritten in
+    place: each row holds the K+1 half-spectrum modes that the dealias rule
+    keeps (EtdPropagator's state), about 2/(k+2) of the N/2+1.  The tau
+    integral uses the midpoint rule with u at midpoints approximated by
+    endpoint averages, streamed through
     new[i] = E new[i-1] + dt E_{1/2} N((old[i-1] + old[i])/2), E = exp(L dt),
     E_{1/2} = exp(L dt/2): O(M N) work per iteration.  Raises BadParameter
-    before any step when a snapshot time is off the step grid or collides
-    with another (as solve does), or when the array would exceed physical
-    memory.  Divergence is detected through per-iteration contraction
-    factors.  The report's "snapshots" entry lists (t, field) at the
-    requested snapshot times (default (T,)), taken from the final iterate.
+    before any step when T is not a whole number of steps, when a snapshot
+    time is off the step grid or collides with another (as solve does), or
+    when the array, 16 (M+1)(K+1) bytes, would exceed physical memory.
+    Divergence is detected through per-iteration contraction factors.  The
+    report's "snapshots" entry lists (t, field) at the requested snapshot
+    times (default (T,)), taken from the final iterate.
     """
-    M = int(round(cfg.T / cfg.dt))
-    if M < 1:
-        raise BadParameter("picard needs at least one step")
+    M = step_count(cfg.T, cfg.dt)
     snap_at = _snapshot_steps(cfg, M)
-    need = 16 * (M + 1) * (u0.grid.N // 2 + 1)
+    kept = _kept_modes(u0.grid.N, params.k if cfg.dealias_k is None else cfg.dealias_k)
+    need = 16 * (M + 1) * kept
     limit = _physical_memory()
     if need > limit:
         raise BadParameter(
-            f"picard iterate storage of {need} bytes ((M+1) x (N/2+1) complex "
-            f"values) exceeds the {limit} bytes of physical memory")
+            f"picard iterate storage of {need} bytes ((M+1) x (K+1) complex "
+            f"values, K+1 = {kept} kept modes) exceeds the {limit} bytes of "
+            f"physical memory")
     dt = cfg.dt
     prop = EtdPropagator(u0.grid, sym, params, dt, cfg.dealias_k, cfg.linear_only)
     E = prop.exp_full

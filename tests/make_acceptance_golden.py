@@ -3,12 +3,16 @@
 Run from the repository root:
 
     PYTHONPATH=src python tests/make_acceptance_golden.py
+    PYTHONPATH=src python tests/make_acceptance_golden.py --diff
 
 The file is a check (tests/test_acceptance.py compares every measured value
 with it).  Rewrite it only in a change that says why, listing old -> new for
-every value that moved; never to make a failing comparison pass.
+every value that moved; never to make a failing comparison pass.  --diff
+writes nothing: it prints every value's golden and live repr, marked
+"identical" or with its relative change, which is that list.
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -17,7 +21,35 @@ from stratwave.acceptance import CRITERIA, run_criterion
 GOLDEN_PATH = Path(__file__).resolve().parent / "acceptance_golden.json"
 
 
+def relative_change(golden, live) -> str:
+    if golden == live:
+        return "identical"
+    if isinstance(golden, (int, float)) and isinstance(live, (int, float)) and golden:
+        return f"rel {(live - golden) / abs(golden):+.3g}"
+    return "changed"
+
+
+def diff() -> None:
+    """Print every criterion's golden and live values; write nothing."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    moved = 0
+    for cid in CRITERIA:
+        live = run_criterion(cid).measured
+        for key in sorted(golden.get(cid, {}).keys() | live.keys()):
+            want, got = golden.get(cid, {}).get(key), live.get(key)
+            mark = relative_change(want, got)
+            moved += mark != "identical"
+            print(f"{cid} {key}: golden {want!r} live {got!r} {mark}")
+    print(f"{moved} value(s) differ from {GOLDEN_PATH.name}")
+
+
 def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--diff", action="store_true",
+                    help="compare live values with the golden file; write nothing")
+    if ap.parse_args().diff:
+        diff()
+        return
     golden = {}
     for cid in CRITERIA:
         result = run_criterion(cid)

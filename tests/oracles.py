@@ -212,3 +212,54 @@ def convolve_reference(f, g):
 
     return to_physical(SpectralField(
         f.grid, to_spectral(f).coefficients * to_spectral(g).coefficients))
+
+
+class FullHalfSpectrumEtd:
+    """The ETD2 stepper on all N/2 + 1 rfft modes, with the dealias mask
+    applied as a multiplier.
+
+    The EtdPropagator that stepped every half-spectrum mode, zeros above the
+    cutoff included, before states were cut to the kept modes; kept
+    verbatim as the bit-for-bit reference for the kept-mode stepper.
+    """
+
+    def __init__(self, grid, sym, params, dt):
+        from stratwave.model import half_spectrum_multiplier
+        from stratwave.solver import _phi
+        from stratwave.spectral import dealias_keep
+
+        self.grid = grid
+        self.k = params.k
+        j = np.arange(grid.N // 2 + 1)
+        xi = grid.dxi * j
+        self.L = half_spectrum_multiplier(grid, sym, params)
+        z = self.L * dt
+        self.exp_full = np.exp(z)
+        self.coeff1 = dt * _phi(z, 1)
+        self.coeff2 = dt * _phi(z, 2)
+        self.mask = dealias_keep(j, grid.N, self.k).astype(float)
+        self.nl_mult = -(1j * xi / (self.k + 1)) * self.mask
+        self.weight = (np.where((j == 0) | (j == grid.N // 2), 1.0, 2.0)
+                       * grid.dx / grid.N)
+        self.rate_weight = self.L.real * self.weight
+
+    def forward(self, u):
+        return np.fft.rfft(u.samples.real) * self.mask
+
+    def physical(self, uhat):
+        return np.fft.irfft(uhat, n=self.grid.N)
+
+    def energy(self, uhat):
+        return float(np.sqrt(np.dot(self.weight, uhat.real ** 2 + uhat.imag ** 2)))
+
+    def dissipation(self, uhat):
+        return float(np.dot(self.rate_weight, uhat.real ** 2 + uhat.imag ** 2))
+
+    def nonlinear(self, uhat):
+        u = np.fft.irfft(uhat, n=self.grid.N)
+        return self.nl_mult * np.fft.rfft(u ** (self.k + 1))
+
+    def step(self, uhat):
+        n0 = self.nonlinear(uhat)
+        a = self.exp_full * uhat + self.coeff1 * n0
+        return a + self.coeff2 * (self.nonlinear(a) - n0)

@@ -88,6 +88,16 @@ def test_weight_guards():
         weighted_norm(Field(g, np.ones(64)), 1.0, Weight(0.5))
 
 
+@pytest.mark.parametrize("T", [0.0004, 0.0105])
+def test_weighted_persistence_rejects_partial_steps(T):
+    # T = 0.0004 used to reach log10(0); T = 0.0105 used to stop at t = 0.01
+    sym, params = preset("ost")
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), Grid(1024, 50.0))
+    with pytest.raises(BadParameter, match="whole number of steps"):
+        weighted_persistence_experiment(sym, params, u0, p=2.0, gamma=0.5, T=T,
+                                        dt=1e-3)
+
+
 # ---------------------------------------------------------------------------
 # growth envelope, mean, projection
 # ---------------------------------------------------------------------------

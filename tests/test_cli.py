@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import csv_reference, energy_csv_reference, kernel_reference
+import stratwave
 from stratwave import Field, Grid, SolverConfig, field_to_csv, preset, solve
 from stratwave.cli import main
 from stratwave.runio import sha256_file
@@ -336,6 +339,34 @@ def test_experiment_dichotomy_guard_exit_code(tmp_path, capsys):
     assert rc == 1
     assert "ExcludedParameters" in capsys.readouterr().err
     assert not (tmp_path / "clrun").exists()   # atomicity on failure
+
+
+@pytest.mark.parametrize("T", [0.0004, 0.0105])
+def test_experiment_weighted_partial_steps_exit_1(tmp_path, capsys, T):
+    cfg = write_json(tmp_path / "exp.json", {
+        "model": {"preset": "ost"},
+        "grid": {"N": 1024, "L": 50},
+        "solver": {"dt": 0.001, "T": T},
+        "datum": {"kind": "gaussian", "sigma0": 1.0, "amp": 0.1},
+        "experiment": {"kind": "weighted"},
+    })
+    out = tmp_path / "wrun"
+    rc = main(["--quiet", "--out", str(out), "experiment", "weighted",
+               "--config", cfg])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [BadParameter]") and "whole number of steps" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_import_leaves_jsonschema_unloaded():
+    # only commands that validate a config pay for importing jsonschema
+    code = "import sys, stratwave.cli; print('jsonschema' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(stratwave.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_experiment_kind_mismatch(tmp_path, capsys):

@@ -1,19 +1,23 @@
-"""Peak memory of the kernel build and field-read paths.
+"""Peak memory of the kernel build, field-read and Picard paths.
 
-Peaks are traced with tracemalloc, which sees numpy's array buffers, and
-bounded in units of 8N bytes (one float64 per grid point).  Each bound sits
-just above the value measured for N = 2^16..2^18; the grid keeps the
-kernel_io spacing, dx = 2 * 3200 / 2^19.
+Peaks are traced with tracemalloc, which sees numpy's array buffers.  The
+kernel and field-read peaks are bounded in units of 8N bytes (one float64
+per grid point), each just above the value measured for N = 2^16..2^18; the
+grid keeps the kernel_io spacing, dx = 2 * 3200 / 2^19.  The Picard peak is
+bounded in units of 16 (M+1)(N/2+1) bytes, an iterate of full half-spectrum
+rows.
 """
 
 import tracemalloc
 
 import pytest
 
-from stratwave import Grid, kernel_derivative_field, kernel_field, preset
+from stratwave import (DatumSpec, Grid, SolverConfig, kernel_derivative_field,
+                       kernel_field, make_datum, picard_solve, preset)
 from stratwave.kernel import KERNEL_PEAK_BYTES_PER_POINT
 from stratwave.model import half_spectrum_multiplier
 from stratwave.spectral import field_from_csv, field_to_csv
+import stratwave.solver as solver_module
 
 SIZES = [2 ** 16, 2 ** 18]
 SYM, PARAMS = preset("ost")
@@ -23,14 +27,19 @@ def grid_of(N: int) -> Grid:
     return Grid(N, 3200.0 * N / 2 ** 19)
 
 
-def peak_units(N: int, fn, *args) -> float:
-    """Peak traced bytes while fn(*args) runs, in units of 8N bytes."""
+def peak_bytes(fn, *args) -> int:
+    """Peak traced bytes while fn(*args) runs."""
     tracemalloc.start()
     try:
         fn(*args)
-        return tracemalloc.get_traced_memory()[1] / (8 * N)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def peak_units(N: int, fn, *args) -> float:
+    """Peak traced bytes while fn(*args) runs, in units of 8N bytes."""
+    return peak_bytes(fn, *args) / (8 * N)
 
 
 @pytest.mark.parametrize("N", SIZES)
@@ -61,3 +70,29 @@ def test_field_from_csv_peak(N, tmp_path):
     path = tmp_path / "kernel.csv"
     field_to_csv(kernel_field(1.0, grid_of(N), SYM, PARAMS).field, path)
     assert peak_units(N, field_from_csv, path) <= 6.5
+
+
+def picard_case(name: str, k: int, N: int, M: int):
+    """A small Gaussian on the duhamel_small box, L = 64, dt = 1e-3, M steps."""
+    sym, params = preset(name, k=k)
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.01), Grid(N, 64.0))
+    return sym, params, u0, SolverConfig(dt=1e-3, T=M * 1e-3, mode="picard")
+
+
+@pytest.mark.parametrize("name,k,bound", [("ost", 1, 0.72), ("gost", 2, 0.54)])
+def test_picard_peak(name, k, bound):
+    # the iterate holds the kept modes only: (M+1) x (K+1) with K+1 about
+    # 2/(k+2) of N/2+1, so 0.667 (k = 1) or 0.500 (k = 2) of the unit below,
+    # plus one propagator and the per-step temporaries
+    N, M = 2 ** 12, 300
+    picard_solve(*picard_case(name, k, 64, 2))   # lazy imports and set-up
+    peak = peak_bytes(picard_solve, *picard_case(name, k, N, M))
+    assert peak / (16 * (M + 1) * (N // 2 + 1)) <= bound
+
+
+def test_picard_guard_counts_kept_modes_only(monkeypatch):
+    # physical memory between the kept-mode need, 16 x 11 x 342 bytes, and
+    # the full half-spectrum one, 16 x 11 x 513: the run goes ahead
+    monkeypatch.setattr(solver_module, "_physical_memory", lambda: 16 * 11 * 513 - 1)
+    field, report = picard_solve(*picard_case("ost", 1, 1024, 10))
+    assert report["converged"] and field.grid.N == 1024

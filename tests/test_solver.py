@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import etd2_reference, picard_reference
+from oracles import FullHalfSpectrumEtd, etd2_reference, picard_reference
 from stratwave import (DatumSpec, DispersionSymbol, EtdPropagator, Field, Grid,
                        NoContraction, NonFinite, SolverConfig, SpectralField,
                        dissipation_rate, etd_step, growth_envelope,
@@ -13,7 +13,7 @@ from stratwave import (DatumSpec, DispersionSymbol, EtdPropagator, Field, Grid,
 from stratwave.errors import BadParameter
 from stratwave.model import SMOOTH
 import stratwave.solver as solver_module
-from stratwave.solver import _snapshot_steps
+from stratwave.solver import _snapshot_steps, step_count
 
 
 def l2_diff(a: Field, b: Field) -> float:
@@ -161,6 +161,39 @@ def test_real_stepper_matches_reference_on_every_kept_mode(name, k):
                                   Field(g, 0.1 * samples / np.max(np.abs(samples))))
 
 
+@pytest.mark.parametrize("N", [2 ** 10, 2 ** 12])
+@pytest.mark.parametrize("name,k", [("ost", 1), ("gost", 2), ("gost", 3),
+                                    ("bo_perturbed", 1), ("chen_lee", 1),
+                                    ("dgbo_perturbed", 1)])
+def test_kept_mode_solve_equals_full_half_spectrum_bitwise(name, k, N):
+    """solve on the kept modes gives the same bits as stepping all N/2 + 1
+    modes with the dealias mask: snapshots, energy and dissipation series."""
+    sym, params = preset(name, k=k)
+    g = Grid(N, N / 64.0)
+    rng = np.random.default_rng(N + k)
+    coeffs = np.zeros(N // 2 + 1, dtype=complex)
+    kept = np.arange(coeffs.size) <= N / (params.k + 2)
+    coeffs[kept] = rng.standard_normal(kept.sum()) + 1j * rng.standard_normal(kept.sum())
+    samples = np.fft.irfft(coeffs, n=N)
+    u0 = Field(g, 0.5 * samples / np.max(np.abs(samples)))
+    dt, n_steps = 1e-3, 20
+    traj = solve(sym, params, u0, SolverConfig(dt=dt, T=n_steps * dt,
+                                               snapshot_times=(dt, 10 * dt, 20 * dt)))
+    ref = FullHalfSpectrumEtd(g, sym, params, dt)
+    uhat = ref.forward(u0)
+    energies, rates, snapshots = [ref.energy(uhat)], [ref.dissipation(uhat)], []
+    for step in range(1, n_steps + 1):
+        uhat = ref.step(uhat)
+        energies.append(ref.energy(uhat))
+        rates.append(ref.dissipation(uhat))
+        if step in (1, 10, 20):
+            snapshots.append(ref.physical(uhat))
+    assert np.array_equal(traj.energy_series, energies)
+    assert np.array_equal(traj.dissipation_series, rates)
+    for got, want in zip(traj.snapshots, snapshots, strict=True):
+        assert np.array_equal(got.samples, want)
+
+
 _VALID_N = [n for n in range(1, 13) if not (n % 4 == 1 and n >= 5)]
 
 
@@ -215,6 +248,20 @@ def test_complex_datum_rejected():
         etd_step(u0, 1e-2, sym, params)
     with pytest.raises(BadParameter, match="real data"):
         picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1, mode="picard"))
+
+
+@pytest.mark.parametrize("T", [0.1005, 0.0004])
+def test_partial_steps_rejected_in_both_modes(T):
+    # picard used to round T to a whole number of steps
+    sym, params = preset("ost")
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), Grid(2 ** 8, 20.0))
+    with pytest.raises(BadParameter, match="whole number of steps"):
+        step_count(T, 1e-3)
+    if T >= 1e-3:   # SolverConfig itself rejects T < dt
+        for run, mode in ((solve, "etd"), (picard_solve, "picard")):
+            with pytest.raises(BadParameter, match="whole number of steps"):
+                run(sym, params, u0, SolverConfig(dt=1e-3, T=T, mode=mode))
+    assert step_count(0.1, 1e-3) == 100
 
 
 def test_snapshot_times_off_grid_or_colliding_rejected():
@@ -395,16 +442,16 @@ def test_picard_memory_guard_raises_before_any_step(monkeypatch):
     sym, params = preset("ost")
     g = Grid(2 ** 10, 50.0)
     u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), g)
-    # 11 x 513 complex values need 90288 bytes
-    monkeypatch.setattr(solver_module, "_physical_memory", lambda: 90287)
+    # 11 x 342 complex values (the kept modes j <= 1024/3) need 60192 bytes
+    monkeypatch.setattr(solver_module, "_physical_memory", lambda: 60191)
 
     def no_propagator(*args, **kwargs):
         raise AssertionError("built a propagator before the memory check")
 
     monkeypatch.setattr(solver_module, "EtdPropagator", no_propagator)
-    with pytest.raises(BadParameter, match="90288 bytes.*90287 bytes"):
+    with pytest.raises(BadParameter, match="60192 bytes.*60191 bytes"):
         picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1, mode="picard"))
-    monkeypatch.setattr(solver_module, "_physical_memory", lambda: 90288)
+    monkeypatch.setattr(solver_module, "_physical_memory", lambda: 60192)
     with pytest.raises(AssertionError, match="before the memory check"):
         picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1, mode="picard"))
 
