@@ -8,15 +8,14 @@ from .model import (DispersionSymbol, ModelParams, amplification_bound,
                     dissipation_symbol, fitted_growth_constant,
                     linear_multiplier, model_from_config, preset,
                     validate_params)
-from .spectral import (Field, Grid, SpectralField, convolve, dealias,
-                       derivative, field_from_binary, field_from_csv,
-                       field_to_binary, field_to_csv, hilbert, integral,
+from .spectral import (Field, Grid, SpectralField, convolve, derivative,
+                       field_from_csv, field_to_csv, hilbert, integral,
                        to_physical, to_spectral, wrap_contamination)
 from .kernel import (KernelField, asymptotic_coefficient, kernel_derivative_field,
                      kernel_field, kernel_hat, leading_jump)
 from .solver import (DatumSpec, EtdPropagator, SolverConfig, Trajectory,
-                     datum_from_config, dissipation_rate, etd_step, make_datum,
-                     picard_solve, solve)
+                     datum_from_config, etd_step, make_datum, picard_solve,
+                     solve)
 from .analysis import (DecayFit, Weight, dichotomy_experiment, energy_experiment,
                        growth_envelope, growth_experiment, kernel_report,
                        lower_bound_check, lower_bound_experiment, tail_exponent,

@@ -160,8 +160,7 @@ def crit_s_xcheck() -> CriterionResult:
     cfg = SolverConfig(dt=1e-3, T=0.1, snapshot_times=(0.1,))
     u_etd = solve(sym, params, u0, cfg).snapshots[-1]
     u_pic, report = picard_solve(sym, params, u0,
-                                 SolverConfig(dt=1e-3, T=0.1, mode="picard",
-                                              picard_tol=1e-12))
+                                 SolverConfig(dt=1e-3, T=0.1, picard_tol=1e-12))
     diff = Field(grid, u_etd.samples - u_pic.samples).l2_norm()
     return CriterionResult("S-XCHECK", diff <= 1e-6, "||picard - etd||_2 <= 1e-6",
                            {"l2_diff": diff, "picard_iterations": report["iterations"]})

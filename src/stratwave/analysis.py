@@ -153,7 +153,7 @@ def growth_envelope(u: Field, gamma: float) -> float:
 def zero_mean_project(u: Field) -> Field:
     """Subtract the discrete mean; the result integrates to 0 exactly."""
     shifted = u.samples - np.sum(u.samples) / u.grid.N
-    return Field(grid=u.grid, samples=shifted, is_real_hint=u.is_real_hint)
+    return Field(grid=u.grid, samples=shifted)
 
 
 # ---------------------------------------------------------------------------

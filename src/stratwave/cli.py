@@ -112,8 +112,7 @@ def cmd_simulate(args) -> int:
     try:
         if args.mode == "picard":
             _, rep = picard_solve(sym, params, u0,
-                                  SolverConfig(dt=dt, T=args.T, mode="picard",
-                                               snapshot_times=snaps,
+                                  SolverConfig(dt=dt, T=args.T, snapshot_times=snaps,
                                                linear_only=args.linear_only))
             for t, snap in rep.pop("snapshots"):
                 field_to_csv(snap, rundir.register(f"snapshot_t{t:g}.csv"))
@@ -167,13 +166,22 @@ def cmd_decay_fit(args) -> int:
     return EXIT_PASS
 
 
-_NEEDS_DATUM = {"required": ["datum"]}
+def _solver_reads(*fields) -> dict:
+    """Schema: a solver block holding dt, T and, of the other solver fields,
+    only those named: the ones the experiment kind reads."""
+    return {"solver": {"properties": dict.fromkeys(("dt", "T", *fields), {}),
+                       "additionalProperties": False}}
 
-#: experiment kind -> (what its config needs beyond the common schema, the
-#: analysis call; r carries cfg, exp, solver, sym, params, grid, u0, dt, T)
+
+_NEEDS_DATUM = {"required": ["datum"], "properties": _solver_reads()}
+
+#: experiment kind -> (what its config needs beyond the common schema, with
+#: the solver fields it reads, and the analysis call; r carries cfg, exp,
+#: solver, sym, params, grid, u0, dt, T)
 EXPERIMENTS = {
     "dichotomy": (
-        {"properties": {"experiment": {"required": ["gamma_datum"]}}},
+        {"properties": {"experiment": {"required": ["gamma_datum"]},
+                        **_solver_reads()}},
         lambda r: dichotomy_experiment(
             r.sym, r.params, r.exp["gamma_datum"], r.T, r.grid, r.dt,
             window=tuple(r.exp["window"]) if "window" in r.exp else None,
@@ -184,15 +192,18 @@ EXPERIMENTS = {
         r.sym, r.params, r.u0, p=r.exp.get("p", 2.0), gamma=r.exp.get("gamma", 0.5),
         T=r.T, dt=r.dt)),
     "growth": (
-        {"required": ["datum"], "properties": {"datum": {"required": ["gamma"]}}},
+        {"required": ["datum"], "properties": {"datum": {"required": ["gamma"]},
+                                               **_solver_reads("snapshots")}},
         lambda r: growth_experiment(
             r.sym, r.params, r.u0, r.cfg["datum"]["gamma"], r.T, r.dt,
             snapshot_times=r.solver.get("snapshots", [r.T]),
             bound=r.exp.get("bound", 2.0 * r.cfg["datum"].get("c0", 0.01)))),
-    "lowerbound": (_NEEDS_DATUM, lambda r: lower_bound_experiment(
-        r.sym, r.params, r.u0, r.T, r.dt,
-        linear_only=r.solver.get("linear_only", False),
-        windows=[tuple(w) for w in r.exp["windows"]] if "windows" in r.exp else None)),
+    "lowerbound": (
+        {"required": ["datum"], "properties": _solver_reads("linear_only")},
+        lambda r: lower_bound_experiment(
+            r.sym, r.params, r.u0, r.T, r.dt,
+            linear_only=r.solver.get("linear_only", False),
+            windows=[tuple(w) for w in r.exp["windows"]] if "windows" in r.exp else None)),
     "energy": (_NEEDS_DATUM,
                lambda r: energy_experiment(r.sym, r.params, r.u0, r.T, r.dt)),
 }

@@ -78,11 +78,8 @@ SOLVER_SCHEMA = {
     "properties": {
         "dt": {"type": "number", "exclusiveMinimum": 0},
         "T": {"type": "number", "exclusiveMinimum": 0},
-        "mode": {"enum": ["etd", "picard"]},
         "snapshots": {"type": "array", "items": {"type": "number"}},
         "linear_only": {"type": "boolean"},
-        "picard_tol": {"type": "number", "exclusiveMinimum": 0},
-        "picard_max_iter": {"type": "integer", "minimum": 1},
     },
     "additionalProperties": False,
 }

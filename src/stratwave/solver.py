@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import BadParameter, GridMismatch, NoContraction, NonFinite
 from .model import DispersionSymbol, ModelParams, half_spectrum_multiplier
-from .spectral import Field, Grid, SpectralField, dealias_keep, real_samples
+from .spectral import Field, Grid, dealias_keep, real_samples
 
 # ---------------------------------------------------------------------------
 # Initial data
@@ -106,35 +106,13 @@ def make_datum(spec: DatumSpec, grid: Grid) -> Field:
         samples = spec.c0 * (1.0 + np.maximum(x, 0.0)) ** spec.gamma * switch * taper
     else:
         raise BadParameter(f"unknown datum kind {spec.kind!r}")
-    return Field(grid=grid, samples=samples, is_real_hint=True)
+    return Field(grid=grid, samples=samples)
 
 
 def datum_from_config(cfg: dict, grid: Grid) -> Field:
     kind = cfg["kind"]
     kwargs = {k: cfg[k] for k in ("gamma", "c", "sigma0", "amp", "c0") if k in cfg}
     return make_datum(DatumSpec(kind=kind, **kwargs), grid)
-
-
-# ---------------------------------------------------------------------------
-# Energy monitors
-# ---------------------------------------------------------------------------
-
-
-def dissipation_rate(U: SpectralField, params: ModelParams) -> float:
-    """(1/2) d/dt ||u||_2^2 under the linear flow:
-
-    -eta sum Re(i^{n+1}|xi| xi^{n-1} + |xi|^m) |uhat|^2 dxi / 2pi.
-
-    For n even the i-term has odd real part and contributes nothing; for
-    n = 1 the rate can be positive on data supported in |xi| < 1.
-    """
-    g = U.grid
-    absxi = np.abs(g.xi)
-    sym_real = np.real(
-        1j ** (params.n + 1) * absxi * g.xi ** (params.n - 1)
-    ) + absxi ** params.m
-    total = np.sum(sym_real * np.abs(U.coefficients) ** 2)
-    return float(-params.eta * total * g.dxi / (2.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +158,13 @@ class EtdPropagator:
     """
 
     def __init__(self, grid: Grid, sym: DispersionSymbol, params: ModelParams,
-                 dt: float, dealias_k: Optional[int] = None,
-                 linear_only: bool = False):
+                 dt: float, linear_only: bool = False):
         if dt <= 0:
             raise BadParameter(f"dt must be positive, got {dt}")
         self.grid = grid
         self.params = params
         self.dt = dt
-        self.k = params.k if dealias_k is None else dealias_k
+        self.k = params.k
         self.linear_only = linear_only
         j = np.arange(grid.N // 2 + 1)
         L = half_spectrum_multiplier(grid, sym, params)
@@ -210,7 +187,7 @@ class EtdPropagator:
         return np.fft.rfft(real_samples(u))[:self.kept]
 
     def physical(self, uhat: np.ndarray) -> Field:
-        return Field(self.grid, np.fft.irfft(uhat, n=self.grid.N), is_real_hint=True)
+        return Field(self.grid, np.fft.irfft(uhat, n=self.grid.N))
 
     def _power(self, uhat: np.ndarray) -> np.ndarray:
         """|uhat|^2 zero-padded to all N/2 + 1 modes.
@@ -266,10 +243,9 @@ class EtdPropagator:
             yield i, uhat
 
 
-def etd_step(u: Field, dt: float, sym: DispersionSymbol, params: ModelParams,
-             dealias_k: Optional[int] = None, linear_only: bool = False) -> Field:
+def etd_step(u: Field, dt: float, sym: DispersionSymbol, params: ModelParams) -> Field:
     """One ETD2 step; raises NonFinite when the result is not finite."""
-    prop = EtdPropagator(u.grid, sym, params, dt, dealias_k, linear_only)
+    prop = EtdPropagator(u.grid, sym, params, dt)
     *_, (_, uhat) = prop.evolve(prop.forward(u), 1)
     return prop.physical(uhat)
 
@@ -283,18 +259,13 @@ def etd_step(u: Field, dt: float, sym: DispersionSymbol, params: ModelParams,
 class SolverConfig:
     dt: float
     T: float
-    mode: str = "etd"
     picard_tol: float = 1e-10
-    picard_max_iter: int = 30
-    dealias_k: Optional[int] = None
     snapshot_times: Optional[Tuple[float, ...]] = None
     linear_only: bool = False
 
     def __post_init__(self):
         if self.dt <= 0 or self.T <= 0 or self.dt > self.T:
             raise BadParameter("require 0 < dt <= T")
-        if self.mode not in ("etd", "picard"):
-            raise BadParameter(f"mode must be 'etd' or 'picard', got {self.mode!r}")
         if self.picard_tol <= 0:
             raise BadParameter("picard_tol must be positive")
 
@@ -348,7 +319,7 @@ def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     grid = u0.grid
     n_steps = step_count(cfg.T, cfg.dt)
     snap_at = _snapshot_steps(cfg, n_steps)
-    prop = EtdPropagator(grid, sym, params, cfg.dt, cfg.dealias_k, cfg.linear_only)
+    prop = EtdPropagator(grid, sym, params, cfg.dt, cfg.linear_only)
 
     energies = np.empty(n_steps + 1)
     rates = np.empty(n_steps + 1)
@@ -377,6 +348,10 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+#: Picard iterations before picard_solve stops and reports converged = False
+PICARD_MAX_ITER = 30
+
+
 def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
                  cfg: SolverConfig) -> Tuple[Field, dict]:
     """Duhamel fixed point on [0, T]; returns the field at T and a report.
@@ -393,11 +368,12 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     when the array, 16 (M+1)(K+1) bytes, would exceed physical memory.
     Divergence is detected through per-iteration contraction factors.  The
     report's "snapshots" entry lists (t, field) at the requested snapshot
-    times (default (T,)), taken from the final iterate.
+    times (default (T,)), taken from the final iterate; when T is one of
+    them, the returned field is that snapshot's Field.
     """
     M = step_count(cfg.T, cfg.dt)
     snap_at = _snapshot_steps(cfg, M)
-    kept = _kept_modes(u0.grid.N, params.k if cfg.dealias_k is None else cfg.dealias_k)
+    kept = _kept_modes(u0.grid.N, params.k)
     need = 16 * (M + 1) * kept
     limit = _physical_memory()
     if need > limit:
@@ -406,7 +382,7 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
             f"values, K+1 = {kept} kept modes) exceeds the {limit} bytes of "
             f"physical memory")
     dt = cfg.dt
-    prop = EtdPropagator(u0.grid, sym, params, dt, cfg.dealias_k, cfg.linear_only)
+    prop = EtdPropagator(u0.grid, sym, params, dt, cfg.linear_only)
     E = prop.exp_full
     dt_E_half = dt * np.exp(prop.L * (0.5 * dt))
 
@@ -422,7 +398,7 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     converged = False
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(cfg.picard_max_iter):
+        for it in range(PICARD_MAX_ITER):
             iterations = it + 1
             old[:] = traj[0]
             for i in range(1, M + 1):
@@ -443,11 +419,14 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
             if diff < cfg.picard_tol:
                 converged = True
                 break
+    snapshots = [(step * dt, prop.physical(traj[step])) for step in snap_at]
     report = {
         "iterations": iterations,
         "contraction_factors": factors,
         "converged": converged,
         "final_update": prev_diff,
-        "snapshots": [(step * dt, prop.physical(traj[step])) for step in snap_at],
+        "snapshots": snapshots,
     }
-    return prop.physical(traj[M]), report
+    # snap_at is in time order, so step M, when requested, is the last entry
+    final = snapshots[-1][1] if M in snap_at else prop.physical(traj[M])
+    return final, report

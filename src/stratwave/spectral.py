@@ -20,8 +20,7 @@ their measurement windows wrap-safe (see wrap_contamination).
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -107,7 +106,6 @@ class Field:
 
     grid: Grid
     samples: np.ndarray
-    is_real_hint: bool = False
 
     def __post_init__(self):
         self.samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
@@ -115,8 +113,6 @@ class Field:
             raise BadParameter(
                 f"samples shape {self.samples.shape} != grid size ({self.grid.N},)"
             )
-        if self.is_real_hint:
-            real_samples(self)
 
     @property
     def real(self) -> np.ndarray:
@@ -166,11 +162,11 @@ def to_spectral(f: Field) -> SpectralField:
     return SpectralField(grid=g, coefficients=coeffs)
 
 
-def to_physical(F: SpectralField, real_hint: bool = False) -> Field:
+def to_physical(F: SpectralField) -> Field:
     """Inverse transform back to physical samples."""
     g = F.grid
     samples = np.fft.ifft(F.coefficients * g._sign) / g.dx
-    return Field(grid=g, samples=samples, is_real_hint=real_hint)
+    return Field(grid=g, samples=samples)
 
 
 def _alternating_sign(size: int) -> np.ndarray:
@@ -215,8 +211,7 @@ def derivative(f: Field) -> Field:
     F = to_spectral(f)
     mult = 1j * g.xi
     mult[g.j == -g.N // 2] = 0.0
-    return to_physical(SpectralField(g, mult * F.coefficients),
-                       real_hint=f.is_real_hint)
+    return to_physical(SpectralField(g, mult * F.coefficients))
 
 
 def hilbert(f: Field) -> Field:
@@ -235,13 +230,6 @@ def dealias_keep(j: np.ndarray, N: int, k: int) -> np.ndarray:
     if k < 1:
         raise BadParameter(f"k must be >= 1, got {k}")
     return np.abs(j) <= N / (k + 2)
-
-
-def dealias(F: SpectralField, k: int) -> SpectralField:
-    """Zero the coefficients dealias_keep drops; idempotent, norm non-increasing."""
-    g = F.grid
-    coeffs = np.where(dealias_keep(g.j, g.N, k), F.coefficients, 0.0)
-    return SpectralField(grid=g, coefficients=coeffs)
 
 
 def convolve(f: Field, g: Field) -> Field:
@@ -270,11 +258,8 @@ def wrap_contamination(grid: Grid, x_edge: float, exponent: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Serialization: CSV (x, re, im) and the STWV binary block.
+# Serialization: CSV (x, re, im)
 # ---------------------------------------------------------------------------
-
-BINARY_MAGIC = b"STWV"
-BINARY_VERSION = 1
 
 #: rows formatted per '%' operation and written per call in CSV output; the
 #: text and value buffers stay a few hundred kB whatever the field size
@@ -332,23 +317,3 @@ def field_from_csv(path, grid: Optional[Grid] = None) -> Field:
     samples.imag = data[:, 2]
     return Field(grid=grid, samples=samples)
 
-
-def field_to_binary(f: Field, path) -> None:
-    """Little-endian block: magic 'STWV', version u32, N u64, L f64, payload."""
-    with open(path, "wb") as fh:
-        fh.write(BINARY_MAGIC)
-        fh.write(struct.pack("<IQd", BINARY_VERSION, f.grid.N, f.grid.L))
-        fh.write(f.samples.astype("<c16").tobytes())
-
-
-def field_from_binary(path) -> Field:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != BINARY_MAGIC:
-            raise BadParameter(f"{path}: bad magic {magic!r}")
-        version, N, L = struct.unpack("<IQd", fh.read(4 + 8 + 8))
-        if version != BINARY_VERSION:
-            raise BadParameter(f"{path}: unsupported version {version}")
-        payload = fh.read(16 * N)
-        samples = np.frombuffer(payload, dtype="<c16").astype(np.complex128)
-    return Field(grid=Grid(N, L), samples=samples)

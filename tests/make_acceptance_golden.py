@@ -9,7 +9,8 @@ The file is a check (tests/test_acceptance.py compares every measured value
 with it).  Rewrite it only in a change that says why, listing old -> new for
 every value that moved; never to make a failing comparison pass.  --diff
 writes nothing: it prints every value's golden and live repr, marked
-"identical" or with its relative change, which is that list.
+"identical" or with its relative change, which is that list, and exits 1
+when any value differs, so it serves as a same-numbers check.
 """
 
 import argparse
@@ -29,8 +30,10 @@ def relative_change(golden, live) -> str:
     return "changed"
 
 
-def diff() -> None:
-    """Print every criterion's golden and live values; write nothing."""
+def diff() -> int:
+    """Print every criterion's golden and live values; write nothing.
+
+    Returns how many values differ."""
     golden = json.loads(GOLDEN_PATH.read_text())
     moved = 0
     for cid in CRITERIA:
@@ -41,6 +44,7 @@ def diff() -> None:
             moved += mark != "identical"
             print(f"{cid} {key}: golden {want!r} live {got!r} {mark}")
     print(f"{moved} value(s) differ from {GOLDEN_PATH.name}")
+    return moved
 
 
 def main() -> None:
@@ -48,8 +52,7 @@ def main() -> None:
     ap.add_argument("--diff", action="store_true",
                     help="compare live values with the golden file; write nothing")
     if ap.parse_args().diff:
-        diff()
-        return
+        raise SystemExit(1 if diff() else 0)
     golden = {}
     for cid in CRITERIA:
         result = run_criterion(cid)

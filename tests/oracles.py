@@ -169,6 +169,38 @@ def picard_reference(u0: np.ndarray, L_dx: float, m: int, n: int, k: int,
     return np.fft.ifft(traj[M]), (max_iter, False, diff)
 
 
+def dealias(F, k: int):
+    """Zero the coefficients dealias_keep drops; idempotent, norm non-increasing.
+
+    The full-spectrum projection the package kept beside dealias_keep, kept
+    as the reference for the rule on the full FFT-ordered spectrum.
+    """
+    from stratwave.spectral import SpectralField, dealias_keep
+
+    g = F.grid
+    coeffs = np.where(dealias_keep(g.j, g.N, k), F.coefficients, 0.0)
+    return SpectralField(grid=g, coefficients=coeffs)
+
+
+def dissipation_rate(U, params) -> float:
+    """(1/2) d/dt ||u||_2^2 under the linear flow:
+
+    -eta sum Re(i^{n+1}|xi| xi^{n-1} + |xi|^m) |uhat|^2 dxi / 2pi.
+
+    For n even the i-term has odd real part and contributes nothing; for
+    n = 1 the rate can be positive on data supported in |xi| < 1.  The
+    full-spectrum rate that EtdPropagator.dissipation replaced, kept as its
+    reference.
+    """
+    g = U.grid
+    absxi = np.abs(g.xi)
+    sym_real = np.real(
+        1j ** (params.n + 1) * absxi * g.xi ** (params.n - 1)
+    ) + absxi ** params.m
+    total = np.sum(sym_real * np.abs(U.coefficients) ** 2)
+    return float(-params.eta * total * g.dxi / (2.0 * np.pi))
+
+
 def csv_reference(f, path) -> None:
     """The per-row CSV writer: one f-string and one write call per row.
 

@@ -10,8 +10,8 @@ import pytest
 from oracles import csv_reference, energy_csv_reference, kernel_reference
 import stratwave
 from stratwave import Field, Grid, SolverConfig, field_to_csv, preset, solve
-from stratwave.cli import main
-from stratwave.runio import sha256_file
+from stratwave.cli import EXPERIMENT_SCHEMA, EXPERIMENTS, main
+from stratwave.runio import sha256_file, validate_config
 from stratwave.solver import datum_from_config
 
 
@@ -499,6 +499,38 @@ def test_experiment_parameters_typed(tmp_path, capsys, kind, experiment, datum):
     assert rc == 1
     err = capsys.readouterr().err
     assert "config error" in err and "$.experiment." in err
+    assert "Traceback" not in err
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
+_GAUSSIAN = {"kind": "gaussian", "sigma0": 1.0}
+#: kind -> (experiment parameters, datum) of a config its schema accepts
+_MINIMAL = {"dichotomy": ({"gamma_datum": 2.5}, None),
+            "weighted": ({}, _GAUSSIAN), "lowerbound": ({}, _GAUSSIAN),
+            "energy": ({}, _GAUSSIAN),
+            "growth": ({}, {"kind": "growth", "gamma": 0.3})}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("field", ["snapshots", "linear_only"])
+def test_experiment_solver_fields_per_kind(tmp_path, capsys, kind, field):
+    # a kind that does not read a solver field rejects it
+    experiment, datum = _MINIMAL[kind]
+    value = {"snapshots": [0.05], "linear_only": True}[field]
+    cfg = {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
+           "solver": {"dt": 0.01, "T": 0.1, field: value},
+           "experiment": {"kind": kind, **experiment}}
+    if datum is not None:
+        cfg["datum"] = datum
+    if (kind, field) in {("growth", "snapshots"), ("lowerbound", "linear_only")}:
+        validate_config(cfg, EXPERIMENT_SCHEMA)   # the one kind that reads it
+        return
+    out = tmp_path / "run"
+    rc = main(["--quiet", "--out", str(out), "experiment", kind, "--config",
+               write_json(tmp_path / "exp.json", cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: $.solver") and f"'{field}'" in err
     assert "Traceback" not in err
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 

@@ -76,7 +76,7 @@ def picard_case(name: str, k: int, N: int, M: int):
     """A small Gaussian on the duhamel_small box, L = 64, dt = 1e-3, M steps."""
     sym, params = preset(name, k=k)
     u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.01), Grid(N, 64.0))
-    return sym, params, u0, SolverConfig(dt=1e-3, T=M * 1e-3, mode="picard")
+    return sym, params, u0, SolverConfig(dt=1e-3, T=M * 1e-3)
 
 
 @pytest.mark.parametrize("name,k,bound", [("ost", 1, 0.72), ("gost", 2, 0.54)])

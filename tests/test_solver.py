@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import FullHalfSpectrumEtd, etd2_reference, picard_reference
+from oracles import (FullHalfSpectrumEtd, dealias, dissipation_rate,
+                     etd2_reference, picard_reference)
 from stratwave import (DatumSpec, DispersionSymbol, EtdPropagator, Field, Grid,
                        NoContraction, NonFinite, SolverConfig, SpectralField,
-                       dissipation_rate, etd_step, growth_envelope,
+                       etd_step, growth_envelope,
                        kernel_hat, make_datum, picard_solve, preset, solve,
                        tail_exponent, to_physical, to_spectral, validate_params)
 from stratwave.errors import BadParameter
@@ -93,7 +94,6 @@ def test_linear_only_equals_kernel_convolution():
     khat = kernel_hat(0.5, g.xi, sym, params)
     expect = to_physical(SpectralField(g, khat * to_spectral(u0).coefficients))
     # note the solver dealiases the datum; apply the same projection
-    from stratwave import dealias
     expect_deal = to_physical(SpectralField(
         g, khat * dealias(to_spectral(u0), params.k).coefficients))
     assert l2_diff(traj.snapshots[-1], expect_deal) <= 1e-10
@@ -230,7 +230,7 @@ def test_odd_dispersion_symbol_rejected():
     with pytest.raises(BadParameter, match="Hermitian"):
         etd_step(u0, 1e-2, odd, params)
     with pytest.raises(BadParameter, match="Hermitian"):
-        picard_solve(odd, params, u0, SolverConfig(dt=1e-2, T=0.1, mode="picard"))
+        picard_solve(odd, params, u0, SolverConfig(dt=1e-2, T=0.1))
     # an even custom symbol is accepted
     even = DispersionSymbol.custom(lambda xi: xi ** 2, sigma=2.0,
                                    origin_regularity=SMOOTH)
@@ -247,7 +247,7 @@ def test_complex_datum_rejected():
     with pytest.raises(BadParameter, match="real data"):
         etd_step(u0, 1e-2, sym, params)
     with pytest.raises(BadParameter, match="real data"):
-        picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1, mode="picard"))
+        picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1))
 
 
 @pytest.mark.parametrize("T", [0.1005, 0.0004])
@@ -258,9 +258,9 @@ def test_partial_steps_rejected_in_both_modes(T):
     with pytest.raises(BadParameter, match="whole number of steps"):
         step_count(T, 1e-3)
     if T >= 1e-3:   # SolverConfig itself rejects T < dt
-        for run, mode in ((solve, "etd"), (picard_solve, "picard")):
+        for run in (solve, picard_solve):
             with pytest.raises(BadParameter, match="whole number of steps"):
-                run(sym, params, u0, SolverConfig(dt=1e-3, T=T, mode=mode))
+                run(sym, params, u0, SolverConfig(dt=1e-3, T=T))
     assert step_count(0.1, 1e-3) == 100
 
 
@@ -295,8 +295,12 @@ def test_trajectory_bookkeeping():
 def test_energy_zero_field():
     g = Grid(64, 10.0)
     u = Field(g, np.zeros(g.N))
-    assert u.l2_norm() == 0.0
-    assert dissipation_rate(to_spectral(u), validate_params(2, 2, 1, 1.0)) == 0.0
+    params = validate_params(2, 2, 1, 1.0)
+    prop = EtdPropagator(g, DispersionSymbol.kdv(), params, 1e-3)
+    uhat = np.fft.rfft(u.real)
+    assert u.l2_norm() == 0.0 and prop.energy(uhat) == 0.0
+    assert prop.dissipation(uhat) == 0.0
+    assert dissipation_rate(to_spectral(u), params) == 0.0
 
 
 def test_dissipation_rate_even_n_matches_m_term_only():
@@ -306,10 +310,12 @@ def test_dissipation_rate_even_n_matches_m_term_only():
     u = Field(g, rng.standard_normal(g.N))
     U = to_spectral(u)
     params = validate_params(2, 2, 1, 1.3)
-    rate = dissipation_rate(U, params)
+    prop = EtdPropagator(g, DispersionSymbol.kdv(), params, 1e-3)
+    rate = prop.dissipation(np.fft.rfft(u.real))
     expect = -1.3 * np.sum(np.abs(g.xi) ** 2 * np.abs(U.coefficients) ** 2) \
         * g.dxi / (2 * np.pi)
     assert rate == pytest.approx(expect, rel=1e-12)
+    assert rate == pytest.approx(dissipation_rate(U, params), rel=1e-12)
     assert rate <= 0
 
 
@@ -319,8 +325,11 @@ def test_dissipation_rate_amplification_band():
     coeffs = np.where(np.abs(g.xi) < 0.9, 1.0, 0.0).astype(complex)
     coeffs[g.j == 0] = 0.0
     u = to_physical(SpectralField(g, coeffs))
-    rate = dissipation_rate(to_spectral(u), validate_params(2, 1, 1, 1.0))
+    params = validate_params(2, 1, 1, 1.0)
+    prop = EtdPropagator(g, DispersionSymbol.kdv(), params, 1e-3)
+    rate = prop.dissipation(np.fft.rfft(u.real))
     assert rate > 0
+    assert rate == pytest.approx(dissipation_rate(to_spectral(u), params), rel=1e-12)
 
 
 def test_energy_derivative_matches_dissipation_linear_run():
@@ -377,7 +386,7 @@ def test_picard_zero_datum_one_iteration():
     g = Grid(2 ** 10, 50.0)
     u0 = Field(g, np.zeros(g.N))
     final, report = picard_solve(sym, params, u0,
-                                 SolverConfig(dt=1e-2, T=0.1, mode="picard"))
+                                 SolverConfig(dt=1e-2, T=0.1))
     assert report["iterations"] == 1 and report["converged"]
     assert np.max(np.abs(final.samples)) == 0.0
 
@@ -389,11 +398,23 @@ def test_picard_matches_etd_small_data():
     cfg = SolverConfig(dt=1e-3, T=0.1, snapshot_times=(0.1,))
     u_etd = solve(sym, params, u0, cfg).snapshots[-1]
     u_pic, report = picard_solve(
-        sym, params, u0, SolverConfig(dt=1e-3, T=0.1, mode="picard",
-                                      picard_tol=1e-12))
+        sym, params, u0, SolverConfig(dt=1e-3, T=0.1, picard_tol=1e-12))
     assert report["converged"]
     assert all(f < 1 for f in report["contraction_factors"])
     assert l2_diff(u_etd, u_pic) <= 1e-6
+
+
+def test_picard_returns_the_snapshot_at_T():
+    sym, params = preset("ost")
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), Grid(2 ** 10, 50.0))
+    for times in (None, (0.05, 0.1)):
+        final, report = picard_solve(sym, params, u0,
+                                     SolverConfig(dt=1e-2, T=0.1, snapshot_times=times))
+        assert final is report["snapshots"][-1][1]
+    final, report = picard_solve(sym, params, u0,
+                                 SolverConfig(dt=1e-2, T=0.1, snapshot_times=(0.05,)))
+    assert [t for t, _ in report["snapshots"]] == [0.05]
+    assert l2_diff(final, report["snapshots"][0][1]) > 0
 
 
 def test_picard_linear_only_matches_etd_linear_only():
@@ -403,8 +424,7 @@ def test_picard_linear_only_matches_etd_linear_only():
     u_etd = solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1,
                                                 linear_only=True)).snapshots[-1]
     u_pic, report = picard_solve(sym, params, u0,
-                                 SolverConfig(dt=1e-2, T=0.1, mode="picard",
-                                              linear_only=True))
+                                 SolverConfig(dt=1e-2, T=0.1, linear_only=True))
     assert report["converged"]
     assert l2_diff(u_etd, u_pic) <= 1e-10
 
@@ -415,7 +435,7 @@ def test_picard_no_contraction_for_large_data():
     u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=20.0), g)
     with pytest.raises(NoContraction):
         picard_solve(sym, params, u0,
-                     SolverConfig(dt=5e-3, T=0.5, mode="picard"))
+                     SolverConfig(dt=5e-3, T=0.5))
 
 
 @pytest.mark.parametrize("name,linear_only", [
@@ -430,8 +450,8 @@ def test_picard_matches_direct_duhamel_reference(name, linear_only):
         u0.samples.real, g.L, params.m, params.n, params.k, params.eta, sym,
         dt, M, tol, linear_only=linear_only)
     got, report = picard_solve(sym, params, u0,
-                               SolverConfig(dt=dt, T=M * dt, mode="picard",
-                                            picard_tol=tol, linear_only=linear_only))
+                               SolverConfig(dt=dt, T=M * dt, picard_tol=tol,
+                                            linear_only=linear_only))
     assert (report["iterations"], report["converged"]) == (iterations, converged)
     assert converged and iterations >= (1 if linear_only else 3)
     rel = np.linalg.norm(got.samples - ref) / np.linalg.norm(ref)
@@ -450,10 +470,10 @@ def test_picard_memory_guard_raises_before_any_step(monkeypatch):
 
     monkeypatch.setattr(solver_module, "EtdPropagator", no_propagator)
     with pytest.raises(BadParameter, match="60192 bytes.*60191 bytes"):
-        picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1, mode="picard"))
+        picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1))
     monkeypatch.setattr(solver_module, "_physical_memory", lambda: 60192)
     with pytest.raises(AssertionError, match="before the memory check"):
-        picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1, mode="picard"))
+        picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1))
 
 
 def test_physical_memory_is_positive():
@@ -479,4 +499,4 @@ def test_solver_config_guards():
     with pytest.raises(BadParameter):
         SolverConfig(dt=0.2, T=0.1)
     with pytest.raises(BadParameter):
-        SolverConfig(dt=1e-3, T=1.0, mode="rk4")
+        SolverConfig(dt=1e-3, T=1.0, picard_tol=0.0)

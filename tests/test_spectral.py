@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import convolve_reference, csv_reference
+from oracles import convolve_reference, csv_reference, dealias
 from stratwave import (EtdPropagator, Field, Grid, GridMismatch, SpectralField,
-                       convolve, dealias, derivative, field_from_binary,
-                       field_from_csv, field_to_binary, field_to_csv, hilbert,
-                       integral, preset, to_physical, to_spectral,
+                       convolve, derivative, field_from_csv, field_to_csv,
+                       hilbert, integral, preset, to_physical, to_spectral,
                        wrap_contamination)
 from stratwave import spectral
 from stratwave.errors import BadParameter
@@ -256,10 +255,13 @@ def test_half_spectrum_round_trip_band_limited(name, N, L, seed):
 # ---------------------------------------------------------------------------
 
 def test_real_hint_enforced():
+    # the real-field entry points reject a significant imaginary part
     g = Grid(64, 2.0)
-    with pytest.raises(BadParameter):
-        Field(g, np.full(g.N, 1.0 + 1e-3j), is_real_hint=True)
-    Field(g, np.full(g.N, 1.0 + 1e-14j), is_real_hint=True)  # fine
+    sym, params = preset("ost")
+    for entry in (EtdPropagator(g, sym, params, 1e-3).forward, spectral.half_spectrum):
+        with pytest.raises(BadParameter, match="real data"):
+            entry(Field(g, np.full(g.N, 1.0 + 1e-3j)))
+        entry(Field(g, np.full(g.N, 1.0 + 1e-14j)))  # fine
 
 
 def test_csv_round_trip(tmp_path):
@@ -337,24 +339,6 @@ def test_csv_read_back_is_bitwise(N, L, seed, values):
         back = field_from_csv(path)
     assert back.grid == f.grid
     assert np.array_equal(back.samples.view(np.uint64), f.samples.view(np.uint64))
-
-
-def test_binary_round_trip(tmp_path):
-    rng = np.random.default_rng(6)
-    g = Grid(256, 3.5)
-    f = random_field(g, rng, real=False)
-    path = tmp_path / "f.stwv"
-    field_to_binary(f, path)
-    back = field_from_binary(path)
-    assert back.grid == g
-    assert np.array_equal(back.samples, f.samples)
-
-
-def test_binary_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.stwv"
-    path.write_bytes(b"NOPE" + b"\0" * 32)
-    with pytest.raises(BadParameter):
-        field_from_binary(path)
 
 
 def test_wrap_contamination_estimate():
