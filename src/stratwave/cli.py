@@ -75,12 +75,15 @@ def cmd_presets(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    out = Path(args.out) if args.out else Path("kernel.csv")
+    if out.with_suffix(".json") == out:
+        raise ConfigInvalid(f"--out {str(out)!r}: the kernel CSV would be "
+                            f"overwritten by its .json report", path="--out")
     cfg = load_json(args.config)
     validate_config(cfg, MODEL_SCHEMA)
     sym, params = _checked_model(cfg)
     kf = kernel_field(args.t, _parse_grid(args.grid), sym, params)
     report = kernel_report(kf, tuple(args.window) if args.window else None)
-    out = Path(args.out) if args.out else Path("kernel.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     field_to_csv(kf.field, out)
     write_json(out.with_suffix(".json"), report)

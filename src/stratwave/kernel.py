@@ -43,9 +43,9 @@ from .spectral import Field, Grid, from_half_spectrum, integral
 NYQUIST_FACTOR = 8.0
 
 #: peak bytes allocated per grid point by kernel_field and
-#: kernel_derivative_field: 4.5 x 8N, the bound tests/test_memory.py enforces
-#: (measured 4.0-4.22 x 8N for N = 2^16-2^19)
-KERNEL_PEAK_BYTES_PER_POINT = 36
+#: kernel_derivative_field: 3.5 x 8N, the bound tests/test_memory.py enforces
+#: (measured 3.0-3.23 x 8N for N = 2^16-2^19)
+KERNEL_PEAK_BYTES_PER_POINT = 28
 
 
 @dataclass
@@ -103,8 +103,8 @@ def kernel_field(t: float, grid: Grid, sym: DispersionSymbol,
                  params: ModelParams) -> KernelField:
     """Sampled kernel on the grid (periodized continuum kernel).
 
-    Built by irfft of the half-spectrum, so it is real with an imaginary
-    part of exactly 0; an odd custom p (complex kernel) raises BadParameter.
+    Built by irfft of the half-spectrum, so it is a float64 field; an odd
+    custom p (complex kernel) raises BadParameter.
     """
     return KernelField(
         field=from_half_spectrum(grid, _half_kernel_hat(t, grid, sym, params)),

@@ -102,13 +102,18 @@ REAL_HINT_TOL = 1e-10
 
 @dataclass
 class Field:
-    """Physical-space samples on a grid."""
+    """Physical-space samples on a grid.
+
+    Complex input is stored as complex128 and any other input as float64, so
+    a real field (every field the package computes) takes 8 bytes a sample.
+    """
 
     grid: Grid
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
+        dtype = np.complex128 if np.iscomplexobj(self.samples) else np.float64
+        self.samples = np.ascontiguousarray(self.samples, dtype=dtype)
         if self.samples.shape != (self.grid.N,):
             raise BadParameter(
                 f"samples shape {self.samples.shape} != grid size ({self.grid.N},)"
@@ -139,12 +144,17 @@ class SpectralField:
 def real_samples(f: Field) -> np.ndarray:
     """The real part of f's samples, for the real-field paths.
 
-    Raises BadParameter when the imaginary part exceeds REAL_HINT_TOL times
-    max |f|: a real-field path would silently drop it.
+    A float64 field's samples are returned as they are.  For a complex field,
+    raises BadParameter when the imaginary part exceeds REAL_HINT_TOL times
+    max |f| (NaN samples ignored) or is not finite anywhere: a real-field path
+    would silently drop it.
     """
     s = f.samples
-    amax = float(np.max(np.abs(s)))
-    if amax > 0 and float(np.max(np.abs(s.imag))) > REAL_HINT_TOL * amax:
+    if not np.iscomplexobj(s):
+        return s
+    scale = float(np.fmax.reduce(np.abs(s), initial=0.0))
+    worst = float(np.max(np.abs(s.imag)))
+    if not (np.isfinite(worst) and worst <= REAL_HINT_TOL * scale):
         raise BadParameter("expected real data; the field has a significant "
                            "imaginary part")
     return s.real
@@ -158,7 +168,8 @@ def _check_same_grid(a, b):
 def to_spectral(f: Field) -> SpectralField:
     """Forward transform; coefficients sample the continuum transform."""
     g = f.grid
-    coeffs = g.dx * g._sign * np.fft.fft(f.samples)
+    samples = f.samples.astype(np.complex128, copy=False)
+    coeffs = g.dx * g._sign * np.fft.fft(samples)
     return SpectralField(grid=g, coefficients=coeffs)
 
 
@@ -194,8 +205,8 @@ def half_spectrum(f: Field) -> np.ndarray:
 def from_half_spectrum(grid: Grid, coeffs: np.ndarray) -> Field:
     """to_physical of the Hermitian spectrum whose j = 0..N/2 half is coeffs.
 
-    The result is real by construction (irfft), so its imaginary part is
-    exactly 0; the imaginary parts of coeffs at j = 0 and N/2 are ignored.
+    The result is real by construction (irfft), a float64 field; the
+    imaginary parts of coeffs at j = 0 and N/2 are ignored.
     """
     samples = np.fft.irfft(coeffs * _half_sign(grid), n=grid.N)
     samples /= grid.dx
@@ -271,29 +282,42 @@ def _write_csv(path, header: str, columns) -> None:
 
     Round-trip exact; formats one block of CSV_BLOCK_ROWS rows per '%'
     operation, so no N x len(columns) array or whole-file string is built.
+    A column that is None, or all +0.0, is written as the literal 0 (the text
+    '%.17g' gives +0.0) and never formatted; columns[0] must be an array.
     """
-    width = len(columns)
-    row = ",".join(["%.17g"] * width) + "\n"
+    # +0.0 is the one float whose bits are all zero (not -0.0, not nan)
+    zero = [c is None or not c.view(np.uint64).any() for c in columns]
+    formatted = [c for c, z in zip(columns, zero) if not z]
+    width = len(formatted)
+    row = ",".join(["0" if z else "%.17g" for z in zero]) + "\n"
+    n = len(columns[0])
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = [c[start:start + CSV_BLOCK_ROWS].tolist() for c in columns]
-            values = [None] * (width * len(block[0]))
-            for k, col in enumerate(block):
-                values[k::width] = col
-            fh.write((row * len(block[0])) % tuple(values))
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            rows = min(CSV_BLOCK_ROWS, n - start)
+            values = [None] * (width * rows)
+            for k, c in enumerate(formatted):
+                values[k::width] = c[start:start + rows].tolist()
+            fh.write((row * rows) % tuple(values))
 
 
 def field_to_csv(f: Field, path) -> None:
-    """Write columns x, re, im with round-trip-exact float formatting."""
-    _write_csv(path, "x,re,im", (f.grid.x, f.samples.real, f.samples.imag))
+    """Write columns x, re, im with round-trip-exact float formatting.
+
+    A float64 field's im column is the literal 0 on every row.
+    """
+    s = f.samples
+    _write_csv(path, "x,re,im",
+               (f.grid.x, s.real, s.imag if np.iscomplexobj(s) else None))
 
 
 def field_from_csv(path, grid: Optional[Grid] = None) -> Field:
     """Read a field written by field_to_csv; the grid is inferred from x.
 
-    A non-numeric value or a ragged row raises BadParameter; an x column
-    that is not the grid's (to 1e-12 L) raises GridMismatch.
+    The field is float64 when every im value is +0.0, complex128 otherwise,
+    with the bits of re and im kept (-0.0, nan and inf included).  A
+    non-numeric value or a ragged row raises BadParameter; an x column that
+    is not the grid's (to 1e-12 L) raises GridMismatch.
     """
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -311,6 +335,8 @@ def field_from_csv(path, grid: Optional[Grid] = None) -> Field:
     if not np.all(gap <= 1e-12 * grid.L):
         raise GridMismatch(f"{path}: CSV x column does not match {grid!r}")
     del gap
+    if not data[:, 2].view(np.uint64).any():     # im all +0.0
+        return Field(grid=grid, samples=data[:, 1])
     # column by column, so re and im keep their bits (no re + 1j*im)
     samples = np.empty(grid.N, dtype=np.complex128)
     samples.real = data[:, 1]

@@ -71,6 +71,21 @@ def test_kernel_csv_is_real(tmp_path, ost_config, capsys):
             -report[f"tail_slope_{side}"], rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["k.json", "sub/k.json"])
+def test_kernel_rejects_out_that_its_report_would_overwrite(tmp_path, ost_config,
+                                                           capsys, name):
+    # the report goes to out.with_suffix(".json"): for a .json out, the CSV
+    out = tmp_path / name
+    before = sorted(tmp_path.iterdir())
+    rc = main(["--out", str(out), "kernel", "--config", ost_config,
+               "--t", "1.0", "--grid", "N=1024,L=50"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "--out" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_kernel_rejects_invalid_n(tmp_path, capsys):
     cfg = write_json(tmp_path / "bad.json",
                      {"symbol": {"kind": "kdv"}, "m": 2, "n": 5, "k": 1,

@@ -82,6 +82,13 @@ def test_irfft_kernels_match_complex_reference(name, t):
         assert np.all(got.samples.imag == 0.0)
 
 
+@pytest.mark.parametrize("build", [kernel_field, kernel_derivative_field])
+def test_kernels_are_float64(build):
+    built = build(1.0, Grid(2 ** 10, 50.0), *preset("ost"))
+    field = getattr(built, "field", built)
+    assert field.samples.dtype == np.float64
+
+
 def test_odd_symbol_kernel_rejected():
     odd = DispersionSymbol.custom(lambda xi: xi, sigma=1.0, origin_regularity=SMOOTH)
     params = validate_params(3, 1, 1, 1.0)
@@ -107,16 +114,16 @@ def test_under_resolved_guard():
 def test_kernel_memory_guard_raises_before_allocating(monkeypatch, build):
     sym, params = preset("ost")
     g = Grid(2 ** 10, 50.0)
-    # 36 bytes per point at N = 1024 is an estimate of 36864 bytes
-    monkeypatch.setattr(kernel_module, "_physical_memory", lambda: 36863)
+    # 28 bytes per point at N = 1024 is an estimate of 28672 bytes
+    monkeypatch.setattr(kernel_module, "_physical_memory", lambda: 28671)
 
     def no_multiplier(*args, **kwargs):
         raise AssertionError("allocated before the memory check")
 
     monkeypatch.setattr(kernel_module, "half_spectrum_multiplier", no_multiplier)
-    with pytest.raises(BadParameter, match="36864 bytes.*36863 bytes"):
+    with pytest.raises(BadParameter, match="28672 bytes.*28671 bytes"):
         build(1.0, g, sym, params)
-    monkeypatch.setattr(kernel_module, "_physical_memory", lambda: 36864)
+    monkeypatch.setattr(kernel_module, "_physical_memory", lambda: 28672)
     with pytest.raises(AssertionError, match="before the memory check"):
         build(1.0, g, sym, params)
 

@@ -417,6 +417,23 @@ def test_picard_returns_the_snapshot_at_T():
     assert l2_diff(final, report["snapshots"][0][1]) > 0
 
 
+def test_computed_fields_are_float64():
+    sym, params = preset("ost")
+    g = Grid(2 ** 10, 50.0)
+    for spec in (DatumSpec(kind="algebraic", gamma=2.0, c=1.0),
+                 DatumSpec(kind="zero_mean_algebraic", gamma=3.0),
+                 DatumSpec(kind="growth", gamma=0.3, c0=0.01),
+                 DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1)):
+        assert make_datum(spec, g).samples.dtype == np.float64
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), g)
+    cfg = SolverConfig(dt=1e-2, T=0.1, snapshot_times=(0.05, 0.1))
+    final, report = picard_solve(sym, params, u0, cfg)
+    fields = (solve(sym, params, u0, cfg).snapshots
+              + [final] + [f for _, f in report["snapshots"]]
+              + [etd_step(u0, 1e-2, sym, params)])
+    assert [f.samples.dtype for f in fields] == [np.float64] * 6
+
+
 def test_picard_linear_only_matches_etd_linear_only():
     sym, params = preset("ost")
     g = Grid(2 ** 10, 50.0)

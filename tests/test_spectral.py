@@ -55,6 +55,18 @@ def test_grid_rejects_bad_sizes(N):
         Grid(N, 10.0)
 
 
+def test_field_dtype_follows_its_data():
+    g = Grid(16, 1.0)
+    for data in (np.ones(16), np.arange(16), np.ones(16, dtype=np.float32),
+                 [0.5] * 16, np.full(16, True)):
+        assert Field(g, data).samples.dtype == np.float64
+    for data in (np.ones(16) + 0j, np.ones(16, dtype=np.complex64), [1 + 0j] * 16):
+        assert Field(g, data).samples.dtype == np.complex128
+    assert np.array_equal(Field(g, np.arange(16)).samples, np.arange(16.0))
+    real = Field(g, np.linspace(-1.0, 1.0, 16))
+    assert spectral.real_samples(real) is real.samples
+
+
 # ---------------------------------------------------------------------------
 # transform pair
 # ---------------------------------------------------------------------------
@@ -264,6 +276,24 @@ def test_real_hint_enforced():
         entry(Field(g, np.full(g.N, 1.0 + 1e-14j)))  # fine
 
 
+def test_real_hint_not_switched_off_by_nan():
+    # a nan sample once made the scale nan, and every comparison with it
+    # False: the 5j below passed as real data
+    g = Grid(16, 1.0)
+    sym, params = preset("ost")
+    for entry in (EtdPropagator(g, sym, params, 1e-3).forward, spectral.half_spectrum):
+        for bad in ({0: np.nan, 3: 5j}, {0: complex(1.0, np.nan)},
+                    {0: complex(1.0, np.inf)}):
+            s = np.ones(g.N, dtype=complex)
+            for i, v in bad.items():
+                s[i] = v
+            with pytest.raises(BadParameter, match="real data"):
+                entry(Field(g, s))
+        s = np.ones(g.N, dtype=complex)
+        s[0] = np.nan                       # a real nan is real data
+        assert np.isnan(entry(Field(g, s))).all()
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     g = Grid(128, 6.0)
@@ -280,6 +310,33 @@ def test_csv_round_trip(tmp_path):
         field_from_csv(path, Grid(128, 6.5))
 
 
+def test_csv_float64_field_has_literal_zero_im_and_reads_back_float64(tmp_path):
+    rng = np.random.default_rng(7)
+    g = Grid(64, 3.0)
+    samples = rng.standard_normal(g.N)
+    samples[[1, 2, 3, 4]] = [-0.0, np.nan, np.inf, 5e-324]
+    path = tmp_path / "f.csv"
+    field_to_csv(Field(g, samples), path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x,re,im" and all(line.endswith(",0") for line in lines[1:])
+    back = field_from_csv(path)
+    assert back.samples.dtype == np.float64
+    assert np.array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
+
+
+@pytest.mark.parametrize("im", [-0.0, 1e-300, np.nan, -np.inf])
+def test_csv_nonzero_im_reads_back_complex(tmp_path, im):
+    # one im value that is not +0.0 keeps the field complex, bit for bit
+    g = Grid(16, 1.0)
+    samples = np.linspace(-1.0, 1.0, g.N) + 0j
+    samples[5] = complex(samples[5].real, im)
+    path = tmp_path / "f.csv"
+    field_to_csv(Field(g, samples), path)
+    back = field_from_csv(path)
+    assert back.samples.dtype == np.complex128
+    assert np.array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
+
+
 _CSV_SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                  -1.7976931348623157e308, np.nan, np.inf, -np.inf]
 
@@ -288,13 +345,17 @@ _CSV_SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
 @given(N=st.sampled_from([16, 64, 512, 1024, 2048]),
        block_offset=st.sampled_from([None, -1, 0, 1]),
        L=st.floats(0.1, 1e4), real=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
-       values=st.lists(st.sampled_from(_CSV_SPECIALS) | st.floats(), max_size=24))
-def test_csv_bytes_match_per_row_reference(N, block_offset, L, real, seed, values):
+       values=st.lists(st.sampled_from(_CSV_SPECIALS) | st.floats(), max_size=24),
+       im=st.sampled_from([None, "float64", 0.0, -0.0, np.nan]))
+def test_csv_bytes_match_per_row_reference(N, block_offset, L, real, seed, values, im):
     """The block writer's bytes equal the per-row writer's for every field.
 
     block_offset None keeps CSV_BLOCK_ROWS (N = 16..512 below it, 1024 at it,
     2048 two blocks); -1/0/+1 set the block to N-1, N, N+1 rows, so the last
-    block holds 1 row, exactly fills, or is one row short.
+    block holds 1 row, exactly fills, or is one row short.  im other than
+    None sets the im column to all +0.0 (written as the literal 0), then one
+    value to im: +0.0 again, or -0.0 or nan, which make the column formatted;
+    "float64" makes a float64 field of the real parts (no im array at all).
     """
     rng = np.random.default_rng(seed)
     g = Grid(N, L)
@@ -308,7 +369,12 @@ def test_csv_bytes_match_per_row_reference(N, block_offset, L, real, seed, value
             samples[i] = complex(v, samples[i].imag)
         else:
             samples[i] = complex(samples[i].real, v)
-    f = Field(g, samples)
+    if im is not None:
+        samples.imag = 0.0
+        if im != "float64":
+            i = rng.integers(N)
+            samples[i] = complex(samples[i].real, im)
+    f = Field(g, samples.real if im == "float64" else samples)
     block = spectral.CSV_BLOCK_ROWS if block_offset is None else N + block_offset
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(spectral, "CSV_BLOCK_ROWS", block):
