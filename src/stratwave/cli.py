@@ -50,6 +50,15 @@ def _parse_grid(text: str) -> Grid:
                             f"({type(exc).__name__}: {exc})", path="--grid") from exc
 
 
+def _parse_snapshots(text: str) -> tuple:
+    """Parse '0.1,0.2' into snapshot times; a non-number is ConfigInvalid."""
+    try:
+        return tuple(float(s) for s in text.split(","))
+    except ValueError as exc:
+        raise ConfigInvalid(f"--snapshots {text!r}: expected comma-separated "
+                            f"times ({exc})", path="--snapshots") from exc
+
+
 def _window(text: str):
     """argparse type for 'a,b'; a malformed value is a usage error."""
     a, b = (float(v) for v in text.split(","))
@@ -100,8 +109,7 @@ def cmd_simulate(args) -> int:
     sym, params = _checked_model(model_cfg)
     grid = _parse_grid(args.grid)
     u0 = datum_from_config(datum_cfg, grid)
-    snaps = tuple(float(s) for s in args.snapshots.split(",")) if args.snapshots \
-        else (args.T,)
+    snaps = _parse_snapshots(args.snapshots) if args.snapshots else (args.T,)
     full_cfg = {"model": model_cfg, "datum": datum_cfg,
                 "grid": {"N": grid.N, "L": grid.L},
                 "solver": {"dt": args.dt, "T": args.T, "mode": args.mode,
@@ -188,9 +196,8 @@ EXPERIMENTS = {
         lambda r: dichotomy_experiment(
             r.sym, r.params, r.exp["gamma_datum"], r.T, r.grid, r.dt,
             window=tuple(r.exp["window"]) if "window" in r.exp else None,
-            amplitude=r.exp.get("amplitude", 0.5),
-            exponent_tol=r.exp.get("exponent_tol", 0.15),
-            improvement_fraction=r.exp.get("improvement_fraction", 0.7))),
+            **{key: r.exp[key] for key in ("amplitude", "exponent_tol",
+                                           "improvement_fraction") if key in r.exp})),
     "weighted": (_NEEDS_DATUM, lambda r: weighted_persistence_experiment(
         r.sym, r.params, r.u0, p=r.exp.get("p", 2.0), gamma=r.exp.get("gamma", 0.5),
         T=r.T, dt=r.dt)),

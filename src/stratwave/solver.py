@@ -19,6 +19,9 @@ Two solver modes:
   with midpoint quadrature in tau over the step grid; per-iteration
   contraction factors are reported, and three consecutive factors above 1
   raise NoContraction (the discrete sign that the horizon is too large).
+  A sweep's midpoint terms read only the previous iterate, so those of
+  max(1, PICARD_BLOCK_POINTS // N) consecutive steps share one irfft/rfft
+  pair into buffers reused for the whole solve.
 
 The nonlinearity is evaluated pseudo-spectrally in the conservative form
 -(1/(k+1)) d_x (u^{k+1}) with generalized 2/(k+2) dealiasing, which keeps
@@ -295,12 +298,15 @@ def step_count(T: float, dt: float) -> int:
 def _snapshot_steps(cfg: SolverConfig, n_steps: int) -> dict:
     """Map step index -> requested snapshot time.
 
-    Each time must lie on the dt grid (to 1e-9 relative) and on a step of
-    its own; anything else raises BadParameter rather than being moved.
+    Each time must be finite, lie on the dt grid (to 1e-9 relative) and on a
+    step of its own; anything else raises BadParameter rather than being
+    moved.
     """
     wanted = cfg.snapshot_times if cfg.snapshot_times is not None else (cfg.T,)
     out = {}
     for t in sorted(set(wanted)):
+        if not math.isfinite(t):
+            raise BadParameter(f"snapshot time {t} is not finite")
         step = int(round(t / cfg.dt))
         if t < 0 or step > n_steps:
             raise BadParameter(f"snapshot time {t} outside [0, T]")
@@ -351,6 +357,69 @@ def _physical_memory() -> int:
 #: Picard iterations before picard_solve stops and reports converged = False
 PICARD_MAX_ITER = 30
 
+#: grid points per block of picard_solve's midpoint nonlinear terms: a block
+#: of max(1, PICARD_BLOCK_POINTS // N) steps shares one irfft/rfft pair
+PICARD_BLOCK_POINTS = 2 ** 13
+
+
+def _picard_sweeps(prop: EtdPropagator, traj: np.ndarray):
+    """Sweep the iterate traj in place, at most PICARD_MAX_ITER times; after
+    each sweep yield max_i ||new[i] - old[i]||_2 over the steps i = 1..M.
+
+    A sweep is new[i] = E new[i-1] + dt E_{1/2} N((old[i-1] + old[i])/2).
+    Each N(.) reads only the previous iterate, so the terms of
+    B = max(1, PICARD_BLOCK_POINTS // N) consecutive steps are evaluated
+    together, by one 2-D irfft/rfft pair; the recursion and the norms then
+    run row by row.  Every value is the one prop.nonlinear and prop.energy
+    give step by step, bit for bit.  The buffers are allocated once and
+    freed with the generator.
+    """
+    M, kept = traj.shape[0] - 1, traj.shape[1]
+    N = prop.grid.N
+    E = prop.exp_full
+    dt_E_half = prop.dt * np.exp(prop.L * (0.5 * prop.dt))
+    B = min(M, max(1, PICARD_BLOCK_POINTS // N))
+    phys = np.empty((B, N))
+    spec = np.empty((B, N // 2 + 1), dtype=complex)
+    mids = np.empty((B, kept), dtype=complex)  # averages, then N(.)
+    old = np.empty(kept, dtype=complex)   # old[i] once traj[i] holds new[i]
+    tmp = np.empty(kept, dtype=complex)
+    power = np.zeros(N // 2 + 1)          # |new[i] - old[i]|^2, 0 above K
+    sq = power[:kept]
+    norms = np.empty(M)
+    for _ in range(PICARD_MAX_ITER):
+        with np.errstate(over="ignore", invalid="ignore"):
+            old[:] = traj[0]
+            for start in range(1, M + 1, B):
+                rows = min(B, M + 1 - start)
+                mid = mids[:rows]
+                if prop.linear_only:
+                    mid[:] = 0.0
+                else:
+                    # (old[i-1] + old[i]) / 2 for the block's steps i
+                    np.add(old, traj[start], out=mid[0])
+                    np.add(traj[start:start + rows - 1], traj[start + 1:start + rows],
+                           out=mid[1:])
+                    np.multiply(0.5, mid, out=mid)
+                    u = np.fft.irfft(mid, n=N, out=phys[:rows])
+                    if prop.k == 1:
+                        np.square(u, out=u)
+                    else:
+                        np.power(u, prop.k + 1, out=u)
+                    np.fft.rfft(u, out=spec[:rows])
+                    np.multiply(prop.nl_mult, spec[:rows, :kept], out=mid)
+                for b, i in enumerate(range(start, start + rows)):
+                    old[:] = traj[i]
+                    np.multiply(E, traj[i - 1], out=tmp)
+                    np.multiply(dt_E_half, mid[b], out=traj[i])
+                    np.add(tmp, traj[i], out=traj[i])
+                    # prop.energy(traj[i] - old) without its temporaries
+                    np.subtract(traj[i], old, out=tmp)
+                    np.square(tmp.real, out=sq)
+                    np.add(sq, np.square(tmp.imag, out=tmp.imag), out=sq)
+                    norms[i - 1] = float(np.sqrt(np.dot(prop.weight, power)))
+        yield float(np.max(norms))
+
 
 def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
                  cfg: SolverConfig) -> Tuple[Field, dict]:
@@ -362,14 +431,17 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     integral uses the midpoint rule with u at midpoints approximated by
     endpoint averages, streamed through
     new[i] = E new[i-1] + dt E_{1/2} N((old[i-1] + old[i])/2), E = exp(L dt),
-    E_{1/2} = exp(L dt/2): O(M N) work per iteration.  Raises BadParameter
-    before any step when T is not a whole number of steps, when a snapshot
-    time is off the step grid or collides with another (as solve does), or
-    when the array, 16 (M+1)(K+1) bytes, would exceed physical memory.
-    Divergence is detected through per-iteration contraction factors.  The
-    report's "snapshots" entry lists (t, field) at the requested snapshot
-    times (default (T,)), taken from the final iterate; when T is one of
-    them, the returned field is that snapshot's Field.
+    E_{1/2} = exp(L dt/2): O(M N) work per iteration.  The midpoint terms
+    of max(1, PICARD_BLOCK_POINTS // N) consecutive steps share one
+    irfft/rfft pair (_picard_sweeps), and every value is bit for bit the
+    per-step one.  Raises BadParameter before any step when T is not a whole
+    number of steps, when a snapshot time is off the step grid or collides
+    with another (as solve does), or when the array, 16 (M+1)(K+1) bytes,
+    would exceed physical memory.  Divergence is detected through
+    per-iteration contraction factors.  The report's "snapshots" entry lists
+    (t, field) at the requested snapshot times (default (T,)), taken from
+    the final iterate; when T is one of them, the returned field is that
+    snapshot's Field.
     """
     M = step_count(cfg.T, cfg.dt)
     snap_at = _snapshot_steps(cfg, M)
@@ -383,42 +455,28 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
             f"physical memory")
     dt = cfg.dt
     prop = EtdPropagator(u0.grid, sym, params, dt, cfg.linear_only)
-    E = prop.exp_full
-    dt_E_half = dt * np.exp(prop.L * (0.5 * dt))
-
-    traj = np.empty((M + 1, E.size), dtype=complex)
+    traj = np.empty((M + 1, kept), dtype=complex)
     traj[0] = prop.forward(u0)
     for i in range(1, M + 1):
-        traj[i] = E * traj[i - 1]
-    old = np.empty_like(E)          # old[i-1] once traj[i-1] holds new[i-1]
-    norms = np.empty(M)
+        traj[i] = prop.exp_full * traj[i - 1]
 
     factors: List[float] = []
     prev_diff = None
     converged = False
     iterations = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(PICARD_MAX_ITER):
-            iterations = it + 1
-            old[:] = traj[0]
-            for i in range(1, M + 1):
-                mid = prop.nonlinear(0.5 * (old + traj[i]))
-                old[:] = traj[i]
-                traj[i] = E * traj[i - 1] + dt_E_half * mid
-                norms[i - 1] = prop.energy(traj[i] - old)
-            diff = float(np.max(norms))
-            if not np.isfinite(diff):
-                diff = np.inf
-            if prev_diff is not None and prev_diff > 0:
-                factors.append(diff / prev_diff if np.isfinite(diff) else np.inf)
-                if len(factors) >= 3 and all(f > 1.0 for f in factors[-3:]):
-                    raise NoContraction(
-                        f"contraction factors {factors[-3:]} exceed 1 for 3 "
-                        f"consecutive iterations (T = {cfg.T} too large)")
-            prev_diff = diff
-            if diff < cfg.picard_tol:
-                converged = True
-                break
+    for iterations, diff in enumerate(_picard_sweeps(prop, traj), 1):
+        if not np.isfinite(diff):
+            diff = np.inf
+        if prev_diff is not None and prev_diff > 0:
+            factors.append(diff / prev_diff if np.isfinite(diff) else np.inf)
+            if len(factors) >= 3 and all(f > 1.0 for f in factors[-3:]):
+                raise NoContraction(
+                    f"contraction factors {factors[-3:]} exceed 1 for 3 "
+                    f"consecutive iterations (T = {cfg.T} too large)")
+        prev_diff = diff
+        if diff < cfg.picard_tol:
+            converged = True
+            break
     snapshots = [(step * dt, prop.physical(traj[step])) for step in snap_at]
     report = {
         "iterations": iterations,

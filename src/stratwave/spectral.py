@@ -20,6 +20,7 @@ their measurement windows wrap-safe (see wrap_contamination).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,8 +41,8 @@ class Grid:
     def __init__(self, N: int, L: float):
         if N < 16 or (N & (N - 1)) != 0:
             raise BadParameter(f"N must be a power of two >= 16, got {N}")
-        if not L > 0:
-            raise BadParameter(f"L must be positive, got {L}")
+        if not 0 < L < math.inf:
+            raise BadParameter(f"L must be positive and finite, got {L}")
         self.N = int(N)
         self.L = float(L)
         self.dx = 2.0 * self.L / self.N

@@ -456,6 +456,82 @@ def test_malformed_grid_is_config_error(tmp_path, ost_config, gauss_datum,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["kernel", "simulate", "experiment"])
+def test_infinite_box_size_is_bad_parameter(tmp_path, ost_config, gauss_datum,
+                                            capsys, command):
+    # L = inf (from --grid, or JSON Infinity) used to reach the solver
+    # (NonFinite) or the kernel's resolution check (UnderResolved) after a
+    # RuntimeWarning
+    grid = ["--grid", "N=256,L=inf"]
+    exp = write_json(tmp_path / "exp.json", {
+        "model": {"preset": "ost"}, "grid": {"N": 256, "L": float("inf")},
+        "solver": {"dt": 0.01, "T": 0.1},
+        "datum": {"kind": "gaussian", "sigma0": 1.0, "amp": 0.1},
+        "experiment": {"kind": "energy"}})
+    args = {"kernel": ["kernel", "--config", ost_config, "--t", "1.0", *grid],
+            "simulate": ["simulate", "--config", ost_config, "--datum",
+                         gauss_datum, "--T", "0.1", "--dt", "0.01", *grid],
+            "experiment": ["experiment", "energy", "--config", exp]}[command]
+    rc = main(["--quiet", "--out", str(tmp_path / "out"), *args])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error [BadParameter]")
+    assert "finite" in lines[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("snapshots", ["a", "0.005,,0.01"])
+def test_simulate_malformed_snapshots_is_config_error(tmp_path, ost_config,
+                                                      gauss_datum, capsys, snapshots):
+    out = tmp_path / "run"
+    rc = main(["--quiet", "--out", str(out), "simulate", "--config", ost_config,
+               "--datum", gauss_datum, "--T", "0.02", "--dt", "0.005",
+               "--grid", "N=256,L=20", "--snapshots", snapshots])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --snapshots") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["etd", "picard"])
+@pytest.mark.parametrize("snapshots", ["nan", "inf", "0.01,-inf"])
+def test_simulate_non_finite_snapshots_is_bad_parameter(tmp_path, ost_config,
+                                                        gauss_datum, capsys,
+                                                        mode, snapshots):
+    out = tmp_path / "run"
+    rc = main(["--quiet", "--out", str(out), "simulate", "--config", ost_config,
+               "--datum", gauss_datum, "--T", "0.02", "--dt", "0.005",
+               "--mode", mode, "--grid", "N=256,L=20", "--snapshots", snapshots])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error [BadParameter]")
+    assert "not finite" in lines[0]
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
+def test_experiment_dichotomy_passes_only_configured_parameters(tmp_path,
+                                                                monkeypatch):
+    # the defaults live in dichotomy_experiment alone
+    import stratwave.cli as cli_module
+
+    seen = []
+
+    def record(*args, **kwargs):
+        seen.append(kwargs)
+        return {"passed": True}
+
+    monkeypatch.setattr(cli_module, "dichotomy_experiment", record)
+    for extra in ({}, {"exponent_tol": 0.2}):
+        cfg = write_json(tmp_path / "exp.json", {
+            "model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
+            "solver": {"dt": 0.01, "T": 0.1},
+            "experiment": {"kind": "dichotomy", "gamma_datum": 2.5, **extra}})
+        out = tmp_path / f"run{len(seen)}"
+        assert main(["--quiet", "--out", str(out), "experiment", "dichotomy",
+                     "--config", cfg]) == 0
+    assert seen == [{"window": None}, {"window": None, "exponent_tol": 0.2}]
+
+
 @pytest.mark.parametrize("argv", [
     ["kernel", "--config", "m.json", "--t", "1.0", "--window", "1", "x"],
     ["kernel", "--t", "1.0"],                       # --config is required

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (FullHalfSpectrumEtd, dealias, dissipation_rate,
-                     etd2_reference, picard_reference)
+                     etd2_reference, picard_reference, picard_streamed_reference)
 from stratwave import (DatumSpec, DispersionSymbol, EtdPropagator, Field, Grid,
                        NoContraction, NonFinite, SolverConfig, SpectralField,
                        etd_step, growth_envelope,
@@ -475,6 +475,39 @@ def test_picard_matches_direct_duhamel_reference(name, linear_only):
     assert rel <= 1e-12, rel
 
 
+def _bits(*values) -> bytes:
+    return b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
+
+
+# B = max(1, PICARD_BLOCK_POINTS // N) steps per block: 8 at N = 2^10, 1 at
+# N = 2^14; M = 1, B - 1, B, B + 1 and 20 (not a multiple of 8)
+@pytest.mark.parametrize("N,M", [(2 ** 10, M) for M in (1, 7, 8, 9, 20)]
+                         + [(2 ** 14, M) for M in (1, 2, 3)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("linear_only", [False, True])
+def test_picard_blocks_match_the_streamed_loop_bitwise(N, M, k, linear_only):
+    assert max(1, solver_module.PICARD_BLOCK_POINTS // 2 ** 10) == 8
+    sym, params = preset("ost" if k == 1 else "gost", k=k)
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.5), Grid(N, 64.0))
+    dt = 1e-3
+    # a snapshot at t = 0 and one mid-run; the field at T comes from traj[M]
+    cfg = SolverConfig(dt=dt, T=M * dt, snapshot_times=(0.0, (M // 2) * dt),
+                       linear_only=linear_only)
+    got, report = picard_solve(sym, params, u0, cfg)
+    ref, ref_report = picard_streamed_reference(sym, params, u0, cfg)
+    assert got.samples.tobytes() == ref.samples.tobytes()
+    assert ([t for t, _ in report["snapshots"]]
+            == [t for t, _ in ref_report["snapshots"]])
+    for (_, f), (_, g) in zip(report["snapshots"], ref_report["snapshots"]):
+        assert f.samples.tobytes() == g.samples.tobytes()
+    assert (report["iterations"], report["converged"]) == (
+        ref_report["iterations"], ref_report["converged"])
+    assert _bits(report["final_update"], report["contraction_factors"]) == _bits(
+        ref_report["final_update"], ref_report["contraction_factors"])
+    assert report["converged"]
+    assert report["iterations"] >= (1 if linear_only else 3)
+
+
 def test_picard_memory_guard_raises_before_any_step(monkeypatch):
     sym, params = preset("ost")
     g = Grid(2 ** 10, 50.0)
@@ -510,6 +543,14 @@ def test_linear_semigroup_law(name, N, L, s, t):
     e_s, e_t, e_st = (EtdPropagator(g, sym, params, dt).exp_full
                       for dt in (s, t, s + t))
     assert np.max(np.abs(e_s * e_t - e_st)) <= 1e-12 * np.max(np.abs(e_st))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_snapshot_steps_rejects_non_finite_times(t):
+    # nan and inf used to escape as ValueError / OverflowError from round()
+    cfg = SolverConfig(dt=1e-2, T=0.1, snapshot_times=(0.05, t))
+    with pytest.raises(BadParameter, match="not finite"):
+        _snapshot_steps(cfg, 10)
 
 
 def test_solver_config_guards():

@@ -1,3 +1,4 @@
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -115,6 +116,12 @@ def test_integral_equals_zero_mode():
     F = to_spectral(f)
     assert integral(f) == pytest.approx(float(F.coefficients[g.j == 0][0].real),
                                         rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("L", [math.inf, math.nan, 0.0, -1.0])
+def test_grid_rejects_bad_box_sizes(L):
+    with pytest.raises(BadParameter, match="positive and finite"):
+        Grid(64, L)
 
 
 def test_grid_mismatch_detected():
