@@ -4,23 +4,19 @@ from .errors import (BadParameter, ConfigInvalid, ExcludedParameters,
                      GridMismatch, InsufficientDecades, InvalidN, InvalidRange,
                      NoContraction, NonFinite, StratwaveError, UnderResolved,
                      UnknownPreset, WindowContaminated, ZeroMean)
-from .model import (DispersionSymbol, ModelParams, amplification_bound,
-                    dissipation_symbol, fitted_growth_constant,
+from .model import (DispersionSymbol, ModelParams, dissipation_symbol,
                     linear_multiplier, model_from_config, preset,
                     validate_params)
-from .spectral import (Field, Grid, SpectralField, convolve, derivative,
-                       field_from_csv, field_to_csv, hilbert, integral,
-                       to_physical, to_spectral, wrap_contamination)
+from .spectral import (Field, Grid, convolve, field_from_csv, field_to_csv,
+                       integral, wrap_contamination)
 from .kernel import (KernelField, asymptotic_coefficient, kernel_derivative_field,
                      kernel_field, kernel_hat, leading_jump)
 from .solver import (DatumSpec, EtdPropagator, SolverConfig, Trajectory,
-                     datum_from_config, etd_step, make_datum, picard_solve,
-                     solve)
+                     datum_from_config, make_datum, picard_solve, solve)
 from .analysis import (DecayFit, Weight, dichotomy_experiment, energy_experiment,
                        growth_envelope, growth_experiment, kernel_report,
                        lower_bound_check, lower_bound_experiment, tail_exponent,
-                       verify_pointwise_bound, weighted_norm,
-                       weighted_persistence_experiment, window_mask,
-                       zero_mean_project)
+                       weighted_norm, weighted_persistence_experiment,
+                       window_mask)
 
 __version__ = "0.1.0"

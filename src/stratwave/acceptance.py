@@ -56,11 +56,13 @@ def _tail_result(cid: str, fieldv, window, target: float, tol: float) -> Criteri
 
 
 def crit_k_mod_even() -> CriterionResult:
-    """|Khat| == exp(-eta |xi|^2 t) exactly for n even (m=2, n=2, t=0.5)."""
+    """|Khat| == exp(-eta |xi|^2 t) exactly for n even (m=2, n=2, t=0.5), on
+    the half-spectrum xi_j = j dxi, j = 0..N/2 (|Khat| is even in xi)."""
     grid = Grid(2 ** 16, 400.0)
     params = validate_params(2, 2, 1, 1.0)
-    khat = kernel_hat(0.5, grid.xi, KDV, params)
-    diff = float(np.max(np.abs(np.abs(khat) - np.exp(-np.abs(grid.xi) ** 2 * 0.5))))
+    xi = grid.dxi * np.arange(grid.N // 2 + 1)
+    khat = kernel_hat(0.5, xi, KDV, params)
+    diff = float(np.max(np.abs(np.abs(khat) - np.exp(-np.abs(xi) ** 2 * 0.5))))
     return CriterionResult("K-MOD-EVEN", diff <= 1e-12, "max diff <= 1e-12",
                            {"max_diff": diff})
 

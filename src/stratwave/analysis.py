@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (BadParameter, ExcludedParameters, InsufficientDecades,
                      WindowContaminated, ZeroMean)
-from .kernel import KernelField, asymptotic_coefficient, kernel_field
+from .kernel import KernelField, asymptotic_coefficient
 from .model import DispersionSymbol, ModelParams, half_spectrum_multiplier
 from .solver import (DatumSpec, EtdPropagator, SolverConfig, make_datum, solve,
                      step_count)
@@ -148,12 +148,6 @@ def growth_envelope(u: Field, gamma: float) -> float:
     if not 0 < gamma < 0.5:
         raise BadParameter(f"growth exponent gamma must be in (0, 1/2), got {gamma}")
     return float(np.max(np.abs(u.samples) / (1.0 + np.abs(u.grid.x)) ** gamma))
-
-
-def zero_mean_project(u: Field) -> Field:
-    """Subtract the discrete mean; the result integrates to 0 exactly."""
-    shifted = u.samples - np.sum(u.samples) / u.grid.N
-    return Field(grid=u.grid, samples=shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +402,3 @@ def kernel_report(kf: KernelField,
         "wrap_contamination": wrap_contamination(grid, window[1], params.n + 1),
         "theory_applies": kf.sym.supports_decay_order(params.n),
     }
-
-
-def verify_pointwise_bound(kf: KernelField,
-                           window: Optional[Tuple[float, float]] = None) -> dict:
-    """kernel_report; passes when fitted_C is finite and within 10% of
-    refined_C, the same supremum on a grid of doubled N."""
-    report = kernel_report(kf, window)
-    grid, fitted_C = kf.field.grid, report["fitted_C"]
-    refined = kernel_field(kf.t, Grid(2 * grid.N, grid.L), kf.sym, kf.params)
-    refined_C = _weighted_sup(refined, tuple(report["window"]))
-    stable = abs(refined_C - fitted_C) <= 0.10 * fitted_C
-    return {**report, "refined_C": refined_C,
-            "passes": bool(np.isfinite(fitted_C) and stable)}

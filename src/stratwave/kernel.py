@@ -36,8 +36,7 @@ import numpy as np
 from .errors import BadParameter, UnderResolved
 from .model import (DispersionSymbol, ModelParams, half_spectrum_multiplier,
                     linear_multiplier)
-from .solver import _physical_memory
-from .spectral import Field, Grid, from_half_spectrum, integral
+from .spectral import Field, Grid, check_memory, from_half_spectrum, integral
 
 #: required ratio between Nyquist frequency and the spectral decay scale
 NYQUIST_FACTOR = 8.0
@@ -69,6 +68,8 @@ def kernel_hat(t: float, xi, sym: DispersionSymbol, params: ModelParams):
 
 
 def _check_resolution(t: float, grid: Grid, params: ModelParams):
+    if not math.isfinite(t):
+        raise BadParameter(f"kernel construction requires a finite t, got {t}")
     if t <= 0:
         raise UnderResolved(f"kernel construction requires t > 0, got {t}")
     xi_scale = (params.eta * t) ** (-1.0 / params.m)
@@ -81,19 +82,16 @@ def _check_resolution(t: float, grid: Grid, params: ModelParams):
 
 def _half_kernel_hat(t: float, grid: Grid, sym: DispersionSymbol,
                      params: ModelParams) -> np.ndarray:
-    """Khat(t, xi_j) for j = 0..N/2; BadParameter when L is not Hermitian.
+    """Khat(t, xi_j) for j = 0..N/2; BadParameter when t is not finite or L
+    is not Hermitian.
 
     Raises BadParameter before allocating when the kernel build's estimated
     peak exceeds physical memory.
     """
     _check_resolution(t, grid, params)
-    need = KERNEL_PEAK_BYTES_PER_POINT * grid.N
-    limit = _physical_memory()
-    if need > limit:
-        raise BadParameter(
-            f"kernel build at N={grid.N} needs an estimated {need} bytes "
-            f"({KERNEL_PEAK_BYTES_PER_POINT} per grid point), which exceeds "
-            f"the {limit} bytes of physical memory")
+    check_memory(KERNEL_PEAK_BYTES_PER_POINT * grid.N,
+                 f"the kernel build at N={grid.N} (an estimate of "
+                 f"{KERNEL_PEAK_BYTES_PER_POINT} bytes per grid point)")
     khat = half_spectrum_multiplier(grid, sym, params)
     khat *= t
     return np.exp(khat, out=khat)

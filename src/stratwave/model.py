@@ -31,7 +31,6 @@ Key structural facts, all unit-tested:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -85,8 +84,9 @@ class DispersionSymbol:
     ) -> "DispersionSymbol":
         """Wrap a user symbol; sigma and regularity must be declared.
 
-        The growth bound is checked empirically (fitted_growth_constant);
-        the declared regularity is trusted.
+        Both are trusted, not measured.  The symbol must be real-valued
+        (checked at each evaluation) and even (checked where L is built on
+        a grid), since solutions and kernels are real.
         """
         if sigma <= 0:
             raise BadParameter("sigma must be positive")
@@ -214,30 +214,6 @@ def half_spectrum_multiplier(grid, sym: DispersionSymbol,
             "linear symbol is not Hermitian on the grid: the dispersion "
             "symbol p must be even for real solutions and kernels")
     return L
-
-
-def amplification_bound(params: ModelParams) -> float:
-    """B(m, n) with sup_xi Re phi_{m,n} = eta * B.
-
-    For n = 1 this is max_{r>=0} (r - r^m): 1/4 for m = 2, 2/(3 sqrt 3) for
-    m = 3.  For every other admissible n, Re phi <= 0 and B = 0.
-    """
-    if params.n != 1:
-        return 0.0
-    if params.m == 2:
-        return 0.25
-    return 2.0 / (3.0 * math.sqrt(3.0))
-
-
-def fitted_growth_constant(sym: DispersionSymbol, xi_max: float = 256.0,
-                           npts: int = 4096) -> float:
-    """Empirical c with |p(xi)| <= c |xi|^sigma on a sampled log range."""
-    xi = np.logspace(-3, np.log10(xi_max), npts)
-    vals = np.abs(np.asarray(sym(xi), dtype=float))
-    c = float(np.max(vals / xi ** sym.sigma))
-    if not np.isfinite(c):
-        raise BadParameter("growth constant not finite on sampled range")
-    return c
 
 
 # ---------------------------------------------------------------------------

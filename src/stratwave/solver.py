@@ -34,7 +34,6 @@ so states are rfft half-spectra and every transform is a real FFT.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field as dc_field
 from typing import List, Optional, Tuple
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from .errors import BadParameter, GridMismatch, NoContraction, NonFinite
 from .model import DispersionSymbol, ModelParams, half_spectrum_multiplier
-from .spectral import Field, Grid, dealias_keep, real_samples
+from .spectral import Field, Grid, check_memory, dealias_keep
 
 # ---------------------------------------------------------------------------
 # Initial data
@@ -184,10 +183,10 @@ class EtdPropagator:
         self.nl_mult = -(1j * (grid.dxi * j[:self.kept]) / (self.k + 1))
 
     def forward(self, u: Field) -> np.ndarray:
-        """Dealiased half-spectrum of a real field: its kept modes."""
+        """Dealiased half-spectrum of a field: its kept modes."""
         if u.grid != self.grid:
             raise GridMismatch(f"{u.grid!r} vs {self.grid!r}")
-        return np.fft.rfft(real_samples(u))[:self.kept]
+        return np.fft.rfft(u.samples)[:self.kept]
 
     def physical(self, uhat: np.ndarray) -> Field:
         return Field(self.grid, np.fft.irfft(uhat, n=self.grid.N))
@@ -202,16 +201,10 @@ class EtdPropagator:
         power[:uhat.size] = uhat.real ** 2 + uhat.imag ** 2
         return power
 
-    def energy(self, uhat: np.ndarray) -> float:
-        """Discrete L2 norm of the field, by Parseval."""
-        return float(np.sqrt(np.dot(self.weight, self._power(uhat))))
-
-    def dissipation(self, uhat: np.ndarray) -> float:
-        """(1/2) d/dt ||u||^2 under the linear flow: the Re phi-weighted norm."""
-        return float(np.dot(self.rate_weight, self._power(uhat)))
-
     def monitors(self, uhat: np.ndarray) -> Tuple[float, float]:
-        """(energy, dissipation) from one |uhat|^2, as solve records per step."""
+        """(energy, dissipation) by Parseval from one |uhat|^2: the discrete
+        L2 norm of the field, and (1/2) d/dt ||u||^2 under the linear flow
+        (the Re phi-weighted norm squared)."""
         power = self._power(uhat)
         return (float(np.sqrt(np.dot(self.weight, power))),
                 float(np.dot(self.rate_weight, power)))
@@ -246,13 +239,6 @@ class EtdPropagator:
             yield i, uhat
 
 
-def etd_step(u: Field, dt: float, sym: DispersionSymbol, params: ModelParams) -> Field:
-    """One ETD2 step; raises NonFinite when the result is not finite."""
-    prop = EtdPropagator(u.grid, sym, params, dt)
-    *_, (_, uhat) = prop.evolve(prop.forward(u), 1)
-    return prop.physical(uhat)
-
-
 # ---------------------------------------------------------------------------
 # Configuration and trajectory
 # ---------------------------------------------------------------------------
@@ -267,6 +253,9 @@ class SolverConfig:
     linear_only: bool = False
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.dt, self.T, self.picard_tol))):
+            raise BadParameter(f"dt, T and picard_tol must be finite, got "
+                               f"{self.dt}, {self.T}, {self.picard_tol}")
         if self.dt <= 0 or self.T <= 0 or self.dt > self.T:
             raise BadParameter("require 0 < dt <= T")
         if self.picard_tol <= 0:
@@ -348,12 +337,6 @@ def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     )
 
 
-def _physical_memory() -> int:
-    """Bytes of physical memory on this machine: the ceiling on picard_solve's
-    iterate storage."""
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
 #: Picard iterations before picard_solve stops and reports converged = False
 PICARD_MAX_ITER = 30
 
@@ -370,7 +353,7 @@ def _picard_sweeps(prop: EtdPropagator, traj: np.ndarray):
     Each N(.) reads only the previous iterate, so the terms of
     B = max(1, PICARD_BLOCK_POINTS // N) consecutive steps are evaluated
     together, by one 2-D irfft/rfft pair; the recursion and the norms then
-    run row by row.  Every value is the one prop.nonlinear and prop.energy
+    run row by row.  Every value is the one prop.nonlinear and prop.monitors
     give step by step, bit for bit.  The buffers are allocated once and
     freed with the generator.
     """
@@ -413,7 +396,7 @@ def _picard_sweeps(prop: EtdPropagator, traj: np.ndarray):
                     np.multiply(E, traj[i - 1], out=tmp)
                     np.multiply(dt_E_half, mid[b], out=traj[i])
                     np.add(tmp, traj[i], out=traj[i])
-                    # prop.energy(traj[i] - old) without its temporaries
+                    # prop.monitors(traj[i] - old)[0] without its temporaries
                     np.subtract(traj[i], old, out=tmp)
                     np.square(tmp.real, out=sq)
                     np.add(sq, np.square(tmp.imag, out=tmp.imag), out=sq)
@@ -446,13 +429,9 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     M = step_count(cfg.T, cfg.dt)
     snap_at = _snapshot_steps(cfg, M)
     kept = _kept_modes(u0.grid.N, params.k)
-    need = 16 * (M + 1) * kept
-    limit = _physical_memory()
-    if need > limit:
-        raise BadParameter(
-            f"picard iterate storage of {need} bytes ((M+1) x (K+1) complex "
-            f"values, K+1 = {kept} kept modes) exceeds the {limit} bytes of "
-            f"physical memory")
+    check_memory(16 * (M + 1) * kept,
+                 f"picard iterate storage ((M+1) x (K+1) complex values, "
+                 f"K+1 = {kept} kept modes)")
     dt = cfg.dt
     prop = EtdPropagator(u0.grid, sym, params, dt, cfg.linear_only)
     traj = np.empty((M + 1, kept), dtype=complex)

@@ -21,6 +21,7 @@ their measurement windows wrap-safe (see wrap_contamination).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,20 +30,35 @@ import numpy as np
 from .errors import BadParameter, GridMismatch
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def check_memory(need: int, what: str) -> None:
+    """Raise BadParameter when `what`, needing `need` bytes, would exceed
+    physical memory; callers check before they allocate."""
+    limit = _physical_memory()
+    if need > limit:
+        raise BadParameter(f"{what} needs {need} bytes, which exceeds the "
+                           f"{limit} bytes of physical memory")
+
+
 class Grid:
     """Uniform periodic grid on [-L, L) with N = 2^q points (N >= 16).
 
-    Only x is stored up front; the full-spectrum arrays j, xi and _sign are
-    built on first use and cached, so the real-field paths never hold them.
+    Only the N sample positions x are stored; BadParameter is raised before
+    they are allocated when their 8N bytes exceed physical memory.
     """
 
-    __slots__ = ("N", "L", "dx", "dxi", "x", "_j", "_xi", "_sign_full")
+    __slots__ = ("N", "L", "dx", "dxi", "x")
 
     def __init__(self, N: int, L: float):
         if N < 16 or (N & (N - 1)) != 0:
             raise BadParameter(f"N must be a power of two >= 16, got {N}")
         if not 0 < L < math.inf:
             raise BadParameter(f"L must be positive and finite, got {L}")
+        check_memory(8 * N, f"a grid of N={N} points")
         self.N = int(N)
         self.L = float(L)
         self.dx = 2.0 * self.L / self.N
@@ -51,29 +67,6 @@ class Grid:
         self.x = np.arange(self.N, dtype=float)
         self.x *= self.dx
         self.x += -self.L
-        self._j = self._xi = self._sign_full = None
-
-    @property
-    def j(self) -> np.ndarray:
-        """Integer wavenumbers in FFT order: 0..N/2-1, then -N/2..-1."""
-        if self._j is None:
-            self._j = np.arange(self.N, dtype=np.int64)
-            self._j[self.N // 2:] -= self.N
-        return self._j
-
-    @property
-    def xi(self) -> np.ndarray:
-        """Angular frequencies xi_j = dxi j in FFT order."""
-        if self._xi is None:
-            self._xi = self.dxi * self.j
-        return self._xi
-
-    @property
-    def _sign(self) -> np.ndarray:
-        """Exact (-1)^j phase relating FFT indexing to the x = -L origin."""
-        if self._sign_full is None:
-            self._sign_full = _alternating_sign(self.N)
-        return self._sign_full
 
     @property
     def nyquist(self) -> float:
@@ -83,10 +76,6 @@ class Grid:
     def resolves(self, xi_target: float) -> bool:
         """True when the Nyquist frequency strictly exceeds xi_target."""
         return self.nyquist > xi_target
-
-    def index_of(self, x_value: float) -> int:
-        """Grid index of the sample nearest to x_value."""
-        return int(round((x_value + self.L) / self.dx)) % self.N
 
     def __eq__(self, other):
         return isinstance(other, Grid) and self.N == other.N and self.L == other.L
@@ -103,62 +92,35 @@ REAL_HINT_TOL = 1e-10
 
 @dataclass
 class Field:
-    """Physical-space samples on a grid.
+    """Real physical-space samples on a grid, stored as float64.
 
-    Complex input is stored as complex128 and any other input as float64, so
-    a real field (every field the package computes) takes 8 bytes a sample.
+    Complex input is accepted only when its imaginary part is negligible:
+    finite everywhere and at most REAL_HINT_TOL times max |f| (NaN samples
+    left out of that scale).  That part is dropped, keeping the real part's
+    bits; any other complex input raises BadParameter ("real data").
     """
 
     grid: Grid
     samples: np.ndarray
 
     def __post_init__(self):
-        dtype = np.complex128 if np.iscomplexobj(self.samples) else np.float64
-        self.samples = np.ascontiguousarray(self.samples, dtype=dtype)
-        if self.samples.shape != (self.grid.N,):
+        if np.shape(self.samples) != (self.grid.N,):
             raise BadParameter(
-                f"samples shape {self.samples.shape} != grid size ({self.grid.N},)"
+                f"samples shape {np.shape(self.samples)} != grid size ({self.grid.N},)"
             )
-
-    @property
-    def real(self) -> np.ndarray:
-        return self.samples.real
+        if np.iscomplexobj(self.samples):
+            s = np.asarray(self.samples)
+            scale = float(np.fmax.reduce(np.abs(s), initial=0.0))
+            worst = float(np.max(np.abs(s.imag)))
+            if not (np.isfinite(worst) and worst <= REAL_HINT_TOL * scale):
+                raise BadParameter("expected real data; the samples have a "
+                                   "significant imaginary part")
+            self.samples = s.real
+        self.samples = np.ascontiguousarray(self.samples, dtype=np.float64)
 
     def l2_norm(self) -> float:
-        """Discrete L2 norm sqrt(sum |u|^2 dx)."""
-        return float(np.sqrt(np.sum(np.abs(self.samples) ** 2) * self.grid.dx))
-
-
-@dataclass
-class SpectralField:
-    """Spectral coefficients indexed by xi_j (FFT ordering)."""
-
-    grid: Grid
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.ascontiguousarray(self.coefficients, dtype=np.complex128)
-        if self.coefficients.shape != (self.grid.N,):
-            raise BadParameter("coefficient array does not match grid size")
-
-
-def real_samples(f: Field) -> np.ndarray:
-    """The real part of f's samples, for the real-field paths.
-
-    A float64 field's samples are returned as they are.  For a complex field,
-    raises BadParameter when the imaginary part exceeds REAL_HINT_TOL times
-    max |f| (NaN samples ignored) or is not finite anywhere: a real-field path
-    would silently drop it.
-    """
-    s = f.samples
-    if not np.iscomplexobj(s):
-        return s
-    scale = float(np.fmax.reduce(np.abs(s), initial=0.0))
-    worst = float(np.max(np.abs(s.imag)))
-    if not (np.isfinite(worst) and worst <= REAL_HINT_TOL * scale):
-        raise BadParameter("expected real data; the field has a significant "
-                           "imaginary part")
-    return s.real
+        """Discrete L2 norm sqrt(sum u^2 dx)."""
+        return float(np.sqrt(np.sum(self.samples ** 2) * self.grid.dx))
 
 
 def _check_same_grid(a, b):
@@ -166,19 +128,15 @@ def _check_same_grid(a, b):
         raise GridMismatch(f"{a.grid!r} vs {b.grid!r}")
 
 
-def to_spectral(f: Field) -> SpectralField:
-    """Forward transform; coefficients sample the continuum transform."""
+def to_spectral(f: Field) -> np.ndarray:
+    """Forward transform on all N modes in FFT order (j = 0..N/2-1, then
+    -N/2..-1): samples of the continuum transform at xi_j = dxi j.
+
+    The full complex form of half_spectrum, whose other half is the
+    complex conjugate; the package's real-field paths use half_spectrum.
+    """
     g = f.grid
-    samples = f.samples.astype(np.complex128, copy=False)
-    coeffs = g.dx * g._sign * np.fft.fft(samples)
-    return SpectralField(grid=g, coefficients=coeffs)
-
-
-def to_physical(F: SpectralField) -> Field:
-    """Inverse transform back to physical samples."""
-    g = F.grid
-    samples = np.fft.ifft(F.coefficients * g._sign) / g.dx
-    return Field(grid=g, samples=samples)
+    return g.dx * _alternating_sign(g.N) * np.fft.fft(f.samples.astype(np.complex128))
 
 
 def _alternating_sign(size: int) -> np.ndarray:
@@ -194,44 +152,22 @@ def _half_sign(g: Grid) -> np.ndarray:
 
 
 def half_spectrum(f: Field) -> np.ndarray:
-    """to_spectral of a real field on j = 0..N/2 only, by rfft.
-
-    The other half is the complex conjugate.  Raises BadParameter ("real
-    data") for a field with a significant imaginary part.
-    """
+    """to_spectral of a field on j = 0..N/2 only, by rfft; the other half is
+    the complex conjugate."""
     g = f.grid
-    return g.dx * _half_sign(g) * np.fft.rfft(real_samples(f))
+    return g.dx * _half_sign(g) * np.fft.rfft(f.samples)
 
 
 def from_half_spectrum(grid: Grid, coeffs: np.ndarray) -> Field:
-    """to_physical of the Hermitian spectrum whose j = 0..N/2 half is coeffs.
+    """The inverse transform of the Hermitian spectrum whose j = 0..N/2 half
+    is coeffs.
 
-    The result is real by construction (irfft), a float64 field; the
-    imaginary parts of coeffs at j = 0 and N/2 are ignored.
+    The result is real by construction (irfft); the imaginary parts of
+    coeffs at j = 0 and N/2 are ignored.
     """
     samples = np.fft.irfft(coeffs * _half_sign(grid), n=grid.N)
     samples /= grid.dx
     return Field(grid=grid, samples=samples)
-
-
-def derivative(f: Field) -> Field:
-    """Spectral derivative (multiplier i xi); Nyquist mode is zeroed.
-
-    Exact for band-limited trigonometric polynomials.
-    """
-    g = f.grid
-    F = to_spectral(f)
-    mult = 1j * g.xi
-    mult[g.j == -g.N // 2] = 0.0
-    return to_physical(SpectralField(g, mult * F.coefficients))
-
-
-def hilbert(f: Field) -> Field:
-    """Hilbert transform: multiplier i sign(xi), with sign(0) = 0."""
-    g = f.grid
-    F = to_spectral(f)
-    mult = 1j * np.sign(g.xi)
-    return to_physical(SpectralField(g, mult * F.coefficients))
 
 
 def dealias_keep(j: np.ndarray, N: int, k: int) -> np.ndarray:
@@ -245,15 +181,15 @@ def dealias_keep(j: np.ndarray, N: int, k: int) -> np.ndarray:
 
 
 def convolve(f: Field, g: Field) -> Field:
-    """Continuum-normalised convolution (f*g)(x) = int f(y) g(x-y) dy of two
-    real fields, on half-spectra; complex input raises BadParameter."""
+    """Continuum-normalised convolution (f*g)(x) = int f(y) g(x-y) dy, on
+    half-spectra."""
     _check_same_grid(f, g)
     return from_half_spectrum(f.grid, half_spectrum(f) * half_spectrum(g))
 
 
 def integral(f: Field) -> float:
-    """Discrete integral of Re f over the box (the xi = 0 coefficient)."""
-    return float(np.sum(f.samples.real) * f.grid.dx)
+    """Discrete integral of f over the box (the xi = 0 coefficient)."""
+    return float(np.sum(f.samples) * f.grid.dx)
 
 
 def wrap_contamination(grid: Grid, x_edge: float, exponent: float) -> float:
@@ -283,14 +219,12 @@ def _write_csv(path, header: str, columns) -> None:
 
     Round-trip exact; formats one block of CSV_BLOCK_ROWS rows per '%'
     operation, so no N x len(columns) array or whole-file string is built.
-    A column that is None, or all +0.0, is written as the literal 0 (the text
-    '%.17g' gives +0.0) and never formatted; columns[0] must be an array.
+    A column that is None is written as the literal 0 on every row, the text
+    '%.17g' gives +0.0, and never formatted; columns[0] must be an array.
     """
-    # +0.0 is the one float whose bits are all zero (not -0.0, not nan)
-    zero = [c is None or not c.view(np.uint64).any() for c in columns]
-    formatted = [c for c, z in zip(columns, zero) if not z]
+    formatted = [c for c in columns if c is not None]
     width = len(formatted)
-    row = ",".join(["0" if z else "%.17g" for z in zero]) + "\n"
+    row = ",".join(["0" if c is None else "%.17g" for c in columns]) + "\n"
     n = len(columns[0])
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -303,22 +237,21 @@ def _write_csv(path, header: str, columns) -> None:
 
 
 def field_to_csv(f: Field, path) -> None:
-    """Write columns x, re, im with round-trip-exact float formatting.
-
-    A float64 field's im column is the literal 0 on every row.
-    """
-    s = f.samples
-    _write_csv(path, "x,re,im",
-               (f.grid.x, s.real, s.imag if np.iscomplexobj(s) else None))
+    """Write columns x, re, im with round-trip-exact float formatting; im is
+    the literal 0 on every row."""
+    _write_csv(path, "x,re,im", (f.grid.x, f.samples, None))
 
 
 def field_from_csv(path, grid: Optional[Grid] = None) -> Field:
     """Read a field written by field_to_csv; the grid is inferred from x.
 
-    The field is float64 when every im value is +0.0, complex128 otherwise,
-    with the bits of re and im kept (-0.0, nan and inf included).  A
-    non-numeric value or a ragged row raises BadParameter; an x column that
-    is not the grid's (to 1e-12 L) raises GridMismatch.
+    The re column's bits are kept (-0.0, nan and inf included).  An im
+    column of +0.0 only is skipped; any other goes through Field's realness
+    rule, so a negligible im (such as the rounding noise of kernels written
+    before they were built by irfft) is dropped, and a significant, nan or
+    inf one raises BadParameter.  A non-numeric value or a ragged row raises
+    BadParameter; an x column that is not the grid's (to 1e-12 L) raises
+    GridMismatch.
     """
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -338,9 +271,11 @@ def field_from_csv(path, grid: Optional[Grid] = None) -> Field:
     del gap
     if not data[:, 2].view(np.uint64).any():     # im all +0.0
         return Field(grid=grid, samples=data[:, 1])
-    # column by column, so re and im keep their bits (no re + 1j*im)
+    # column by column, so re keeps its bits (no re + 1j*im)
     samples = np.empty(grid.N, dtype=np.complex128)
     samples.real = data[:, 1]
     samples.imag = data[:, 2]
-    return Field(grid=grid, samples=samples)
-
+    try:
+        return Field(grid=grid, samples=samples)
+    except BadParameter as exc:
+        raise BadParameter(f"{path}: {exc}") from exc

@@ -169,36 +169,83 @@ def picard_reference(u0: np.ndarray, L_dx: float, m: int, n: int, k: int,
     return np.fft.ifft(traj[M]), (max_iter, False, diff)
 
 
-def dealias(F, k: int):
-    """Zero the coefficients dealias_keep drops; idempotent, norm non-increasing.
+def fft_j(grid) -> np.ndarray:
+    """Integer wavenumbers of a Grid in FFT order: 0..N/2-1, then -N/2..-1."""
+    j = np.arange(grid.N, dtype=np.int64)
+    j[grid.N // 2:] -= grid.N
+    return j
+
+
+def fft_xi(grid) -> np.ndarray:
+    """Angular frequencies xi_j = dxi j in FFT order."""
+    return grid.dxi * fft_j(grid)
+
+
+def _full_sign(grid) -> np.ndarray:
+    # the (-1)^j phase of the grid origin x = -L, in FFT order
+    sign = np.ones(grid.N)
+    sign[1::2] = -1.0
+    return sign
+
+
+def to_spectral_complex(grid, samples) -> np.ndarray:
+    """spectral.to_spectral for complex samples, which a Field cannot hold."""
+    return grid.dx * _full_sign(grid) * np.fft.fft(np.asarray(samples, dtype=complex))
+
+
+def to_physical(grid, coeffs) -> np.ndarray:
+    """Inverse of the full-spectrum transform: complex physical samples.
+
+    The package's inverse before every field became real (it now inverts
+    half-spectra only, from_half_spectrum), kept as the reference for it.
+    """
+    return np.fft.ifft(coeffs * _full_sign(grid)) / grid.dx
+
+
+def derivative(grid, samples) -> np.ndarray:
+    """Spectral derivative (multiplier i xi) of complex samples; the Nyquist
+    mode is zeroed.  Exact for band-limited trigonometric polynomials."""
+    mult = 1j * fft_xi(grid)
+    mult[fft_j(grid) == -grid.N // 2] = 0.0
+    return to_physical(grid, mult * to_spectral_complex(grid, samples))
+
+
+def hilbert(grid, samples) -> np.ndarray:
+    """Hilbert transform of complex samples: multiplier i sign(xi), with
+    sign(0) = 0."""
+    mult = 1j * np.sign(fft_xi(grid))
+    return to_physical(grid, mult * to_spectral_complex(grid, samples))
+
+
+def dealias(grid, coeffs, k: int) -> np.ndarray:
+    """Zero the full-spectrum coefficients dealias_keep drops; idempotent,
+    norm non-increasing.
 
     The full-spectrum projection the package kept beside dealias_keep, kept
     as the reference for the rule on the full FFT-ordered spectrum.
     """
-    from stratwave.spectral import SpectralField, dealias_keep
+    from stratwave.spectral import dealias_keep
 
-    g = F.grid
-    coeffs = np.where(dealias_keep(g.j, g.N, k), F.coefficients, 0.0)
-    return SpectralField(grid=g, coefficients=coeffs)
+    return np.where(dealias_keep(fft_j(grid), grid.N, k), coeffs, 0.0)
 
 
-def dissipation_rate(U, params) -> float:
-    """(1/2) d/dt ||u||_2^2 under the linear flow:
+def dissipation_rate(grid, coeffs, params) -> float:
+    """(1/2) d/dt ||u||_2^2 under the linear flow, from the full spectrum:
 
     -eta sum Re(i^{n+1}|xi| xi^{n-1} + |xi|^m) |uhat|^2 dxi / 2pi.
 
     For n even the i-term has odd real part and contributes nothing; for
     n = 1 the rate can be positive on data supported in |xi| < 1.  The
-    full-spectrum rate that EtdPropagator.dissipation replaced, kept as its
-    reference.
+    full-spectrum rate that EtdPropagator's dissipation monitor replaced,
+    kept as its reference.
     """
-    g = U.grid
-    absxi = np.abs(g.xi)
+    xi = fft_xi(grid)
+    absxi = np.abs(xi)
     sym_real = np.real(
-        1j ** (params.n + 1) * absxi * g.xi ** (params.n - 1)
+        1j ** (params.n + 1) * absxi * xi ** (params.n - 1)
     ) + absxi ** params.m
-    total = np.sum(sym_real * np.abs(U.coefficients) ** 2)
-    return float(-params.eta * total * g.dxi / (2.0 * np.pi))
+    total = np.sum(sym_real * np.abs(coeffs) ** 2)
+    return float(-params.eta * total * grid.dxi / (2.0 * np.pi))
 
 
 def csv_reference(f, path) -> None:
@@ -223,27 +270,56 @@ def energy_csv_reference(traj, path) -> None:
 
 def kernel_reference(t, grid, sym, params, derivative=False):
     """K(t, .), or d_x K with derivative=True, by the complex full-spectrum
-    ifft of Khat (times i xi) on all N modes.
+    ifft of Khat (times i xi) on all N modes: complex samples.
 
     The builder kernel_field and kernel_derivative_field used before their
     irfft half-spectrum builds, kept as their reference; its imaginary part
     is rounding noise.
     """
     from stratwave.kernel import kernel_hat
-    from stratwave.spectral import SpectralField, to_physical
 
-    coeffs = kernel_hat(t, grid.xi, sym, params)
+    xi = fft_xi(grid)
+    coeffs = kernel_hat(t, xi, sym, params)
     if derivative:
-        coeffs = 1j * grid.xi * coeffs
-    return to_physical(SpectralField(grid, coeffs))
+        coeffs = 1j * xi * coeffs
+    return to_physical(grid, coeffs)
 
 
 def convolve_reference(f, g):
-    """(f*g)(x) by the complex full-spectrum transform pair."""
-    from stratwave.spectral import SpectralField, to_physical, to_spectral
+    """(f*g)(x) by the complex full-spectrum transform pair: complex samples."""
+    from stratwave.spectral import to_spectral
 
-    return to_physical(SpectralField(
-        f.grid, to_spectral(f).coefficients * to_spectral(g).coefficients))
+    return to_physical(f.grid, to_spectral(f) * to_spectral(g))
+
+
+def verify_pointwise_bound(kf, window=None) -> dict:
+    """kernel_report; passes when fitted_C is finite and within 10% of
+    refined_C, the same supremum on a grid of doubled N.
+
+    The package's doubled-N stability check of the pointwise kernel bound,
+    kept as a reference for kernel_report and for the kernel's refinement.
+    """
+    from stratwave.analysis import _weighted_sup, kernel_report
+    from stratwave.kernel import kernel_field
+    from stratwave.spectral import Grid
+
+    report = kernel_report(kf, window)
+    grid, fitted_C = kf.field.grid, report["fitted_C"]
+    refined = kernel_field(kf.t, Grid(2 * grid.N, grid.L), kf.sym, kf.params)
+    refined_C = _weighted_sup(refined, tuple(report["window"]))
+    stable = abs(refined_C - fitted_C) <= 0.10 * fitted_C
+    return {**report, "refined_C": refined_C,
+            "passes": bool(np.isfinite(fitted_C) and stable)}
+
+
+def fitted_growth_constant(sym, xi_max: float = 256.0, npts: int = 4096) -> float:
+    """Empirical c with |p(xi)| <= c |xi|^sigma on a sampled log range: the
+    check of a custom symbol's declared growth exponent sigma."""
+    xi = np.logspace(-3, np.log10(xi_max), npts)
+    vals = np.abs(np.asarray(sym(xi), dtype=float))
+    c = float(np.max(vals / xi ** sym.sigma))
+    assert np.isfinite(c), "growth constant not finite on sampled range"
+    return c
 
 
 class FullHalfSpectrumEtd:
@@ -276,7 +352,7 @@ class FullHalfSpectrumEtd:
         self.rate_weight = self.L.real * self.weight
 
     def forward(self, u):
-        return np.fft.rfft(u.samples.real) * self.mask
+        return np.fft.rfft(u.samples) * self.mask
 
     def physical(self, uhat):
         return np.fft.irfft(uhat, n=self.grid.N)
@@ -336,7 +412,7 @@ def picard_streamed_reference(sym, params, u0, cfg):
                 mid = prop.nonlinear(0.5 * (old + traj[i]))
                 old[:] = traj[i]
                 traj[i] = E * traj[i - 1] + dt_E_half * mid
-                norms[i - 1] = prop.energy(traj[i] - old)
+                norms[i - 1] = prop.monitors(traj[i] - old)[0]
             diff = float(np.max(norms))
             if not np.isfinite(diff):
                 diff = np.inf

@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from oracles import fft_xi, to_physical, verify_pointwise_bound
 from stratwave import (DatumSpec, DispersionSymbol, ExcludedParameters, Field, Grid,
-                       InsufficientDecades, NonFinite, SolverConfig, SpectralField, Weight,
+                       InsufficientDecades, NonFinite, SolverConfig, Weight,
                        WindowContaminated, ZeroMean, dichotomy_experiment,
                        energy_experiment, growth_envelope, growth_experiment,
                        integral, kernel_field, kernel_hat, kernel_report,
                        lower_bound_check, lower_bound_experiment, make_datum, preset,
-                       tail_exponent, to_physical, to_spectral, validate_params,
-                       verify_pointwise_bound, weighted_norm,
-                       weighted_persistence_experiment, window_mask,
-                       zero_mean_project)
+                       tail_exponent, validate_params, weighted_norm,
+                       weighted_persistence_experiment, window_mask)
 from stratwave.errors import BadParameter
+from stratwave.spectral import to_spectral
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +99,7 @@ def test_weighted_persistence_rejects_partial_steps(T):
 
 
 # ---------------------------------------------------------------------------
-# growth envelope, mean, projection
+# growth envelope and mean
 # ---------------------------------------------------------------------------
 
 def test_growth_envelope_exact_profile_and_scaling():
@@ -123,22 +123,14 @@ def test_mean_gaussian_and_odd():
     assert abs(integral(odd)) <= 1e-12
 
 
-def test_zero_mean_projection():
-    rng = np.random.default_rng(8)
-    g = Grid(2 ** 10, 50.0)
-    u = Field(g, rng.standard_normal(g.N))
-    v = zero_mean_project(u)
-    assert abs(integral(v)) <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # lower-bound check
 # ---------------------------------------------------------------------------
 
 def linear_evolve(sym, params, u0, t):
     g = u0.grid
-    khat = kernel_hat(t, g.xi, sym, params)
-    return to_physical(SpectralField(g, khat * to_spectral(u0).coefficients))
+    khat = kernel_hat(t, fft_xi(g), sym, params)
+    return Field(g, to_physical(g, khat * to_spectral(u0)))
 
 
 def test_lower_bound_linear_ratio_converges_to_one():
@@ -305,9 +297,10 @@ def test_window_mask_sides_and_guards():
 def test_lower_bound_experiment_rejects_complex_datum(linear_only):
     sym, params = preset("ost")
     u = make_datum(DatumSpec(kind="algebraic", gamma=3.0), Grid(2 ** 10, 50.0))
-    u0 = Field(u.grid, u.samples * (1.0 + 0.1j))
+    # the complex datum is rejected as its Field is built, before either path
     with pytest.raises(BadParameter, match="real data"):
-        lower_bound_experiment(sym, params, u0, 0.1, 1e-2, linear_only)
+        lower_bound_experiment(sym, params, Field(u.grid, u.samples * (1.0 + 0.1j)),
+                               0.1, 1e-2, linear_only)
 
 
 def test_decay_order_gate():

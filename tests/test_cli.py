@@ -59,7 +59,7 @@ def test_kernel_csv_is_real(tmp_path, ost_config, capsys):
     assert lines[0] == "x,re,im"
     assert all(line.rsplit(",", 1)[1] == "0" for line in lines[1:])
     sym, params = preset("ost")
-    ref = kernel_reference(1.0, Grid(16384, 200.0), sym, params).samples
+    ref = kernel_reference(1.0, Grid(16384, 200.0), sym, params)
     re = np.loadtxt(out, delimiter=",", skiprows=1, usecols=1)
     assert np.max(np.abs(re - ref.real)) <= 1e-12 * np.max(np.abs(ref))
     # decay-fit on the file gives the kernel report's exponents
@@ -628,8 +628,9 @@ def test_experiment_solver_fields_per_kind(tmp_path, capsys, kind, field):
 
 def test_simulate_picard_memory_guard(tmp_path, capsys, monkeypatch, ost_config,
                                       gauss_datum):
-    import stratwave.solver as solver_module
-    monkeypatch.setattr(solver_module, "_physical_memory", lambda: 1024)
+    import stratwave.spectral as spectral_module
+    # room for the grid's 8192 bytes, not for the iterate's 16 x 6 x 342
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: 9000)
     out = tmp_path / "picrun"
     rc = main(["--quiet", "--out", str(out), "simulate", "--config", ost_config,
                "--datum", gauss_datum, "--T", "0.05", "--dt", "0.01",
@@ -637,21 +638,68 @@ def test_simulate_picard_memory_guard(tmp_path, capsys, monkeypatch, ost_config,
     assert rc == 1
     err = capsys.readouterr().err
     assert "error [BadParameter]" in err and "physical memory" in err
+    assert "picard iterate storage" in err
     assert "Traceback" not in err
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 
 def test_kernel_memory_guard(tmp_path, capsys, monkeypatch, ost_config):
-    import stratwave.kernel as kernel_module
-    monkeypatch.setattr(kernel_module, "_physical_memory", lambda: 1024)
+    import stratwave.spectral as spectral_module
+    # room for the grid's 8192 bytes, not for the kernel build's 28 x 1024
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: 9000)
     out = tmp_path / "kernel.csv"
     rc = main(["--quiet", "--out", str(out), "kernel", "--config", ost_config,
                "--t", "1.0", "--grid", "N=1024,L=50"])
     assert rc == 1
     err = capsys.readouterr().err
     assert "error [BadParameter]" in err and "physical memory" in err
+    assert "kernel build" in err
     assert "Traceback" not in err
     assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+def test_grid_memory_guard(tmp_path, capsys, ost_config):
+    # x alone would take 8 x 2^40 bytes; the guard raises before allocating
+    out = tmp_path / "kernel.csv"
+    rc = main(["--quiet", "--out", str(out), "kernel", "--config", ost_config,
+               "--t", "1.0", "--grid", "N=1099511627776,L=8"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error [BadParameter]" in err
+    assert "a grid of N=1099511627776 points needs 8796093022208 bytes" in err
+    assert "physical memory" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t,kind", [("inf", "BadParameter"), ("-inf", "BadParameter"),
+                                    ("nan", "BadParameter"), ("0", "UnderResolved")])
+def test_kernel_rejects_a_non_finite_t(tmp_path, capsys, ost_config, t, kind):
+    # --t inf used to end in RuntimeWarnings and a window error, and --t nan
+    # in UnderResolved ("decay scale nan")
+    out = tmp_path / "kernel.csv"
+    rc = main(["--quiet", "--out", str(out), "kernel", "--config", ost_config,
+               f"--t={t}", "--grid", "N=256,L=10"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{kind}]: kernel construction requires")
+    assert ("finite" in err) == (kind == "BadParameter")
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--dt", "nan"), ("--T", "inf"),
+                                        ("--T", "nan")])
+def test_simulate_rejects_non_finite_dt_and_T(tmp_path, capsys, ost_config,
+                                              gauss_datum, flag, value):
+    args = {"--dt": "0.01", "--T": "0.05", flag: value}
+    out = tmp_path / "run"
+    rc = main(["--quiet", "--out", str(out), "simulate", "--config", ost_config,
+               "--datum", gauss_datum, "--grid", "N=256,L=20",
+               *[item for pair in args.items() for item in pair]])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [BadParameter]: dt, T and picard_tol must be finite")
+    assert "Traceback" not in err
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 
 @pytest.mark.parametrize("model,applies", [

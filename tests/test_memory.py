@@ -17,7 +17,7 @@ from stratwave import (DatumSpec, Grid, SolverConfig, kernel_derivative_field,
 from stratwave.kernel import KERNEL_PEAK_BYTES_PER_POINT
 from stratwave.model import half_spectrum_multiplier
 from stratwave.spectral import field_from_csv, field_to_csv
-import stratwave.solver as solver_module
+import stratwave.spectral as spectral_module
 
 SIZES = [2 ** 16, 2 ** 18]
 SYM, PARAMS = preset("ost")
@@ -44,7 +44,7 @@ def peak_units(N: int, fn, *args) -> float:
 
 @pytest.mark.parametrize("N", SIZES)
 def test_grid_stores_only_x(N):
-    # j, xi and the (-1)^j sign are built on first use
+    # x is the one array a Grid holds
     assert peak_units(N, grid_of, N) <= 1.05
 
 
@@ -105,6 +105,6 @@ def test_picard_peak(name, k, bound):
 def test_picard_guard_counts_kept_modes_only(monkeypatch):
     # physical memory between the kept-mode need, 16 x 11 x 342 bytes, and
     # the full half-spectrum one, 16 x 11 x 513: the run goes ahead
-    monkeypatch.setattr(solver_module, "_physical_memory", lambda: 16 * 11 * 513 - 1)
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: 16 * 11 * 513 - 1)
     field, report = picard_solve(*picard_case("ost", 1, 1024, 10))
     assert report["converged"] and field.grid.N == 1024

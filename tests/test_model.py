@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stratwave import (DispersionSymbol, Grid, InvalidN, InvalidRange, UnknownPreset,
-                       amplification_bound, dissipation_symbol,
-                       fitted_growth_constant, linear_multiplier,
+from stratwave import (DispersionSymbol, Field, Grid, InvalidN, InvalidRange,
+                       UnknownPreset, dissipation_symbol, linear_multiplier,
                        model_from_config, preset, validate_params)
 from stratwave.errors import BadParameter
 from stratwave.model import SMOOTH, half_spectrum_multiplier
 import stratwave.model as model_module
+from stratwave.spectral import from_half_spectrum, half_spectrum
 
-from oracles import amplification_max, phi_piecewise
+from oracles import (amplification_max, derivative, fitted_growth_constant, hilbert,
+                     phi_piecewise)
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +117,33 @@ def test_phi_amplification_bound():
     xi = np.linspace(-20, 20, 100001)
     for m in (2, 3):
         params = validate_params(m, 1, 1, 1.7)
-        bound = 1.7 * amplification_bound(params)
+        bound = amplification_max(m, eta=1.7)
         assert np.max(dissipation_symbol(xi, params).real) <= bound + 1e-12
+    # for every other admissible n, Re phi <= 0
     for m, n in ((2, 2), (3, 3), (2, 4)):
         params = validate_params(m, n, 1, 1.0)
-        assert amplification_bound(params) == 0.0
         assert np.max(dissipation_symbol(xi, params).real) <= 1e-14
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (3, 1), (3, 2), (2, 3), (3, 4)])
+def test_phi_is_the_hilbert_derivative_operator(m, n):
+    # phi(D) u = -eta (H d_x^n u + |D|^m u) with H = i sign(xi) and
+    # |D| = -H d_x, composed from the reference transforms
+    g = Grid(256, 2 * np.pi)
+    rng = np.random.default_rng(10 * m + n)
+    coeffs = np.zeros(g.N // 2 + 1, dtype=complex)
+    coeffs[1:20] = rng.standard_normal(19) + 1j * rng.standard_normal(19)
+    u = np.fft.irfft(coeffs, n=g.N)     # real and band-limited
+    params = validate_params(m, n, 1, 0.7)
+    phi = dissipation_symbol(g.dxi * np.arange(g.N // 2 + 1), params)
+    got = from_half_spectrum(g, phi * half_spectrum(Field(g, u))).samples
+    dn_u, abs_d_u = u, u
+    for _ in range(n):
+        dn_u = derivative(g, dn_u)
+    for _ in range(m):
+        abs_d_u = -hilbert(g, derivative(g, abs_d_u))
+    want = -0.7 * (hilbert(g, dn_u) + abs_d_u)
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

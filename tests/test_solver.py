@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (FullHalfSpectrumEtd, dealias, dissipation_rate,
-                     etd2_reference, picard_reference, picard_streamed_reference)
+                     etd2_reference, fft_j, fft_xi, picard_reference,
+                     picard_streamed_reference, to_physical)
 from stratwave import (DatumSpec, DispersionSymbol, EtdPropagator, Field, Grid,
-                       NoContraction, NonFinite, SolverConfig, SpectralField,
-                       etd_step, growth_envelope,
+                       NoContraction, NonFinite, SolverConfig, growth_envelope,
                        kernel_hat, make_datum, picard_solve, preset, solve,
-                       tail_exponent, to_physical, to_spectral, validate_params)
+                       tail_exponent, validate_params)
 from stratwave.errors import BadParameter
 from stratwave.model import SMOOTH
 import stratwave.solver as solver_module
+import stratwave.spectral as spectral_module
 from stratwave.solver import _snapshot_steps, step_count
+from stratwave.spectral import to_spectral
 
 
 def l2_diff(a: Field, b: Field) -> float:
@@ -28,7 +30,7 @@ def l2_diff(a: Field, b: Field) -> float:
 def test_algebraic_datum_profile_and_tail():
     g = Grid(2 ** 16, 400.0)
     u = make_datum(DatumSpec(kind="algebraic", gamma=2.0, c=1.0), g)
-    assert u.samples[g.index_of(0.0)].real == pytest.approx(1.0)
+    assert u.samples[g.N // 2] == pytest.approx(1.0)     # x = 0
     left, right = tail_exponent(u, (20.0, 200.0))
     assert left.exponent == pytest.approx(2.0, abs=0.05)
     assert right.exponent == pytest.approx(2.0, abs=0.05)
@@ -78,8 +80,8 @@ def test_zero_datum_is_fixed_point():
     g = Grid(2 ** 10, 50.0)
     sym, params = preset("ost")
     u0 = Field(g, np.zeros(g.N))
-    stepped = etd_step(u0, 1e-2, sym, params)
-    assert np.max(np.abs(stepped.samples)) == 0.0
+    prop = EtdPropagator(g, sym, params, 1e-2)
+    assert np.max(np.abs(prop.step(prop.forward(u0)))) == 0.0
     traj = solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1))
     assert np.max(np.abs(traj.snapshots[-1].samples)) == 0.0
     assert np.max(traj.energy_series) == 0.0
@@ -91,11 +93,10 @@ def test_linear_only_equals_kernel_convolution():
     u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=1.0), g)
     cfg = SolverConfig(dt=1e-2, T=0.5, snapshot_times=(0.5,), linear_only=True)
     traj = solve(sym, params, u0, cfg)
-    khat = kernel_hat(0.5, g.xi, sym, params)
-    expect = to_physical(SpectralField(g, khat * to_spectral(u0).coefficients))
+    khat = kernel_hat(0.5, fft_xi(g), sym, params)
+    expect = Field(g, to_physical(g, khat * to_spectral(u0)))
     # note the solver dealiases the datum; apply the same projection
-    expect_deal = to_physical(SpectralField(
-        g, khat * dealias(to_spectral(u0), params.k).coefficients))
+    expect_deal = Field(g, to_physical(g, khat * dealias(g, to_spectral(u0), params.k)))
     assert l2_diff(traj.snapshots[-1], expect_deal) <= 1e-10
     assert l2_diff(traj.snapshots[-1], expect) <= 1e-10  # datum is band-limited
 
@@ -209,15 +210,16 @@ def test_parseval_energy_and_dissipation(sym, m, n, k, eta, N, L, seed):
     g = Grid(N, L)
     prop = EtdPropagator(g, sym, params, 1e-3)
     u = Field(g, np.random.default_rng(seed).standard_normal(N))
-    uhat = np.fft.rfft(u.real)   # unmasked, so the Nyquist weight counts too
-    assert prop.energy(uhat) == pytest.approx(u.l2_norm(), rel=1e-12)
+    uhat = np.fft.rfft(u.samples)   # unmasked, so the Nyquist weight counts too
+    energy, rate = prop.monitors(uhat)
+    assert energy == pytest.approx(u.l2_norm(), rel=1e-12)
     # n = 1 has an amplification band, so the rate can cancel: compare
     # against the sum of the absolute contributions
-    expect = dissipation_rate(to_spectral(u), params)
+    expect = dissipation_rate(g, to_spectral(u), params)
     scale = float(np.dot(np.abs(prop.rate_weight), np.abs(uhat) ** 2))
-    assert abs(prop.dissipation(uhat) - expect) <= 1e-12 * scale
+    assert abs(rate - expect) <= 1e-12 * scale
     if n != 1:
-        assert prop.dissipation(uhat) == pytest.approx(expect, rel=1e-12)
+        assert rate == pytest.approx(expect, rel=1e-12)
 
 
 def test_odd_dispersion_symbol_rejected():
@@ -228,7 +230,7 @@ def test_odd_dispersion_symbol_rejected():
     with pytest.raises(BadParameter, match="Hermitian"):
         solve(odd, params, u0, SolverConfig(dt=1e-2, T=0.1))
     with pytest.raises(BadParameter, match="Hermitian"):
-        etd_step(u0, 1e-2, odd, params)
+        EtdPropagator(g, odd, params, 1e-2)
     with pytest.raises(BadParameter, match="Hermitian"):
         picard_solve(odd, params, u0, SolverConfig(dt=1e-2, T=0.1))
     # an even custom symbol is accepted
@@ -238,16 +240,19 @@ def test_odd_dispersion_symbol_rejected():
 
 
 def test_complex_datum_rejected():
-    sym, params = preset("ost")
+    # a complex datum cannot reach either solver: no Field holds it
     g = Grid(2 ** 8, 20.0)
     u = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), g)
-    u0 = Field(g, u.samples * (1.0 + 0.1j))
     with pytest.raises(BadParameter, match="real data"):
-        solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1))
-    with pytest.raises(BadParameter, match="real data"):
-        etd_step(u0, 1e-2, sym, params)
-    with pytest.raises(BadParameter, match="real data"):
-        picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1))
+        Field(g, u.samples * (1.0 + 0.1j))
+
+
+@pytest.mark.parametrize("name", ["dt", "T", "picard_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_solver_config_rejects_non_finite_values(name, value):
+    # a nan dt, T or picard_tol used to pass every comparison in the checks
+    with pytest.raises(BadParameter, match="must be finite"):
+        SolverConfig(**{"dt": 1e-3, "T": 0.1, "picard_tol": 1e-10, name: value})
 
 
 @pytest.mark.parametrize("T", [0.1005, 0.0004])
@@ -297,10 +302,9 @@ def test_energy_zero_field():
     u = Field(g, np.zeros(g.N))
     params = validate_params(2, 2, 1, 1.0)
     prop = EtdPropagator(g, DispersionSymbol.kdv(), params, 1e-3)
-    uhat = np.fft.rfft(u.real)
-    assert u.l2_norm() == 0.0 and prop.energy(uhat) == 0.0
-    assert prop.dissipation(uhat) == 0.0
-    assert dissipation_rate(to_spectral(u), params) == 0.0
+    uhat = np.fft.rfft(u.samples)
+    assert u.l2_norm() == 0.0 and prop.monitors(uhat) == (0.0, 0.0)
+    assert dissipation_rate(g, to_spectral(u), params) == 0.0
 
 
 def test_dissipation_rate_even_n_matches_m_term_only():
@@ -311,25 +315,25 @@ def test_dissipation_rate_even_n_matches_m_term_only():
     U = to_spectral(u)
     params = validate_params(2, 2, 1, 1.3)
     prop = EtdPropagator(g, DispersionSymbol.kdv(), params, 1e-3)
-    rate = prop.dissipation(np.fft.rfft(u.real))
-    expect = -1.3 * np.sum(np.abs(g.xi) ** 2 * np.abs(U.coefficients) ** 2) \
+    rate = prop.monitors(np.fft.rfft(u.samples))[1]
+    expect = -1.3 * np.sum(np.abs(fft_xi(g)) ** 2 * np.abs(U) ** 2) \
         * g.dxi / (2 * np.pi)
     assert rate == pytest.approx(expect, rel=1e-12)
-    assert rate == pytest.approx(dissipation_rate(U, params), rel=1e-12)
+    assert rate == pytest.approx(dissipation_rate(g, U, params), rel=1e-12)
     assert rate <= 0
 
 
 def test_dissipation_rate_amplification_band():
     # n=1, m=2: rate = eta sum (|xi| - |xi|^2)|uhat|^2 > 0 for |xi| < 1 data
     g = Grid(256, 64.0)   # dxi ~ 0.049: plenty of modes below |xi| = 1
-    coeffs = np.where(np.abs(g.xi) < 0.9, 1.0, 0.0).astype(complex)
-    coeffs[g.j == 0] = 0.0
-    u = to_physical(SpectralField(g, coeffs))
+    coeffs = np.where(np.abs(fft_xi(g)) < 0.9, 1.0, 0.0).astype(complex)
+    coeffs[fft_j(g) == 0] = 0.0
+    u = Field(g, to_physical(g, coeffs))
     params = validate_params(2, 1, 1, 1.0)
     prop = EtdPropagator(g, DispersionSymbol.kdv(), params, 1e-3)
-    rate = prop.dissipation(np.fft.rfft(u.real))
+    rate = prop.monitors(np.fft.rfft(u.samples))[1]
     assert rate > 0
-    assert rate == pytest.approx(dissipation_rate(to_spectral(u), params), rel=1e-12)
+    assert rate == pytest.approx(dissipation_rate(g, to_spectral(u), params), rel=1e-12)
 
 
 def test_energy_derivative_matches_dissipation_linear_run():
@@ -428,9 +432,10 @@ def test_computed_fields_are_float64():
     u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), g)
     cfg = SolverConfig(dt=1e-2, T=0.1, snapshot_times=(0.05, 0.1))
     final, report = picard_solve(sym, params, u0, cfg)
+    prop = EtdPropagator(g, sym, params, 1e-2)
     fields = (solve(sym, params, u0, cfg).snapshots
               + [final] + [f for _, f in report["snapshots"]]
-              + [etd_step(u0, 1e-2, sym, params)])
+              + [prop.physical(prop.step(prop.forward(u0)))])
     assert [f.samples.dtype for f in fields] == [np.float64] * 6
 
 
@@ -513,7 +518,7 @@ def test_picard_memory_guard_raises_before_any_step(monkeypatch):
     g = Grid(2 ** 10, 50.0)
     u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), g)
     # 11 x 342 complex values (the kept modes j <= 1024/3) need 60192 bytes
-    monkeypatch.setattr(solver_module, "_physical_memory", lambda: 60191)
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: 60191)
 
     def no_propagator(*args, **kwargs):
         raise AssertionError("built a propagator before the memory check")
@@ -521,13 +526,13 @@ def test_picard_memory_guard_raises_before_any_step(monkeypatch):
     monkeypatch.setattr(solver_module, "EtdPropagator", no_propagator)
     with pytest.raises(BadParameter, match="60192 bytes.*60191 bytes"):
         picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1))
-    monkeypatch.setattr(solver_module, "_physical_memory", lambda: 60192)
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: 60192)
     with pytest.raises(AssertionError, match="before the memory check"):
         picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1))
 
 
 def test_physical_memory_is_positive():
-    assert solver_module._physical_memory() > 0
+    assert spectral_module._physical_memory() > 0
 
 
 _PRESETS = ["ost", "gost", "bo_perturbed", "chen_lee", "dgbo_perturbed"]

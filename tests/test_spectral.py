@@ -7,23 +7,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import convolve_reference, csv_reference, dealias
-from stratwave import (EtdPropagator, Field, Grid, GridMismatch, SpectralField,
-                       convolve, derivative, field_from_csv, field_to_csv,
-                       hilbert, integral, preset, to_physical, to_spectral,
+from oracles import (convolve_reference, csv_reference, dealias, derivative, fft_j,
+                     fft_xi, hilbert, to_physical)
+from stratwave import (EtdPropagator, Field, Grid, GridMismatch, convolve,
+                       field_from_csv, field_to_csv, integral, preset,
                        wrap_contamination)
 from stratwave import spectral
 from stratwave.errors import BadParameter
-from stratwave.spectral import dealias_keep
+from stratwave.spectral import dealias_keep, to_spectral
 
 _PRESETS = ["ost", "gost", "bo_perturbed", "chen_lee", "dgbo_perturbed"]
 
 
-def random_field(grid, rng, real=True):
-    vals = rng.standard_normal(grid.N)
-    if not real:
-        vals = vals + 1j * rng.standard_normal(grid.N)
-    return Field(grid=grid, samples=vals)
+def random_field(grid, rng):
+    return Field(grid=grid, samples=rng.standard_normal(grid.N))
 
 
 # ---------------------------------------------------------------------------
@@ -42,12 +39,12 @@ def test_grid_basics():
 @pytest.mark.parametrize("N,L", [(16, 1.0), (64, 10.0), (4096, 37.3), (2 ** 16, 1e3 / 3)])
 def test_grid_arrays_equal_direct_formulas(N, L):
     g = Grid(N, L)
-    j = np.fft.fftfreq(N, d=1.0 / N).astype(np.int64)
     assert np.array_equal(g.x, -g.L + g.dx * np.arange(N))
-    assert np.array_equal(g.j, j) and g.j.dtype == np.int64
-    assert np.array_equal(g.xi, g.dxi * j)
-    assert np.array_equal(g._sign, np.where(j % 2 == 0, 1.0, -1.0))
-    assert g.j is g.j and g.xi is g.xi and g._sign is g._sign   # cached
+    assert g.__slots__ == ("N", "L", "dx", "dxi", "x")     # x is the one array
+    # the oracles' FFT-order wavenumbers
+    j = np.fft.fftfreq(N, d=1.0 / N).astype(np.int64)
+    assert np.array_equal(fft_j(g), j) and fft_j(g).dtype == np.int64
+    assert np.array_equal(fft_xi(g), g.dxi * j)
 
 
 @pytest.mark.parametrize("N", [15, 17, 100, 8])
@@ -57,15 +54,17 @@ def test_grid_rejects_bad_sizes(N):
 
 
 def test_field_dtype_follows_its_data():
+    # real data of any dtype, and complex data with a zero imaginary part,
+    # are stored as float64
     g = Grid(16, 1.0)
     for data in (np.ones(16), np.arange(16), np.ones(16, dtype=np.float32),
-                 [0.5] * 16, np.full(16, True)):
+                 [0.5] * 16, np.full(16, True), np.ones(16) + 0j,
+                 np.ones(16, dtype=np.complex64), [1 + 0j] * 16):
         assert Field(g, data).samples.dtype == np.float64
-    for data in (np.ones(16) + 0j, np.ones(16, dtype=np.complex64), [1 + 0j] * 16):
-        assert Field(g, data).samples.dtype == np.complex128
     assert np.array_equal(Field(g, np.arange(16)).samples, np.arange(16.0))
-    real = Field(g, np.linspace(-1.0, 1.0, 16))
-    assert spectral.real_samples(real) is real.samples
+    assert np.array_equal(Field(g, np.arange(16) - 0j).samples, np.arange(16.0))
+    with pytest.raises(BadParameter, match="grid size"):
+        Field(g, np.ones(17) + 0j)
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +75,13 @@ def test_field_dtype_follows_its_data():
 def test_round_trip(N):
     rng = np.random.default_rng(7)
     g = Grid(N, 37.0)
-    f = random_field(g, rng, real=False)
-    back = to_physical(to_spectral(f))
+    f = random_field(g, rng)
+    back = to_physical(g, to_spectral(f))
     scale = np.max(np.abs(f.samples))
-    assert np.max(np.abs(back.samples - f.samples)) <= 1e-12 * scale
+    assert np.max(np.abs(back - f.samples)) <= 1e-12 * scale
+    full = to_spectral(f)
+    half = spectral.half_spectrum(f)
+    assert np.max(np.abs(half - full[:N // 2 + 1])) <= 1e-12 * np.max(np.abs(full))
 
 
 def test_parseval():
@@ -88,25 +90,25 @@ def test_parseval():
     f = random_field(g, rng)
     F = to_spectral(f)
     phys = np.sum(np.abs(f.samples) ** 2) * g.dx
-    spec = np.sum(np.abs(F.coefficients) ** 2) * g.dxi / (2 * np.pi)
+    spec = np.sum(np.abs(F) ** 2) * g.dxi / (2 * np.pi)
     assert spec == pytest.approx(phys, rel=1e-13)
 
 
 def test_constant_concentrates_at_zero():
     g = Grid(128, 5.0)
     F = to_spectral(Field(g, np.ones(g.N)))
-    nonzero = np.abs(F.coefficients) > 1e-10
-    assert nonzero.sum() == 1 and nonzero[g.j == 0][0]
+    nonzero = np.abs(F) > 1e-10
+    assert nonzero.sum() == 1 and nonzero[fft_j(g) == 0][0]
     # the xi=0 coefficient is the discrete integral: 2L
-    assert F.coefficients[g.j == 0][0].real == pytest.approx(2 * g.L)
+    assert F[fft_j(g) == 0][0].real == pytest.approx(2 * g.L)
 
 
 def test_cosine_two_symmetric_modes():
     g = Grid(128, 5.0)
     f = Field(g, np.cos(g.dxi * g.x))
     F = to_spectral(f)
-    large = np.abs(F.coefficients) > 1e-9 * np.max(np.abs(F.coefficients))
-    assert sorted(g.j[large].tolist()) == [-1, 1]
+    large = np.abs(F) > 1e-9 * np.max(np.abs(F))
+    assert sorted(fft_j(g)[large].tolist()) == [-1, 1]
 
 
 def test_integral_equals_zero_mode():
@@ -114,7 +116,7 @@ def test_integral_equals_zero_mode():
     g = Grid(256, 8.0)
     f = random_field(g, rng)
     F = to_spectral(f)
-    assert integral(f) == pytest.approx(float(F.coefficients[g.j == 0][0].real),
+    assert integral(f) == pytest.approx(float(F[fft_j(g) == 0][0].real),
                                         rel=1e-12, abs=1e-12)
 
 
@@ -138,73 +140,67 @@ def test_convolve_matches_complex_reference(N, L):
     g = Grid(N, L)
     f, h = random_field(g, rng), random_field(g, rng)
     got = convolve(f, h).samples
-    ref = convolve_reference(f, h).samples
+    ref = convolve_reference(f, h)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.all(got.imag == 0.0)
+    assert got.dtype == np.float64
 
 
 def test_convolve_rejects_complex_data():
+    # complex data cannot reach convolve: no Field holds it
     rng = np.random.default_rng(5)
     g = Grid(64, 10.0)
-    f, h = random_field(g, rng), random_field(g, rng, real=False)
+    vals = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
     with pytest.raises(BadParameter, match="real data"):
-        convolve(f, h)
-    with pytest.raises(BadParameter, match="real data"):
-        convolve(h, f)
+        convolve(random_field(g, rng), Field(g, vals))
 
 
 # ---------------------------------------------------------------------------
-# derivative and Hilbert transform
+# derivative and Hilbert transform: the reference transforms of tests/oracles
 # ---------------------------------------------------------------------------
 
 def test_derivative_trig():
     g = Grid(256, 12.0)
     om = 3 * np.pi / g.L
-    f = Field(g, np.sin(om * g.x))
-    df = derivative(f)
-    assert np.max(np.abs(df.samples.real - om * np.cos(om * g.x))) <= 1e-10
-    const = derivative(Field(g, np.full(g.N, 2.7)))
-    assert np.max(np.abs(const.samples)) <= 1e-12
+    df = derivative(g, np.sin(om * g.x))
+    assert np.max(np.abs(df.real - om * np.cos(om * g.x))) <= 1e-10
+    const = derivative(g, np.full(g.N, 2.7))
+    assert np.max(np.abs(const)) <= 1e-12
 
 
 def test_derivative_eigenfunction():
     g = Grid(128, 6.0)
     om = 5 * g.dxi
-    f = Field(g, np.exp(1j * om * g.x))
-    df = derivative(f)
-    assert np.allclose(df.samples, 1j * om * f.samples, atol=1e-10)
+    f = np.exp(1j * om * g.x)
+    assert np.allclose(derivative(g, f), 1j * om * f, atol=1e-10)
 
 
 def test_hilbert_on_cosine_and_constant():
     g = Grid(256, 10.0)
     om = 4 * g.dxi
-    Hc = hilbert(Field(g, np.cos(om * g.x)))
+    Hc = hilbert(g, np.cos(om * g.x))
     # i sign(xi) convention: H cos = -sin
-    assert np.max(np.abs(Hc.samples.real - (-np.sin(om * g.x)))) <= 1e-10
-    Hconst = hilbert(Field(g, np.ones(g.N)))
-    assert np.max(np.abs(Hconst.samples)) <= 1e-13
+    assert np.max(np.abs(Hc.real - (-np.sin(om * g.x)))) <= 1e-10
+    Hconst = hilbert(g, np.ones(g.N))
+    assert np.max(np.abs(Hconst)) <= 1e-13
 
 
 def test_hilbert_involution_on_mean_zero():
     rng = np.random.default_rng(5)
     g = Grid(512, 9.0)
-    f = random_field(g, rng)
-    F = to_spectral(f)
-    coeffs = F.coefficients.copy()
-    coeffs[g.j == 0] = 0.0
-    f0 = to_physical(SpectralField(g, coeffs))
-    hh = hilbert(hilbert(f0))
-    assert np.max(np.abs(hh.samples + f0.samples)) <= 1e-10 * np.max(np.abs(f0.samples))
+    coeffs = to_spectral(random_field(g, rng))
+    coeffs[fft_j(g) == 0] = 0.0
+    f0 = to_physical(g, coeffs)
+    hh = hilbert(g, hilbert(g, f0))
+    assert np.max(np.abs(hh + f0)) <= 1e-10 * np.max(np.abs(f0))
 
 
 def test_hilbert_commutes_with_derivative():
     rng = np.random.default_rng(9)
     g = Grid(512, 9.0)
-    f = random_field(g, rng)
-    f = to_physical(dealias(to_spectral(f), 1))  # band-limit first
-    a = hilbert(derivative(f))
-    b = derivative(hilbert(f))
-    assert np.max(np.abs(a.samples - b.samples)) <= 1e-10 * np.max(np.abs(a.samples))
+    f = to_physical(g, dealias(g, to_spectral(random_field(g, rng)), 1))  # band-limit first
+    a = hilbert(g, derivative(g, f))
+    b = derivative(g, hilbert(g, f))
+    assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(a))
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +209,12 @@ def test_hilbert_commutes_with_derivative():
 
 def test_dealias_rule_arithmetic():
     g16 = Grid(16, 1.0)
-    F = SpectralField(g16, np.ones(16))
-    D = dealias(F, 1)
-    kept = g16.j[np.abs(D.coefficients) > 0]
+    D = dealias(g16, np.ones(16), 1)
+    kept = fft_j(g16)[np.abs(D) > 0]
     assert np.max(np.abs(kept)) == 5          # zero |j| > 16/3
     g32 = Grid(32, 1.0)
-    D2 = dealias(SpectralField(g32, np.ones(32)), 3)
-    kept2 = g32.j[np.abs(D2.coefficients) > 0]
+    D2 = dealias(g32, np.ones(32), 3)
+    kept2 = fft_j(g32)[np.abs(D2) > 0]
     assert np.max(np.abs(kept2)) == 6         # zero |j| > 32/5
 
 
@@ -227,10 +222,10 @@ def test_dealias_idempotent_projection():
     rng = np.random.default_rng(2)
     g = Grid(128, 4.0)
     F = to_spectral(random_field(g, rng))
-    once = dealias(F, 2)
-    twice = dealias(once, 2)
-    assert np.array_equal(once.coefficients, twice.coefficients)
-    assert np.linalg.norm(once.coefficients) <= np.linalg.norm(F.coefficients)
+    once = dealias(g, F, 2)
+    twice = dealias(g, once, 2)
+    assert np.array_equal(once, twice)
+    assert np.linalg.norm(once) <= np.linalg.norm(F)
 
 
 @settings(max_examples=60, deadline=None)
@@ -239,13 +234,14 @@ def test_dealias_idempotent_projection():
 def test_dealias_keep_mask_idempotent(N, k, seed):
     g = Grid(N, 10.0)
     F = to_spectral(random_field(g, np.random.default_rng(seed)))
-    once = dealias(F, k)
-    assert np.array_equal(dealias(once, k).coefficients, once.coefficients)
-    keep = dealias_keep(g.j, N, k)
-    assert np.array_equal(np.flatnonzero(once.coefficients != 0),
-                          np.flatnonzero(keep & (F.coefficients != 0)))
+    once = dealias(g, F, k)
+    assert np.array_equal(dealias(g, once, k), once)
+    j = fft_j(g)
+    keep = dealias_keep(j, N, k)
+    assert np.array_equal(np.flatnonzero(once != 0),
+                          np.flatnonzero(keep & (F != 0)))
     # the mask is even in j, so it maps real fields to real fields
-    assert np.array_equal(keep, dealias_keep(-g.j, N, k))
+    assert np.array_equal(keep, dealias_keep(-j, N, k))
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,37 +270,109 @@ def test_half_spectrum_round_trip_band_limited(name, N, L, seed):
 # ---------------------------------------------------------------------------
 
 def test_real_hint_enforced():
-    # the real-field entry points reject a significant imaginary part
+    # Field rejects a significant imaginary part and drops a negligible one,
+    # so the real-field entry points only ever see float64 samples
     g = Grid(64, 2.0)
+    with pytest.raises(BadParameter, match="real data"):
+        Field(g, np.full(g.N, 1.0 + 1e-3j))
+    f = Field(g, np.full(g.N, 1.0 + 1e-14j))  # fine
+    assert f.samples.dtype == np.float64 and np.all(f.samples == 1.0)
     sym, params = preset("ost")
     for entry in (EtdPropagator(g, sym, params, 1e-3).forward, spectral.half_spectrum):
-        with pytest.raises(BadParameter, match="real data"):
-            entry(Field(g, np.full(g.N, 1.0 + 1e-3j)))
-        entry(Field(g, np.full(g.N, 1.0 + 1e-14j)))  # fine
+        assert entry(f)[0] == pytest.approx(entry(Field(g, np.ones(g.N)))[0])
 
 
 def test_real_hint_not_switched_off_by_nan():
     # a nan sample once made the scale nan, and every comparison with it
     # False: the 5j below passed as real data
     g = Grid(16, 1.0)
+    for bad in ({0: np.nan, 3: 5j}, {0: complex(1.0, np.nan)},
+                {0: complex(1.0, np.inf)}):
+        s = np.ones(g.N, dtype=complex)
+        for i, v in bad.items():
+            s[i] = v
+        with pytest.raises(BadParameter, match="real data"):
+            Field(g, s)
+    s = np.ones(g.N, dtype=complex)
+    s[0] = np.nan                       # a real nan is real data
+    f = Field(g, s)
+    assert f.samples.dtype == np.float64 and np.isnan(f.samples[0])
     sym, params = preset("ost")
     for entry in (EtdPropagator(g, sym, params, 1e-3).forward, spectral.half_spectrum):
-        for bad in ({0: np.nan, 3: 5j}, {0: complex(1.0, np.nan)},
-                    {0: complex(1.0, np.inf)}):
-            s = np.ones(g.N, dtype=complex)
-            for i, v in bad.items():
-                s[i] = v
-            with pytest.raises(BadParameter, match="real data"):
-                entry(Field(g, s))
-        s = np.ones(g.N, dtype=complex)
-        s[0] = np.nan                       # a real nan is real data
-        assert np.isnan(entry(Field(g, s))).all()
+        assert np.isnan(entry(f)).all()
+
+
+def _im_case(N, seed, exponent, kind, nan_re):
+    """re (float64, scaled by 10^exponent) and an im column for the realness
+    rule; kind picks im: "zero" (+0.0 with some -0.0), "tiny" (noise and
+    1e-300 at most REAL_HINT_TOL max|re|), "big" (one value above it) or
+    "nan"/"inf"/"-inf" (one non-finite value).  Returns (re, im, accepted)."""
+    rng = np.random.default_rng(seed)
+    re = rng.standard_normal(N) * 10.0 ** exponent
+    if nan_re:
+        re[rng.integers(N)] = np.nan
+    top = float(np.nanmax(np.abs(re)))
+    im = np.zeros(N)
+    i = rng.integers(N)
+    if kind == "zero":
+        im[rng.integers(N, size=3)] = -0.0
+    elif kind == "tiny":
+        im = rng.uniform(-1.0, 1.0, N) * spectral.REAL_HINT_TOL * top
+        im[i] = 1e-300
+    elif kind == "big":
+        im[i] = 10.0 ** rng.uniform(-9.5, 1.0) * top
+    else:
+        im[i] = float(kind)
+    return re, im, kind in ("zero", "tiny")
+
+
+_IM_CASES = dict(N=st.sampled_from([16, 64, 1024]), seed=st.integers(0, 2 ** 32 - 1),
+                 exponent=st.integers(-300, 300), nan_re=st.booleans(),
+                 kind=st.sampled_from(["zero", "tiny", "big", "nan", "inf", "-inf"]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_IM_CASES)
+def test_field_realness_rule(N, seed, exponent, kind, nan_re):
+    """Complex samples give a float64 Field with re's bits when im is at most
+    REAL_HINT_TOL max|f| and finite; anything else raises BadParameter."""
+    re, im, accepted = _im_case(N, seed, exponent, kind, nan_re)
+    samples = np.empty(N, dtype=complex)
+    samples.real, samples.imag = re, im
+    g = Grid(N, 1.0)
+    if accepted:
+        f = Field(g, samples)
+        assert f.samples.dtype == np.float64
+        assert np.array_equal(f.samples.view(np.uint64), re.view(np.uint64))
+    else:
+        with pytest.raises(BadParameter, match="real data"):
+            Field(g, samples)
+
+
+@settings(max_examples=80, deadline=None)
+@given(L=st.floats(0.1, 1e4), **_IM_CASES)
+def test_csv_im_realness_rule(N, L, seed, exponent, kind, nan_re):
+    """field_from_csv applies Field's rule to the im column: float64 with re's
+    bits, or BadParameter naming the file."""
+    re, im, accepted = _im_case(N, seed, exponent, kind, nan_re)
+    g = Grid(N, L)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "f.csv")
+        path.write_text("x,re,im\n" + "".join(
+            "%.17g,%.17g,%.17g\n" % row for row in zip(g.x, re, im)))
+        if accepted:
+            back = field_from_csv(path)
+            assert back.grid == g and back.samples.dtype == np.float64
+            assert np.array_equal(back.samples.view(np.uint64), re.view(np.uint64))
+        else:
+            with pytest.raises(BadParameter, match="f.csv: expected real data"):
+                field_from_csv(path)
 
 
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(4)
     g = Grid(128, 6.0)
-    f = random_field(g, rng, real=False)
+    f = random_field(g, rng)
     path = tmp_path / "f.csv"
     field_to_csv(f, path)
     back = field_from_csv(path)
@@ -332,16 +400,23 @@ def test_csv_float64_field_has_literal_zero_im_and_reads_back_float64(tmp_path):
 
 
 @pytest.mark.parametrize("im", [-0.0, 1e-300, np.nan, -np.inf])
-def test_csv_nonzero_im_reads_back_complex(tmp_path, im):
-    # one im value that is not +0.0 keeps the field complex, bit for bit
+def test_csv_nonzero_im_is_dropped_or_rejected(tmp_path, im):
+    # one im value that is not +0.0: a negligible one is dropped, keeping
+    # re's bits in a float64 field; a nan or inf one raises
     g = Grid(16, 1.0)
-    samples = np.linspace(-1.0, 1.0, g.N) + 0j
-    samples[5] = complex(samples[5].real, im)
+    re = np.linspace(-1.0, 1.0, g.N)
     path = tmp_path / "f.csv"
-    field_to_csv(Field(g, samples), path)
-    back = field_from_csv(path)
-    assert back.samples.dtype == np.complex128
-    assert np.array_equal(back.samples.view(np.uint64), samples.view(np.uint64))
+    field_to_csv(Field(g, re), path)
+    lines = path.read_text().splitlines()
+    lines[6] = lines[6][:-1] + "%.17g" % im     # row 5's literal 0
+    path.write_text("\n".join(lines) + "\n")
+    if np.isfinite(im):
+        back = field_from_csv(path)
+        assert back.samples.dtype == np.float64
+        assert np.array_equal(back.samples.view(np.uint64), re.view(np.uint64))
+    else:
+        with pytest.raises(BadParameter, match="real data"):
+            field_from_csv(path)
 
 
 _CSV_SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
@@ -351,37 +426,21 @@ _CSV_SPECIALS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
 @settings(max_examples=60, deadline=None)
 @given(N=st.sampled_from([16, 64, 512, 1024, 2048]),
        block_offset=st.sampled_from([None, -1, 0, 1]),
-       L=st.floats(0.1, 1e4), real=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
-       values=st.lists(st.sampled_from(_CSV_SPECIALS) | st.floats(), max_size=24),
-       im=st.sampled_from([None, "float64", 0.0, -0.0, np.nan]))
-def test_csv_bytes_match_per_row_reference(N, block_offset, L, real, seed, values, im):
+       L=st.floats(0.1, 1e4), seed=st.integers(0, 2 ** 32 - 1),
+       values=st.lists(st.sampled_from(_CSV_SPECIALS) | st.floats(), max_size=24))
+def test_csv_bytes_match_per_row_reference(N, block_offset, L, seed, values):
     """The block writer's bytes equal the per-row writer's for every field.
 
     block_offset None keeps CSV_BLOCK_ROWS (N = 16..512 below it, 1024 at it,
     2048 two blocks); -1/0/+1 set the block to N-1, N, N+1 rows, so the last
-    block holds 1 row, exactly fills, or is one row short.  im other than
-    None sets the im column to all +0.0 (written as the literal 0), then one
-    value to im: +0.0 again, or -0.0 or nan, which make the column formatted;
-    "float64" makes a float64 field of the real parts (no im array at all).
+    block holds 1 row, exactly fills, or is one row short.  The im column is
+    the literal 0, which the per-row writer's '%.17g' of +0.0 also gives.
     """
     rng = np.random.default_rng(seed)
     g = Grid(N, L)
     samples = rng.standard_normal(N) * 10.0 ** rng.integers(-300, 300, N)
-    if not real:
-        samples = samples + 1j * rng.standard_normal(N)
-    samples = samples.astype(complex)
-    for v in values:  # specials and arbitrary floats at random re/im positions
-        i = rng.integers(N)
-        if real or rng.random() < 0.5:
-            samples[i] = complex(v, samples[i].imag)
-        else:
-            samples[i] = complex(samples[i].real, v)
-    if im is not None:
-        samples.imag = 0.0
-        if im != "float64":
-            i = rng.integers(N)
-            samples[i] = complex(samples[i].real, im)
-    f = Field(g, samples.real if im == "float64" else samples)
+    samples[rng.integers(N, size=len(values))] = values  # specials, arbitrary floats
+    f = Field(g, samples)
     block = spectral.CSV_BLOCK_ROWS if block_offset is None else N + block_offset
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(spectral, "CSV_BLOCK_ROWS", block):
@@ -397,14 +456,12 @@ def test_csv_bytes_match_per_row_reference(N, block_offset, L, real, seed, value
        values=st.lists(st.sampled_from(_CSV_SPECIALS) | st.floats(allow_nan=False),
                        max_size=24))
 def test_csv_read_back_is_bitwise(N, L, seed, values):
-    """field_from_csv(field_to_csv(f)) has f's bits in re and im, including
-    nan, +-inf, -0.0 and subnormals in either part (nan as the '%g' text
-    can carry it: the quiet positive nan)."""
+    """field_from_csv(field_to_csv(f)) has f's bits, including nan, +-inf,
+    -0.0 and subnormals (nan as the '%g' text can carry it: the quiet
+    positive nan)."""
     rng = np.random.default_rng(seed)
-    samples = (rng.standard_normal(N) * 10.0 ** rng.integers(-300, 300, N)
-               + 1j * rng.standard_normal(N))
-    parts = samples.view(np.float64)        # re, im interleaved
-    parts[rng.integers(2 * N, size=len(values))] = values
+    samples = rng.standard_normal(N) * 10.0 ** rng.integers(-300, 300, N)
+    samples[rng.integers(N, size=len(values))] = values
     f = Field(Grid(N, L), samples)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "f.csv")
@@ -412,6 +469,15 @@ def test_csv_read_back_is_bitwise(N, L, seed, values):
         back = field_from_csv(path)
     assert back.grid == f.grid
     assert np.array_equal(back.samples.view(np.uint64), f.samples.view(np.uint64))
+
+
+def test_grid_memory_guard_boundary(monkeypatch):
+    # x takes 8N bytes: 512 at N = 64
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: 511)
+    with pytest.raises(BadParameter, match="512 bytes.*511 bytes of physical memory"):
+        Grid(64, 1.0)
+    monkeypatch.setattr(spectral, "_physical_memory", lambda: 512)
+    assert Grid(64, 1.0).x.nbytes == 512
 
 
 def test_wrap_contamination_estimate():
