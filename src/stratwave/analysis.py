@@ -378,7 +378,8 @@ def _weighted_sup(kf: KernelField, window: Tuple[float, float]) -> float:
 def kernel_report(kf: KernelField,
                   window: Optional[Tuple[float, float]] = None) -> dict:
     """Mass, tail slopes and |x|^{n+1} constants of a kernel on a window
-    (default: 10 core widths (eta t)^{1/m}, at least 5, to 0.45 L).
+    (default: 10 core widths (eta t)^{1/m}, at least 5, to 0.45 L; a
+    default that starts at or past 0.45 L raises BadParameter).
 
     max_rel_dev is the largest relative gap of |x|^{n+1} |K| from A(t);
     theory_applies is False when p is not C^{n-1} at 0.
@@ -387,6 +388,11 @@ def kernel_report(kf: KernelField,
     if window is None:
         window = (max(10.0 * (params.eta * kf.t) ** (1.0 / params.m), 5.0),
                   0.45 * grid.L)
+        if window[0] >= window[1]:
+            raise BadParameter(
+                f"the default window starts at {window[0]:.6g}, past 0.45 L = "
+                f"{window[1]:.6g}, for t = {kf.t} and L = {grid.L}; pass a "
+                f"window or a larger L")
     left, right = tail_exponent(kf.field, window)
     A = asymptotic_coefficient(kf.t, params)
     msk = window_mask(grid, window, "both")

@@ -34,17 +34,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, UnderResolved
-from .model import (DispersionSymbol, ModelParams, half_spectrum_multiplier,
-                    linear_multiplier)
+from .model import (MULTIPLIER_BLOCK, DispersionSymbol, ModelParams,
+                    half_spectrum_multiplier, linear_multiplier)
 from .spectral import Field, Grid, check_memory, from_half_spectrum, integral
 
 #: required ratio between Nyquist frequency and the spectral decay scale
 NYQUIST_FACTOR = 8.0
 
 #: peak bytes allocated per grid point by kernel_field and
-#: kernel_derivative_field: 3.5 x 8N, the bound tests/test_memory.py enforces
-#: (measured 3.0-3.23 x 8N for N = 2^16-2^19)
-KERNEL_PEAK_BYTES_PER_POINT = 28
+#: kernel_derivative_field: 2.1 x 8N rounded up, the bound tests/test_memory.py
+#: enforces (measured 2.00 x 8N for N = 2^16-2^19)
+KERNEL_PEAK_BYTES_PER_POINT = 17
+
+#: log of the largest float64: exp overflows above it
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 
 @dataclass
@@ -82,8 +85,9 @@ def _check_resolution(t: float, grid: Grid, params: ModelParams):
 
 def _half_kernel_hat(t: float, grid: Grid, sym: DispersionSymbol,
                      params: ModelParams) -> np.ndarray:
-    """Khat(t, xi_j) for j = 0..N/2; BadParameter when t is not finite or L
-    is not Hermitian.
+    """Khat(t, xi_j) for j = 0..N/2; BadParameter when t is not finite, when
+    L is not Hermitian, or when exp(Re L(xi_j) t) would overflow float64
+    (checked before the exponential).
 
     Raises BadParameter before allocating when the kernel build's estimated
     peak exceeds physical memory.
@@ -94,6 +98,11 @@ def _half_kernel_hat(t: float, grid: Grid, sym: DispersionSymbol,
                  f"{KERNEL_PEAK_BYTES_PER_POINT} bytes per grid point)")
     khat = half_spectrum_multiplier(grid, sym, params)
     khat *= t
+    growth = float(np.max(khat.real))
+    if growth > _LOG_FLOAT_MAX:
+        raise BadParameter(
+            f"t = {t} overflows the kernel: max Re L(xi) t = {growth:.6g}, "
+            f"above log(float64 max) = {_LOG_FLOAT_MAX:.6g}")
     return np.exp(khat, out=khat)
 
 
@@ -114,7 +123,9 @@ def kernel_derivative_field(t: float, grid: Grid, sym: DispersionSymbol,
                             params: ModelParams) -> Field:
     """d_x K(t, .): inverse transform of (i xi) Khat; tail ~ |x|^-(n+2)."""
     khat = _half_kernel_hat(t, grid, sym, params)
-    khat *= 1j * (grid.dxi * np.arange(khat.size))
+    for start in range(0, khat.size, MULTIPLIER_BLOCK):
+        stop = min(start + MULTIPLIER_BLOCK, khat.size)
+        khat[start:stop] *= 1j * (grid.dxi * np.arange(start, stop))
     return from_half_spectrum(grid, khat)
 
 

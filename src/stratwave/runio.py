@@ -168,10 +168,6 @@ class RunDirectory:
         self._start = time.time()
         self.outputs = []
 
-    @property
-    def path(self) -> Path:
-        return self._tmp
-
     def register(self, relname: str) -> Path:
         """Declare an output file (hashed into the manifest at commit)."""
         self.outputs.append(relname)

@@ -20,6 +20,7 @@ their measurement windows wrap-safe (see wrap_contamination).
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -162,10 +163,15 @@ def from_half_spectrum(grid: Grid, coeffs: np.ndarray) -> Field:
     """The inverse transform of the Hermitian spectrum whose j = 0..N/2 half
     is coeffs.
 
-    The result is real by construction (irfft); the imaginary parts of
-    coeffs at j = 0 and N/2 are ignored.
+    Consumes coeffs: the (-1)^j phase is applied to it in place, so callers
+    pass a temporary.  The result is real by construction (irfft); the
+    imaginary parts of coeffs at j = 0 and N/2 are ignored.
     """
-    samples = np.fft.irfft(coeffs * _half_sign(grid), n=grid.N)
+    # complex products by +-1 on every mode, even ones included, give the
+    # bits (signed zeros, inf and nan) of a product with a (-1)^j array
+    coeffs[0::2] *= 1 + 0j
+    coeffs[1::2] *= -1 + 0j
+    samples = np.fft.irfft(coeffs, n=grid.N)
     samples /= grid.dx
     return Field(grid=grid, samples=samples)
 
@@ -209,8 +215,9 @@ def wrap_contamination(grid: Grid, x_edge: float, exponent: float) -> float:
 # Serialization: CSV (x, re, im)
 # ---------------------------------------------------------------------------
 
-#: rows formatted per '%' operation and written per call in CSV output; the
-#: text and value buffers stay a few hundred kB whatever the field size
+#: rows per block in CSV output (formatted per '%' operation, written per
+#: call) and input (lines parsed per loadtxt call); the text and value
+#: buffers stay a few hundred kB whatever the field size
 CSV_BLOCK_ROWS = 1024
 
 
@@ -242,40 +249,117 @@ def field_to_csv(f: Field, path) -> None:
     _write_csv(path, "x,re,im", (f.grid.x, f.samples, None))
 
 
+def _line_blocks(fh):
+    """The lines of an open text file, CSV_BLOCK_ROWS lines at a time."""
+    while lines := list(itertools.islice(fh, CSV_BLOCK_ROWS)):
+        yield lines
+
+
+def _count_rows(path, fh) -> int:
+    """The rows after the header line: the lines that are not blank.
+
+    Counts newline bytes, 64 kB at a time; a file with a carriage return or
+    a blank line, which text mode translates or skips, is counted on the
+    lines of fh (the file open as text, after its header) instead.
+    """
+    with open(path, "rb") as raw:
+        if b"\r" not in raw.readline():
+            rows, prev = 0, True             # whether the last byte was "\n"
+            while chunk := raw.read(1 << 16):
+                newline = np.frombuffer(chunk, np.uint8) == ord("\n")
+                if (b"\r" in chunk or (prev and newline[0])
+                        or (newline[1:] & newline[:-1]).any()):
+                    break
+                rows += int(np.count_nonzero(newline))
+                prev = bool(newline[-1])
+            else:
+                return rows + (not prev)
+    return sum(len(lines) - lines.count("\n") for lines in _line_blocks(fh))
+
+
 def field_from_csv(path, grid: Optional[Grid] = None) -> Field:
     """Read a field written by field_to_csv; the grid is inferred from x.
 
-    The re column's bits are kept (-0.0, nan and inf included).  An im
-    column of +0.0 only is skipped; any other goes through Field's realness
-    rule, so a negligible im (such as the rounding noise of kernels written
-    before they were built by irfft) is dropped, and a significant, nan or
-    inf one raises BadParameter.  A non-numeric value or a ragged row raises
-    BadParameter; an x column that is not the grid's (to 1e-12 L) raises
-    GridMismatch.
+    The file is a header line, then one 'x,re,im' row per grid point; blank
+    lines are skipped, and a '#' is not a comment.  The re column's bits
+    are kept (-0.0, nan and inf included).  An im column of +0.0 only is
+    skipped; any other goes through Field's realness rule, so a negligible
+    im (such as the rounding noise of kernels written before they were
+    built by irfft) is dropped, and a significant, nan or inf one raises
+    BadParameter.  A non-numeric value or a ragged row raises BadParameter;
+    an x column that is not the grid's (to 1e-12 L) raises GridMismatch.
+
+    The rows are counted first, then parsed CSV_BLOCK_ROWS lines at a time
+    into the samples, each block's x checked against the grid's; only the
+    samples, the grid's x and one block are held.  Every row is parsed
+    before any error but a parse error is raised, so the errors come in the
+    order of a whole-table read: a bad value or ragged row, the column
+    count, the grid, the row count, then the x column.
     """
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-    except ValueError as exc:
+        with open(path) as fh:
+            return _read_field_csv(fh, path, grid)
+    except ValueError as exc:    # a bad value or byte, or a ragged row
         raise BadParameter(f"{path}: not a numeric (x, re, im) CSV: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != 3:
+
+
+def _read_field_csv(fh, path, grid: Optional[Grid]) -> Field:
+    fh.readline()                                        # the header
+    body = fh.tell()
+    rows = _count_rows(path, fh)
+    fh.seek(body)
+    width = problem = samples = im = None
+    start, line = 0, 2                         # the first row and line of a block
+    for lines in _line_blocks(fh):
+        if lines[0] == "\n" and lines.count("\n") == len(lines):
+            line += len(lines)                 # blank lines only: no rows
+            continue
+        try:
+            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (rows counted from line {line})") from exc
+        if width is None:
+            width = block.shape[1]
+            if width == 3 and rows > 1:
+                try:
+                    if grid is None:
+                        grid = Grid(rows, -block[0, 0])
+                    if grid.N != rows:
+                        raise GridMismatch(f"{path}: CSV has {rows} rows, "
+                                           f"{grid!r} has {grid.N}")
+                except (BadParameter, GridMismatch) as exc:
+                    problem = exc
+                else:
+                    samples = np.empty(rows)
+        elif block.shape[1] != width:
+            raise ValueError(f"the number of columns changed from {width} to "
+                             f"{block.shape[1]} in the lines from line {line}")
+        stop = start + len(block)
+        if problem is None and samples is not None:
+            gap = block[:, 0] - grid.x[start:stop]
+            np.abs(gap, out=gap)
+            if not gap.max() <= 1e-12 * grid.L:          # nan included
+                problem = GridMismatch(f"{path}: CSV x column does not match {grid!r}")
+            samples[start:stop] = block[:, 1]
+            if im is None and block[:, 2].view(np.uint64).any():    # not +0.0
+                im = np.zeros(rows)
+            if im is not None:
+                im[start:stop] = block[:, 2]
+        start = stop
+        line += len(lines)
+    if width != 3 or rows < 2:
         raise BadParameter(f"{path}: expected 3 columns (x, re, im)")
-    x = data[:, 0]
-    if grid is None:
-        grid = Grid(len(x), -x[0])
-    if grid.N != len(x):
-        raise GridMismatch(f"{path}: CSV has {len(x)} rows, {grid!r} has {grid.N}")
-    gap = x - grid.x            # one buffer, freed before samples is allocated
-    np.abs(gap, out=gap)
-    if not np.all(gap <= 1e-12 * grid.L):
-        raise GridMismatch(f"{path}: CSV x column does not match {grid!r}")
-    del gap
-    if not data[:, 2].view(np.uint64).any():     # im all +0.0
-        return Field(grid=grid, samples=data[:, 1])
-    # column by column, so re keeps its bits (no re + 1j*im)
-    samples = np.empty(grid.N, dtype=np.complex128)
-    samples.real = data[:, 1]
-    samples.imag = data[:, 2]
-    try:
+    if problem is not None:
+        raise problem
+    if im is None:
         return Field(grid=grid, samples=samples)
+    # column by column, so re keeps its bits (no re + 1j*im)
+    full = np.empty(grid.N, dtype=np.complex128)
+    full.real = samples
+    del samples
+    full.imag = im
+    del im
+    try:
+        return Field(grid=grid, samples=full)
     except BadParameter as exc:
         raise BadParameter(f"{path}: {exc}") from exc

@@ -259,6 +259,45 @@ def csv_reference(f, path) -> None:
             fh.write(f"{xv:.17g},{sv.real:.17g},{sv.imag:.17g}\n")
 
 
+def csv_read_reference(path, grid=None):
+    """The whole-table CSV reader: one np.loadtxt of the N x 3 table.
+
+    Kept verbatim as the reference for the block reader field_from_csv,
+    which must give the same bits, or the same exception type and message
+    prefix, on every file but one with a '#' (a comment here, a bad value
+    there).
+    """
+    from stratwave.errors import BadParameter, GridMismatch
+    from stratwave.spectral import Field, Grid
+
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except ValueError as exc:
+        raise BadParameter(f"{path}: not a numeric (x, re, im) CSV: {exc}") from exc
+    if data.ndim != 2 or data.shape[1] != 3:
+        raise BadParameter(f"{path}: expected 3 columns (x, re, im)")
+    x = data[:, 0]
+    if grid is None:
+        grid = Grid(len(x), -x[0])
+    if grid.N != len(x):
+        raise GridMismatch(f"{path}: CSV has {len(x)} rows, {grid!r} has {grid.N}")
+    gap = x - grid.x            # one buffer, freed before samples is allocated
+    np.abs(gap, out=gap)
+    if not np.all(gap <= 1e-12 * grid.L):
+        raise GridMismatch(f"{path}: CSV x column does not match {grid!r}")
+    del gap
+    if not data[:, 2].view(np.uint64).any():     # im all +0.0
+        return Field(grid=grid, samples=data[:, 1])
+    # column by column, so re keeps its bits (no re + 1j*im)
+    samples = np.empty(grid.N, dtype=np.complex128)
+    samples.real = data[:, 1]
+    samples.imag = data[:, 2]
+    try:
+        return Field(grid=grid, samples=samples)
+    except BadParameter as exc:
+        raise BadParameter(f"{path}: {exc}") from exc
+
+
 def energy_csv_reference(traj, path) -> None:
     """The per-row energy.csv writer of `stratwave simulate`, kept verbatim."""
     with open(path, "w") as fh:

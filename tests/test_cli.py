@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import csv_reference, energy_csv_reference, kernel_reference
 import stratwave
 from stratwave import Field, Grid, SolverConfig, field_to_csv, preset, solve
 from stratwave.cli import EXPERIMENT_SCHEMA, EXPERIMENTS, main
+from stratwave.errors import NonFinite
 from stratwave.runio import sha256_file, validate_config
 from stratwave.solver import datum_from_config
 
@@ -86,6 +88,26 @@ def test_kernel_rejects_out_that_its_report_would_overwrite(tmp_path, ost_config
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("t,names", [
+    ("1e6", "overflows"), ("1e300", "overflows"),   # exp(Re L t) > float64 max
+    ("1e3", "default window"),                      # starts past 0.45 L
+])
+def test_kernel_rejects_t_too_large_for_the_box(tmp_path, ost_config, capsys, t, names):
+    # both used to print numpy RuntimeWarnings or a window error naming
+    # neither t nor L
+    out = tmp_path / "k.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--out", str(out), "kernel", "--config", ost_config,
+                   "--t", t, "--grid", "N=256,L=10"])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error [BadParameter]")
+    assert names in lines[0] and f"t = {float(t)}" in lines[0]
+    assert "L = 10.0" in lines[0] or names == "overflows"
+    assert not out.exists()
+
+
 def test_kernel_rejects_invalid_n(tmp_path, capsys):
     cfg = write_json(tmp_path / "bad.json",
                      {"symbol": {"kind": "kdv"}, "m": 2, "n": 5, "k": 1,
@@ -152,6 +174,40 @@ def test_simulate_refuses_existing_dir(tmp_path, ost_config, gauss_datum, capsys
                "--grid", "N=1024,L=50"])
     assert rc == 1
     assert not list(out.iterdir())  # nothing partial
+
+@pytest.mark.parametrize("failures", [1, 3])
+def test_simulate_halves_dt_after_non_finite(tmp_path, ost_config, gauss_datum,
+                                             capsys, monkeypatch, failures):
+    # the first `failures` solves blow up: one is retried at dt/2, three
+    # exhaust the two retries
+    import stratwave.cli as cli_module
+
+    dts = []
+
+    def blow_up_first(sym, params, u0, cfg):
+        dts.append(cfg.dt)
+        if len(dts) <= failures:
+            raise NonFinite("non-finite state", t=0.01)
+        return solve(sym, params, u0, cfg)
+
+    monkeypatch.setattr(cli_module, "solve", blow_up_first)
+    out = tmp_path / "run"
+    rc = main(["--out", str(out), "simulate", "--config", ost_config,
+               "--datum", gauss_datum, "--T", "0.02", "--dt", "0.01",
+               "--grid", "N=256,L=20"])
+    captured = capsys.readouterr()
+    retries = captured.out.count("instability at t=0.01; retrying with dt=")
+    assert retries == min(failures, 2)
+    if failures == 1:
+        assert rc == 0 and dts == [0.01, 0.005]
+        manifest = json.loads((out / "run.json").read_text())
+        assert manifest["diagnostics"]["dt_used"] == 0.005
+        assert manifest["diagnostics"]["n_steps"] == 4
+    else:
+        assert rc == 1 and dts == [0.01, 0.005, 0.0025]
+        assert captured.err == "error [NonFinite]: non-finite state\n"
+        assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
 
 def test_simulate_deterministic_outputs(tmp_path, ost_config, gauss_datum):
     outs = []
@@ -269,6 +325,20 @@ def test_decay_fit_command(tmp_path, ost_config, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["right"]["exponent"] == pytest.approx(2.0, abs=0.15)
     assert report["left"]["valid"] is True
+
+
+def test_decay_fit_out_writes_the_printed_report(tmp_path, ost_config, capsys):
+    kernel = tmp_path / "kernel.csv"
+    assert main(["--quiet", "--out", str(kernel), "kernel", "--config", ost_config,
+                 "--t", "1.0", "--grid", "N=16384,L=200", "--window", "15", "90"]) == 0
+    fit = tmp_path / "fit.json"
+    rc = main(["--out", str(fit), "decay-fit", "--in", str(kernel), "--window", "15,90"])
+    assert rc == 0
+    assert fit.read_text() == capsys.readouterr().out
+    report = json.loads(kernel.with_suffix(".json").read_text())
+    for side in ("left", "right"):
+        assert json.loads(fit.read_text())[side]["exponent"] == pytest.approx(
+            -report[f"tail_slope_{side}"], rel=1e-12)
 
 
 @pytest.mark.parametrize("bad_line,error", [
@@ -405,6 +475,21 @@ def test_acceptance_unknown_id_skipped(tmp_path, capsys):
     summary = json.loads(out.read_text())
     assert summary["skipped"] == ["NO-SUCH-ID"]
     assert summary["n_passed"] == 1
+
+
+def test_acceptance_threads_give_the_serial_summary(tmp_path):
+    # K-MASS and K-SEMI build kernels and convolve on two threads at once
+    summaries = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"summary{threads}.json"
+        assert main(["--quiet", "--threads", threads, "--out", str(out), "acceptance",
+                     "--only", "K-MASS", "K-SEMI"]) == 0
+        summary = json.loads(out.read_text())
+        for result in summary["results"]:
+            del result["seconds"]
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
+    assert [r["id"] for r in summaries[0]["results"]] == ["K-MASS", "K-SEMI"]
 
 
 @pytest.mark.parametrize("selection", [
@@ -645,7 +730,7 @@ def test_simulate_picard_memory_guard(tmp_path, capsys, monkeypatch, ost_config,
 
 def test_kernel_memory_guard(tmp_path, capsys, monkeypatch, ost_config):
     import stratwave.spectral as spectral_module
-    # room for the grid's 8192 bytes, not for the kernel build's 28 x 1024
+    # room for the grid's 8192 bytes, not for the kernel build's 17 x 1024
     monkeypatch.setattr(spectral_module, "_physical_memory", lambda: 9000)
     out = tmp_path / "kernel.csv"
     rc = main(["--quiet", "--out", str(out), "kernel", "--config", ost_config,

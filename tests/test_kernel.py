@@ -116,16 +116,17 @@ def test_under_resolved_guard():
 def test_kernel_memory_guard_raises_before_allocating(monkeypatch, build):
     sym, params = preset("ost")
     g = Grid(2 ** 10, 50.0)
-    # 28 bytes per point at N = 1024 is an estimate of 28672 bytes
-    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: 28671)
+    # 17 bytes per point at N = 1024 is an estimate of 17408 bytes
+    need = kernel_module.KERNEL_PEAK_BYTES_PER_POINT * g.N
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: need - 1)
 
     def no_multiplier(*args, **kwargs):
         raise AssertionError("allocated before the memory check")
 
     monkeypatch.setattr(kernel_module, "half_spectrum_multiplier", no_multiplier)
-    with pytest.raises(BadParameter, match="28672 bytes.*28671 bytes"):
+    with pytest.raises(BadParameter, match=f"{need} bytes.*{need - 1} bytes"):
         build(1.0, g, sym, params)
-    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: 28672)
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="before the memory check"):
         build(1.0, g, sym, params)
 

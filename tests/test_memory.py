@@ -57,8 +57,9 @@ def test_half_spectrum_multiplier_peak(N):
 @pytest.mark.parametrize("build", [kernel_field, kernel_derivative_field])
 @pytest.mark.parametrize("N", SIZES)
 def test_kernel_build_peak(N, build):
-    # Khat 1.0 + its (-1)^j-signed copy 1.0 + the float64 samples 1.0
-    bound = 3.5
+    # Khat 1.0, phased in place, + the float64 samples 1.0; measured 2.003
+    # (2^16) and 2.001 (2^18), 3.0 with a signed copy and a sign array
+    bound = 2.1
     assert peak_units(N, build, 1.0, grid_of(N), SYM, PARAMS) <= bound
     # the memory guard's estimate covers the measured peak
     assert KERNEL_PEAK_BYTES_PER_POINT >= 8 * bound
@@ -66,11 +67,12 @@ def test_kernel_build_peak(N, build):
 
 @pytest.mark.parametrize("N", SIZES)
 def test_field_from_csv_peak(N, tmp_path):
-    # the loadtxt N x 3 table 3.0 + the grid's x 1.0 + the float64 samples
-    # 1.0 (the kernel's im column is all 0)
+    # the inferred grid's x 1.0 + the float64 samples 1.0 (the kernel's im
+    # column is all 0) + one block of lines and parsed rows, 0.50 at 2^16 and
+    # 0.13 at 2^18; 5.13-5.26 with the whole N x 3 table
     path = tmp_path / "kernel.csv"
     field_to_csv(kernel_field(1.0, grid_of(N), SYM, PARAMS).field, path)
-    assert peak_units(N, field_from_csv, path) <= 5.5
+    assert peak_units(N, field_from_csv, path) <= 2.6
 
 
 def test_solve_peak():

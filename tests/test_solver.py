@@ -460,6 +460,24 @@ def test_picard_no_contraction_for_large_data():
                      SolverConfig(dt=5e-3, T=0.5))
 
 
+def test_picard_non_finite_update_counts_as_infinite(monkeypatch):
+    # a nan update norm is an infinite one: its contraction factors are inf,
+    # three in a row raise, and a final one is reported as inf
+    sym, params = preset("ost")
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), Grid(2 ** 10, 50.0))
+    cfg = SolverConfig(dt=1e-2, T=0.1)
+    for norms in ([1.0, np.nan], [1.0, np.nan, np.nan, np.nan]):
+        monkeypatch.setattr(solver_module, "_picard_sweeps",
+                            lambda prop, traj, norms=norms: iter(norms))
+        if len(norms) == 2:
+            _, report = picard_solve(sym, params, u0, cfg)
+            assert report["contraction_factors"] == [np.inf]
+            assert report["final_update"] == np.inf and not report["converged"]
+        else:
+            with pytest.raises(NoContraction, match=r"\[inf, inf, inf\]"):
+                picard_solve(sym, params, u0, cfg)
+
+
 @pytest.mark.parametrize("name,linear_only", [
     ("ost", False), ("gost", False), ("bo_perturbed", False), ("chen_lee", False),
     ("dgbo_perturbed", False), ("ost", True)])

@@ -1,5 +1,6 @@
 import math
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -7,14 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import (convolve_reference, csv_reference, dealias, derivative, fft_j,
-                     fft_xi, hilbert, to_physical)
+from oracles import (convolve_reference, csv_read_reference, csv_reference, dealias,
+                     derivative, fft_j, fft_xi, hilbert, to_physical)
 from stratwave import (EtdPropagator, Field, Grid, GridMismatch, convolve,
                        field_from_csv, field_to_csv, integral, preset,
                        wrap_contamination)
 from stratwave import spectral
 from stratwave.errors import BadParameter
-from stratwave.spectral import dealias_keep, to_spectral
+from stratwave.spectral import dealias_keep, from_half_spectrum, to_spectral
 
 _PRESETS = ["ost", "gost", "bo_perturbed", "chen_lee", "dgbo_perturbed"]
 
@@ -265,6 +266,38 @@ def test_half_spectrum_round_trip_band_limited(name, N, L, seed):
     assert np.max(np.abs(prop.forward(back) - uhat)) <= 1e-12 * np.max(np.abs(uhat))
 
 
+def _same_bits(a, b):
+    """Equal bits, except that any nan matches any nan."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64)))
+
+
+_PHASE_SPECIALS = [0.0, -0.0, 5e-324, -1e308, np.inf, -np.inf, np.nan]
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from([16, 64, 1024]), L=st.floats(0.5, 100.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       specials=st.lists(st.tuples(st.sampled_from(_PHASE_SPECIALS),
+                                   st.sampled_from(_PHASE_SPECIALS)), max_size=6))
+def test_from_half_spectrum_phases_in_place_like_a_sign_array(N, L, seed, specials):
+    """The in-place (-1)^j phase leaves in its argument the bits of the
+    product with a float (-1)^j array that it replaced (signed zeros, inf
+    and nan too), so the samples have that product's bits."""
+    rng = np.random.default_rng(seed)
+    g = Grid(N, L)
+    coeffs = rng.standard_normal(N // 2 + 1) + 1j * rng.standard_normal(N // 2 + 1)
+    coeffs[rng.integers(N // 2 + 1, size=len(specials))] = [complex(*c) for c in specials]
+    with np.errstate(all="ignore"):
+        signed = coeffs * np.where(np.arange(N // 2 + 1) % 2, -1.0, 1.0)
+        ref = np.fft.irfft(signed, n=N)
+        ref /= g.dx
+        got = from_half_spectrum(g, coeffs).samples
+    assert _same_bits(coeffs.view(np.float64), signed.view(np.float64))
+    assert _same_bits(got, ref)
+
+
 # ---------------------------------------------------------------------------
 # field container and serialization
 # ---------------------------------------------------------------------------
@@ -473,6 +506,128 @@ def test_csv_read_back_is_bitwise(N, L, seed, values):
         back = field_from_csv(path)
     assert back.grid == f.grid
     assert np.array_equal(back.samples.view(np.uint64), f.samples.view(np.uint64))
+
+
+def _read_outcome(read, path, grid):
+    """What read(path, grid) gives: the grid and the samples' dtype and bits,
+    or the exception type and its message up to any numpy parser detail."""
+    try:
+        f = read(path, grid)
+    except (BadParameter, GridMismatch) as exc:
+        return type(exc), str(exc).split(" CSV: ")[0]
+    return f.grid, f.samples.dtype, f.samples.tobytes()
+
+
+_CSV_FAULTS = ["truncate", "extra", "wrong_L", "spacing", "im", "cell", "ragged",
+               "columns", "space", "blank"]
+
+
+def _faulty_csv(N, L, seed, faults, newline):
+    """A field_to_csv file of N rows on Grid(N, L), with the given faults
+    (any of _CSV_FAULTS, each at a random row) and line ending ("mixed": a
+    random one per line)."""
+    rng = np.random.default_rng(seed)
+    x = Grid(N, L).x
+    if "spacing" in faults:
+        x = Grid(2 * N, L).x[:N]
+    if "wrong_L" in faults:
+        x = Grid(N, L * (1.0 + 10.0 ** rng.uniform(-12.5, -2))).x
+    rows = [["%.17g" % v for v in (xv, re)] + ["0"]
+            for xv, re in zip(x, rng.standard_normal(N))]
+    i = int(rng.integers(N))
+    if "im" in faults:
+        rows[i][2] = "%.17g" % rng.choice([-0.0, 1e-300, np.nan, np.inf, -np.inf])
+    if "cell" in faults:
+        # "\udcff" is written as the byte 0xff, which is not UTF-8
+        rows[i][rng.integers(3)] = str(rng.choice(["abc", "", "1_0", "0x10", "--1",
+                                                   "\udcff"]))
+    if "ragged" in faults:
+        rows[i] = rows[i][:2] if rng.integers(2) else rows[i] + ["0"]
+    if "columns" in faults:
+        rows = [row[:2] if i % 2 else row + ["0"] for row in rows]
+    if "space" in faults:
+        rows[i] = [" "]
+    if "truncate" in faults:
+        rows.pop()
+    if "extra" in faults:
+        rows.append(["%.17g" % L, "1", "0"])
+    lines = [",".join(row) for row in rows]
+    if "blank" in faults:
+        for k in sorted(rng.integers(len(lines) + 1, size=4), reverse=True):
+            lines.insert(k, "")
+    if newline == "mixed":
+        ends = rng.choice(["\n", "\r\n", "\r"], size=len(lines) + 1)
+        return "".join(a + b for a, b in zip(["x,re,im"] + lines, ends))
+    return newline.join(["x,re,im"] + lines) + newline * int(rng.integers(2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=st.sampled_from([16, 32, 64]), L=st.floats(0.1, 1e4),
+       seed=st.integers(0, 2 ** 32 - 1),
+       faults=st.lists(st.sampled_from(_CSV_FAULTS), max_size=2, unique=True),
+       newline=st.sampled_from(["\n", "\r\n", "\r", "mixed"]),
+       block=st.sampled_from([None, -1, 0, 1, 7]), given_grid=st.booleans())
+@example(N=16, L=1.0, seed=0, faults=[], newline="\n", block=None, given_grid=False)
+def test_csv_block_reader_matches_whole_table_reference(N, L, seed, faults, newline,
+                                                        block, given_grid):
+    """field_from_csv gives the whole-table reader's bits, or its exception
+    type and message, on valid files and on files with a row missing or
+    extra, a wrong L or spacing, an im of -0.0, 1e-300, nan or +-inf, a bad
+    cell or byte, a ragged row, 2 or 4 columns throughout, a
+    whitespace-only line, blank lines, and LF, CRLF, CR or mixed line
+    endings.
+
+    block -1/0/+1 sets CSV_BLOCK_ROWS to N-1, N or N+1 (so the N rows are
+    one block plus one row, exactly one block, or one row short of it), 7
+    splits them into many blocks, None keeps the default.
+    """
+    text = _faulty_csv(N, L, seed, faults, newline)
+    grid = Grid(N, L) if given_grid else None
+    size = spectral.CSV_BLOCK_ROWS if block is None else (7 if block == 7 else N + block)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(spectral, "CSV_BLOCK_ROWS", size):
+        path = Path(tmp, "f.csv")
+        path.write_bytes(text.encode(errors="surrogateescape"))
+        expected = _read_outcome(csv_read_reference, path, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _read_outcome(field_from_csv, path, grid) == expected
+
+
+@pytest.mark.parametrize("text", ["", "x,re,im\n", "x,re,im\n\n\n", "x,re,im\n-1,0,0\n",
+                                  "x,re,im\n-1,0,0", "x,re,im\n-1,0\n0,0\n"])
+@pytest.mark.parametrize("given_grid", [False, True])
+def test_csv_block_reader_matches_reference_on_short_files(tmp_path, text, given_grid):
+    # no row, or one: BadParameter "expected 3 columns", as from the
+    # whole-table reader, whose loadtxt warns about an empty file
+    path = tmp_path / "f.csv"
+    path.write_text(text)
+    grid = Grid(16, 1.0) if given_grid else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        expected = _read_outcome(csv_read_reference, path, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _read_outcome(field_from_csv, path, grid) == expected
+    assert expected == (BadParameter, f"{path}: expected 3 columns (x, re, im)")
+
+
+@pytest.mark.parametrize("own_line", [True, False])
+def test_csv_hash_is_not_a_comment(tmp_path, own_line):
+    # field_to_csv never writes a '#'; the reader parses it as a value, on a
+    # line of its own or after a row
+    g = Grid(16, 1.0)
+    path = tmp_path / "f.csv"
+    field_to_csv(Field(g, np.zeros(g.N)), path)
+    lines = path.read_text().splitlines()
+    if own_line:
+        lines.insert(3, "# a comment")
+    else:
+        lines[3] += " # a comment"
+    path.write_text("\n".join(lines) + "\n")
+    assert csv_read_reference(path).grid == g
+    with pytest.raises(BadParameter, match="not a numeric"):
+        field_from_csv(path)
 
 
 def test_grid_memory_guard_boundary(monkeypatch):
