@@ -42,6 +42,17 @@ from .spectral import (Field, Grid, from_half_spectrum, half_spectrum, integral,
 
 MIN_POINTS_PER_DECADE = 30
 
+#: lower_bound_check passes when every outermost-window ratio lies in this band
+LOWER_BOUND_BAND = (0.5, 2.0)
+
+#: weighted_persistence_experiment: log-spaced sample times in (0, T], and the
+#: least small-t log-log slope of t^alpha ||u(t)||_w that counts as bounded
+PERSISTENCE_SAMPLES = 25
+PERSISTENCE_SLOPE_FLOOR = -0.05
+
+#: kernel_report refuses a kernel whose mass is further than this from 1
+KERNEL_MASS_TOL = 1e-6
+
 
 def window_mask(grid: Grid, window: Tuple[float, float], side: str) -> np.ndarray:
     """Samples with a <= x <= b ("right"), -b <= x <= -a ("left") or either ("both").
@@ -228,13 +239,12 @@ def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams,
 
 
 def lower_bound_check(u: Field, t: float, params: ModelParams, u0_mean: float,
-                      windows: Optional[Sequence[Tuple[float, float]]] = None,
-                      band: Tuple[float, float] = (0.5, 2.0)) -> dict:
+                      windows: Optional[Sequence[Tuple[float, float]]] = None) -> dict:
     """Optimal-decay lower bound: r(x) = |x|^{n+1} |u| / (A(t) |int u0|).
 
-    Passes when r stays inside `band` across the outermost window.  The
-    ratio_series carries the median r per nested window (outward windows
-    approach 1 under linear-only evolution).
+    Passes when r stays inside LOWER_BOUND_BAND across the outermost
+    window.  The ratio_series carries the median r per nested window
+    (outward windows approach 1 under linear-only evolution).
     """
     if u0_mean == 0:
         raise ZeroMean("lower bound requires a datum with nonzero integral")
@@ -251,7 +261,8 @@ def lower_bound_check(u: Field, t: float, params: ModelParams, u0_mean: float,
         r = np.abs(grid.x[msk]) ** (params.n + 1) * np.abs(u.samples[msk]) / (A * abs(u0_mean))
         ratio_series.append(float(np.median(r)))
     # r now holds the outermost window's ratios
-    passes = bool(band[0] <= float(np.min(r)) and float(np.max(r)) <= band[1])
+    lo, hi = LOWER_BOUND_BAND
+    passes = bool(lo <= float(np.min(r)) and float(np.max(r)) <= hi)
     return {
         "ratio_series": ratio_series,
         "outer_ratio_median": ratio_series[-1],
@@ -265,12 +276,13 @@ def lower_bound_check(u: Field, t: float, params: ModelParams, u0_mean: float,
 
 def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
                                     u0: Field, p: float, gamma: float, T: float,
-                                    dt: float = 1e-3, n_samples: int = 25,
-                                    slope_floor: float = -0.05) -> dict:
-    """Sample t^alpha ||u(t)||_{L^p_w} on a log t grid in (0, T].
+                                    dt: float = 1e-3) -> dict:
+    """Sample t^alpha ||u(t)||_{L^p_w} at PERSISTENCE_SAMPLES log-spaced
+    times in (0, T].
 
-    bounded = finite sup and small-t log-slope >= slope_floor.  The fitted
-    prefactor sup_t q(t) / ||u0||_w is reported as fitted_C (diagnostic).
+    bounded = finite sup and small-t log-slope >= PERSISTENCE_SLOPE_FLOOR.
+    The fitted prefactor sup_t q(t) / ||u0||_w is reported as fitted_C
+    (diagnostic).
     """
     if not 0 < gamma < 1:
         raise BadParameter("persistence weight gamma must be in (0, 1)")
@@ -280,9 +292,8 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
     w = Weight(gamma)
     alpha = params.alpha
     n_steps = step_count(T, dt)
-    targets = set(np.clip(
-        np.round(np.logspace(0.0, math.log10(n_steps), n_samples)).astype(int),
-        1, n_steps).tolist())
+    steps = np.logspace(0.0, math.log10(n_steps), PERSISTENCE_SAMPLES)
+    targets = set(np.clip(np.round(steps).astype(int), 1, n_steps).tolist())
 
     prop = EtdPropagator(grid, sym, params, dt)
     ts, qs = [], []
@@ -302,7 +313,7 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
                  if np.sum(low) >= 2 else 0.0)
     else:
         slope = 0.0
-    bounded = bool(np.isfinite(sup_q) and slope >= slope_floor)
+    bounded = bool(np.isfinite(sup_q) and slope >= PERSISTENCE_SLOPE_FLOOR)
     return {
         "times": ts.tolist(),
         "weighted_series": qs.tolist(),
@@ -382,7 +393,9 @@ def kernel_report(kf: KernelField,
     default that starts at or past 0.45 L raises BadParameter).
 
     max_rel_dev is the largest relative gap of |x|^{n+1} |K| from A(t);
-    theory_applies is False when p is not C^{n-1} at 0.
+    theory_applies is False when p is not C^{n-1} at 0.  A kernel whose
+    mass is not 1 to KERNEL_MASS_TOL (its core has outgrown the box, or t
+    is too large for float64) raises BadParameter before any fit.
     """
     grid, params = kf.field.grid, kf.params
     if window is None:
@@ -393,6 +406,11 @@ def kernel_report(kf: KernelField,
                 f"the default window starts at {window[0]:.6g}, past 0.45 L = "
                 f"{window[1]:.6g}, for t = {kf.t} and L = {grid.L}; pass a "
                 f"window or a larger L")
+    if not abs(kf.mass - 1.0) <= KERNEL_MASS_TOL:
+        raise BadParameter(
+            f"the kernel at t = {kf.t} has mass {kf.mass:.6g}, not 1 to "
+            f"{KERNEL_MASS_TOL:g}, on L = {grid.L}: its samples mean nothing; "
+            f"use a smaller t or a larger L")
     left, right = tail_exponent(kf.field, window)
     A = asymptotic_coefficient(kf.t, params)
     msk = window_mask(grid, window, "both")

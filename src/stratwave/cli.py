@@ -114,8 +114,7 @@ def cmd_simulate(args) -> int:
                 "grid": {"N": grid.N, "L": grid.L},
                 "solver": {"dt": args.dt, "T": args.T, "mode": args.mode,
                            "snapshots": list(snaps),
-                           "linear_only": args.linear_only},
-                "seed": args.seed}
+                           "linear_only": args.linear_only}}
     out = _resolve_out(args, full_cfg, "simulate")
 
     dt = args.dt
@@ -151,7 +150,7 @@ def cmd_simulate(args) -> int:
                         traj.dissipation_series))
             diag = {"wrap_contamination_estimate":
                     wrap_contamination(grid, 0.45 * grid.L, params.n + 1),
-                    "dt_used": dt, "n_steps": traj.diagnostics["n_steps"]}
+                    "dt_used": dt, "n_steps": len(traj.energy_series) - 1}
         final = rundir.commit(full_cfg, diag)
     except BaseException:
         rundir.abort()
@@ -218,21 +217,20 @@ EXPERIMENTS = {
                lambda r: energy_experiment(r.sym, r.params, r.u0, r.T, r.dt)),
 }
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
-EXPERIMENT_SCHEMA = experiment_schema(
-    {k: needs for k, (needs, _) in EXPERIMENTS.items()},
-    {"window": _PAIR, "windows": {"type": "array", "items": _PAIR, "minItems": 1},
-     **dict.fromkeys(("gamma_datum", "p", "gamma", "bound", "amplitude",
-                      "exponent_tol", "improvement_fraction"), {"type": "number"})})
+_PARAMETERS = {"window": _PAIR,
+               "windows": {"type": "array", "items": _PAIR, "minItems": 1},
+               **dict.fromkeys(("gamma_datum", "p", "gamma", "bound", "amplitude",
+                                "exponent_tol", "improvement_fraction"),
+                               {"type": "number"})}
+#: experiment kind -> the schema of its configs
+EXPERIMENT_SCHEMAS = {kind: experiment_schema(kind, needs, _PARAMETERS)
+                      for kind, (needs, _) in EXPERIMENTS.items()}
 
 
 def cmd_experiment(args) -> int:
     cfg = load_json(args.config)
-    validate_config(cfg, EXPERIMENT_SCHEMA)
-    kind = cfg["experiment"]["kind"]
-    if kind != args.kind:
-        raise ConfigInvalid(
-            f"config experiment.kind={kind!r} but subcommand is {args.kind!r}",
-            path="$.experiment.kind")
+    kind = args.kind
+    validate_config(cfg, EXPERIMENT_SCHEMAS[kind])
     sym, params = _checked_model(cfg["model"])
     grid = Grid(cfg["grid"]["N"], cfg["grid"]["L"])
     solver = cfg.get("solver", {})
@@ -260,7 +258,7 @@ def cmd_acceptance(args) -> int:
         if not isinstance(suite, list) or not all(isinstance(c, str) for c in suite):
             raise ConfigInvalid("suite file must be a JSON list of criterion ids")
         ids, source = suite, args.suite
-    if args.only is not None:
+    elif args.only is not None:
         ids, source = args.only, "--only"
     if ids is not None and not any(cid in CRITERIA for cid in ids):
         # zero criteria would run, and 0/0 would read as a pass
@@ -299,14 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     ap.add_argument("--out", default=None, help="output file or directory")
     ap.add_argument("--threads", type=int, default=1)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--quiet", action="store_true")
     # global flags are also accepted after the subcommand; SUPPRESS keeps the
     # main-parser value when the subcommand does not repeat them
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=argparse.SUPPRESS)
     common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -347,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("acceptance", help="run the acceptance suite",
                        parents=[common])
-    p.add_argument("--suite", default=None, help="JSON list of criterion ids")
-    p.add_argument("--only", nargs="*", default=None)
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--suite", default=None, help="JSON list of criterion ids")
+    which.add_argument("--only", nargs="*", default=None)
     p.set_defaults(func=cmd_acceptance)
     return ap
 

@@ -84,11 +84,11 @@ SOLVER_SCHEMA = {
     "additionalProperties": False,
 }
 
-def experiment_schema(requires: dict, fields: dict) -> dict:
-    """Experiment-config schema with one oneOf branch per kind; requires maps
-    each kind to the extra schema its branch adds (the fields it reads), and
-    fields maps each optional experiment parameter to its type."""
-    return {
+def experiment_schema(kind: str, needs: dict, fields: dict) -> dict:
+    """Schema of a config for the experiment kind: the common fields with
+    experiment.kind fixed to kind, and needs, the extra schema of what the
+    kind reads; fields maps each optional experiment parameter to its type."""
+    return {"allOf": [{
         "type": "object",
         "required": ["model", "grid", "experiment"],
         "properties": {
@@ -97,33 +97,17 @@ def experiment_schema(requires: dict, fields: dict) -> dict:
             "solver": SOLVER_SCHEMA,
             "datum": DATUM_SCHEMA,
             "experiment": {"type": "object", "required": ["kind"],
-                           "properties": {"kind": {"enum": list(requires)}, **fields}},
-            "seed": {"type": "integer"},
+                           "properties": {"kind": {"const": kind}, **fields}},
         },
         "additionalProperties": False,
-        "oneOf": [
-            {"allOf": [{"properties": {"experiment": {
-                "properties": {"kind": {"const": kind}}}}}, extra]}
-            for kind, extra in requires.items()
-        ],
-    }
-
-
-def _explain(err):
-    """A oneOf error's cause: the first error of the branch that did not fail
-    on a const (its kind matched); None when every branch failed on its kind."""
-    if err.validator != "oneOf" or not err.context:
-        return err
-    wrong_kind = {e.relative_schema_path[0] for e in err.context if e.validator == "const"}
-    causes = [e for e in err.context if e.relative_schema_path[0] not in wrong_kind]
-    return min(causes, key=lambda e: e.json_path) if causes else None
+    }, needs]}
 
 
 def validate_config(cfg: dict, schema: dict) -> None:
     import jsonschema  # on first use: commands that validate nothing never load it
 
     validator = jsonschema.Draft202012Validator(schema)
-    errors = [e for e in map(_explain, validator.iter_errors(cfg)) if e is not None]
+    errors = list(validator.iter_errors(cfg))
     if errors:
         err = min(errors, key=lambda e: e.json_path)
         raise ConfigInvalid(f"{err.json_path}: {err.message}", path=err.json_path)

@@ -20,8 +20,8 @@ Two solver modes:
   contraction factors are reported, and three consecutive factors above 1
   raise NoContraction (the discrete sign that the horizon is too large).
   A sweep's midpoint terms read only the previous iterate, so those of
-  max(1, PICARD_BLOCK_POINTS // N) consecutive steps share one irfft/rfft
-  pair into buffers reused for the whole solve.
+  max(1, PICARD_BLOCK_POINTS // N) consecutive steps are one call of
+  EtdPropagator.nonlinear on a block of states: one irfft/rfft pair.
 
 The nonlinearity is evaluated pseudo-spectrally in the conservative form
 -(1/(k+1)) d_x (u^{k+1}) with generalized 2/(k+2) dealiasing, which keeps
@@ -34,7 +34,7 @@ so states are rfft half-spectra and every transform is a real FFT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -210,11 +210,15 @@ class EtdPropagator:
                 float(np.dot(self.rate_weight, power)))
 
     def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
-        """N(u) = -(1/(k+1)) d_x(u^{k+1}) evaluated pseudo-spectrally."""
+        """N(u) = -(1/(k+1)) d_x(u^{k+1}) evaluated pseudo-spectrally, for
+        one state or a 2-D block of states, one per row."""
         if self.linear_only:
             return np.zeros_like(uhat)
         u = np.fft.irfft(uhat, n=self.grid.N)
-        return self.nl_mult * np.fft.rfft(u ** (self.k + 1))[:self.kept]
+        u **= self.k + 1        # the bits of u ** (k+1): a square for k = 1
+        spec = np.fft.rfft(u)
+        del u                   # before the product: a lower traced peak
+        return self.nl_mult * spec[..., :self.kept]
 
     def step(self, uhat: np.ndarray) -> np.ndarray:
         n0 = self.nonlinear(uhat)
@@ -271,7 +275,6 @@ class Trajectory:
     energy_times: np.ndarray
     energy_series: np.ndarray
     dissipation_series: np.ndarray
-    diagnostics: dict = dc_field(default_factory=dict)
 
 
 def step_count(T: float, dt: float) -> int:
@@ -332,8 +335,6 @@ def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
         energy_times=cfg.dt * np.arange(n_steps + 1),
         energy_series=energies,
         dissipation_series=rates,
-        diagnostics={"n_steps": n_steps, "dt": cfg.dt, "mode": "etd",
-                     "linear_only": cfg.linear_only},
     )
 
 
@@ -350,24 +351,20 @@ def _picard_sweeps(prop: EtdPropagator, traj: np.ndarray):
     each sweep yield max_i ||new[i] - old[i]||_2 over the steps i = 1..M.
 
     A sweep is new[i] = E new[i-1] + dt E_{1/2} N((old[i-1] + old[i])/2).
-    Each N(.) reads only the previous iterate, so the terms of
-    B = max(1, PICARD_BLOCK_POINTS // N) consecutive steps are evaluated
-    together, by one 2-D irfft/rfft pair; the recursion and the norms then
-    run row by row.  Every value is the one prop.nonlinear and prop.monitors
-    give step by step, bit for bit.  The buffers are allocated once and
-    freed with the generator.
+    Each N(.) reads only the previous iterate, so the averages of
+    B = max(1, PICARD_BLOCK_POINTS // N) consecutive steps go through one
+    prop.nonlinear call, one 2-D irfft/rfft pair; the recursion and the
+    norms then run row by row.  Every value is the one prop.nonlinear and
+    prop.monitors give step by step, bit for bit.
     """
     M, kept = traj.shape[0] - 1, traj.shape[1]
-    N = prop.grid.N
     E = prop.exp_full
     dt_E_half = prop.dt * np.exp(prop.L * (0.5 * prop.dt))
-    B = min(M, max(1, PICARD_BLOCK_POINTS // N))
-    phys = np.empty((B, N))
-    spec = np.empty((B, N // 2 + 1), dtype=complex)
-    mids = np.empty((B, kept), dtype=complex)  # averages, then N(.)
+    B = min(M, max(1, PICARD_BLOCK_POINTS // prop.grid.N))
+    mids = np.empty((B, kept), dtype=complex)
     old = np.empty(kept, dtype=complex)   # old[i] once traj[i] holds new[i]
     tmp = np.empty(kept, dtype=complex)
-    power = np.zeros(N // 2 + 1)          # |new[i] - old[i]|^2, 0 above K
+    power = np.zeros(prop.weight.size)    # |new[i] - old[i]|^2, 0 above K
     sq = power[:kept]
     norms = np.empty(M)
     for _ in range(PICARD_MAX_ITER):
@@ -375,26 +372,17 @@ def _picard_sweeps(prop: EtdPropagator, traj: np.ndarray):
             old[:] = traj[0]
             for start in range(1, M + 1, B):
                 rows = min(B, M + 1 - start)
+                # (old[i-1] + old[i]) / 2 for the block's steps i
                 mid = mids[:rows]
-                if prop.linear_only:
-                    mid[:] = 0.0
-                else:
-                    # (old[i-1] + old[i]) / 2 for the block's steps i
-                    np.add(old, traj[start], out=mid[0])
-                    np.add(traj[start:start + rows - 1], traj[start + 1:start + rows],
-                           out=mid[1:])
-                    np.multiply(0.5, mid, out=mid)
-                    u = np.fft.irfft(mid, n=N, out=phys[:rows])
-                    if prop.k == 1:
-                        np.square(u, out=u)
-                    else:
-                        np.power(u, prop.k + 1, out=u)
-                    np.fft.rfft(u, out=spec[:rows])
-                    np.multiply(prop.nl_mult, spec[:rows, :kept], out=mid)
+                np.add(old, traj[start], out=mid[0])
+                np.add(traj[start:start + rows - 1], traj[start + 1:start + rows],
+                       out=mid[1:])
+                np.multiply(0.5, mid, out=mid)
+                nl = prop.nonlinear(mid)
                 for b, i in enumerate(range(start, start + rows)):
                     old[:] = traj[i]
                     np.multiply(E, traj[i - 1], out=tmp)
-                    np.multiply(dt_E_half, mid[b], out=traj[i])
+                    np.multiply(dt_E_half, nl[b], out=traj[i])
                     np.add(tmp, traj[i], out=traj[i])
                     # prop.monitors(traj[i] - old)[0] without its temporaries
                     np.subtract(traj[i], old, out=tmp)

@@ -147,16 +147,16 @@ def _alternating_sign(size: int) -> np.ndarray:
     return sign
 
 
-def _half_sign(g: Grid) -> np.ndarray:
-    # (-1)^j for j = 0..N/2; FFT index N/2 holds j = -N/2, of the same parity
-    return _alternating_sign(g.N // 2 + 1)
-
-
 def half_spectrum(f: Field) -> np.ndarray:
     """to_spectral of a field on j = 0..N/2 only, by rfft; the other half is
     the complex conjugate."""
-    g = f.grid
-    return g.dx * _half_sign(g) * np.fft.rfft(f.samples)
+    c = np.fft.rfft(f.samples)
+    # dx (-1)^j in place: the bits (signed zeros, inf and nan) of a product
+    # with a dx-scaled (-1)^j array; FFT index N/2 holds j = -N/2, of the
+    # same parity
+    c[0::2] *= f.grid.dx
+    c[1::2] *= -f.grid.dx
+    return c
 
 
 def from_half_spectrum(grid: Grid, coeffs: np.ndarray) -> Field:

@@ -164,6 +164,18 @@ def test_lower_bound_window_guard():
         lower_bound_check(u, 1.0, params, 1.0, windows=[(10.0, 80.0)])
 
 
+def test_lower_bound_default_windows():
+    # three nested windows ending at 0.45 L
+    sym, params = preset("ost")
+    g = Grid(2 ** 14, 200.0)
+    u0 = make_datum(DatumSpec(kind="algebraic", gamma=3.0, c=1.0), g)
+    report = lower_bound_check(linear_evolve(sym, params, u0, 1.0), 1.0, params,
+                               integral(u0))
+    assert report["windows"] == [[22.5, 45.0], [33.75, 67.5], [45.0, 90.0]]
+    assert len(report["ratio_series"]) == 3
+    assert report["passes"]
+
+
 def test_lower_bound_empty_windows_rejected():
     sym, params = preset("ost")
     g = Grid(2 ** 12, 100.0)
@@ -209,6 +221,15 @@ def test_dichotomy_epsilon_range():
             dichotomy_experiment(sym, params, gamma, 0.1, grid)
 
 
+def test_dichotomy_default_window():
+    # without a window the fits run on [20, 0.3 L]
+    sym, params = preset("ost")
+    report = dichotomy_experiment(sym, params, gamma_datum=3.0, T=0.01,
+                                  grid=Grid(2 ** 12, 100.0), dt=5e-3)
+    assert report["window"] == [20.0, 30.0]
+    assert math.isfinite(report["exponent_nonzero_mean"])
+
+
 def test_dichotomy_small_run_ordering():
     # coarse, fast configuration: the ordering and zero-mean improvement are
     # robust even when absolute exponents are rough
@@ -227,6 +248,17 @@ def test_dichotomy_small_run_ordering():
 # ---------------------------------------------------------------------------
 # weighted persistence experiment
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p,gamma,message", [
+    (2.0, 0.0, "gamma must be in"), (2.0, 1.0, "gamma must be in"),
+    (1.0, 0.5, "p must exceed 1"), (float("nan"), 0.5, "p must exceed 1")])
+def test_weighted_persistence_rejects_gamma_and_p(p, gamma, message):
+    sym, params = preset("ost")
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), Grid(1024, 50.0))
+    with pytest.raises(BadParameter, match=message):
+        weighted_persistence_experiment(sym, params, u0, p=p, gamma=gamma,
+                                        T=0.1, dt=1e-2)
+
 
 def test_weighted_persistence_zero_datum():
     sym, params = preset("ost")

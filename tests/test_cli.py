@@ -11,7 +11,7 @@ import pytest
 from oracles import csv_reference, energy_csv_reference, kernel_reference
 import stratwave
 from stratwave import Field, Grid, SolverConfig, field_to_csv, preset, solve
-from stratwave.cli import EXPERIMENT_SCHEMA, EXPERIMENTS, main
+from stratwave.cli import EXPERIMENT_SCHEMAS, EXPERIMENTS, main
 from stratwave.errors import NonFinite
 from stratwave.runio import sha256_file, validate_config
 from stratwave.solver import datum_from_config
@@ -50,6 +50,14 @@ def test_kernel_command(tmp_path, ost_config):
     assert abs(report["mass"] - 1.0) <= 1e-8
     assert report["tail_slope_right"] == pytest.approx(-2.0, abs=0.15)
     assert report["A_predicted"] == pytest.approx(1 / np.pi)
+
+
+def test_kernel_command_prints_its_mass(tmp_path, ost_config, capsys):
+    out = tmp_path / "kernel.csv"
+    assert main(["--out", str(out), "kernel", "--config", ost_config,
+                 "--t", "1.0", "--grid", "N=1024,L=50"]) == 0
+    mass = json.loads(out.with_suffix(".json").read_text())["mass"]
+    assert capsys.readouterr().out == f"kernel written to {out}; mass={mass:.12f}\n"
 
 
 def test_kernel_csv_is_real(tmp_path, ost_config, capsys):
@@ -106,6 +114,57 @@ def test_kernel_rejects_t_too_large_for_the_box(tmp_path, ost_config, capsys, t,
     assert names in lines[0] and f"t = {float(t)}" in lines[0]
     assert "L = 10.0" in lines[0] or names == "overflows"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("t", ["1700", "1860"])
+def test_kernel_rejects_a_kernel_without_unit_mass(tmp_path, ost_config, capsys, t):
+    # below the exp-overflow guard, with a window that skips the default
+    # window's check: t = 1700 used to exit 0 with a mass of about -1e263,
+    # and t = 1860 to print an overflow RuntimeWarning from the report
+    out = tmp_path / "k.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--out", str(out), "kernel", "--config", ost_config,
+                   "--t", t, "--grid", "N=256,L=10", "--window", "1", "4"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error [BadParameter]")
+    assert f"t = {float(t)}" in lines[0] and "mass" in lines[0]
+    assert captured.out == "" and list(tmp_path.iterdir()) == [Path(ost_config)]
+
+
+def test_model_of_neither_form_is_a_config_error(tmp_path, capsys):
+    # neither a preset nor a complete explicit model: the error names both
+    # forms' failure, not one form's first missing key
+    cfg = write_json(tmp_path / "model.json", {"symbol": {"kind": "kdv"}, "m": 3})
+    rc = main(["--out", str(tmp_path / "k.csv"), "kernel", "--config", cfg,
+               "--t", "1.0", "--grid", "N=256,L=10"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "config error: $: {'symbol': {'kind': 'kdv'}, 'm': 3} is not valid "
+        "under any of the given schemas\n")
+    assert not (tmp_path / "k.csv").exists()
+
+
+def test_invalid_json_config_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "model.json"
+    bad.write_text('{"preset": "ost",')
+    rc = main(["--out", str(tmp_path / "k.csv"), "kernel", "--config", str(bad),
+               "--t", "1.0", "--grid", "N=256,L=10"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}: not valid JSON")
+    assert len(err.splitlines()) == 1
+
+
+def test_missing_input_is_an_io_error(tmp_path, capsys):
+    missing = tmp_path / "none.csv"
+    rc = main(["decay-fit", "--in", str(missing), "--window", "1,2"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and str(missing) in err
+    assert len(err.splitlines()) == 1
 
 
 def test_kernel_rejects_invalid_n(tmp_path, capsys):
@@ -213,7 +272,7 @@ def test_simulate_deterministic_outputs(tmp_path, ost_config, gauss_datum):
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        rc = main(["--quiet", "--seed", "7", "--out", str(out), "simulate",
+        rc = main(["--quiet", "--out", str(out), "simulate",
                    "--config", ost_config, "--datum", gauss_datum,
                    "--T", "0.05", "--dt", "0.01", "--grid", "N=1024,L=50"])
         assert rc == 0
@@ -455,14 +514,39 @@ def test_import_leaves_jsonschema_unloaded():
 
 
 def test_experiment_kind_mismatch(tmp_path, capsys):
-    cfg = write_json(tmp_path / "exp.json", {
-        "model": {"preset": "ost"},
-        "grid": {"N": 1024, "L": 50},
-        "experiment": {"kind": "energy"},
-    })
-    rc = main(["--quiet", "--out", str(tmp_path / "x"), "experiment", "growth",
-               "--config", cfg])
+    # valid for energy, and for growth but for its kind: the kind's own
+    # schema names the mismatch
+    cfg = {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
+           "solver": {"dt": 0.01, "T": 0.1},
+           "datum": {"kind": "growth", "gamma": 0.3},
+           "experiment": {"kind": "energy"}}
+    validate_config(cfg, EXPERIMENT_SCHEMAS["energy"])
+    out = tmp_path / "x"
+    rc = main(["--quiet", "--out", str(out), "experiment", "growth",
+               "--config", write_json(tmp_path / "exp.json", cfg)])
     assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: $.experiment.kind") and "'growth'" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
+def test_experiment_lowerbound_command(tmp_path, capsys):
+    # linear-only evolution of an algebraic datum, on the default windows
+    cfg = write_json(tmp_path / "exp.json", {
+        "model": {"preset": "ost"}, "grid": {"N": 4096, "L": 100},
+        "solver": {"dt": 0.01, "T": 0.1, "linear_only": True},
+        "datum": {"kind": "algebraic", "gamma": 3.0},
+        "experiment": {"kind": "lowerbound"}})
+    out = tmp_path / "run"
+    rc = main(["--out", str(out), "experiment", "lowerbound", "--config", cfg])
+    assert capsys.readouterr().out == f"report: {out / 'report.json'}\n"
+    report = json.loads((out / "report.json").read_text())
+    assert report["windows"] == [[11.25, 22.5], [16.875, 33.75], [22.5, 45.0]]
+    assert len(report["ratio_series"]) == 3
+    assert rc == (0 if report["passed"] else 2)
+    assert report["passed"] == (0.5 <= report["outer_ratio_min"]
+                                and report["outer_ratio_max"] <= 2.0)
 
 
 def test_acceptance_unknown_id_skipped(tmp_path, capsys):
@@ -492,6 +576,16 @@ def test_acceptance_threads_give_the_serial_summary(tmp_path):
     assert [r["id"] for r in summaries[0]["results"]] == ["K-MASS", "K-SEMI"]
 
 
+def test_acceptance_threads_print_results_in_criterion_order(tmp_path, capsys):
+    out = tmp_path / "summary.json"
+    assert main(["--threads", "2", "--out", str(out), "acceptance",
+                 "--only", "CL-GUARD", "K-MOD-EVEN"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[:2]] == [
+        ["[PASS]", "CL-GUARD"], ["[PASS]", "K-MOD-EVEN"]]
+    assert lines[2:] == [f"2/2 criteria passed; summary at {out}"]
+
+
 @pytest.mark.parametrize("selection", [
     ["--suite", "[]"],
     ["--only"],
@@ -506,6 +600,19 @@ def test_acceptance_without_known_criterion_rejected(tmp_path, capsys, selection
     rc = main(["--out", str(out), "acceptance", *selection])
     assert rc == 1
     assert "no known criterion id" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_acceptance_suite_and_only_exclude_each_other(tmp_path, capsys):
+    # --only used to win over --suite without a word
+    suite = write_json(tmp_path / "suite.json", ["K-MASS"])
+    out = tmp_path / "s.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(out), "acceptance", "--suite", suite,
+              "--only", "K-MOD-EVEN"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "--only" in err and "not allowed with argument --suite" in err
     assert not out.exists()
 
 
@@ -619,6 +726,7 @@ def test_experiment_dichotomy_passes_only_configured_parameters(tmp_path,
 
 @pytest.mark.parametrize("argv", [
     ["kernel", "--config", "m.json", "--t", "1.0", "--window", "1", "x"],
+    ["--seed", "7", "presets"],                     # nothing is random: no --seed
     ["kernel", "--t", "1.0"],                       # --config is required
     ["decay-fit", "--in", "k.csv", "--window", "20;120"],
 ])
@@ -699,7 +807,7 @@ def test_experiment_solver_fields_per_kind(tmp_path, capsys, kind, field):
     if datum is not None:
         cfg["datum"] = datum
     if (kind, field) in {("growth", "snapshots"), ("lowerbound", "linear_only")}:
-        validate_config(cfg, EXPERIMENT_SCHEMA)   # the one kind that reads it
+        validate_config(cfg, EXPERIMENT_SCHEMAS[kind])   # the one kind that reads it
         return
     out = tmp_path / "run"
     rc = main(["--quiet", "--out", str(out), "experiment", kind, "--config",

@@ -1,22 +1,25 @@
-"""Peak memory of the kernel build, field-read, ETD2 and Picard paths.
+"""Peak memory of the kernel build, transform, field-read, ETD2 and Picard
+paths.
 
 Peaks are traced with tracemalloc, which sees numpy's array buffers.  The
-kernel, field-read and ETD2 peaks are bounded in units of 8N bytes (one
-float64 per grid point), each just above the value measured for N = 2^16
-(and 2^18); the kernel grids keep the kernel_io spacing, dx = 2 * 3200 /
-2^19.  The Picard peak is bounded in units of 16 (M+1)(N/2+1) bytes, an
+kernel, transform, field-read and ETD2 peaks are bounded in units of 8N
+bytes (one float64 per grid point), each just above the value measured
+for N = 2^16 (and 2^18); the kernel grids keep the kernel_io spacing,
+dx = 2 * 3200 / 2^19.  The Picard peak is bounded in units of 16 (M+1)(N/2+1) bytes, an
 iterate of full half-spectrum rows.
 """
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from stratwave import (DatumSpec, Grid, SolverConfig, kernel_derivative_field,
                        kernel_field, make_datum, picard_solve, preset, solve)
 from stratwave.kernel import KERNEL_PEAK_BYTES_PER_POINT
 from stratwave.model import half_spectrum_multiplier
-from stratwave.spectral import field_from_csv, field_to_csv
+from stratwave.spectral import (Field, convolve, field_from_csv, field_to_csv,
+                                half_spectrum)
 import stratwave.spectral as spectral_module
 
 SIZES = [2 ** 16, 2 ** 18]
@@ -54,6 +57,16 @@ def test_half_spectrum_multiplier_peak(N):
     assert peak_units(N, half_spectrum_multiplier, grid_of(N), SYM, PARAMS) <= 2.0
 
 
+@pytest.mark.parametrize("N", SIZES)
+def test_half_spectrum_and_convolve_peaks(N):
+    # the N/2+1 complex rfft output 1.0 is scaled and phased in place, so
+    # half_spectrum holds 1.0 and convolve two of them; measured 1.003/2.003
+    # (2^16) and 1.001/2.001 (2^18), 1.56-1.75 and 2.56-2.75 with a sign array
+    f = Field(grid_of(N), np.ones(N))
+    assert peak_units(N, half_spectrum, f) <= 1.05
+    assert peak_units(N, convolve, f, f) <= 2.1
+
+
 @pytest.mark.parametrize("build", [kernel_field, kernel_derivative_field])
 @pytest.mark.parametrize("N", SIZES)
 def test_kernel_build_peak(N, build):
@@ -77,13 +90,13 @@ def test_field_from_csv_peak(N, tmp_path):
 
 def test_solve_peak():
     # evolve_large's grid and datum, 20 steps, two float64 snapshots 2.0;
-    # measured 10.34
+    # measured 9.34 (10.34 while N(u) held u and u ** (k+1) at once)
     N = 2 ** 16
     datum = DatumSpec(kind="algebraic", gamma=3.0, c=0.5)
     cfg = SolverConfig(dt=1e-3, T=0.02, snapshot_times=(0.01, 0.02))
     solve(SYM, PARAMS, make_datum(datum, Grid(64, 4.0)), cfg)  # lazy set-up
     u0 = make_datum(datum, Grid(N, 400.0))
-    assert peak_units(N, solve, SYM, PARAMS, u0, cfg) <= 10.8
+    assert peak_units(N, solve, SYM, PARAMS, u0, cfg) <= 9.8
 
 
 def picard_case(name: str, k: int, N: int, M: int):

@@ -298,6 +298,25 @@ def test_from_half_spectrum_phases_in_place_like_a_sign_array(N, L, seed, specia
     assert _same_bits(got, ref)
 
 
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from([16, 64, 1024, 2 ** 18]), L=st.floats(0.5, 100.0),
+       seed=st.integers(0, 2 ** 32 - 1),
+       specials=st.lists(st.sampled_from(_PHASE_SPECIALS), max_size=6))
+def test_half_spectrum_scales_in_place_like_a_sign_array(N, L, seed, specials):
+    """The in-place dx (-1)^j scale gives the bits of the product with a
+    dx-scaled float (-1)^j array that it replaced, for samples with signed
+    zeros, inf and nan too."""
+    rng = np.random.default_rng(seed)
+    g = Grid(N, L)
+    samples = rng.standard_normal(N)
+    samples[rng.integers(N, size=len(specials))] = specials
+    with np.errstate(all="ignore"):
+        sign = np.where(np.arange(N // 2 + 1) % 2, -1.0, 1.0)
+        ref = g.dx * sign * np.fft.rfft(samples)
+        got = spectral.half_spectrum(Field(g, samples))
+    assert _same_bits(got.view(np.float64), ref.view(np.float64))
+
+
 # ---------------------------------------------------------------------------
 # field container and serialization
 # ---------------------------------------------------------------------------
