@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import os
 import shutil
 import time
@@ -103,21 +105,123 @@ def experiment_schema(kind: str, needs: dict, fields: dict) -> dict:
     }, needs]}
 
 
-def validate_config(cfg: dict, schema: dict) -> None:
-    import jsonschema  # on first use: commands that validate nothing never load it
+# The schemas above are JSON Schema (Draft 2020-12).  _errors checks a config
+# against them: it knows the keywords they use, and gives the messages and
+# JSON paths of jsonschema's Draft202012Validator (which writes $.name for
+# the plain property names the schemas declare); any other keyword raises.
 
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = list(validator.iter_errors(cfg))
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    "number": _is_number,
+    # 2020-12: a float with no fractional part is an integer, a bool is not
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+
+
+def _same(a, b) -> bool:
+    """JSON equality of scalars: 1 equals 1.0, but True does not equal 1."""
+    return a is b or (isinstance(a, bool) == isinstance(b, bool) and a == b)
+
+
+def _errors(x, schema: dict, path: str):
+    """Yield (json_path, message) for each way x fails schema, keyword by
+    keyword in the schema's key order."""
+    obj, arr, num = isinstance(x, dict), isinstance(x, list), _is_number(x)
+    for key, v in schema.items():
+        if key == "type":
+            if not _TYPES[v](x):
+                yield path, f"{x!r} is not of type {v!r}"
+        elif key == "enum":
+            if not any(_same(each, x) for each in v):
+                yield path, f"{x!r} is not one of {v!r}"
+        elif key == "const":
+            if not _same(v, x):
+                yield path, f"{v!r} was expected"
+        elif key == "required":
+            if obj:
+                for name in v:
+                    if name not in x:
+                        yield path, f"{name!r} is a required property"
+        elif key == "properties":
+            if obj:
+                for name, sub in v.items():
+                    if name in x:
+                        yield from _errors(x[name], sub, f"{path}.{name}")
+        elif key == "additionalProperties" and v is False:
+            extras = sorted(set(x) - schema.get("properties", {}).keys()) if obj else []
+            if extras:
+                yield path, (f"Additional properties are not allowed "
+                             f"({', '.join(map(repr, extras))} "
+                             f"{'was' if len(extras) == 1 else 'were'} unexpected)")
+        elif key == "minimum":
+            if num and x < v:
+                yield path, f"{x!r} is less than the minimum of {v!r}"
+        elif key == "exclusiveMinimum":
+            if num and x <= v:
+                yield path, f"{x!r} is less than or equal to the minimum of {v!r}"
+        elif key == "exclusiveMaximum":
+            if num and x >= v:
+                yield path, f"{x!r} is greater than or equal to the maximum of {v!r}"
+        elif key == "items":
+            if arr:
+                for i, item in enumerate(x):
+                    yield from _errors(item, v, f"{path}[{i}]")
+        elif key == "minItems":
+            if arr and len(x) < v:
+                yield path, f"{x!r} {'should be non-empty' if v == 1 else 'is too short'}"
+        elif key == "maxItems":
+            if arr and len(x) > v:
+                yield path, f"{x!r} {'is expected to be empty' if v == 0 else 'is too long'}"
+        elif key == "oneOf":
+            valid = [b for b in v if next(_errors(x, b, path), None) is None]
+            if not valid:
+                yield path, f"{x!r} is not valid under any of the given schemas"
+            elif len(valid) > 1:
+                # jsonschema names the later valid branches, then the first
+                listed = ", ".join(map(repr, valid[1:] + valid[:1]))
+                yield path, f"{x!r} is valid under each of {listed}"
+        elif key == "allOf":
+            for sub in v:
+                yield from _errors(x, sub, path)
+        else:
+            raise NotImplementedError(f"schema keyword {key}: {v!r} is not implemented")
+
+
+def validate_config(cfg: dict, schema: dict) -> None:
+    """Raise ConfigInvalid naming the error with the least JSON path (the
+    first of those) when cfg does not match schema."""
+    errors = list(_errors(cfg, schema, "$"))
     if errors:
-        err = min(errors, key=lambda e: e.json_path)
-        raise ConfigInvalid(f"{err.json_path}: {err.message}", path=err.json_path)
+        path, message = min(errors, key=lambda e: e[0])
+        raise ConfigInvalid(f"{path}: {message}", path=path)
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"{text} is too large for a float")
+    return value
 
 
 def load_json(path) -> dict:
+    """The JSON value in the file at path; NaN, ±Infinity and number
+    literals too large for a float are not accepted."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh, parse_constant=_reject_constant,
+                             parse_float=_finite_float)
+    except ValueError as exc:    # bad JSON, a non-UTF-8 byte, or a rejected number
         raise ConfigInvalid(f"{path}: not valid JSON ({exc})") from exc
 
 

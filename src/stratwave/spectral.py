@@ -55,6 +55,8 @@ class Grid:
     __slots__ = ("N", "L", "dx", "dxi", "x")
 
     def __init__(self, N: int, L: float):
+        if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
+            raise BadParameter(f"N must be an integer, got {N!r}")
         if N < 16 or (N & (N - 1)) != 0:
             raise BadParameter(f"N must be a power of two >= 16, got {N}")
         if not 0 < L < math.inf:

@@ -158,6 +158,46 @@ def test_invalid_json_config_is_a_config_error(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+_GROWTH_EXP = ('{"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50}, '
+               '"solver": {"dt": 0.002, "T": 0.1}, '
+               '"datum": {"kind": "growth", "gamma": 0.3, "c0": 0.01}, '
+               '"experiment": {"kind": "growth", "bound": %s}}')
+_GAUSS_DATUM = '{"kind": "gaussian", "sigma0": 1.0, "amp": %s}'
+
+
+@pytest.mark.parametrize("field,value", [("bound", "NaN"), ("amp", "Infinity"),
+                                         ("amp", "-Infinity"), ("amp", "1e999")])
+def test_non_finite_json_number_is_a_config_error(tmp_path, ost_config, capsys,
+                                                  field, value):
+    # Python's json reads NaN, Infinity and 1e999: a NaN growth bound used to
+    # fail the science check (exit 2), an infinite amplitude the solver
+    bad = tmp_path / "bad.json"
+    if field == "bound":
+        bad.write_text(_GROWTH_EXP % value)
+        args = ["experiment", "growth", "--config", str(bad)]
+    else:
+        bad.write_text(_GAUSS_DATUM % value)
+        args = ["simulate", "--config", ost_config, "--datum", str(bad),
+                "--T", "0.02", "--dt", "0.005", "--grid", "N=256,L=20"]
+    reason = ("1e999 is too large for a float" if value == "1e999"
+              else f"{value} is not a JSON number")
+    out = tmp_path / "out"
+    assert main(["--quiet", "--out", str(out), *args]) == 1
+    assert capsys.readouterr().err == f"config error: {bad}: not valid JSON ({reason})\n"
+    assert not out.exists()
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "model.json"
+    bad.write_bytes(b'\xff{"preset": "ost"}')
+    rc = main(["--out", str(tmp_path / "k.csv"), "kernel", "--config", str(bad),
+               "--t", "1.0", "--grid", "N=256,L=10"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {bad}: not valid JSON ('utf-8' codec")
+    assert len(err.splitlines()) == 1
+
+
 def test_missing_input_is_an_io_error(tmp_path, capsys):
     missing = tmp_path / "none.csv"
     rc = main(["decay-fit", "--in", str(missing), "--window", "1,2"])
@@ -437,6 +477,21 @@ def test_experiment_energy(tmp_path, ost_config, gauss_datum):
     assert report["passed"] and report["checks"]["growth_bound"]
 
 
+def test_experiment_float_grid_size_is_bad_parameter(tmp_path, capsys):
+    # 1024.0 is an integer to JSON Schema 2020-12, but not a grid size
+    cfg = write_json(tmp_path / "exp.json", {
+        "model": {"preset": "ost"}, "grid": {"N": 1024.0, "L": 50},
+        "solver": {"dt": 0.002, "T": 0.2},
+        "datum": {"kind": "gaussian", "sigma0": 1.0, "amp": 0.1},
+        "experiment": {"kind": "energy"}})
+    out = tmp_path / "energyrun"
+    assert main(["--quiet", "--out", str(out), "experiment", "energy",
+                 "--config", cfg]) == 1
+    assert capsys.readouterr().err == (
+        "error [BadParameter]: N must be an integer, got 1024.0\n")
+    assert not out.exists()
+
+
 def test_experiment_growth(tmp_path):
     cfg = write_json(tmp_path / "exp.json", {
         "model": {"preset": "ost"},
@@ -504,13 +559,25 @@ def test_experiment_weighted_partial_steps_exit_1(tmp_path, capsys, T):
     assert not out.exists()
 
 
-def test_import_leaves_jsonschema_unloaded():
-    # only commands that validate a config pay for importing jsonschema
-    code = "import sys, stratwave.cli; print('jsonschema' in sys.modules)"
+def test_cli_runs_without_jsonschema(tmp_path, ost_config):
+    # configs are validated by stratwave itself: with jsonschema made
+    # unimportable, a kernel and an experiment still validate and run
+    exp = write_json(tmp_path / "exp.json", {
+        "model": {"preset": "ost"}, "grid": {"N": 256, "L": 20},
+        "solver": {"dt": 0.01, "T": 0.05},
+        "datum": {"kind": "gaussian", "sigma0": 1.0, "amp": 0.1},
+        "experiment": {"kind": "energy"}})
+    kernel = ["--quiet", "--out", "k.csv", "kernel", "--config", ost_config,
+              "--t", "1.0", "--grid", "N=1024,L=50"]
+    energy = ["--quiet", "--out", "e", "experiment", "energy", "--config", exp]
+    code = ("import sys; sys.modules['jsonschema'] = None\n"
+            "from stratwave.cli import main\n"
+            f"sys.exit(main({kernel!r}) or main({energy!r}))")
     env = {**os.environ, "PYTHONPATH": str(Path(stratwave.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60, check=True)
-    assert done.stdout.strip() == "False"
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "k.csv").exists() and (tmp_path / "e" / "report.json").exists()
 
 
 def test_experiment_kind_mismatch(tmp_path, capsys):
@@ -653,7 +720,7 @@ def test_infinite_box_size_is_bad_parameter(tmp_path, ost_config, gauss_datum,
                                             capsys, command):
     # L = inf (from --grid, or JSON Infinity) used to reach the solver
     # (NonFinite) or the kernel's resolution check (UnderResolved) after a
-    # RuntimeWarning
+    # RuntimeWarning; in a JSON config, Infinity is not valid JSON
     grid = ["--grid", "N=256,L=inf"]
     exp = write_json(tmp_path / "exp.json", {
         "model": {"preset": "ost"}, "grid": {"N": 256, "L": float("inf")},
@@ -667,8 +734,12 @@ def test_infinite_box_size_is_bad_parameter(tmp_path, ost_config, gauss_datum,
     rc = main(["--quiet", "--out", str(tmp_path / "out"), *args])
     assert rc == 1
     lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error [BadParameter]")
-    assert "finite" in lines[0]
+    if command == "experiment":
+        assert lines == [f"config error: {exp}: not valid JSON "
+                         "(Infinity is not a JSON number)"]
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error [BadParameter]")
+        assert "finite" in lines[0]
     assert not (tmp_path / "out").exists()
 
 

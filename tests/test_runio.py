@@ -1,0 +1,190 @@
+"""Config validation in stratwave.runio, checked against jsonschema.
+
+runio interprets the JSON Schema (Draft 2020-12) keywords its schemas use;
+jsonschema, a test dependency only, is the reference for every message and
+JSON path.
+"""
+
+import copy
+import re
+
+import jsonschema
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stratwave import runio
+from stratwave.cli import EXPERIMENT_SCHEMAS
+from stratwave.errors import ConfigInvalid
+from stratwave.runio import (DATUM_SCHEMA, GRID_SCHEMA, MODEL_SCHEMA, SOLVER_SCHEMA,
+                             validate_config)
+
+SCHEMAS = {"model": MODEL_SCHEMA, "grid": GRID_SCHEMA, "datum": DATUM_SCHEMA,
+           "solver": SOLVER_SCHEMA,
+           **{f"experiment-{kind}": s for kind, s in EXPERIMENT_SCHEMAS.items()}}
+
+_EXPLICIT = {"symbol": {"kind": "dgbo", "a": 0.5}, "m": 2, "n": 1, "k": 1, "eta": 1.0}
+_COMMON = {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
+           "solver": {"dt": 0.01, "T": 0.1},
+           "datum": {"kind": "growth", "gamma": 0.3, "c0": 0.01}}
+#: schema name -> the configs that the mutations start from
+SEEDS = {
+    "model": [{"preset": "ost"}, _EXPLICIT,
+              {"preset": "gost", **_EXPLICIT}],   # valid under both oneOf branches
+    "grid": [{"N": 1024, "L": 50}],
+    "datum": [{"kind": "gaussian", "sigma0": 1.0, "amp": 0.1, "gamma": 2, "c": 1,
+               "c0": 0.01}],
+    "solver": [{"dt": 0.01, "T": 0.1, "snapshots": [0.05, 0.1], "linear_only": True}],
+    "experiment-dichotomy": [{**_COMMON, "experiment": {
+        "kind": "dichotomy", "gamma_datum": 3.0, "window": [5, 20], "amplitude": 1.0,
+        "exponent_tol": 0.1, "improvement_fraction": 0.5}}],
+    "experiment-weighted": [{**_COMMON, "experiment": {"kind": "weighted", "p": 2,
+                                                        "gamma": 0.5}}],
+    "experiment-growth": [{**_COMMON, "solver": {"dt": 0.01, "T": 0.1,
+                                                  "snapshots": [0.1]},
+                           "experiment": {"kind": "growth", "bound": 0.02}}],
+    "experiment-lowerbound": [{**_COMMON, "solver": {"dt": 0.01, "T": 0.1,
+                                                      "linear_only": False},
+                               "experiment": {"kind": "lowerbound",
+                                              "windows": [[5, 10], [10, 20]]}}],
+    "experiment-energy": [{**_COMMON, "experiment": {"kind": "energy"}}],
+}
+
+
+def _subschemas(schema):
+    """schema and every schema nested in it."""
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    for key in ("oneOf", "allOf"):
+        for sub in schema.get(key, ()):
+            yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+#: every declared property name, and some undeclared ones
+_KEYS = st.sampled_from(sorted({name for schema in SCHEMAS.values()
+                                for sub in _subschemas(schema)
+                                for name in sub.get("properties", {})}
+                               | {"extra", "a-b", "x'y"}))
+_SCALARS = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, 2, 3, 16, 1024, 1024.0, 1024.5, -1, 0.0,
+                     -0.0, 0.5, 1.0, 2.0, 3.0, "ost", "gost", "kdv", "dgbo", "gaussian",
+                     "growth", "energy", "weighted", "", "x"]),
+    st.integers(), st.floats(), st.text(max_size=3))
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                       | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=6)
+
+
+def _containers(node):
+    """node and every dict or list inside it."""
+    yield node
+    for value in node.values() if isinstance(node, dict) else node:
+        if isinstance(value, (dict, list)):
+            yield from _containers(value)
+
+
+def _mutate(cfg, data):
+    """Replace, delete or add one to three values somewhere in cfg, or
+    now and then replace cfg itself."""
+    if data.draw(st.integers(0, 19)) == 0:
+        return data.draw(_VALUES)
+    for _ in range(data.draw(st.integers(1, 3))):
+        node = data.draw(st.sampled_from(list(_containers(cfg))))
+        action = data.draw(st.sampled_from(["replace", "delete", "add"]))
+        if isinstance(node, dict) and (action == "add" or not node):
+            node[data.draw(_KEYS)] = data.draw(_VALUES)
+        elif isinstance(node, list) and (action == "add" or not node):
+            node.append(data.draw(_VALUES))
+        else:
+            key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                            else range(len(node))))
+            if action == "delete":
+                del node[key]
+            else:
+                node[key] = data.draw(_VALUES)
+    return cfg
+
+
+def _reference(cfg, schema):
+    """jsonschema's errors as (json_path, message), in its order."""
+    validator = jsonschema.Draft202012Validator(schema)
+    return [(e.json_path, e.message) for e in validator.iter_errors(cfg)]
+
+
+def _selected(cfg, schema):
+    try:
+        validate_config(cfg, schema)
+    except ConfigInvalid as exc:
+        return exc.path, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_validate_config_matches_jsonschema(name, data):
+    schema = SCHEMAS[name]
+    cfg = _mutate(copy.deepcopy(data.draw(st.sampled_from(SEEDS[name]))), data)
+    expected = _reference(cfg, schema)
+    assert list(runio._errors(cfg, schema, "$")) == expected
+    if expected:
+        path, message = min(expected, key=lambda e: e[0])
+        assert _selected(cfg, schema) == (path, f"{path}: {message}")
+    else:
+        assert _selected(cfg, schema) is None
+
+
+@pytest.mark.parametrize("cfg,error", [
+    ({"N": 1024.0, "L": 50}, None),
+    ({"N": True, "L": 50}, "$.N: True is not of type 'integer'"),
+    ({"N": 8.0, "L": 50}, "$.N: 8.0 is less than the minimum of 16"),
+    ({"N": 1024, "L": 0}, "$.L: 0 is less than or equal to the minimum of 0"),
+    ({"N": 1024}, "$: 'L' is a required property"),
+    ({"N": 1024, "L": 1, "z": 0, "y": 0},
+     "$: Additional properties are not allowed ('y', 'z' were unexpected)"),
+])
+def test_grid_errors(cfg, error):
+    # the 2020-12 integer takes 1024.0 and rejects True; messages as jsonschema's
+    assert _selected(cfg, GRID_SCHEMA) == (None if error is None
+                                           else (error.split(":")[0], error))
+
+
+def test_model_valid_under_each_branch():
+    cfg = {"preset": "gost", **_EXPLICIT}
+    # the later valid branch is named first, the first valid branch last
+    assert _selected(cfg, MODEL_SCHEMA) == ("$", (
+        f"$: {cfg!r} is valid under each of "
+        "{'required': ['symbol', 'm', 'n', 'k', 'eta']}, {'required': ['preset']}"))
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_schemas_use_only_implemented_keywords(name):
+    # each keyword of each (sub)schema, alone, is interpreted without raising;
+    # property names are plain, so that $.name is the JSON path jsonschema writes
+    for schema in _subschemas(SCHEMAS[name]):
+        for key, value in schema.items():
+            for probe in (None, {}, [], 1, "x"):
+                list(runio._errors(probe, {key: value}, "$"))
+        assert all(re.fullmatch("[a-zA-Z][a-zA-Z0-9_]*", p)
+                   for p in schema.get("properties", {}))
+
+
+@pytest.mark.parametrize("cfg,schema,error", [
+    (True, {"enum": [1, 2]}, "$: True is not one of [1, 2]"),
+    (False, {"enum": [0]}, "$: False is not one of [0]"),
+    (0, {"const": False}, "$: False was expected"),
+    (1.0, {"enum": [1, 2]}, None), (1, {"const": 1.0}, None),
+    (True, {"const": True}, None)])
+def test_enum_and_const_tell_bools_from_numbers(cfg, schema, error):
+    # no shipped enum holds 0 or 1, so the fuzz cannot see this
+    assert _reference(cfg, schema) == ([("$", error[3:])] if error else [])
+    assert _selected(cfg, schema) == (error and ("$", error))
+
+
+@pytest.mark.parametrize("schema", [{"pattern": "^x"}, {"maximum": 1},
+                                    {"additionalProperties": True},
+                                    {"properties": {"a": {"uniqueItems": True}}}])
+def test_unimplemented_keyword_raises(schema):
+    with pytest.raises(NotImplementedError):
+        validate_config({"a": [1]}, schema)

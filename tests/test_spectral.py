@@ -48,7 +48,7 @@ def test_grid_arrays_equal_direct_formulas(N, L):
     assert np.array_equal(fft_xi(g), g.dxi * j)
 
 
-@pytest.mark.parametrize("N", [15, 17, 100, 8])
+@pytest.mark.parametrize("N", [15, 17, 100, 8, 1024.0, True, "1024"])
 def test_grid_rejects_bad_sizes(N):
     with pytest.raises(BadParameter):
         Grid(N, 10.0)
