@@ -1,5 +1,7 @@
 """stratwave: spectral laboratory for non-local dispersive-dissipative waves."""
 
+__version__ = "0.1.0"  # before the imports: stratwave.runio reads it
+
 from .errors import (BadParameter, ConfigInvalid, ExcludedParameters,
                      GridMismatch, InsufficientDecades, InvalidN, InvalidRange,
                      NoContraction, NonFinite, StratwaveError, UnderResolved,
@@ -12,11 +14,10 @@ from .spectral import (Field, Grid, convolve, field_from_csv, field_to_csv,
 from .kernel import (KernelField, asymptotic_coefficient, kernel_derivative_field,
                      kernel_field, kernel_hat, leading_jump)
 from .solver import (DatumSpec, EtdPropagator, SolverConfig, Trajectory,
-                     datum_from_config, make_datum, picard_solve, solve)
-from .analysis import (DecayFit, Weight, dichotomy_experiment, energy_experiment,
-                       growth_envelope, growth_experiment, kernel_report,
-                       lower_bound_check, lower_bound_experiment, tail_exponent,
-                       weighted_norm, weighted_persistence_experiment,
-                       window_mask)
-
-__version__ = "0.1.0"
+                     datum_from_config, make_datum, picard_solve, solution_at,
+                     solve)
+from .analysis import (EXPERIMENT_SCHEMAS, DecayFit, Weight, dichotomy_experiment,
+                       energy_experiment, growth_envelope, growth_experiment,
+                       kernel_report, lower_bound_check, lower_bound_experiment,
+                       run_experiment, tail_exponent, tail_report, weighted_norm,
+                       weighted_persistence_experiment, window_mask)

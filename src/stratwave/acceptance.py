@@ -1,7 +1,9 @@
 """Acceptance criteria: one callable per criterion, each self-contained.
 
 Every criterion states its tolerance inline and returns a CriterionResult
-with the measured numbers.  Grid sizes are chosen per criterion so the
+with the measured numbers.  The energy and spatial-decay criteria are data
+(CONFIG_CRITERIA): configs that `stratwave experiment` accepts, and a
+verdict over their reports.  Grid sizes are chosen per criterion so the
 measurement window respects the wrap-safety rule (contamination from the
 periodic images well below the tolerance); tail/constant criteria therefore
 use boxes larger than the generic N=2^16, L=400 default, which at x = 200
@@ -20,13 +22,11 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .analysis import (dichotomy_experiment, energy_experiment, growth_experiment,
-                       kernel_report, lower_bound_experiment, tail_exponent,
-                       weighted_persistence_experiment)
+from .analysis import dichotomy_experiment, kernel_report, run_experiment, tail_exponent
 from .errors import ExcludedParameters
 from .kernel import kernel_derivative_field, kernel_field, kernel_hat
 from .model import DispersionSymbol, preset, validate_params
-from .solver import DatumSpec, SolverConfig, make_datum, picard_solve, solve
+from .solver import DatumSpec, SolverConfig, make_datum, picard_solve, solution_at
 from .spectral import Field, Grid, convolve
 
 
@@ -143,10 +143,7 @@ def crit_s_conv() -> CriterionResult:
     sym, params = preset("ost")
     grid = Grid(2 ** 12, 64.0)
     u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=0.5), grid)
-    finals = []
-    for dt in (1e-3, 5e-4, 2.5e-4):
-        cfg = SolverConfig(dt=dt, T=0.25, snapshot_times=(0.25,))
-        finals.append(solve(sym, params, u0, cfg).snapshots[-1])
+    finals = [solution_at(sym, params, u0, 0.25, dt) for dt in (1e-3, 5e-4, 2.5e-4)]
     d12 = Field(grid, finals[0].samples - finals[1].samples).l2_norm()
     d23 = Field(grid, finals[1].samples - finals[2].samples).l2_norm()
     order = math.log2(d12 / d23)
@@ -159,8 +156,7 @@ def crit_s_xcheck() -> CriterionResult:
     sym, params = preset("ost")
     grid = Grid(2 ** 12, 64.0)
     u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.01), grid)
-    cfg = SolverConfig(dt=1e-3, T=0.1, snapshot_times=(0.1,))
-    u_etd = solve(sym, params, u0, cfg).snapshots[-1]
+    u_etd = solution_at(sym, params, u0, 0.1, 1e-3)
     u_pic, report = picard_solve(sym, params, u0,
                                  SolverConfig(dt=1e-3, T=0.1, picard_tol=1e-12))
     diff = Field(grid, u_etd.samples - u_pic.samples).l2_norm()
@@ -168,110 +164,97 @@ def crit_s_xcheck() -> CriterionResult:
                            {"l2_diff": diff, "picard_iterations": report["iterations"]})
 
 
-def crit_e_mono() -> CriterionResult:
-    """Energy non-increasing per step (slack 1e-10) for (2,2) and (2,3)."""
-    grid = Grid(2 ** 12, 64.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=0.5), grid)
-    reps = [energy_experiment(KDV, validate_params(2, n, 1, 1.0), u0, T=1.0, dt=1e-3)
-            for n in (2, 3)]
-    worst = max(rep["max_step_increase"] for rep in reps)
-    return CriterionResult("E-MONO", all(rep["checks"]["monotone"] for rep in reps),
-                           "max per-step energy increase <= 1e-10",
-                           {"max_increase": worst})
+def _config(kind: str, model: dict, grid: dict, solver: dict, datum=None,
+            **experiment) -> dict:
+    cfg = {"model": model, "grid": grid, "solver": solver,
+           "experiment": {"kind": kind, **experiment}}
+    return cfg if datum is None else {**cfg, "datum": datum}
 
 
-def crit_e_grow() -> CriterionResult:
-    """OST energy bound ||u(t)|| <= ||u0|| e^{eta t} * 1.01 on [0, 1]."""
-    sym, params = preset("ost")
-    grid = Grid(2 ** 12, 64.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=0.5), grid)
-    rep = energy_experiment(sym, params, u0, T=1.0, dt=1e-3)
-    return CriterionResult("E-GROW", rep["checks"]["growth_bound"],
-                           "energy within e^{eta t} * 1.01 envelope",
-                           {"max_ratio": rep["max_envelope_ratio"],
-                            "peak_energy": rep["peak_energy"]})
+def _e_mono(*reports) -> tuple:
+    return (all(rep["checks"]["monotone"] for rep in reports),
+            {"max_increase": max(rep["max_step_increase"] for rep in reports)})
 
 
-def _t2_run(gamma: float) -> tuple:
+def _e_grow(rep) -> tuple:
+    return rep["checks"]["growth_bound"], {"max_ratio": rep["max_envelope_ratio"],
+                                           "peak_energy": rep["peak_energy"]}
+
+
+def _t2_decay(*reports) -> tuple:
+    measured = {f"gamma{g}_{side}": rep[side]["exponent"]
+                for g, rep in zip((2, 5), reports) for side in ("left", "right")}
+    return all(abs(v - 2.0) <= 0.15 for v in measured.values()), measured
+
+
+def _t3_dichotomy(rep) -> tuple:
+    return rep["passed"], {"exp_nonzero": rep["exponent_nonzero_mean"],
+                           "exp_zero": rep["exponent_zero_mean"]}
+
+
+def _t3_lower(linear, nonlinear) -> tuple:
+    return (abs(linear["outer_ratio_median"] - 1.0) <= 0.05 and nonlinear["passed"],
+            {"linear_outer_ratio": linear["outer_ratio_median"],
+             "nonlinear_outer_ratio": nonlinear["outer_ratio_median"],
+             "nonlinear_min": nonlinear["outer_ratio_min"],
+             "nonlinear_max": nonlinear["outer_ratio_max"]})
+
+
+def _t4_weighted(rep) -> tuple:
+    return rep["bounded"], {"sup": rep["sup_t_weighted"], "low_t_slope": rep["low_t_slope"]}
+
+
+def _t5_growth(rep) -> tuple:
+    return rep["passed"], {"max_envelope": rep["max_envelope"]}
+
+
+_OST, _TO_1 = {"preset": "ost"}, {"dt": 1e-3, "T": 1.0}
+_E_BOX, _E_DATUM = {"N": 2 ** 12, "L": 64.0}, {"kind": "gaussian", "sigma0": 2.0, "amp": 0.5}
+_BOX_800 = {"N": 2 ** 17, "L": 800.0}
+
+#: criterion id -> (expected, the experiment configs it runs, in order, and
+#: the verdict over their reports, which returns (passed, measured))
+CONFIG_CRITERIA = {
+    "E-MONO": ("max per-step energy increase <= 1e-10", tuple(
+        _config("energy", {"symbol": {"kind": "kdv"}, "m": 2, "n": n, "k": 1, "eta": 1.0},
+                _E_BOX, _TO_1, _E_DATUM) for n in (2, 3)), _e_mono),
+    "E-GROW": ("energy within e^{eta t} * 1.01 envelope",
+               (_config("energy", _OST, _E_BOX, _TO_1, _E_DATUM),), _e_grow),
     # eta = 0.5: at eta*t = pi c2/mass = 1 the x^-2 tail coefficient of the
     # evolved Lorentzian datum crosses zero (spectral-kink cancellation), so
     # the (eta=1, t=1) combination is degenerate; half strength keeps the
     # coefficient measurable.  L = 800 suppresses the periodized-datum
     # background (~6e-7) below 4% of the signal at x = 120.
-    sym, params = preset("ost", eta=0.5)
-    grid = Grid(2 ** 17, 800.0)
-    u0 = make_datum(DatumSpec(kind="algebraic", gamma=gamma, c=0.5), grid)
-    cfg = SolverConfig(dt=1e-3, T=1.0, snapshot_times=(1.0,))
-    traj = solve(sym, params, u0, cfg)
-    return tuple(fit.exponent for fit in tail_exponent(traj.snapshots[-1], (20.0, 120.0)))
+    "T2-DECAY": ("exponent 2.0 +- 0.15 (gamma 2 and 5)", tuple(
+        _config("decay", {"preset": "ost", "eta": 0.5}, _BOX_800, _TO_1,
+                {"kind": "algebraic", "gamma": gamma, "c": 0.5}, window=[20.0, 120.0])
+        for gamma in (2.0, 5.0)), _t2_decay),
+    "T3-DICHOTOMY": ("nonzero-mean 2.0 +- 0.15, zero-mean >= 2.7, ordered",
+                     (_config("dichotomy", _OST, {"N": 2 ** 16, "L": 400.0}, _TO_1,
+                              gamma_datum=3.0, window=[20.0, 120.0]),), _t3_dichotomy),
+    "T3-LOWER": ("linear ratio 1.0 +- 0.05; nonlinear in [0.5, 2]", tuple(
+        _config("lowerbound", _OST, _BOX_800, solver,
+                {"kind": "algebraic", "gamma": 3.0, "c": c},
+                windows=[[40.0, 80.0], [60.0, 120.0], [100.0, 200.0]])
+        for solver, c in (({**_TO_1, "linear_only": True}, 1.0), (_TO_1, 0.1))), _t3_lower),
+    "T4-WEIGHTED": ("sup finite, low-t slope >= -0.05", (
+        _config("weighted", _OST, {"N": 2 ** 14, "L": 100.0}, _TO_1,
+                {"kind": "gaussian", "sigma0": 1.0, "amp": 1.0}, p=2.0, gamma=0.5),),
+        _t4_weighted),
+    "T5-GROWTH": ("envelope <= 2 C0 = 0.02 on all snapshots", (
+        _config("growth", _OST, {"N": 2 ** 16, "L": 400.0},
+                {"dt": 1e-3, "T": 0.5, "snapshots": [0.125, 0.25, 0.375, 0.5]},
+                {"kind": "growth", "gamma": 0.3, "c0": 1e-2}, bound=2e-2),), _t5_growth),
+}
 
 
-def crit_t2_decay() -> CriterionResult:
-    """Solution tail saturates at n+1 = 2 (+-0.15) for gamma = 2 and 5."""
-    lo2, hi2 = _t2_run(2.0)
-    lo5, hi5 = _t2_run(5.0)
-    ok = all(abs(v - 2.0) <= 0.15 for v in (lo2, hi2, lo5, hi5))
-    return CriterionResult("T2-DECAY", ok, "exponent 2.0 +- 0.15 (gamma 2 and 5)",
-                           {"gamma2_left": lo2, "gamma2_right": hi2,
-                            "gamma5_left": lo5, "gamma5_right": hi5})
-
-
-def crit_t3_dichotomy() -> CriterionResult:
-    """OST, gamma = 3: nonzero-mean tail 2.0 +- 0.15; zero-mean >= 2.7."""
-    sym, params = preset("ost")
-    grid = Grid(2 ** 16, 400.0)
-    report = dichotomy_experiment(sym, params, gamma_datum=3.0, T=1.0,
-                                  grid=grid, dt=1e-3, window=(20.0, 120.0))
-    return CriterionResult(
-        "T3-DICHOTOMY", report["passed"],
-        "nonzero-mean 2.0 +- 0.15, zero-mean >= 2.7, ordered",
-        {"exp_nonzero": report["exponent_nonzero_mean"],
-         "exp_zero": report["exponent_zero_mean"]})
-
-
-def crit_t3_lower() -> CriterionResult:
-    """Lower bound: linear-only ratio 1 +- 0.05 outermost; nonlinear in [0.5, 2]."""
-    sym, params = preset("ost")
-    grid = Grid(2 ** 17, 800.0)
-    windows = [(40.0, 80.0), (60.0, 120.0), (100.0, 200.0)]
-    u0 = make_datum(DatumSpec(kind="algebraic", gamma=3.0, c=1.0), grid)
-    rep_lin = lower_bound_experiment(sym, params, u0, T=1.0, dt=1e-3,
-                                     linear_only=True, windows=windows)
-    u0n = make_datum(DatumSpec(kind="algebraic", gamma=3.0, c=0.1), grid)
-    rep_nl = lower_bound_experiment(sym, params, u0n, T=1.0, dt=1e-3,
-                                    windows=windows)
-    ok = abs(rep_lin["outer_ratio_median"] - 1.0) <= 0.05 and rep_nl["passed"]
-    return CriterionResult(
-        "T3-LOWER", ok, "linear ratio 1.0 +- 0.05; nonlinear in [0.5, 2]",
-        {"linear_outer_ratio": rep_lin["outer_ratio_median"],
-         "nonlinear_outer_ratio": rep_nl["outer_ratio_median"],
-         "nonlinear_min": rep_nl["outer_ratio_min"],
-         "nonlinear_max": rep_nl["outer_ratio_max"]})
-
-
-def crit_t4_weighted() -> CriterionResult:
-    """t^alpha ||u||_{L2_w} bounded on (0, 1] with t->0 log-slope >= -0.05."""
-    sym, params = preset("ost")
-    grid = Grid(2 ** 14, 100.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=1.0), grid)
-    rep = weighted_persistence_experiment(sym, params, u0, p=2.0, gamma=0.5,
-                                          T=1.0, dt=1e-3)
-    return CriterionResult("T4-WEIGHTED", rep["bounded"],
-                           "sup finite, low-t slope >= -0.05",
-                           {"sup": rep["sup_t_weighted"],
-                            "low_t_slope": rep["low_t_slope"]})
-
-
-def crit_t5_growth() -> CriterionResult:
-    """Growth datum gamma = 0.3, C0 = 1e-2: envelope <= 2 C0 up to T = 0.5."""
-    sym, params = preset("ost")
-    grid = Grid(2 ** 16, 400.0)
-    u0 = make_datum(DatumSpec(kind="growth", gamma=0.3, c0=1e-2), grid)
-    rep = growth_experiment(sym, params, u0, gamma=0.3, T=0.5, dt=1e-3,
-                            snapshot_times=(0.125, 0.25, 0.375, 0.5), bound=2e-2)
-    return CriterionResult("T5-GROWTH", rep["passed"],
-                           "envelope <= 2 C0 = 0.02 on all snapshots",
-                           {"max_envelope": rep["max_envelope"]})
+def _from_configs(cid: str, expected: str, configs: tuple,
+                  verdict: Callable) -> Callable[[], CriterionResult]:
+    """The criterion that judges the run_experiment reports of configs."""
+    def criterion() -> CriterionResult:
+        passed, measured = verdict(*map(run_experiment, configs))
+        return CriterionResult(cid, passed, expected, measured)
+    return criterion
 
 
 def crit_cl_guard() -> CriterionResult:
@@ -298,13 +281,7 @@ CRITERIA: Dict[str, Callable[[], CriterionResult]] = {
     "K-DERIV": crit_k_deriv,
     "S-CONV": crit_s_conv,
     "S-XCHECK": crit_s_xcheck,
-    "E-MONO": crit_e_mono,
-    "E-GROW": crit_e_grow,
-    "T2-DECAY": crit_t2_decay,
-    "T3-DICHOTOMY": crit_t3_dichotomy,
-    "T3-LOWER": crit_t3_lower,
-    "T4-WEIGHTED": crit_t4_weighted,
-    "T5-GROWTH": crit_t5_growth,
+    **{cid: _from_configs(cid, *spec) for cid, spec in CONFIG_CRITERIA.items()},
     "CL-GUARD": crit_cl_guard,
 }
 

@@ -19,8 +19,13 @@ The experiment drivers operationalize the three spatial-behavior results:
   log-spaced t grid; bounded means finite sup and non-divergence as t -> 0
   (log-log slope >= -0.05 on the smallest decade).
 
-These and the energy, growth and kernel reports below back both `stratwave
-experiment`/`stratwave kernel` and the acceptance criteria.
+run_experiment(cfg) is the one experiment layer over these and the energy
+and growth reports: EXPERIMENTS maps each kind (dichotomy, weighted, growth,
+lowerbound, energy, decay) to a runner of a config valid under
+EXPERIMENT_SCHEMAS[kind].  `stratwave experiment` calls it, and so do the
+criteria that are configs (acceptance.CONFIG_CRITERIA): E-MONO, E-GROW,
+T2-DECAY, T3-DICHOTOMY, T3-LOWER, T4-WEIGHTED and T5-GROWTH.
+kernel_report backs `stratwave kernel` and K-CONST.
 """
 
 from __future__ import annotations
@@ -34,9 +39,11 @@ import numpy as np
 from .errors import (BadParameter, ExcludedParameters, InsufficientDecades,
                      WindowContaminated, ZeroMean)
 from .kernel import KernelField, asymptotic_coefficient
-from .model import DispersionSymbol, ModelParams, half_spectrum_multiplier
-from .solver import (DatumSpec, EtdPropagator, SolverConfig, make_datum, solve,
-                     step_count)
+from .model import (DispersionSymbol, ModelParams, half_spectrum_multiplier,
+                    model_from_config)
+from .runio import experiment_schema
+from .solver import (DatumSpec, EtdPropagator, SolverConfig, datum_from_config,
+                     make_datum, solution_at, solve, step_count)
 from .spectral import (Field, Grid, from_half_spectrum, half_spectrum, integral,
                        wrap_contamination)
 
@@ -126,6 +133,15 @@ def tail_exponent(f: Field, window: Tuple[float, float]) -> Tuple[DecayFit, Deca
     return _fit_side(f, window, "left"), _fit_side(f, window, "right")
 
 
+def tail_report(f: Field, window: Tuple[float, float]) -> dict:
+    """tail_exponent of f as a report: side -> the fit's numbers."""
+    return {fit.side: {"slope": fit.slope, "exponent": fit.exponent,
+                       "stderr": fit.stderr, "r_squared": fit.r_squared,
+                       "valid": fit.valid, "n_points": fit.n_points,
+                       "window": list(fit.window)}
+            for fit in tail_exponent(f, window)}
+
+
 # ---------------------------------------------------------------------------
 # Weighted norms and envelopes
 # ---------------------------------------------------------------------------
@@ -201,17 +217,12 @@ def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams,
         )
     if window is None:
         window = (20.0, 0.3 * grid.L)
-    cfg = SolverConfig(dt=dt, T=T, snapshot_times=(T,))
-
     datum_raw = make_datum(DatumSpec(kind="algebraic", gamma=gamma_datum,
                                      c=amplitude), grid)
     datum_zm = make_datum(DatumSpec(kind="zero_mean_algebraic", gamma=gamma_datum,
                                     c=amplitude), grid)
-    traj_raw = solve(sym, params, datum_raw, cfg)
-    traj_zm = solve(sym, params, datum_zm, cfg)
-
-    fits_raw = tail_exponent(traj_raw.snapshots[-1], window)
-    fits_zm = tail_exponent(traj_zm.snapshots[-1], window)
+    fits_raw = tail_exponent(solution_at(sym, params, datum_raw, T, dt), window)
+    fits_zm = tail_exponent(solution_at(sym, params, datum_zm, T, dt), window)
     exp_raw = 0.5 * (fits_raw[0].exponent + fits_raw[1].exponent)
     exp_zm = 0.5 * (fits_zm[0].exponent + fits_zm[1].exponent)
 
@@ -341,7 +352,7 @@ def lower_bound_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field
         khat = np.exp(half_spectrum_multiplier(u0.grid, sym, params) * T)
         u = from_half_spectrum(u0.grid, khat * half_spectrum(u0))
     else:
-        u = solve(sym, params, u0, SolverConfig(dt=dt, T=T, snapshot_times=(T,))).snapshots[-1]
+        u = solution_at(sym, params, u0, T, dt)
     report = lower_bound_check(u, T, params, u0_mean, windows=windows)
     return {**report, "passed": report["passes"]}
 
@@ -426,3 +437,84 @@ def kernel_report(kf: KernelField,
         "wrap_contamination": wrap_contamination(grid, window[1], params.n + 1),
         "theory_applies": kf.sym.supports_decay_order(params.n),
     }
+
+
+# ---------------------------------------------------------------------------
+# The experiment layer: one runner per kind, a function of a config that
+# EXPERIMENT_SCHEMAS[kind] accepts, which it reads and never changes
+# ---------------------------------------------------------------------------
+
+
+def _inputs(cfg: dict) -> tuple:
+    """(sym, params, grid, u0 or None, solver block, experiment block) of a
+    config; dt and T default to 1e-3 and 1."""
+    sym, params = model_from_config(cfg["model"])
+    grid = Grid(cfg["grid"]["N"], cfg["grid"]["L"])
+    u0 = datum_from_config(cfg["datum"], grid) if "datum" in cfg else None
+    return (sym, params, grid, u0, {"dt": 1e-3, "T": 1.0, **cfg.get("solver", {})},
+            cfg["experiment"])
+
+
+def _dichotomy(cfg: dict) -> dict:
+    sym, params, grid, _, solver, exp = _inputs(cfg)
+    return dichotomy_experiment(
+        sym, params, exp["gamma_datum"], solver["T"], grid, solver["dt"],
+        window=exp.get("window"),
+        **{key: exp[key] for key in ("amplitude", "exponent_tol",
+                                     "improvement_fraction") if key in exp})
+
+
+def _weighted(cfg: dict) -> dict:
+    sym, params, _, u0, solver, exp = _inputs(cfg)
+    return weighted_persistence_experiment(sym, params, u0, exp.get("p", 2.0),
+                                           exp.get("gamma", 0.5), solver["T"], solver["dt"])
+
+
+def _growth(cfg: dict) -> dict:
+    sym, params, _, u0, solver, exp = _inputs(cfg)
+    datum, T = cfg["datum"], solver["T"]
+    return growth_experiment(sym, params, u0, datum["gamma"], T, solver["dt"],
+                             solver.get("snapshots", [T]),
+                             exp.get("bound", 2.0 * datum.get("c0", 0.01)))
+
+
+def _lowerbound(cfg: dict) -> dict:
+    sym, params, _, u0, solver, exp = _inputs(cfg)
+    return lower_bound_experiment(sym, params, u0, solver["T"], solver["dt"],
+                                  solver.get("linear_only", False), exp.get("windows"))
+
+
+def _energy(cfg: dict) -> dict:
+    sym, params, _, u0, solver, _ = _inputs(cfg)
+    return energy_experiment(sym, params, u0, solver["T"], solver["dt"])
+
+
+def _decay(cfg: dict) -> dict:
+    """What `stratwave decay-fit` reports on `stratwave simulate`'s u(T)."""
+    sym, params, _, u0, solver, exp = _inputs(cfg)
+    return tail_report(solution_at(sym, params, u0, solver["T"], solver["dt"]),
+                       exp["window"])
+
+
+_DATUM = {"required": ["datum"]}
+
+#: experiment kind -> (its runner, the schema of what its config needs
+#: beyond the common fields, the solver fields it reads besides dt and T)
+EXPERIMENTS = {
+    "dichotomy": (_dichotomy, {"properties": {"experiment": {"required": ["gamma_datum"]}}},
+                  ()),
+    "weighted": (_weighted, _DATUM, ()),
+    "growth": (_growth, {**_DATUM, "properties": {"datum": {"required": ["gamma"]}}},
+               ("snapshots",)),
+    "lowerbound": (_lowerbound, _DATUM, ("linear_only",)),
+    "energy": (_energy, _DATUM, ()),
+    "decay": (_decay, {**_DATUM, "properties": {"experiment": {"required": ["window"]}}},
+              ()),
+}
+EXPERIMENT_SCHEMAS = {kind: experiment_schema(kind, needs, reads)
+                      for kind, (_, needs, reads) in EXPERIMENTS.items()}
+
+
+def run_experiment(cfg: dict) -> dict:
+    """The report of the experiment that cfg describes."""
+    return EXPERIMENTS[cfg["experiment"]["kind"]][0](cfg)

@@ -12,19 +12,16 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 from . import __version__
 from .acceptance import CRITERIA, run_acceptance
-from .analysis import (dichotomy_experiment, energy_experiment, growth_experiment,
-                       kernel_report, lower_bound_experiment, tail_exponent,
-                       weighted_persistence_experiment)
+from .analysis import EXPERIMENT_SCHEMAS, kernel_report, run_experiment, tail_report
 from .errors import (BadParameter, ConfigInvalid, InvalidN, InvalidRange,
                      NonFinite, StratwaveError)
 from .kernel import kernel_field
 from .model import PRESET_NAMES, model_from_config, preset
 from .runio import (DATUM_SCHEMA, MODEL_SCHEMA, RunDirectory, default_output_root,
-                    experiment_schema, load_json, validate_config, write_json)
+                    load_json, validate_config, write_json)
 from .solver import SolverConfig, datum_from_config, picard_solve, solve
 from .spectral import (Grid, _write_csv, field_from_csv, field_to_csv,
                        wrap_contamination)
@@ -161,86 +158,21 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_decay_fit(args) -> int:
-    left, right = tail_exponent(field_from_csv(args.infile), args.window)
-    report = {
-        side.side: {"slope": side.slope, "exponent": side.exponent,
-                    "stderr": side.stderr, "r_squared": side.r_squared,
-                    "valid": side.valid, "n_points": side.n_points,
-                    "window": list(side.window)}
-        for side in (left, right)
-    }
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(tail_report(field_from_csv(args.infile), args.window),
+                      indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)
     return EXIT_PASS
 
 
-def _solver_reads(*fields) -> dict:
-    """Schema: a solver block holding dt, T and, of the other solver fields,
-    only those named: the ones the experiment kind reads."""
-    return {"solver": {"properties": dict.fromkeys(("dt", "T", *fields), {}),
-                       "additionalProperties": False}}
-
-
-_NEEDS_DATUM = {"required": ["datum"], "properties": _solver_reads()}
-
-#: experiment kind -> (what its config needs beyond the common schema, with
-#: the solver fields it reads, and the analysis call; r carries cfg, exp,
-#: solver, sym, params, grid, u0, dt, T)
-EXPERIMENTS = {
-    "dichotomy": (
-        {"properties": {"experiment": {"required": ["gamma_datum"]},
-                        **_solver_reads()}},
-        lambda r: dichotomy_experiment(
-            r.sym, r.params, r.exp["gamma_datum"], r.T, r.grid, r.dt,
-            window=tuple(r.exp["window"]) if "window" in r.exp else None,
-            **{key: r.exp[key] for key in ("amplitude", "exponent_tol",
-                                           "improvement_fraction") if key in r.exp})),
-    "weighted": (_NEEDS_DATUM, lambda r: weighted_persistence_experiment(
-        r.sym, r.params, r.u0, p=r.exp.get("p", 2.0), gamma=r.exp.get("gamma", 0.5),
-        T=r.T, dt=r.dt)),
-    "growth": (
-        {"required": ["datum"], "properties": {"datum": {"required": ["gamma"]},
-                                               **_solver_reads("snapshots")}},
-        lambda r: growth_experiment(
-            r.sym, r.params, r.u0, r.cfg["datum"]["gamma"], r.T, r.dt,
-            snapshot_times=r.solver.get("snapshots", [r.T]),
-            bound=r.exp.get("bound", 2.0 * r.cfg["datum"].get("c0", 0.01)))),
-    "lowerbound": (
-        {"required": ["datum"], "properties": _solver_reads("linear_only")},
-        lambda r: lower_bound_experiment(
-            r.sym, r.params, r.u0, r.T, r.dt,
-            linear_only=r.solver.get("linear_only", False),
-            windows=[tuple(w) for w in r.exp["windows"]] if "windows" in r.exp else None)),
-    "energy": (_NEEDS_DATUM,
-               lambda r: energy_experiment(r.sym, r.params, r.u0, r.T, r.dt)),
-}
-_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
-_PARAMETERS = {"window": _PAIR,
-               "windows": {"type": "array", "items": _PAIR, "minItems": 1},
-               **dict.fromkeys(("gamma_datum", "p", "gamma", "bound", "amplitude",
-                                "exponent_tol", "improvement_fraction"),
-                               {"type": "number"})}
-#: experiment kind -> the schema of its configs
-EXPERIMENT_SCHEMAS = {kind: experiment_schema(kind, needs, _PARAMETERS)
-                      for kind, (needs, _) in EXPERIMENTS.items()}
-
-
 def cmd_experiment(args) -> int:
     cfg = load_json(args.config)
-    kind = args.kind
-    validate_config(cfg, EXPERIMENT_SCHEMAS[kind])
-    sym, params = _checked_model(cfg["model"])
-    grid = Grid(cfg["grid"]["N"], cfg["grid"]["L"])
-    solver = cfg.get("solver", {})
-    r = SimpleNamespace(
-        cfg=cfg, exp=cfg["experiment"], solver=solver, sym=sym, params=params,
-        grid=grid, dt=solver.get("dt", 1e-3), T=solver.get("T", 1.0),
-        u0=datum_from_config(cfg["datum"], grid) if "datum" in cfg else None)
-    rundir = RunDirectory(_resolve_out(args, cfg, f"experiment-{kind}"))
+    validate_config(cfg, EXPERIMENT_SCHEMAS[args.kind])
+    _checked_model(cfg["model"])    # the model's ranges, which no schema states
+    rundir = RunDirectory(_resolve_out(args, cfg, f"experiment-{args.kind}"))
     try:
-        report = EXPERIMENTS[kind][1](r)
+        report = run_experiment(cfg)
         write_json(rundir.register("report.json"), report)
         final = rundir.commit(cfg)
     except BaseException:
@@ -337,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run a named experiment",
                        parents=[common])
-    p.add_argument("kind", choices=tuple(EXPERIMENTS))
+    p.add_argument("kind", choices=tuple(EXPERIMENT_SCHEMAS))
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_experiment)
 
@@ -353,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.threads < 1:
+        ap.error(f"argument --threads: expected at least 1, got {args.threads}")
     try:
         return args.func(args)
     except ConfigInvalid as exc:

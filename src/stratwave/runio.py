@@ -86,20 +86,32 @@ SOLVER_SCHEMA = {
     "additionalProperties": False,
 }
 
-def experiment_schema(kind: str, needs: dict, fields: dict) -> dict:
+_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
+#: the optional experiment parameters and their types
+_PARAMETERS = {"window": _PAIR,
+               "windows": {"type": "array", "items": _PAIR, "minItems": 1},
+               **dict.fromkeys(("gamma_datum", "p", "gamma", "bound", "amplitude",
+                                "exponent_tol", "improvement_fraction"), {"type": "number"})}
+
+
+def experiment_schema(kind: str, needs: dict, solver_reads=()) -> dict:
     """Schema of a config for the experiment kind: the common fields with
-    experiment.kind fixed to kind, and needs, the extra schema of what the
-    kind reads; fields maps each optional experiment parameter to its type."""
+    experiment.kind fixed to kind, solver fields only dt, T and solver_reads,
+    and needs, the extra schema of what the kind requires."""
+    solver = {**SOLVER_SCHEMA, "properties": {
+        name: sub for name, sub in SOLVER_SCHEMA["properties"].items()
+        if name in ("dt", "T", *solver_reads)}}
     return {"allOf": [{
         "type": "object",
         "required": ["model", "grid", "experiment"],
         "properties": {
             "model": MODEL_SCHEMA,
             "grid": GRID_SCHEMA,
-            "solver": SOLVER_SCHEMA,
+            "solver": solver,
             "datum": DATUM_SCHEMA,
             "experiment": {"type": "object", "required": ["kind"],
-                           "properties": {"kind": {"const": kind}, **fields}},
+                           "properties": {"kind": {"const": kind},
+                                          **_PARAMETERS}},
         },
         "additionalProperties": False,
     }, needs]}
@@ -214,13 +226,19 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _float_range_int(text: str) -> int:
+    _finite_float(text)
+    return int(text)
+
+
 def load_json(path) -> dict:
     """The JSON value in the file at path; NaN, ±Infinity and number
-    literals too large for a float are not accepted."""
+    literals too large for a float are not accepted (an integer stays an
+    int)."""
     try:
         with open(path) as fh:
             return json.load(fh, parse_constant=_reject_constant,
-                             parse_float=_finite_float)
+                             parse_float=_finite_float, parse_int=_float_range_int)
     except ValueError as exc:    # bad JSON, a non-UTF-8 byte, or a rejected number
         raise ConfigInvalid(f"{path}: not valid JSON ({exc})") from exc
 

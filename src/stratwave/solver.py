@@ -338,6 +338,12 @@ def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     )
 
 
+def solution_at(sym: DispersionSymbol, params: ModelParams, u0: Field, T: float,
+                dt: float) -> Field:
+    """u(T): solve's snapshot at T."""
+    return solve(sym, params, u0, SolverConfig(dt=dt, T=T, snapshot_times=(T,))).snapshots[-1]
+
+
 #: Picard iterations before picard_solve stops and reports converged = False
 PICARD_MAX_ITER = 30
 

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from stratwave.acceptance import CRITERIA, run_criterion
+from stratwave.acceptance import CONFIG_CRITERIA, CRITERIA, run_criterion
+from stratwave.analysis import EXPERIMENT_SCHEMAS
+from stratwave.runio import validate_config
 
 CRITERION_IDS = list(CRITERIA.keys())
 GOLDEN = json.loads((Path(__file__).resolve().parent / "acceptance_golden.json").read_text())
@@ -65,3 +67,10 @@ def test_golden(cid, acceptance_results):
         else:
             assert got == pytest.approx(want, rel=SIGNAL_RTOL, abs=0.0), \
                 f"{cid}.{key}: {got!r} vs golden {want!r}"
+
+
+@pytest.mark.parametrize("cid", list(CONFIG_CRITERIA))
+def test_criterion_configs_are_experiment_configs(cid):
+    # each config is one that `stratwave experiment <kind> --config` accepts
+    for cfg in CONFIG_CRITERIA[cid][1]:
+        validate_config(cfg, EXPERIMENT_SCHEMAS[cfg["experiment"]["kind"]])

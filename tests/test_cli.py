@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -11,7 +12,9 @@ import pytest
 from oracles import csv_reference, energy_csv_reference, kernel_reference
 import stratwave
 from stratwave import Field, Grid, SolverConfig, field_to_csv, preset, solve
-from stratwave.cli import EXPERIMENT_SCHEMAS, EXPERIMENTS, main
+from stratwave.acceptance import CONFIG_CRITERIA, CRITERIA
+from stratwave.analysis import EXPERIMENT_SCHEMAS
+from stratwave.cli import main
 from stratwave.errors import NonFinite
 from stratwave.runio import sha256_file, validate_config
 from stratwave.solver import datum_from_config
@@ -184,6 +187,29 @@ def test_non_finite_json_number_is_a_config_error(tmp_path, ost_config, capsys,
     out = tmp_path / "out"
     assert main(["--quiet", "--out", str(out), *args]) == 1
     assert capsys.readouterr().err == f"config error: {bad}: not valid JSON ({reason})\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "simulate"])
+def test_integer_beyond_float_range_is_a_config_error(tmp_path, ost_config, capsys,
+                                                      command):
+    # an int literal past float range used to end in an OverflowError traceback
+    # where the grid (grid.L) or the datum (amp) converts it
+    huge = "1" + "0" * 400
+    bad = tmp_path / "bad.json"
+    if command == "experiment":
+        bad.write_text('{"model": {"preset": "ost"}, "grid": {"N": 256, "L": %s}, '
+                       '"solver": {"dt": 0.01, "T": 0.1}, "datum": %s, '
+                       '"experiment": {"kind": "energy"}}' % (huge, _GAUSS_DATUM % 1))
+        args = ["experiment", "energy", "--config", str(bad)]
+    else:
+        bad.write_text(_GAUSS_DATUM % huge)
+        args = ["simulate", "--config", ost_config, "--datum", str(bad),
+                "--T", "0.02", "--dt", "0.005", "--grid", "N=256,L=20"]
+    out = tmp_path / "out"
+    assert main(["--quiet", "--out", str(out), *args]) == 1
+    assert capsys.readouterr().err == (f"config error: {bad}: not valid JSON "
+                                       f"({huge} is too large for a float)\n")
     assert not out.exists()
 
 
@@ -598,6 +624,37 @@ def test_experiment_kind_mismatch(tmp_path, capsys):
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 
+def test_experiment_energy_reproduces_e_grow(tmp_path):
+    # the criterion's config, run from a file, gives its measured values bit for bit
+    (cfg,) = CONFIG_CRITERIA["E-GROW"][1]
+    out = tmp_path / "run"
+    assert main(["--quiet", "--out", str(out), "experiment", "energy", "--config",
+                 write_json(tmp_path / "e-grow.json", cfg)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    measured = CRITERIA["E-GROW"]().measured
+    assert report["max_envelope_ratio"] == measured["max_ratio"]
+    assert report["peak_energy"] == measured["peak_energy"]
+
+
+def test_experiment_decay_matches_simulate_then_decay_fit(tmp_path, capsys):
+    model, datum = {"preset": "ost"}, {"kind": "algebraic", "gamma": 2.0, "c": 0.5}
+    cfg = write_json(tmp_path / "exp.json", {
+        "model": model, "grid": {"N": 1024, "L": 50.0}, "solver": {"dt": 0.01, "T": 0.1},
+        "datum": datum, "experiment": {"kind": "decay", "window": [5.0, 20.0]}})
+    assert main(["--quiet", "--out", str(tmp_path / "exp"), "experiment", "decay",
+                 "--config", cfg]) == 0
+    assert main(["--quiet", "--out", str(tmp_path / "sim"), "simulate",
+                 "--config", write_json(tmp_path / "model.json", model),
+                 "--datum", write_json(tmp_path / "datum.json", datum),
+                 "--T", "0.1", "--dt", "0.01", "--grid", "N=1024,L=50"]) == 0
+    capsys.readouterr()
+    assert main(["decay-fit", "--in", str(tmp_path / "sim" / "snapshot_t0.1.csv"),
+                 "--window", "5,20"]) == 0
+    report = json.loads((tmp_path / "exp" / "report.json").read_text())
+    assert report == json.loads(capsys.readouterr().out)
+    assert sorted(report) == ["left", "right"] and report["right"]["valid"]
+
+
 def test_experiment_lowerbound_command(tmp_path, capsys):
     # linear-only evolution of an algebraic datum, on the default windows
     cfg = write_json(tmp_path / "exp.json", {
@@ -641,6 +698,21 @@ def test_acceptance_threads_give_the_serial_summary(tmp_path):
         summaries.append(summary)
     assert summaries[0] == summaries[1]
     assert [r["id"] for r in summaries[0]["results"]] == ["K-MASS", "K-SEMI"]
+
+
+def test_acceptance_threads_share_the_criterion_configs(tmp_path):
+    # E-MONO and E-GROW run at once from the module-level configs, which no
+    # runner changes
+    before = copy.deepcopy(CONFIG_CRITERIA)
+    summaries = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"summary{threads}.json"
+        assert main(["--quiet", "--threads", threads, "--out", str(out), "acceptance",
+                     "--only", "E-MONO", "E-GROW"]) == 0
+        summaries.append([{**r, "seconds": None}
+                          for r in json.loads(out.read_text())["results"]])
+    assert summaries[0] == summaries[1]
+    assert CONFIG_CRITERIA == before
 
 
 def test_acceptance_threads_print_results_in_criterion_order(tmp_path, capsys):
@@ -775,7 +847,7 @@ def test_simulate_non_finite_snapshots_is_bad_parameter(tmp_path, ost_config,
 def test_experiment_dichotomy_passes_only_configured_parameters(tmp_path,
                                                                 monkeypatch):
     # the defaults live in dichotomy_experiment alone
-    import stratwave.cli as cli_module
+    import stratwave.analysis as analysis_module
 
     seen = []
 
@@ -783,7 +855,7 @@ def test_experiment_dichotomy_passes_only_configured_parameters(tmp_path,
         seen.append(kwargs)
         return {"passed": True}
 
-    monkeypatch.setattr(cli_module, "dichotomy_experiment", record)
+    monkeypatch.setattr(analysis_module, "dichotomy_experiment", record)
     for extra in ({}, {"exponent_tol": 0.2}):
         cfg = write_json(tmp_path / "exp.json", {
             "model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
@@ -800,6 +872,7 @@ def test_experiment_dichotomy_passes_only_configured_parameters(tmp_path,
     ["--seed", "7", "presets"],                     # nothing is random: no --seed
     ["kernel", "--t", "1.0"],                       # --config is required
     ["decay-fit", "--in", "k.csv", "--window", "20;120"],
+    ["--threads", "0", "acceptance", "--only", "K-MOD-EVEN"],   # used to run serially
 ])
 def test_usage_errors_exit_1(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -862,11 +935,11 @@ _GAUSSIAN = {"kind": "gaussian", "sigma0": 1.0}
 #: kind -> (experiment parameters, datum) of a config its schema accepts
 _MINIMAL = {"dichotomy": ({"gamma_datum": 2.5}, None),
             "weighted": ({}, _GAUSSIAN), "lowerbound": ({}, _GAUSSIAN),
-            "energy": ({}, _GAUSSIAN),
+            "energy": ({}, _GAUSSIAN), "decay": ({"window": [5, 20]}, _GAUSSIAN),
             "growth": ({}, {"kind": "growth", "gamma": 0.3})}
 
 
-@pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("kind", sorted(EXPERIMENT_SCHEMAS))
 @pytest.mark.parametrize("field", ["snapshots", "linear_only"])
 def test_experiment_solver_fields_per_kind(tmp_path, capsys, kind, field):
     # a kind that does not read a solver field rejects it

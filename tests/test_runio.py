@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stratwave import runio
-from stratwave.cli import EXPERIMENT_SCHEMAS
+from stratwave.analysis import EXPERIMENT_SCHEMAS
 from stratwave.errors import ConfigInvalid
 from stratwave.runio import (DATUM_SCHEMA, GRID_SCHEMA, MODEL_SCHEMA, SOLVER_SCHEMA,
                              validate_config)
@@ -47,6 +47,7 @@ SEEDS = {
                                "experiment": {"kind": "lowerbound",
                                               "windows": [[5, 10], [10, 20]]}}],
     "experiment-energy": [{**_COMMON, "experiment": {"kind": "energy"}}],
+    "experiment-decay": [{**_COMMON, "experiment": {"kind": "decay", "window": [5, 20]}}],
 }
 
 
