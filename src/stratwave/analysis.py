@@ -42,10 +42,11 @@ from .kernel import KernelField, asymptotic_coefficient
 from .model import (DispersionSymbol, ModelParams, half_spectrum_multiplier,
                     model_from_config)
 from .runio import experiment_schema
-from .solver import (DatumSpec, EtdPropagator, SolverConfig, datum_from_config,
-                     make_datum, solution_at, solve, step_count)
-from .spectral import (Field, Grid, from_half_spectrum, half_spectrum, integral,
-                       wrap_contamination)
+from .solver import (SOLVE_PEAK_BYTES_PER_POINT, DatumSpec, EtdPropagator,
+                     SolverConfig, datum_from_config, make_datum, solution_at, solve,
+                     step_count)
+from .spectral import (Field, Grid, check_memory, from_half_spectrum, half_spectrum,
+                       integral, wrap_contamination)
 
 MIN_POINTS_PER_DECADE = 30
 
@@ -293,7 +294,8 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
 
     bounded = finite sup and small-t log-slope >= PERSISTENCE_SLOPE_FLOOR.
     The fitted prefactor sup_t q(t) / ||u0||_w is reported as fitted_C
-    (diagnostic).
+    (diagnostic).  Raises BadParameter before building the propagator when
+    the run's estimated peak exceeds physical memory.
     """
     if not 0 < gamma < 1:
         raise BadParameter("persistence weight gamma must be in (0, 1)")
@@ -306,6 +308,9 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
     steps = np.logspace(0.0, math.log10(n_steps), PERSISTENCE_SAMPLES)
     targets = set(np.clip(np.round(steps).astype(int), 1, n_steps).tolist())
 
+    check_memory(SOLVE_PEAK_BYTES_PER_POINT * grid.N,
+                 f"the ETD2 run at N={grid.N} (an estimate of "
+                 f"{SOLVE_PEAK_BYTES_PER_POINT} bytes per grid point)")
     prop = EtdPropagator(grid, sym, params, dt)
     ts, qs = [], []
     with np.errstate(over="ignore", invalid="ignore"):
@@ -499,20 +504,22 @@ def _decay(cfg: dict) -> dict:
 _DATUM = {"required": ["datum"]}
 
 #: experiment kind -> (its runner, the schema of what its config needs
-#: beyond the common fields, the solver fields it reads besides dt and T)
+#: beyond the common fields, the solver fields it reads besides dt and T,
+#: the experiment parameters it reads besides kind)
 EXPERIMENTS = {
     "dichotomy": (_dichotomy, {"properties": {"experiment": {"required": ["gamma_datum"]}}},
-                  ()),
-    "weighted": (_weighted, _DATUM, ()),
+                  (), ("gamma_datum", "window", "amplitude", "exponent_tol",
+                       "improvement_fraction")),
+    "weighted": (_weighted, _DATUM, (), ("p", "gamma")),
     "growth": (_growth, {**_DATUM, "properties": {"datum": {"required": ["gamma"]}}},
-               ("snapshots",)),
-    "lowerbound": (_lowerbound, _DATUM, ("linear_only",)),
-    "energy": (_energy, _DATUM, ()),
+               ("snapshots",), ("bound",)),
+    "lowerbound": (_lowerbound, _DATUM, ("linear_only",), ("windows",)),
+    "energy": (_energy, _DATUM, (), ()),
     "decay": (_decay, {**_DATUM, "properties": {"experiment": {"required": ["window"]}}},
-              ()),
+              (), ("window",)),
 }
-EXPERIMENT_SCHEMAS = {kind: experiment_schema(kind, needs, reads)
-                      for kind, (_, needs, reads) in EXPERIMENTS.items()}
+EXPERIMENT_SCHEMAS = {kind: experiment_schema(kind, needs, reads, parameters)
+                      for kind, (_, needs, reads, parameters) in EXPERIMENTS.items()}
 
 
 def run_experiment(cfg: dict) -> dict:

@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .acceptance import CRITERIA, run_acceptance
 from .analysis import EXPERIMENT_SCHEMAS, kernel_report, run_experiment, tail_report
 from .errors import (BadParameter, ConfigInvalid, InvalidN, InvalidRange,
                      NonFinite, StratwaveError)
@@ -184,6 +183,10 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
+    # imported here: the other commands need neither the criteria nor their
+    # thread pool and logging
+    from .acceptance import CRITERIA, run_acceptance
+
     ids, source = None, None
     if args.suite:
         suite = load_json(args.suite)

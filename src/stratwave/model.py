@@ -266,6 +266,8 @@ def model_from_config(cfg: dict):
     elif kind == "bo":
         sym = DispersionSymbol.bo()
     elif kind == "dgbo":
+        if "a" not in sc:
+            raise BadParameter("a dgbo symbol needs its exponent: symbol.a is missing")
         sym = DispersionSymbol.dgbo(sc["a"])
     else:
         raise BadParameter(f"unknown symbol kind {kind!r}")

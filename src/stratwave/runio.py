@@ -94,10 +94,11 @@ _PARAMETERS = {"window": _PAIR,
                                 "exponent_tol", "improvement_fraction"), {"type": "number"})}
 
 
-def experiment_schema(kind: str, needs: dict, solver_reads=()) -> dict:
+def experiment_schema(kind: str, needs: dict, solver_reads=(), parameters=()) -> dict:
     """Schema of a config for the experiment kind: the common fields with
     experiment.kind fixed to kind, solver fields only dt, T and solver_reads,
-    and needs, the extra schema of what the kind requires."""
+    experiment fields only kind and parameters, and needs, the extra schema
+    of what the kind requires."""
     solver = {**SOLVER_SCHEMA, "properties": {
         name: sub for name, sub in SOLVER_SCHEMA["properties"].items()
         if name in ("dt", "T", *solver_reads)}}
@@ -111,7 +112,9 @@ def experiment_schema(kind: str, needs: dict, solver_reads=()) -> dict:
             "datum": DATUM_SCHEMA,
             "experiment": {"type": "object", "required": ["kind"],
                            "properties": {"kind": {"const": kind},
-                                          **_PARAMETERS}},
+                                          **{name: _PARAMETERS[name]
+                                             for name in parameters}},
+                           "additionalProperties": False},
         },
         "additionalProperties": False,
     }, needs]}

@@ -311,12 +311,28 @@ def _snapshot_steps(cfg: SolverConfig, n_steps: int) -> dict:
     return out
 
 
+#: peak bytes allocated per grid point by an ETD2 run: solve with up to two
+#: snapshots (each further one holds 8 more) or weighted_persistence_experiment;
+#: 9.8 x 8N rounded up, the bound tests/test_memory.py enforces (measured
+#: 9.34 and 9.01 x 8N for N = 2^16 and 2^18)
+SOLVE_PEAK_BYTES_PER_POINT = 79
+
+
 def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
           cfg: SolverConfig) -> Trajectory:
-    """Integrate to T with the ETD2 scheme, recording energy each step."""
+    """Integrate to T with the ETD2 scheme, recording energy each step.
+
+    Raises BadParameter before building the propagator when the run's
+    estimated peak exceeds physical memory.
+    """
     grid = u0.grid
     n_steps = step_count(cfg.T, cfg.dt)
     snap_at = _snapshot_steps(cfg, n_steps)
+    check_memory((SOLVE_PEAK_BYTES_PER_POINT + 8 * max(0, len(snap_at) - 2)) * grid.N
+                 + 16 * (n_steps + 1),
+                 f"the ETD2 run at N={grid.N} with {len(snap_at)} snapshots and "
+                 f"{n_steps} steps (an estimate of {SOLVE_PEAK_BYTES_PER_POINT} "
+                 f"bytes per grid point, 8 per further snapshot, 16 per step)")
     prop = EtdPropagator(grid, sym, params, cfg.dt, cfg.linear_only)
 
     energies = np.empty(n_steps + 1)

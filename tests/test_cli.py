@@ -963,6 +963,61 @@ def test_experiment_solver_fields_per_kind(tmp_path, capsys, kind, field):
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 
+#: experiment kind -> the experiment parameters its runner reads
+_READS = {"dichotomy": {"gamma_datum", "window", "amplitude", "exponent_tol",
+                        "improvement_fraction"},
+          "weighted": {"p", "gamma"}, "growth": {"bound"}, "lowerbound": {"windows"},
+          "energy": set(), "decay": {"window"}}
+_PARAMETER_VALUES = {"gamma_datum": 2.5, "window": [5, 20], "amplitude": 1.0,
+                     "exponent_tol": 0.1, "improvement_fraction": 0.5, "p": 2.0,
+                     "gamma": 0.5, "bound": 0.02, "windows": [[5, 10]]}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPERIMENT_SCHEMAS))
+@pytest.mark.parametrize("parameter", sorted(_PARAMETER_VALUES))
+def test_experiment_parameters_per_kind(tmp_path, capsys, kind, parameter):
+    # a kind that does not read an experiment parameter rejects it
+    experiment, datum = _MINIMAL[kind]
+    cfg = {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
+           "solver": {"dt": 0.01, "T": 0.1},
+           "experiment": {"kind": kind, **experiment,
+                          parameter: _PARAMETER_VALUES[parameter]}}
+    if datum is not None:
+        cfg["datum"] = datum
+    if parameter in _READS[kind]:
+        validate_config(cfg, EXPERIMENT_SCHEMAS[kind])
+        return
+    out = tmp_path / "run"
+    rc = main(["--quiet", "--out", str(out), "experiment", kind, "--config",
+               write_json(tmp_path / "exp.json", cfg)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"config error: $.experiment: Additional properties are not allowed "
+        f"('{parameter}' was unexpected)\n")
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
+_DGBO_NO_A = {"symbol": {"kind": "dgbo"}, "m": 3, "n": 2, "k": 1, "eta": 1.0}
+
+
+@pytest.mark.parametrize("command", ["kernel", "simulate", "experiment"])
+def test_dgbo_symbol_without_a_is_a_config_error(tmp_path, capsys, gauss_datum, command):
+    model = write_json(tmp_path / "model.json", _DGBO_NO_A)
+    exp = write_json(tmp_path / "exp.json", {
+        "model": _DGBO_NO_A, "grid": {"N": 256, "L": 20}, "solver": {"dt": 0.01, "T": 0.05},
+        "datum": {"kind": "gaussian", "sigma0": 1.0}, "experiment": {"kind": "energy"}})
+    out = tmp_path / "out"
+    argv = {"kernel": ["kernel", "--config", model, "--t", "1.0", "--grid", "N=256,L=20"],
+            "simulate": ["simulate", "--config", model, "--datum", gauss_datum,
+                         "--T", "0.05", "--dt", "0.01", "--grid", "N=256,L=20"],
+            "experiment": ["experiment", "energy", "--config", exp]}[command]
+    assert main(["--quiet", "--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "symbol.a is missing" in err
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
 def test_simulate_picard_memory_guard(tmp_path, capsys, monkeypatch, ost_config,
                                       gauss_datum):
     import stratwave.spectral as spectral_module

@@ -14,12 +14,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stratwave import (DatumSpec, Grid, SolverConfig, kernel_derivative_field,
-                       kernel_field, make_datum, picard_solve, preset, solve)
+from stratwave import (BadParameter, DatumSpec, Grid, SolverConfig,
+                       kernel_derivative_field, kernel_field, make_datum, picard_solve,
+                       preset, solve, weighted_persistence_experiment)
 from stratwave.kernel import KERNEL_PEAK_BYTES_PER_POINT
 from stratwave.model import half_spectrum_multiplier
+from stratwave.solver import SOLVE_PEAK_BYTES_PER_POINT
 from stratwave.spectral import (Field, convolve, field_from_csv, field_to_csv,
                                 half_spectrum)
+import stratwave.analysis as analysis_module
+import stratwave.solver as solver_module
 import stratwave.spectral as spectral_module
 
 SIZES = [2 ** 16, 2 ** 18]
@@ -96,7 +100,62 @@ def test_solve_peak():
     cfg = SolverConfig(dt=1e-3, T=0.02, snapshot_times=(0.01, 0.02))
     solve(SYM, PARAMS, make_datum(datum, Grid(64, 4.0)), cfg)  # lazy set-up
     u0 = make_datum(datum, Grid(N, 400.0))
-    assert peak_units(N, solve, SYM, PARAMS, u0, cfg) <= 9.8
+    bound = 9.8
+    assert peak_units(N, solve, SYM, PARAMS, u0, cfg) <= bound
+    # the memory guard's estimate covers the measured peak
+    assert SOLVE_PEAK_BYTES_PER_POINT >= 8 * bound
+
+
+def test_weighted_persistence_peak():
+    # the solve above without snapshots, and one field per sample; measured
+    # 9.01 (2^16 and 2^18), within the guard's estimate for solve
+    N = 2 ** 16
+    datum = DatumSpec(kind="algebraic", gamma=3.0, c=0.5)
+    args = (2.0, 0.5, 0.02, 1e-3)
+    weighted_persistence_experiment(SYM, PARAMS, make_datum(datum, Grid(64, 4.0)), *args)
+    u0 = make_datum(datum, Grid(N, 400.0))
+    bound = 9.1
+    assert peak_units(N, weighted_persistence_experiment, SYM, PARAMS, u0, *args) <= bound
+    assert SOLVE_PEAK_BYTES_PER_POINT >= 8 * bound
+
+
+def _no_propagator(*args, **kwargs):
+    raise AssertionError("built a propagator before the memory check")
+
+
+def _guard_case():
+    """ost on N = 1024 and a Gaussian datum: 10 steps of dt = 0.01."""
+    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), Grid(1024, 50.0))
+    return SYM, PARAMS, u0
+
+
+@pytest.mark.parametrize("snapshots,need", [
+    ((0.1,), 79 * 1024 + 16 * 11),
+    ((0.05, 0.1), 79 * 1024 + 16 * 11),
+    # each snapshot beyond two holds another 8N bytes
+    ((0.02, 0.04, 0.06, 0.08, 0.1), (79 + 3 * 8) * 1024 + 16 * 11),
+])
+def test_solve_guard_raises_before_the_propagator(monkeypatch, snapshots, need):
+    monkeypatch.setattr(solver_module, "EtdPropagator", _no_propagator)
+    cfg = SolverConfig(dt=1e-2, T=0.1, snapshot_times=snapshots)
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: need - 1)
+    with pytest.raises(BadParameter, match=f"ETD2 run at N=1024.* needs {need} bytes"):
+        solve(*_guard_case(), cfg)
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="before the memory check"):
+        solve(*_guard_case(), cfg)
+
+
+def test_weighted_persistence_guard_raises_before_the_propagator(monkeypatch):
+    monkeypatch.setattr(analysis_module, "EtdPropagator", _no_propagator)
+    need = SOLVE_PEAK_BYTES_PER_POINT * 1024
+    args = (2.0, 0.5, 0.1, 1e-2)
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: need - 1)
+    with pytest.raises(BadParameter, match=f"ETD2 run at N=1024.* needs {need} bytes"):
+        weighted_persistence_experiment(*_guard_case(), *args)
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="before the memory check"):
+        weighted_persistence_experiment(*_guard_case(), *args)
 
 
 def picard_case(name: str, k: int, N: int, M: int):

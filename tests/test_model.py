@@ -236,6 +236,13 @@ def test_model_from_config():
                            "eta": 1.0})
 
 
+def test_model_from_config_dgbo_needs_its_exponent():
+    # no default: a preset's a = 0.5 would silently stand in for the missing one
+    with pytest.raises(BadParameter, match="symbol.a is missing"):
+        model_from_config({"symbol": {"kind": "dgbo"}, "m": 3, "n": 2, "k": 1,
+                           "eta": 1.0})
+
+
 # ---------------------------------------------------------------------------
 # the blocked half-spectrum multiplier
 # ---------------------------------------------------------------------------
