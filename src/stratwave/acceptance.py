@@ -300,16 +300,10 @@ def run_acceptance(ids: Optional[List[str]] = None, threads: int = 1,
     skipped = [cid for cid in wanted if cid not in CRITERIA]
     torun = [cid for cid in wanted if cid in CRITERIA]
     results: List[CriterionResult] = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_criterion, torun))
-    else:
-        for cid in torun:
-            res = run_criterion(cid)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # pool.map yields in criterion order, each result once it is ready
+        for res in (pool.map if threads > 1 else map)(run_criterion, torun):
             if not quiet:
                 print(res.line(), flush=True)
             results.append(res)
-    if threads > 1 and not quiet:
-        for res in results:
-            print(res.line(), flush=True)
     return results, skipped

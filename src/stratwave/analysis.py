@@ -38,15 +38,13 @@ import numpy as np
 
 from .errors import (BadParameter, ExcludedParameters, InsufficientDecades,
                      WindowContaminated, ZeroMean)
-from .kernel import KernelField, asymptotic_coefficient
-from .model import (DispersionSymbol, ModelParams, half_spectrum_multiplier,
-                    model_from_config)
+from .kernel import KernelField, asymptotic_coefficient, half_kernel_hat
+from .model import DispersionSymbol, ModelParams, model_from_config
 from .runio import experiment_schema
-from .solver import (SOLVE_PEAK_BYTES_PER_POINT, DatumSpec, EtdPropagator,
-                     SolverConfig, datum_from_config, make_datum, solution_at, solve,
-                     step_count)
-from .spectral import (Field, Grid, check_memory, from_half_spectrum, half_spectrum,
-                       integral, wrap_contamination)
+from .solver import (DatumSpec, SolverConfig, _guarded_propagator, datum_from_config,
+                     make_datum, solution_at, solve, step_count)
+from .spectral import (Field, Grid, from_half_spectrum, half_spectrum, integral,
+                       wrap_contamination)
 
 MIN_POINTS_PER_DECADE = 30
 
@@ -301,17 +299,13 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
         raise BadParameter("persistence weight gamma must be in (0, 1)")
     if not p > 1:
         raise BadParameter("p must exceed 1")
-    grid = u0.grid
     w = Weight(gamma)
     alpha = params.alpha
     n_steps = step_count(T, dt)
     steps = np.logspace(0.0, math.log10(n_steps), PERSISTENCE_SAMPLES)
     targets = set(np.clip(np.round(steps).astype(int), 1, n_steps).tolist())
 
-    check_memory(SOLVE_PEAK_BYTES_PER_POINT * grid.N,
-                 f"the ETD2 run at N={grid.N} (an estimate of "
-                 f"{SOLVE_PEAK_BYTES_PER_POINT} bytes per grid point)")
-    prop = EtdPropagator(grid, sym, params, dt)
+    prop = _guarded_propagator(u0.grid, sym, params, dt)
     ts, qs = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for step, uhat in prop.evolve(prop.forward(u0), n_steps):
@@ -348,13 +342,14 @@ def lower_bound_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field
                            windows: Optional[Sequence[Tuple[float, float]]] = None) -> dict:
     """lower_bound_check on u(T): Khat(T) u0hat when linear_only, else ETD2.
 
-    A datum with zero integral raises ZeroMean before any evolution."""
+    A datum with zero integral raises ZeroMean before any evolution.  The
+    linear-only Khat(T) is the kernel build's, half_kernel_hat, with its errors."""
     _check_decay_order(sym, params)
     u0_mean = integral(u0)
     if u0_mean == 0:
         raise ZeroMean("lower bound requires a datum with nonzero integral")
     if linear_only:
-        khat = np.exp(half_spectrum_multiplier(u0.grid, sym, params) * T)
+        khat = half_kernel_hat(T, u0.grid, sym, params)
         u = from_half_spectrum(u0.grid, khat * half_spectrum(u0))
     else:
         u = solution_at(sym, params, u0, T, dt)

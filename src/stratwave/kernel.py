@@ -83,11 +83,12 @@ def _check_resolution(t: float, grid: Grid, params: ModelParams):
         )
 
 
-def _half_kernel_hat(t: float, grid: Grid, sym: DispersionSymbol,
-                     params: ModelParams) -> np.ndarray:
+def half_kernel_hat(t: float, grid: Grid, sym: DispersionSymbol,
+                    params: ModelParams) -> np.ndarray:
     """Khat(t, xi_j) for j = 0..N/2; BadParameter when t is not finite, when
     L is not Hermitian, or when exp(Re L(xi_j) t) would overflow float64
-    (checked before the exponential).
+    (checked before the exponential), and UnderResolved when t <= 0 or the
+    grid does not resolve the decay scale (eta t)^(-1/m).
 
     Raises BadParameter before allocating when the kernel build's estimated
     peak exceeds physical memory.
@@ -113,16 +114,14 @@ def kernel_field(t: float, grid: Grid, sym: DispersionSymbol,
     Built by irfft of the half-spectrum, so it is a float64 field; an odd
     custom p (complex kernel) raises BadParameter.
     """
-    return KernelField(
-        field=from_half_spectrum(grid, _half_kernel_hat(t, grid, sym, params)),
-        t=t, sym=sym, params=params,
-    )
+    return KernelField(from_half_spectrum(grid, half_kernel_hat(t, grid, sym, params)),
+                       t, sym, params)
 
 
 def kernel_derivative_field(t: float, grid: Grid, sym: DispersionSymbol,
                             params: ModelParams) -> Field:
     """d_x K(t, .): inverse transform of (i xi) Khat; tail ~ |x|^-(n+2)."""
-    khat = _half_kernel_hat(t, grid, sym, params)
+    khat = half_kernel_hat(t, grid, sym, params)
     for start in range(0, khat.size, MULTIPLIER_BLOCK):
         stop = min(start + MULTIPLIER_BLOCK, khat.size)
         khat[start:stop] *= 1j * (grid.dxi * np.arange(start, stop))

@@ -247,20 +247,31 @@ def preset(name: str, eta: float = 1.0, k: int = 2, a: float = 0.5):
     raise UnknownPreset(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
-def model_from_config(cfg: dict):
-    """Build (sym, params) from a model-config dict.
+#: preset -> the model-config keys it reads besides "preset" and "eta"
+_PRESET_READS = {"gost": ("k",), "dgbo_perturbed": ("a",)}
 
-    Either {"preset": name, "eta": ..., "k": ..., "a": ...} or
-    {"symbol": {"kind": ..., "a": ...}, "m": ..., "n": ..., "k": ..., "eta": ...}.
+
+def _reject_unread(cfg: dict, reads, what: str) -> None:
+    if unread := sorted(set(cfg) - set(reads)):
+        raise BadParameter(f"{what} does not read {', '.join(map(repr, unread))}")
+
+
+def model_from_config(cfg: dict):
+    """Build (sym, params) from a model-config dict: {"preset": name, "eta": ...}
+    plus k for gost and a for dgbo_perturbed, or {"symbol": {"kind": ...},
+    "m": ..., "n": ..., "k": ..., "eta": ...} plus symbol.a for kind dgbo.
+    Any other key raises BadParameter rather than being dropped.
     """
     if "preset" in cfg:
-        kwargs = {}
-        for key in ("eta", "k", "a"):
-            if key in cfg:
-                kwargs[key] = cfg[key]
-        return preset(cfg["preset"], **kwargs)
+        name = cfg["preset"]
+        model = preset(name, **{key: cfg[key] for key in ("eta", "k", "a") if key in cfg})
+        _reject_unread(cfg, ("preset", "eta", *_PRESET_READS.get(name, ())),
+                       f"the {name} preset")      # after preset's UnknownPreset
+        return model
+    _reject_unread(cfg, ("symbol", "m", "n", "k", "eta"), "a model with a symbol")
     sc = cfg["symbol"]
     kind = sc["kind"]
+    _reject_unread(sc, ("kind", "a") if kind == "dgbo" else ("kind",), f"a {kind} symbol")
     if kind == "kdv":
         sym = DispersionSymbol.kdv()
     elif kind == "bo":
@@ -271,5 +282,4 @@ def model_from_config(cfg: dict):
         sym = DispersionSymbol.dgbo(sc["a"])
     else:
         raise BadParameter(f"unknown symbol kind {kind!r}")
-    params = validate_params(cfg["m"], cfg["n"], cfg["k"], cfg["eta"])
-    return sym, params
+    return sym, validate_params(cfg["m"], cfg["n"], cfg["k"], cfg["eta"])

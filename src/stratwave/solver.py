@@ -19,9 +19,6 @@ Two solver modes:
   with midpoint quadrature in tau over the step grid; per-iteration
   contraction factors are reported, and three consecutive factors above 1
   raise NoContraction (the discrete sign that the horizon is too large).
-  A sweep's midpoint terms read only the previous iterate, so those of
-  max(1, PICARD_BLOCK_POINTS // N) consecutive steps are one call of
-  EtdPropagator.nonlinear on a block of states: one irfft/rfft pair.
 
 The nonlinearity is evaluated pseudo-spectrally in the conservative form
 -(1/(k+1)) d_x (u^{k+1}) with generalized 2/(k+2) dealiasing, which keeps
@@ -40,7 +37,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import BadParameter, GridMismatch, NoContraction, NonFinite
-from .model import DispersionSymbol, ModelParams, half_spectrum_multiplier
+from .model import DispersionSymbol, ModelParams, _reject_unread, half_spectrum_multiplier
 from .spectral import Field, Grid, check_memory, dealias_keep
 
 # ---------------------------------------------------------------------------
@@ -111,10 +108,17 @@ def make_datum(spec: DatumSpec, grid: Grid) -> Field:
     return Field(grid=grid, samples=samples)
 
 
+#: datum kind -> the DatumSpec parameters that make_datum reads for it
+_DATUM_READS = {"algebraic": ("gamma", "c"), "zero_mean_algebraic": ("gamma", "c"),
+                "gaussian": ("sigma0", "amp"), "growth": ("gamma", "c0")}
+
+
 def datum_from_config(cfg: dict, grid: Grid) -> Field:
+    """make_datum of a datum config; a key its kind does not read raises BadParameter."""
     kind = cfg["kind"]
-    kwargs = {k: cfg[k] for k in ("gamma", "c", "sigma0", "amp", "c0") if k in cfg}
-    return make_datum(DatumSpec(kind=kind, **kwargs), grid)
+    if reads := _DATUM_READS.get(kind, ()):
+        _reject_unread(cfg, ("kind", *reads), f"a {kind} datum")
+    return make_datum(DatumSpec(kind=kind, **{k: cfg[k] for k in reads if k in cfg}), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +168,7 @@ class EtdPropagator:
         if dt <= 0:
             raise BadParameter(f"dt must be positive, got {dt}")
         self.grid = grid
+        self.sym = sym
         self.params = params
         self.dt = dt
         self.k = params.k
@@ -175,12 +180,18 @@ class EtdPropagator:
                        * grid.dx / grid.N)
         self.rate_weight = L.real * self.weight
         self.kept = _kept_modes(grid.N, self.k)
-        self.L = L[:self.kept].copy()
-        z = self.L * dt
+        z = L[:self.kept] * dt
         self.exp_full = np.exp(z)
         self.coeff1 = dt * _phi(z, 1)
         self.coeff2 = dt * _phi(z, 2)
         self.nl_mult = -(1j * (grid.dxi * j[:self.kept]) / (self.k + 1))
+        self._power_buffer = np.zeros(j.size)
+
+    @property
+    def L(self) -> np.ndarray:
+        """L(xi_j) on the kept modes j = 0..K, rebuilt on each access: only
+        Picard reads it, once per run, so the propagator does not hold it."""
+        return half_spectrum_multiplier(self.grid, self.sym, self.params)[:self.kept]
 
     def forward(self, u: Field) -> np.ndarray:
         """Dealiased half-spectrum of a field: its kept modes."""
@@ -191,21 +202,18 @@ class EtdPropagator:
     def physical(self, uhat: np.ndarray) -> Field:
         return Field(self.grid, np.fft.irfft(uhat, n=self.grid.N))
 
-    def _power(self, uhat: np.ndarray) -> np.ndarray:
-        """|uhat|^2 zero-padded to all N/2 + 1 modes.
-
-        The Parseval sums then run over N/2 + 1 terms whatever the length of
-        uhat (kept modes or a full half-spectrum), and so round alike.
-        """
-        power = np.zeros(self.weight.size)
-        power[:uhat.size] = uhat.real ** 2 + uhat.imag ** 2
-        return power
-
     def monitors(self, uhat: np.ndarray) -> Tuple[float, float]:
         """(energy, dissipation) by Parseval from one |uhat|^2: the discrete
         L2 norm of the field, and (1/2) d/dt ||u||^2 under the linear flow
-        (the Re phi-weighted norm squared)."""
-        power = self._power(uhat)
+        (the Re phi-weighted norm squared).
+
+        |uhat|^2 goes into the propagator's N/2 + 1 buffer, zero above the
+        length of uhat (kept modes or a full half-spectrum), so the sums run
+        over N/2 + 1 terms whatever that length, and round alike.
+        """
+        power = self._power_buffer
+        np.add(np.square(uhat.real), np.square(uhat.imag), out=power[:uhat.size])
+        power[uhat.size:] = 0.0
         return (float(np.sqrt(np.dot(self.weight, power))),
                 float(np.dot(self.rate_weight, power)))
 
@@ -314,8 +322,18 @@ def _snapshot_steps(cfg: SolverConfig, n_steps: int) -> dict:
 #: peak bytes allocated per grid point by an ETD2 run: solve with up to two
 #: snapshots (each further one holds 8 more) or weighted_persistence_experiment;
 #: 9.8 x 8N rounded up, the bound tests/test_memory.py enforces (measured
-#: 9.34 and 9.01 x 8N for N = 2^16 and 2^18)
+#: 9.18 and 8.84 x 8N for N = 2^16 and 2^18)
 SOLVE_PEAK_BYTES_PER_POINT = 79
+
+
+def _guarded_propagator(grid: Grid, sym: DispersionSymbol, params: ModelParams,
+                        dt: float, linear_only: bool = False, extra_bytes: int = 0,
+                        run: str = "the ETD2 run", extra: str = "") -> EtdPropagator:
+    """EtdPropagator after check_memory of SOLVE_PEAK_BYTES_PER_POINT N + extra_bytes."""
+    check_memory(SOLVE_PEAK_BYTES_PER_POINT * grid.N + extra_bytes,
+                 f"{run} at N={grid.N} (an estimate of {SOLVE_PEAK_BYTES_PER_POINT} "
+                 f"bytes per grid point{extra})")
+    return EtdPropagator(grid, sym, params, dt, linear_only)
 
 
 def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
@@ -325,33 +343,25 @@ def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     Raises BadParameter before building the propagator when the run's
     estimated peak exceeds physical memory.
     """
-    grid = u0.grid
     n_steps = step_count(cfg.T, cfg.dt)
     snap_at = _snapshot_steps(cfg, n_steps)
-    check_memory((SOLVE_PEAK_BYTES_PER_POINT + 8 * max(0, len(snap_at) - 2)) * grid.N
-                 + 16 * (n_steps + 1),
-                 f"the ETD2 run at N={grid.N} with {len(snap_at)} snapshots and "
-                 f"{n_steps} steps (an estimate of {SOLVE_PEAK_BYTES_PER_POINT} "
-                 f"bytes per grid point, 8 per further snapshot, 16 per step)")
-    prop = EtdPropagator(grid, sym, params, cfg.dt, cfg.linear_only)
+    prop = _guarded_propagator(
+        u0.grid, sym, params, cfg.dt, cfg.linear_only,
+        8 * max(0, len(snap_at) - 2) * u0.grid.N + 16 * (n_steps + 1),
+        extra=f", 8 per further snapshot, 16 per step: {len(snap_at)} snapshots "
+              f"and {n_steps} steps")
 
     energies = np.empty(n_steps + 1)
     rates = np.empty(n_steps + 1)
-    times: List[float] = []
     snapshots: List[Field] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for step, uhat in prop.evolve(prop.forward(u0), n_steps):
             energies[step], rates[step] = prop.monitors(uhat)
             if step in snap_at:
-                times.append(step * cfg.dt)
                 snapshots.append(prop.physical(uhat))
-    return Trajectory(
-        times=times,
-        snapshots=snapshots,
-        energy_times=cfg.dt * np.arange(n_steps + 1),
-        energy_series=energies,
-        dissipation_series=rates,
-    )
+    return Trajectory(times=[step * cfg.dt for step in snap_at],
+                      snapshots=snapshots, energy_times=cfg.dt * np.arange(n_steps + 1),
+                      energy_series=energies, dissipation_series=rates)
 
 
 def solution_at(sym: DispersionSymbol, params: ModelParams, u0: Field, T: float,
@@ -376,8 +386,8 @@ def _picard_sweeps(prop: EtdPropagator, traj: np.ndarray):
     Each N(.) reads only the previous iterate, so the averages of
     B = max(1, PICARD_BLOCK_POINTS // N) consecutive steps go through one
     prop.nonlinear call, one 2-D irfft/rfft pair; the recursion and the
-    norms then run row by row.  Every value is the one prop.nonlinear and
-    prop.monitors give step by step, bit for bit.
+    norms (prop.monitors) then run row by row.  Every value is the one
+    prop.nonlinear gives step by step, bit for bit.
     """
     M, kept = traj.shape[0] - 1, traj.shape[1]
     E = prop.exp_full
@@ -386,8 +396,6 @@ def _picard_sweeps(prop: EtdPropagator, traj: np.ndarray):
     mids = np.empty((B, kept), dtype=complex)
     old = np.empty(kept, dtype=complex)   # old[i] once traj[i] holds new[i]
     tmp = np.empty(kept, dtype=complex)
-    power = np.zeros(prop.weight.size)    # |new[i] - old[i]|^2, 0 above K
-    sq = power[:kept]
     norms = np.empty(M)
     for _ in range(PICARD_MAX_ITER):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -406,11 +414,7 @@ def _picard_sweeps(prop: EtdPropagator, traj: np.ndarray):
                     np.multiply(E, traj[i - 1], out=tmp)
                     np.multiply(dt_E_half, nl[b], out=traj[i])
                     np.add(tmp, traj[i], out=traj[i])
-                    # prop.monitors(traj[i] - old)[0] without its temporaries
-                    np.subtract(traj[i], old, out=tmp)
-                    np.square(tmp.real, out=sq)
-                    np.add(sq, np.square(tmp.imag, out=tmp.imag), out=sq)
-                    norms[i - 1] = float(np.sqrt(np.dot(prop.weight, power)))
+                    norms[i - 1] = prop.monitors(traj[i] - old)[0]
         yield float(np.max(norms))
 
 
@@ -422,28 +426,24 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     place: each row holds the K+1 half-spectrum modes that the dealias rule
     keeps (EtdPropagator's state), about 2/(k+2) of the N/2+1.  The tau
     integral uses the midpoint rule with u at midpoints approximated by
-    endpoint averages, streamed through
-    new[i] = E new[i-1] + dt E_{1/2} N((old[i-1] + old[i])/2), E = exp(L dt),
-    E_{1/2} = exp(L dt/2): O(M N) work per iteration.  The midpoint terms
-    of max(1, PICARD_BLOCK_POINTS // N) consecutive steps share one
-    irfft/rfft pair (_picard_sweeps), and every value is bit for bit the
-    per-step one.  Raises BadParameter before any step when T is not a whole
-    number of steps, when a snapshot time is off the step grid or collides
-    with another (as solve does), or when the array, 16 (M+1)(K+1) bytes,
-    would exceed physical memory.  Divergence is detected through
-    per-iteration contraction factors.  The report's "snapshots" entry lists
-    (t, field) at the requested snapshot times (default (T,)), taken from
-    the final iterate; when T is one of them, the returned field is that
-    snapshot's Field.
+    endpoint averages, streamed by _picard_sweeps with E = exp(L dt),
+    E_{1/2} = exp(L dt/2): O(M N) work per iteration.  Raises BadParameter
+    before any step when T is not a whole number of steps, when a snapshot
+    time is off the step grid or collides with another (as solve does), or
+    when the propagator and the array, SOLVE_PEAK_BYTES_PER_POINT N +
+    16 (M+1)(K+1) bytes, would exceed physical memory.  Divergence is
+    detected through per-iteration contraction factors.  The report's
+    "snapshots" entry lists (t, field) at the requested snapshot times
+    (default (T,)), taken from the final iterate; when T is one of them,
+    the returned field is that snapshot's Field.
     """
     M = step_count(cfg.T, cfg.dt)
     snap_at = _snapshot_steps(cfg, M)
     kept = _kept_modes(u0.grid.N, params.k)
-    check_memory(16 * (M + 1) * kept,
-                 f"picard iterate storage ((M+1) x (K+1) complex values, "
-                 f"K+1 = {kept} kept modes)")
-    dt = cfg.dt
-    prop = EtdPropagator(u0.grid, sym, params, dt, cfg.linear_only)
+    prop = _guarded_propagator(u0.grid, sym, params, cfg.dt, cfg.linear_only,
+                               16 * (M + 1) * kept, run="the Picard run",
+                               extra=f", and picard iterate storage of 16 (M+1) "
+                                     f"x (K+1) bytes, K+1 = {kept} kept modes")
     traj = np.empty((M + 1, kept), dtype=complex)
     traj[0] = prop.forward(u0)
     for i in range(1, M + 1):
@@ -466,7 +466,7 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
         if diff < cfg.picard_tol:
             converged = True
             break
-    snapshots = [(step * dt, prop.physical(traj[step])) for step in snap_at]
+    snapshots = [(step * cfg.dt, prop.physical(traj[step])) for step in snap_at]
     report = {
         "iterations": iterations,
         "contraction_factors": factors,

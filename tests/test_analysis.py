@@ -192,7 +192,7 @@ def test_lower_bound_experiment_zero_mean_before_evolution(monkeypatch, linear_o
         raise AssertionError("evolved a datum with zero integral")
 
     monkeypatch.setattr(analysis, "solve", evolved)
-    monkeypatch.setattr(analysis, "half_spectrum_multiplier", evolved)
+    monkeypatch.setattr(analysis, "half_kernel_hat", evolved)
     sym, params = preset("ost")
     u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.0), Grid(2 ** 10, 50.0))
     with pytest.raises(ZeroMean):

@@ -1105,3 +1105,75 @@ def test_kernel_report_theory_applies(tmp_path, model, applies):
                "--grid", "N=16384,L=200"])
     assert rc == 0
     assert json.loads(out.with_suffix(".json").read_text())["theory_applies"] is applies
+
+
+@pytest.mark.parametrize("model", [
+    {"preset": "ost", "k": 3},              # only gost reads k
+    {"preset": "bo_perturbed", "a": 0.3},   # only dgbo_perturbed reads a
+    # a top-level a beside a symbol: the symbol's own a is the one read
+    {"symbol": {"kind": "dgbo", "a": 0.5}, "a": 0.3, "m": 3, "n": 2, "k": 1, "eta": 1.0},
+    # only a dgbo symbol reads a
+    {"symbol": {"kind": "kdv", "a": 0.5}, "m": 3, "n": 1, "k": 1, "eta": 1.0},
+])
+def test_model_key_the_model_does_not_read_is_a_config_error(tmp_path, capsys, model):
+    # each used to validate and run with the key dropped: ost with k = 1,
+    # the dgbo symbol with a = 0.5
+    out = tmp_path / "kernel.csv"
+    rc = main(["--quiet", "--out", str(out), "kernel", "--config",
+               write_json(tmp_path / "model.json", model), "--t", "1.0",
+               "--grid", "N=256,L=20"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "does not read" in err and ("'k'" if "k" in model and "preset" in model
+                                       else "'a'") in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("datum,unread", [
+    ({"kind": "algebraic", "gamma": 3.0, "sigma0": 2.0}, "sigma0"),
+    ({"kind": "zero_mean_algebraic", "gamma": 3.0, "amp": 2.0}, "amp"),
+    ({"kind": "gaussian", "sigma0": 1.0, "c": 0.5}, "c"),
+    ({"kind": "growth", "gamma": 0.3, "c": 0.5}, "c"),
+])
+def test_datum_key_its_kind_does_not_read_is_bad_parameter(tmp_path, capsys, ost_config,
+                                                          datum, unread):
+    # each used to build the datum with the key dropped (the gaussian one
+    # bit for bit the default amp = 1 one)
+    out = tmp_path / "run"
+    rc = main(["--quiet", "--out", str(out), "simulate", "--config", ost_config,
+               "--datum", write_json(tmp_path / "datum.json", datum),
+               "--T", "0.05", "--dt", "0.01", "--grid", "N=256,L=20"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (f"error [BadParameter]: a {datum['kind']} datum does not read "
+                   f"'{unread}'\n")
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
+def _linear_lowerbound(tmp_path, grid: dict, T: float) -> str:
+    return write_json(tmp_path / "exp.json", {
+        "model": {"preset": "ost"}, "grid": grid,
+        "solver": {"dt": T, "T": T, "linear_only": True},
+        "datum": {"kind": "algebraic", "gamma": 3.0},
+        "experiment": {"kind": "lowerbound"}})
+
+
+@pytest.mark.parametrize("grid,T,error,names", [
+    # max Re L T = 0.385 x 3000 > log(float64 max): exp(L T) used to overflow
+    # to inf, and the report held NaN ratios with exit code 2
+    ({"N": 4096, "L": 100.0}, 3000.0, "BadParameter", "overflows the kernel"),
+    # Nyquist 20.1 < 8 x the decay scale 4.64 at T = 0.01: the kernel build
+    # refuses this grid, and the linear-only run used to go ahead on it
+    ({"N": 256, "L": 20.0}, 0.01, "UnderResolved", "Nyquist"),
+])
+def test_experiment_lowerbound_linear_only_uses_the_kernel_checks(tmp_path, capsys,
+                                                                 grid, T, error, names):
+    out = tmp_path / "run"
+    rc = main(["--quiet", "--out", str(out), "experiment", "lowerbound",
+               "--config", _linear_lowerbound(tmp_path, grid, T)])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error [{error}]: ")
+    assert names in lines[0]
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))

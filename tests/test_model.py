@@ -236,6 +236,16 @@ def test_model_from_config():
                            "eta": 1.0})
 
 
+def test_model_from_config_reads_every_key_it_accepts():
+    # gost reads k and dgbo_perturbed reads a; no other preset reads either
+    assert model_from_config({"preset": "gost", "k": 3, "eta": 0.5})[1].k == 3
+    assert model_from_config({"preset": "dgbo_perturbed", "a": 0.3})[0].a == 0.3
+    for cfg in ({"preset": "ost", "k": 3}, {"preset": "chen_lee", "a": 0.3},
+                {"preset": "gost", "a": 0.3}, {"preset": "dgbo_perturbed", "k": 2}):
+        with pytest.raises(BadParameter, match=f"the {cfg['preset']} preset does not read"):
+            model_from_config(cfg)
+
+
 def test_model_from_config_dgbo_needs_its_exponent():
     # no default: a preset's a = 0.5 would silently stand in for the missing one
     with pytest.raises(BadParameter, match="symbol.a is missing"):

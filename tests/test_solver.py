@@ -535,16 +535,17 @@ def test_picard_memory_guard_raises_before_any_step(monkeypatch):
     sym, params = preset("ost")
     g = Grid(2 ** 10, 50.0)
     u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), g)
-    # 11 x 342 complex values (the kept modes j <= 1024/3) need 60192 bytes
-    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: 60191)
+    # the propagator's 79 x 1024 bytes and 11 x 342 complex values (the kept
+    # modes j <= 1024/3) need 80896 + 60192 = 141088 bytes
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: 141087)
 
     def no_propagator(*args, **kwargs):
         raise AssertionError("built a propagator before the memory check")
 
     monkeypatch.setattr(solver_module, "EtdPropagator", no_propagator)
-    with pytest.raises(BadParameter, match="60192 bytes.*60191 bytes"):
+    with pytest.raises(BadParameter, match="141088 bytes.*141087 bytes"):
         picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1))
-    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: 60192)
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: 141088)
     with pytest.raises(AssertionError, match="before the memory check"):
         picard_solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1))
 
