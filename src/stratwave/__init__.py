@@ -24,9 +24,8 @@ _EXPORTS = {
                  "integral", "wrap_contamination"),
     "kernel": ("KernelField", "asymptotic_coefficient", "kernel_derivative_field",
                "kernel_field", "kernel_hat", "leading_jump"),
-    "solver": ("DatumSpec", "EtdPropagator", "SolverConfig", "Trajectory",
-               "datum_from_config", "make_datum", "picard_solve", "solution_at",
-               "solve"),
+    "solver": ("EtdPropagator", "SolverConfig", "Trajectory", "datum_from_config",
+               "picard_solve", "solution_at", "solve"),
     "analysis": ("EXPERIMENT_SCHEMAS", "DecayFit", "Weight", "dichotomy_experiment",
                  "energy_experiment", "growth_envelope", "growth_experiment",
                  "kernel_report", "lower_bound_check", "lower_bound_experiment",

@@ -26,7 +26,7 @@ from .analysis import dichotomy_experiment, kernel_report, run_experiment, tail_
 from .errors import ExcludedParameters
 from .kernel import kernel_derivative_field, kernel_field, kernel_hat
 from .model import DispersionSymbol, preset, validate_params
-from .solver import DatumSpec, SolverConfig, make_datum, picard_solve, solution_at
+from .solver import SolverConfig, datum_from_config, picard_solve, solution_at
 from .spectral import Field, Grid, convolve
 
 
@@ -142,7 +142,7 @@ def crit_s_conv() -> CriterionResult:
     """ETD2 self-convergence order >= 1.9 on the OST preset (Richardson)."""
     sym, params = preset("ost")
     grid = Grid(2 ** 12, 64.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=0.5), grid)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 2.0, "amp": 0.5}, grid)
     finals = [solution_at(sym, params, u0, 0.25, dt) for dt in (1e-3, 5e-4, 2.5e-4)]
     d12 = Field(grid, finals[0].samples - finals[1].samples).l2_norm()
     d23 = Field(grid, finals[1].samples - finals[2].samples).l2_norm()
@@ -155,7 +155,7 @@ def crit_s_xcheck() -> CriterionResult:
     """Picard and ETD agree to 1e-6 in L2 at T = 0.1 (small Gaussian, OST)."""
     sym, params = preset("ost")
     grid = Grid(2 ** 12, 64.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.01), grid)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.01}, grid)
     u_etd = solution_at(sym, params, u0, 0.1, 1e-3)
     u_pic, report = picard_solve(sym, params, u0,
                                  SolverConfig(dt=1e-3, T=0.1, picard_tol=1e-12))
@@ -164,11 +164,10 @@ def crit_s_xcheck() -> CriterionResult:
                            {"l2_diff": diff, "picard_iterations": report["iterations"]})
 
 
-def _config(kind: str, model: dict, grid: dict, solver: dict, datum=None,
+def _config(kind: str, model: dict, grid: dict, solver: dict, datum: dict,
             **experiment) -> dict:
-    cfg = {"model": model, "grid": grid, "solver": solver,
-           "experiment": {"kind": kind, **experiment}}
-    return cfg if datum is None else {**cfg, "datum": datum}
+    return {"model": model, "grid": grid, "solver": solver, "datum": datum,
+            "experiment": {"kind": kind, **experiment}}
 
 
 def _e_mono(*reports) -> tuple:
@@ -209,6 +208,7 @@ def _t5_growth(rep) -> tuple:
 
 
 _OST, _TO_1 = {"preset": "ost"}, {"dt": 1e-3, "T": 1.0}
+_ALGEBRAIC_3 = {"kind": "algebraic", "gamma": 3.0, "c": 0.5}
 _E_BOX, _E_DATUM = {"N": 2 ** 12, "L": 64.0}, {"kind": "gaussian", "sigma0": 2.0, "amp": 0.5}
 _BOX_800 = {"N": 2 ** 17, "L": 800.0}
 
@@ -231,7 +231,7 @@ CONFIG_CRITERIA = {
         for gamma in (2.0, 5.0)), _t2_decay),
     "T3-DICHOTOMY": ("nonzero-mean 2.0 +- 0.15, zero-mean >= 2.7, ordered",
                      (_config("dichotomy", _OST, {"N": 2 ** 16, "L": 400.0}, _TO_1,
-                              gamma_datum=3.0, window=[20.0, 120.0]),), _t3_dichotomy),
+                              _ALGEBRAIC_3, window=[20.0, 120.0]),), _t3_dichotomy),
     "T3-LOWER": ("linear ratio 1.0 +- 0.05; nonlinear in [0.5, 2]", tuple(
         _config("lowerbound", _OST, _BOX_800, solver,
                 {"kind": "algebraic", "gamma": 3.0, "c": c},
@@ -262,7 +262,7 @@ def crit_cl_guard() -> CriterionResult:
     sym, params = preset("chen_lee")
     grid = Grid(2 ** 14, 400.0)
     try:
-        dichotomy_experiment(sym, params, gamma_datum=3.0, T=0.5, grid=grid)
+        dichotomy_experiment(sym, params, _ALGEBRAIC_3, T=0.5, grid=grid)
     except ExcludedParameters:
         return CriterionResult("CL-GUARD", True, "raises ExcludedParameters",
                                {"raised": 1.0})

@@ -8,7 +8,7 @@ least 30 sample points per decade.
 The experiment drivers operationalize the three spatial-behavior results:
 
 * dichotomy_experiment: twin runs from an algebraic datum with gamma = n+1+eps
-  and from its zero-mean counterpart; the first tail saturates at n+1, the
+  and from its zero-mean twin; the first tail saturates at n+1, the
   second must improve to at least n+1 + 0.7 eps (a finite window cannot
   certify the exact improved exponent, so the threshold is conservative).
   Excluded pairs (m,n) = (2,1) and (2, 2d) raise ExcludedParameters.
@@ -41,10 +41,10 @@ from .errors import (BadParameter, ExcludedParameters, InsufficientDecades,
 from .kernel import KernelField, asymptotic_coefficient, half_kernel_hat
 from .model import DispersionSymbol, ModelParams, model_from_config
 from .runio import experiment_schema
-from .solver import (DatumSpec, SolverConfig, _guarded_propagator, datum_from_config,
-                     make_datum, solution_at, solve, step_count)
-from .spectral import (Field, Grid, from_half_spectrum, half_spectrum, integral,
-                       wrap_contamination)
+from .solver import (SolverConfig, _guarded_propagator, datum_from_config,
+                     datum_parameters, solution_at, solve, step_count)
+from .spectral import (Field, Grid, check_memory, from_half_spectrum, half_spectrum,
+                       integral, wrap_contamination)
 
 MIN_POINTS_PER_DECADE = 30
 
@@ -58,6 +58,11 @@ PERSISTENCE_SLOPE_FLOOR = -0.05
 
 #: kernel_report refuses a kernel whose mass is further than this from 1
 KERNEL_MASS_TOL = 1e-6
+
+#: peak bytes allocated per grid point by lower_bound_experiment's linear-only
+#: path, Khat(T), u0's half-spectrum and their product: 3.1 x 8N rounded up,
+#: the bound tests/test_memory.py enforces (measured 3.00 x 8N)
+LINEAR_LOWER_BOUND_BYTES_PER_POINT = 25
 
 
 def window_mask(grid: Grid, window: Tuple[float, float], side: str) -> np.ndarray:
@@ -192,34 +197,35 @@ def _check_decay_order(sym: DispersionSymbol, params: ModelParams) -> None:
 
 
 def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams,
-                         gamma_datum: float, T: float, grid: Grid,
+                         datum: dict, T: float, grid: Grid,
                          dt: float = 1e-3, window: Optional[Tuple[float, float]] = None,
-                         amplitude: float = 0.5,
                          exponent_tol: float = 0.15,
                          improvement_fraction: float = 0.7) -> dict:
-    """Twin-run decay dichotomy: raw datum vs zero-mean datum.
+    """Twin-run decay dichotomy: an algebraic datum (a datum config) vs its
+    zero-mean twin, the same config with kind zero_mean_algebraic.
 
-    gamma_datum must equal n+1+eps with eps in (0, 1].  The nonzero-mean run
-    must show tail exponent ~ n+1; the zero-mean run at least
-    n+1 + improvement_fraction * eps.  Reports both fits per side.
+    The datum's gamma must equal n+1+eps with eps in (0, 1]; a datum of
+    another kind raises BadParameter, after the ExcludedParameters checks.
+    The nonzero-mean run must show tail exponent ~ n+1; the zero-mean run at
+    least n+1 + improvement_fraction * eps.  Reports both fits per side.
     """
     if _excluded_pair(params):
         raise ExcludedParameters(
             f"(m, n) = ({params.m}, {params.n}): the dichotomy result excludes "
             f"(2, 1) and (2, 2d)")
     _check_decay_order(sym, params)
-    n = params.n
-    eps = gamma_datum - (n + 1)
+    if datum["kind"] != "algebraic":
+        raise BadParameter(f"the dichotomy runs from an algebraic datum and its "
+                           f"zero-mean twin, not from a {datum['kind']} datum")
+    n, gamma = params.n, datum_parameters(datum)["gamma"]
+    eps = gamma - (n + 1)
     if not 0 < eps <= 1:
         raise BadParameter(
-            f"gamma_datum must be n+1+eps with eps in (0,1]; got gamma={gamma_datum}"
-        )
+            f"the datum's gamma must be n+1+eps with eps in (0,1]; got gamma={gamma}")
     if window is None:
         window = (20.0, 0.3 * grid.L)
-    datum_raw = make_datum(DatumSpec(kind="algebraic", gamma=gamma_datum,
-                                     c=amplitude), grid)
-    datum_zm = make_datum(DatumSpec(kind="zero_mean_algebraic", gamma=gamma_datum,
-                                    c=amplitude), grid)
+    datum_raw = datum_from_config(datum, grid)
+    datum_zm = datum_from_config({**datum, "kind": "zero_mean_algebraic"}, grid)
     fits_raw = tail_exponent(solution_at(sym, params, datum_raw, T, dt), window)
     fits_zm = tail_exponent(solution_at(sym, params, datum_zm, T, dt), window)
     exp_raw = 0.5 * (fits_raw[0].exponent + fits_raw[1].exponent)
@@ -343,12 +349,17 @@ def lower_bound_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field
     """lower_bound_check on u(T): Khat(T) u0hat when linear_only, else ETD2.
 
     A datum with zero integral raises ZeroMean before any evolution.  The
-    linear-only Khat(T) is the kernel build's, half_kernel_hat, with its errors."""
+    linear-only Khat(T) is the kernel build's, half_kernel_hat, with its errors;
+    before it is built, BadParameter is raised when the path's estimated
+    peak exceeds physical memory."""
     _check_decay_order(sym, params)
     u0_mean = integral(u0)
     if u0_mean == 0:
         raise ZeroMean("lower bound requires a datum with nonzero integral")
     if linear_only:
+        check_memory(LINEAR_LOWER_BOUND_BYTES_PER_POINT * u0.grid.N,
+                     f"the linear-only lower bound at N={u0.grid.N} (an estimate of "
+                     f"{LINEAR_LOWER_BOUND_BYTES_PER_POINT} bytes per grid point)")
         khat = half_kernel_hat(T, u0.grid, sym, params)
         u = from_half_spectrum(u0.grid, khat * half_spectrum(u0))
     else:
@@ -445,23 +456,22 @@ def kernel_report(kf: KernelField,
 # ---------------------------------------------------------------------------
 
 
-def _inputs(cfg: dict) -> tuple:
-    """(sym, params, grid, u0 or None, solver block, experiment block) of a
-    config; dt and T default to 1e-3 and 1."""
+def _inputs(cfg: dict, build_datum: bool = True) -> tuple:
+    """(sym, params, grid, u0 (None unless build_datum), solver block,
+    experiment block) of a config; dt and T default to 1e-3 and 1."""
     sym, params = model_from_config(cfg["model"])
     grid = Grid(cfg["grid"]["N"], cfg["grid"]["L"])
-    u0 = datum_from_config(cfg["datum"], grid) if "datum" in cfg else None
+    u0 = datum_from_config(cfg["datum"], grid) if build_datum else None
     return (sym, params, grid, u0, {"dt": 1e-3, "T": 1.0, **cfg.get("solver", {})},
             cfg["experiment"])
 
 
 def _dichotomy(cfg: dict) -> dict:
-    sym, params, grid, _, solver, exp = _inputs(cfg)
+    sym, params, grid, _, solver, exp = _inputs(cfg, build_datum=False)
     return dichotomy_experiment(
-        sym, params, exp["gamma_datum"], solver["T"], grid, solver["dt"],
+        sym, params, cfg["datum"], solver["T"], grid, solver["dt"],
         window=exp.get("window"),
-        **{key: exp[key] for key in ("amplitude", "exponent_tol",
-                                     "improvement_fraction") if key in exp})
+        **{key: exp[key] for key in ("exponent_tol", "improvement_fraction") if key in exp})
 
 
 def _weighted(cfg: dict) -> dict:
@@ -472,10 +482,9 @@ def _weighted(cfg: dict) -> dict:
 
 def _growth(cfg: dict) -> dict:
     sym, params, _, u0, solver, exp = _inputs(cfg)
-    datum, T = cfg["datum"], solver["T"]
+    datum, T = datum_parameters(cfg["datum"]), solver["T"]
     return growth_experiment(sym, params, u0, datum["gamma"], T, solver["dt"],
-                             solver.get("snapshots", [T]),
-                             exp.get("bound", 2.0 * datum.get("c0", 0.01)))
+                             solver.get("snapshots", [T]), exp.get("bound", 2.0 * datum["c0"]))
 
 
 def _lowerbound(cfg: dict) -> dict:
@@ -496,21 +505,17 @@ def _decay(cfg: dict) -> dict:
                        exp["window"])
 
 
-_DATUM = {"required": ["datum"]}
-
 #: experiment kind -> (its runner, the schema of what its config needs
 #: beyond the common fields, the solver fields it reads besides dt and T,
 #: the experiment parameters it reads besides kind)
 EXPERIMENTS = {
-    "dichotomy": (_dichotomy, {"properties": {"experiment": {"required": ["gamma_datum"]}}},
-                  (), ("gamma_datum", "window", "amplitude", "exponent_tol",
-                       "improvement_fraction")),
-    "weighted": (_weighted, _DATUM, (), ("p", "gamma")),
-    "growth": (_growth, {**_DATUM, "properties": {"datum": {"required": ["gamma"]}}},
+    "dichotomy": (_dichotomy, {}, (), ("window", "exponent_tol", "improvement_fraction")),
+    "weighted": (_weighted, {}, (), ("p", "gamma")),
+    "growth": (_growth, {"properties": {"datum": {"required": ["gamma"]}}},
                ("snapshots",), ("bound",)),
-    "lowerbound": (_lowerbound, _DATUM, ("linear_only",), ("windows",)),
-    "energy": (_energy, _DATUM, (), ()),
-    "decay": (_decay, {**_DATUM, "properties": {"experiment": {"required": ["window"]}}},
+    "lowerbound": (_lowerbound, {}, ("linear_only",), ("windows",)),
+    "energy": (_energy, {}, (), ()),
+    "decay": (_decay, {"properties": {"experiment": {"required": ["window"]}}},
               (), ("window",)),
 }
 EXPERIMENT_SCHEMAS = {kind: experiment_schema(kind, needs, reads, parameters)

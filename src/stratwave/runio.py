@@ -90,8 +90,8 @@ _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems"
 #: the optional experiment parameters and their types
 _PARAMETERS = {"window": _PAIR,
                "windows": {"type": "array", "items": _PAIR, "minItems": 1},
-               **dict.fromkeys(("gamma_datum", "p", "gamma", "bound", "amplitude",
-                                "exponent_tol", "improvement_fraction"), {"type": "number"})}
+               **dict.fromkeys(("p", "gamma", "bound", "exponent_tol",
+                                "improvement_fraction"), {"type": "number"})}
 
 
 def experiment_schema(kind: str, needs: dict, solver_reads=(), parameters=()) -> dict:
@@ -104,7 +104,7 @@ def experiment_schema(kind: str, needs: dict, solver_reads=(), parameters=()) ->
         if name in ("dt", "T", *solver_reads)}}
     return {"allOf": [{
         "type": "object",
-        "required": ["model", "grid", "experiment"],
+        "required": ["model", "grid", "datum", "experiment"],
         "properties": {
             "model": MODEL_SCHEMA,
             "grid": GRID_SCHEMA,

@@ -45,25 +45,15 @@ from .spectral import Field, Grid, check_memory, dealias_keep
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DatumSpec:
-    """Initial-datum description: kind plus kind-specific parameters.
-
-    algebraic(gamma, c)        c (1 + x^2)^{-gamma/2}; tail slope -gamma
-    zero_mean_algebraic(gamma) odd profile c x (1+x^2)^{-(gamma+1)/2}, then
-                               exact discrete-mean removal (~1e-13 shift)
-    gaussian(sigma0, amp)      amp exp(-x^2 / (2 sigma0^2))
-    growth(gamma, c0)          c0 (1+x)^gamma s(x) with a smooth switch s
-                               vanishing for x <= -1, tapered near +L so the
-                               periodized datum is seam-free
-    """
-
-    kind: str
-    gamma: float = 0.0
-    c: float = 1.0
-    sigma0: float = 1.0
-    amp: float = 1.0
-    c0: float = 0.01
+#: datum kind -> the keys it reads, each with its default (None: required).
+#: algebraic: c (1 + x^2)^{-gamma/2}, tail slope -gamma; zero_mean_algebraic:
+#: the odd c x (1+x^2)^{-(gamma+1)/2} less its discrete mean (~1e-13);
+#: gaussian: amp exp(-x^2 / (2 sigma0^2)); growth: c0 (1+x)^gamma s(x), s a
+#: smooth switch vanishing for x <= -1, tapered near +L (seam-free periodized)
+DATUM_KEYS = {"algebraic": {"gamma": None, "c": 1.0},
+              "zero_mean_algebraic": {"gamma": None, "c": 1.0},
+              "gaussian": {"sigma0": 1.0, "amp": 1.0},
+              "growth": {"gamma": None, "c0": 0.01}}
 
 
 def _smoothstep(r: np.ndarray) -> np.ndarray:
@@ -80,45 +70,46 @@ def _smoothstep(r: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_datum(spec: DatumSpec, grid: Grid) -> Field:
-    x = grid.x
-    if spec.kind == "algebraic":
-        if spec.gamma <= 0:
-            raise BadParameter("algebraic datum requires gamma > 0")
-        samples = spec.c * (1.0 + x ** 2) ** (-spec.gamma / 2.0)
-    elif spec.kind == "zero_mean_algebraic":
-        if spec.gamma <= 0:
-            raise BadParameter("zero_mean_algebraic datum requires gamma > 0")
-        samples = spec.c * x * (1.0 + x ** 2) ** (-(spec.gamma + 1.0) / 2.0)
-        samples = samples - np.sum(samples) / grid.N
-    elif spec.kind == "gaussian":
-        if spec.sigma0 <= 0:
-            raise BadParameter("gaussian datum requires sigma0 > 0")
-        samples = spec.amp * np.exp(-x ** 2 / (2.0 * spec.sigma0 ** 2))
-    elif spec.kind == "growth":
-        if not 0.0 < spec.gamma < 0.5:
-            raise BadParameter("growth datum requires gamma in (0, 1/2)")
-        if spec.c0 <= 0:
-            raise BadParameter("growth datum requires c0 > 0")
-        switch = _smoothstep(x + 1.0)
-        taper = 1.0 - _smoothstep((x - 0.8 * grid.L) / (0.15 * grid.L))
-        samples = spec.c0 * (1.0 + np.maximum(x, 0.0)) ** spec.gamma * switch * taper
-    else:
-        raise BadParameter(f"unknown datum kind {spec.kind!r}")
-    return Field(grid=grid, samples=samples)
-
-
-#: datum kind -> the DatumSpec parameters that make_datum reads for it
-_DATUM_READS = {"algebraic": ("gamma", "c"), "zero_mean_algebraic": ("gamma", "c"),
-                "gaussian": ("sigma0", "amp"), "growth": ("gamma", "c0")}
+def datum_parameters(cfg: dict) -> dict:
+    """A datum config with its kind's defaults filled in; an unknown kind, a
+    missing required key or a key its kind does not read raises BadParameter."""
+    kind = cfg["kind"]
+    if kind not in DATUM_KEYS:
+        raise BadParameter(f"unknown datum kind {kind!r}")
+    keys = DATUM_KEYS[kind]
+    _reject_unread(cfg, ("kind", *keys), f"a {kind} datum")
+    if missing := [key for key, default in keys.items() if default is None and key not in cfg]:
+        raise BadParameter(f"a {kind} datum needs {', '.join(map(repr, missing))}")
+    return {**keys, **cfg}
 
 
 def datum_from_config(cfg: dict, grid: Grid) -> Field:
-    """make_datum of a datum config; a key its kind does not read raises BadParameter."""
-    kind = cfg["kind"]
-    if reads := _DATUM_READS.get(kind, ()):
-        _reject_unread(cfg, ("kind", *reads), f"a {kind} datum")
-    return make_datum(DatumSpec(kind=kind, **{k: cfg[k] for k in reads if k in cfg}), grid)
+    """The initial datum that a datum config describes, sampled on the grid
+    (see DATUM_KEYS); invalid parameters raise BadParameter."""
+    p = datum_parameters(cfg)
+    kind, x = p["kind"], grid.x
+    if kind == "algebraic":
+        if p["gamma"] <= 0:
+            raise BadParameter("algebraic datum requires gamma > 0")
+        samples = p["c"] * (1.0 + x ** 2) ** (-p["gamma"] / 2.0)
+    elif kind == "zero_mean_algebraic":
+        if p["gamma"] <= 0:
+            raise BadParameter("zero_mean_algebraic datum requires gamma > 0")
+        samples = p["c"] * x * (1.0 + x ** 2) ** (-(p["gamma"] + 1.0) / 2.0)
+        samples = samples - np.sum(samples) / grid.N
+    elif kind == "gaussian":
+        if p["sigma0"] <= 0:
+            raise BadParameter("gaussian datum requires sigma0 > 0")
+        samples = p["amp"] * np.exp(-x ** 2 / (2.0 * p["sigma0"] ** 2))
+    else:
+        if not 0.0 < p["gamma"] < 0.5:
+            raise BadParameter("growth datum requires gamma in (0, 1/2)")
+        if p["c0"] <= 0:
+            raise BadParameter("growth datum requires c0 > 0")
+        switch = _smoothstep(x + 1.0)
+        taper = 1.0 - _smoothstep((x - 0.8 * grid.L) / (0.15 * grid.L))
+        samples = p["c0"] * (1.0 + np.maximum(x, 0.0)) ** p["gamma"] * switch * taper
+    return Field(grid=grid, samples=samples)
 
 
 # ---------------------------------------------------------------------------

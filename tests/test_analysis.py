@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import fft_xi, to_physical, verify_pointwise_bound
-from stratwave import (DatumSpec, DispersionSymbol, ExcludedParameters, Field, Grid,
+from stratwave import (DispersionSymbol, ExcludedParameters, Field, Grid,
                        InsufficientDecades, NonFinite, SolverConfig, Weight,
-                       WindowContaminated, ZeroMean, dichotomy_experiment,
-                       energy_experiment, growth_envelope, growth_experiment,
-                       integral, kernel_field, kernel_hat, kernel_report,
-                       lower_bound_check, lower_bound_experiment, make_datum, preset,
+                       WindowContaminated, ZeroMean, datum_from_config,
+                       dichotomy_experiment, energy_experiment, growth_envelope,
+                       growth_experiment, integral, kernel_field, kernel_hat, kernel_report,
+                       lower_bound_check, lower_bound_experiment, preset,
                        tail_exponent, validate_params, weighted_norm,
                        weighted_persistence_experiment, window_mask)
 from stratwave.errors import BadParameter
@@ -92,7 +92,7 @@ def test_weight_guards():
 def test_weighted_persistence_rejects_partial_steps(T):
     # T = 0.0004 used to reach log10(0); T = 0.0105 used to stop at t = 0.01
     sym, params = preset("ost")
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), Grid(1024, 50.0))
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, Grid(1024, 50.0))
     with pytest.raises(BadParameter, match="whole number of steps"):
         weighted_persistence_experiment(sym, params, u0, p=2.0, gamma=0.5, T=T,
                                         dt=1e-3)
@@ -114,7 +114,7 @@ def test_growth_envelope_exact_profile_and_scaling():
 
 def test_mean_gaussian_and_odd():
     g = Grid(2 ** 14, 100.0)
-    gauss = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=1.0), g)
+    gauss = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 1.0}, g)
     assert integral(gauss) == pytest.approx(math.sqrt(2 * math.pi), rel=1e-10)
     # sin vanishes at the unpaired x = -L sample, so oddness is exact
     odd_trig = Field(g, np.sin(3 * np.pi * g.x / g.L))
@@ -136,7 +136,7 @@ def linear_evolve(sym, params, u0, t):
 def test_lower_bound_linear_ratio_converges_to_one():
     sym, params = preset("ost")
     g = Grid(2 ** 17, 800.0)
-    u0 = make_datum(DatumSpec(kind="algebraic", gamma=3.0, c=1.0), g)
+    u0 = datum_from_config({"kind": "algebraic", "gamma": 3.0, "c": 1.0}, g)
     u = linear_evolve(sym, params, u0, 1.0)
     windows = [(40.0, 80.0), (60.0, 120.0), (100.0, 200.0)]
     report = lower_bound_check(u, 1.0, params, integral(u0), windows=windows)
@@ -151,7 +151,7 @@ def test_lower_bound_linear_ratio_converges_to_one():
 def test_lower_bound_zero_mean_guard():
     sym, params = preset("ost")
     g = Grid(2 ** 12, 100.0)
-    u = make_datum(DatumSpec(kind="gaussian", sigma0=1.0), g)
+    u = datum_from_config({"kind": "gaussian", "sigma0": 1.0}, g)
     with pytest.raises(ZeroMean):
         lower_bound_check(u, 1.0, params, 0.0)
 
@@ -159,7 +159,7 @@ def test_lower_bound_zero_mean_guard():
 def test_lower_bound_window_guard():
     sym, params = preset("ost")
     g = Grid(2 ** 12, 100.0)
-    u = make_datum(DatumSpec(kind="gaussian", sigma0=1.0), g)
+    u = datum_from_config({"kind": "gaussian", "sigma0": 1.0}, g)
     with pytest.raises(WindowContaminated):
         lower_bound_check(u, 1.0, params, 1.0, windows=[(10.0, 80.0)])
 
@@ -168,7 +168,7 @@ def test_lower_bound_default_windows():
     # three nested windows ending at 0.45 L
     sym, params = preset("ost")
     g = Grid(2 ** 14, 200.0)
-    u0 = make_datum(DatumSpec(kind="algebraic", gamma=3.0, c=1.0), g)
+    u0 = datum_from_config({"kind": "algebraic", "gamma": 3.0, "c": 1.0}, g)
     report = lower_bound_check(linear_evolve(sym, params, u0, 1.0), 1.0, params,
                                integral(u0))
     assert report["windows"] == [[22.5, 45.0], [33.75, 67.5], [45.0, 90.0]]
@@ -179,7 +179,7 @@ def test_lower_bound_default_windows():
 def test_lower_bound_empty_windows_rejected():
     sym, params = preset("ost")
     g = Grid(2 ** 12, 100.0)
-    u = make_datum(DatumSpec(kind="gaussian", sigma0=1.0), g)
+    u = datum_from_config({"kind": "gaussian", "sigma0": 1.0}, g)
     with pytest.raises(BadParameter, match="at least one window"):
         lower_bound_check(u, 1.0, params, 1.0, windows=[])
 
@@ -194,7 +194,7 @@ def test_lower_bound_experiment_zero_mean_before_evolution(monkeypatch, linear_o
     monkeypatch.setattr(analysis, "solve", evolved)
     monkeypatch.setattr(analysis, "half_kernel_hat", evolved)
     sym, params = preset("ost")
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.0), Grid(2 ** 10, 50.0))
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.0}, Grid(2 ** 10, 50.0))
     with pytest.raises(ZeroMean):
         lower_bound_experiment(sym, params, u0, 0.1, 1e-2, linear_only)
 
@@ -203,28 +203,50 @@ def test_lower_bound_experiment_zero_mean_before_evolution(monkeypatch, linear_o
 # dichotomy experiment
 # ---------------------------------------------------------------------------
 
+#: the algebraic datum of T3-DICHOTOMY
+ALGEBRAIC_3 = {"kind": "algebraic", "gamma": 3.0, "c": 0.5}
+
+
 def test_dichotomy_excluded_pairs():
     grid = Grid(2 ** 10, 50.0)
     sym, params = preset("chen_lee")      # (2, 1)
     with pytest.raises(ExcludedParameters):
-        dichotomy_experiment(sym, params, 3.0, 0.1, grid)
+        dichotomy_experiment(sym, params, ALGEBRAIC_3, 0.1, grid)
     params24 = validate_params(2, 4, 1, 1.0)
     with pytest.raises(ExcludedParameters):
-        dichotomy_experiment(preset("ost")[0], params24, 6.0, 0.1, grid)
+        dichotomy_experiment(preset("ost")[0], params24,
+                             {"kind": "algebraic", "gamma": 6.0}, 0.1, grid)
+
+
+def test_dichotomy_twin_is_the_datum_with_kind_zero_mean(monkeypatch):
+    # both runs are built from the one datum config: same gamma and c
+    import stratwave.analysis as analysis_module
+    built = []
+
+    def record(cfg, grid):
+        built.append(cfg)
+        return datum_from_config(cfg, grid)
+
+    monkeypatch.setattr(analysis_module, "datum_from_config", record)
+    datum = {"kind": "algebraic", "gamma": 2.5, "c": 0.25}
+    dichotomy_experiment(*preset("ost"), datum, T=0.01, grid=Grid(2 ** 12, 100.0), dt=5e-3)
+    assert built == [datum, {**datum, "kind": "zero_mean_algebraic"}]
+    assert datum == {"kind": "algebraic", "gamma": 2.5, "c": 0.25}   # not changed
 
 
 def test_dichotomy_epsilon_range():
     grid = Grid(2 ** 10, 50.0)
     sym, params = preset("ost")
     for gamma in (2.0, 3.5, 1.9):
-        with pytest.raises(BadParameter):
-            dichotomy_experiment(sym, params, gamma, 0.1, grid)
+        with pytest.raises(BadParameter, match="must be n\\+1\\+eps"):
+            dichotomy_experiment(sym, params, {"kind": "algebraic", "gamma": gamma},
+                                 0.1, grid)
 
 
 def test_dichotomy_default_window():
     # without a window the fits run on [20, 0.3 L]
     sym, params = preset("ost")
-    report = dichotomy_experiment(sym, params, gamma_datum=3.0, T=0.01,
+    report = dichotomy_experiment(sym, params, ALGEBRAIC_3, T=0.01,
                                   grid=Grid(2 ** 12, 100.0), dt=5e-3)
     assert report["window"] == [20.0, 30.0]
     assert math.isfinite(report["exponent_nonzero_mean"])
@@ -235,7 +257,7 @@ def test_dichotomy_small_run_ordering():
     # robust even when absolute exponents are rough
     sym, params = preset("ost")
     grid = Grid(2 ** 14, 200.0)
-    report = dichotomy_experiment(sym, params, gamma_datum=3.0, T=0.5,
+    report = dichotomy_experiment(sym, params, ALGEBRAIC_3, T=0.5,
                                   grid=grid, dt=2e-3, window=(15.0, 60.0),
                                   exponent_tol=0.4, improvement_fraction=0.4)
     assert report["checks"]["ordering"]
@@ -254,7 +276,7 @@ def test_dichotomy_small_run_ordering():
     (1.0, 0.5, "p must exceed 1"), (float("nan"), 0.5, "p must exceed 1")])
 def test_weighted_persistence_rejects_gamma_and_p(p, gamma, message):
     sym, params = preset("ost")
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), Grid(1024, 50.0))
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, Grid(1024, 50.0))
     with pytest.raises(BadParameter, match=message):
         weighted_persistence_experiment(sym, params, u0, p=p, gamma=gamma,
                                         T=0.1, dt=1e-2)
@@ -274,7 +296,7 @@ def test_weighted_persistence_linear_only_bounded():
     # direct-convolution analogue: evolve linearly, norms stay ~ C ||u0||_w
     sym, params = preset("ost")
     g = Grid(2 ** 12, 100.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=1.0), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 1.0}, g)
     w = Weight(0.5)
     norm0 = weighted_norm(u0, 2.0, w)
     sup_q = 0.0
@@ -288,7 +310,7 @@ def test_weighted_persistence_linear_only_bounded():
 def test_weighted_persistence_full_run():
     sym, params = preset("ost")
     g = Grid(2 ** 12, 100.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=1.0), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 1.0}, g)
     rep = weighted_persistence_experiment(sym, params, u0, p=2.0, gamma=0.5,
                                           T=0.5, dt=1e-3)
     assert rep["bounded"]
@@ -300,7 +322,7 @@ def test_weighted_persistence_reports_blow_up():
     # the unstable run of test_nonfinite_detection must raise, not return NaNs
     sym, params = preset("ost")
     g = Grid(2 ** 10, 50.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=50.0), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 50.0}, g)
     with pytest.raises(NonFinite):
         weighted_persistence_experiment(sym, params, u0, p=2.0, gamma=0.5,
                                         T=5.0, dt=0.1)
@@ -328,7 +350,7 @@ def test_window_mask_sides_and_guards():
 @pytest.mark.parametrize("linear_only", [True, False])
 def test_lower_bound_experiment_rejects_complex_datum(linear_only):
     sym, params = preset("ost")
-    u = make_datum(DatumSpec(kind="algebraic", gamma=3.0), Grid(2 ** 10, 50.0))
+    u = datum_from_config({"kind": "algebraic", "gamma": 3.0}, Grid(2 ** 10, 50.0))
     # the complex datum is rejected as its Field is built, before either path
     with pytest.raises(BadParameter, match="real data"):
         lower_bound_experiment(sym, params, Field(u.grid, u.samples * (1.0 + 0.1j)),
@@ -339,9 +361,9 @@ def test_decay_order_gate():
     # BO is only C^0 at the origin: the order-3 tail law does not apply
     sym, params = DispersionSymbol.bo(), validate_params(3, 3, 1, 1.0)
     grid = Grid(2 ** 10, 50.0)
-    u0 = make_datum(DatumSpec(kind="algebraic", gamma=3.0), grid)
+    u0 = datum_from_config({"kind": "algebraic", "gamma": 3.0}, grid)
     with pytest.raises(ExcludedParameters, match="C\\^0"):
-        dichotomy_experiment(sym, params, 4.5, 0.1, grid)
+        dichotomy_experiment(sym, params, {"kind": "algebraic", "gamma": 4.5}, 0.1, grid)
     for linear_only in (True, False):
         with pytest.raises(ExcludedParameters):
             lower_bound_experiment(sym, params, u0, 0.1, 1e-2, linear_only)
@@ -364,7 +386,7 @@ def test_kernel_report_matches_verify_pointwise_bound():
 
 def test_energy_experiment_checks():
     grid = Grid(2 ** 10, 50.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=0.5), grid)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 2.0, "amp": 0.5}, grid)
     # n = 2 dissipates: monotone is checked; n = 1 (OST) has an amplification band
     rep = energy_experiment(preset("ost")[0], validate_params(2, 2, 1, 1.0), u0,
                             T=0.1, dt=1e-2)
@@ -382,7 +404,7 @@ def test_energy_experiment_checks():
 def test_growth_experiment_includes_datum():
     sym, params = preset("ost")
     grid = Grid(2 ** 12, 100.0)
-    u0 = make_datum(DatumSpec(kind="growth", gamma=0.3, c0=1e-2), grid)
+    u0 = datum_from_config({"kind": "growth", "gamma": 0.3, "c0": 1e-2}, grid)
     rep = growth_experiment(sym, params, u0, 0.3, T=0.1, dt=2e-3,
                             snapshot_times=(0.05, 0.1), bound=2e-2)
     assert rep["times"] == [0.0, 0.05, 0.1]

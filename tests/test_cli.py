@@ -557,7 +557,8 @@ def test_experiment_dichotomy_guard_exit_code(tmp_path, capsys):
         "model": {"preset": "chen_lee"},
         "grid": {"N": 1024, "L": 50},
         "solver": {"dt": 0.01, "T": 0.1},
-        "experiment": {"kind": "dichotomy", "gamma_datum": 3.0},
+        "datum": {"kind": "algebraic", "gamma": 3.0},
+        "experiment": {"kind": "dichotomy"},
     })
     rc = main(["--quiet", "--out", str(tmp_path / "clrun"), "experiment",
                "dichotomy", "--config", cfg])
@@ -846,25 +847,28 @@ def test_simulate_non_finite_snapshots_is_bad_parameter(tmp_path, ost_config,
 
 def test_experiment_dichotomy_passes_only_configured_parameters(tmp_path,
                                                                 monkeypatch):
-    # the defaults live in dichotomy_experiment alone
+    # the defaults live in dichotomy_experiment alone, and the datum block
+    # is passed as it is
     import stratwave.analysis as analysis_module
 
     seen = []
 
     def record(*args, **kwargs):
-        seen.append(kwargs)
+        seen.append((args[2], kwargs))
         return {"passed": True}
 
     monkeypatch.setattr(analysis_module, "dichotomy_experiment", record)
+    datum = {"kind": "algebraic", "gamma": 2.5}
     for extra in ({}, {"exponent_tol": 0.2}):
         cfg = write_json(tmp_path / "exp.json", {
             "model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
-            "solver": {"dt": 0.01, "T": 0.1},
-            "experiment": {"kind": "dichotomy", "gamma_datum": 2.5, **extra}})
+            "solver": {"dt": 0.01, "T": 0.1}, "datum": datum,
+            "experiment": {"kind": "dichotomy", **extra}})
         out = tmp_path / f"run{len(seen)}"
         assert main(["--quiet", "--out", str(out), "experiment", "dichotomy",
                      "--config", cfg]) == 0
-    assert seen == [{"window": None}, {"window": None, "exponent_tol": 0.2}]
+    assert seen == [(datum, {"window": None}),
+                    (datum, {"window": None, "exponent_tol": 0.2})]
 
 
 @pytest.mark.parametrize("argv", [
@@ -889,10 +893,14 @@ def test_version_and_help_exit_0(argv):
 
 
 @pytest.mark.parametrize("kind,cfg,missing", [
-    ("dichotomy", {"experiment": {"kind": "dichotomy"}}, "gamma_datum"),
+    ("dichotomy", {"experiment": {"kind": "dichotomy"}}, "datum"),
     ("energy", {"experiment": {"kind": "energy"}}, "datum"),
     ("growth", {"experiment": {"kind": "growth"},
                 "datum": {"kind": "gaussian", "sigma0": 1.0}}, "gamma"),
+    # every kind reads its datum, so every kind requires it
+    *((kind, {"experiment": {"kind": kind, **experiment}}, "datum")
+      for kind, experiment in (("weighted", {}), ("growth", {}), ("lowerbound", {}),
+                               ("decay", {"window": [5, 20]}))),
 ])
 def test_experiment_schema_per_kind(tmp_path, capsys, kind, cfg, missing):
     path = write_json(tmp_path / "exp.json", {
@@ -902,25 +910,27 @@ def test_experiment_schema_per_kind(tmp_path, capsys, kind, cfg, missing):
     rc = main(["--quiet", "--out", str(out), "experiment", kind, "--config", path])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "config error" in err and f"'{missing}' is a required property" in err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert f"'{missing}' is a required property" in err
     assert "Traceback" not in err
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 
+_ALGEBRAIC = {"kind": "algebraic", "gamma": 2.5}
+
+
 @pytest.mark.parametrize("kind,experiment,datum", [
-    ("dichotomy", {"gamma_datum": 2.5, "window": [1]}, None),
+    ("dichotomy", {"window": [1]}, _ALGEBRAIC),
     ("lowerbound", {"windows": []}, {"kind": "gaussian", "sigma0": 1.0}),
     ("lowerbound", {"windows": [[1, "2"]]}, {"kind": "gaussian", "sigma0": 1.0}),
     ("weighted", {"p": "2"}, {"kind": "gaussian", "sigma0": 1.0}),
     ("growth", {"bound": [1.0]}, {"kind": "growth", "gamma": 0.3}),
-    ("dichotomy", {"gamma_datum": 2.5, "exponent_tol": None}, None),
+    ("dichotomy", {"exponent_tol": None}, _ALGEBRAIC),
 ])
 def test_experiment_parameters_typed(tmp_path, capsys, kind, experiment, datum):
     cfg = {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
-           "solver": {"dt": 0.01, "T": 0.1},
+           "solver": {"dt": 0.01, "T": 0.1}, "datum": datum,
            "experiment": {"kind": kind, **experiment}}
-    if datum is not None:
-        cfg["datum"] = datum
     out = tmp_path / "run"
     rc = main(["--quiet", "--out", str(out), "experiment", kind, "--config",
                write_json(tmp_path / "exp.json", cfg)])
@@ -933,7 +943,7 @@ def test_experiment_parameters_typed(tmp_path, capsys, kind, experiment, datum):
 
 _GAUSSIAN = {"kind": "gaussian", "sigma0": 1.0}
 #: kind -> (experiment parameters, datum) of a config its schema accepts
-_MINIMAL = {"dichotomy": ({"gamma_datum": 2.5}, None),
+_MINIMAL = {"dichotomy": ({}, _ALGEBRAIC),
             "weighted": ({}, _GAUSSIAN), "lowerbound": ({}, _GAUSSIAN),
             "energy": ({}, _GAUSSIAN), "decay": ({"window": [5, 20]}, _GAUSSIAN),
             "growth": ({}, {"kind": "growth", "gamma": 0.3})}
@@ -946,10 +956,8 @@ def test_experiment_solver_fields_per_kind(tmp_path, capsys, kind, field):
     experiment, datum = _MINIMAL[kind]
     value = {"snapshots": [0.05], "linear_only": True}[field]
     cfg = {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
-           "solver": {"dt": 0.01, "T": 0.1, field: value},
+           "solver": {"dt": 0.01, "T": 0.1, field: value}, "datum": datum,
            "experiment": {"kind": kind, **experiment}}
-    if datum is not None:
-        cfg["datum"] = datum
     if (kind, field) in {("growth", "snapshots"), ("lowerbound", "linear_only")}:
         validate_config(cfg, EXPERIMENT_SCHEMAS[kind])   # the one kind that reads it
         return
@@ -964,10 +972,10 @@ def test_experiment_solver_fields_per_kind(tmp_path, capsys, kind, field):
 
 
 #: experiment kind -> the experiment parameters its runner reads
-_READS = {"dichotomy": {"gamma_datum", "window", "amplitude", "exponent_tol",
-                        "improvement_fraction"},
+_READS = {"dichotomy": {"window", "exponent_tol", "improvement_fraction"},
           "weighted": {"p", "gamma"}, "growth": {"bound"}, "lowerbound": {"windows"},
           "energy": set(), "decay": {"window"}}
+#: gamma_datum and amplitude, which the datum block replaced, no kind reads
 _PARAMETER_VALUES = {"gamma_datum": 2.5, "window": [5, 20], "amplitude": 1.0,
                      "exponent_tol": 0.1, "improvement_fraction": 0.5, "p": 2.0,
                      "gamma": 0.5, "bound": 0.02, "windows": [[5, 10]]}
@@ -979,11 +987,9 @@ def test_experiment_parameters_per_kind(tmp_path, capsys, kind, parameter):
     # a kind that does not read an experiment parameter rejects it
     experiment, datum = _MINIMAL[kind]
     cfg = {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
-           "solver": {"dt": 0.01, "T": 0.1},
+           "solver": {"dt": 0.01, "T": 0.1}, "datum": datum,
            "experiment": {"kind": kind, **experiment,
                           parameter: _PARAMETER_VALUES[parameter]}}
-    if datum is not None:
-        cfg["datum"] = datum
     if parameter in _READS[kind]:
         validate_config(cfg, EXPERIMENT_SCHEMAS[kind])
         return
@@ -994,6 +1000,56 @@ def test_experiment_parameters_per_kind(tmp_path, capsys, kind, parameter):
     assert capsys.readouterr().err == (
         f"config error: $.experiment: Additional properties are not allowed "
         f"('{parameter}' was unexpected)\n")
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
+#: kind -> (grid, experiment parameters, datum, its amplitude key) of a
+#: 10-step run
+_SMALL_RUNS = {
+    "dichotomy": ({"N": 4096, "L": 100}, {}, {"kind": "algebraic", "gamma": 3.0}, "c"),
+    "weighted": ({"N": 1024, "L": 50}, {}, {"kind": "gaussian", "sigma0": 1.0}, "amp"),
+    "growth": ({"N": 1024, "L": 50}, {}, {"kind": "growth", "gamma": 0.3}, "c0"),
+    "lowerbound": ({"N": 1024, "L": 50}, {}, {"kind": "algebraic", "gamma": 3.0}, "c"),
+    "energy": ({"N": 1024, "L": 50}, {}, {"kind": "gaussian", "sigma0": 1.0}, "amp"),
+    "decay": ({"N": 1024, "L": 50}, {"window": [2, 10]},
+              {"kind": "algebraic", "gamma": 3.0}, "c"),
+}
+
+
+def _small_run(kind: str, **datum) -> dict:
+    grid, experiment, base, _ = _SMALL_RUNS[kind]
+    return {"model": {"preset": "ost"}, "grid": grid, "solver": {"dt": 0.01, "T": 0.1},
+            "datum": {**base, **datum}, "experiment": {"kind": kind, **experiment}}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPERIMENT_SCHEMAS))
+def test_every_experiment_kind_reads_its_datum(tmp_path, kind):
+    # the datum's amplitude reaches the report of every kind
+    amplitude = _SMALL_RUNS[kind][3]
+    reports = []
+    for value in (0.5, 1.0):
+        cfg = write_json(tmp_path / "exp.json", _small_run(kind, **{amplitude: value}))
+        out = tmp_path / f"run{value}"
+        assert main(["--quiet", "--out", str(out), "experiment", kind,
+                     "--config", cfg]) in (0, 2)
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] != reports[1]
+
+
+@pytest.mark.parametrize("preset_name,datum,error", [
+    ("ost", {"kind": "gaussian", "sigma0": 1.0}, "BadParameter"),
+    ("ost", {"kind": "zero_mean_algebraic", "gamma": 3.0}, "BadParameter"),
+    # the excluded pair is reported first, whatever the datum
+    ("chen_lee", {"kind": "gaussian", "sigma0": 1.0}, "ExcludedParameters"),
+])
+def test_experiment_dichotomy_needs_an_algebraic_datum(tmp_path, capsys, preset_name,
+                                                       datum, error):
+    cfg = {**_small_run("dichotomy"), "model": {"preset": preset_name}, "datum": datum}
+    out = tmp_path / "run"
+    assert main(["--quiet", "--out", str(out), "experiment", "dichotomy", "--config",
+                 write_json(tmp_path / "exp.json", cfg)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error [{error}]: ")
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 

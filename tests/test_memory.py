@@ -1,10 +1,10 @@
-"""Peak memory of the kernel build, transform, field-read, ETD2 and Picard
-paths.
+"""Peak memory of the kernel build, transform, field-read, ETD2, linear-only
+lower-bound and Picard paths.
 
 Peaks are traced with tracemalloc, which sees numpy's array buffers.  The
-kernel, transform, field-read and ETD2 peaks are bounded in units of 8N
-bytes (one float64 per grid point), each just above the value measured
-for N = 2^16 (and 2^18); the kernel grids keep the kernel_io spacing,
+kernel, transform, field-read, ETD2 and lower-bound peaks are bounded in
+units of 8N bytes (one float64 per grid point), each just above the value
+measured for N = 2^16 (and 2^18); the kernel grids keep the kernel_io spacing,
 dx = 2 * 3200 / 2^19.  The Picard peak is bounded in units of 16 (M+1)(N/2+1) bytes, an
 iterate of full half-spectrum rows.
 """
@@ -14,14 +14,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stratwave import (BadParameter, DatumSpec, Grid, SolverConfig,
-                       kernel_derivative_field, kernel_field, make_datum, picard_solve,
-                       preset, solve, weighted_persistence_experiment)
+from stratwave import (BadParameter, Grid, SolverConfig, datum_from_config,
+                       kernel_derivative_field, kernel_field, lower_bound_experiment,
+                       picard_solve, preset, solve, weighted_persistence_experiment)
+from stratwave.analysis import LINEAR_LOWER_BOUND_BYTES_PER_POINT
 from stratwave.kernel import KERNEL_PEAK_BYTES_PER_POINT
 from stratwave.model import half_spectrum_multiplier
 from stratwave.solver import SOLVE_PEAK_BYTES_PER_POINT
 from stratwave.spectral import (Field, convolve, field_from_csv, field_to_csv,
                                 half_spectrum)
+import stratwave.analysis as analysis_module
 import stratwave.solver as solver_module
 import stratwave.spectral as spectral_module
 
@@ -97,10 +99,10 @@ def test_solve_peak():
     # measured 9.18 (9.34 while the propagator held L, 10.34 while N(u) held
     # u and u ** (k+1) at once)
     N = 2 ** 16
-    datum = DatumSpec(kind="algebraic", gamma=3.0, c=0.5)
+    datum = {"kind": "algebraic", "gamma": 3.0, "c": 0.5}
     cfg = SolverConfig(dt=1e-3, T=0.02, snapshot_times=(0.01, 0.02))
-    solve(SYM, PARAMS, make_datum(datum, Grid(64, 4.0)), cfg)  # lazy set-up
-    u0 = make_datum(datum, Grid(N, 400.0))
+    solve(SYM, PARAMS, datum_from_config(datum, Grid(64, 4.0)), cfg)  # lazy set-up
+    u0 = datum_from_config(datum, Grid(N, 400.0))
     bound = 9.8
     assert peak_units(N, solve, SYM, PARAMS, u0, cfg) <= bound
     # the memory guard's estimate covers the measured peak
@@ -112,13 +114,52 @@ def test_weighted_persistence_peak():
     # 8.84 (2^16 and 2^18; 9.01 while the propagator held L), within the
     # guard's estimate for solve
     N = 2 ** 16
-    datum = DatumSpec(kind="algebraic", gamma=3.0, c=0.5)
+    datum = {"kind": "algebraic", "gamma": 3.0, "c": 0.5}
     args = (2.0, 0.5, 0.02, 1e-3)
-    weighted_persistence_experiment(SYM, PARAMS, make_datum(datum, Grid(64, 4.0)), *args)
-    u0 = make_datum(datum, Grid(N, 400.0))
+    weighted_persistence_experiment(SYM, PARAMS, datum_from_config(datum, Grid(64, 4.0)),
+                                    *args)
+    u0 = datum_from_config(datum, Grid(N, 400.0))
     bound = 9.1
     assert peak_units(N, weighted_persistence_experiment, SYM, PARAMS, u0, *args) <= bound
     assert SOLVE_PEAK_BYTES_PER_POINT >= 8 * bound
+
+
+#: T3-LOWER's linear-only run: its datum, T and windows; L = 800 at N = 2^17
+LOWER_DATUM = {"kind": "algebraic", "gamma": 3.0, "c": 1.0}
+LOWER_ARGS = (1.0, 1e-3, True, [[40.0, 80.0], [60.0, 120.0], [100.0, 200.0]])
+
+
+@pytest.mark.parametrize("N", SIZES)
+def test_linear_lower_bound_peak(N):
+    # Khat(T) 1.0, u0's half-spectrum 1.0 and their product 1.0; measured
+    # 3.03 (2^16) and 3.00 (2^18)
+    lower_bound_experiment(SYM, PARAMS, datum_from_config(LOWER_DATUM, Grid(64, 0.4)),
+                           1.0, 1e-3, True, [[0.05, 0.1]])   # lazy set-up
+    u0 = datum_from_config(LOWER_DATUM, Grid(N, 800.0 * N / 2 ** 17))
+    bound = 3.1
+    assert peak_units(N, lower_bound_experiment, SYM, PARAMS, u0, *LOWER_ARGS) <= bound
+    # the memory guard's estimate covers the measured peak
+    assert LINEAR_LOWER_BOUND_BYTES_PER_POINT >= 8 * bound
+
+
+def _no_kernel(*args, **kwargs):
+    raise AssertionError("built Khat(T) before the memory check")
+
+
+def test_linear_lower_bound_guard_raises_before_the_kernel(monkeypatch):
+    # room for the kernel build's own 17 bytes per point, not for the 25 the
+    # path holds: the guard raises before half_kernel_hat runs
+    N = 2 ** 12
+    u0 = datum_from_config(LOWER_DATUM, Grid(N, 400.0))
+    monkeypatch.setattr(analysis_module, "half_kernel_hat", _no_kernel)
+    need = LINEAR_LOWER_BOUND_BYTES_PER_POINT * N
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: need - 1)
+    with pytest.raises(BadParameter, match=f"linear-only lower bound at N={N}.* "
+                                           f"needs {need} bytes"):
+        lower_bound_experiment(SYM, PARAMS, u0, *LOWER_ARGS)
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="before the memory check"):
+        lower_bound_experiment(SYM, PARAMS, u0, *LOWER_ARGS)
 
 
 def _no_propagator(*args, **kwargs):
@@ -127,7 +168,7 @@ def _no_propagator(*args, **kwargs):
 
 def _guard_case():
     """ost on N = 1024 and a Gaussian datum: 10 steps of dt = 0.01."""
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), Grid(1024, 50.0))
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, Grid(1024, 50.0))
     return SYM, PARAMS, u0
 
 
@@ -163,7 +204,7 @@ def test_weighted_persistence_guard_raises_before_the_propagator(monkeypatch):
 def picard_case(name: str, k: int, N: int, M: int):
     """A small Gaussian on the duhamel_small box, L = 64, dt = 1e-3, M steps."""
     sym, params = preset(name, k=k)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.01), Grid(N, 64.0))
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.01}, Grid(N, 64.0))
     return sym, params, u0, SolverConfig(dt=1e-3, T=M * 1e-3)
 
 

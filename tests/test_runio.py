@@ -34,9 +34,10 @@ SEEDS = {
     "datum": [{"kind": "gaussian", "sigma0": 1.0, "amp": 0.1, "gamma": 2, "c": 1,
                "c0": 0.01}],
     "solver": [{"dt": 0.01, "T": 0.1, "snapshots": [0.05, 0.1], "linear_only": True}],
-    "experiment-dichotomy": [{**_COMMON, "experiment": {
-        "kind": "dichotomy", "gamma_datum": 3.0, "window": [5, 20], "amplitude": 1.0,
-        "exponent_tol": 0.1, "improvement_fraction": 0.5}}],
+    "experiment-dichotomy": [{**_COMMON, "datum": {"kind": "algebraic", "gamma": 3.0,
+                                                    "c": 0.5}, "experiment": {
+        "kind": "dichotomy", "window": [5, 20], "exponent_tol": 0.1,
+        "improvement_fraction": 0.5}}],
     "experiment-weighted": [{**_COMMON, "experiment": {"kind": "weighted", "p": 2,
                                                         "gamma": 0.5}}],
     "experiment-growth": [{**_COMMON, "solver": {"dt": 0.01, "T": 0.1,

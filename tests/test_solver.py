@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import (FullHalfSpectrumEtd, dealias, dissipation_rate,
                      etd2_reference, fft_j, fft_xi, picard_reference,
                      picard_streamed_reference, to_physical)
-from stratwave import (DatumSpec, DispersionSymbol, EtdPropagator, Field, Grid,
-                       NoContraction, NonFinite, SolverConfig, growth_envelope,
-                       kernel_hat, make_datum, picard_solve, preset, solve,
-                       tail_exponent, validate_params)
+from stratwave import (DispersionSymbol, EtdPropagator, Field, Grid, NoContraction,
+                       NonFinite, SolverConfig, datum_from_config, growth_envelope,
+                       kernel_hat, picard_solve, preset, solve, tail_exponent,
+                       validate_params)
 from stratwave.errors import BadParameter
 from stratwave.model import SMOOTH
 import stratwave.solver as solver_module
@@ -29,7 +29,7 @@ def l2_diff(a: Field, b: Field) -> float:
 
 def test_algebraic_datum_profile_and_tail():
     g = Grid(2 ** 16, 400.0)
-    u = make_datum(DatumSpec(kind="algebraic", gamma=2.0, c=1.0), g)
+    u = datum_from_config({"kind": "algebraic", "gamma": 2.0, "c": 1.0}, g)
     assert u.samples[g.N // 2] == pytest.approx(1.0)     # x = 0
     left, right = tail_exponent(u, (20.0, 200.0))
     assert left.exponent == pytest.approx(2.0, abs=0.05)
@@ -38,7 +38,7 @@ def test_algebraic_datum_profile_and_tail():
 
 def test_zero_mean_datum():
     g = Grid(2 ** 14, 200.0)
-    u = make_datum(DatumSpec(kind="zero_mean_algebraic", gamma=3.0), g)
+    u = datum_from_config({"kind": "zero_mean_algebraic", "gamma": 3.0}, g)
     assert abs(np.sum(u.samples.real) * g.dx) <= 1e-12
     # still decays like the requested power
     left, right = tail_exponent(u, (10.0, 90.0))
@@ -48,7 +48,7 @@ def test_zero_mean_datum():
 
 def test_growth_datum_envelope():
     g = Grid(2 ** 14, 200.0)
-    u = make_datum(DatumSpec(kind="growth", gamma=0.3, c0=0.01), g)
+    u = datum_from_config({"kind": "growth", "gamma": 0.3, "c0": 0.01}, g)
     assert growth_envelope(u, 0.3) <= 0.01 + 1e-15
     # vanishes left of the switch and at the right seam
     assert np.max(np.abs(u.samples[g.x <= -1.0])) == 0.0
@@ -57,19 +57,20 @@ def test_growth_datum_envelope():
 
 def test_gaussian_datum_mass():
     g = Grid(2 ** 14, 100.0)
-    u = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=1.0), g)
+    u = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 1.0}, g)
     assert np.sum(u.samples.real) * g.dx == pytest.approx(math.sqrt(2 * math.pi),
                                                           rel=1e-10)
 
 
 def test_datum_parameter_guards():
     g = Grid(64, 10.0)
-    for spec in (DatumSpec(kind="algebraic", gamma=0.0),
-                 DatumSpec(kind="gaussian", sigma0=-1.0),
-                 DatumSpec(kind="growth", gamma=0.7),
-                 DatumSpec(kind="nosuch")):
+    for spec in ({"kind": "algebraic", "gamma": 0.0},
+                 {"kind": "gaussian", "sigma0": -1.0},
+                 {"kind": "growth", "gamma": 0.7},
+                 {"kind": "algebraic"},             # gamma has no default
+                 {"kind": "nosuch"}):
         with pytest.raises(BadParameter):
-            make_datum(spec, g)
+            datum_from_config(spec, g)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +91,7 @@ def test_zero_datum_is_fixed_point():
 def test_linear_only_equals_kernel_convolution():
     g = Grid(2 ** 12, 64.0)
     sym, params = preset("ost")
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=1.0), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 2.0, "amp": 1.0}, g)
     cfg = SolverConfig(dt=1e-2, T=0.5, snapshot_times=(0.5,), linear_only=True)
     traj = solve(sym, params, u0, cfg)
     khat = kernel_hat(0.5, fft_xi(g), sym, params)
@@ -106,7 +107,7 @@ def test_linear_only_equals_kernel_convolution():
 def test_self_convergence_order(name):
     sym, params = preset(name)
     g = Grid(2 ** 11, 64.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=0.5), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 2.0, "amp": 0.5}, g)
     finals = [solve(sym, params, u0,
                     SolverConfig(dt=dt, T=0.2, snapshot_times=(0.2,))).snapshots[-1]
               for dt in (2e-3, 1e-3, 5e-4)]
@@ -117,7 +118,7 @@ def test_self_convergence_order(name):
 def test_nonfinite_detection():
     sym, params = preset("ost")
     g = Grid(2 ** 10, 50.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=50.0), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 50.0}, g)
     with pytest.raises(NonFinite) as err:
         solve(sym, params, u0, SolverConfig(dt=0.1, T=5.0))
     assert err.value.t is not None and err.value.t > 0
@@ -128,7 +129,7 @@ def test_nonfinite_detection():
 def test_real_stepper_matches_complex_reference(name):
     sym, params = preset(name)
     g = Grid(2 ** 11, 64.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=0.5), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 2.0, "amp": 0.5}, g)
     assert_matches_etd2_reference(sym, params, u0)
 
 
@@ -226,7 +227,7 @@ def test_odd_dispersion_symbol_rejected():
     odd = DispersionSymbol.custom(lambda xi: xi, sigma=1.0, origin_regularity=SMOOTH)
     params = validate_params(3, 1, 1, 1.0)
     g = Grid(2 ** 8, 20.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, g)
     with pytest.raises(BadParameter, match="Hermitian"):
         solve(odd, params, u0, SolverConfig(dt=1e-2, T=0.1))
     with pytest.raises(BadParameter, match="Hermitian"):
@@ -242,7 +243,7 @@ def test_odd_dispersion_symbol_rejected():
 def test_complex_datum_rejected():
     # a complex datum cannot reach either solver: no Field holds it
     g = Grid(2 ** 8, 20.0)
-    u = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), g)
+    u = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, g)
     with pytest.raises(BadParameter, match="real data"):
         Field(g, u.samples * (1.0 + 0.1j))
 
@@ -259,7 +260,7 @@ def test_solver_config_rejects_non_finite_values(name, value):
 def test_partial_steps_rejected_in_both_modes(T):
     # picard used to round T to a whole number of steps
     sym, params = preset("ost")
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), Grid(2 ** 8, 20.0))
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, Grid(2 ** 8, 20.0))
     with pytest.raises(BadParameter, match="whole number of steps"):
         step_count(T, 1e-3)
     if T >= 1e-3:   # SolverConfig itself rejects T < dt
@@ -288,7 +289,7 @@ def test_snapshot_times_off_grid_or_colliding_rejected():
 def test_trajectory_bookkeeping():
     sym, params = preset("ost")
     g = Grid(2 ** 10, 50.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, g)
     cfg = SolverConfig(dt=1e-2, T=0.1, snapshot_times=(0.0, 0.05, 0.1))
     traj = solve(sym, params, u0, cfg)
     assert traj.times == [0.0, 0.05, 0.1]
@@ -340,7 +341,7 @@ def test_energy_derivative_matches_dissipation_linear_run():
     # d/dt ||u||^2 = 2 * dissipation_rate under the linear flow
     sym, params = preset("ost")
     g = Grid(2 ** 11, 64.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=1.0), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 2.0, "amp": 1.0}, g)
     dt = 1e-3
     traj = solve(sym, params, u0, SolverConfig(dt=dt, T=0.2, linear_only=True))
     e2 = traj.energy_series ** 2
@@ -353,7 +354,7 @@ def test_nonlinear_term_l2_neutrality():
     # discrete L2 drift of the nonlinear term alone < 1e-6 per unit time
     sym, params = preset("ost")
     g = Grid(2 ** 11, 64.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=1.0), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 2.0, "amp": 1.0}, g)
     full = solve(sym, params, u0, SolverConfig(dt=1e-3, T=1.0))
     lin = solve(sym, params, u0, SolverConfig(dt=1e-3, T=1.0, linear_only=True))
     # the nonlinearity must not create/destroy L2 beyond integrator error
@@ -367,7 +368,7 @@ def test_nonlinear_term_l2_neutrality():
 def test_energy_monotone_dissipative_models(n):
     params = validate_params(2, n, 1, 1.0)
     g = Grid(2 ** 11, 64.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=0.5), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 2.0, "amp": 0.5}, g)
     traj = solve(DispersionSymbol.kdv(), params, u0, SolverConfig(dt=1e-3, T=0.5))
     assert float(np.max(np.diff(traj.energy_series))) <= 1e-10
 
@@ -375,7 +376,7 @@ def test_energy_monotone_dissipative_models(n):
 def test_energy_growth_bound_n1():
     sym, params = preset("ost")
     g = Grid(2 ** 11, 64.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=0.5), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 2.0, "amp": 0.5}, g)
     traj = solve(sym, params, u0, SolverConfig(dt=1e-3, T=1.0))
     bound = traj.energy_series[0] * np.exp(params.eta * traj.energy_times) * 1.01
     assert np.all(traj.energy_series <= bound)
@@ -398,7 +399,7 @@ def test_picard_zero_datum_one_iteration():
 def test_picard_matches_etd_small_data():
     sym, params = preset("ost")
     g = Grid(2 ** 12, 64.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.01), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.01}, g)
     cfg = SolverConfig(dt=1e-3, T=0.1, snapshot_times=(0.1,))
     u_etd = solve(sym, params, u0, cfg).snapshots[-1]
     u_pic, report = picard_solve(
@@ -410,7 +411,7 @@ def test_picard_matches_etd_small_data():
 
 def test_picard_returns_the_snapshot_at_T():
     sym, params = preset("ost")
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), Grid(2 ** 10, 50.0))
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, Grid(2 ** 10, 50.0))
     for times in (None, (0.05, 0.1)):
         final, report = picard_solve(sym, params, u0,
                                      SolverConfig(dt=1e-2, T=0.1, snapshot_times=times))
@@ -424,12 +425,12 @@ def test_picard_returns_the_snapshot_at_T():
 def test_computed_fields_are_float64():
     sym, params = preset("ost")
     g = Grid(2 ** 10, 50.0)
-    for spec in (DatumSpec(kind="algebraic", gamma=2.0, c=1.0),
-                 DatumSpec(kind="zero_mean_algebraic", gamma=3.0),
-                 DatumSpec(kind="growth", gamma=0.3, c0=0.01),
-                 DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1)):
-        assert make_datum(spec, g).samples.dtype == np.float64
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), g)
+    for spec in ({"kind": "algebraic", "gamma": 2.0, "c": 1.0},
+                 {"kind": "zero_mean_algebraic", "gamma": 3.0},
+                 {"kind": "growth", "gamma": 0.3, "c0": 0.01},
+                 {"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}):
+        assert datum_from_config(spec, g).samples.dtype == np.float64
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, g)
     cfg = SolverConfig(dt=1e-2, T=0.1, snapshot_times=(0.05, 0.1))
     final, report = picard_solve(sym, params, u0, cfg)
     prop = EtdPropagator(g, sym, params, 1e-2)
@@ -442,7 +443,7 @@ def test_computed_fields_are_float64():
 def test_picard_linear_only_matches_etd_linear_only():
     sym, params = preset("ost")
     g = Grid(2 ** 10, 50.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.5), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.5}, g)
     u_etd = solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.1,
                                                 linear_only=True)).snapshots[-1]
     u_pic, report = picard_solve(sym, params, u0,
@@ -454,7 +455,7 @@ def test_picard_linear_only_matches_etd_linear_only():
 def test_picard_no_contraction_for_large_data():
     sym, params = preset("ost")
     g = Grid(2 ** 12, 64.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=20.0), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 20.0}, g)
     with pytest.raises(NoContraction):
         picard_solve(sym, params, u0,
                      SolverConfig(dt=5e-3, T=0.5))
@@ -464,7 +465,7 @@ def test_picard_non_finite_update_counts_as_infinite(monkeypatch):
     # a nan update norm is an infinite one: its contraction factors are inf,
     # three in a row raise, and a final one is reported as inf
     sym, params = preset("ost")
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), Grid(2 ** 10, 50.0))
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, Grid(2 ** 10, 50.0))
     cfg = SolverConfig(dt=1e-2, T=0.1)
     for norms in ([1.0, np.nan], [1.0, np.nan, np.nan, np.nan]):
         monkeypatch.setattr(solver_module, "_picard_sweeps",
@@ -484,7 +485,7 @@ def test_picard_non_finite_update_counts_as_infinite(monkeypatch):
 def test_picard_matches_direct_duhamel_reference(name, linear_only):
     sym, params = preset(name)
     g = Grid(2 ** 11, 64.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=2.0, amp=0.1), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 2.0, "amp": 0.1}, g)
     dt, M, tol = 1e-3, 50, 1e-12
     ref, (iterations, converged, _) = picard_reference(
         u0.samples.real, g.L, params.m, params.n, params.k, params.eta, sym,
@@ -511,7 +512,7 @@ def _bits(*values) -> bytes:
 def test_picard_blocks_match_the_streamed_loop_bitwise(N, M, k, linear_only):
     assert max(1, solver_module.PICARD_BLOCK_POINTS // 2 ** 10) == 8
     sym, params = preset("ost" if k == 1 else "gost", k=k)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.5), Grid(N, 64.0))
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.5}, Grid(N, 64.0))
     dt = 1e-3
     # a snapshot at t = 0 and one mid-run; the field at T comes from traj[M]
     cfg = SolverConfig(dt=dt, T=M * dt, snapshot_times=(0.0, (M // 2) * dt),
@@ -534,7 +535,7 @@ def test_picard_blocks_match_the_streamed_loop_bitwise(N, M, k, linear_only):
 def test_picard_memory_guard_raises_before_any_step(monkeypatch):
     sym, params = preset("ost")
     g = Grid(2 ** 10, 50.0)
-    u0 = make_datum(DatumSpec(kind="gaussian", sigma0=1.0, amp=0.1), g)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, g)
     # the propagator's 79 x 1024 bytes and 11 x 342 complex values (the kept
     # modes j <= 1024/3) need 80896 + 60192 = 141088 bytes
     monkeypatch.setattr(spectral_module, "_physical_memory", lambda: 141087)
