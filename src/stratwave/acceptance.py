@@ -25,7 +25,7 @@ import numpy as np
 from .analysis import dichotomy_experiment, kernel_report, run_experiment, tail_exponent
 from .errors import ExcludedParameters
 from .kernel import kernel_derivative_field, kernel_field, kernel_hat
-from .model import DispersionSymbol, preset, validate_params
+from .model import PRESET_NAMES, DispersionSymbol, preset, validate_params
 from .solver import SolverConfig, datum_from_config, picard_solve, solution_at
 from .spectral import Field, Grid, convolve
 
@@ -71,7 +71,7 @@ def crit_k_mass() -> CriterionResult:
     """Discrete integral of K equals 1 for all five presets, t in {0.2, 1, 3}."""
     grid = Grid(2 ** 16, 400.0)
     worst = 0.0
-    for name in ("ost", "gost", "bo_perturbed", "chen_lee", "dgbo_perturbed"):
+    for name in PRESET_NAMES:
         sym, params = preset(name)
         for t in (0.2, 1.0, 3.0):
             kf = kernel_field(t, grid, sym, params)

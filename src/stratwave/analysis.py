@@ -204,8 +204,9 @@ def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams,
     """Twin-run decay dichotomy: an algebraic datum (a datum config) vs its
     zero-mean twin, the same config with kind zero_mean_algebraic.
 
-    The datum's gamma must equal n+1+eps with eps in (0, 1]; a datum of
-    another kind raises BadParameter, after the ExcludedParameters checks.
+    The datum's gamma must equal n+1+eps with eps in (0, 1]; after the
+    ExcludedParameters checks, an invalid datum config raises ConfigInvalid
+    and a datum of another kind BadParameter.
     The nonzero-mean run must show tail exponent ~ n+1; the zero-mean run at
     least n+1 + improvement_fraction * eps.  Reports both fits per side.
     """
@@ -214,10 +215,11 @@ def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams,
             f"(m, n) = ({params.m}, {params.n}): the dichotomy result excludes "
             f"(2, 1) and (2, 2d)")
     _check_decay_order(sym, params)
-    if datum["kind"] != "algebraic":
+    p = datum_parameters(datum)
+    if p["kind"] != "algebraic":
         raise BadParameter(f"the dichotomy runs from an algebraic datum and its "
-                           f"zero-mean twin, not from a {datum['kind']} datum")
-    n, gamma = params.n, datum_parameters(datum)["gamma"]
+                           f"zero-mean twin, not from a {p['kind']} datum")
+    n, gamma = params.n, p["gamma"]
     eps = gamma - (n + 1)
     if not 0 < eps <= 1:
         raise BadParameter(
@@ -511,7 +513,8 @@ def _decay(cfg: dict) -> dict:
 EXPERIMENTS = {
     "dichotomy": (_dichotomy, {}, (), ("window", "exponent_tol", "improvement_fraction")),
     "weighted": (_weighted, {}, (), ("p", "gamma")),
-    "growth": (_growth, {"properties": {"datum": {"required": ["gamma"]}}},
+    "growth": (_growth,
+               {"properties": {"datum": {"properties": {"kind": {"const": "growth"}}}}},
                ("snapshots",), ("bound",)),
     "lowerbound": (_lowerbound, {}, ("linear_only",), ("windows",)),
     "energy": (_energy, {}, (), ()),

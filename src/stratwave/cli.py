@@ -15,25 +15,16 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import EXPERIMENT_SCHEMAS, kernel_report, run_experiment, tail_report
-from .errors import (BadParameter, ConfigInvalid, InvalidN, InvalidRange,
-                     NonFinite, StratwaveError)
+from .errors import ConfigInvalid, NonFinite, StratwaveError
 from .kernel import kernel_field
 from .model import PRESET_NAMES, model_from_config, preset
-from .runio import (DATUM_SCHEMA, MODEL_SCHEMA, RunDirectory, default_output_root,
-                    load_json, validate_config, write_json)
+from .runio import (RunDirectory, default_output_root, load_json, validate_config,
+                    write_json)
 from .solver import SolverConfig, datum_from_config, picard_solve, solve
 from .spectral import (Grid, _write_csv, field_from_csv, field_to_csv,
                        wrap_contamination)
 
 EXIT_PASS, EXIT_ERROR, EXIT_ASSERT = 0, 1, 2
-
-
-def _checked_model(cfg: dict):
-    """model_from_config with semantic failures mapped to ConfigInvalid."""
-    try:
-        return model_from_config(cfg)
-    except (InvalidN, InvalidRange, BadParameter) as exc:
-        raise ConfigInvalid(str(exc), path="$") from exc
 
 
 def _parse_grid(text: str) -> Grid:
@@ -84,9 +75,7 @@ def cmd_kernel(args) -> int:
     if out.with_suffix(".json") == out:
         raise ConfigInvalid(f"--out {str(out)!r}: the kernel CSV would be "
                             f"overwritten by its .json report", path="--out")
-    cfg = load_json(args.config)
-    validate_config(cfg, MODEL_SCHEMA)
-    sym, params = _checked_model(cfg)
+    sym, params = model_from_config(load_json(args.config))
     kf = kernel_field(args.t, _parse_grid(args.grid), sym, params)
     report = kernel_report(kf, tuple(args.window) if args.window else None)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -99,10 +88,8 @@ def cmd_kernel(args) -> int:
 
 def cmd_simulate(args) -> int:
     model_cfg = load_json(args.config)
-    validate_config(model_cfg, MODEL_SCHEMA)
     datum_cfg = load_json(args.datum)
-    validate_config(datum_cfg, DATUM_SCHEMA)
-    sym, params = _checked_model(model_cfg)
+    sym, params = model_from_config(model_cfg)
     grid = _parse_grid(args.grid)
     u0 = datum_from_config(datum_cfg, grid)
     snaps = _parse_snapshots(args.snapshots) if args.snapshots else (args.T,)
@@ -168,7 +155,6 @@ def cmd_decay_fit(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = load_json(args.config)
     validate_config(cfg, EXPERIMENT_SCHEMAS[args.kind])
-    _checked_model(cfg["model"])    # the model's ranges, which no schema states
     rundir = RunDirectory(_resolve_out(args, cfg, f"experiment-{args.kind}"))
     try:
         report = run_experiment(cfg)

@@ -58,11 +58,11 @@ class ZeroMean(StratwaveError):
 
 
 class BadParameter(StratwaveError):
-    """Datum or experiment parameter outside its declared range."""
+    """A library call's parameter outside its declared range."""
 
 
 class ConfigInvalid(StratwaveError):
-    """Configuration file failed schema validation."""
+    """A config or option value failed validation (a schema, or validate_params)."""
 
     def __init__(self, message, path=""):
         super().__init__(message)

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadParameter, InvalidN, InvalidRange, UnknownPreset
+from .errors import BadParameter, ConfigInvalid, InvalidN, InvalidRange, UnknownPreset
 
 #: origin_regularity sentinel for symbols smooth at xi = 0 (polynomials).
 SMOOTH = 10**6
@@ -247,39 +247,35 @@ def preset(name: str, eta: float = 1.0, k: int = 2, a: float = 0.5):
     raise UnknownPreset(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
 
 
-#: preset -> the model-config keys it reads besides "preset" and "eta"
-_PRESET_READS = {"gost": ("k",), "dgbo_perturbed": ("a",)}
-
-
-def _reject_unread(cfg: dict, reads, what: str) -> None:
-    if unread := sorted(set(cfg) - set(reads)):
-        raise BadParameter(f"{what} does not read {', '.join(map(repr, unread))}")
+#: the schema of a dgbo exponent a, which lies in (0, 1)
+_EXPONENT = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
+#: preset -> the model-config keys it reads besides "preset" and "eta", each
+#: with its JSON schema (stratwave.runio builds MODEL_SCHEMA from these tables)
+_PRESET_READS = {"gost": {"k": {"enum": [2, 3]}}, "dgbo_perturbed": {"a": _EXPONENT}}
+#: symbol kind -> the keys its symbol block reads besides "kind" (all
+#: required), each with its schema; a kind names its DispersionSymbol builder
+_SYMBOL_READS = {"kdv": {}, "bo": {}, "dgbo": {"a": _EXPONENT}}
 
 
 def model_from_config(cfg: dict):
     """Build (sym, params) from a model-config dict: {"preset": name, "eta": ...}
     plus k for gost and a for dgbo_perturbed, or {"symbol": {"kind": ...},
     "m": ..., "n": ..., "k": ..., "eta": ...} plus symbol.a for kind dgbo.
-    Any other key raises BadParameter rather than being dropped.
+
+    Every refusal raises ConfigInvalid: a config that stratwave.runio's
+    MODEL_SCHEMA rejects (a missing, mistyped or out-of-range key, or one
+    the model does not read) and one that validate_params rejects, such as
+    n = 5 + 4d.
     """
-    if "preset" in cfg:
-        name = cfg["preset"]
-        model = preset(name, **{key: cfg[key] for key in ("eta", "k", "a") if key in cfg})
-        _reject_unread(cfg, ("preset", "eta", *_PRESET_READS.get(name, ())),
-                       f"the {name} preset")      # after preset's UnknownPreset
-        return model
-    _reject_unread(cfg, ("symbol", "m", "n", "k", "eta"), "a model with a symbol")
-    sc = cfg["symbol"]
-    kind = sc["kind"]
-    _reject_unread(sc, ("kind", "a") if kind == "dgbo" else ("kind",), f"a {kind} symbol")
-    if kind == "kdv":
-        sym = DispersionSymbol.kdv()
-    elif kind == "bo":
-        sym = DispersionSymbol.bo()
-    elif kind == "dgbo":
-        if "a" not in sc:
-            raise BadParameter("a dgbo symbol needs its exponent: symbol.a is missing")
-        sym = DispersionSymbol.dgbo(sc["a"])
-    else:
-        raise BadParameter(f"unknown symbol kind {kind!r}")
-    return sym, validate_params(cfg["m"], cfg["n"], cfg["k"], cfg["eta"])
+    from .runio import MODEL_SCHEMA, validate_config    # runio imports this module
+
+    validate_config(cfg, MODEL_SCHEMA)
+    try:
+        if "preset" in cfg:
+            return preset(cfg["preset"], **{key: cfg[key] for key in cfg if key != "preset"})
+        symbol = cfg["symbol"]
+        sym = getattr(DispersionSymbol, symbol["kind"])(
+            **{key: symbol[key] for key in symbol if key != "kind"})
+        return sym, validate_params(cfg["m"], cfg["n"], cfg["k"], cfg["eta"])
+    except (InvalidN, InvalidRange) as exc:
+        raise ConfigInvalid(str(exc), path="$") from exc

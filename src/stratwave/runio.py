@@ -1,4 +1,4 @@
-"""Run directories, manifests, and config validation for the CLI.
+"""Run directories, manifests, and config validation.
 
 A run directory is created atomically: everything is written into a sibling
 temp directory, the manifest (with content hashes of every output) is written
@@ -20,7 +20,23 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigInvalid
+from .model import _PRESET_READS, _SYMBOL_READS, PRESET_NAMES
+from .solver import DATUM_KEYS
 
+
+def _branch(tag: str, value: str, reads: dict, required=()) -> dict:
+    """The schema that lets a block whose tag is value hold only tag and
+    reads (key -> schema), and requires the required keys: an if/then, so
+    that an error names the key at fault."""
+    return {"if": {"properties": {tag: {"const": value}}, "required": [tag]},
+            "then": {"required": list(required), "properties": {tag: {}, **reads},
+                     "additionalProperties": False}}
+
+
+# MODEL_SCHEMA and DATUM_SCHEMA are built from the builders' tables: the
+# presets and symbol kinds with the keys each reads (stratwave.model), and
+# the datum kinds with theirs (stratwave.solver.DATUM_KEYS)
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 MODEL_SCHEMA = {
     "type": "object",
     "oneOf": [
@@ -28,25 +44,23 @@ MODEL_SCHEMA = {
         {"required": ["symbol", "m", "n", "k", "eta"]},
     ],
     "properties": {
-        "preset": {"enum": ["ost", "gost", "bo_perturbed", "chen_lee",
-                            "dgbo_perturbed"]},
+        "preset": {"enum": list(PRESET_NAMES)},
         "symbol": {
             "type": "object",
             "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["kdv", "bo", "dgbo"]},
-                "a": {"type": "number", "exclusiveMinimum": 0,
-                      "exclusiveMaximum": 1},
-            },
-            "additionalProperties": False,
+            "properties": {"kind": {"enum": list(_SYMBOL_READS)}},
+            "allOf": [_branch("kind", kind, reads, reads)
+                      for kind, reads in _SYMBOL_READS.items()],
         },
-        "m": {"enum": [2, 3]},
-        "n": {"type": "integer", "minimum": 1},
-        "k": {"type": "integer", "minimum": 1},
-        "eta": {"type": "number", "exclusiveMinimum": 0},
-        "a": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
     },
-    "additionalProperties": False,
+    "allOf": [*(_branch("preset", name, {"eta": _POSITIVE, **_PRESET_READS.get(name, {})})
+                for name in PRESET_NAMES),
+              {"if": {"required": ["symbol"]},
+               "then": {"properties": {"symbol": {}, "m": {"enum": [2, 3]},
+                                       "n": {"type": "integer", "minimum": 1},
+                                       "k": {"type": "integer", "minimum": 1},
+                                       "eta": _POSITIVE},
+                        "additionalProperties": False}}],
 }
 
 GRID_SCHEMA = {
@@ -62,16 +76,9 @@ GRID_SCHEMA = {
 DATUM_SCHEMA = {
     "type": "object",
     "required": ["kind"],
-    "properties": {
-        "kind": {"enum": ["algebraic", "zero_mean_algebraic", "gaussian",
-                          "growth"]},
-        "gamma": {"type": "number"},
-        "c": {"type": "number"},
-        "sigma0": {"type": "number"},
-        "amp": {"type": "number"},
-        "c0": {"type": "number"},
-    },
-    "additionalProperties": False,
+    "properties": {"kind": {"enum": list(DATUM_KEYS)}},
+    "allOf": [_branch("kind", kind, keys, [key for key in keys if "default" not in keys[key]])
+              for kind, keys in DATUM_KEYS.items()],
 }
 
 SOLVER_SCHEMA = {
@@ -87,11 +94,13 @@ SOLVER_SCHEMA = {
 }
 
 _PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
-#: the optional experiment parameters and their types
+#: the optional experiment parameters with their types and ranges
 _PARAMETERS = {"window": _PAIR,
                "windows": {"type": "array", "items": _PAIR, "minItems": 1},
-               **dict.fromkeys(("p", "gamma", "bound", "exponent_tol",
-                                "improvement_fraction"), {"type": "number"})}
+               "p": {"type": "number", "exclusiveMinimum": 1},
+               "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+               "bound": _POSITIVE, "exponent_tol": _POSITIVE,
+               "improvement_fraction": {**_POSITIVE, "maximum": 1}}
 
 
 def experiment_schema(kind: str, needs: dict, solver_reads=(), parameters=()) -> dict:
@@ -181,6 +190,9 @@ def _errors(x, schema: dict, path: str):
         elif key == "exclusiveMinimum":
             if num and x <= v:
                 yield path, f"{x!r} is less than or equal to the minimum of {v!r}"
+        elif key == "maximum":
+            if num and x > v:
+                yield path, f"{x!r} is greater than the maximum of {v!r}"
         elif key == "exclusiveMaximum":
             if num and x >= v:
                 yield path, f"{x!r} is greater than or equal to the maximum of {v!r}"
@@ -205,6 +217,11 @@ def _errors(x, schema: dict, path: str):
         elif key == "allOf":
             for sub in v:
                 yield from _errors(x, sub, path)
+        elif key == "if":
+            if next(_errors(x, v, path), None) is None:
+                yield from _errors(x, schema.get("then", {}), path)
+        elif key in ("then", "default"):
+            pass    # then is applied by if, and default is an annotation
         else:
             raise NotImplementedError(f"schema keyword {key}: {v!r} is not implemented")
 

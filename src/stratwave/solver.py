@@ -37,7 +37,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import BadParameter, GridMismatch, NoContraction, NonFinite
-from .model import DispersionSymbol, ModelParams, _reject_unread, half_spectrum_multiplier
+from .model import DispersionSymbol, ModelParams, half_spectrum_multiplier
 from .spectral import Field, Grid, check_memory, dealias_keep
 
 # ---------------------------------------------------------------------------
@@ -45,15 +45,21 @@ from .spectral import Field, Grid, check_memory, dealias_keep
 # ---------------------------------------------------------------------------
 
 
-#: datum kind -> the keys it reads, each with its default (None: required).
-#: algebraic: c (1 + x^2)^{-gamma/2}, tail slope -gamma; zero_mean_algebraic:
-#: the odd c x (1+x^2)^{-(gamma+1)/2} less its discrete mean (~1e-13);
-#: gaussian: amp exp(-x^2 / (2 sigma0^2)); growth: c0 (1+x)^gamma s(x), s a
-#: smooth switch vanishing for x <= -1, tapered near +L (seam-free periodized)
-DATUM_KEYS = {"algebraic": {"gamma": None, "c": 1.0},
-              "zero_mean_algebraic": {"gamma": None, "c": 1.0},
-              "gaussian": {"sigma0": 1.0, "amp": 1.0},
-              "growth": {"gamma": None, "c0": 0.01}}
+#: datum kind -> the keys it reads, each with its JSON schema: its range, and
+#: its default unless the key is required (stratwave.runio builds DATUM_SCHEMA
+#: from this table).  algebraic: c (1 + x^2)^{-gamma/2}, tail slope -gamma;
+#: zero_mean_algebraic: the odd c x (1+x^2)^{-(gamma+1)/2} less its discrete
+#: mean (~1e-13); gaussian: amp exp(-x^2 / (2 sigma0^2)); growth:
+#: c0 (1+x)^gamma s(x), s a smooth switch vanishing for x <= -1, tapered near
+#: +L (seam-free periodized)
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+DATUM_KEYS = {"algebraic": {"gamma": _POSITIVE, "c": {"type": "number", "default": 1.0}},
+              "zero_mean_algebraic": {"gamma": _POSITIVE,
+                                      "c": {"type": "number", "default": 1.0}},
+              "gaussian": {"sigma0": {**_POSITIVE, "default": 1.0},
+                           "amp": {"type": "number", "default": 1.0}},
+              "growth": {"gamma": {**_POSITIVE, "exclusiveMaximum": 0.5},
+                         "c0": {**_POSITIVE, "default": 0.01}}}
 
 
 def _smoothstep(r: np.ndarray) -> np.ndarray:
@@ -71,41 +77,31 @@ def _smoothstep(r: np.ndarray) -> np.ndarray:
 
 
 def datum_parameters(cfg: dict) -> dict:
-    """A datum config with its kind's defaults filled in; an unknown kind, a
-    missing required key or a key its kind does not read raises BadParameter."""
-    kind = cfg["kind"]
-    if kind not in DATUM_KEYS:
-        raise BadParameter(f"unknown datum kind {kind!r}")
-    keys = DATUM_KEYS[kind]
-    _reject_unread(cfg, ("kind", *keys), f"a {kind} datum")
-    if missing := [key for key, default in keys.items() if default is None and key not in cfg]:
-        raise BadParameter(f"a {kind} datum needs {', '.join(map(repr, missing))}")
-    return {**keys, **cfg}
+    """A datum config with its kind's defaults filled in; a config that
+    stratwave.runio's DATUM_SCHEMA rejects (an unknown kind, or a key that
+    is missing, mistyped, out of range or not read by the kind) raises
+    ConfigInvalid."""
+    from .runio import DATUM_SCHEMA, validate_config    # runio imports this module
+
+    validate_config(cfg, DATUM_SCHEMA)
+    keys = DATUM_KEYS[cfg["kind"]]
+    return {**{key: keys[key]["default"] for key in keys if "default" in keys[key]}, **cfg}
 
 
 def datum_from_config(cfg: dict, grid: Grid) -> Field:
     """The initial datum that a datum config describes, sampled on the grid
-    (see DATUM_KEYS); invalid parameters raise BadParameter."""
+    (see DATUM_KEYS); every refusal raises ConfigInvalid, from
+    datum_parameters."""
     p = datum_parameters(cfg)
     kind, x = p["kind"], grid.x
     if kind == "algebraic":
-        if p["gamma"] <= 0:
-            raise BadParameter("algebraic datum requires gamma > 0")
         samples = p["c"] * (1.0 + x ** 2) ** (-p["gamma"] / 2.0)
     elif kind == "zero_mean_algebraic":
-        if p["gamma"] <= 0:
-            raise BadParameter("zero_mean_algebraic datum requires gamma > 0")
         samples = p["c"] * x * (1.0 + x ** 2) ** (-(p["gamma"] + 1.0) / 2.0)
         samples = samples - np.sum(samples) / grid.N
     elif kind == "gaussian":
-        if p["sigma0"] <= 0:
-            raise BadParameter("gaussian datum requires sigma0 > 0")
         samples = p["amp"] * np.exp(-x ** 2 / (2.0 * p["sigma0"] ** 2))
     else:
-        if not 0.0 < p["gamma"] < 0.5:
-            raise BadParameter("growth datum requires gamma in (0, 1/2)")
-        if p["c0"] <= 0:
-            raise BadParameter("growth datum requires c0 > 0")
         switch = _smoothstep(x + 1.0)
         taper = 1.0 - _smoothstep((x - 0.8 * grid.L) / (0.15 * grid.L))
         samples = p["c0"] * (1.0 + np.maximum(x, 0.0)) ** p["gamma"] * switch * taper

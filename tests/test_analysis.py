@@ -12,7 +12,7 @@ from stratwave import (DispersionSymbol, ExcludedParameters, Field, Grid,
                        lower_bound_check, lower_bound_experiment, preset,
                        tail_exponent, validate_params, weighted_norm,
                        weighted_persistence_experiment, window_mask)
-from stratwave.errors import BadParameter
+from stratwave.errors import BadParameter, ConfigInvalid
 from stratwave.spectral import to_spectral
 
 
@@ -241,6 +241,15 @@ def test_dichotomy_epsilon_range():
         with pytest.raises(BadParameter, match="must be n\\+1\\+eps"):
             dichotomy_experiment(sym, params, {"kind": "algebraic", "gamma": gamma},
                                  0.1, grid)
+
+
+def test_dichotomy_checks_its_datum_config_first():
+    # a datum without kind used to raise KeyError; another kind stays BadParameter
+    sym, params = preset("ost")
+    with pytest.raises(ConfigInvalid, match="'kind' is a required property"):
+        dichotomy_experiment(sym, params, {"gamma": 2.5}, 0.1, Grid(2 ** 10, 50.0))
+    with pytest.raises(BadParameter, match="not from a gaussian datum"):
+        dichotomy_experiment(sym, params, {"kind": "gaussian"}, 0.1, Grid(2 ** 10, 50.0))
 
 
 def test_dichotomy_default_window():

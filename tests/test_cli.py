@@ -896,7 +896,7 @@ def test_version_and_help_exit_0(argv):
     ("dichotomy", {"experiment": {"kind": "dichotomy"}}, "datum"),
     ("energy", {"experiment": {"kind": "energy"}}, "datum"),
     ("growth", {"experiment": {"kind": "growth"},
-                "datum": {"kind": "gaussian", "sigma0": 1.0}}, "gamma"),
+                "datum": {"kind": "growth", "c0": 0.01}}, "gamma"),
     # every kind reads its datum, so every kind requires it
     *((kind, {"experiment": {"kind": kind, **experiment}}, "datum")
       for kind, experiment in (("weighted", {}), ("growth", {}), ("lowerbound", {}),
@@ -926,6 +926,15 @@ _ALGEBRAIC = {"kind": "algebraic", "gamma": 2.5}
     ("weighted", {"p": "2"}, {"kind": "gaussian", "sigma0": 1.0}),
     ("growth", {"bound": [1.0]}, {"kind": "growth", "gamma": 0.3}),
     ("dichotomy", {"exponent_tol": None}, _ALGEBRAIC),
+    # out of range: each of these used to run, to exit 2 (exponent_tol,
+    # bound), to pass vacuously with target_zero_mean -3.0 (improvement_fraction
+    # -5), or to exit 1 with error [BadParameter] from the runner (p, gamma)
+    ("dichotomy", {"exponent_tol": -1}, _ALGEBRAIC),
+    ("dichotomy", {"improvement_fraction": -5}, _ALGEBRAIC),
+    ("dichotomy", {"improvement_fraction": 1.5}, _ALGEBRAIC),
+    ("growth", {"bound": -1}, {"kind": "growth", "gamma": 0.3}),
+    ("weighted", {"p": 1}, {"kind": "gaussian", "sigma0": 1.0}),
+    ("weighted", {"gamma": 1}, {"kind": "gaussian", "sigma0": 1.0}),
 ])
 def test_experiment_parameters_typed(tmp_path, capsys, kind, experiment, datum):
     cfg = {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
@@ -936,8 +945,23 @@ def test_experiment_parameters_typed(tmp_path, capsys, kind, experiment, datum):
                write_json(tmp_path / "exp.json", cfg)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "config error" in err and "$.experiment." in err
-    assert "Traceback" not in err
+    assert err.startswith(f"config error: $.experiment.{next(iter(experiment))}")
+    assert err.count("\n") == 1
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
+@pytest.mark.parametrize("experiment", [{}, {"bound": 1.0}])
+def test_experiment_growth_needs_a_growth_datum(tmp_path, capsys, experiment):
+    # an algebraic datum used to end in a KeyError traceback for c0, even
+    # with a bound, which the default 2 c0 was evaluated beside
+    cfg = {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
+           "solver": {"dt": 0.01, "T": 0.1}, "datum": {"kind": "algebraic", "gamma": 0.3},
+           "experiment": {"kind": "growth", **experiment}}
+    out = tmp_path / "run"
+    rc = main(["--quiet", "--out", str(out), "experiment", "growth", "--config",
+               write_json(tmp_path / "exp.json", cfg)])
+    assert rc == 1
+    assert capsys.readouterr().err == "config error: $.datum.kind: 'growth' was expected\n"
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 
@@ -1070,7 +1094,7 @@ def test_dgbo_symbol_without_a_is_a_config_error(tmp_path, capsys, gauss_datum, 
     assert main(["--quiet", "--out", str(out), *argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert "symbol.a is missing" in err
+    assert "symbol: 'a' is a required property" in err
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 
@@ -1181,8 +1205,8 @@ def test_model_key_the_model_does_not_read_is_a_config_error(tmp_path, capsys, m
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert "does not read" in err and ("'k'" if "k" in model and "preset" in model
-                                       else "'a'") in err
+    unread = "'k'" if "k" in model and "preset" in model else "'a'"
+    assert f"Additional properties are not allowed ({unread} was unexpected)" in err
     assert not out.exists()
 
 
@@ -1192,8 +1216,8 @@ def test_model_key_the_model_does_not_read_is_a_config_error(tmp_path, capsys, m
     ({"kind": "gaussian", "sigma0": 1.0, "c": 0.5}, "c"),
     ({"kind": "growth", "gamma": 0.3, "c": 0.5}, "c"),
 ])
-def test_datum_key_its_kind_does_not_read_is_bad_parameter(tmp_path, capsys, ost_config,
-                                                          datum, unread):
+def test_datum_key_its_kind_does_not_read_is_a_config_error(tmp_path, capsys, ost_config,
+                                                            datum, unread):
     # each used to build the datum with the key dropped (the gaussian one
     # bit for bit the default amp = 1 one)
     out = tmp_path / "run"
@@ -1202,8 +1226,8 @@ def test_datum_key_its_kind_does_not_read_is_bad_parameter(tmp_path, capsys, ost
                "--T", "0.05", "--dt", "0.01", "--grid", "N=256,L=20"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == (f"error [BadParameter]: a {datum['kind']} datum does not read "
-                   f"'{unread}'\n")
+    assert err == (f"config error: $: Additional properties are not allowed "
+                   f"('{unread}' was unexpected)\n")
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 

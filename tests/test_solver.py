@@ -11,7 +11,7 @@ from stratwave import (DispersionSymbol, EtdPropagator, Field, Grid, NoContracti
                        NonFinite, SolverConfig, datum_from_config, growth_envelope,
                        kernel_hat, picard_solve, preset, solve, tail_exponent,
                        validate_params)
-from stratwave.errors import BadParameter
+from stratwave.errors import BadParameter, ConfigInvalid
 from stratwave.model import SMOOTH
 import stratwave.solver as solver_module
 import stratwave.spectral as spectral_module
@@ -64,13 +64,15 @@ def test_gaussian_datum_mass():
 
 def test_datum_parameter_guards():
     g = Grid(64, 10.0)
-    for spec in ({"kind": "algebraic", "gamma": 0.0},
-                 {"kind": "gaussian", "sigma0": -1.0},
-                 {"kind": "growth", "gamma": 0.7},
-                 {"kind": "algebraic"},             # gamma has no default
-                 {"kind": "nosuch"}):
-        with pytest.raises(BadParameter):
+    for spec, path in (({"kind": "algebraic", "gamma": 0.0}, "$.gamma"),
+                       ({"kind": "gaussian", "sigma0": -1.0}, "$.sigma0"),
+                       ({"kind": "growth", "gamma": 0.7}, "$.gamma"),
+                       ({"kind": "growth", "gamma": 0.3, "c0": 0}, "$.c0"),
+                       ({"kind": "algebraic"}, "$"),             # gamma has no default
+                       ({"kind": "nosuch"}, "$.kind")):
+        with pytest.raises(ConfigInvalid) as exc:
             datum_from_config(spec, g)
+        assert exc.value.path == path
 
 
 # ---------------------------------------------------------------------------
