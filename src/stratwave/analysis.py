@@ -19,13 +19,14 @@ The experiment drivers operationalize the three spatial-behavior results:
   log-spaced t grid; bounded means finite sup and non-divergence as t -> 0
   (log-log slope >= -0.05 on the smallest decade).
 
-run_experiment(cfg) is the one experiment layer over these and the energy
-and growth reports: EXPERIMENTS maps each kind (dichotomy, weighted, growth,
-lowerbound, energy, decay) to a runner of a config valid under
-EXPERIMENT_SCHEMAS[kind].  `stratwave experiment` calls it, and so do the
-criteria that are configs (acceptance.CONFIG_CRITERIA): E-MONO, E-GROW,
-T2-DECAY, T3-DICHOTOMY, T3-LOWER, T4-WEIGHTED and T5-GROWTH.
-kernel_report backs `stratwave kernel` and K-CONST.
+run_experiment(cfg) is the one experiment layer over these, the energy and
+growth reports, the kernel reports and the integrator's self-convergence
+and Picard cross-check: EXPERIMENTS maps each kind (dichotomy, weighted,
+growth, lowerbound, energy, decay, kernel, kernel_derivative, convergence,
+crosscheck) to a runner of a config valid under EXPERIMENT_SCHEMAS[kind].
+`stratwave experiment` calls it, and so do the 14 acceptance criteria that
+are configs (acceptance.CONFIG_CRITERIA); the other 4 are functions.
+kernel_report backs `stratwave kernel` and the kernel kind.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ import numpy as np
 
 from .errors import (BadParameter, ExcludedParameters, InsufficientDecades,
                      WindowContaminated, ZeroMean)
-from .kernel import KernelField, asymptotic_coefficient, half_kernel_hat
+from .kernel import (KernelField, asymptotic_coefficient, half_kernel_hat,
+                     kernel_derivative_field, kernel_field)
 from .model import DispersionSymbol, ModelParams, model_from_config
 from .runio import experiment_schema
 from .solver import (SolverConfig, _guarded_propagator, datum_from_config,
-                     datum_parameters, solution_at, solve, step_count)
+                     datum_parameters, picard_solve, solution_at, solve, step_count)
 from .spectral import (Field, Grid, check_memory, from_half_spectrum, half_spectrum,
                        integral, wrap_contamination)
 
@@ -507,22 +509,67 @@ def _decay(cfg: dict) -> dict:
                        exp["window"])
 
 
-#: experiment kind -> (its runner, the schema of what its config needs
-#: beyond the common fields, the solver fields it reads besides dt and T,
-#: the experiment parameters it reads besides kind)
+def _kernel(cfg: dict) -> dict:
+    """What `stratwave kernel` reports on K(t)."""
+    sym, params, grid, _, _, exp = _inputs(cfg, build_datum=False)
+    return kernel_report(kernel_field(exp["t"], grid, sym, params), exp.get("window"))
+
+
+def _kernel_derivative(cfg: dict) -> dict:
+    """The tail_report of d_x K(t)."""
+    sym, params, grid, _, _, exp = _inputs(cfg, build_datum=False)
+    return tail_report(kernel_derivative_field(exp["t"], grid, sym, params), exp["window"])
+
+
+def _convergence(cfg: dict) -> dict:
+    """ETD2's observed order log2(d12 / d23), d12 and d23 the L2 distances
+    between u(T) at dt and dt/2 and at dt/2 and dt/4."""
+    sym, params, grid, u0, solver, _ = _inputs(cfg)
+    u1, u2, u4 = (solution_at(sym, params, u0, solver["T"], solver["dt"] / halves)
+                  for halves in (1, 2, 4))
+    d12 = Field(grid, u1.samples - u2.samples).l2_norm()
+    d23 = Field(grid, u2.samples - u4.samples).l2_norm()
+    if not (d12 > 0 and d23 > 0):
+        raise BadParameter(f"u(T) at dt, dt/2 and dt/4 differ by {d12!r} and {d23!r}: "
+                           f"no order to observe")
+    return {"order": math.log2(d12 / d23), "d12": d12, "d23": d23}
+
+
+def _crosscheck(cfg: dict) -> dict:
+    """||u_picard - u_etd||_2 at T, Picard iterated until its update is
+    below 1e-12, and picard_solve's report less its snapshots."""
+    sym, params, grid, u0, solver, _ = _inputs(cfg)
+    u_etd = solution_at(sym, params, u0, solver["T"], solver["dt"])
+    u_pic, report = picard_solve(sym, params, u0, SolverConfig(
+        dt=solver["dt"], T=solver["T"], picard_tol=1e-12))
+    del report["snapshots"]
+    return {"l2_diff": Field(grid, u_etd.samples - u_pic.samples).l2_norm(), **report}
+
+
+#: experiment kind -> (its runner, the runio.experiment_schema arguments
+#: that say what its config holds and what the runner reads of it)
 EXPERIMENTS = {
-    "dichotomy": (_dichotomy, {}, (), ("window", "exponent_tol", "improvement_fraction")),
-    "weighted": (_weighted, {}, (), ("p", "gamma")),
-    "growth": (_growth,
-               {"properties": {"datum": {"properties": {"kind": {"const": "growth"}}}}},
-               ("snapshots",), ("bound",)),
-    "lowerbound": (_lowerbound, {}, ("linear_only",), ("windows",)),
-    "energy": (_energy, {}, (), ()),
-    "decay": (_decay, {"properties": {"experiment": {"required": ["window"]}}},
-              (), ("window",)),
+    "dichotomy": (_dichotomy, {"parameters": ("window", "exponent_tol",
+                                              "improvement_fraction")}),
+    "weighted": (_weighted, {"parameters": ("p", "gamma")}),
+    "growth": (_growth, {
+        "needs": {"properties": {"datum": {"properties": {"kind": {"const": "growth"}}}}},
+        "solver_reads": ("snapshots",), "parameters": ("bound",)}),
+    "lowerbound": (_lowerbound, {"solver_reads": ("linear_only",),
+                                 "parameters": ("windows",)}),
+    "energy": (_energy, {}),
+    "decay": (_decay, {"needs": {"properties": {"experiment": {"required": ["window"]}}},
+                       "parameters": ("window",)}),
+    "kernel": (_kernel, {"needs": {"properties": {"experiment": {"required": ["t"]}}},
+                         "blocks": (), "parameters": ("t", "window")}),
+    "kernel_derivative": (_kernel_derivative, {
+        "needs": {"properties": {"experiment": {"required": ["t", "window"]}}},
+        "blocks": (), "parameters": ("t", "window")}),
+    "convergence": (_convergence, {}),
+    "crosscheck": (_crosscheck, {}),
 }
-EXPERIMENT_SCHEMAS = {kind: experiment_schema(kind, needs, reads, parameters)
-                      for kind, (_, needs, reads, parameters) in EXPERIMENTS.items()}
+EXPERIMENT_SCHEMAS = {kind: experiment_schema(kind, **reads)
+                      for kind, (_, reads) in EXPERIMENTS.items()}
 
 
 def run_experiment(cfg: dict) -> dict:

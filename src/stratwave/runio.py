@@ -100,25 +100,28 @@ _PARAMETERS = {"window": _PAIR,
                "p": {"type": "number", "exclusiveMinimum": 1},
                "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
                "bound": _POSITIVE, "exponent_tol": _POSITIVE,
-               "improvement_fraction": {**_POSITIVE, "maximum": 1}}
+               "improvement_fraction": {**_POSITIVE, "maximum": 1},
+               "t": _POSITIVE}
 
 
-def experiment_schema(kind: str, needs: dict, solver_reads=(), parameters=()) -> dict:
-    """Schema of a config for the experiment kind: the common fields with
-    experiment.kind fixed to kind, solver fields only dt, T and solver_reads,
-    experiment fields only kind and parameters, and needs, the extra schema
-    of what the kind requires."""
+def experiment_schema(kind: str, needs: dict | None = None, blocks=("solver", "datum"),
+                      solver_reads=(), parameters=()) -> dict:
+    """Schema of a config for the experiment kind: model, grid, the blocks
+    of solver and datum it reads (all required but solver) and experiment,
+    with experiment.kind fixed to kind, solver fields only dt, T and
+    solver_reads, experiment fields only kind and parameters, and needs,
+    the extra schema of what the kind requires."""
     solver = {**SOLVER_SCHEMA, "properties": {
         name: sub for name, sub in SOLVER_SCHEMA["properties"].items()
         if name in ("dt", "T", *solver_reads)}}
+    common = {"model": MODEL_SCHEMA, "grid": GRID_SCHEMA, "solver": solver,
+              "datum": DATUM_SCHEMA}
+    read = ("model", "grid", *blocks)
     return {"allOf": [{
         "type": "object",
-        "required": ["model", "grid", "datum", "experiment"],
+        "required": [name for name in read if name != "solver"] + ["experiment"],
         "properties": {
-            "model": MODEL_SCHEMA,
-            "grid": GRID_SCHEMA,
-            "solver": solver,
-            "datum": DATUM_SCHEMA,
+            **{name: common[name] for name in read},
             "experiment": {"type": "object", "required": ["kind"],
                            "properties": {"kind": {"const": kind},
                                           **{name: _PARAMETERS[name]
@@ -126,7 +129,7 @@ def experiment_schema(kind: str, needs: dict, solver_reads=(), parameters=()) ->
                            "additionalProperties": False},
         },
         "additionalProperties": False,
-    }, needs]}
+    }, needs or {}]}
 
 
 # The schemas above are JSON Schema (Draft 2020-12).  _errors checks a config

@@ -36,7 +36,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BadParameter, GridMismatch, NoContraction, NonFinite
+from .errors import BadParameter, ConfigInvalid, GridMismatch, NoContraction, NonFinite
 from .model import DispersionSymbol, ModelParams, half_spectrum_multiplier
 from .spectral import Field, Grid, check_memory, dealias_keep
 
@@ -91,20 +91,25 @@ def datum_parameters(cfg: dict) -> dict:
 def datum_from_config(cfg: dict, grid: Grid) -> Field:
     """The initial datum that a datum config describes, sampled on the grid
     (see DATUM_KEYS); every refusal raises ConfigInvalid, from
-    datum_parameters."""
+    datum_parameters or, for a config whose samples are not all finite
+    (a gaussian sigma0 whose square underflows, a c that overflows), here."""
     p = datum_parameters(cfg)
     kind, x = p["kind"], grid.x
-    if kind == "algebraic":
-        samples = p["c"] * (1.0 + x ** 2) ** (-p["gamma"] / 2.0)
-    elif kind == "zero_mean_algebraic":
-        samples = p["c"] * x * (1.0 + x ** 2) ** (-(p["gamma"] + 1.0) / 2.0)
-        samples = samples - np.sum(samples) / grid.N
-    elif kind == "gaussian":
-        samples = p["amp"] * np.exp(-x ** 2 / (2.0 * p["sigma0"] ** 2))
-    else:
-        switch = _smoothstep(x + 1.0)
-        taper = 1.0 - _smoothstep((x - 0.8 * grid.L) / (0.15 * grid.L))
-        samples = p["c0"] * (1.0 + np.maximum(x, 0.0)) ** p["gamma"] * switch * taper
+    with np.errstate(all="ignore"):
+        if kind == "algebraic":
+            samples = p["c"] * (1.0 + x ** 2) ** (-p["gamma"] / 2.0)
+        elif kind == "zero_mean_algebraic":
+            samples = p["c"] * x * (1.0 + x ** 2) ** (-(p["gamma"] + 1.0) / 2.0)
+            samples = samples - np.sum(samples) / grid.N
+        elif kind == "gaussian":
+            samples = p["amp"] * np.exp(-x ** 2 / (2.0 * p["sigma0"] ** 2))
+        else:
+            switch = _smoothstep(x + 1.0)
+            taper = 1.0 - _smoothstep((x - 0.8 * grid.L) / (0.15 * grid.L))
+            samples = p["c0"] * (1.0 + np.maximum(x, 0.0)) ** p["gamma"] * switch * taper
+    if not np.all(np.isfinite(samples)):
+        raise ConfigInvalid(f"the datum {cfg} has non-finite samples on the grid "
+                            f"N={grid.N}, L={grid.L}", path="$")
     return Field(grid=grid, samples=samples)
 
 

@@ -637,6 +637,78 @@ def test_experiment_energy_reproduces_e_grow(tmp_path):
     assert report["peak_energy"] == measured["peak_energy"]
 
 
+GOLDEN = json.loads((Path(__file__).resolve().parent / "acceptance_golden.json").read_text())
+
+
+@pytest.mark.parametrize("cid", ["K-TAIL-1", "K-CONST", "K-DERIV", "S-CONV", "S-XCHECK"])
+def test_experiment_reproduces_the_criterion(tmp_path, cid):
+    # the criterion's config, run from a file, gives through its verdict the
+    # measured values that make_acceptance_golden.py recorded, bit for bit
+    _, (cfg,), verdict = CONFIG_CRITERIA[cid]
+    kind, out = cfg["experiment"]["kind"], tmp_path / "run"
+    assert main(["--quiet", "--out", str(out), "experiment", kind, "--config",
+                 write_json(tmp_path / f"{cid}.json", cfg)]) == 0
+    passed, measured = verdict(json.loads((out / "report.json").read_text()))
+    assert passed and measured == GOLDEN[cid]
+
+
+@pytest.mark.parametrize("window", [None, [10.0, 80.0]])
+def test_experiment_kernel_reports_what_the_kernel_command_reports(tmp_path, window):
+    model, out = {"preset": "ost"}, tmp_path / "k.csv"
+    assert main(["--quiet", "--out", str(out), "kernel", "--config",
+                 write_json(tmp_path / "model.json", model), "--t", "1.0",
+                 "--grid", "N=16384,L=200", *(["--window", "10", "80"] if window else [])]) == 0
+    experiment = {"kind": "kernel", "t": 1.0, **({"window": window} if window else {})}
+    cfg = write_json(tmp_path / "exp.json", {"model": model, "grid": {"N": 16384, "L": 200},
+                                             "experiment": experiment})
+    assert main(["--quiet", "--out", str(tmp_path / "run"), "experiment", "kernel",
+                 "--config", cfg]) == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert report == json.loads(out.with_suffix(".json").read_text())
+
+
+@pytest.mark.parametrize("kind", ["kernel", "kernel_derivative"])
+@pytest.mark.parametrize("block,value", [("datum", {"kind": "gaussian", "sigma0": 1.0}),
+                                         ("solver", {"dt": 0.01, "T": 0.1})])
+def test_experiment_kernel_refuses_blocks_it_does_not_read(tmp_path, capsys, kind, block,
+                                                           value):
+    cfg = {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50}, block: value,
+           "experiment": {"kind": kind, "t": 1.0, "window": [5, 20]}}
+    out = tmp_path / "run"
+    assert main(["--quiet", "--out", str(out), "experiment", kind, "--config",
+                 write_json(tmp_path / "exp.json", cfg)]) == 1
+    assert capsys.readouterr().err == (f"config error: $: Additional properties are not "
+                                       f"allowed ('{block}' was unexpected)\n")
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
+@pytest.mark.parametrize("experiment,missing", [
+    ({"kind": "kernel"}, "t"),
+    ({"kind": "kernel_derivative", "window": [5, 20]}, "t"),
+    ({"kind": "kernel_derivative", "t": 1.0}, "window"),   # no default for d_x K
+])
+def test_experiment_kernel_needs_t_and_a_derivative_window(tmp_path, capsys, experiment,
+                                                           missing):
+    cfg = {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50}, "experiment": experiment}
+    out = tmp_path / "run"
+    assert main(["--quiet", "--out", str(out), "experiment", experiment["kind"], "--config",
+                 write_json(tmp_path / "exp.json", cfg)]) == 1
+    assert capsys.readouterr().err == (f"config error: $.experiment: '{missing}' is a "
+                                       f"required property\n")
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
+def test_experiment_convergence_of_a_zero_datum_is_bad_parameter(tmp_path, capsys):
+    # u(T) is 0 at every dt, so log2(d12 / d23) has no value
+    out = tmp_path / "run"
+    assert main(["--quiet", "--out", str(out), "experiment", "convergence", "--config",
+                 write_json(tmp_path / "exp.json", _small_run("convergence", amp=0.0))]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error [BadParameter]: ")
+    assert "no order to observe" in lines[0]
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
 def test_experiment_decay_matches_simulate_then_decay_fit(tmp_path, capsys):
     model, datum = {"preset": "ost"}, {"kind": "algebraic", "gamma": 2.0, "c": 0.5}
     cfg = write_json(tmp_path / "exp.json", {
@@ -900,7 +972,8 @@ def test_version_and_help_exit_0(argv):
     # every kind reads its datum, so every kind requires it
     *((kind, {"experiment": {"kind": kind, **experiment}}, "datum")
       for kind, experiment in (("weighted", {}), ("growth", {}), ("lowerbound", {}),
-                               ("decay", {"window": [5, 20]}))),
+                               ("decay", {"window": [5, 20]}), ("convergence", {}),
+                               ("crosscheck", {}))),
 ])
 def test_experiment_schema_per_kind(tmp_path, capsys, kind, cfg, missing):
     path = write_json(tmp_path / "exp.json", {
@@ -966,14 +1039,26 @@ def test_experiment_growth_needs_a_growth_datum(tmp_path, capsys, experiment):
 
 
 _GAUSSIAN = {"kind": "gaussian", "sigma0": 1.0}
-#: kind -> (experiment parameters, datum) of a config its schema accepts
+#: kind -> (experiment parameters, datum) of a config its schema accepts;
+#: a kernel config holds no datum and no solver block
 _MINIMAL = {"dichotomy": ({}, _ALGEBRAIC),
             "weighted": ({}, _GAUSSIAN), "lowerbound": ({}, _GAUSSIAN),
             "energy": ({}, _GAUSSIAN), "decay": ({"window": [5, 20]}, _GAUSSIAN),
-            "growth": ({}, {"kind": "growth", "gamma": 0.3})}
+            "growth": ({}, {"kind": "growth", "gamma": 0.3}),
+            "kernel": ({"t": 1.0}, None),
+            "kernel_derivative": ({"t": 1.0, "window": [5, 20]}, None),
+            "convergence": ({}, _GAUSSIAN),
+            "crosscheck": ({}, _GAUSSIAN)}
 
 
-@pytest.mark.parametrize("kind", sorted(EXPERIMENT_SCHEMAS))
+def _blocks(datum) -> dict:
+    """The solver and datum blocks of a _MINIMAL config."""
+    return {} if datum is None else {"solver": {"dt": 0.01, "T": 0.1}, "datum": datum}
+
+
+# test_experiment_kernel_refuses_blocks_it_does_not_read covers the kernel kinds
+@pytest.mark.parametrize("kind", sorted(set(EXPERIMENT_SCHEMAS)
+                                        - {"kernel", "kernel_derivative"}))
 @pytest.mark.parametrize("field", ["snapshots", "linear_only"])
 def test_experiment_solver_fields_per_kind(tmp_path, capsys, kind, field):
     # a kind that does not read a solver field rejects it
@@ -998,11 +1083,13 @@ def test_experiment_solver_fields_per_kind(tmp_path, capsys, kind, field):
 #: experiment kind -> the experiment parameters its runner reads
 _READS = {"dichotomy": {"window", "exponent_tol", "improvement_fraction"},
           "weighted": {"p", "gamma"}, "growth": {"bound"}, "lowerbound": {"windows"},
-          "energy": set(), "decay": {"window"}}
+          "energy": set(), "decay": {"window"}, "kernel": {"t", "window"},
+          "kernel_derivative": {"t", "window"},
+          "convergence": set(), "crosscheck": set()}
 #: gamma_datum and amplitude, which the datum block replaced, no kind reads
 _PARAMETER_VALUES = {"gamma_datum": 2.5, "window": [5, 20], "amplitude": 1.0,
                      "exponent_tol": 0.1, "improvement_fraction": 0.5, "p": 2.0,
-                     "gamma": 0.5, "bound": 0.02, "windows": [[5, 10]]}
+                     "gamma": 0.5, "bound": 0.02, "windows": [[5, 10]], "t": 1.0}
 
 
 @pytest.mark.parametrize("kind", sorted(EXPERIMENT_SCHEMAS))
@@ -1010,8 +1097,7 @@ _PARAMETER_VALUES = {"gamma_datum": 2.5, "window": [5, 20], "amplitude": 1.0,
 def test_experiment_parameters_per_kind(tmp_path, capsys, kind, parameter):
     # a kind that does not read an experiment parameter rejects it
     experiment, datum = _MINIMAL[kind]
-    cfg = {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
-           "solver": {"dt": 0.01, "T": 0.1}, "datum": datum,
+    cfg = {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50}, **_blocks(datum),
            "experiment": {"kind": kind, **experiment,
                           parameter: _PARAMETER_VALUES[parameter]}}
     if parameter in _READS[kind]:
@@ -1037,6 +1123,8 @@ _SMALL_RUNS = {
     "energy": ({"N": 1024, "L": 50}, {}, {"kind": "gaussian", "sigma0": 1.0}, "amp"),
     "decay": ({"N": 1024, "L": 50}, {"window": [2, 10]},
               {"kind": "algebraic", "gamma": 3.0}, "c"),
+    "convergence": ({"N": 1024, "L": 50}, {}, {"kind": "gaussian", "sigma0": 1.0}, "amp"),
+    "crosscheck": ({"N": 1024, "L": 50}, {}, {"kind": "gaussian", "sigma0": 1.0}, "amp"),
 }
 
 
@@ -1046,7 +1134,8 @@ def _small_run(kind: str, **datum) -> dict:
             "datum": {**base, **datum}, "experiment": {"kind": kind, **experiment}}
 
 
-@pytest.mark.parametrize("kind", sorted(EXPERIMENT_SCHEMAS))
+@pytest.mark.parametrize("kind", sorted(set(EXPERIMENT_SCHEMAS)
+                                        - {"kernel", "kernel_derivative"}))
 def test_every_experiment_kind_reads_its_datum(tmp_path, kind):
     # the datum's amplitude reaches the report of every kind
     amplitude = _SMALL_RUNS[kind][3]
@@ -1228,6 +1317,27 @@ def test_datum_key_its_kind_does_not_read_is_a_config_error(tmp_path, capsys, os
     err = capsys.readouterr().err
     assert err == (f"config error: $: Additional properties are not allowed "
                    f"('{unread}' was unexpected)\n")
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
+@pytest.mark.parametrize("datum", [
+    {"kind": "gaussian", "sigma0": 1e-200},                         # sigma0 ** 2 underflows
+    {"kind": "zero_mean_algebraic", "gamma": 0.5, "c": 1e308},      # c x overflows
+])
+def test_datum_with_non_finite_samples_is_a_config_error(tmp_path, capsys, ost_config,
+                                                         datum):
+    # each used to print numpy RuntimeWarnings and exit with error [NonFinite]
+    # after two dt halvings
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--quiet", "--out", str(out), "simulate", "--config", ost_config,
+                   "--datum", write_json(tmp_path / "datum.json", datum),
+                   "--T", "0.01", "--dt", "0.0025", "--grid", "N=256,L=20"])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: the datum ")
+    assert "non-finite samples" in lines[0] and datum["kind"] in lines[0]
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 

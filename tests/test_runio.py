@@ -57,6 +57,16 @@ SEEDS = {
                                               "windows": [[5, 10], [10, 20]]}}],
     "experiment-energy": [{**_COMMON, "experiment": {"kind": "energy"}}],
     "experiment-decay": [{**_COMMON, "experiment": {"kind": "decay", "window": [5, 20]}}],
+    # a kernel config reads no solver or datum block
+    "experiment-kernel": [{"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
+                           "experiment": {"kind": "kernel", "t": 1.0, "window": [5, 20]}},
+                          {"model": _EXPLICIT, "grid": {"N": 1024, "L": 50},
+                           "experiment": {"kind": "kernel", "t": 0.5}}],
+    "experiment-kernel_derivative": [{"model": _EXPLICIT, "grid": {"N": 1024, "L": 50},
+                                      "experiment": {"kind": "kernel_derivative", "t": 1.0,
+                                                     "window": [5, 20]}}],
+    "experiment-convergence": [{**_COMMON, "experiment": {"kind": "convergence"}}],
+    "experiment-crosscheck": [{**_COMMON, "experiment": {"kind": "crosscheck"}}],
 }
 
 
@@ -81,7 +91,7 @@ _KEYS = st.sampled_from(sorted({name for schema in SCHEMAS.values()
 _SCALARS = st.one_of(
     st.sampled_from([None, True, False, 0, 1, 2, 3, 16, 1024, 1024.0, 1024.5, -1, 0.0,
                      -0.0, 0.5, 1.0, 2.0, 3.0, *PRESET_NAMES, *_SYMBOL_READS, *DATUM_KEYS,
-                     "energy", "weighted", "", "x"]),
+                     "energy", "weighted", "kernel", "kernel_derivative", "", "x"]),
     st.integers(), st.floats(), st.text(max_size=3))
 _VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
                        | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=6)
