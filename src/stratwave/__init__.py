@@ -26,11 +26,11 @@ _EXPORTS = {
                "kernel_field", "kernel_hat", "leading_jump"),
     "solver": ("EtdPropagator", "SolverConfig", "Trajectory", "datum_from_config",
                "picard_solve", "solution_at", "solve"),
-    "analysis": ("EXPERIMENT_SCHEMAS", "DecayFit", "Weight", "dichotomy_experiment",
-                 "energy_experiment", "growth_envelope", "growth_experiment",
-                 "kernel_report", "lower_bound_check", "lower_bound_experiment",
-                 "run_experiment", "tail_exponent", "tail_report", "weighted_norm",
-                 "weighted_persistence_experiment", "window_mask"),
+    "analysis": ("EXPERIMENT_SCHEMAS", "dichotomy_experiment", "energy_experiment",
+                 "growth_envelope", "growth_experiment", "kernel_report",
+                 "lower_bound_check", "lower_bound_experiment", "run_experiment",
+                 "tail_exponent", "weighted_norm", "weighted_persistence_experiment",
+                 "window_mask"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 #: submodules reachable as ``stratwave.<module>`` with no import of their own:

@@ -32,7 +32,6 @@ kernel_report backs `stratwave kernel` and the kernel kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,33 +82,7 @@ def window_mask(grid: Grid, window: Tuple[float, float], side: str) -> np.ndarra
     return {"right": right, "left": left, "both": right | left}[side]
 
 
-@dataclass
-class DecayFit:
-    """One-sided power-law fit of log|f| vs log|x|.
-
-    Window discipline: the inner edge should sit well outside the datum core
-    (x_a >= 10 core widths) and the outer edge inside the wrap-safe half-box;
-    a fit is trusted only when r_squared >= 0.98 (.valid).
-    """
-
-    side: str
-    window: Tuple[float, float]
-    slope: float
-    stderr: float
-    r_squared: float
-    n_points: int
-
-    @property
-    def exponent(self) -> float:
-        """Decay exponent beta with |f| ~ |x|^-beta (negated slope)."""
-        return -self.slope
-
-    @property
-    def valid(self) -> bool:
-        return self.r_squared >= 0.98
-
-
-def _fit_side(f: Field, window, side: str) -> DecayFit:
+def _fit_side(f: Field, window, side: str) -> dict:
     a, b = window
     msk = window_mask(f.grid, window, side)
     xa = np.abs(f.grid.x[msk])
@@ -129,23 +102,22 @@ def _fit_side(f: Field, window, side: str) -> DecayFit:
     var_slope = float(np.sum(resid ** 2) / dof / np.sum((lx - lx.mean()) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return DecayFit(side=side, window=(a, b), slope=float(sol[0]),
-                    stderr=math.sqrt(max(var_slope, 0.0)), r_squared=r2,
-                    n_points=len(xa))
+    slope = float(sol[0])
+    return {"slope": slope, "exponent": -slope, "stderr": math.sqrt(max(var_slope, 0.0)),
+            "r_squared": r2, "valid": r2 >= 0.98, "n_points": len(xa), "window": [a, b]}
 
 
-def tail_exponent(f: Field, window: Tuple[float, float]) -> Tuple[DecayFit, DecayFit]:
-    """Fit both tails of |f|; returns (left, right) DecayFit."""
-    return _fit_side(f, window, "left"), _fit_side(f, window, "right")
+def tail_exponent(f: Field, window: Tuple[float, float]) -> dict:
+    """Fit both tails of |f|: side ("left", "right") -> that side's fit.
 
-
-def tail_report(f: Field, window: Tuple[float, float]) -> dict:
-    """tail_exponent of f as a report: side -> the fit's numbers."""
-    return {fit.side: {"slope": fit.slope, "exponent": fit.exponent,
-                       "stderr": fit.stderr, "r_squared": fit.r_squared,
-                       "valid": fit.valid, "n_points": fit.n_points,
-                       "window": list(fit.window)}
-            for fit in tail_exponent(f, window)}
+    A fit holds the slope of log|f| against log|x|, the decay exponent beta
+    with |f| ~ |x|^-beta (the negated slope), the slope's stderr, r_squared,
+    valid (r_squared >= 0.98: only then is the fit trusted), n_points and
+    the window.  The window's inner edge should sit well outside the datum
+    core (x_a >= 10 core widths), its outer edge inside the wrap-safe
+    half-box.
+    """
+    return {side: _fit_side(f, window, side) for side in ("left", "right")}
 
 
 # ---------------------------------------------------------------------------
@@ -153,26 +125,14 @@ def tail_report(f: Field, window: Tuple[float, float]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Weight:
-    """w_gamma(x) = (1 + |x|)^-gamma; gamma in (0,1) for persistence
-    experiments, any gamma > 0 accepted for diagnostics."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise BadParameter("weight exponent gamma must be positive")
-
-    def samples(self, grid: Grid) -> np.ndarray:
-        return (1.0 + np.abs(grid.x)) ** (-self.gamma)
-
-
-def weighted_norm(u: Field, p: float, w: Weight) -> float:
-    """(sum |u|^p w dx)^{1/p} on the grid."""
+def weighted_norm(u: Field, p: float, gamma: float) -> float:
+    """(sum |u|^p w dx)^{1/p} on the grid, w(x) = (1 + |x|)^-gamma; gamma in
+    (0, 1) for persistence experiments, any gamma > 0 for diagnostics."""
+    if not gamma > 0:
+        raise BadParameter(f"weight exponent gamma must be positive, got {gamma}")
     if not p > 1:
         raise BadParameter(f"p must exceed 1, got {p}")
-    vals = np.abs(u.samples) ** p * w.samples(u.grid)
+    vals = np.abs(u.samples) ** p * (1.0 + np.abs(u.grid.x)) ** (-gamma)
     return float((np.sum(vals) * u.grid.dx) ** (1.0 / p))
 
 
@@ -230,10 +190,10 @@ def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams,
         window = (20.0, 0.3 * grid.L)
     datum_raw = datum_from_config(datum, grid)
     datum_zm = datum_from_config({**datum, "kind": "zero_mean_algebraic"}, grid)
-    fits_raw = tail_exponent(solution_at(sym, params, datum_raw, T, dt), window)
-    fits_zm = tail_exponent(solution_at(sym, params, datum_zm, T, dt), window)
-    exp_raw = 0.5 * (fits_raw[0].exponent + fits_raw[1].exponent)
-    exp_zm = 0.5 * (fits_zm[0].exponent + fits_zm[1].exponent)
+    per_side = {name: {side: fit["exponent"] for side, fit in
+                       tail_exponent(solution_at(sym, params, u, T, dt), window).items()}
+                for name, u in (("nonzero_mean", datum_raw), ("zero_mean", datum_zm))}
+    exp_raw, exp_zm = (0.5 * (e["left"] + e["right"]) for e in per_side.values())
 
     target_zm = n + 1 + improvement_fraction * eps
     checks = {
@@ -246,10 +206,7 @@ def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams,
         "zero_mean_residual": integral(datum_zm),
         "exponent_nonzero_mean": exp_raw,
         "exponent_zero_mean": exp_zm,
-        "per_side": {
-            "nonzero_mean": {"left": fits_raw[0].exponent, "right": fits_raw[1].exponent},
-            "zero_mean": {"left": fits_zm[0].exponent, "right": fits_zm[1].exponent},
-        },
+        "per_side": per_side,
         "epsilon": eps,
         "target_zero_mean": target_zm,
         "window": list(window),
@@ -278,6 +235,9 @@ def lower_bound_check(u: Field, t: float, params: ModelParams, u0_mean: float,
     ratio_series = []
     for window in windows:
         msk = window_mask(grid, window, "both")
+        if not msk.any():
+            raise BadParameter(f"window {list(window)} holds no sample of the grid "
+                               f"(dx = {grid.dx:g})")
         r = np.abs(grid.x[msk]) ** (params.n + 1) * np.abs(u.samples[msk]) / (A * abs(u0_mean))
         ratio_series.append(float(np.median(r)))
     # r now holds the outermost window's ratios
@@ -309,7 +269,6 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
         raise BadParameter("persistence weight gamma must be in (0, 1)")
     if not p > 1:
         raise BadParameter("p must exceed 1")
-    w = Weight(gamma)
     alpha = params.alpha
     n_steps = step_count(T, dt)
     steps = np.logspace(0.0, math.log10(n_steps), PERSISTENCE_SAMPLES)
@@ -322,10 +281,10 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
             if step in targets:
                 tval = step * dt
                 ts.append(tval)
-                qs.append(tval ** alpha * weighted_norm(prop.physical(uhat), p, w))
+                qs.append(tval ** alpha * weighted_norm(prop.physical(uhat), p, gamma))
     ts = np.array(ts)
     qs = np.array(qs)
-    norm0 = weighted_norm(u0, p, w)
+    norm0 = weighted_norm(u0, p, gamma)
     sup_q = float(np.max(qs)) if len(qs) else 0.0
     if norm0 > 0 and np.all(qs > 0):
         low = ts <= ts[0] * 10.0
@@ -437,14 +396,14 @@ def kernel_report(kf: KernelField,
             f"the kernel at t = {kf.t} has mass {kf.mass:.6g}, not 1 to "
             f"{KERNEL_MASS_TOL:g}, on L = {grid.L}: its samples mean nothing; "
             f"use a smaller t or a larger L")
-    left, right = tail_exponent(kf.field, window)
+    fits = tail_exponent(kf.field, window)
     A = asymptotic_coefficient(kf.t, params)
     msk = window_mask(grid, window, "both")
     scaled = np.abs(grid.x[msk]) ** (params.n + 1) * np.abs(kf.field.samples[msk])
     return {
         "mass": kf.mass,
-        "tail_slope_left": -left.exponent,
-        "tail_slope_right": -right.exponent,
+        "tail_slope_left": fits["left"]["slope"],
+        "tail_slope_right": fits["right"]["slope"],
         "fitted_C": _weighted_sup(kf, window),
         "A_predicted": A,
         "max_rel_dev": float(np.max(np.abs(scaled - A)) / A),
@@ -462,12 +421,17 @@ def kernel_report(kf: KernelField,
 
 def _inputs(cfg: dict, build_datum: bool = True) -> tuple:
     """(sym, params, grid, u0 (None unless build_datum), solver block,
-    experiment block) of a config; dt and T default to 1e-3 and 1."""
+    experiment block) of a config; dt and T default to 1e-3 and 1.
+
+    The experiment block's window and windows are read as floats, as the
+    CLI's --window parsers give them, so a report echoes [5, 40] as
+    [5.0, 40.0] whichever front end ran it."""
     sym, params = model_from_config(cfg["model"])
     grid = Grid(cfg["grid"]["N"], cfg["grid"]["L"])
     u0 = datum_from_config(cfg["datum"], grid) if build_datum else None
-    return (sym, params, grid, u0, {"dt": 1e-3, "T": 1.0, **cfg.get("solver", {})},
-            cfg["experiment"])
+    exp = {key: np.array(value, dtype=float).tolist() if key in ("window", "windows")
+           else value for key, value in cfg["experiment"].items()}
+    return (sym, params, grid, u0, {"dt": 1e-3, "T": 1.0, **cfg.get("solver", {})}, exp)
 
 
 def _dichotomy(cfg: dict) -> dict:
@@ -505,8 +469,8 @@ def _energy(cfg: dict) -> dict:
 def _decay(cfg: dict) -> dict:
     """What `stratwave decay-fit` reports on `stratwave simulate`'s u(T)."""
     sym, params, _, u0, solver, exp = _inputs(cfg)
-    return tail_report(solution_at(sym, params, u0, solver["T"], solver["dt"]),
-                       exp["window"])
+    return tail_exponent(solution_at(sym, params, u0, solver["T"], solver["dt"]),
+                         exp["window"])
 
 
 def _kernel(cfg: dict) -> dict:
@@ -516,9 +480,9 @@ def _kernel(cfg: dict) -> dict:
 
 
 def _kernel_derivative(cfg: dict) -> dict:
-    """The tail_report of d_x K(t)."""
+    """The tail_exponent fits of d_x K(t)."""
     sym, params, grid, _, _, exp = _inputs(cfg, build_datum=False)
-    return tail_report(kernel_derivative_field(exp["t"], grid, sym, params), exp["window"])
+    return tail_exponent(kernel_derivative_field(exp["t"], grid, sym, params), exp["window"])
 
 
 def _convergence(cfg: dict) -> dict:

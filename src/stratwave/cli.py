@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import EXPERIMENT_SCHEMAS, kernel_report, run_experiment, tail_report
+from .analysis import EXPERIMENT_SCHEMAS, kernel_report, run_experiment, tail_exponent
 from .errors import ConfigInvalid, NonFinite, StratwaveError
 from .kernel import kernel_field
 from .model import PRESET_NAMES, model_from_config, preset
@@ -144,7 +144,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_decay_fit(args) -> int:
-    text = json.dumps(tail_report(field_from_csv(args.infile), args.window),
+    text = json.dumps(tail_exponent(field_from_csv(args.infile), args.window),
                       indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")

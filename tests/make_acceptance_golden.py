@@ -5,12 +5,13 @@ Run from the repository root:
     PYTHONPATH=src python tests/make_acceptance_golden.py
     PYTHONPATH=src python tests/make_acceptance_golden.py --diff
 
-The file is a check (tests/test_acceptance.py compares every measured value
-with it).  Rewrite it only in a change that says why, listing old -> new for
-every value that moved; never to make a failing comparison pass.  --diff
-writes nothing: it prints every value's golden and live repr, marked
-"identical" or with its relative change, which is that list, and exits 1
-when any value differs, so it serves as a same-numbers check.
+The file is a check with one rule, same numbers means the same bits:
+tests/test_acceptance.py's test_golden and --diff both compare every
+measured value with it by ==.  Rewrite it only in a change that says why,
+listing old -> new for every value that moved; never to make a failing
+comparison pass.  --diff writes nothing: it prints every value's golden and
+live repr, marked "identical" or with its relative change, which is that
+list, and exits 1 when any value differs.
 """
 
 import argparse

@@ -5,9 +5,12 @@ the CLI driver `stratwave acceptance`).  Criteria carry their own grid
 choices; rationale lives in stratwave.acceptance.
 
 Every criterion runs at most once per session (the `acceptance_results`
-fixture); test_criterion checks its verdict and test_golden compares its
-measured values with tests/acceptance_golden.json, written by
-tests/make_acceptance_golden.py.
+fixture); test_criterion checks its verdict and test_golden checks that its
+measured values equal those in tests/acceptance_golden.json, written by
+tests/make_acceptance_golden.py.  Same numbers means the same bits: every
+value is compared with ==, as `make_acceptance_golden.py --diff` does, so a
+value that moves in its last digit fails until the golden file is rewritten
+in a change that lists it.
 """
 
 import json
@@ -15,22 +18,13 @@ from pathlib import Path
 
 import pytest
 
+from make_acceptance_golden import relative_change
 from stratwave.acceptance import CONFIG_CRITERIA, CRITERIA, run_criterion
 from stratwave.analysis import EXPERIMENT_SCHEMAS
 from stratwave.runio import validate_config
 
 CRITERION_IDS = list(CRITERIA.keys())
 GOLDEN = json.loads((Path(__file__).resolve().parent / "acceptance_golden.json").read_text())
-
-#: signal values (exponents, ratios, orders, envelopes, energies) match to this
-SIGNAL_RTOL = 1e-9
-#: rounding-noise values only need to stay below this multiple of golden,
-#: which is still far below each criterion's own tolerance
-NOISE_FACTOR = 100.0
-NOISE = {("K-MOD-EVEN", "max_diff"), ("K-MASS", "worst_mass_error"),
-         ("K-SEMI", "rel_error"), ("S-XCHECK", "l2_diff")}
-#: integer counts and flags match exactly
-EXACT = {("S-XCHECK", "picard_iterations"), ("CL-GUARD", "raised")}
 
 
 class _Results(dict):
@@ -59,14 +53,8 @@ def test_golden(cid, acceptance_results):
     assert sorted(measured) == sorted(golden)
     for key, want in golden.items():
         got = measured[key]
-        if (cid, key) in EXACT:
-            assert got == want, f"{cid}.{key}: {got!r} != golden {want!r}"
-        elif (cid, key) in NOISE:
-            assert got <= NOISE_FACTOR * want, \
-                f"{cid}.{key}: {got!r} > {NOISE_FACTOR:g} x golden {want!r}"
-        else:
-            assert got == pytest.approx(want, rel=SIGNAL_RTOL, abs=0.0), \
-                f"{cid}.{key}: {got!r} vs golden {want!r}"
+        assert got == want, \
+            f"{cid}.{key}: golden {want!r} live {got!r} {relative_change(want, got)}"
 
 
 @pytest.mark.parametrize("cid", list(CONFIG_CRITERIA))

@@ -652,8 +652,9 @@ def test_experiment_reproduces_the_criterion(tmp_path, cid):
     assert passed and measured == GOLDEN[cid]
 
 
-@pytest.mark.parametrize("window", [None, [10.0, 80.0]])
+@pytest.mark.parametrize("window", [None, [10.0, 80.0], [10, 80]])
 def test_experiment_kernel_reports_what_the_kernel_command_reports(tmp_path, window):
+    # the same bytes, also when JSON gives the window as ints
     model, out = {"preset": "ost"}, tmp_path / "k.csv"
     assert main(["--quiet", "--out", str(out), "kernel", "--config",
                  write_json(tmp_path / "model.json", model), "--t", "1.0",
@@ -663,8 +664,8 @@ def test_experiment_kernel_reports_what_the_kernel_command_reports(tmp_path, win
                                              "experiment": experiment})
     assert main(["--quiet", "--out", str(tmp_path / "run"), "experiment", "kernel",
                  "--config", cfg]) == 0
-    report = json.loads((tmp_path / "run" / "report.json").read_text())
-    assert report == json.loads(out.with_suffix(".json").read_text())
+    report = (tmp_path / "run" / "report.json").read_bytes()
+    assert report == out.with_suffix(".json").read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["kernel", "kernel_derivative"])
@@ -711,21 +712,24 @@ def test_experiment_convergence_of_a_zero_datum_is_bad_parameter(tmp_path, capsy
 
 def test_experiment_decay_matches_simulate_then_decay_fit(tmp_path, capsys):
     model, datum = {"preset": "ost"}, {"kind": "algebraic", "gamma": 2.0, "c": 0.5}
-    cfg = write_json(tmp_path / "exp.json", {
-        "model": model, "grid": {"N": 1024, "L": 50.0}, "solver": {"dt": 0.01, "T": 0.1},
-        "datum": datum, "experiment": {"kind": "decay", "window": [5.0, 20.0]}})
-    assert main(["--quiet", "--out", str(tmp_path / "exp"), "experiment", "decay",
-                 "--config", cfg]) == 0
     assert main(["--quiet", "--out", str(tmp_path / "sim"), "simulate",
                  "--config", write_json(tmp_path / "model.json", model),
                  "--datum", write_json(tmp_path / "datum.json", datum),
                  "--T", "0.1", "--dt", "0.01", "--grid", "N=1024,L=50"]) == 0
-    capsys.readouterr()
-    assert main(["decay-fit", "--in", str(tmp_path / "sim" / "snapshot_t0.1.csv"),
-                 "--window", "5,20"]) == 0
-    report = json.loads((tmp_path / "exp" / "report.json").read_text())
-    assert report == json.loads(capsys.readouterr().out)
-    assert sorted(report) == ["left", "right"] and report["right"]["valid"]
+    fit = tmp_path / "fit.json"
+    assert main(["--quiet", "--out", str(fit), "decay-fit", "--in",
+                 str(tmp_path / "sim" / "snapshot_t0.1.csv"), "--window", "5,20"]) == 0
+    assert capsys.readouterr().out == fit.read_text()
+    # the same bytes, also when JSON gives the window as ints
+    for i, window in enumerate(([5.0, 20.0], [5, 20])):
+        cfg = write_json(tmp_path / f"exp{i}.json", {
+            "model": model, "grid": {"N": 1024, "L": 50.0}, "solver": {"dt": 0.01, "T": 0.1},
+            "datum": datum, "experiment": {"kind": "decay", "window": window}})
+        assert main(["--quiet", "--out", str(tmp_path / f"exp{i}"), "experiment", "decay",
+                     "--config", cfg]) == 0
+        assert (tmp_path / f"exp{i}" / "report.json").read_bytes() == fit.read_bytes(), window
+    fits = json.loads(fit.read_text())
+    assert sorted(fits) == ["left", "right"] and fits["right"]["valid"]
 
 
 def test_experiment_lowerbound_command(tmp_path, capsys):
@@ -744,6 +748,23 @@ def test_experiment_lowerbound_command(tmp_path, capsys):
     assert rc == (0 if report["passed"] else 2)
     assert report["passed"] == (0.5 <= report["outer_ratio_min"]
                                 and report["outer_ratio_max"] <= 2.0)
+
+
+def test_experiment_lowerbound_refuses_a_window_with_no_sample(tmp_path, capsys):
+    # [10, 10.01] falls between two samples of the grid (dx = 0.098)
+    cfg = write_json(tmp_path / "exp.json", {
+        "model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
+        "solver": {"dt": 0.01, "T": 0.1, "linear_only": True},
+        "datum": {"kind": "algebraic", "gamma": 3.0},
+        "experiment": {"kind": "lowerbound", "windows": [[10.0, 10.01]]}})
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--quiet", "--out", str(out), "experiment", "lowerbound", "--config", cfg])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1 and len(lines) == 1
+    assert lines[0].startswith("error [BadParameter]: window [10.0, 10.01] holds no sample")
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 
 def test_acceptance_unknown_id_skipped(tmp_path, capsys):
