@@ -22,8 +22,8 @@ _EXPORTS = {
               "linear_multiplier", "model_from_config", "preset", "validate_params"),
     "spectral": ("Field", "Grid", "convolve", "field_from_csv", "field_to_csv",
                  "integral", "wrap_contamination"),
-    "kernel": ("KernelField", "asymptotic_coefficient", "kernel_derivative_field",
-               "kernel_field", "kernel_hat", "leading_jump"),
+    "kernel": ("asymptotic_coefficient", "kernel_derivative_field", "kernel_field",
+               "leading_jump"),
     "solver": ("EtdPropagator", "SolverConfig", "Trajectory", "datum_from_config",
                "picard_solve", "solution_at", "solve"),
     "analysis": ("EXPERIMENT_SCHEMAS", "dichotomy_experiment", "energy_experiment",

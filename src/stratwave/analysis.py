@@ -3,7 +3,8 @@
 tail_exponent fits log|f| against log|x| by least squares on each half-line
 separately; the negated slope is the decay exponent.  A fit is trusted only
 when r^2 >= 0.98.  Windows must stay wrap-safe (x_b <= L/2) and carry at
-least 30 sample points per decade.
+least 30 sample points per decade; a non-finite sample in a window is
+refused, and exact zeros are skipped.
 
 The experiment drivers operationalize the three spatial-behavior results:
 
@@ -16,8 +17,10 @@ The experiment drivers operationalize the three spatial-behavior results:
   kernel asymptotics; ratio within [0.5, 2.0] passes, and under linear-only
   evolution the ratio converges to 1 on outward windows.
 * weighted_persistence_experiment: samples t^alpha ||u(t)||_{L^p_w} on a
-  log-spaced t grid; bounded means finite sup and non-divergence as t -> 0
-  (log-log slope >= -0.05 on the smallest decade).
+  log-spaced t grid; it passes (the series is bounded) on a finite sup and
+  non-divergence as t -> 0 (log-log slope >= -0.05 on the smallest decade).
+
+Each report that gives a verdict gives it under one key, passed.
 
 run_experiment(cfg) is the one experiment layer over these, the energy and
 growth reports, the kernel reports and the integrator's self-convergence
@@ -26,7 +29,8 @@ growth, lowerbound, energy, decay, kernel, kernel_derivative, convergence,
 crosscheck) to a runner of a config valid under EXPERIMENT_SCHEMAS[kind].
 `stratwave experiment` calls it, and so do the 14 acceptance criteria that
 are configs (acceptance.CONFIG_CRITERIA); the other 4 are functions.
-kernel_report backs `stratwave kernel` and the kernel kind.
+kernel_report(kernel, t, sym, params) backs `stratwave kernel` and the
+kernel kind; the kernel is the plain Field that kernel_field returns.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ import numpy as np
 
 from .errors import (BadParameter, ExcludedParameters, InsufficientDecades,
                      WindowContaminated, ZeroMean)
-from .kernel import (KernelField, asymptotic_coefficient, half_kernel_hat,
-                     kernel_derivative_field, kernel_field)
+from .kernel import (asymptotic_coefficient, half_kernel_hat, kernel_derivative_field,
+                     kernel_field)
 from .model import DispersionSymbol, ModelParams, model_from_config
 from .runio import experiment_schema
 from .solver import (SolverConfig, _guarded_propagator, datum_from_config,
@@ -87,6 +91,10 @@ def _fit_side(f: Field, window, side: str) -> dict:
     msk = window_mask(f.grid, window, side)
     xa = np.abs(f.grid.x[msk])
     ya = np.abs(f.samples[msk])
+    bad = int(np.count_nonzero(~np.isfinite(ya)))
+    if bad:
+        raise BadParameter(f"{side} window [{a}, {b}]: {bad} non-finite samples; "
+                           f"a tail fit needs finite values")
     keep = ya > 0
     xa, ya = xa[keep], ya[keep]
     decades = math.log10(b / a)
@@ -115,7 +123,9 @@ def tail_exponent(f: Field, window: Tuple[float, float]) -> dict:
     valid (r_squared >= 0.98: only then is the fit trusted), n_points and
     the window.  The window's inner edge should sit well outside the datum
     core (x_a >= 10 core widths), its outer edge inside the wrap-safe
-    half-box.
+    half-box.  Exact zeros in the window are skipped (log 0 has no value and
+    n_points does not count them); a NaN or infinite sample raises
+    BadParameter, naming the side, the window and the count.
     """
     return {side: _fit_side(f, window, side) for side in ("left", "right")}
 
@@ -242,7 +252,6 @@ def lower_bound_check(u: Field, t: float, params: ModelParams, u0_mean: float,
         ratio_series.append(float(np.median(r)))
     # r now holds the outermost window's ratios
     lo, hi = LOWER_BOUND_BAND
-    passes = bool(lo <= float(np.min(r)) and float(np.max(r)) <= hi)
     return {
         "ratio_series": ratio_series,
         "outer_ratio_median": ratio_series[-1],
@@ -250,7 +259,7 @@ def lower_bound_check(u: Field, t: float, params: ModelParams, u0_mean: float,
         "outer_ratio_max": float(np.max(r)),
         "A_predicted": A,
         "windows": [list(w) for w in windows],
-        "passes": passes,
+        "passed": bool(lo <= float(np.min(r)) and float(np.max(r)) <= hi),
     }
 
 
@@ -260,7 +269,8 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
     """Sample t^alpha ||u(t)||_{L^p_w} at PERSISTENCE_SAMPLES log-spaced
     times in (0, T].
 
-    bounded = finite sup and small-t log-slope >= PERSISTENCE_SLOPE_FLOOR.
+    passed (the series is bounded) = finite sup and small-t log-slope >=
+    PERSISTENCE_SLOPE_FLOOR.
     The fitted prefactor sup_t q(t) / ||u0||_w is reported as fitted_C
     (diagnostic).  Raises BadParameter before building the propagator when
     the run's estimated peak exceeds physical memory.
@@ -292,7 +302,6 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
                  if np.sum(low) >= 2 else 0.0)
     else:
         slope = 0.0
-    bounded = bool(np.isfinite(sup_q) and slope >= PERSISTENCE_SLOPE_FLOOR)
     return {
         "times": ts.tolist(),
         "weighted_series": qs.tolist(),
@@ -301,8 +310,7 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
         "fitted_C": sup_q / norm0 if norm0 > 0 else 0.0,
         "low_t_slope": slope,
         "alpha": alpha,
-        "bounded": bounded,
-        "passed": bounded,
+        "passed": bool(np.isfinite(sup_q) and slope >= PERSISTENCE_SLOPE_FLOOR),
     }
 
 
@@ -327,8 +335,7 @@ def lower_bound_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field
         u = from_half_spectrum(u0.grid, khat * half_spectrum(u0))
     else:
         u = solution_at(sym, params, u0, T, dt)
-    report = lower_bound_check(u, T, params, u0_mean, windows=windows)
-    return {**report, "passed": report["passes"]}
+    return lower_bound_check(u, T, params, u0_mean, windows=windows)
 
 
 def energy_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field,
@@ -342,8 +349,8 @@ def energy_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field,
     checks = {"growth_bound": bool(np.all(e <= bound))}
     if params.n % 2 == 0 or params.n % 4 == 3:
         checks["monotone"] = increase <= 1e-10
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = float(np.max(e / bound))
+    # a zero datum has a zero envelope: its ratio is 0, not 0/0
+    ratio = float(np.max(np.divide(e, bound, out=np.zeros_like(e), where=bound > 0)))
     return {"max_step_increase": increase, "max_envelope_ratio": ratio,
             "peak_energy": float(np.max(e)), "energy_initial": float(e[0]),
             "energy_final": float(e[-1]), "checks": checks,
@@ -363,53 +370,48 @@ def growth_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field,
             "max_envelope": worst, "bound": bound, "passed": worst <= bound}
 
 
-def _weighted_sup(kf: KernelField, window: Tuple[float, float]) -> float:
-    """t^alpha sup over the window of |K(t, x)| (1 + |x|^{n+1})."""
-    g = kf.field.grid
-    msk = window_mask(g, window, "both")
-    w = np.abs(kf.field.samples[msk]) * (1.0 + np.abs(g.x[msk]) ** (kf.params.n + 1))
-    return float(np.max(w) * kf.t ** kf.params.alpha)
-
-
-def kernel_report(kf: KernelField,
+def kernel_report(kernel: Field, t: float, sym: DispersionSymbol, params: ModelParams,
                   window: Optional[Tuple[float, float]] = None) -> dict:
-    """Mass, tail slopes and |x|^{n+1} constants of a kernel on a window
-    (default: 10 core widths (eta t)^{1/m}, at least 5, to 0.45 L; a
-    default that starts at or past 0.45 L raises BadParameter).
+    """Mass, tail slopes and |x|^{n+1} constants of the kernel K(t, .) of
+    (sym, params) on a window (default: 10 core widths (eta t)^{1/m}, at
+    least 5, to 0.45 L; a default that starts at or past 0.45 L raises
+    BadParameter).
 
-    max_rel_dev is the largest relative gap of |x|^{n+1} |K| from A(t);
+    max_rel_dev is the largest relative gap of |x|^{n+1} |K| from A(t), and
+    fitted_C is t^alpha sup |K| (1 + |x|^{n+1}), both over the window;
     theory_applies is False when p is not C^{n-1} at 0.  A kernel whose
     mass is not 1 to KERNEL_MASS_TOL (its core has outgrown the box, or t
     is too large for float64) raises BadParameter before any fit.
     """
-    grid, params = kf.field.grid, kf.params
+    grid = kernel.grid
     if window is None:
-        window = (max(10.0 * (params.eta * kf.t) ** (1.0 / params.m), 5.0),
-                  0.45 * grid.L)
+        window = (max(10.0 * (params.eta * t) ** (1.0 / params.m), 5.0), 0.45 * grid.L)
         if window[0] >= window[1]:
             raise BadParameter(
                 f"the default window starts at {window[0]:.6g}, past 0.45 L = "
-                f"{window[1]:.6g}, for t = {kf.t} and L = {grid.L}; pass a "
+                f"{window[1]:.6g}, for t = {t} and L = {grid.L}; pass a "
                 f"window or a larger L")
-    if not abs(kf.mass - 1.0) <= KERNEL_MASS_TOL:
+    mass = integral(kernel)
+    if not abs(mass - 1.0) <= KERNEL_MASS_TOL:
         raise BadParameter(
-            f"the kernel at t = {kf.t} has mass {kf.mass:.6g}, not 1 to "
+            f"the kernel at t = {t} has mass {mass:.6g}, not 1 to "
             f"{KERNEL_MASS_TOL:g}, on L = {grid.L}: its samples mean nothing; "
             f"use a smaller t or a larger L")
-    fits = tail_exponent(kf.field, window)
-    A = asymptotic_coefficient(kf.t, params)
+    fits = tail_exponent(kernel, window)
+    A = asymptotic_coefficient(t, params)
     msk = window_mask(grid, window, "both")
-    scaled = np.abs(grid.x[msk]) ** (params.n + 1) * np.abs(kf.field.samples[msk])
+    x_power = np.abs(grid.x[msk]) ** (params.n + 1)
+    modulus = np.abs(kernel.samples[msk])
     return {
-        "mass": kf.mass,
+        "mass": mass,
         "tail_slope_left": fits["left"]["slope"],
         "tail_slope_right": fits["right"]["slope"],
-        "fitted_C": _weighted_sup(kf, window),
+        "fitted_C": float(np.max(modulus * (1.0 + x_power)) * t ** params.alpha),
         "A_predicted": A,
-        "max_rel_dev": float(np.max(np.abs(scaled - A)) / A),
+        "max_rel_dev": float(np.max(np.abs(x_power * modulus - A)) / A),
         "window": list(window),
         "wrap_contamination": wrap_contamination(grid, window[1], params.n + 1),
-        "theory_applies": kf.sym.supports_decay_order(params.n),
+        "theory_applies": sym.supports_decay_order(params.n),
     }
 
 
@@ -476,7 +478,8 @@ def _decay(cfg: dict) -> dict:
 def _kernel(cfg: dict) -> dict:
     """What `stratwave kernel` reports on K(t)."""
     sym, params, grid, _, _, exp = _inputs(cfg, build_datum=False)
-    return kernel_report(kernel_field(exp["t"], grid, sym, params), exp.get("window"))
+    t = exp["t"]
+    return kernel_report(kernel_field(t, grid, sym, params), t, sym, params, exp.get("window"))
 
 
 def _kernel_derivative(cfg: dict) -> dict:

@@ -76,13 +76,14 @@ def cmd_kernel(args) -> int:
         raise ConfigInvalid(f"--out {str(out)!r}: the kernel CSV would be "
                             f"overwritten by its .json report", path="--out")
     sym, params = model_from_config(load_json(args.config))
-    kf = kernel_field(args.t, _parse_grid(args.grid), sym, params)
-    report = kernel_report(kf, tuple(args.window) if args.window else None)
+    kernel = kernel_field(args.t, _parse_grid(args.grid), sym, params)
+    report = kernel_report(kernel, args.t, sym, params,
+                           tuple(args.window) if args.window else None)
     out.parent.mkdir(parents=True, exist_ok=True)
-    field_to_csv(kf.field, out)
+    field_to_csv(kernel, out)
     write_json(out.with_suffix(".json"), report)
     if not args.quiet:
-        print(f"kernel written to {out}; mass={kf.mass:.12f}")
+        print(f"kernel written to {out}; mass={report['mass']:.12f}")
     return EXIT_PASS
 
 

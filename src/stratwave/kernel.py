@@ -8,7 +8,10 @@ and realized on a grid by sampling Khat at the xi_j >= 0 nodes and inverse
 transforming with irfft (K is real: L is Hermitian for even p), so the
 computed field is the 2L-periodization of the continuum kernel; truncation
 beyond Nyquist is controlled by the exp(-eta|xi|^m t) spectral decay
-(UnderResolved guards the resolution precondition).
+(UnderResolved guards the resolution precondition).  half_kernel_hat is the
+one place that builds Khat(t), with every check; kernel_field,
+kernel_derivative_field, the linear-only lower bound and the K-MOD-EVEN
+criterion all use it, and the kernels are plain Fields.
 
 Tail structure.  Repeated integration by parts across the xi = 0 kink of
 phi gives a boundary-jump series
@@ -29,14 +32,12 @@ in the angular convention used throughout the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParameter, UnderResolved
-from .model import (MULTIPLIER_BLOCK, DispersionSymbol, ModelParams,
-                    half_spectrum_multiplier, linear_multiplier)
-from .spectral import Field, Grid, check_memory, from_half_spectrum, integral
+from .model import MULTIPLIER_BLOCK, DispersionSymbol, ModelParams, half_spectrum_multiplier
+from .spectral import Field, Grid, check_memory, from_half_spectrum
 
 #: required ratio between Nyquist frequency and the spectral decay scale
 NYQUIST_FACTOR = 8.0
@@ -48,26 +49,6 @@ KERNEL_PEAK_BYTES_PER_POINT = 17
 
 #: log of the largest float64: exp overflows above it
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
-
-
-@dataclass
-class KernelField:
-    """Sampled K(t, .) plus the model that generated it."""
-
-    field: Field
-    t: float
-    sym: DispersionSymbol
-    params: ModelParams
-
-    @property
-    def mass(self) -> float:
-        """Discrete integral over the box; equals Khat(t, 0) = 1 up to rounding."""
-        return integral(self.field)
-
-
-def kernel_hat(t: float, xi, sym: DispersionSymbol, params: ModelParams):
-    """Khat(t, xi) = exp(L(xi) t); |Khat| <= exp(eta B(m,n) t)."""
-    return np.exp(linear_multiplier(xi, sym, params) * t)
 
 
 def _check_resolution(t: float, grid: Grid, params: ModelParams):
@@ -85,10 +66,11 @@ def _check_resolution(t: float, grid: Grid, params: ModelParams):
 
 def half_kernel_hat(t: float, grid: Grid, sym: DispersionSymbol,
                     params: ModelParams) -> np.ndarray:
-    """Khat(t, xi_j) for j = 0..N/2; BadParameter when t is not finite, when
-    L is not Hermitian, or when exp(Re L(xi_j) t) would overflow float64
-    (checked before the exponential), and UnderResolved when t <= 0 or the
-    grid does not resolve the decay scale (eta t)^(-1/m).
+    """Khat(t, xi_j) = exp(L(xi_j) t) for j = 0..N/2: the one place that
+    builds Khat(t).  BadParameter when t is not finite, when L is not
+    Hermitian, or when exp(Re L(xi_j) t) would overflow float64 (checked
+    before the exponential), and UnderResolved when t <= 0 or the grid does
+    not resolve the decay scale (eta t)^(-1/m).
 
     Raises BadParameter before allocating when the kernel build's estimated
     peak exceeds physical memory.
@@ -108,14 +90,13 @@ def half_kernel_hat(t: float, grid: Grid, sym: DispersionSymbol,
 
 
 def kernel_field(t: float, grid: Grid, sym: DispersionSymbol,
-                 params: ModelParams) -> KernelField:
-    """Sampled kernel on the grid (periodized continuum kernel).
+                 params: ModelParams) -> Field:
+    """K(t, .) on the grid (periodized continuum kernel).
 
     Built by irfft of the half-spectrum, so it is a float64 field; an odd
     custom p (complex kernel) raises BadParameter.
     """
-    return KernelField(from_half_spectrum(grid, half_kernel_hat(t, grid, sym, params)),
-                       t, sym, params)
+    return from_half_spectrum(grid, half_kernel_hat(t, grid, sym, params))
 
 
 def kernel_derivative_field(t: float, grid: Grid, sym: DispersionSymbol,

@@ -44,15 +44,14 @@ SMOOTH = 10**6
 
 @dataclass(frozen=True)
 class DispersionSymbol:
-    """Real-valued dispersion symbol p(xi) with growth and regularity metadata.
+    """Real-valued dispersion symbol p(xi) with its regularity at the origin.
 
-    sigma is the polynomial growth exponent (|p(xi)| <= c |xi|^sigma) and
-    origin_regularity the number of continuous derivatives at xi = 0, which
-    gates how large n the tail-decay analysis supports (p must be C^{n-1} near 0).
+    origin_regularity is the number of continuous derivatives at xi = 0,
+    which gates how large n the tail-decay analysis supports (p must be
+    C^{n-1} near 0).
     """
 
     kind: str
-    sigma: float
     origin_regularity: int
     a: Optional[float] = None
     func: Optional[Callable[[np.ndarray], np.ndarray]] = field(
@@ -62,39 +61,34 @@ class DispersionSymbol:
     @staticmethod
     def kdv() -> "DispersionSymbol":
         """p(xi) = -|xi|^2 (KdV-type dispersion, smooth at the origin)."""
-        return DispersionSymbol(kind="kdv", sigma=2.0, origin_regularity=SMOOTH)
+        return DispersionSymbol(kind="kdv", origin_regularity=SMOOTH)
 
     @staticmethod
     def bo() -> "DispersionSymbol":
         """p(xi) = |xi| (Benjamin-Ono-type dispersion, C^0 at the origin)."""
-        return DispersionSymbol(kind="bo", sigma=1.0, origin_regularity=0)
+        return DispersionSymbol(kind="bo", origin_regularity=0)
 
     @staticmethod
     def dgbo(a: float) -> "DispersionSymbol":
         """p(xi) = |xi|^{1+a}, a in (0,1): between BO (a=0) and KdV (a=1)."""
         if not 0.0 < a < 1.0:
             raise BadParameter(f"dgbo exponent a must lie in (0,1), got {a}")
-        return DispersionSymbol(kind="dgbo", sigma=1.0 + a, origin_regularity=1, a=a)
+        return DispersionSymbol(kind="dgbo", origin_regularity=1, a=a)
 
     @staticmethod
     def custom(
         func: Callable[[np.ndarray], np.ndarray],
-        sigma: float,
         origin_regularity: int,
     ) -> "DispersionSymbol":
-        """Wrap a user symbol; sigma and regularity must be declared.
+        """Wrap a user symbol; its regularity at 0 must be declared.
 
-        Both are trusted, not measured.  The symbol must be real-valued
+        It is trusted, not measured.  The symbol must be real-valued
         (checked at each evaluation) and even (checked where L is built on
         a grid), since solutions and kernels are real.
         """
-        if sigma <= 0:
-            raise BadParameter("sigma must be positive")
         if origin_regularity < 0:
             raise BadParameter("origin_regularity must be >= 0")
-        return DispersionSymbol(
-            kind="custom", sigma=sigma, origin_regularity=origin_regularity, func=func
-        )
+        return DispersionSymbol(kind="custom", origin_regularity=origin_regularity, func=func)
 
     def __call__(self, xi):
         xi = np.asarray(xi, dtype=float)

@@ -8,8 +8,8 @@ from stratwave import (DispersionSymbol, ExcludedParameters, Field, Grid,
                        InsufficientDecades, NonFinite, SolverConfig,
                        WindowContaminated, ZeroMean, datum_from_config,
                        dichotomy_experiment, energy_experiment, growth_envelope,
-                       growth_experiment, integral, kernel_field, kernel_hat, kernel_report,
-                       lower_bound_check, lower_bound_experiment, preset,
+                       growth_experiment, integral, kernel_field, kernel_report,
+                       linear_multiplier, lower_bound_check, lower_bound_experiment, preset,
                        tail_exponent, validate_params, weighted_norm,
                        weighted_persistence_experiment, window_mask)
 from stratwave.errors import BadParameter, ConfigInvalid
@@ -130,7 +130,7 @@ def test_mean_gaussian_and_odd():
 
 def linear_evolve(sym, params, u0, t):
     g = u0.grid
-    khat = kernel_hat(t, fft_xi(g), sym, params)
+    khat = np.exp(linear_multiplier(fft_xi(g), sym, params) * t)
     return Field(g, to_physical(g, khat * to_spectral(u0)))
 
 
@@ -146,7 +146,7 @@ def test_lower_bound_linear_ratio_converges_to_one():
     # monotone approach within 5% noise slack
     for early, late in zip(ratios, ratios[1:]):
         assert abs(late - 1.0) <= abs(early - 1.0) + 0.05
-    assert report["passes"]
+    assert report["passed"]
 
 
 def test_lower_bound_zero_mean_guard():
@@ -174,7 +174,7 @@ def test_lower_bound_default_windows():
                                integral(u0))
     assert report["windows"] == [[22.5, 45.0], [33.75, 67.5], [45.0, 90.0]]
     assert len(report["ratio_series"]) == 3
-    assert report["passes"]
+    assert report["passed"]
 
 
 def test_lower_bound_empty_windows_rejected():
@@ -299,7 +299,7 @@ def test_weighted_persistence_zero_datum():
     rep = weighted_persistence_experiment(sym, params, u0, p=2.0, gamma=0.5,
                                           T=0.1, dt=1e-2)
     assert rep["sup_t_weighted"] == 0.0
-    assert rep["bounded"]
+    assert rep["passed"]
 
 
 def test_weighted_persistence_linear_only_bounded():
@@ -322,7 +322,7 @@ def test_weighted_persistence_full_run():
     u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 1.0}, g)
     rep = weighted_persistence_experiment(sym, params, u0, p=2.0, gamma=0.5,
                                           T=0.5, dt=1e-3)
-    assert rep["bounded"]
+    assert rep["passed"]
     assert rep["low_t_slope"] >= -0.05
     assert rep["fitted_C"] > 0
 
@@ -376,21 +376,22 @@ def test_decay_order_gate():
     for linear_only in (True, False):
         with pytest.raises(ExcludedParameters):
             lower_bound_experiment(sym, params, u0, 0.1, 1e-2, linear_only)
-    kf = kernel_field(1.0, Grid(2 ** 14, 200.0), sym, params)
-    assert kernel_report(kf)["theory_applies"] is False
-    ost = kernel_field(1.0, Grid(2 ** 14, 200.0), *preset("ost"))
-    assert kernel_report(ost)["theory_applies"] is True
+    kernel = kernel_field(1.0, Grid(2 ** 14, 200.0), sym, params)
+    assert kernel_report(kernel, 1.0, sym, params)["theory_applies"] is False
+    ost_sym, ost_params = preset("ost")
+    ost = kernel_field(1.0, Grid(2 ** 14, 200.0), ost_sym, ost_params)
+    assert kernel_report(ost, 1.0, ost_sym, ost_params)["theory_applies"] is True
 
 
 def test_kernel_report_matches_verify_pointwise_bound():
     sym, params = preset("ost")
-    kf = kernel_field(1.0, Grid(2 ** 16, 400.0), sym, params)
-    rep = kernel_report(kf, (20.0, 150.0))
-    ver = verify_pointwise_bound(kf, (20.0, 150.0))
+    kernel = kernel_field(1.0, Grid(2 ** 16, 400.0), sym, params)
+    rep = kernel_report(kernel, 1.0, sym, params, (20.0, 150.0))
+    ver = verify_pointwise_bound(kernel, 1.0, sym, params, (20.0, 150.0))
     for key in rep:
         assert ver[key] == rep[key]
     assert rep["A_predicted"] == pytest.approx(1 / math.pi)
-    assert rep["window"] == [20.0, 150.0] and ver["passes"]
+    assert rep["window"] == [20.0, 150.0] and ver["passed"]
 
 
 def test_energy_experiment_checks():
@@ -408,6 +409,7 @@ def test_energy_experiment_checks():
     zero = energy_experiment(*preset("ost"), Field(grid, np.zeros(grid.N)),
                              T=0.1, dt=1e-2)
     assert zero["passed"] and zero["peak_energy"] == 0.0
+    assert zero["max_envelope_ratio"] == 0.0
 
 
 def test_growth_experiment_includes_datum():

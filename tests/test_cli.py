@@ -16,7 +16,7 @@ from stratwave.acceptance import CONFIG_CRITERIA, CRITERIA
 from stratwave.analysis import EXPERIMENT_SCHEMAS
 from stratwave.cli import main
 from stratwave.errors import NonFinite
-from stratwave.runio import sha256_file, validate_config
+from stratwave.runio import load_json, sha256_file, validate_config
 from stratwave.solver import datum_from_config
 
 
@@ -487,6 +487,31 @@ def test_decay_fit_rejects_malformed_csv(tmp_path, capsys, bad_line, error):
     assert not fit.exists()
 
 
+@pytest.mark.parametrize("value,count", [(np.inf, 102), (np.nan, 10)])
+def test_decay_fit_refuses_non_finite_samples(tmp_path, capsys, value, count):
+    # |x|^-2 tails, spoiled by inf beyond |x| = 10 or by 10 NaN samples in
+    # (5, 6): the first fit used to report a NaN exponent as valid, with a
+    # RuntimeWarning, and the second to drop the NaN samples silently
+    g = Grid(1024, 50.0)
+    samples = (1.0 + g.x ** 2) ** -1.0
+    if np.isinf(value):
+        samples[np.abs(g.x) > 10.0] = value
+    else:
+        samples[np.flatnonzero((g.x > 5.0) & (g.x < 6.0))[:count]] = value
+    path, fit = tmp_path / "f.csv", tmp_path / "fit.json"
+    field_to_csv(Field(g, samples), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["--out", str(fit), "decay-fit", "--in", str(path), "--window", "5,20"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error [BadParameter]: ")
+    side = "left" if np.isinf(value) else "right"
+    assert f"{side} window [5.0, 20.0]: {count} non-finite samples" in lines[0]
+    assert captured.out == "" and not fit.exists()
+
+
 def test_experiment_energy(tmp_path, ost_config, gauss_datum):
     cfg = write_json(tmp_path / "exp.json", {
         "model": {"preset": "ost"},
@@ -501,6 +526,20 @@ def test_experiment_energy(tmp_path, ost_config, gauss_datum):
     assert rc == 0
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] and report["checks"]["growth_bound"]
+
+
+def test_experiment_energy_of_a_zero_datum_reads_back(tmp_path):
+    # its envelope is 0 everywhere: the ratio used to be 0/0, written as NaN,
+    # which load_json refuses
+    cfg = write_json(tmp_path / "exp.json", {
+        "model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
+        "solver": {"dt": 0.002, "T": 0.2}, "datum": {"kind": "gaussian", "amp": 0},
+        "experiment": {"kind": "energy"}})
+    out = tmp_path / "energyrun"
+    assert main(["--quiet", "--out", str(out), "experiment", "energy", "--config", cfg]) == 0
+    report = load_json(out / "report.json")
+    assert report["max_envelope_ratio"] == 0.0 and report["peak_energy"] == 0.0
+    assert report["passed"]
 
 
 def test_experiment_float_grid_size_is_bad_parameter(tmp_path, capsys):

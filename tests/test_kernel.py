@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from stratwave import (BadParameter, DispersionSymbol, Grid, UnderResolved,
-                       WindowContaminated, asymptotic_coefficient, convolve,
-                       kernel_derivative_field, kernel_field, kernel_hat,
-                       leading_jump, preset, tail_exponent, validate_params)
+                       WindowContaminated, asymptotic_coefficient, convolve, integral,
+                       kernel_derivative_field, kernel_field, leading_jump,
+                       linear_multiplier, preset, tail_exponent, validate_params)
+from stratwave.kernel import half_kernel_hat
 from stratwave.model import SMOOTH
 import stratwave.kernel as kernel_module
 import stratwave.spectral as spectral_module
 
-from oracles import (fft_xi, kernel_quadrature, kernel_reference,
-                     leading_jump_reference, verify_pointwise_bound)
+from oracles import (kernel_quadrature, kernel_reference, leading_jump_reference,
+                     verify_pointwise_bound)
 
 KDV = DispersionSymbol.kdv()
 
@@ -21,9 +22,10 @@ KDV = DispersionSymbol.kdv()
 
 def test_kernel_hat_at_zero_and_amplification_bound():
     sym, params = preset("ost")
-    assert kernel_hat(2.0, 0.0, sym, params) == pytest.approx(1.0)
-    xi = np.linspace(-30, 30, 20001)
-    vals = np.abs(kernel_hat(1.7, xi, sym, params))
+    g = Grid(2 ** 14, 200.0)
+    assert half_kernel_hat(2.0, g, sym, params)[0] == pytest.approx(1.0)
+    # |Khat| is even in xi: the half-spectrum holds its maximum
+    vals = np.abs(half_kernel_hat(1.7, g, sym, params))
     bound = np.exp(params.eta * 2 / (3 * np.sqrt(3.0)) * 1.7)
     assert np.max(vals) <= bound * (1 + 1e-12)
 
@@ -31,15 +33,15 @@ def test_kernel_hat_at_zero_and_amplification_bound():
 def test_modulus_exact_for_even_n():
     params = validate_params(2, 2, 1, 1.0)
     g = Grid(2 ** 14, 200.0)
-    xi = fft_xi(g)
-    khat = kernel_hat(0.5, xi, KDV, params)
+    xi = g.dxi * np.arange(g.N // 2 + 1)
+    khat = half_kernel_hat(0.5, g, KDV, params)
     assert np.max(np.abs(np.abs(khat) - np.exp(-0.5 * np.abs(xi) ** 2))) <= 1e-12
 
 
 def test_spectrum_real_decay_for_odd_n():
     params = validate_params(2, 3, 1, 1.0)
     xi = np.linspace(-5, 5, 101)
-    vals = kernel_hat(1.0, xi, KDV, params)
+    vals = np.exp(linear_multiplier(xi, KDV, params) * 1.0)
     expected_mod = np.exp(-(np.abs(xi) ** 3 + np.abs(xi) ** 2))
     assert np.allclose(np.abs(vals), expected_mod, rtol=1e-12)
 
@@ -54,18 +56,18 @@ def test_spectrum_real_decay_for_odd_n():
 def test_mass_and_realness(name, t):
     g = Grid(2 ** 14, 200.0)
     sym, params = preset(name)
-    kf = kernel_field(t, g, sym, params)
-    assert abs(kf.mass - 1.0) <= 1e-8
-    samples = kf.field.samples
+    kernel = kernel_field(t, g, sym, params)
+    assert abs(integral(kernel) - 1.0) <= 1e-8
+    samples = kernel.samples
     assert np.max(np.abs(samples.imag)) <= 1e-10 * np.max(np.abs(samples))
 
 
 def test_semigroup_property():
     g = Grid(2 ** 14, 200.0)
     sym, params = preset("ost")
-    k1 = kernel_field(0.3, g, sym, params).field
-    k2 = kernel_field(0.7, g, sym, params).field
-    k3 = kernel_field(1.0, g, sym, params).field
+    k1 = kernel_field(0.3, g, sym, params)
+    k2 = kernel_field(0.7, g, sym, params)
+    k3 = kernel_field(1.0, g, sym, params)
     conv = convolve(k1, k2)
     rel = np.max(np.abs(conv.samples - k3.samples)) / np.max(np.abs(k3.samples))
     assert rel <= 1e-8
@@ -77,7 +79,7 @@ def test_semigroup_property():
 def test_irfft_kernels_match_complex_reference(name, t):
     g = Grid(2 ** 14, 200.0)
     sym, params = preset(name)
-    for got, derivative in ((kernel_field(t, g, sym, params).field, False),
+    for got, derivative in ((kernel_field(t, g, sym, params), False),
                             (kernel_derivative_field(t, g, sym, params), True)):
         ref = kernel_reference(t, g, sym, params, derivative)
         assert np.max(np.abs(got.samples - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -86,21 +88,19 @@ def test_irfft_kernels_match_complex_reference(name, t):
 
 @pytest.mark.parametrize("build", [kernel_field, kernel_derivative_field])
 def test_kernels_are_float64(build):
-    built = build(1.0, Grid(2 ** 10, 50.0), *preset("ost"))
-    field = getattr(built, "field", built)
-    assert field.samples.dtype == np.float64
+    assert build(1.0, Grid(2 ** 10, 50.0), *preset("ost")).samples.dtype == np.float64
 
 
 def test_odd_symbol_kernel_rejected():
-    odd = DispersionSymbol.custom(lambda xi: xi, sigma=1.0, origin_regularity=SMOOTH)
+    odd = DispersionSymbol.custom(lambda xi: xi, origin_regularity=SMOOTH)
     params = validate_params(3, 1, 1, 1.0)
     g = Grid(2 ** 10, 50.0)
     with pytest.raises(BadParameter, match="Hermitian"):
         kernel_field(1.0, g, odd, params)
     with pytest.raises(BadParameter, match="Hermitian"):
         kernel_derivative_field(1.0, g, odd, params)
-    even = DispersionSymbol.custom(lambda xi: xi ** 2, sigma=2.0, origin_regularity=SMOOTH)
-    assert abs(kernel_field(1.0, g, even, params).mass - 1.0) <= 1e-8
+    even = DispersionSymbol.custom(lambda xi: xi ** 2, origin_regularity=SMOOTH)
+    assert abs(integral(kernel_field(1.0, g, even, params)) - 1.0) <= 1e-8
 
 
 def test_under_resolved_guard():
@@ -140,12 +140,12 @@ def test_kernel_matches_quadrature_oracle():
     # at exact grid coordinates; residual difference is the 2L-periodization
     g = Grid(2 ** 16, 400.0)
     sym, params = preset("ost")
-    kf = kernel_field(1.0, g, sym, params)
+    kernel = kernel_field(1.0, g, sym, params)
     p = lambda xi: -np.abs(xi) ** 2
     for xv in (0.0, 1.5, -3.0, 10.0, 25.0):
         idx = round((xv + g.L) / g.dx)
         expect = kernel_quadrature(1.0, float(g.x[idx]), 3, 1, 1.0, p)
-        got = kf.field.samples[idx]
+        got = kernel.samples[idx]
         assert got.real == pytest.approx(expect.real, abs=3e-6)
         assert got.imag == pytest.approx(expect.imag, abs=3e-6)
 
@@ -205,8 +205,7 @@ TAIL_CASES = [
 def test_tail_exponent_is_n_plus_one(m, n, eta, gridspec, window):
     g = Grid(*gridspec)
     params = validate_params(m, n, 1, eta)
-    kf = kernel_field(1.0, g, KDV, params)
-    for fit in tail_exponent(kf.field, window).values():
+    for fit in tail_exponent(kernel_field(1.0, g, KDV, params), window).values():
         assert fit["exponent"] == pytest.approx(n + 1, abs=0.1)
         assert fit["valid"]
 
@@ -216,10 +215,10 @@ def test_asymptotic_constant_on_window_n1_n2():
     g = Grid(2 ** 19, 3200.0)
     for m, n in ((3, 1), (2, 2)):
         params = validate_params(m, n, 1, 1.0)
-        kf = kernel_field(1.0, g, KDV, params)
+        kernel = kernel_field(1.0, g, KDV, params)
         A = asymptotic_coefficient(1.0, params)
         msk = (np.abs(g.x) >= 80.0) & (np.abs(g.x) <= 250.0)
-        vals = np.abs(g.x[msk]) ** (n + 1) * np.abs(kf.field.samples[msk])
+        vals = np.abs(g.x[msk]) ** (n + 1) * np.abs(kernel.samples[msk])
         assert np.max(np.abs(vals - A)) <= 0.05 * A
 
 
@@ -239,7 +238,7 @@ def test_derivative_kernel_zero_mass_and_tail():
 def test_derivative_kernel_matches_finite_difference():
     g = Grid(2 ** 16, 400.0)
     sym, params = preset("ost")
-    k = kernel_field(1.0, g, sym, params).field.samples.real
+    k = kernel_field(1.0, g, sym, params).samples.real
     dk = kernel_derivative_field(1.0, g, sym, params)
     # 4th-order centered stencil as the independent derivative oracle
     fd = (-np.roll(k, -2) + 8 * np.roll(k, -1)
@@ -255,9 +254,9 @@ def test_derivative_kernel_matches_finite_difference():
 def test_verify_pointwise_bound_stability():
     g = Grid(2 ** 16, 400.0)
     sym, params = preset("ost")
-    kf = kernel_field(1.0, g, sym, params)
-    report = verify_pointwise_bound(kf, window=(20.0, 150.0))
-    assert report["passes"]
+    kernel = kernel_field(1.0, g, sym, params)
+    report = verify_pointwise_bound(kernel, 1.0, sym, params, window=(20.0, 150.0))
+    assert report["passed"]
     assert np.isfinite(report["fitted_C"])
     assert abs(report["refined_C"] - report["fitted_C"]) <= 0.1 * report["fitted_C"]
     assert report["tail_slope_right"] == pytest.approx(-2.0, abs=0.1)
@@ -266,9 +265,9 @@ def test_verify_pointwise_bound_stability():
 def test_verify_pointwise_bound_n4_report():
     g = Grid(2 ** 19, 3200.0)
     params = validate_params(2, 4, 1, 4.0)
-    kf = kernel_field(0.5, g, KDV, params)
-    report = verify_pointwise_bound(kf, window=(600.0, 1400.0))
-    assert report["passes"]
+    kernel = kernel_field(0.5, g, KDV, params)
+    report = verify_pointwise_bound(kernel, 0.5, KDV, params, window=(600.0, 1400.0))
+    assert report["passed"]
     assert report["tail_slope_left"] == pytest.approx(-5.0, abs=0.2)
     assert report["tail_slope_right"] == pytest.approx(-5.0, abs=0.2)
 
@@ -276,6 +275,6 @@ def test_verify_pointwise_bound_n4_report():
 def test_verify_pointwise_bound_window_guard():
     g = Grid(2 ** 14, 100.0)
     sym, params = preset("ost")
-    kf = kernel_field(1.0, g, sym, params)
+    kernel = kernel_field(1.0, g, sym, params)
     with pytest.raises(WindowContaminated):
-        verify_pointwise_bound(kf, window=(10.0, 90.0))
+        verify_pointwise_bound(kernel, 1.0, sym, params, window=(10.0, 90.0))

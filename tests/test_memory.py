@@ -90,7 +90,7 @@ def test_field_from_csv_peak(N, tmp_path):
     # column is all 0) + one block of lines and parsed rows, 0.50 at 2^16 and
     # 0.13 at 2^18; 5.13-5.26 with the whole N x 3 table
     path = tmp_path / "kernel.csv"
-    field_to_csv(kernel_field(1.0, grid_of(N), SYM, PARAMS).field, path)
+    field_to_csv(kernel_field(1.0, grid_of(N), SYM, PARAMS), path)
     assert peak_units(N, field_from_csv, path) <= 2.6
 
 

@@ -189,9 +189,8 @@ def test_builtin_symbols():
 
 
 def test_custom_symbol_growth_check():
-    sym = DispersionSymbol.custom(lambda xi: np.abs(xi) ** 1.2, sigma=1.2,
-                                  origin_regularity=1)
-    c = fitted_growth_constant(sym)
+    sym = DispersionSymbol.custom(lambda xi: np.abs(xi) ** 1.2, origin_regularity=1)
+    c = fitted_growth_constant(sym, 1.2)
     assert c == pytest.approx(1.0, rel=1e-6)
     assert sym.supports_decay_order(2)
     assert not sym.supports_decay_order(3)
@@ -276,6 +275,6 @@ def test_half_spectrum_multiplier_checks_every_block(monkeypatch):
     g = Grid(256, 20.0)
     xi_c = 0.9 * g.dxi * (g.N // 2)     # p is not even above xi_c: last block only
     sym = DispersionSymbol.custom(lambda xi: xi ** 2 + np.where(xi > xi_c, xi, 0.0),
-                                  sigma=2.0, origin_regularity=SMOOTH)
+                                  origin_regularity=SMOOTH)
     with pytest.raises(BadParameter, match="Hermitian"):
         half_spectrum_multiplier(g, sym, validate_params(3, 1, 1, 1.0))

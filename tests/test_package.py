@@ -45,7 +45,7 @@ def test_cli_does_not_load_the_acceptance_suite():
 
 
 def test_every_exported_name_is_its_submodules_object():
-    assert len(stratwave.__all__) == len(set(stratwave.__all__)) == 54
+    assert len(stratwave.__all__) == len(set(stratwave.__all__)) == 52
     listed = dir(stratwave)
     for name in stratwave.__all__:
         home = importlib.import_module(f"stratwave.{stratwave._HOME[name]}")

@@ -9,7 +9,7 @@ from oracles import (FullHalfSpectrumEtd, dealias, dissipation_rate,
                      picard_streamed_reference, to_physical)
 from stratwave import (DispersionSymbol, EtdPropagator, Field, Grid, NoContraction,
                        NonFinite, SolverConfig, datum_from_config, growth_envelope,
-                       kernel_hat, picard_solve, preset, solve, tail_exponent,
+                       linear_multiplier, picard_solve, preset, solve, tail_exponent,
                        validate_params)
 from stratwave.errors import BadParameter, ConfigInvalid
 from stratwave.model import SMOOTH
@@ -94,7 +94,7 @@ def test_linear_only_equals_kernel_convolution():
     u0 = datum_from_config({"kind": "gaussian", "sigma0": 2.0, "amp": 1.0}, g)
     cfg = SolverConfig(dt=1e-2, T=0.5, snapshot_times=(0.5,), linear_only=True)
     traj = solve(sym, params, u0, cfg)
-    khat = kernel_hat(0.5, fft_xi(g), sym, params)
+    khat = np.exp(linear_multiplier(fft_xi(g), sym, params) * 0.5)
     expect = Field(g, to_physical(g, khat * to_spectral(u0)))
     # note the solver dealiases the datum; apply the same projection
     expect_deal = Field(g, to_physical(g, khat * dealias(g, to_spectral(u0), params.k)))
@@ -224,7 +224,7 @@ def test_parseval_energy_and_dissipation(sym, m, n, k, eta, N, L, seed):
 
 
 def test_odd_dispersion_symbol_rejected():
-    odd = DispersionSymbol.custom(lambda xi: xi, sigma=1.0, origin_regularity=SMOOTH)
+    odd = DispersionSymbol.custom(lambda xi: xi, origin_regularity=SMOOTH)
     params = validate_params(3, 1, 1, 1.0)
     g = Grid(2 ** 8, 20.0)
     u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, g)
@@ -235,8 +235,7 @@ def test_odd_dispersion_symbol_rejected():
     with pytest.raises(BadParameter, match="Hermitian"):
         picard_solve(odd, params, u0, SolverConfig(dt=1e-2, T=0.1))
     # an even custom symbol is accepted
-    even = DispersionSymbol.custom(lambda xi: xi ** 2, sigma=2.0,
-                                   origin_regularity=SMOOTH)
+    even = DispersionSymbol.custom(lambda xi: xi ** 2, origin_regularity=SMOOTH)
     solve(even, params, u0, SolverConfig(dt=1e-2, T=0.1))
 
 
