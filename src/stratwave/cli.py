@@ -28,11 +28,16 @@ EXIT_PASS, EXIT_ERROR, EXIT_ASSERT = 0, 1, 2
 
 
 def _parse_grid(text: str) -> Grid:
-    """Parse 'N=65536,L=400' into a Grid; anything malformed is ConfigInvalid."""
+    """Parse 'N=65536,L=400' into a Grid; anything malformed, a key other
+    than N and L and a repeated key are ConfigInvalid."""
+    pairs = [kv.split("=", 1) for kv in text.split(",")]
+    keys = [pair[0] for pair in pairs]
     try:
-        parts = dict(kv.split("=", 1) for kv in text.split(","))
+        if sorted(keys) != ["L", "N"]:
+            raise ValueError(f"keys {keys}, not N and L once each")
+        parts = dict(pairs)
         return Grid(int(parts["N"]), float(parts["L"]))
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigInvalid(f"--grid {text!r}: expected N=<int>,L=<float> "
                             f"({type(exc).__name__}: {exc})", path="--grid") from exc
 
@@ -170,8 +175,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_acceptance(args) -> int:
-    # imported here: the other commands need neither the criteria nor their
-    # thread pool and logging
+    # imported here, so that the other commands do not load the criteria
     from .acceptance import CRITERIA, run_acceptance
 
     ids, source = None, None
@@ -186,12 +190,18 @@ def cmd_acceptance(args) -> int:
         # zero criteria would run, and 0/0 would read as a pass
         raise ConfigInvalid(f"{source}: no known criterion id in {ids}",
                             path=source)
+    repeated = sorted({cid for cid in ids or () if ids.count(cid) > 1})
+    if repeated:
+        # a repeated criterion would run, and count in n_total, twice
+        raise ConfigInvalid(f"{source}: criterion id listed more than once: "
+                            f"{', '.join(repeated)}", path=source)
     results, skipped = run_acceptance(ids, threads=args.threads, quiet=args.quiet)
     for cid in skipped:
         print(f"[SKIP] {cid}: unknown criterion id", file=sys.stderr)
     summary = {
         "results": [{"id": r.cid, "passed": r.passed, "expected": r.expected,
-                     "measured": r.measured, "seconds": round(r.seconds, 2)}
+                     "measured": r.measured, "seconds": round(r.seconds, 2),
+                     "configs": r.configs, **({"error": r.error} if r.error else {})}
                     for r in results],
         "skipped": skipped,
         "n_passed": sum(r.passed for r in results),
