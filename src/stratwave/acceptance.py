@@ -248,7 +248,7 @@ def _criterion(cid: str, expected: str, configs: tuple,
     def criterion() -> CriterionResult:
         start, error = time.perf_counter(), None
         try:
-            passed, measured = verdict(*map(run_experiment, configs))
+            passed, measured = verdict(*(run_experiment(cfg)[0] for cfg in configs))
         except StratwaveError as exc:
             if isinstance(exc, getattr(verdict, "reads", ())):
                 passed, measured = verdict(exc)

@@ -23,14 +23,16 @@ The experiment drivers operationalize the three spatial-behavior results:
 Each report that gives a verdict gives it under one key, passed.
 
 run_experiment(cfg) is the one experiment layer over these, the energy and
-growth reports, the kernel reports and the integrator's self-convergence
-and Picard cross-check: EXPERIMENTS maps each kind (dichotomy, weighted,
-growth, lowerbound, energy, decay, kernel, kernel_derivative, convergence,
-crosscheck) to a runner of a config valid under EXPERIMENT_SCHEMAS[kind].
-`stratwave experiment` calls it, and so do the 14 acceptance criteria that
-are configs (acceptance.CONFIG_CRITERIA); the other 4 are functions.
-kernel_report(kernel, t, sym, params) backs `stratwave kernel` and the
-kernel kind; the kernel is the plain Field that kernel_field returns.
+growth reports, the kernel reports, the integrator's self-convergence and
+Picard cross-check, and the plain trajectory: EXPERIMENTS maps each kind
+(dichotomy, weighted, growth, lowerbound, energy, decay, kernel,
+kernel_derivative, convergence, crosscheck, trajectory) to a runner of a
+config valid under EXPERIMENT_SCHEMAS[kind], which returns its report and
+the files it hands back beside it (the kernel kind its kernel, the
+trajectory kind its snapshots and energy series).  `stratwave experiment`,
+`stratwave simulate` (a trajectory config) and `stratwave kernel` (a kernel
+config) all run through it, and so do the 16 acceptance criteria that are
+configs (acceptance.CONFIG_CRITERIA); the other 2 are functions.
 """
 
 from __future__ import annotations
@@ -436,59 +438,63 @@ def _inputs(cfg: dict, build_datum: bool = True) -> tuple:
     return (sym, params, grid, u0, {"dt": 1e-3, "T": 1.0, **cfg.get("solver", {})}, exp)
 
 
-def _dichotomy(cfg: dict) -> dict:
+def _dichotomy(cfg: dict) -> tuple:
     sym, params, grid, _, solver, exp = _inputs(cfg, build_datum=False)
     return dichotomy_experiment(
         sym, params, cfg["datum"], solver["T"], grid, solver["dt"],
         window=exp.get("window"),
-        **{key: exp[key] for key in ("exponent_tol", "improvement_fraction") if key in exp})
+        **{key: exp[key] for key in ("exponent_tol", "improvement_fraction") if key in exp}), {}
 
 
-def _weighted(cfg: dict) -> dict:
+def _weighted(cfg: dict) -> tuple:
     sym, params, _, u0, solver, exp = _inputs(cfg)
     return weighted_persistence_experiment(sym, params, u0, exp.get("p", 2.0),
-                                           exp.get("gamma", 0.5), solver["T"], solver["dt"])
+                                           exp.get("gamma", 0.5), solver["T"],
+                                           solver["dt"]), {}
 
 
-def _growth(cfg: dict) -> dict:
+def _growth(cfg: dict) -> tuple:
     sym, params, _, u0, solver, exp = _inputs(cfg)
     datum, T = datum_parameters(cfg["datum"]), solver["T"]
     return growth_experiment(sym, params, u0, datum["gamma"], T, solver["dt"],
-                             solver.get("snapshots", [T]), exp.get("bound", 2.0 * datum["c0"]))
+                             solver.get("snapshots", [T]),
+                             exp.get("bound", 2.0 * datum["c0"])), {}
 
 
-def _lowerbound(cfg: dict) -> dict:
+def _lowerbound(cfg: dict) -> tuple:
     sym, params, _, u0, solver, exp = _inputs(cfg)
     return lower_bound_experiment(sym, params, u0, solver["T"], solver["dt"],
-                                  solver.get("linear_only", False), exp.get("windows"))
+                                  solver.get("linear_only", False), exp.get("windows")), {}
 
 
-def _energy(cfg: dict) -> dict:
+def _energy(cfg: dict) -> tuple:
     sym, params, _, u0, solver, _ = _inputs(cfg)
-    return energy_experiment(sym, params, u0, solver["T"], solver["dt"])
+    return energy_experiment(sym, params, u0, solver["T"], solver["dt"]), {}
 
 
-def _decay(cfg: dict) -> dict:
+def _decay(cfg: dict) -> tuple:
     """What `stratwave decay-fit` reports on `stratwave simulate`'s u(T)."""
     sym, params, _, u0, solver, exp = _inputs(cfg)
     return tail_exponent(solution_at(sym, params, u0, solver["T"], solver["dt"]),
-                         exp["window"])
+                         exp["window"]), {}
 
 
-def _kernel(cfg: dict) -> dict:
-    """What `stratwave kernel` reports on K(t)."""
+def _kernel(cfg: dict) -> tuple:
+    """What `stratwave kernel` reports on K(t), and K(t) as kernel.csv."""
     sym, params, grid, _, _, exp = _inputs(cfg, build_datum=False)
     t = exp["t"]
-    return kernel_report(kernel_field(t, grid, sym, params), t, sym, params, exp.get("window"))
+    kernel = kernel_field(t, grid, sym, params)
+    return kernel_report(kernel, t, sym, params, exp.get("window")), {"kernel.csv": kernel}
 
 
-def _kernel_derivative(cfg: dict) -> dict:
+def _kernel_derivative(cfg: dict) -> tuple:
     """The tail_exponent fits of d_x K(t)."""
     sym, params, grid, _, _, exp = _inputs(cfg, build_datum=False)
-    return tail_exponent(kernel_derivative_field(exp["t"], grid, sym, params), exp["window"])
+    return tail_exponent(kernel_derivative_field(exp["t"], grid, sym, params),
+                         exp["window"]), {}
 
 
-def _convergence(cfg: dict) -> dict:
+def _convergence(cfg: dict) -> tuple:
     """ETD2's observed order log2(d12 / d23), d12 and d23 the L2 distances
     between u(T) at dt and dt/2 and at dt/2 and dt/4."""
     sym, params, grid, u0, solver, _ = _inputs(cfg)
@@ -499,10 +505,10 @@ def _convergence(cfg: dict) -> dict:
     if not (d12 > 0 and d23 > 0):
         raise BadParameter(f"u(T) at dt, dt/2 and dt/4 differ by {d12!r} and {d23!r}: "
                            f"no order to observe")
-    return {"order": math.log2(d12 / d23), "d12": d12, "d23": d23}
+    return {"order": math.log2(d12 / d23), "d12": d12, "d23": d23}, {}
 
 
-def _crosscheck(cfg: dict) -> dict:
+def _crosscheck(cfg: dict) -> tuple:
     """||u_picard - u_etd||_2 at T, Picard iterated until its update is
     below 1e-12, and picard_solve's report less its snapshots."""
     sym, params, grid, u0, solver, _ = _inputs(cfg)
@@ -510,7 +516,32 @@ def _crosscheck(cfg: dict) -> dict:
     u_pic, report = picard_solve(sym, params, u0, SolverConfig(
         dt=solver["dt"], T=solver["T"], picard_tol=1e-12))
     del report["snapshots"]
-    return {"l2_diff": Field(grid, u_etd.samples - u_pic.samples).l2_norm(), **report}
+    return {"l2_diff": Field(grid, u_etd.samples - u_pic.samples).l2_norm(), **report}, {}
+
+
+def _trajectory(cfg: dict) -> tuple:
+    """What `stratwave simulate` writes: u at each snapshot time (default
+    [T]) as snapshot_t<t>.csv, by ETD2 (mode etd, the default) or Picard,
+    and for ETD2 the per-step energy.csv (t, l2, dissipation).  The report
+    holds dt_used (the solver's dt) and, for ETD2, n_steps and the wrap
+    contamination of a window edge at 0.45 L, or for Picard picard_solve's
+    report less its snapshots."""
+    sym, params, grid, u0, solver, _ = _inputs(cfg)
+    dt, T = solver["dt"], solver["T"]
+    run = SolverConfig(dt=dt, T=T, snapshot_times=tuple(solver.get("snapshots", [T])),
+                       linear_only=solver.get("linear_only", False))
+    if solver.get("mode", "etd") == "picard":
+        _, picard = picard_solve(sym, params, u0, run)
+        snapshots = picard.pop("snapshots")
+        return ({"picard": picard, "dt_used": dt},
+                {f"snapshot_t{t:g}.csv": snap for t, snap in snapshots})
+    traj = solve(sym, params, u0, run)
+    outputs = {f"snapshot_t{t:g}.csv": snap for t, snap in zip(traj.times, traj.snapshots)}
+    outputs["energy.csv"] = ("t,l2,dissipation", (traj.energy_times, traj.energy_series,
+                                                  traj.dissipation_series))
+    return ({"wrap_contamination_estimate": wrap_contamination(grid, 0.45 * grid.L,
+                                                               params.n + 1),
+             "dt_used": dt, "n_steps": len(traj.energy_series) - 1}, outputs)
 
 
 #: experiment kind -> (its runner, the runio.experiment_schema arguments
@@ -534,11 +565,15 @@ EXPERIMENTS = {
         "blocks": (), "parameters": ("t", "window")}),
     "convergence": (_convergence, {}),
     "crosscheck": (_crosscheck, {}),
+    "trajectory": (_trajectory, {"solver_reads": ("mode", "snapshots", "linear_only")}),
 }
 EXPERIMENT_SCHEMAS = {kind: experiment_schema(kind, **reads)
                       for kind, (_, reads) in EXPERIMENTS.items()}
 
 
-def run_experiment(cfg: dict) -> dict:
-    """The report of the experiment that cfg describes."""
+def run_experiment(cfg: dict) -> tuple:
+    """(report, outputs) of the experiment that cfg describes: outputs maps
+    a file name to a Field or to a CSV table (header, columns), the files a
+    front end writes beside the report (spectral.output_to_csv); the
+    acceptance suite reads only the report."""
     return EXPERIMENTS[cfg["experiment"]["kind"]][0](cfg)

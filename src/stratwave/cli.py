@@ -14,38 +14,39 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import EXPERIMENT_SCHEMAS, kernel_report, run_experiment, tail_exponent
-from .errors import ConfigInvalid, NonFinite, StratwaveError
-from .kernel import kernel_field
-from .model import PRESET_NAMES, model_from_config, preset
+from .analysis import EXPERIMENT_SCHEMAS, run_experiment, tail_exponent
+from .errors import ConfigInvalid, StratwaveError
+from .model import PRESET_NAMES, preset
 from .runio import (RunDirectory, default_output_root, load_json, validate_config,
                     write_json)
-from .solver import SolverConfig, datum_from_config, picard_solve, solve
-from .spectral import (Grid, _write_csv, field_from_csv, field_to_csv,
-                       wrap_contamination)
+# unused here: bench/test_bench.py traces stratwave.cli.solve as one of solve's
+# bindings, and bench/ changes only with the benchmark
+from .solver import solve  # noqa: F401
+from .spectral import field_from_csv, output_to_csv
 
 EXIT_PASS, EXIT_ERROR, EXIT_ASSERT = 0, 1, 2
 
 
-def _parse_grid(text: str) -> Grid:
-    """Parse 'N=65536,L=400' into a Grid; anything malformed, a key other
-    than N and L and a repeated key are ConfigInvalid."""
+def _parse_grid(text: str) -> dict:
+    """Parse 'N=65536,L=400' into a grid block {"N": 65536, "L": 400.0};
+    anything malformed, a key other than N and L and a repeated key are
+    ConfigInvalid."""
     pairs = [kv.split("=", 1) for kv in text.split(",")]
     keys = [pair[0] for pair in pairs]
     try:
         if sorted(keys) != ["L", "N"]:
             raise ValueError(f"keys {keys}, not N and L once each")
         parts = dict(pairs)
-        return Grid(int(parts["N"]), float(parts["L"]))
+        return {"N": int(parts["N"]), "L": float(parts["L"])}
     except ValueError as exc:
         raise ConfigInvalid(f"--grid {text!r}: expected N=<int>,L=<float> "
                             f"({type(exc).__name__}: {exc})", path="--grid") from exc
 
 
-def _parse_snapshots(text: str) -> tuple:
+def _parse_snapshots(text: str) -> list:
     """Parse '0.1,0.2' into snapshot times; a non-number is ConfigInvalid."""
     try:
-        return tuple(float(s) for s in text.split(","))
+        return [float(s) for s in text.split(",")]
     except ValueError as exc:
         raise ConfigInvalid(f"--snapshots {text!r}: expected comma-separated "
                             f"times ({exc})", path="--snapshots") from exc
@@ -67,6 +68,24 @@ def _resolve_out(args, cfg: dict, kind: str) -> Path:
     return default_output_root() / f"{kind}-{_config_tag(cfg)}"
 
 
+def _run(kind: str, cfg: dict, target: Path, commit, replace: bool = False) -> dict:
+    """The one run path of kernel, simulate and experiment: validate cfg as
+    a config of kind, run it (analysis.run_experiment), write its outputs as
+    CSV into a RunDirectory for target, then commit(rundir, report).
+    Returns the report; on a failure no output is left behind."""
+    validate_config(cfg, EXPERIMENT_SCHEMAS[kind])
+    rundir = RunDirectory(target, replace)
+    try:
+        report, outputs = run_experiment(cfg)
+        for name, value in outputs.items():
+            output_to_csv(value, rundir.register(name))
+        commit(rundir, report)
+    except BaseException:
+        rundir.abort()
+        raise
+    return report
+
+
 def cmd_presets(args) -> int:
     for name in PRESET_NAMES:
         sym, params = preset(name)
@@ -76,76 +95,40 @@ def cmd_presets(args) -> int:
 
 
 def cmd_kernel(args) -> int:
+    """A kernel config; the kernel CSV goes to --out, the report beside it."""
     out = Path(args.out) if args.out else Path("kernel.csv")
-    if out.with_suffix(".json") == out:
+    report_out = out.with_suffix(".json")
+    if report_out == out:
         raise ConfigInvalid(f"--out {str(out)!r}: the kernel CSV would be "
                             f"overwritten by its .json report", path="--out")
-    sym, params = model_from_config(load_json(args.config))
-    kernel = kernel_field(args.t, _parse_grid(args.grid), sym, params)
-    report = kernel_report(kernel, args.t, sym, params,
-                           tuple(args.window) if args.window else None)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    field_to_csv(kernel, out)
-    write_json(out.with_suffix(".json"), report)
+    cfg = {"model": load_json(args.config), "grid": _parse_grid(args.grid),
+           "experiment": {"kind": "kernel", "t": args.t,
+                          **({"window": args.window} if args.window else {})}}
+
+    def commit(rundir, report):
+        write_json(rundir.register("kernel.json"), report)
+        rundir.place({"kernel.csv": out, "kernel.json": report_out})
+
+    report = _run("kernel", cfg, out, commit, replace=True)
     if not args.quiet:
         print(f"kernel written to {out}; mass={report['mass']:.12f}")
     return EXIT_PASS
 
 
 def cmd_simulate(args) -> int:
-    model_cfg = load_json(args.config)
-    datum_cfg = load_json(args.datum)
-    sym, params = model_from_config(model_cfg)
-    grid = _parse_grid(args.grid)
-    u0 = datum_from_config(datum_cfg, grid)
-    snaps = _parse_snapshots(args.snapshots) if args.snapshots else (args.T,)
-    full_cfg = {"model": model_cfg, "datum": datum_cfg,
-                "grid": {"N": grid.N, "L": grid.L},
-                "solver": {"dt": args.dt, "T": args.T, "mode": args.mode,
-                           "snapshots": list(snaps),
-                           "linear_only": args.linear_only}}
-    out = _resolve_out(args, full_cfg, "simulate")
-
-    dt = args.dt
-    rundir = RunDirectory(out)
-    try:
-        if args.mode == "picard":
-            _, rep = picard_solve(sym, params, u0,
-                                  SolverConfig(dt=dt, T=args.T, snapshot_times=snaps,
-                                               linear_only=args.linear_only))
-            for t, snap in rep.pop("snapshots"):
-                field_to_csv(snap, rundir.register(f"snapshot_t{t:g}.csv"))
-            diag = {"picard": rep, "dt_used": dt}
-        else:
-            attempts = 0
-            while True:
-                try:
-                    traj = solve(sym, params, u0,
-                                 SolverConfig(dt=dt, T=args.T, snapshot_times=snaps,
-                                              linear_only=args.linear_only))
-                    break
-                except NonFinite as exc:
-                    # halve dt a bounded number of times
-                    if attempts == 2:
-                        raise
-                    attempts += 1
-                    dt *= 0.5
-                    if not args.quiet:
-                        print(f"instability at t={exc.t}; retrying with dt={dt}")
-            for t, snap in zip(traj.times, traj.snapshots):
-                field_to_csv(snap, rundir.register(f"snapshot_t{t:g}.csv"))
-            _write_csv(rundir.register("energy.csv"), "t,l2,dissipation",
-                       (traj.energy_times, traj.energy_series,
-                        traj.dissipation_series))
-            diag = {"wrap_contamination_estimate":
-                    wrap_contamination(grid, 0.45 * grid.L, params.n + 1),
-                    "dt_used": dt, "n_steps": len(traj.energy_series) - 1}
-        final = rundir.commit(full_cfg, diag)
-    except BaseException:
-        rundir.abort()
-        raise
+    """A trajectory config, recorded in run.json with the report as its
+    diagnostics."""
+    cfg = {"model": load_json(args.config), "datum": load_json(args.datum),
+           "grid": _parse_grid(args.grid),
+           "solver": {"dt": args.dt, "T": args.T, "mode": args.mode,
+                      "snapshots": (_parse_snapshots(args.snapshots) if args.snapshots
+                                    else [args.T]),
+                      "linear_only": args.linear_only},
+           "experiment": {"kind": "trajectory"}}
+    out = _resolve_out(args, cfg, "simulate")
+    _run("trajectory", cfg, out, lambda rundir, report: rundir.commit(cfg, report))
     if not args.quiet:
-        print(f"run complete: {final}")
+        print(f"run complete: {out}")
     return EXIT_PASS
 
 
@@ -160,17 +143,15 @@ def cmd_decay_fit(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = load_json(args.config)
-    validate_config(cfg, EXPERIMENT_SCHEMAS[args.kind])
-    rundir = RunDirectory(_resolve_out(args, cfg, f"experiment-{args.kind}"))
-    try:
-        report = run_experiment(cfg)
+    out = _resolve_out(args, cfg, f"experiment-{args.kind}")
+
+    def commit(rundir, report):
         write_json(rundir.register("report.json"), report)
-        final = rundir.commit(cfg)
-    except BaseException:
-        rundir.abort()
-        raise
+        rundir.commit(cfg)
+
+    report = _run(args.kind, cfg, out, commit)
     if not args.quiet:
-        print(f"report: {final / 'report.json'}")
+        print(f"report: {out / 'report.json'}")
     return EXIT_PASS if report.get("passed", True) else EXIT_ASSERT
 
 

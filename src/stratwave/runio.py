@@ -3,7 +3,8 @@
 A run directory is created atomically: everything is written into a sibling
 temp directory, the manifest (with content hashes of every output) is written
 last, and the temp directory is renamed into place.  An interrupted run
-leaves no partial target directory.
+leaves no partial target directory.  RunDirectory.place moves the outputs
+to paths of their own instead, all of them or none.
 """
 
 from __future__ import annotations
@@ -87,6 +88,7 @@ SOLVER_SCHEMA = {
     "properties": {
         "dt": {"type": "number", "exclusiveMinimum": 0},
         "T": {"type": "number", "exclusiveMinimum": 0},
+        "mode": {"enum": ["etd", "picard"]},
         "snapshots": {"type": "array", "items": {"type": "number"}},
         "linear_only": {"type": "boolean"},
     },
@@ -285,11 +287,16 @@ def default_output_root() -> Path:
 
 
 class RunDirectory:
-    """Atomic run directory: populate, then commit() renames into place."""
+    """Atomic run outputs: files are registered into a temporary sibling of
+    the target, then commit() renames it into place as the run directory,
+    its manifest written last, or place() moves each file to a path of its
+    own.  Either way the outputs appear all together or not at all."""
 
-    def __init__(self, target: Path):
+    def __init__(self, target: Path, replace: bool = False):
+        """replace: the outputs go to their own paths (place), over any
+        file there, so an existing target is no error."""
         self.target = Path(target)
-        if self.target.exists():
+        if self.target.exists() and not replace:
             raise ConfigInvalid(f"output directory {self.target} already exists")
         self.target.parent.mkdir(parents=True, exist_ok=True)
         self._tmp = self.target.parent / f".tmp-{self.target.name}-{uuid.uuid4().hex[:8]}"
@@ -316,6 +323,21 @@ class RunDirectory:
         write_json(self._tmp / "run.json", manifest)
         os.rename(self._tmp, self.target)
         return self.target
+
+    def place(self, paths: dict) -> None:
+        """Move each output to paths[name], in registration order; when a
+        move fails, the outputs moved before it are deleted again."""
+        moved = []
+        try:
+            for name in self.outputs:
+                os.replace(self._tmp / name, paths[name])
+                moved.append(paths[name])
+        except BaseException:
+            for path in moved:
+                os.unlink(path)
+            raise
+        finally:
+            self.abort()
 
     def abort(self) -> None:
         shutil.rmtree(self._tmp, ignore_errors=True)

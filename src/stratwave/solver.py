@@ -203,11 +203,15 @@ class EtdPropagator:
         length of uhat (kept modes or a full half-spectrum), so the sums run
         over N/2 + 1 terms whatever that length, and round alike.
         """
+        # energy leaves |uhat|^2 in the buffer for the dissipation dot
+        return self.energy(uhat), float(np.dot(self.rate_weight, self._power_buffer))
+
+    def energy(self, uhat: np.ndarray) -> float:
+        """The first value of monitors, without the dissipation dot."""
         power = self._power_buffer
         np.add(np.square(uhat.real), np.square(uhat.imag), out=power[:uhat.size])
         power[uhat.size:] = 0.0
-        return (float(np.sqrt(np.dot(self.weight, power))),
-                float(np.dot(self.rate_weight, power)))
+        return float(np.sqrt(np.dot(self.weight, power)))
 
     def nonlinear(self, uhat: np.ndarray) -> np.ndarray:
         """N(u) = -(1/(k+1)) d_x(u^{k+1}) evaluated pseudo-spectrally, for
@@ -378,7 +382,7 @@ def _picard_sweeps(prop: EtdPropagator, traj: np.ndarray):
     Each N(.) reads only the previous iterate, so the averages of
     B = max(1, PICARD_BLOCK_POINTS // N) consecutive steps go through one
     prop.nonlinear call, one 2-D irfft/rfft pair; the recursion and the
-    norms (prop.monitors) then run row by row.  Every value is the one
+    norms (prop.energy) then run row by row.  Every value is the one
     prop.nonlinear gives step by step, bit for bit.
     """
     M, kept = traj.shape[0] - 1, traj.shape[1]
@@ -406,7 +410,8 @@ def _picard_sweeps(prop: EtdPropagator, traj: np.ndarray):
                     np.multiply(E, traj[i - 1], out=tmp)
                     np.multiply(dt_E_half, nl[b], out=traj[i])
                     np.add(tmp, traj[i], out=traj[i])
-                    norms[i - 1] = prop.monitors(traj[i] - old)[0]
+                    np.subtract(traj[i], old, out=tmp)
+                    norms[i - 1] = prop.energy(tmp)
         yield float(np.max(norms))
 
 

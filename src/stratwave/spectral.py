@@ -251,6 +251,15 @@ def field_to_csv(f: Field, path) -> None:
     _write_csv(path, "x,re,im", (f.grid.x, f.samples, None))
 
 
+def output_to_csv(value, path) -> None:
+    """Write a run output (analysis.run_experiment): a Field as field_to_csv
+    writes it, a (header, columns) table as that header and '%.17g' rows."""
+    if isinstance(value, Field):
+        field_to_csv(value, path)
+    else:
+        _write_csv(path, *value)
+
+
 def _line_blocks(fh):
     """The lines of an open text file, CSV_BLOCK_ROWS lines at a time."""
     while lines := list(itertools.islice(fh, CSV_BLOCK_ROWS)):

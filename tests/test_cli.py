@@ -99,6 +99,19 @@ def test_kernel_rejects_out_that_its_report_would_overwrite(tmp_path, ost_config
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_kernel_writes_both_files_or_neither(tmp_path, ost_config, capsys):
+    # the report's path is a directory: the CSV used to be left behind
+    out = tmp_path / "zz"
+    out.with_suffix(".json").mkdir()
+    rc = main(["--quiet", "--out", str(out), "kernel", "--config", ost_config,
+               "--t", "1.0", "--grid", "N=1024,L=50"])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("i/o error: [Errno 21]")
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+    assert list(out.with_suffix(".json").iterdir()) == []
+
+
 @pytest.mark.parametrize("t,names", [
     ("1e6", "overflows"), ("1e300", "overflows"),   # exp(Re L t) > float64 max
     ("1e3", "default window"),                      # starts past 0.45 L
@@ -145,7 +158,7 @@ def test_model_of_neither_form_is_a_config_error(tmp_path, capsys):
                "--t", "1.0", "--grid", "N=256,L=10"])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "config error: $: {'symbol': {'kind': 'kdv'}, 'm': 3} is not valid "
+        "config error: $.model: {'symbol': {'kind': 'kdv'}, 'm': 3} is not valid "
         "under any of the given schemas\n")
     assert not (tmp_path / "k.csv").exists()
 
@@ -300,38 +313,40 @@ def test_simulate_refuses_existing_dir(tmp_path, ost_config, gauss_datum, capsys
     assert rc == 1
     assert not list(out.iterdir())  # nothing partial
 
-@pytest.mark.parametrize("failures", [1, 3])
-def test_simulate_halves_dt_after_non_finite(tmp_path, ost_config, gauss_datum,
-                                             capsys, monkeypatch, failures):
-    # the first `failures` solves blow up: one is retried at dt/2, three
-    # exhaust the two retries
-    import stratwave.cli as cli_module
-
-    dts = []
-
-    def blow_up_first(sym, params, u0, cfg):
-        dts.append(cfg.dt)
-        if len(dts) <= failures:
-            raise NonFinite("non-finite state", t=0.01)
-        return solve(sym, params, u0, cfg)
-
-    monkeypatch.setattr(cli_module, "solve", blow_up_first)
+def test_simulate_blow_up_exits_1_with_one_non_finite_line(tmp_path, ost_config, capsys):
+    # no retry at a smaller dt: a blow-up is an error, as in every experiment kind
+    datum = write_json(tmp_path / "big.json", {"kind": "gaussian", "sigma0": 1.0,
+                                               "amp": 1000.0})
     out = tmp_path / "run"
-    rc = main(["--out", str(out), "simulate", "--config", ost_config,
-               "--datum", gauss_datum, "--T", "0.02", "--dt", "0.01",
-               "--grid", "N=256,L=20"])
+    rc = main(["--out", str(out), "simulate", "--config", ost_config, "--datum", datum,
+               "--T", "0.05", "--dt", "0.01", "--grid", "N=256,L=20"])
+    assert rc == 1
     captured = capsys.readouterr()
-    retries = captured.out.count("instability at t=0.01; retrying with dt=")
-    assert retries == min(failures, 2)
-    if failures == 1:
-        assert rc == 0 and dts == [0.01, 0.005]
-        manifest = json.loads((out / "run.json").read_text())
-        assert manifest["diagnostics"]["dt_used"] == 0.005
-        assert manifest["diagnostics"]["n_steps"] == 4
-    else:
-        assert rc == 1 and dts == [0.01, 0.005, 0.0025]
-        assert captured.err == "error [NonFinite]: non-finite state\n"
-        assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+    assert captured.err == "error [NonFinite]: non-finite state at t = 0.05\n"
+    assert captured.out == ""
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
+@pytest.mark.parametrize("extra", [["--snapshots", "0.05,0.1"], ["--mode", "picard"]],
+                         ids=["etd", "picard"])
+def test_experiment_trajectory_reruns_a_simulate_run(tmp_path, ost_config, gauss_datum,
+                                                     extra):
+    # the config that simulate records gives, through experiment trajectory,
+    # the same files byte for byte and its diagnostics as report.json
+    sim, exp = tmp_path / "sim", tmp_path / "exp"
+    assert main(["--quiet", "--out", str(sim), "simulate", "--config", ost_config,
+                 "--datum", gauss_datum, "--T", "0.1", "--dt", "0.01",
+                 "--grid", "N=1024,L=50", *extra]) == 0
+    manifest = json.loads((sim / "run.json").read_text())
+    assert manifest["config"]["experiment"] == {"kind": "trajectory"}
+    assert main(["--quiet", "--out", str(exp), "experiment", "trajectory", "--config",
+                 write_json(tmp_path / "cfg.json", manifest["config"])]) == 0
+    rerun = json.loads((exp / "run.json").read_text())
+    assert set(rerun["outputs"]) == set(manifest["outputs"]) | {"report.json"}
+    for name in manifest["outputs"]:
+        assert (exp / name).read_bytes() == (sim / name).read_bytes()
+    assert load_json(exp / "report.json") == manifest["diagnostics"]
+    assert rerun["config"] == manifest["config"]
 
 
 def test_simulate_deterministic_outputs(tmp_path, ost_config, gauss_datum):
@@ -705,6 +720,7 @@ def test_experiment_kernel_reports_what_the_kernel_command_reports(tmp_path, win
                  "--config", cfg]) == 0
     report = (tmp_path / "run" / "report.json").read_bytes()
     assert report == out.with_suffix(".json").read_bytes()
+    assert (tmp_path / "run" / "kernel.csv").read_bytes() == out.read_bytes()
 
 
 @pytest.mark.parametrize("kind", ["kernel", "kernel_derivative"])
@@ -1108,7 +1124,8 @@ _MINIMAL = {"dichotomy": ({}, _ALGEBRAIC),
             "kernel": ({"t": 1.0}, None),
             "kernel_derivative": ({"t": 1.0, "window": [5, 20]}, None),
             "convergence": ({}, _GAUSSIAN),
-            "crosscheck": ({}, _GAUSSIAN)}
+            "crosscheck": ({}, _GAUSSIAN),
+            "trajectory": ({}, _GAUSSIAN)}
 
 
 def _blocks(datum) -> dict:
@@ -1119,16 +1136,17 @@ def _blocks(datum) -> dict:
 # test_experiment_kernel_refuses_blocks_it_does_not_read covers the kernel kinds
 @pytest.mark.parametrize("kind", sorted(set(EXPERIMENT_SCHEMAS)
                                         - {"kernel", "kernel_derivative"}))
-@pytest.mark.parametrize("field", ["snapshots", "linear_only"])
+@pytest.mark.parametrize("field", ["snapshots", "linear_only", "mode"])
 def test_experiment_solver_fields_per_kind(tmp_path, capsys, kind, field):
     # a kind that does not read a solver field rejects it
     experiment, datum = _MINIMAL[kind]
-    value = {"snapshots": [0.05], "linear_only": True}[field]
+    value = {"snapshots": [0.05], "linear_only": True, "mode": "picard"}[field]
     cfg = {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
            "solver": {"dt": 0.01, "T": 0.1, field: value}, "datum": datum,
            "experiment": {"kind": kind, **experiment}}
-    if (kind, field) in {("growth", "snapshots"), ("lowerbound", "linear_only")}:
-        validate_config(cfg, EXPERIMENT_SCHEMAS[kind])   # the one kind that reads it
+    if (kind, field) in {("growth", "snapshots"), ("lowerbound", "linear_only"),
+                         ("trajectory", field)}:
+        validate_config(cfg, EXPERIMENT_SCHEMAS[kind])   # a kind that reads it
         return
     out = tmp_path / "run"
     rc = main(["--quiet", "--out", str(out), "experiment", kind, "--config",
@@ -1145,7 +1163,7 @@ _READS = {"dichotomy": {"window", "exponent_tol", "improvement_fraction"},
           "weighted": {"p", "gamma"}, "growth": {"bound"}, "lowerbound": {"windows"},
           "energy": set(), "decay": {"window"}, "kernel": {"t", "window"},
           "kernel_derivative": {"t", "window"},
-          "convergence": set(), "crosscheck": set()}
+          "convergence": set(), "crosscheck": set(), "trajectory": set()}
 #: gamma_datum and amplitude, which the datum block replaced, no kind reads
 _PARAMETER_VALUES = {"gamma_datum": 2.5, "window": [5, 20], "amplitude": 1.0,
                      "exponent_tol": 0.1, "improvement_fraction": 0.5, "p": 2.0,
@@ -1185,6 +1203,7 @@ _SMALL_RUNS = {
               {"kind": "algebraic", "gamma": 3.0}, "c"),
     "convergence": ({"N": 1024, "L": 50}, {}, {"kind": "gaussian", "sigma0": 1.0}, "amp"),
     "crosscheck": ({"N": 1024, "L": 50}, {}, {"kind": "gaussian", "sigma0": 1.0}, "amp"),
+    "trajectory": ({"N": 1024, "L": 50}, {}, {"kind": "gaussian", "sigma0": 1.0}, "amp"),
 }
 
 
@@ -1197,16 +1216,19 @@ def _small_run(kind: str, **datum) -> dict:
 @pytest.mark.parametrize("kind", sorted(set(EXPERIMENT_SCHEMAS)
                                         - {"kernel", "kernel_derivative"}))
 def test_every_experiment_kind_reads_its_datum(tmp_path, kind):
-    # the datum's amplitude reaches the report of every kind
+    # the datum's amplitude reaches the files of every kind: report.json,
+    # and for trajectory, whose report holds no value of u, its CSVs
     amplitude = _SMALL_RUNS[kind][3]
-    reports = []
+    digests = []
     for value in (0.5, 1.0):
         cfg = write_json(tmp_path / "exp.json", _small_run(kind, **{amplitude: value}))
         out = tmp_path / f"run{value}"
         assert main(["--quiet", "--out", str(out), "experiment", kind,
                      "--config", cfg]) in (0, 2)
-        reports.append((out / "report.json").read_bytes())
-    assert reports[0] != reports[1]
+        digests.append(json.loads((out / "run.json").read_text())["outputs"])
+    names = ([name for name in digests[0] if name != "report.json"]
+             if kind == "trajectory" else ["report.json"])
+    assert names and all(digests[0][name] != digests[1][name] for name in names)
 
 
 @pytest.mark.parametrize("preset_name,datum,error", [
@@ -1292,8 +1314,7 @@ def test_grid_memory_guard(tmp_path, capsys, ost_config):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("t,kind", [("inf", "BadParameter"), ("-inf", "BadParameter"),
-                                    ("nan", "BadParameter"), ("0", "UnderResolved")])
+@pytest.mark.parametrize("t,kind", [("inf", "BadParameter"), ("nan", "BadParameter")])
 def test_kernel_rejects_a_non_finite_t(tmp_path, capsys, ost_config, t, kind):
     # --t inf used to end in RuntimeWarnings and a window error, and --t nan
     # in UnderResolved ("decay scale nan")
@@ -1305,6 +1326,18 @@ def test_kernel_rejects_a_non_finite_t(tmp_path, capsys, ost_config, t, kind):
     assert err.startswith(f"error [{kind}]: kernel construction requires")
     assert ("finite" in err) == (kind == "BadParameter")
     assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("t", ["-inf", "0", "-1"])
+def test_kernel_t_not_positive_is_a_config_error(tmp_path, capsys, ost_config, t):
+    # --t is the kernel config's experiment.t, which must be positive
+    out = tmp_path / "kernel.csv"
+    rc = main(["--quiet", "--out", str(out), "kernel", "--config", ost_config,
+               f"--t={t}", "--grid", "N=256,L=10"])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"config error: $.experiment.t: {float(t)!r} is "
+                                       f"less than or equal to the minimum of 0\n")
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 
 @pytest.mark.parametrize("flag,value", [("--dt", "nan"), ("--T", "inf"),
@@ -1375,7 +1408,7 @@ def test_datum_key_its_kind_does_not_read_is_a_config_error(tmp_path, capsys, os
                "--T", "0.05", "--dt", "0.01", "--grid", "N=256,L=20"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == (f"config error: $: Additional properties are not allowed "
+    assert err == (f"config error: $.datum: Additional properties are not allowed "
                    f"('{unread}' was unexpected)\n")
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 

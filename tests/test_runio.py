@@ -41,7 +41,8 @@ SEEDS = {
               {"kind": "growth", "gamma": 0.3, "c0": 0.01},
               {"kind": "gaussian", "sigma0": 1.0, "amp": 0.1, "gamma": 2, "c": 1,
                "c0": 0.01}],
-    "solver": [{"dt": 0.01, "T": 0.1, "snapshots": [0.05, 0.1], "linear_only": True}],
+    "solver": [{"dt": 0.01, "T": 0.1, "mode": "picard", "snapshots": [0.05, 0.1],
+                "linear_only": True}],
     "experiment-dichotomy": [{**_COMMON, "datum": {"kind": "algebraic", "gamma": 3.0,
                                                     "c": 0.5}, "experiment": {
         "kind": "dichotomy", "window": [5, 20], "exponent_tol": 0.1,
@@ -67,6 +68,10 @@ SEEDS = {
                                                      "window": [5, 20]}}],
     "experiment-convergence": [{**_COMMON, "experiment": {"kind": "convergence"}}],
     "experiment-crosscheck": [{**_COMMON, "experiment": {"kind": "crosscheck"}}],
+    "experiment-trajectory": [{**_COMMON, "solver": {"dt": 0.01, "T": 0.1, "mode": "etd",
+                                                      "snapshots": [0.05, 0.1],
+                                                      "linear_only": False},
+                               "experiment": {"kind": "trajectory"}}],
 }
 
 
