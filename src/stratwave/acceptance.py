@@ -1,15 +1,16 @@
-"""Acceptance criteria: 16 are data, K-MOD-EVEN and K-SEMI are functions.
+"""Acceptance criteria: one table, CRITERIA, and one runner, run_criterion.
 
-A criterion in CONFIG_CRITERIA is configs that `stratwave experiment`
-accepts and a verdict over their reports; a function is a verdict over no
-config.  Each states its tolerance inline.  Grid sizes are chosen per
-criterion so the measurement window respects the wrap-safety rule
-(contamination from the periodic images well below the tolerance);
-tail/constant criteria therefore use boxes larger than the generic
-N=2^16, L=400 default, which at x = 200 already suffers ~15% image
+A criterion is its expected text, the configs that `stratwave experiment`
+accepts (none for K-MOD-EVEN and K-SEMI), and a verdict over their reports
+that returns (passed, measured).  Each states its tolerance inline.  Grid
+sizes are chosen per criterion so the measurement window respects the
+wrap-safety rule (contamination from the periodic images well below the
+tolerance); tail/constant criteria therefore use boxes larger than the
+generic N=2^16, L=400 default, which at x = 200 already suffers ~15% image
 contamination for a 1/x^2 tail.  eta is a free model parameter and is
 chosen per experiment where the asymptotic regime must be numerically
-reachable (rationale in comments).
+reachable (rationale in comments).  The library prints nothing: the CLI
+writes each result's line.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class CriterionResult:
         return f"[{status}] {self.cid:14s} expected {self.expected}; {got} ({self.seconds:.1f}s)"
 
 
-def crit_k_mod_even() -> tuple:
+def _k_mod_even() -> tuple:
     """|Khat| == exp(-eta |xi|^2 t) exactly for n even (m=2, n=2, t=0.5), on
     the half-spectrum xi_j = j dxi, j = 0..N/2 (|Khat| is even in xi), as
     half_kernel_hat, the builder of every kernel, gives it."""
@@ -57,7 +58,7 @@ def crit_k_mod_even() -> tuple:
     return diff <= 1e-12, {"max_diff": diff}
 
 
-def crit_k_semi() -> tuple:
+def _k_semi() -> tuple:
     """Semigroup: K(0.3) * K(0.7) = K(1.0) to 1e-8 relative sup norm."""
     grid = Grid(2 ** 16, 400.0)
     sym, params = preset("ost")
@@ -67,15 +68,12 @@ def crit_k_semi() -> tuple:
     return rel <= 1e-8, {"rel_error": rel}
 
 
-def _config(kind: str, model: dict, grid: dict, solver: dict, datum: dict,
-            **experiment) -> dict:
-    return {"model": model, "grid": grid, "solver": solver, "datum": datum,
+def _config(kind: str, model: dict, grid: dict, solver: Optional[dict] = None,
+            datum: Optional[dict] = None, **experiment) -> dict:
+    """A config of the experiment kind; a kernel config holds no solver or datum."""
+    blocks = {"model": model, "grid": grid, "solver": solver, "datum": datum}
+    return {**{name: block for name, block in blocks.items() if block is not None},
             "experiment": {"kind": kind, **experiment}}
-
-
-def _kernel(model: dict, grid: dict, kind: str = "kernel", **experiment) -> dict:
-    """A kernel or kernel_derivative config, which holds no solver or datum block."""
-    return {"model": model, "grid": grid, "experiment": {"kind": kind, **experiment}}
 
 
 def _kdv(m: int, n: int, eta: float = 1.0) -> dict:
@@ -167,34 +165,37 @@ _BOX_64, _GAUSSIAN = {"N": 2 ** 12, "L": 64.0}, {"kind": "gaussian", "sigma0": 2
 _BOX_800, _BOX_3200 = {"N": 2 ** 17, "L": 800.0}, {"N": 2 ** 19, "L": 3200.0}
 
 #: criterion id -> (expected, the experiment configs it runs, in order, and
-#: the verdict over their reports, which returns (passed, measured))
-CONFIG_CRITERIA = {
+#: the verdict over their reports, which returns (passed, measured)), in
+#: suite order; K-MOD-EVEN and K-SEMI run no config
+CRITERIA = {
+    "K-MOD-EVEN": ("max diff <= 1e-12", (), _k_mod_even),
     # the discrete integral of K is 1 for every preset, at t = 0.2, 1 and 3
     "K-MASS": ("|mass - 1| <= 1e-8", tuple(
-        _kernel({"preset": name}, {"N": 2 ** 16, "L": 400.0}, t=t)
+        _config("kernel", {"preset": name}, {"N": 2 ** 16, "L": 400.0}, t=t)
         for name in PRESET_NAMES for t in (0.2, 1.0, 3.0)), _k_mass),
+    "K-SEMI": ("rel sup error <= 1e-8", (), _k_semi),
     # L = 3200 keeps image contamination at x = 200 near 0.2% (the wrap rule)
-    "K-TAIL-1": ("exponent 2.0 +- 0.1",
-                 (_kernel(_kdv(3, 1), _BOX_3200, t=1.0, window=[20.0, 200.0]),),
-                 _kernel_tail(2.0, 0.1)),
+    "K-TAIL-1": ("exponent 2.0 +- 0.1", (_config(
+        "kernel", _kdv(3, 1), _BOX_3200, t=1.0, window=[20.0, 200.0]),),
+        _kernel_tail(2.0, 0.1)),
     # a smooth symbol
-    "K-TAIL-2": ("exponent 3.0 +- 0.15",
-                 (_kernel(_kdv(3, 2), {"N": 2 ** 18, "L": 1600.0}, t=1.0, window=[30.0, 250.0]),),
-                 _kernel_tail(3.0, 0.15)),
+    "K-TAIL-2": ("exponent 3.0 +- 0.15", (_config(
+        "kernel", _kdv(3, 2), {"N": 2 ** 18, "L": 1600.0}, t=1.0, window=[30.0, 250.0]),),
+        _kernel_tail(3.0, 0.15)),
     # For n even the H d_x^n symbol is purely imaginary, so its stationary-phase
     # contribution exp(-c x^{2/3}) masks the x^-5 jump term until far x when
     # damping is weak.  eta = 4 (free parameter) moves the crossover to
     # x ~ 500; window [600, 1400] on an L = 3200 box measures the true power
     # law a decade above the FFT noise floor.
-    "K-TAIL-4": ("exponent 5.0 +- 0.25",
-                 (_kernel(_kdv(2, 4, 4.0), _BOX_3200, t=0.5, window=[600.0, 1400.0]),),
-                 _kernel_tail(5.0, 0.25)),
+    "K-TAIL-4": ("exponent 5.0 +- 0.25", (_config(
+        "kernel", _kdv(2, 4, 4.0), _BOX_3200, t=0.5, window=[600.0, 1400.0]),),
+        _kernel_tail(5.0, 0.25)),
     # |x|^2 |K(1, x)| against A(1) = 1/pi on [50, 200]
-    "K-CONST": ("x^2|K| within 5% of 1/pi = 0.31831",
-                (_kernel(_kdv(3, 1), _BOX_3200, t=1.0, window=[50.0, 200.0]),), _k_const),
+    "K-CONST": ("x^2|K| within 5% of 1/pi = 0.31831", (_config(
+        "kernel", _kdv(3, 1), _BOX_3200, t=1.0, window=[50.0, 200.0]),), _k_const),
     # d_x K decays one order faster than K: exponent n + 2 = 3
-    "K-DERIV": ("exponent 3.0 +- 0.15", (_kernel(
-        _kdv(3, 1), _BOX_3200, "kernel_derivative", t=1.0, window=[20.0, 150.0]),), _k_deriv),
+    "K-DERIV": ("exponent 3.0 +- 0.15", (_config(
+        "kernel_derivative", _kdv(3, 1), _BOX_3200, t=1.0, window=[20.0, 150.0]),), _k_deriv),
     # Richardson: u(0.25) at dt = 1e-3, 5e-4 and 2.5e-4
     "S-CONV": ("observed order >= 1.9", (_config(
         "convergence", _OST, _BOX_64, {"dt": 1e-3, "T": 0.25}, _GAUSSIAN),), _s_conv),
@@ -238,50 +239,26 @@ CONFIG_CRITERIA = {
 }
 
 
-def _criterion(cid: str, expected: str, configs: tuple,
-               verdict: Callable) -> Callable[[], CriterionResult]:
-    """The criterion verdict(*reports of configs) -> (passed, measured).
+def run_criterion(cid: str) -> CriterionResult:
+    """The criterion verdict(*reports of its configs) -> (passed, measured).
 
     The suite's one error rule: a StratwaveError raised on the way is a FAIL
     that names it, unless it is what the verdict `reads`: then it is the
     verdict's one report.  Any other exception, a package bug, propagates."""
-    def criterion() -> CriterionResult:
-        start, error = time.perf_counter(), None
-        try:
-            passed, measured = verdict(*(run_experiment(cfg)[0] for cfg in configs))
-        except StratwaveError as exc:
-            if isinstance(exc, getattr(verdict, "reads", ())):
-                passed, measured = verdict(exc)
-            else:
-                passed, measured, error = False, {}, f"{type(exc).__name__}: {exc}"
-        return CriterionResult(cid, passed, expected, measured,
-                               time.perf_counter() - start, list(configs), error)
-    return criterion
+    expected, configs, verdict = CRITERIA[cid]
+    start, error = time.perf_counter(), None
+    try:
+        passed, measured = verdict(*(run_experiment(cfg)[0] for cfg in configs))
+    except StratwaveError as exc:
+        if isinstance(exc, getattr(verdict, "reads", ())):
+            passed, measured = verdict(exc)
+        else:
+            passed, measured, error = False, {}, f"{type(exc).__name__}: {exc}"
+    return CriterionResult(cid, passed, expected, measured,
+                           time.perf_counter() - start, list(configs), error)
 
 
-CRITERIA: Dict[str, Callable[[], CriterionResult]] = {
-    "K-MOD-EVEN": _criterion("K-MOD-EVEN", "max diff <= 1e-12", (), crit_k_mod_even),
-    "K-MASS": _criterion("K-MASS", *CONFIG_CRITERIA["K-MASS"]),
-    "K-SEMI": _criterion("K-SEMI", "rel sup error <= 1e-8", (), crit_k_semi),
-    **{cid: _criterion(cid, *spec) for cid, spec in CONFIG_CRITERIA.items() if cid != "K-MASS"},
-}
-
-
-def run_criterion(cid: str) -> CriterionResult:
-    return CRITERIA[cid]()
-
-
-def run_acceptance(ids: Optional[List[str]] = None, threads: int = 1,
-                   quiet: bool = False) -> tuple:
-    """Run the requested criteria; returns (results, skipped_ids)."""
-    wanted = list(CRITERIA.keys()) if ids is None else list(ids)
-    skipped = [cid for cid in wanted if cid not in CRITERIA]
-    torun = [cid for cid in wanted if cid in CRITERIA]
-    results: List[CriterionResult] = []
+def run_acceptance(ids: Iterable[str], threads: int) -> Iterator[CriterionResult]:
+    """Yield the result of each criterion in ids, in order; threads > 1 uses a pool."""
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        # pool.map yields in criterion order, each result once it is ready
-        for res in (pool.map if threads > 1 else map)(run_criterion, torun):
-            if not quiet:
-                print(res.line(), flush=True)
-            results.append(res)
-    return results, skipped
+        yield from (pool.map if threads > 1 else map)(run_criterion, ids)

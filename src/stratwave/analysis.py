@@ -27,12 +27,12 @@ growth reports, the kernel reports, the integrator's self-convergence and
 Picard cross-check, and the plain trajectory: EXPERIMENTS maps each kind
 (dichotomy, weighted, growth, lowerbound, energy, decay, kernel,
 kernel_derivative, convergence, crosscheck, trajectory) to a runner of a
-config valid under EXPERIMENT_SCHEMAS[kind], which returns its report and
-the files it hands back beside it (the kernel kind its kernel, the
-trajectory kind its snapshots and energy series).  `stratwave experiment`,
-`stratwave simulate` (a trajectory config) and `stratwave kernel` (a kernel
-config) all run through it, and so do the 16 acceptance criteria that are
-configs (acceptance.CONFIG_CRITERIA); the other 2 are functions.
+config valid under EXPERIMENT_SCHEMAS[kind] (run_experiment checks it),
+which returns its report and the files it hands back beside it (the kernel
+kind its kernel, the trajectory kind its snapshots and energy series).
+`stratwave experiment`, `stratwave simulate` (a trajectory config),
+`stratwave kernel` (a kernel config) and acceptance.run_criterion (the
+configs of acceptance.CRITERIA) all run through it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .errors import (BadParameter, ExcludedParameters, InsufficientDecades,
 from .kernel import (asymptotic_coefficient, half_kernel_hat, kernel_derivative_field,
                      kernel_field)
 from .model import DispersionSymbol, ModelParams, model_from_config
-from .runio import experiment_schema
+from .runio import experiment_schema, validate_config
 from .solver import (SolverConfig, _guarded_propagator, datum_from_config,
                      datum_parameters, picard_solve, solution_at, solve, step_count)
 from .spectral import (Field, Grid, check_memory, from_half_spectrum, half_spectrum,
@@ -571,9 +571,17 @@ EXPERIMENT_SCHEMAS = {kind: experiment_schema(kind, **reads)
                       for kind, (_, reads) in EXPERIMENTS.items()}
 
 
+#: what every config holds whatever its kind: an experiment block naming a kind
+_KIND_SCHEMA = {"type": "object", "required": ["experiment"], "properties": {"experiment": {
+    "type": "object", "required": ["kind"], "properties": {"kind": {"enum": list(EXPERIMENTS)}}}}}
+
+
 def run_experiment(cfg: dict) -> tuple:
     """(report, outputs) of the experiment that cfg describes: outputs maps
     a file name to a Field or to a CSV table (header, columns), the files a
     front end writes beside the report (spectral.output_to_csv); the
-    acceptance suite reads only the report."""
+    acceptance suite reads only the report.  A cfg that EXPERIMENT_SCHEMAS
+    of its kind refuses raises ConfigInvalid naming the JSON path at fault."""
+    validate_config(cfg, _KIND_SCHEMA)
+    validate_config(cfg, EXPERIMENT_SCHEMAS[cfg["experiment"]["kind"]])
     return EXPERIMENTS[cfg["experiment"]["kind"]][0](cfg)

@@ -159,7 +159,7 @@ def cmd_acceptance(args) -> int:
     # imported here, so that the other commands do not load the criteria
     from .acceptance import CRITERIA, run_acceptance
 
-    ids, source = None, None
+    ids, source = list(CRITERIA), None
     if args.suite:
         suite = load_json(args.suite)
         if not isinstance(suite, list) or not all(isinstance(c, str) for c in suite):
@@ -167,16 +167,21 @@ def cmd_acceptance(args) -> int:
         ids, source = suite, args.suite
     elif args.only is not None:
         ids, source = args.only, "--only"
-    if ids is not None and not any(cid in CRITERIA for cid in ids):
+    if not any(cid in CRITERIA for cid in ids):
         # zero criteria would run, and 0/0 would read as a pass
         raise ConfigInvalid(f"{source}: no known criterion id in {ids}",
                             path=source)
-    repeated = sorted({cid for cid in ids or () if ids.count(cid) > 1})
+    repeated = sorted({cid for cid in ids if ids.count(cid) > 1})
     if repeated:
         # a repeated criterion would run, and count in n_total, twice
         raise ConfigInvalid(f"{source}: criterion id listed more than once: "
                             f"{', '.join(repeated)}", path=source)
-    results, skipped = run_acceptance(ids, threads=args.threads, quiet=args.quiet)
+    skipped = [cid for cid in ids if cid not in CRITERIA]
+    results = []
+    for result in run_acceptance([cid for cid in ids if cid in CRITERIA], args.threads):
+        if not args.quiet:
+            print(result.line(), flush=True)
+        results.append(result)
     for cid in skipped:
         print(f"[SKIP] {cid}: unknown criterion id", file=sys.stderr)
     summary = {

@@ -3,12 +3,14 @@
 A run directory is created atomically: everything is written into a sibling
 temp directory, the manifest (with content hashes of every output) is written
 last, and the temp directory is renamed into place.  An interrupted run
-leaves no partial target directory.  RunDirectory.place moves the outputs
-to paths of their own instead, all of them or none.
+leaves no partial target directory, nor the parent directories made for
+it.  RunDirectory.place moves the outputs to paths of their own instead,
+all of them or none.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -298,6 +300,8 @@ class RunDirectory:
         self.target = Path(target)
         if self.target.exists() and not replace:
             raise ConfigInvalid(f"output directory {self.target} already exists")
+        #: the target's missing ancestors, deepest first, which abort removes
+        self._made = [path for path in self.target.parents if not path.exists()]
         self.target.parent.mkdir(parents=True, exist_ok=True)
         self._tmp = self.target.parent / f".tmp-{self.target.name}-{uuid.uuid4().hex[:8]}"
         self._tmp.mkdir()
@@ -337,7 +341,12 @@ class RunDirectory:
                 os.unlink(path)
             raise
         finally:
-            self.abort()
+            shutil.rmtree(self._tmp, ignore_errors=True)
 
     def abort(self) -> None:
+        """Remove the temporary directory, then the ancestors made for the
+        target, up to the first that is not empty."""
         shutil.rmtree(self._tmp, ignore_errors=True)
+        with contextlib.suppress(OSError):
+            for path in self._made:
+                path.rmdir()

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from make_acceptance_golden import relative_change
-from stratwave.acceptance import CONFIG_CRITERIA, CRITERIA, run_criterion
+from stratwave.acceptance import CRITERIA, run_criterion
 from stratwave.analysis import EXPERIMENT_SCHEMAS
 from stratwave.runio import validate_config
 
@@ -57,8 +57,8 @@ def test_golden(cid, acceptance_results):
             f"{cid}.{key}: golden {want!r} live {got!r} {relative_change(want, got)}"
 
 
-@pytest.mark.parametrize("cid", list(CONFIG_CRITERIA))
+@pytest.mark.parametrize("cid", CRITERION_IDS)
 def test_criterion_configs_are_experiment_configs(cid):
     # each config is one that `stratwave experiment <kind> --config` accepts
-    for cfg in CONFIG_CRITERIA[cid][1]:
+    for cfg in CRITERIA[cid][1]:
         validate_config(cfg, EXPERIMENT_SCHEMAS[cfg["experiment"]["kind"]])

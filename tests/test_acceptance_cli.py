@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from stratwave import acceptance, analysis
-from stratwave.acceptance import CONFIG_CRITERIA
+from stratwave.acceptance import CRITERIA
 from stratwave.cli import main
 from stratwave.errors import BadParameter
 
@@ -52,10 +52,26 @@ def test_a_criterion_that_raises_is_a_fail_and_the_suite_goes_on(
     assert failed["id"] == cid and not failed["passed"]
     assert failed["error"] == "BadParameter: injected failure"
     assert failed["measured"] == {}
-    assert failed["configs"] == list(CONFIG_CRITERIA.get(cid, ("", ()))[1])
+    assert failed["configs"] == list(CRITERIA[cid][1])
     assert [r["id"] for r in others] == ["CL-GUARD", "K-MOD-EVEN"]
     assert all(r["passed"] and "error" not in r for r in others)
     assert (summary["n_passed"], summary["n_total"]) == (2, 3)
+
+
+def test_a_criterion_config_the_schema_refuses_is_a_fail(tmp_path, capsys, monkeypatch):
+    # run_experiment checks each config, so a bad one no longer ends the suite
+    # with a KeyError from inside the runner
+    expected, (cfg,), verdict = acceptance.CRITERIA["E-GROW"]
+    bad = {key: value for key, value in cfg.items() if key != "model"}
+    monkeypatch.setitem(acceptance.CRITERIA, "E-GROW", (expected, (bad,), verdict))
+    out = tmp_path / "summary.json"
+    assert main(["--out", str(out), "acceptance", "--only", "E-GROW", "K-MOD-EVEN"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[FAIL] E-GROW ")
+    assert "raised ConfigInvalid: $: 'model' is a required property" in lines[0]
+    assert lines[1].startswith("[PASS] K-MOD-EVEN ")
+    failed = json.loads(out.read_text())["results"][0]
+    assert failed["error"] == "ConfigInvalid: $: 'model' is a required property"
 
 
 def test_an_exception_that_is_not_a_stratwave_error_propagates(tmp_path, monkeypatch):

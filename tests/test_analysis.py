@@ -10,7 +10,7 @@ from stratwave import (DispersionSymbol, ExcludedParameters, Field, Grid,
                        dichotomy_experiment, energy_experiment, growth_envelope,
                        growth_experiment, integral, kernel_field, kernel_report,
                        linear_multiplier, lower_bound_check, lower_bound_experiment, preset,
-                       tail_exponent, validate_params, weighted_norm,
+                       run_experiment, tail_exponent, validate_params, weighted_norm,
                        weighted_persistence_experiment, window_mask)
 from stratwave.errors import BadParameter, ConfigInvalid
 from stratwave.spectral import to_spectral
@@ -424,3 +424,18 @@ def test_growth_experiment_includes_datum():
     tight = growth_experiment(sym, params, u0, 0.3, T=0.1, dt=2e-3,
                               snapshot_times=(0.1,), bound=1e-9)
     assert not tight["passed"]
+
+
+@pytest.mark.parametrize("cfg,path,message", [
+    ({}, "$", "'experiment' is a required property"),
+    ({"grid": {"N": 256, "L": 20.0}, "datum": {"kind": "gaussian"},
+      "experiment": {"kind": "energy"}}, "$", "'model' is a required property"),
+    ({"experiment": {"kind": "nope"}}, "$.experiment.kind", "'nope' is not one of"),
+    ([], "$", "[] is not of type 'object'"),
+])
+def test_run_experiment_refuses_a_config_its_schema_refuses(cfg, path, message):
+    # each used to raise KeyError or TypeError from inside the runner
+    with pytest.raises(ConfigInvalid) as exc:
+        run_experiment(cfg)
+    assert exc.value.path == path
+    assert str(exc.value).startswith(f"{path}: {message}")

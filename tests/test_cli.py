@@ -12,7 +12,7 @@ import pytest
 from oracles import csv_reference, energy_csv_reference, kernel_reference
 import stratwave
 from stratwave import Field, Grid, SolverConfig, field_to_csv, preset, solve
-from stratwave.acceptance import CONFIG_CRITERIA, CRITERIA
+from stratwave.acceptance import CRITERIA, run_criterion
 from stratwave.analysis import EXPERIMENT_SCHEMAS
 from stratwave.cli import main
 from stratwave.errors import NonFinite
@@ -325,6 +325,27 @@ def test_simulate_blow_up_exits_1_with_one_non_finite_line(tmp_path, ost_config,
     assert captured.err == "error [NonFinite]: non-finite state at t = 0.05\n"
     assert captured.out == ""
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
+@pytest.mark.parametrize("command", ["kernel", "simulate", "experiment"])
+def test_a_failed_run_leaves_no_parent_directory_it_made(tmp_path, ost_config, capsys,
+                                                        command):
+    # the missing parents of --out used to stay behind, empty
+    datum = write_json(tmp_path / "big.json", {"kind": "gaussian", "sigma0": 1.0,
+                                               "amp": 1000.0})
+    exp = write_json(tmp_path / "exp.json", _small_run("convergence", amp=0.0))
+    new = tmp_path / "new"
+    args = {"kernel": ["--out", str(new / "k.csv"), "kernel", "--config", ost_config,
+                       "--t", "1e6", "--grid", "N=256,L=10"],
+            "simulate": ["--out", str(new / "deeper" / "run"), "simulate", "--config",
+                         ost_config, "--datum", datum, "--T", "0.05", "--dt", "0.01",
+                         "--grid", "N=256,L=20"],
+            "experiment": ["--out", str(new / "run"), "experiment", "convergence",
+                           "--config", exp]}[command]
+    assert main(["--quiet", *args]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error [")
+    assert not new.exists() and not list(tmp_path.glob(".tmp-*"))
 
 
 @pytest.mark.parametrize("extra", [["--snapshots", "0.05,0.1"], ["--mode", "picard"]],
@@ -681,12 +702,12 @@ def test_experiment_kind_mismatch(tmp_path, capsys):
 
 def test_experiment_energy_reproduces_e_grow(tmp_path):
     # the criterion's config, run from a file, gives its measured values bit for bit
-    (cfg,) = CONFIG_CRITERIA["E-GROW"][1]
+    (cfg,) = CRITERIA["E-GROW"][1]
     out = tmp_path / "run"
     assert main(["--quiet", "--out", str(out), "experiment", "energy", "--config",
                  write_json(tmp_path / "e-grow.json", cfg)]) == 0
     report = json.loads((out / "report.json").read_text())
-    measured = CRITERIA["E-GROW"]().measured
+    measured = run_criterion("E-GROW").measured
     assert report["max_envelope_ratio"] == measured["max_ratio"]
     assert report["peak_energy"] == measured["peak_energy"]
 
@@ -698,7 +719,7 @@ GOLDEN = json.loads((Path(__file__).resolve().parent / "acceptance_golden.json")
 def test_experiment_reproduces_the_criterion(tmp_path, cid):
     # the criterion's config, run from a file, gives through its verdict the
     # measured values that make_acceptance_golden.py recorded, bit for bit
-    _, (cfg,), verdict = CONFIG_CRITERIA[cid]
+    _, (cfg,), verdict = CRITERIA[cid]
     kind, out = cfg["experiment"]["kind"], tmp_path / "run"
     assert main(["--quiet", "--out", str(out), "experiment", kind, "--config",
                  write_json(tmp_path / f"{cid}.json", cfg)]) == 0
@@ -852,7 +873,7 @@ def test_acceptance_threads_give_the_serial_summary(tmp_path):
 def test_acceptance_threads_share_the_criterion_configs(tmp_path):
     # E-MONO and E-GROW run at once from the module-level configs, which no
     # runner changes
-    before = copy.deepcopy(CONFIG_CRITERIA)
+    before = copy.deepcopy(CRITERIA)
     summaries = []
     for threads in ("1", "2"):
         out = tmp_path / f"summary{threads}.json"
@@ -861,7 +882,7 @@ def test_acceptance_threads_share_the_criterion_configs(tmp_path):
         summaries.append([{**r, "seconds": None}
                           for r in json.loads(out.read_text())["results"]])
     assert summaries[0] == summaries[1]
-    assert CONFIG_CRITERIA == before
+    assert CRITERIA == before
 
 
 def test_acceptance_threads_print_results_in_criterion_order(tmp_path, capsys):

@@ -342,3 +342,19 @@ def test_generated_schemas_build_what_they_accept_and_refuse_each_slip(data, nam
     assert exc.value.path.startswith(f"$.{name}")
     with pytest.raises(ConfigInvalid):
         _build(name, bad)
+
+
+def test_abort_removes_only_the_empty_parents_it_made(tmp_path):
+    # a failed run used to leave the missing parents of its target behind
+    (tmp_path / "a").mkdir()
+    rundir = runio.RunDirectory(tmp_path / "a" / "b" / "c" / "run")
+    (tmp_path / "a" / "b" / "other.txt").write_text("not the run's")
+    rundir.abort()
+    assert [p.name for p in (tmp_path / "a" / "b").iterdir()] == ["other.txt"]
+
+
+def test_place_keeps_the_parents_it_made(tmp_path):
+    rundir = runio.RunDirectory(tmp_path / "new" / "k.csv", replace=True)
+    rundir.register("k.csv").write_text("x\n")
+    rundir.place({"k.csv": tmp_path / "new" / "k.csv"})
+    assert [p.name for p in (tmp_path / "new").iterdir()] == ["k.csv"]
