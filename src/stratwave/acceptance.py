@@ -231,7 +231,7 @@ CRITERIA = {
     "T5-GROWTH": ("envelope <= 2 C0 = 0.02 on all snapshots", (
         _config("growth", _OST, {"N": 2 ** 16, "L": 400.0},
                 {"dt": 1e-3, "T": 0.5, "snapshots": [0.125, 0.25, 0.375, 0.5]},
-                {"kind": "growth", "gamma": 0.3, "c0": 1e-2}, bound=2e-2),), _t5_growth),
+                {"kind": "growth", "gamma": 0.3, "c0": 1e-2}),), _t5_growth),
     # chen_lee, (m, n) = (2, 1), is outside the dichotomy theorem
     "CL-GUARD": ("raises ExcludedParameters", (_config(
         "dichotomy", {"preset": "chen_lee"}, {"N": 2 ** 14, "L": 400.0},

@@ -55,6 +55,11 @@ from .spectral import (Field, Grid, check_memory, from_half_spectrum, half_spect
 
 MIN_POINTS_PER_DECADE = 30
 
+#: dichotomy_experiment: the nonzero-mean tail exponent must lie within this
+#: of n+1, and the zero-mean one must reach n+1 + this fraction of eps
+DICHOTOMY_EXPONENT_TOL = 0.15
+DICHOTOMY_IMPROVEMENT = 0.7
+
 #: lower_bound_check passes when every outermost-window ratio lies in this band
 LOWER_BOUND_BAND = (0.5, 2.0)
 
@@ -139,13 +144,21 @@ def tail_exponent(f: Field, window: Tuple[float, float]) -> dict:
 
 def weighted_norm(u: Field, p: float, gamma: float) -> float:
     """(sum |u|^p w dx)^{1/p} on the grid, w(x) = (1 + |x|)^-gamma; gamma in
-    (0, 1) for persistence experiments, any gamma > 0 for diagnostics."""
+    (0, 1) for persistence experiments, any gamma > 0 for diagnostics.
+
+    A zero field has norm 0.  BadParameter when the sum is not finite, or
+    is 0 for a nonzero field: |u|^p has left the float64 range."""
     if not gamma > 0:
         raise BadParameter(f"weight exponent gamma must be positive, got {gamma}")
     if not p > 1:
         raise BadParameter(f"p must exceed 1, got {p}")
-    vals = np.abs(u.samples) ** p * (1.0 + np.abs(u.grid.x)) ** (-gamma)
-    return float((np.sum(vals) * u.grid.dx) ** (1.0 / p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.abs(u.samples) ** p * (1.0 + np.abs(u.grid.x)) ** (-gamma)
+        total = np.sum(vals) * u.grid.dx
+    if not np.isfinite(total) or (total == 0 and np.any(u.samples)):
+        raise BadParameter(f"sum |u|^p w dx is {float(total):g} for a nonzero field: "
+                           f"p = {p} takes |u|^p out of the float64 range")
+    return float(total ** (1.0 / p))
 
 
 def growth_envelope(u: Field, gamma: float) -> float:
@@ -172,17 +185,15 @@ def _check_decay_order(sym: DispersionSymbol, params: ModelParams) -> None:
 
 def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams,
                          datum: dict, T: float, grid: Grid,
-                         dt: float = 1e-3, window: Optional[Tuple[float, float]] = None,
-                         exponent_tol: float = 0.15,
-                         improvement_fraction: float = 0.7) -> dict:
+                         dt: float = 1e-3, window: Optional[Tuple[float, float]] = None) -> dict:
     """Twin-run decay dichotomy: an algebraic datum (a datum config) vs its
     zero-mean twin, the same config with kind zero_mean_algebraic.
 
     The datum's gamma must equal n+1+eps with eps in (0, 1]; after the
     ExcludedParameters checks, an invalid datum config raises ConfigInvalid
     and a datum of another kind BadParameter.
-    The nonzero-mean run must show tail exponent ~ n+1; the zero-mean run at
-    least n+1 + improvement_fraction * eps.  Reports both fits per side.
+    The nonzero-mean run must show tail exponent n+1 to DICHOTOMY_EXPONENT_TOL;
+    the zero-mean run at least n+1 + DICHOTOMY_IMPROVEMENT eps.  Reports both fits per side.
     """
     if _excluded_pair(params):
         raise ExcludedParameters(
@@ -207,9 +218,9 @@ def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams,
                 for name, u in (("nonzero_mean", datum_raw), ("zero_mean", datum_zm))}
     exp_raw, exp_zm = (0.5 * (e["left"] + e["right"]) for e in per_side.values())
 
-    target_zm = n + 1 + improvement_fraction * eps
+    target_zm = n + 1 + DICHOTOMY_IMPROVEMENT * eps
     checks = {
-        "nonzero_mean_saturates": abs(exp_raw - (n + 1)) <= exponent_tol,
+        "nonzero_mean_saturates": abs(exp_raw - (n + 1)) <= DICHOTOMY_EXPONENT_TOL,
         "zero_mean_improves": exp_zm >= target_zm,
         "ordering": exp_zm >= exp_raw,
     }
@@ -275,7 +286,8 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
     PERSISTENCE_SLOPE_FLOOR.
     The fitted prefactor sup_t q(t) / ||u0||_w is reported as fitted_C
     (diagnostic).  Raises BadParameter before building the propagator when
-    the run's estimated peak exceeds physical memory.
+    the run's estimated peak exceeds physical memory, and after the run when
+    weighted_norm refused a sample (a run that blows up raises NonFinite).
     """
     if not 0 < gamma < 1:
         raise BadParameter("persistence weight gamma must be in (0, 1)")
@@ -287,13 +299,18 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
     targets = set(np.clip(np.round(steps).astype(int), 1, n_steps).tolist())
 
     prop = _guarded_propagator(u0.grid, sym, params, dt)
-    ts, qs = [], []
+    ts, qs, failure = [], [], None
     with np.errstate(over="ignore", invalid="ignore"):
         for step, uhat in prop.evolve(prop.forward(u0), n_steps):
-            if step in targets:
+            if step in targets and failure is None:
                 tval = step * dt
                 ts.append(tval)
-                qs.append(tval ** alpha * weighted_norm(prop.physical(uhat), p, gamma))
+                try:
+                    qs.append(tval ** alpha * weighted_norm(prop.physical(uhat), p, gamma))
+                except BadParameter as exc:
+                    failure = exc       # raised after the run: a blow-up raises NonFinite
+    if failure is not None:
+        raise failure
     ts = np.array(ts)
     qs = np.array(qs)
     norm0 = weighted_norm(u0, p, gamma)
@@ -347,8 +364,11 @@ def energy_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field,
     traj = solve(sym, params, u0, SolverConfig(dt=dt, T=T))
     e = traj.energy_series
     increase = float(np.max(np.diff(e)))
-    bound = e[0] * np.exp(params.eta * traj.energy_times) * 1.01
-    checks = {"growth_bound": bool(np.all(e <= bound))}
+    # an exp(eta t) past float64 is an infinite bound, and times a zero
+    # datum's energy a NaN one, which no finite energy exceeds
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = e[0] * np.exp(params.eta * traj.energy_times) * 1.01
+    checks = {"growth_bound": not np.any(e > bound)}
     if params.n % 2 == 0 or params.n % 4 == 3:
         checks["monotone"] = increase <= 1e-10
     # a zero datum has a zero envelope: its ratio is 0, not 0/0
@@ -440,10 +460,8 @@ def _inputs(cfg: dict, build_datum: bool = True) -> tuple:
 
 def _dichotomy(cfg: dict) -> tuple:
     sym, params, grid, _, solver, exp = _inputs(cfg, build_datum=False)
-    return dichotomy_experiment(
-        sym, params, cfg["datum"], solver["T"], grid, solver["dt"],
-        window=exp.get("window"),
-        **{key: exp[key] for key in ("exponent_tol", "improvement_fraction") if key in exp}), {}
+    return dichotomy_experiment(sym, params, cfg["datum"], solver["T"], grid, solver["dt"],
+                                window=exp.get("window")), {}
 
 
 def _weighted(cfg: dict) -> tuple:
@@ -454,11 +472,10 @@ def _weighted(cfg: dict) -> tuple:
 
 
 def _growth(cfg: dict) -> tuple:
-    sym, params, _, u0, solver, exp = _inputs(cfg)
+    sym, params, _, u0, solver, _ = _inputs(cfg)
     datum, T = datum_parameters(cfg["datum"]), solver["T"]
     return growth_experiment(sym, params, u0, datum["gamma"], T, solver["dt"],
-                             solver.get("snapshots", [T]),
-                             exp.get("bound", 2.0 * datum["c0"])), {}
+                             solver.get("snapshots", [T]), 2.0 * datum["c0"]), {}
 
 
 def _lowerbound(cfg: dict) -> tuple:
@@ -547,12 +564,11 @@ def _trajectory(cfg: dict) -> tuple:
 #: experiment kind -> (its runner, the runio.experiment_schema arguments
 #: that say what its config holds and what the runner reads of it)
 EXPERIMENTS = {
-    "dichotomy": (_dichotomy, {"parameters": ("window", "exponent_tol",
-                                              "improvement_fraction")}),
+    "dichotomy": (_dichotomy, {"parameters": ("window",)}),
     "weighted": (_weighted, {"parameters": ("p", "gamma")}),
     "growth": (_growth, {
         "needs": {"properties": {"datum": {"properties": {"kind": {"const": "growth"}}}}},
-        "solver_reads": ("snapshots",), "parameters": ("bound",)}),
+        "solver_reads": ("snapshots",)}),
     "lowerbound": (_lowerbound, {"solver_reads": ("linear_only",),
                                  "parameters": ("windows",)}),
     "energy": (_energy, {}),

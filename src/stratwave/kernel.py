@@ -31,12 +31,14 @@ in the angular convention used throughout the package.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
 
 from .errors import BadParameter, UnderResolved
-from .model import MULTIPLIER_BLOCK, DispersionSymbol, ModelParams, half_spectrum_multiplier
+from .model import (MULTIPLIER_BLOCK, DispersionSymbol, ModelParams, check_exp_overflow,
+                    half_spectrum_multiplier)
 from .spectral import Field, Grid, check_memory, from_half_spectrum
 
 #: required ratio between Nyquist frequency and the spectral decay scale
@@ -46,9 +48,6 @@ NYQUIST_FACTOR = 8.0
 #: kernel_derivative_field: 2.1 x 8N rounded up, the bound tests/test_memory.py
 #: enforces (measured 2.00 x 8N for N = 2^16-2^19)
 KERNEL_PEAK_BYTES_PER_POINT = 17
-
-#: log of the largest float64: exp overflows above it
-_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 
 def _check_resolution(t: float, grid: Grid, params: ModelParams):
@@ -81,11 +80,7 @@ def half_kernel_hat(t: float, grid: Grid, sym: DispersionSymbol,
                  f"{KERNEL_PEAK_BYTES_PER_POINT} bytes per grid point)")
     khat = half_spectrum_multiplier(grid, sym, params)
     khat *= t
-    growth = float(np.max(khat.real))
-    if growth > _LOG_FLOAT_MAX:
-        raise BadParameter(
-            f"t = {t} overflows the kernel: max Re L(xi) t = {growth:.6g}, "
-            f"above log(float64 max) = {_LOG_FLOAT_MAX:.6g}")
+    check_exp_overflow(khat, f"t = {t} overflows the kernel: max Re L(xi) t")
     return np.exp(khat, out=khat)
 
 
@@ -110,14 +105,23 @@ def kernel_derivative_field(t: float, grid: Grid, sym: DispersionSymbol,
 
 
 def leading_jump(params: ModelParams) -> complex:
-    """First nonvanishing boundary-jump constant J of the tail series."""
+    """First nonvanishing boundary-jump constant J of the tail series;
+    BadParameter when J is beyond the float64 range (n! or eta too large)."""
     n, m, eta = params.n, params.m, params.eta
-    if n == 1:
-        return complex(2.0 * eta)
-    if n == 2:
-        return -4j * eta
-    c_m = 6.0 if (n == 3 and m == 3) else 0.0
-    return 2.0 * eta * (1j ** (n + 1) * math.factorial(n) + c_m)
+    try:
+        if n == 1:
+            jump = complex(2.0 * eta)
+        elif n == 2:
+            jump = -4j * eta
+        else:
+            c_m = 6.0 if (n == 3 and m == 3) else 0.0
+            jump = 2.0 * eta * (1j ** (n + 1) * math.factorial(n) + c_m)
+    except OverflowError:       # n! is past the float range
+        jump = complex(math.inf)
+    if not cmath.isfinite(jump):
+        raise BadParameter(f"the tail constant J of m = {m}, n = {n}, eta = {eta} "
+                           f"is beyond the float64 range")
+    return jump
 
 
 def asymptotic_coefficient(t: float, params: ModelParams) -> float:

@@ -31,6 +31,7 @@ Key structural facts, all unit-tested:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -182,6 +183,18 @@ def linear_multiplier(xi, sym: DispersionSymbol, params: ModelParams):
 #: temporaries stay a few MB whatever the grid size
 MULTIPLIER_BLOCK = 4096
 
+#: log of the largest float64: exp overflows above it
+_LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+
+
+def check_exp_overflow(z: np.ndarray, what: str) -> None:
+    """Raise BadParameter "<what> = <max Re z>, above log(float64 max) ..."
+    when exp(z) would overflow float64, before it is taken."""
+    growth = float(np.max(z.real))
+    if growth > _LOG_FLOAT_MAX:
+        raise BadParameter(f"{what} = {growth:.6g}, above log(float64 max) = "
+                           f"{_LOG_FLOAT_MAX:.6g}")
+
 
 def half_spectrum_multiplier(grid, sym: DispersionSymbol,
                              params: ModelParams) -> np.ndarray:
@@ -190,8 +203,9 @@ def half_spectrum_multiplier(grid, sym: DispersionSymbol,
     A real field stays real under exp(L t) only when L is Hermitian,
     L(-xi) = conj L(xi), i.e. when p is even; every built-in symbol is.
     Raises BadParameter when L(-xi_j) differs from conj L(xi_j) by more than
-    1e-12 max |L| on the grid.  L and L(-xi) are evaluated in blocks of
-    MULTIPLIER_BLOCK points into the one result array.
+    1e-12 max |L| on the grid, and when some L(xi_j) is not finite (eta or
+    the grid's xi too large for float64).  L and L(-xi) are evaluated in
+    blocks of MULTIPLIER_BLOCK points into the one result array.
     """
     size = grid.N // 2 + 1
     L = np.empty(size, dtype=np.complex128)
@@ -199,8 +213,13 @@ def half_spectrum_multiplier(grid, sym: DispersionSymbol,
     for start in range(0, size, MULTIPLIER_BLOCK):
         xi = grid.dxi * np.arange(start, min(start + MULTIPLIER_BLOCK, size))
         block = L[start:start + xi.size]
-        block[:] = linear_multiplier(xi, sym, params)
-        L_neg = linear_multiplier(-xi, sym, params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            block[:] = linear_multiplier(xi, sym, params)
+            L_neg = linear_multiplier(-xi, sym, params)
+        if not np.isfinite(block).all():
+            raise BadParameter(
+                f"the linear symbol L(xi) is not finite on {grid!r} for eta = "
+                f"{params.eta}: it overflows float64")
         gap = max(gap, float(np.max(np.abs(L_neg - np.conj(block)))))
         scale = max(scale, float(np.max(np.abs(block))))
     if gap > 1e-12 * scale:

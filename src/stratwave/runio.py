@@ -103,8 +103,6 @@ _PARAMETERS = {"window": _PAIR,
                "windows": {"type": "array", "items": _PAIR, "minItems": 1},
                "p": {"type": "number", "exclusiveMinimum": 1},
                "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-               "bound": _POSITIVE, "exponent_tol": _POSITIVE,
-               "improvement_fraction": {**_POSITIVE, "maximum": 1},
                "t": _POSITIVE}
 
 

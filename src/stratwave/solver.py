@@ -37,7 +37,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import BadParameter, ConfigInvalid, GridMismatch, NoContraction, NonFinite
-from .model import DispersionSymbol, ModelParams, half_spectrum_multiplier
+from .model import DispersionSymbol, ModelParams, check_exp_overflow, half_spectrum_multiplier
 from .spectral import Field, Grid, check_memory, dealias_keep
 
 # ---------------------------------------------------------------------------
@@ -92,22 +92,27 @@ def datum_from_config(cfg: dict, grid: Grid) -> Field:
     """The initial datum that a datum config describes, sampled on the grid
     (see DATUM_KEYS); every refusal raises ConfigInvalid, from
     datum_parameters or, for a config whose samples are not all finite
-    (a gaussian sigma0 whose square underflows, a c that overflows), here."""
+    (a gaussian sigma0 whose square underflows or overflows, a c that
+    overflows), here."""
     p = datum_parameters(cfg)
     kind, x = p["kind"], grid.x
-    with np.errstate(all="ignore"):
-        if kind == "algebraic":
-            samples = p["c"] * (1.0 + x ** 2) ** (-p["gamma"] / 2.0)
-        elif kind == "zero_mean_algebraic":
-            samples = p["c"] * x * (1.0 + x ** 2) ** (-(p["gamma"] + 1.0) / 2.0)
-            samples = samples - np.sum(samples) / grid.N
-        elif kind == "gaussian":
-            samples = p["amp"] * np.exp(-x ** 2 / (2.0 * p["sigma0"] ** 2))
-        else:
-            switch = _smoothstep(x + 1.0)
-            taper = 1.0 - _smoothstep((x - 0.8 * grid.L) / (0.15 * grid.L))
-            samples = p["c0"] * (1.0 + np.maximum(x, 0.0)) ** p["gamma"] * switch * taper
-    if not np.all(np.isfinite(samples)):
+    try:
+        with np.errstate(all="ignore"):
+            if kind == "algebraic":
+                samples = p["c"] * (1.0 + x ** 2) ** (-p["gamma"] / 2.0)
+            elif kind == "zero_mean_algebraic":
+                samples = p["c"] * x * (1.0 + x ** 2) ** (-(p["gamma"] + 1.0) / 2.0)
+                samples = samples - np.sum(samples) / grid.N
+            elif kind == "gaussian":
+                samples = p["amp"] * np.exp(-x ** 2 / (2.0 * p["sigma0"] ** 2))
+            else:
+                switch = _smoothstep(x + 1.0)
+                taper = 1.0 - _smoothstep((x - 0.8 * grid.L) / (0.15 * grid.L))
+                samples = p["c0"] * (1.0 + np.maximum(x, 0.0)) ** p["gamma"] * switch * taper
+        finite = np.all(np.isfinite(samples))
+    except OverflowError:       # a Python float out of range, such as sigma0 ** 2
+        finite = False
+    if not finite:
         raise ConfigInvalid(f"the datum {cfg} has non-finite samples on the grid "
                             f"N={grid.N}, L={grid.L}", path="$")
     return Field(grid=grid, samples=samples)
@@ -150,7 +155,8 @@ class EtdPropagator:
     stepped; ``physical`` restores it through the zero-padding of
     ``irfft(uhat, n=N)``.  A real solution needs a Hermitian linear symbol,
     L(-xi) = conj L(xi), i.e. an even dispersion symbol p; every built-in
-    symbol is even, and an odd custom one raises BadParameter.  Energy and
+    symbol is even, and an odd custom one raises BadParameter, as does a dt
+    whose exp(L dt) would overflow float64, before any step.  Energy and
     dissipation rate come from exact discrete Parseval on the half-spectrum,
     so recording them costs no transform.
     """
@@ -173,6 +179,7 @@ class EtdPropagator:
         self.rate_weight = L.real * self.weight
         self.kept = _kept_modes(grid.N, self.k)
         z = L[:self.kept] * dt
+        check_exp_overflow(z, f"dt = {dt} overflows the propagator: max Re L(xi) dt")
         self.exp_full = np.exp(z)
         self.coeff1 = dt * _phi(z, 1)
         self.coeff2 = dt * _phi(z, 2)

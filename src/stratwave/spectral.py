@@ -24,7 +24,6 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -288,8 +287,9 @@ def _count_rows(path, fh) -> int:
     return sum(len(lines) - lines.count("\n") for lines in _line_blocks(fh))
 
 
-def field_from_csv(path, grid: Optional[Grid] = None) -> Field:
-    """Read a field written by field_to_csv; the grid is inferred from x.
+def field_from_csv(path) -> Field:
+    """Read a field written by field_to_csv; the grid is inferred from x:
+    N from the row count, L from the first x.
 
     The file is a header line, then one 'x,re,im' row per grid point; blank
     lines are skipped, and a '#' is not a comment.  The re column's bits
@@ -305,21 +305,21 @@ def field_from_csv(path, grid: Optional[Grid] = None) -> Field:
     samples, the grid's x and one block are held.  Every row is parsed
     before any error but a parse error is raised, so the errors come in the
     order of a whole-table read: a bad value or ragged row, the column
-    count, the grid, the row count, then the x column.
+    count, the grid, then the x column.
     """
     try:
         with open(path) as fh:
-            return _read_field_csv(fh, path, grid)
+            return _read_field_csv(fh, path)
     except ValueError as exc:    # a bad value or byte, or a ragged row
         raise BadParameter(f"{path}: not a numeric (x, re, im) CSV: {exc}") from exc
 
 
-def _read_field_csv(fh, path, grid: Optional[Grid]) -> Field:
+def _read_field_csv(fh, path) -> Field:
     fh.readline()                                        # the header
     body = fh.tell()
     rows = _count_rows(path, fh)
     fh.seek(body)
-    width = problem = samples = im = None
+    width = problem = samples = im = grid = None
     start, line = 0, 2                         # the first row and line of a block
     for lines in _line_blocks(fh):
         if lines[0] == "\n" and lines.count("\n") == len(lines):
@@ -333,12 +333,8 @@ def _read_field_csv(fh, path, grid: Optional[Grid]) -> Field:
             width = block.shape[1]
             if width == 3 and rows > 1:
                 try:
-                    if grid is None:
-                        grid = Grid(rows, -block[0, 0])
-                    if grid.N != rows:
-                        raise GridMismatch(f"{path}: CSV has {rows} rows, "
-                                           f"{grid!r} has {grid.N}")
-                except (BadParameter, GridMismatch) as exc:
+                    grid = Grid(rows, -block[0, 0])
+                except BadParameter as exc:
                     problem = exc
                 else:
                     samples = np.empty(rows)

@@ -259,7 +259,7 @@ def csv_reference(f, path) -> None:
             fh.write(f"{xv:.17g},{sv.real:.17g},{sv.imag:.17g}\n")
 
 
-def csv_read_reference(path, grid=None):
+def csv_read_reference(path):
     """The whole-table CSV reader: one np.loadtxt of the N x 3 table.
 
     Kept verbatim as the reference for the block reader field_from_csv,
@@ -277,10 +277,7 @@ def csv_read_reference(path, grid=None):
     if data.ndim != 2 or data.shape[1] != 3:
         raise BadParameter(f"{path}: expected 3 columns (x, re, im)")
     x = data[:, 0]
-    if grid is None:
-        grid = Grid(len(x), -x[0])
-    if grid.N != len(x):
-        raise GridMismatch(f"{path}: CSV has {len(x)} rows, {grid!r} has {grid.N}")
+    grid = Grid(len(x), -x[0])
     gap = x - grid.x            # one buffer, freed before samples is allocated
     np.abs(gap, out=gap)
     if not np.all(gap <= 1e-12 * grid.L):

@@ -185,8 +185,9 @@ _GAUSS_DATUM = '{"kind": "gaussian", "sigma0": 1.0, "amp": %s}'
                                          ("amp", "-Infinity"), ("amp", "1e999")])
 def test_non_finite_json_number_is_a_config_error(tmp_path, ost_config, capsys,
                                                   field, value):
-    # Python's json reads NaN, Infinity and 1e999: a NaN growth bound used to
-    # fail the science check (exit 2), an infinite amplitude the solver
+    # Python's json reads NaN, Infinity and 1e999: a NaN growth bound (a field
+    # since removed) used to fail the science check (exit 2), an infinite
+    # amplitude the solver; the file is refused before any schema is read
     bad = tmp_path / "bad.json"
     if field == "bound":
         bad.write_text(_GROWTH_EXP % value)
@@ -224,6 +225,49 @@ def test_integer_beyond_float_range_is_a_config_error(tmp_path, ost_config, caps
     assert capsys.readouterr().err == (f"config error: {bad}: not valid JSON "
                                        f"({huge} is too large for a float)\n")
     assert not out.exists()
+
+
+_OST_SMALL = {"model": {"preset": "ost"}, "grid": {"N": 256, "L": 20},
+              "solver": {"dt": 0.01, "T": 0.05}, "datum": {"kind": "gaussian"}}
+
+
+@pytest.mark.parametrize("kind,cfg,error", [
+    # sigma0 ** 2 past the float range: an OverflowError traceback
+    ("energy", {**_OST_SMALL, "datum": {"kind": "gaussian", "sigma0": 1e200}},
+     "config error: the datum {'kind': 'gaussian', 'sigma0': 1e+200} has non-finite"),
+    # 171! converted to a float in the tail constant J: an OverflowError traceback
+    ("kernel", {"model": {"symbol": {"kind": "kdv"}, "m": 3, "n": 171, "k": 1, "eta": 1},
+                "grid": {"N": 256, "L": 20}, "experiment": {"kind": "kernel", "t": 1,
+                                                          "window": [1, 9]}},
+     "error [BadParameter]: the tail constant J of m = 3, n = 171"),
+    # exp(L dt) past float64: five RuntimeWarnings, then error [NonFinite]
+    ("energy", {**_OST_SMALL, "model": {"preset": "ost", "eta": 1e12},
+                "solver": {"dt": 0.1, "T": 0.1}},
+     "error [BadParameter]: dt = 0.1 overflows the propagator: max Re L(xi) dt = 3.8"),
+    # L itself past float64: RuntimeWarnings from dissipation_symbol first
+    ("energy", {**_OST_SMALL, "model": {"preset": "ost", "eta": 1e200},
+                "grid": {"N": 256, "L": 1e-40}},
+     "error [BadParameter]: the linear symbol L(xi) is not finite"),
+    # |u|^p underflows to 0 after one step: an all-zero series that passed
+    ("weighted", {**_OST_SMALL, "experiment": {"kind": "weighted", "p": 1e308}},
+     "error [BadParameter]: sum |u|^p w dx is 0 for a nonzero field"),
+    # |u|^p overflows: Infinity and NaN in a report.json that load_json refuses
+    ("weighted", {**_OST_SMALL, "solver": {"dt": 1e-5, "T": 1e-4},
+                  "datum": {"kind": "gaussian", "amp": 1000},
+                  "experiment": {"kind": "weighted", "p": 1000}},
+     "error [BadParameter]: sum |u|^p w dx is inf for a nonzero field"),
+], ids=["datum", "tail-constant", "propagator", "symbol", "norm-underflow",
+        "norm-overflow"])
+def test_float_range_is_one_typed_line(tmp_path, capsys, kind, cfg, error):
+    # no traceback and no RuntimeWarning (an error under this suite's
+    # filterwarnings), one line and no run directory
+    out = tmp_path / "run"
+    rc = main(["--quiet", "--out", str(out), "experiment", kind, "--config",
+               write_json(tmp_path / "exp.json", {"experiment": {"kind": kind}, **cfg})])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(error) and err.count("\n") == 1
+    assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
@@ -611,16 +655,17 @@ def test_experiment_growth(tmp_path):
 
 
 def test_experiment_failure_exit_code(tmp_path):
-    # impossible envelope bound: report exists, passed=false, exit code 2
+    # a lower-bound window in the datum's core, far from the tail's
+    # asymptotics (ratio about 10): report exists, passed=false, exit code 2
     cfg = write_json(tmp_path / "exp.json", {
         "model": {"preset": "ost"},
-        "grid": {"N": 4096, "L": 100},
-        "solver": {"dt": 0.002, "T": 0.1},
-        "datum": {"kind": "growth", "gamma": 0.3, "c0": 0.01},
-        "experiment": {"kind": "growth", "bound": 1e-9},
+        "grid": {"N": 1024, "L": 50},
+        "solver": {"dt": 0.01, "T": 0.1},
+        "datum": {"kind": "gaussian", "sigma0": 1.0},
+        "experiment": {"kind": "lowerbound", "windows": [[1, 2]]},
     })
     out = tmp_path / "failrun"
-    rc = main(["--quiet", "--out", str(out), "experiment", "growth",
+    rc = main(["--quiet", "--out", str(out), "experiment", "lowerbound",
                "--config", cfg])
     assert rc == 2
     report = json.loads((out / "report.json").read_text())
@@ -1028,7 +1073,7 @@ def test_experiment_dichotomy_passes_only_configured_parameters(tmp_path,
 
     monkeypatch.setattr(analysis_module, "dichotomy_experiment", record)
     datum = {"kind": "algebraic", "gamma": 2.5}
-    for extra in ({}, {"exponent_tol": 0.2}):
+    for extra in ({}, {"window": [5, 20]}):
         cfg = write_json(tmp_path / "exp.json", {
             "model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
             "solver": {"dt": 0.01, "T": 0.1}, "datum": datum,
@@ -1036,8 +1081,7 @@ def test_experiment_dichotomy_passes_only_configured_parameters(tmp_path,
         out = tmp_path / f"run{len(seen)}"
         assert main(["--quiet", "--out", str(out), "experiment", "dichotomy",
                      "--config", cfg]) == 0
-    assert seen == [(datum, {"window": None}),
-                    (datum, {"window": None, "exponent_tol": 0.2})]
+    assert seen == [(datum, {"window": None}), (datum, {"window": [5.0, 20.0]})]
 
 
 @pytest.mark.parametrize("argv", [
@@ -1094,15 +1138,8 @@ _ALGEBRAIC = {"kind": "algebraic", "gamma": 2.5}
     ("lowerbound", {"windows": []}, {"kind": "gaussian", "sigma0": 1.0}),
     ("lowerbound", {"windows": [[1, "2"]]}, {"kind": "gaussian", "sigma0": 1.0}),
     ("weighted", {"p": "2"}, {"kind": "gaussian", "sigma0": 1.0}),
-    ("growth", {"bound": [1.0]}, {"kind": "growth", "gamma": 0.3}),
-    ("dichotomy", {"exponent_tol": None}, _ALGEBRAIC),
-    # out of range: each of these used to run, to exit 2 (exponent_tol,
-    # bound), to pass vacuously with target_zero_mean -3.0 (improvement_fraction
-    # -5), or to exit 1 with error [BadParameter] from the runner (p, gamma)
-    ("dichotomy", {"exponent_tol": -1}, _ALGEBRAIC),
-    ("dichotomy", {"improvement_fraction": -5}, _ALGEBRAIC),
-    ("dichotomy", {"improvement_fraction": 1.5}, _ALGEBRAIC),
-    ("growth", {"bound": -1}, {"kind": "growth", "gamma": 0.3}),
+    # out of range: each of these used to exit 1 with error [BadParameter]
+    # from the runner
     ("weighted", {"p": 1}, {"kind": "gaussian", "sigma0": 1.0}),
     ("weighted", {"gamma": 1}, {"kind": "gaussian", "sigma0": 1.0}),
 ])
@@ -1120,10 +1157,10 @@ def test_experiment_parameters_typed(tmp_path, capsys, kind, experiment, datum):
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 
 
-@pytest.mark.parametrize("experiment", [{}, {"bound": 1.0}])
+@pytest.mark.parametrize("experiment", [{}])
 def test_experiment_growth_needs_a_growth_datum(tmp_path, capsys, experiment):
-    # an algebraic datum used to end in a KeyError traceback for c0, even
-    # with a bound, which the default 2 c0 was evaluated beside
+    # an algebraic datum used to end in a KeyError traceback for c0, which
+    # the bound 2 c0 reads
     cfg = {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
            "solver": {"dt": 0.01, "T": 0.1}, "datum": {"kind": "algebraic", "gamma": 0.3},
            "experiment": {"kind": "growth", **experiment}}
@@ -1180,12 +1217,13 @@ def test_experiment_solver_fields_per_kind(tmp_path, capsys, kind, field):
 
 
 #: experiment kind -> the experiment parameters its runner reads
-_READS = {"dichotomy": {"window", "exponent_tol", "improvement_fraction"},
-          "weighted": {"p", "gamma"}, "growth": {"bound"}, "lowerbound": {"windows"},
+_READS = {"dichotomy": {"window"},
+          "weighted": {"p", "gamma"}, "growth": set(), "lowerbound": {"windows"},
           "energy": set(), "decay": {"window"}, "kernel": {"t", "window"},
           "kernel_derivative": {"t", "window"},
           "convergence": set(), "crosscheck": set(), "trajectory": set()}
-#: gamma_datum and amplitude, which the datum block replaced, no kind reads
+#: no kind reads gamma_datum and amplitude, which the datum block replaced,
+#: nor exponent_tol, improvement_fraction and bound, which became constants
 _PARAMETER_VALUES = {"gamma_datum": 2.5, "window": [5, 20], "amplitude": 1.0,
                      "exponent_tol": 0.1, "improvement_fraction": 0.5, "p": 2.0,
                      "gamma": 0.5, "bound": 0.02, "windows": [[5, 10]], "t": 1.0}

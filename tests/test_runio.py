@@ -45,13 +45,12 @@ SEEDS = {
                 "linear_only": True}],
     "experiment-dichotomy": [{**_COMMON, "datum": {"kind": "algebraic", "gamma": 3.0,
                                                     "c": 0.5}, "experiment": {
-        "kind": "dichotomy", "window": [5, 20], "exponent_tol": 0.1,
-        "improvement_fraction": 0.5}}],
+        "kind": "dichotomy", "window": [5, 20]}}],
     "experiment-weighted": [{**_COMMON, "experiment": {"kind": "weighted", "p": 2,
                                                         "gamma": 0.5}}],
     "experiment-growth": [{**_COMMON, "solver": {"dt": 0.01, "T": 0.1,
                                                   "snapshots": [0.1]},
-                           "experiment": {"kind": "growth", "bound": 0.02}}],
+                           "experiment": {"kind": "growth"}}],
     "experiment-lowerbound": [{**_COMMON, "solver": {"dt": 0.01, "T": 0.1,
                                                       "linear_only": False},
                                "experiment": {"kind": "lowerbound",
