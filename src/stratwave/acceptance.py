@@ -16,9 +16,8 @@ writes each result's line.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -257,8 +256,3 @@ def run_criterion(cid: str) -> CriterionResult:
     return CriterionResult(cid, passed, expected, measured,
                            time.perf_counter() - start, list(configs), error)
 
-
-def run_acceptance(ids: Iterable[str], threads: int) -> Iterator[CriterionResult]:
-    """Yield the result of each criterion in ids, in order; threads > 1 uses a pool."""
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from (pool.map if threads > 1 else map)(run_criterion, ids)

@@ -238,13 +238,21 @@ def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams,
     }
 
 
+def _check_power(values: np.ndarray, what: str, n: int, window) -> None:
+    """BadParameter when a value built from |x|^{n+1} on window is not finite."""
+    if not np.isfinite(values).all():
+        raise BadParameter(f"{what} is beyond the float64 range for n = {n} on the "
+                           f"window {list(window)}")
+
+
 def lower_bound_check(u: Field, t: float, params: ModelParams, u0_mean: float,
                       windows: Optional[Sequence[Tuple[float, float]]] = None) -> dict:
     """Optimal-decay lower bound: r(x) = |x|^{n+1} |u| / (A(t) |int u0|).
 
     Passes when r stays inside LOWER_BOUND_BAND across the outermost
     window.  The ratio_series carries the median r per nested window
-    (outward windows approach 1 under linear-only evolution).
+    (outward windows approach 1 under linear-only evolution).  An r past
+    float64 (|x|^{n+1} for large n) raises BadParameter.
     """
     if u0_mean == 0:
         raise ZeroMean("lower bound requires a datum with nonzero integral")
@@ -261,7 +269,9 @@ def lower_bound_check(u: Field, t: float, params: ModelParams, u0_mean: float,
         if not msk.any():
             raise BadParameter(f"window {list(window)} holds no sample of the grid "
                                f"(dx = {grid.dx:g})")
-        r = np.abs(grid.x[msk]) ** (params.n + 1) * np.abs(u.samples[msk]) / (A * abs(u0_mean))
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.abs(grid.x[msk]) ** (params.n + 1) * np.abs(u.samples[msk]) / (A * abs(u0_mean))
+        _check_power(r, "|x|^{n+1} |u| / (A |int u0|)", params.n, window)
         ratio_series.append(float(np.median(r)))
     # r now holds the outermost window's ratios
     lo, hi = LOWER_BOUND_BAND
@@ -403,7 +413,9 @@ def kernel_report(kernel: Field, t: float, sym: DispersionSymbol, params: ModelP
     fitted_C is t^alpha sup |K| (1 + |x|^{n+1}), both over the window;
     theory_applies is False when p is not C^{n-1} at 0.  A kernel whose
     mass is not 1 to KERNEL_MASS_TOL (its core has outgrown the box, or t
-    is too large for float64) raises BadParameter before any fit.
+    is too large for float64) raises BadParameter before any fit, and so
+    does a fitted_C or max_rel_dev past float64 (|x|^{n+1} for large n)
+    after it.
     """
     grid = kernel.grid
     if window is None:
@@ -422,15 +434,19 @@ def kernel_report(kernel: Field, t: float, sym: DispersionSymbol, params: ModelP
     fits = tail_exponent(kernel, window)
     A = asymptotic_coefficient(t, params)
     msk = window_mask(grid, window, "both")
-    x_power = np.abs(grid.x[msk]) ** (params.n + 1)
     modulus = np.abs(kernel.samples[msk])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_power = np.abs(grid.x[msk]) ** (params.n + 1)
+        fitted_c = float(np.max(modulus * (1.0 + x_power)) * t ** params.alpha)
+        max_rel_dev = float(np.max(np.abs(x_power * modulus - A)) / A)
+    _check_power(np.array([fitted_c, max_rel_dev]), "|x|^{n+1} |K|", params.n, window)
     return {
         "mass": mass,
         "tail_slope_left": fits["left"]["slope"],
         "tail_slope_right": fits["right"]["slope"],
-        "fitted_C": float(np.max(modulus * (1.0 + x_power)) * t ** params.alpha),
+        "fitted_C": fitted_c,
         "A_predicted": A,
-        "max_rel_dev": float(np.max(np.abs(x_power * modulus - A)) / A),
+        "max_rel_dev": max_rel_dev,
         "window": list(window),
         "wrap_contamination": wrap_contamination(grid, window[1], params.n + 1),
         "theory_applies": sym.supports_decay_order(params.n),

@@ -157,7 +157,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_acceptance(args) -> int:
     # imported here, so that the other commands do not load the criteria
-    from .acceptance import CRITERIA, run_acceptance
+    from .acceptance import CRITERIA, run_criterion
 
     ids, source = list(CRITERIA), None
     if args.suite:
@@ -178,7 +178,7 @@ def cmd_acceptance(args) -> int:
                             f"{', '.join(repeated)}", path=source)
     skipped = [cid for cid in ids if cid not in CRITERIA]
     results = []
-    for result in run_acceptance([cid for cid in ids if cid in CRITERIA], args.threads):
+    for result in map(run_criterion, [cid for cid in ids if cid in CRITERIA]):
         if not args.quiet:
             print(result.line(), flush=True)
         results.append(result)
@@ -214,13 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="stratwave", description="spectral dispersive-dissipative lab")
     ap.add_argument("--version", action="version", version=__version__)
     ap.add_argument("--out", default=None, help="output file or directory")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--quiet", action="store_true")
     # global flags are also accepted after the subcommand; SUPPRESS keeps the
     # main-parser value when the subcommand does not repeat them
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -264,6 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     which = p.add_mutually_exclusive_group()
     which.add_argument("--suite", default=None, help="JSON list of criterion ids")
     which.add_argument("--only", nargs="*", default=None)
+    # criteria run one at a time; kept only for bench/workloads.py's `--threads 1`
+    p.add_argument("--threads", type=int, choices=(1,), default=1)
     p.set_defaults(func=cmd_acceptance)
     return ap
 
@@ -271,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.threads < 1:
-        ap.error(f"argument --threads: expected at least 1, got {args.threads}")
     try:
         return args.func(args)
     except ConfigInvalid as exc:

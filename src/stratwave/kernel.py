@@ -5,7 +5,7 @@ The semigroup kernel is defined through its transform
     Khat(t, xi) = exp(L(xi) t),    L(xi) = -i p(xi) xi + phi_{m,n}(xi),
 
 and realized on a grid by sampling Khat at the xi_j >= 0 nodes and inverse
-transforming with irfft (K is real: L is Hermitian for even p), so the
+transforming with irfft (K is real: L is Hermitian, p being even), so the
 computed field is the 2L-periodization of the continuum kernel; truncation
 beyond Nyquist is controlled by the exp(-eta|xi|^m t) spectral decay
 (UnderResolved guards the resolution precondition).  half_kernel_hat is the
@@ -37,8 +37,8 @@ import math
 import numpy as np
 
 from .errors import BadParameter, UnderResolved
-from .model import (MULTIPLIER_BLOCK, DispersionSymbol, ModelParams, check_exp_overflow,
-                    half_spectrum_multiplier)
+from .model import (I_POWERS, MULTIPLIER_BLOCK, DispersionSymbol, ModelParams,
+                    check_exp_overflow, half_spectrum_multiplier)
 from .spectral import Field, Grid, check_memory, from_half_spectrum
 
 #: required ratio between Nyquist frequency and the spectral decay scale
@@ -67,7 +67,7 @@ def half_kernel_hat(t: float, grid: Grid, sym: DispersionSymbol,
                     params: ModelParams) -> np.ndarray:
     """Khat(t, xi_j) = exp(L(xi_j) t) for j = 0..N/2: the one place that
     builds Khat(t).  BadParameter when t is not finite, when L is not
-    Hermitian, or when exp(Re L(xi_j) t) would overflow float64 (checked
+    finite, or when exp(Re L(xi_j) t) would overflow float64 (checked
     before the exponential), and UnderResolved when t <= 0 or the grid does
     not resolve the decay scale (eta t)^(-1/m).
 
@@ -88,8 +88,7 @@ def kernel_field(t: float, grid: Grid, sym: DispersionSymbol,
                  params: ModelParams) -> Field:
     """K(t, .) on the grid (periodized continuum kernel).
 
-    Built by irfft of the half-spectrum, so it is a float64 field; an odd
-    custom p (complex kernel) raises BadParameter.
+    Built by irfft of the half-spectrum, so it is a float64 field.
     """
     return from_half_spectrum(grid, half_kernel_hat(t, grid, sym, params))
 
@@ -115,7 +114,7 @@ def leading_jump(params: ModelParams) -> complex:
             jump = -4j * eta
         else:
             c_m = 6.0 if (n == 3 and m == 3) else 0.0
-            jump = 2.0 * eta * (1j ** (n + 1) * math.factorial(n) + c_m)
+            jump = 2.0 * eta * (I_POWERS[(n + 1) % 4] * math.factorial(n) + c_m)
     except OverflowError:       # n! is past the float range
         jump = complex(math.inf)
     if not cmath.isfinite(jump):

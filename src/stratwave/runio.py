@@ -195,9 +195,6 @@ def _errors(x, schema: dict, path: str):
         elif key == "exclusiveMinimum":
             if num and x <= v:
                 yield path, f"{x!r} is less than or equal to the minimum of {v!r}"
-        elif key == "maximum":
-            if num and x > v:
-                yield path, f"{x!r} is greater than the maximum of {v!r}"
         elif key == "exclusiveMaximum":
             if num and x >= v:
                 yield path, f"{x!r} is greater than or equal to the maximum of {v!r}"

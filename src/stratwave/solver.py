@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import BadParameter, ConfigInvalid, GridMismatch, NoContraction, NonFinite
 from .model import DispersionSymbol, ModelParams, check_exp_overflow, half_spectrum_multiplier
-from .spectral import Field, Grid, check_memory, dealias_keep
+from .spectral import Field, Grid, check_memory
 
 # ---------------------------------------------------------------------------
 # Initial data
@@ -127,11 +127,23 @@ _PHI_TERMS = 12
 
 
 def _phi(z: np.ndarray, order: int) -> np.ndarray:
-    """phi_1 (order 1) or phi_2 (order 2), by Taylor series for small |z|."""
+    """phi_1 (order 1) or phi_2 (order 2), by Taylor series for small |z|.
+
+    Where a finite z has a z ** order past float64 (|z| above about 1e154
+    for phi_2: a strongly damped or dispersive mode), the numerator is
+    divided by z order times instead, so phi stays finite, near -1/z."""
     out = np.empty_like(z)
     small = np.abs(z) < _PHI_SWITCH
     zb = z[~small]
-    out[~small] = (np.exp(zb) - 1.0 - (order - 1) * zb) / zb ** order
+    numerator = np.exp(zb) - 1.0 - (order - 1) * zb
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = zb ** order
+        big = numerator / power
+    huge = ~np.isfinite(power) & np.isfinite(zb)
+    for _ in range(order):
+        numerator[huge] /= zb[huge]
+    big[huge] = numerator[huge]
+    out[~small] = big
     zs = z[small]
     acc = np.zeros_like(zs)
     for q in range(_PHI_TERMS + order - 1, order - 1, -1):
@@ -141,8 +153,11 @@ def _phi(z: np.ndarray, order: int) -> np.ndarray:
 
 
 def _kept_modes(N: int, k: int) -> int:
-    """K + 1: how many of the half-spectrum modes j = 0..N/2 dealias_keep keeps."""
-    return int(np.count_nonzero(dealias_keep(np.arange(N // 2 + 1), N, k)))
+    """K + 1, K = floor(N/(k+2)): how many of the half-spectrum modes
+    j = 0..N/2 the dealias rule |j| <= N/(k+2) keeps, a fraction 2/(k+2).
+
+    The generalized 2/3-rule for the degree-(k+1) nonlinearity u^{k+1}."""
+    return N // (k + 2) + 1
 
 
 class EtdPropagator:
@@ -153,12 +168,11 @@ class EtdPropagator:
     K = floor(N/(k+2)), about 2/(k+2) of the N/2 + 1 half-spectrum.  Every
     mode above K is zero after each step, so it is neither stored nor
     stepped; ``physical`` restores it through the zero-padding of
-    ``irfft(uhat, n=N)``.  A real solution needs a Hermitian linear symbol,
-    L(-xi) = conj L(xi), i.e. an even dispersion symbol p; every built-in
-    symbol is even, and an odd custom one raises BadParameter, as does a dt
-    whose exp(L dt) would overflow float64, before any step.  Energy and
-    dissipation rate come from exact discrete Parseval on the half-spectrum,
-    so recording them costs no transform.
+    ``irfft(uhat, n=N)``.  The half-spectrum holds a real solution because
+    L is Hermitian, L(-xi) = conj L(xi), every dispersion symbol p being
+    even.  A dt whose exp(L dt) would overflow float64 raises BadParameter
+    before any step.  Energy and dissipation rate come from exact discrete
+    Parseval on the half-spectrum, so recording them costs no transform.
     """
 
     def __init__(self, grid: Grid, sym: DispersionSymbol, params: ModelParams,

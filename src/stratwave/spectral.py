@@ -1,4 +1,4 @@
-"""Periodic grid, transform pair, multiplier application, dealiasing.
+"""Periodic grid, transform pair, convolution, CSV field I/O.
 
 The line is truncated to the box [-L, L) with N (power of two) points.  The
 discrete pair approximates the angular-convention transforms
@@ -175,16 +175,6 @@ def from_half_spectrum(grid: Grid, coeffs: np.ndarray) -> Field:
     samples = np.fft.irfft(coeffs, n=grid.N)
     samples /= grid.dx
     return Field(grid=grid, samples=samples)
-
-
-def dealias_keep(j: np.ndarray, N: int, k: int) -> np.ndarray:
-    """The modes the dealias rule keeps: |j| <= N/(k+2), a fraction 2/(k+2).
-
-    Generalized 2/3-rule for the degree-(k+1) nonlinearity u^{k+1}.
-    """
-    if k < 1:
-        raise BadParameter(f"k must be >= 1, got {k}")
-    return np.abs(j) <= N / (k + 2)
 
 
 def convolve(f: Field, g: Field) -> Field:

@@ -217,16 +217,16 @@ def hilbert(grid, samples) -> np.ndarray:
     return to_physical(grid, mult * to_spectral_complex(grid, samples))
 
 
+def dealias_mask(j, N: int, k: int) -> np.ndarray:
+    """The generalized 2/3-rule for u^{k+1}: keep the modes |j| <= N/(k+2)."""
+    return np.abs(j) <= N / (k + 2)
+
+
 def dealias(grid, coeffs, k: int) -> np.ndarray:
-    """Zero the full-spectrum coefficients dealias_keep drops; idempotent,
-    norm non-increasing.
-
-    The full-spectrum projection the package kept beside dealias_keep, kept
-    as the reference for the rule on the full FFT-ordered spectrum.
-    """
-    from stratwave.spectral import dealias_keep
-
-    return np.where(dealias_keep(fft_j(grid), grid.N, k), coeffs, 0.0)
+    """Zero the full-spectrum coefficients that dealias_mask drops;
+    idempotent, norm non-increasing: the rule on the full FFT-ordered
+    spectrum."""
+    return np.where(dealias_mask(fft_j(grid), grid.N, k), coeffs, 0.0)
 
 
 def dissipation_rate(grid, coeffs, params) -> float:
@@ -375,7 +375,6 @@ class FullHalfSpectrumEtd:
     def __init__(self, grid, sym, params, dt):
         from stratwave.model import half_spectrum_multiplier
         from stratwave.solver import _phi
-        from stratwave.spectral import dealias_keep
 
         self.grid = grid
         self.k = params.k
@@ -386,7 +385,7 @@ class FullHalfSpectrumEtd:
         self.exp_full = np.exp(z)
         self.coeff1 = dt * _phi(z, 1)
         self.coeff2 = dt * _phi(z, 2)
-        self.mask = dealias_keep(j, grid.N, self.k).astype(float)
+        self.mask = dealias_mask(j, grid.N, self.k).astype(float)
         self.nl_mult = -(1j * xi / (self.k + 1)) * self.mask
         self.weight = (np.where((j == 0) | (j == grid.N // 2), 1.0, 2.0)
                        * grid.dx / grid.N)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from stratwave import (BadParameter, DispersionSymbol, Grid, UnderResolved,
                        kernel_derivative_field, kernel_field, leading_jump,
                        linear_multiplier, preset, tail_exponent, validate_params)
 from stratwave.kernel import half_kernel_hat
-from stratwave.model import SMOOTH
 import stratwave.kernel as kernel_module
 import stratwave.spectral as spectral_module
 
@@ -91,18 +92,6 @@ def test_kernels_are_float64(build):
     assert build(1.0, Grid(2 ** 10, 50.0), *preset("ost")).samples.dtype == np.float64
 
 
-def test_odd_symbol_kernel_rejected():
-    odd = DispersionSymbol.custom(lambda xi: xi, origin_regularity=SMOOTH)
-    params = validate_params(3, 1, 1, 1.0)
-    g = Grid(2 ** 10, 50.0)
-    with pytest.raises(BadParameter, match="Hermitian"):
-        kernel_field(1.0, g, odd, params)
-    with pytest.raises(BadParameter, match="Hermitian"):
-        kernel_derivative_field(1.0, g, odd, params)
-    even = DispersionSymbol.custom(lambda xi: xi ** 2, origin_regularity=SMOOTH)
-    assert abs(integral(kernel_field(1.0, g, even, params)) - 1.0) <= 1e-8
-
-
 def test_under_resolved_guard():
     g = Grid(16, 1.0)   # Nyquist = 16 pi / 2 ~ 25; scale 8*(1e-4)^(-1/3) ~ 172
     sym, params = preset("ost")
@@ -177,6 +166,13 @@ def test_leading_jump_frozen_values(m, n, eta, expect):
     params = validate_params(m, n, 1, eta)
     assert leading_jump(params) == pytest.approx(expect)
     assert leading_jump(params) == pytest.approx(leading_jump_reference(m, n, eta))
+
+
+def test_leading_jump_real_past_n_100():
+    # J = 2 eta i^104 103!: real, where 1j ** 104 has an imaginary part of 7.8e-15
+    jump = leading_jump(validate_params(2, 103, 1, 1.0))
+    assert jump.imag == 0.0
+    assert jump.real == 2.0 * math.factorial(103)
 
 
 def test_asymptotic_coefficient_linear_in_t():

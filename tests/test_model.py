@@ -8,7 +8,7 @@ from stratwave import (DispersionSymbol, Field, Grid, InvalidN, InvalidRange,
                        UnknownPreset, dissipation_symbol, linear_multiplier,
                        model_from_config, preset, validate_params)
 from stratwave.errors import BadParameter, ConfigInvalid
-from stratwave.model import SMOOTH, half_spectrum_multiplier
+from stratwave.model import I_POWERS, half_spectrum_multiplier
 import stratwave.model as model_module
 from stratwave.spectral import from_half_spectrum, half_spectrum
 
@@ -110,6 +110,22 @@ def test_phi_even_n_real_part_exact():
         assert np.allclose(p.real, -1.5 * np.abs(xi) ** m, atol=1e-14)
 
 
+def test_phi_real_part_exact_past_n_100():
+    # 1j ** 103 has a real part of -1.5e-14, which times |xi|^102 swamped
+    # the damping -eta xi^2
+    xi = np.linspace(-3, 3, 61)
+    p = dissipation_symbol(xi, validate_params(2, 102, 1, 0.5))
+    assert np.array_equal(p.real, -0.5 * xi ** 2)
+
+
+def test_i_powers_table_has_the_bits_of_python_powers():
+    def bits(c):
+        return math.copysign(1.0, c.real), c.real, math.copysign(1.0, c.imag), c.imag
+
+    for q in range(101):
+        assert bits(I_POWERS[q % 4]) == bits(1j ** q)
+
+
 def test_phi_amplification_bound():
     # B from a 1-D maximization oracle; frozen closed forms 1/4, 2/(3 sqrt 3)
     assert amplification_max(2) == pytest.approx(0.25, abs=1e-9)
@@ -189,7 +205,7 @@ def test_builtin_symbols():
 
 
 def test_custom_symbol_growth_check():
-    sym = DispersionSymbol.custom(lambda xi: np.abs(xi) ** 1.2, origin_regularity=1)
+    sym = DispersionSymbol.dgbo(0.2)     # |xi|^1.2, C^1 at the origin
     c = fitted_growth_constant(sym, 1.2)
     assert c == pytest.approx(1.0, rel=1e-6)
     assert sym.supports_decay_order(2)
@@ -268,13 +284,3 @@ def test_half_spectrum_multiplier_equals_one_evaluation(monkeypatch, name, block
     g = Grid(256, 20.0)     # 129 points: full blocks and a short last one
     expect = linear_multiplier(g.dxi * np.arange(g.N // 2 + 1), sym, params)
     assert np.array_equal(half_spectrum_multiplier(g, sym, params), expect)
-
-
-def test_half_spectrum_multiplier_checks_every_block(monkeypatch):
-    monkeypatch.setattr(model_module, "MULTIPLIER_BLOCK", 16)
-    g = Grid(256, 20.0)
-    xi_c = 0.9 * g.dxi * (g.N // 2)     # p is not even above xi_c: last block only
-    sym = DispersionSymbol.custom(lambda xi: xi ** 2 + np.where(xi > xi_c, xi, 0.0),
-                                  origin_regularity=SMOOTH)
-    with pytest.raises(BadParameter, match="Hermitian"):
-        half_spectrum_multiplier(g, sym, validate_params(3, 1, 1, 1.0))

@@ -18,7 +18,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stratwave"
 ALLOWED = {
     "to_spectral": "the full-spectrum forward transform; the oracle tests "
                    "compare against it and bench/test_bench.py traces it",
-    "DispersionSymbol.custom": "the custom-symbol API for library users",
     "ConfigInvalid.path": "where in a config the error sits, for library callers; "
                           "tests/test_runio.py and tests/test_solver.py read it",
 }

@@ -209,20 +209,20 @@ def test_enum_and_const_tell_bools_from_numbers(cfg, schema, error):
 
 @pytest.mark.parametrize("schema", [{"pattern": "^x"}, {"multipleOf": 1},
                                     {"additionalProperties": True},
-                                    {"properties": {"a": {"uniqueItems": True}}}])
+                                    {"properties": {"a": {"uniqueItems": True}}},
+                                    {"maximum": 1}])
 def test_unimplemented_keyword_raises(schema):
     with pytest.raises(NotImplementedError):
         validate_config({"a": [1]}, schema)
 
 
 @pytest.mark.parametrize("cfg,schema", [
-    (1, {"maximum": 1}), (1.5, {"maximum": 1}), (True, {"maximum": 0}), ("2", {"maximum": 1}),
     ({"a": 1}, {"if": {"required": ["a"]}, "then": {"required": ["b"]}}),
     ({"c": 1}, {"if": {"required": ["a"]}, "then": {"required": ["b"]}}),
     ({"a": 1}, {"if": {"required": ["a"]}}),
     ({}, {"then": {"required": ["b"]}}),          # then without if checks nothing
     (2, {"default": 1, "const": 1})])             # default is an annotation
-def test_maximum_if_then_and_default_as_jsonschema(cfg, schema):
+def test_if_then_and_default_as_jsonschema(cfg, schema):
     assert list(runio._errors(cfg, schema, "$")) == _reference(cfg, schema)
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -12,10 +13,9 @@ from stratwave import (DispersionSymbol, EtdPropagator, Field, Grid, NoContracti
                        linear_multiplier, picard_solve, preset, solve, tail_exponent,
                        validate_params)
 from stratwave.errors import BadParameter, ConfigInvalid
-from stratwave.model import SMOOTH
 import stratwave.solver as solver_module
 import stratwave.spectral as spectral_module
-from stratwave.solver import _snapshot_steps, step_count
+from stratwave.solver import _phi, _snapshot_steps, step_count
 from stratwave.spectral import to_spectral
 
 
@@ -223,20 +223,13 @@ def test_parseval_energy_and_dissipation(sym, m, n, k, eta, N, L, seed):
         assert rate == pytest.approx(expect, rel=1e-12)
 
 
-def test_odd_dispersion_symbol_rejected():
-    odd = DispersionSymbol.custom(lambda xi: xi, origin_regularity=SMOOTH)
-    params = validate_params(3, 1, 1, 1.0)
-    g = Grid(2 ** 8, 20.0)
-    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, g)
-    with pytest.raises(BadParameter, match="Hermitian"):
-        solve(odd, params, u0, SolverConfig(dt=1e-2, T=0.1))
-    with pytest.raises(BadParameter, match="Hermitian"):
-        EtdPropagator(g, odd, params, 1e-2)
-    with pytest.raises(BadParameter, match="Hermitian"):
-        picard_solve(odd, params, u0, SolverConfig(dt=1e-2, T=0.1))
-    # an even custom symbol is accepted
-    even = DispersionSymbol.custom(lambda xi: xi ** 2, origin_regularity=SMOOTH)
-    solve(even, params, u0, SolverConfig(dt=1e-2, T=0.1))
+@pytest.mark.parametrize("z", [-10.0 ** p for p in range(150, 301, 10)]
+                         + [-1.0 + 1e160j, 1e160j, -1e160 + 1e160j])
+def test_phi2_finite_where_z_squared_overflows(z):
+    # (e^z - 1 - z) / z^2 -> -1/z; z^2 past float64 gave 0 or NaN
+    got = complex(_phi(np.array([z], dtype=complex), 2)[0])
+    assert cmath.isfinite(got)
+    assert abs(got + 1 / z) <= 1e-12 * abs(1 / z)
 
 
 def test_complex_datum_rejected():

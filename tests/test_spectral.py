@@ -9,13 +9,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (convolve_reference, csv_read_reference, csv_reference, dealias,
-                     derivative, fft_j, fft_xi, hilbert, to_physical)
+                     dealias_mask, derivative, fft_j, fft_xi, hilbert, to_physical)
 from stratwave import (EtdPropagator, Field, Grid, GridMismatch, convolve,
                        field_from_csv, field_to_csv, integral, preset,
                        wrap_contamination)
 from stratwave import spectral
 from stratwave.errors import BadParameter
-from stratwave.spectral import dealias_keep, from_half_spectrum, to_spectral
+from stratwave.solver import _kept_modes
+from stratwave.spectral import from_half_spectrum, to_spectral
 
 _PRESETS = ["ost", "gost", "bo_perturbed", "chen_lee", "dgbo_perturbed"]
 
@@ -238,11 +239,22 @@ def test_dealias_keep_mask_idempotent(N, k, seed):
     once = dealias(g, F, k)
     assert np.array_equal(dealias(g, once, k), once)
     j = fft_j(g)
-    keep = dealias_keep(j, N, k)
+    keep = dealias_mask(j, N, k)
     assert np.array_equal(np.flatnonzero(once != 0),
                           np.flatnonzero(keep & (F != 0)))
     # the mask is even in j, so it maps real fields to real fields
-    assert np.array_equal(keep, dealias_keep(-j, N, k))
+    assert np.array_equal(keep, dealias_mask(-j, N, k))
+
+
+def test_kept_modes_count_the_dealias_mask():
+    # the integer N // (k+2) + 1 against the float rule |j| <= N/(k+2) on
+    # j = 0..N/2: counted on the array up to 2^16, at its edge beyond
+    for N in (2 ** q for q in range(4, 27)):
+        for k in range(1, 40):
+            kept = _kept_modes(N, k)
+            if N <= 2 ** 16:
+                assert kept == np.count_nonzero(dealias_mask(np.arange(N // 2 + 1), N, k))
+            assert dealias_mask(kept - 1, N, k) and not dealias_mask(kept, N, k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,7 +267,7 @@ def test_half_spectrum_round_trip_band_limited(name, N, L, seed):
     prop = EtdPropagator(g, sym, params, 1e-3)
     rng = np.random.default_rng(seed)
     coeffs = (rng.standard_normal(N // 2 + 1)
-              + 1j * rng.standard_normal(N // 2 + 1)) * dealias_keep(
+              + 1j * rng.standard_normal(N // 2 + 1)) * dealias_mask(
                   np.arange(N // 2 + 1), N, params.k)
     coeffs[0] = coeffs[0].real
     u = Field(g, np.fft.irfft(coeffs, n=N))
