@@ -309,19 +309,17 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
     targets = set(np.clip(np.round(steps).astype(int), 1, n_steps).tolist())
 
     prop = _guarded_propagator(u0.grid, sym, params, dt)
-    ts, qs, failure = [], [], None
+    qs, failure = [], None
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, uhat in prop.evolve(prop.forward(u0), n_steps):
-            if step in targets and failure is None:
-                tval = step * dt
-                ts.append(tval)
+        for step, uhat in prop.march(prop.forward(u0), n_steps, targets):
+            if failure is None:
                 try:
-                    qs.append(tval ** alpha * weighted_norm(prop.physical(uhat), p, gamma))
+                    qs.append((step * dt) ** alpha * weighted_norm(prop.physical(uhat), p, gamma))
                 except BadParameter as exc:
                     failure = exc       # raised after the run: a blow-up raises NonFinite
     if failure is not None:
         raise failure
-    ts = np.array(ts)
+    ts = dt * np.array(sorted(targets))     # march yields the targets in step order
     qs = np.array(qs)
     norm0 = weighted_norm(u0, p, gamma)
     sup_q = float(np.max(qs)) if len(qs) else 0.0

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Container, List, Optional, Tuple
 
 import numpy as np
 
@@ -253,19 +253,20 @@ class EtdPropagator:
         # rounds differently with its operands swapped
         return a + self.coeff2 * (self.nonlinear(a) - n0)
 
-    def evolve(self, uhat: np.ndarray, n_steps: int):
-        """Yield (i, state after i steps) for i = 0..n_steps.
-
-        Raises NonFinite as soon as a state is not finite.
-        """
-        yield 0, uhat
+    def march(self, uhat: np.ndarray, n_steps: int, at: Container[int]):
+        """Step n_steps times and yield (i, state after i steps) for each
+        i = 0..n_steps in at; raises NonFinite at the first state, yielded
+        or not, that is not finite."""
+        if 0 in at:
+            yield 0, uhat
         for i in range(1, n_steps + 1):
             with np.errstate(over="ignore", invalid="ignore"):
                 uhat = self.step(uhat)
             if not np.all(np.isfinite(uhat)):
                 raise NonFinite(f"non-finite state at t = {i * self.dt:.6g}",
                                 t=i * self.dt)
-            yield i, uhat
+            if i in at:
+                yield i, uhat
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +283,17 @@ class SolverConfig:
     linear_only: bool = False
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.dt, self.T, self.picard_tol))):
-            raise BadParameter(f"dt, T and picard_tol must be finite, got "
-                               f"{self.dt}, {self.T}, {self.picard_tol}")
-        if self.dt <= 0 or self.T <= 0 or self.dt > self.T:
-            raise BadParameter("require 0 < dt <= T")
-        if self.picard_tol <= 0:
-            raise BadParameter("picard_tol must be positive")
+        _check_times(self.dt, self.T, self.picard_tol)
+
+
+def _check_times(dt: float, T: float, picard_tol: float) -> None:
+    """SolverConfig's checks, which solution_at runs too."""
+    if not all(map(math.isfinite, (dt, T, picard_tol))):
+        raise BadParameter(f"dt, T and picard_tol must be finite, got {dt}, {T}, {picard_tol}")
+    if dt <= 0 or T <= 0 or dt > T:
+        raise BadParameter("require 0 < dt <= T")
+    if picard_tol <= 0:
+        raise BadParameter("picard_tol must be positive")
 
 
 @dataclass
@@ -372,7 +377,7 @@ def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     rates = np.empty(n_steps + 1)
     snapshots: List[Field] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, uhat in prop.evolve(prop.forward(u0), n_steps):
+        for step, uhat in prop.march(prop.forward(u0), n_steps, range(n_steps + 1)):
             energies[step], rates[step] = prop.monitors(uhat)
             if step in snap_at:
                 snapshots.append(prop.physical(uhat))
@@ -383,8 +388,13 @@ def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
 
 def solution_at(sym: DispersionSymbol, params: ModelParams, u0: Field, T: float,
                 dt: float) -> Field:
-    """u(T): solve's snapshot at T."""
-    return solve(sym, params, u0, SolverConfig(dt=dt, T=T, snapshot_times=(T,))).snapshots[-1]
+    """u(T), the bits of solve's snapshot at T, by a march that runs no monitor."""
+    _check_times(dt, T, SolverConfig.picard_tol)
+    n_steps = step_count(T, dt)
+    prop = _guarded_propagator(u0.grid, sym, params, dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        [(_, uhat)] = prop.march(prop.forward(u0), n_steps, (n_steps,))
+        return prop.physical(uhat)
 
 
 #: Picard iterations before picard_solve stops and reports converged = False

@@ -198,7 +198,9 @@ def test_lower_bound_experiment_zero_mean_before_evolution(monkeypatch, linear_o
     def evolved(*args, **kwargs):
         raise AssertionError("evolved a datum with zero integral")
 
-    monkeypatch.setattr(analysis, "solve", evolved)
+    # every ETD2 path steps through EtdPropagator.step, the linear-only one
+    # builds Khat(T) through half_kernel_hat
+    monkeypatch.setattr("stratwave.solver.EtdPropagator.step", evolved)
     monkeypatch.setattr(analysis, "half_kernel_hat", evolved)
     sym, params = preset("ost")
     u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.0}, Grid(2 ** 10, 50.0))

@@ -16,7 +16,8 @@ import pytest
 
 from stratwave import (BadParameter, Grid, SolverConfig, datum_from_config,
                        kernel_derivative_field, kernel_field, lower_bound_experiment,
-                       picard_solve, preset, solve, weighted_persistence_experiment)
+                       picard_solve, preset, solution_at, solve,
+                       weighted_persistence_experiment)
 from stratwave.analysis import LINEAR_LOWER_BOUND_BYTES_PER_POINT
 from stratwave.kernel import KERNEL_PEAK_BYTES_PER_POINT
 from stratwave.model import half_spectrum_multiplier
@@ -199,6 +200,19 @@ def test_weighted_persistence_guard_raises_before_the_propagator(monkeypatch):
     monkeypatch.setattr(spectral_module, "_physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="before the memory check"):
         weighted_persistence_experiment(*_guard_case(), *args)
+
+
+def test_solution_at_guard_counts_no_per_step_bytes(monkeypatch):
+    # u(T) records no monitor series: the propagator's bytes alone, where
+    # solve's snapshot at T adds 16 per step
+    monkeypatch.setattr(solver_module, "EtdPropagator", _no_propagator)
+    need = 79 * 1024
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: need - 1)
+    with pytest.raises(BadParameter, match=f"ETD2 run at N=1024.* needs {need} bytes"):
+        solution_at(*_guard_case(), 0.1, 1e-2)
+    monkeypatch.setattr(spectral_module, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="before the memory check"):
+        solution_at(*_guard_case(), 0.1, 1e-2)
 
 
 def picard_case(name: str, k: int, N: int, M: int):

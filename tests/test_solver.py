@@ -10,8 +10,8 @@ from oracles import (FullHalfSpectrumEtd, dealias, dissipation_rate,
                      picard_streamed_reference, to_physical)
 from stratwave import (DispersionSymbol, EtdPropagator, Field, Grid, NoContraction,
                        NonFinite, SolverConfig, datum_from_config, growth_envelope,
-                       linear_multiplier, picard_solve, preset, solve, tail_exponent,
-                       validate_params)
+                       linear_multiplier, picard_solve, preset, run_experiment,
+                       solution_at, solve, tail_exponent, validate_params)
 from stratwave.errors import BadParameter, ConfigInvalid
 import stratwave.solver as solver_module
 import stratwave.spectral as spectral_module
@@ -115,13 +115,62 @@ def test_self_convergence_order(name):
     assert order >= 1.9
 
 
-def test_nonfinite_detection():
+@pytest.mark.parametrize("name", ["ost", "gost", "bo_perturbed", "chen_lee",
+                                  "dgbo_perturbed"])
+def test_solution_at_is_solves_snapshot_bitwise(name):
+    sym, params = preset(name)
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 2.0, "amp": 0.5}, Grid(2 ** 9, 32.0))
+    want = solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.2, snapshot_times=(0.2,)))
+    assert np.array_equal(solution_at(sym, params, u0, 0.2, 1e-2).samples,
+                          want.snapshots[-1].samples)
+
+
+@pytest.mark.parametrize("experiment", [{"kind": "decay", "window": [5.0, 40.0]},
+                                        {"kind": "convergence"}], ids=["decay", "convergence"])
+def test_u_at_T_runs_no_monitor(monkeypatch, experiment):
+    def monitored(*args):
+        raise AssertionError("u(T) ran a per-step monitor")
+
+    monkeypatch.setattr(EtdPropagator, "monitors", monitored)
+    report, outputs = run_experiment({
+        "model": {"preset": "ost"}, "grid": {"N": 1024, "L": 100.0},
+        "datum": {"kind": "algebraic", "gamma": 3.0},
+        "solver": {"dt": 1e-2, "T": 0.04}, "experiment": experiment})
+    assert report and outputs == {}
+    assert ("order" in report) == (experiment["kind"] == "convergence")
+
+
+@pytest.mark.parametrize("dt,T", [(math.nan, 0.1), (1e-2, math.inf), (0.2, 0.1),
+                                  (-1e-2, 0.1), (1e-2, 0.105)])
+def test_solution_at_refuses_dt_and_T_as_solve_does(dt, T):
+    # solution_at builds no SolverConfig, yet gives its error lines
+    sym, params = preset("ost")
+    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, Grid(2 ** 8, 20.0))
+    with pytest.raises(BadParameter) as want:
+        solve(sym, params, u0, SolverConfig(dt=dt, T=T, snapshot_times=(T,)))
+    with pytest.raises(BadParameter) as got:
+        solution_at(sym, params, u0, T, dt)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("run", [
+    lambda *case: solve(*case, SolverConfig(dt=0.1, T=5.0)),
+    # yields only its last step, yet checks every one
+    lambda *case: solution_at(*case, 5.0, 0.1),
+], ids=["solve", "solution_at"])
+def test_nonfinite_detection(run):
     sym, params = preset("ost")
     g = Grid(2 ** 10, 50.0)
     u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 50.0}, g)
     with pytest.raises(NonFinite) as err:
-        solve(sym, params, u0, SolverConfig(dt=0.1, T=5.0))
-    assert err.value.t is not None and err.value.t > 0
+        run(sym, params, u0)
+    # the t of the first non-finite state, whichever runs
+    prop = EtdPropagator(g, sym, params, 0.1)
+    uhat, steps = prop.forward(u0), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.all(np.isfinite(uhat)):
+            uhat, steps = prop.step(uhat), steps + 1
+    assert err.value.t == steps * 0.1
 
 
 @pytest.mark.parametrize("name", ["ost", "gost", "bo_perturbed", "chen_lee",
@@ -140,7 +189,7 @@ def assert_matches_etd2_reference(sym, params, u0, dt=1e-3):
     ref = etd2_reference(u0.samples.real, g.L, params.m, params.n, params.k,
                          params.eta, sym, dt, 10)
     prop = EtdPropagator(g, sym, params, dt)
-    states = dict(prop.evolve(prop.forward(u0), 10))
+    states = dict(prop.march(prop.forward(u0), 10, (1, 10)))
     for i in (1, 10):
         got = prop.physical(states[i]).samples
         rel = np.linalg.norm(got - ref[i - 1]) / np.linalg.norm(ref[i - 1])
