@@ -34,7 +34,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 #: submodules reachable as ``stratwave.<module>`` with no import of their own:
-#: those of the exports, and runio, which analysis imports
+#: those of the exports, and runio, which model, solver and analysis import
 _SUBMODULES = frozenset({*_EXPORTS, "runio"})
 
 __all__ = list(_HOME)

@@ -32,7 +32,9 @@ which returns its report and the files it hands back beside it (the kernel
 kind its kernel, the trajectory kind its snapshots and energy series).
 `stratwave experiment`, `stratwave simulate` (a trajectory config),
 `stratwave kernel` (a kernel config) and acceptance.run_criterion (the
-configs of acceptance.CRITERIA) all run through it.
+configs of acceptance.CRITERIA) all run through it.  experiment_schema
+builds each kind's schema here, where whole configs are read, from
+GRID_SCHEMA, SOLVER_SCHEMA, MODEL_SCHEMA and DATUM_SCHEMA.
 """
 
 from __future__ import annotations
@@ -46,9 +48,9 @@ from .errors import (BadParameter, ExcludedParameters, InsufficientDecades,
                      WindowContaminated, ZeroMean)
 from .kernel import (asymptotic_coefficient, half_kernel_hat, kernel_derivative_field,
                      kernel_field)
-from .model import DispersionSymbol, ModelParams, model_from_config
-from .runio import experiment_schema, validate_config
-from .solver import (SolverConfig, _guarded_propagator, datum_from_config,
+from .model import MODEL_SCHEMA, DispersionSymbol, ModelParams, model_from_config
+from .runio import POSITIVE, validate_config
+from .solver import (DATUM_SCHEMA, SolverConfig, _guarded_propagator, datum_from_config,
                      datum_parameters, picard_solve, solution_at, solve, step_count)
 from .spectral import (Field, Grid, check_memory, from_half_spectrum, half_spectrum,
                        integral, wrap_contamination)
@@ -575,8 +577,68 @@ def _trajectory(cfg: dict) -> tuple:
              "dt_used": dt, "n_steps": len(traj.energy_series) - 1}, outputs)
 
 
-#: experiment kind -> (its runner, the runio.experiment_schema arguments
-#: that say what its config holds and what the runner reads of it)
+GRID_SCHEMA = {
+    "type": "object",
+    "required": ["N", "L"],
+    "properties": {
+        "N": {"type": "integer", "minimum": 16},
+        "L": POSITIVE,
+    },
+    "additionalProperties": False,
+}
+
+SOLVER_SCHEMA = {
+    "type": "object",
+    "required": ["dt", "T"],
+    "properties": {
+        "dt": POSITIVE,
+        "T": POSITIVE,
+        "mode": {"enum": ["etd", "picard"]},
+        "snapshots": {"type": "array", "items": {"type": "number"}},
+        "linear_only": {"type": "boolean"},
+    },
+    "additionalProperties": False,
+}
+
+_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
+#: the optional experiment parameters with their types and ranges
+_PARAMETERS = {"window": _PAIR,
+               "windows": {"type": "array", "items": _PAIR, "minItems": 1},
+               "p": {"type": "number", "exclusiveMinimum": 1},
+               "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
+               "t": POSITIVE}
+
+
+def experiment_schema(kind: str, needs: dict | None = None, blocks=("solver", "datum"),
+                      solver_reads=(), parameters=()) -> dict:
+    """Schema of a config for the experiment kind: model, grid, the blocks
+    of solver and datum it reads (all required but solver) and experiment,
+    with experiment.kind fixed to kind, solver fields only dt, T and
+    solver_reads, experiment fields only kind and parameters, and needs,
+    the extra schema of what the kind requires."""
+    solver = {**SOLVER_SCHEMA, "properties": {
+        name: sub for name, sub in SOLVER_SCHEMA["properties"].items()
+        if name in ("dt", "T", *solver_reads)}}
+    common = {"model": MODEL_SCHEMA, "grid": GRID_SCHEMA, "solver": solver,
+              "datum": DATUM_SCHEMA}
+    read = ("model", "grid", *blocks)
+    return {"allOf": [{
+        "type": "object",
+        "required": [name for name in read if name != "solver"] + ["experiment"],
+        "properties": {
+            **{name: common[name] for name in read},
+            "experiment": {"type": "object", "required": ["kind"],
+                           "properties": {"kind": {"const": kind},
+                                          **{name: _PARAMETERS[name]
+                                             for name in parameters}},
+                           "additionalProperties": False},
+        },
+        "additionalProperties": False,
+    }, needs or {}]}
+
+
+#: experiment kind -> (its runner, the experiment_schema arguments that say
+#: what its config holds and what the runner reads of it)
 EXPERIMENTS = {
     "dichotomy": (_dichotomy, {"parameters": ("window",)}),
     "weighted": (_weighted, {"parameters": ("p", "gamma")}),

@@ -8,6 +8,7 @@ CSV, reports and manifests to JSON, so runs diff cleanly.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -68,21 +69,29 @@ def _resolve_out(args, cfg: dict, kind: str) -> Path:
     return default_output_root() / f"{kind}-{_config_tag(cfg)}"
 
 
+@contextlib.contextmanager
+def _run_directory(target: Path, replace: bool = False):
+    """RunDirectory(target, replace), aborted when the block raises: a failed
+    command leaves no output, no .tmp-* and no parent made for target."""
+    rundir = RunDirectory(target, replace)
+    try:
+        yield rundir
+    except BaseException:
+        rundir.abort()
+        raise
+
+
 def _run(kind: str, cfg: dict, target: Path, commit, replace: bool = False) -> dict:
     """The one run path of kernel, simulate and experiment: validate cfg as
     a config of kind, run it (analysis.run_experiment), write its outputs as
     CSV into a RunDirectory for target, then commit(rundir, report).
     Returns the report; on a failure no output is left behind."""
     validate_config(cfg, EXPERIMENT_SCHEMAS[kind])
-    rundir = RunDirectory(target, replace)
-    try:
+    with _run_directory(target, replace) as rundir:
         report, outputs = run_experiment(cfg)
         for name, value in outputs.items():
             output_to_csv(value, rundir.register(name))
         commit(rundir, report)
-    except BaseException:
-        rundir.abort()
-        raise
     return report
 
 
@@ -133,11 +142,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_decay_fit(args) -> int:
-    text = json.dumps(tail_exponent(field_from_csv(args.infile), args.window),
-                      indent=2, sort_keys=True)
+    """The tail fits of a CSV field, printed and, with --out, written there."""
+    report = tail_exponent(field_from_csv(args.infile), args.window)
     if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text)
+        with _run_directory(Path(args.out), replace=True) as rundir:
+            write_json(rundir.register("fit.json"), report)
+            rundir.place({"fit.json": rundir.target})
+    print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_PASS
 
 
@@ -177,25 +188,27 @@ def cmd_acceptance(args) -> int:
         raise ConfigInvalid(f"{source}: criterion id listed more than once: "
                             f"{', '.join(repeated)}", path=source)
     skipped = [cid for cid in ids if cid not in CRITERIA]
-    results = []
-    for result in map(run_criterion, [cid for cid in ids if cid in CRITERIA]):
-        if not args.quiet:
-            print(result.line(), flush=True)
-        results.append(result)
-    for cid in skipped:
-        print(f"[SKIP] {cid}: unknown criterion id", file=sys.stderr)
-    summary = {
-        "results": [{"id": r.cid, "passed": r.passed, "expected": r.expected,
-                     "measured": r.measured, "seconds": round(r.seconds, 2),
-                     "configs": r.configs, **({"error": r.error} if r.error else {})}
-                    for r in results],
-        "skipped": skipped,
-        "n_passed": sum(r.passed for r in results),
-        "n_total": len(results),
-    }
     out = Path(args.out) if args.out else Path("acceptance-summary.json")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_json(out, summary)
+    # opened before the first criterion: a bad --out fails before any runs
+    with _run_directory(out, replace=True) as rundir:
+        results = []
+        for result in map(run_criterion, [cid for cid in ids if cid in CRITERIA]):
+            if not args.quiet:
+                print(result.line(), flush=True)
+            results.append(result)
+        for cid in skipped:
+            print(f"[SKIP] {cid}: unknown criterion id", file=sys.stderr)
+        summary = {
+            "results": [{"id": r.cid, "passed": r.passed, "expected": r.expected,
+                         "measured": r.measured, "seconds": round(r.seconds, 2),
+                         "configs": r.configs, **({"error": r.error} if r.error else {})}
+                        for r in results],
+            "skipped": skipped,
+            "n_passed": sum(r.passed for r in results),
+            "n_total": len(results),
+        }
+        write_json(rundir.register("summary.json"), summary)
+        rundir.place({"summary.json": out})
     if not args.quiet:
         print(f"{summary['n_passed']}/{summary['n_total']} criteria passed; "
               f"summary at {out}")

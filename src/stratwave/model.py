@@ -27,6 +27,9 @@ Key structural facts, all unit-tested:
 * For n = 1, phi is real and equals eta(|xi| - |xi|^m): an amplification band
   on |xi| < 1 with sup_xi Re phi = eta * B(m), B(2) = 1/4, B(3) = 2/(3 sqrt 3).
 * For n = 5 + 4d, phi grows like +eta|xi|^n: those n are rejected (InvalidN).
+
+MODEL_SCHEMA, the JSON schema of a model config, is built here from the
+preset and symbol tables that model_from_config reads.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BadParameter, ConfigInvalid, InvalidN, InvalidRange, UnknownPreset
+from .runio import POSITIVE, branch, validate_config
 
 #: origin_regularity sentinel for symbols smooth at xi = 0 (polynomials).
 SMOOTH = 10**6
@@ -240,11 +244,36 @@ def preset(name: str, eta: float = 1.0, k: int = 2, a: float = 0.5):
 #: the schema of a dgbo exponent a, which lies in (0, 1)
 _EXPONENT = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 #: preset -> the model-config keys it reads besides "preset" and "eta", each
-#: with its JSON schema (stratwave.runio builds MODEL_SCHEMA from these tables)
+#: with its JSON schema (MODEL_SCHEMA below is built from these tables)
 _PRESET_READS = {"gost": {"k": {"enum": [2, 3]}}, "dgbo_perturbed": {"a": _EXPONENT}}
 #: symbol kind -> the keys its symbol block reads besides "kind" (all
 #: required), each with its schema; a kind names its DispersionSymbol builder
 _SYMBOL_READS = {"kdv": {}, "bo": {}, "dgbo": {"a": _EXPONENT}}
+MODEL_SCHEMA = {
+    "type": "object",
+    "oneOf": [
+        {"required": ["preset"]},
+        {"required": ["symbol", "m", "n", "k", "eta"]},
+    ],
+    "properties": {
+        "preset": {"enum": list(PRESET_NAMES)},
+        "symbol": {
+            "type": "object",
+            "required": ["kind"],
+            "properties": {"kind": {"enum": list(_SYMBOL_READS)}},
+            "allOf": [branch("kind", kind, reads, reads)
+                      for kind, reads in _SYMBOL_READS.items()],
+        },
+    },
+    "allOf": [*(branch("preset", name, {"eta": POSITIVE, **_PRESET_READS.get(name, {})})
+                for name in PRESET_NAMES),
+              {"if": {"required": ["symbol"]},
+               "then": {"properties": {"symbol": {}, "m": {"enum": [2, 3]},
+                                       "n": {"type": "integer", "minimum": 1},
+                                       "k": {"type": "integer", "minimum": 1},
+                                       "eta": POSITIVE},
+                        "additionalProperties": False}}],
+}
 
 
 def model_from_config(cfg: dict):
@@ -252,13 +281,10 @@ def model_from_config(cfg: dict):
     plus k for gost and a for dgbo_perturbed, or {"symbol": {"kind": ...},
     "m": ..., "n": ..., "k": ..., "eta": ...} plus symbol.a for kind dgbo.
 
-    Every refusal raises ConfigInvalid: a config that stratwave.runio's
-    MODEL_SCHEMA rejects (a missing, mistyped or out-of-range key, or one
-    the model does not read) and one that validate_params rejects, such as
-    n = 5 + 4d.
+    Every refusal raises ConfigInvalid: a config that MODEL_SCHEMA rejects
+    (a missing, mistyped or out-of-range key, or one the model does not
+    read) and one that validate_params rejects, such as n = 5 + 4d.
     """
-    from .runio import MODEL_SCHEMA, validate_config    # runio imports this module
-
     validate_config(cfg, MODEL_SCHEMA)
     try:
         if "preset" in cfg:

@@ -1,4 +1,5 @@
-"""Run directories, manifests, and config validation.
+"""Run directories, manifests, JSON I/O, and the config validator (the
+schemas live beside their readers: stratwave.model, .solver and .analysis).
 
 A run directory is created atomically: everything is written into a sibling
 temp directory, the manifest (with content hashes of every output) is written
@@ -23,11 +24,9 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConfigInvalid
-from .model import _PRESET_READS, _SYMBOL_READS, PRESET_NAMES
-from .solver import DATUM_KEYS
 
 
-def _branch(tag: str, value: str, reads: dict, required=()) -> dict:
+def branch(tag: str, value: str, reads: dict, required=()) -> dict:
     """The schema that lets a block whose tag is value hold only tag and
     reads (key -> schema), and requires the required keys: an if/then, so
     that an error names the key at fault."""
@@ -36,105 +35,10 @@ def _branch(tag: str, value: str, reads: dict, required=()) -> dict:
                      "additionalProperties": False}}
 
 
-# MODEL_SCHEMA and DATUM_SCHEMA are built from the builders' tables: the
-# presets and symbol kinds with the keys each reads (stratwave.model), and
-# the datum kinds with theirs (stratwave.solver.DATUM_KEYS)
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-MODEL_SCHEMA = {
-    "type": "object",
-    "oneOf": [
-        {"required": ["preset"]},
-        {"required": ["symbol", "m", "n", "k", "eta"]},
-    ],
-    "properties": {
-        "preset": {"enum": list(PRESET_NAMES)},
-        "symbol": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {"kind": {"enum": list(_SYMBOL_READS)}},
-            "allOf": [_branch("kind", kind, reads, reads)
-                      for kind, reads in _SYMBOL_READS.items()],
-        },
-    },
-    "allOf": [*(_branch("preset", name, {"eta": _POSITIVE, **_PRESET_READS.get(name, {})})
-                for name in PRESET_NAMES),
-              {"if": {"required": ["symbol"]},
-               "then": {"properties": {"symbol": {}, "m": {"enum": [2, 3]},
-                                       "n": {"type": "integer", "minimum": 1},
-                                       "k": {"type": "integer", "minimum": 1},
-                                       "eta": _POSITIVE},
-                        "additionalProperties": False}}],
-}
+#: the schema of a positive number
+POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
-GRID_SCHEMA = {
-    "type": "object",
-    "required": ["N", "L"],
-    "properties": {
-        "N": {"type": "integer", "minimum": 16},
-        "L": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "additionalProperties": False,
-}
-
-DATUM_SCHEMA = {
-    "type": "object",
-    "required": ["kind"],
-    "properties": {"kind": {"enum": list(DATUM_KEYS)}},
-    "allOf": [_branch("kind", kind, keys, [key for key in keys if "default" not in keys[key]])
-              for kind, keys in DATUM_KEYS.items()],
-}
-
-SOLVER_SCHEMA = {
-    "type": "object",
-    "required": ["dt", "T"],
-    "properties": {
-        "dt": {"type": "number", "exclusiveMinimum": 0},
-        "T": {"type": "number", "exclusiveMinimum": 0},
-        "mode": {"enum": ["etd", "picard"]},
-        "snapshots": {"type": "array", "items": {"type": "number"}},
-        "linear_only": {"type": "boolean"},
-    },
-    "additionalProperties": False,
-}
-
-_PAIR = {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2}
-#: the optional experiment parameters with their types and ranges
-_PARAMETERS = {"window": _PAIR,
-               "windows": {"type": "array", "items": _PAIR, "minItems": 1},
-               "p": {"type": "number", "exclusiveMinimum": 1},
-               "gamma": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-               "t": _POSITIVE}
-
-
-def experiment_schema(kind: str, needs: dict | None = None, blocks=("solver", "datum"),
-                      solver_reads=(), parameters=()) -> dict:
-    """Schema of a config for the experiment kind: model, grid, the blocks
-    of solver and datum it reads (all required but solver) and experiment,
-    with experiment.kind fixed to kind, solver fields only dt, T and
-    solver_reads, experiment fields only kind and parameters, and needs,
-    the extra schema of what the kind requires."""
-    solver = {**SOLVER_SCHEMA, "properties": {
-        name: sub for name, sub in SOLVER_SCHEMA["properties"].items()
-        if name in ("dt", "T", *solver_reads)}}
-    common = {"model": MODEL_SCHEMA, "grid": GRID_SCHEMA, "solver": solver,
-              "datum": DATUM_SCHEMA}
-    read = ("model", "grid", *blocks)
-    return {"allOf": [{
-        "type": "object",
-        "required": [name for name in read if name != "solver"] + ["experiment"],
-        "properties": {
-            **{name: common[name] for name in read},
-            "experiment": {"type": "object", "required": ["kind"],
-                           "properties": {"kind": {"const": kind},
-                                          **{name: _PARAMETERS[name]
-                                             for name in parameters}},
-                           "additionalProperties": False},
-        },
-        "additionalProperties": False,
-    }, needs or {}]}
-
-
-# The schemas above are JSON Schema (Draft 2020-12).  _errors checks a config
+# The config schemas are JSON Schema (Draft 2020-12).  _errors checks a config
 # against them: it knows the keywords they use, and gives the messages and
 # JSON paths of jsonschema's Draft202012Validator (which writes $.name for
 # the plain property names the schemas declare); any other keyword raises.

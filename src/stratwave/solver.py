@@ -26,6 +26,9 @@ the discrete L2 balance of the continuum term up to aliasing residue.
 
 Both modes run on one real-field core, EtdPropagator: solutions are real,
 so states are rfft half-spectra and every transform is a real FFT.
+
+DATUM_SCHEMA, the JSON schema of a datum config, is built here from
+DATUM_KEYS, the table that datum_from_config reads.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import numpy as np
 
 from .errors import BadParameter, ConfigInvalid, GridMismatch, NoContraction, NonFinite
 from .model import DispersionSymbol, ModelParams, check_exp_overflow, half_spectrum_multiplier
+from .runio import POSITIVE, branch, validate_config
 from .spectral import Field, Grid, check_memory
 
 # ---------------------------------------------------------------------------
@@ -46,20 +50,25 @@ from .spectral import Field, Grid, check_memory
 
 
 #: datum kind -> the keys it reads, each with its JSON schema: its range, and
-#: its default unless the key is required (stratwave.runio builds DATUM_SCHEMA
-#: from this table).  algebraic: c (1 + x^2)^{-gamma/2}, tail slope -gamma;
-#: zero_mean_algebraic: the odd c x (1+x^2)^{-(gamma+1)/2} less its discrete
-#: mean (~1e-13); gaussian: amp exp(-x^2 / (2 sigma0^2)); growth:
-#: c0 (1+x)^gamma s(x), s a smooth switch vanishing for x <= -1, tapered near
-#: +L (seam-free periodized)
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
-DATUM_KEYS = {"algebraic": {"gamma": _POSITIVE, "c": {"type": "number", "default": 1.0}},
-              "zero_mean_algebraic": {"gamma": _POSITIVE,
+#: its default unless the key is required.  algebraic: c (1 + x^2)^{-gamma/2},
+#: tail slope -gamma; zero_mean_algebraic: the odd c x (1+x^2)^{-(gamma+1)/2}
+#: less its discrete mean (~1e-13); gaussian: amp exp(-x^2 / (2 sigma0^2));
+#: growth: c0 (1+x)^gamma s(x), s a smooth switch vanishing for x <= -1,
+#: tapered near +L (seam-free periodized)
+DATUM_KEYS = {"algebraic": {"gamma": POSITIVE, "c": {"type": "number", "default": 1.0}},
+              "zero_mean_algebraic": {"gamma": POSITIVE,
                                       "c": {"type": "number", "default": 1.0}},
-              "gaussian": {"sigma0": {**_POSITIVE, "default": 1.0},
+              "gaussian": {"sigma0": {**POSITIVE, "default": 1.0},
                            "amp": {"type": "number", "default": 1.0}},
-              "growth": {"gamma": {**_POSITIVE, "exclusiveMaximum": 0.5},
-                         "c0": {**_POSITIVE, "default": 0.01}}}
+              "growth": {"gamma": {**POSITIVE, "exclusiveMaximum": 0.5},
+                         "c0": {**POSITIVE, "default": 0.01}}}
+DATUM_SCHEMA = {
+    "type": "object",
+    "required": ["kind"],
+    "properties": {"kind": {"enum": list(DATUM_KEYS)}},
+    "allOf": [branch("kind", kind, keys, [key for key in keys if "default" not in keys[key]])
+              for kind, keys in DATUM_KEYS.items()],
+}
 
 
 def _smoothstep(r: np.ndarray) -> np.ndarray:
@@ -78,11 +87,8 @@ def _smoothstep(r: np.ndarray) -> np.ndarray:
 
 def datum_parameters(cfg: dict) -> dict:
     """A datum config with its kind's defaults filled in; a config that
-    stratwave.runio's DATUM_SCHEMA rejects (an unknown kind, or a key that
-    is missing, mistyped, out of range or not read by the kind) raises
-    ConfigInvalid."""
-    from .runio import DATUM_SCHEMA, validate_config    # runio imports this module
-
+    DATUM_SCHEMA rejects (an unknown kind, or a key that is missing,
+    mistyped, out of range or not read by the kind) raises ConfigInvalid."""
     validate_config(cfg, DATUM_SCHEMA)
     keys = DATUM_KEYS[cfg["kind"]]
     return {**{key: keys[key]["default"] for key in keys if "default" in keys[key]}, **cfg}
@@ -283,17 +289,17 @@ class SolverConfig:
     linear_only: bool = False
 
     def __post_init__(self):
-        _check_times(self.dt, self.T, self.picard_tol)
+        _check_times(self.dt, self.T)
+        if not 0 < self.picard_tol < math.inf:
+            raise BadParameter(f"picard_tol must be finite and positive, got {self.picard_tol}")
 
 
-def _check_times(dt: float, T: float, picard_tol: float) -> None:
-    """SolverConfig's checks, which solution_at runs too."""
-    if not all(map(math.isfinite, (dt, T, picard_tol))):
-        raise BadParameter(f"dt, T and picard_tol must be finite, got {dt}, {T}, {picard_tol}")
+def _check_times(dt: float, T: float) -> None:
+    """SolverConfig's checks of dt and T, which solution_at runs too."""
+    if not (math.isfinite(dt) and math.isfinite(T)):
+        raise BadParameter(f"dt and T must be finite, got {dt}, {T}")
     if dt <= 0 or T <= 0 or dt > T:
         raise BadParameter("require 0 < dt <= T")
-    if picard_tol <= 0:
-        raise BadParameter("picard_tol must be positive")
 
 
 @dataclass
@@ -389,7 +395,7 @@ def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
 def solution_at(sym: DispersionSymbol, params: ModelParams, u0: Field, T: float,
                 dt: float) -> Field:
     """u(T), the bits of solve's snapshot at T, by a march that runs no monitor."""
-    _check_times(dt, T, SolverConfig.picard_tol)
+    _check_times(dt, T)
     n_steps = step_count(T, dt)
     prop = _guarded_propagator(u0.grid, sym, params, dt)
     with np.errstate(over="ignore", invalid="ignore"):

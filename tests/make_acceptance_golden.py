@@ -12,15 +12,43 @@ listing old -> new for every value that moved; never to make a failing
 comparison pass.  --diff writes nothing: it prints every value's golden and
 live repr, marked "identical" or with its relative change, which is that
 list, and exits 1 when any value differs.
+
+The last bits depend on the CPU dispatch, so the file's one non-criterion
+entry, "dispatch", records the one the values were taken under: numpy's
+SIMD targets in use and the OpenBLAS core.  --diff prints it beside the
+live dispatch, but it is not a value and does not count as one.
 """
 
 import argparse
+import ctypes
 import json
 from pathlib import Path
+
+import numpy as np
+from numpy._core import _multiarray_umath
 
 from stratwave.acceptance import CRITERIA, run_criterion
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "acceptance_golden.json"
+
+
+def _openblas_core() -> str:
+    """The core that the OpenBLAS bundled with the numpy wheel runs, as
+    OPENBLAS_VERBOSE=2 prints it; "unknown" for any other BLAS."""
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs")
+                      .glob("libscipy_openblas64_*.so")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
+def dispatch() -> dict:
+    """numpy's SIMD targets in use, in dispatch order, and the OpenBLAS core."""
+    return {"numpy_simd": [target for target in _multiarray_umath.__cpu_dispatch__
+                           if _multiarray_umath.__cpu_features__.get(target)],
+            "openblas_core": _openblas_core()}
 
 
 def relative_change(golden, live) -> str:
@@ -44,6 +72,7 @@ def diff() -> int:
             mark = relative_change(want, got)
             moved += mark != "identical"
             print(f"{cid} {key}: golden {want!r} live {got!r} {mark}")
+    print(f"dispatch: golden {golden.get('dispatch')} live {dispatch()}")
     print(f"{moved} value(s) differ from {GOLDEN_PATH.name}")
     return moved
 
@@ -60,8 +89,9 @@ def main() -> None:
         if not result.passed:
             raise SystemExit(f"{cid} fails; golden values are taken from passing runs only")
         golden[cid] = result.measured
+    golden["dispatch"] = dispatch()
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2) + "\n")
-    print(f"wrote {len(golden)} criteria to {GOLDEN_PATH}")
+    print(f"wrote {len(CRITERIA)} criteria to {GOLDEN_PATH}")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ measured values equal those in tests/acceptance_golden.json, written by
 tests/make_acceptance_golden.py.  Same numbers means the same bits: every
 value is compared with ==, as `make_acceptance_golden.py --diff` does, so a
 value that moves in its last digit fails until the golden file is rewritten
-in a change that lists it.
+in a change that lists it.  The bits depend on the CPU dispatch, so a
+failure names the dispatch the file recorded and the live one.
 """
 
 import json
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from make_acceptance_golden import relative_change
+from make_acceptance_golden import dispatch, relative_change
 from stratwave.acceptance import CRITERIA, run_criterion
 from stratwave.analysis import EXPERIMENT_SCHEMAS
 from stratwave.runio import validate_config
@@ -54,7 +55,8 @@ def test_golden(cid, acceptance_results):
     for key, want in golden.items():
         got = measured[key]
         assert got == want, \
-            f"{cid}.{key}: golden {want!r} live {got!r} {relative_change(want, got)}"
+            (f"{cid}.{key}: golden {want!r} live {got!r} {relative_change(want, got)}; "
+             f"CPU dispatch recorded {GOLDEN['dispatch']} live {dispatch()}")
 
 
 @pytest.mark.parametrize("cid", CRITERION_IDS)

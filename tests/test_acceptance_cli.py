@@ -117,6 +117,27 @@ def test_k_mass_configs_from_the_summary_rerun_to_its_golden_value(tmp_path):
     assert worst == GOLDEN["K-MASS"]["worst_mass_error"]
 
 
+def test_acceptance_opens_its_out_before_the_first_criterion(tmp_path, capsys, monkeypatch):
+    # an --out under a regular file used to fail only after every criterion
+    # had run, and the summary was written in place, not through a RunDirectory
+    ran = []
+    monkeypatch.setattr(acceptance, "run_criterion", ran.append)
+    (tmp_path / "afile").write_text("")
+    assert main(["--quiet", "--out", str(tmp_path / "afile" / "s.json"), "acceptance",
+                 "--only", "K-MOD-EVEN"]) == 1
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert ran == [] and not list(tmp_path.glob(".tmp-*"))
+
+    def fail(cid):
+        raise RuntimeError("injected failure")    # not a StratwaveError: it propagates
+
+    monkeypatch.setattr(acceptance, "run_criterion", fail)
+    new = tmp_path / "new"
+    with pytest.raises(RuntimeError, match="injected failure"):
+        main(["--quiet", "--out", str(new / "s.json"), "acceptance", "--only", "K-MOD-EVEN"])
+    assert not new.exists() and not list(tmp_path.glob(".tmp-*"))
+
+
 @pytest.mark.parametrize("selection", [
     ["--only", "K-MOD-EVEN", "CL-GUARD", "K-MOD-EVEN"],
     ["--suite", '["K-MOD-EVEN", "CL-GUARD", "K-MOD-EVEN"]'],

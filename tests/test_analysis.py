@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from oracles import fft_xi, to_physical, verify_pointwise_bound
 from stratwave import (DispersionSymbol, ExcludedParameters, Field, Grid,
@@ -19,6 +20,23 @@ from stratwave.spectral import to_spectral
 # ---------------------------------------------------------------------------
 # tail fitting
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("beta,noise", [(2.0, 0.05), (3.5, 0.3)])
+def test_tail_fit_matches_scipy_linregress(beta, noise):
+    # slope, stderr (n - 2 degrees of freedom) and r^2 of an ordinary least
+    # squares fit of log|f| on log|x|, side by side, on a noisy power law
+    g = Grid(2 ** 12, 200.0)
+    rng = np.random.default_rng(7)
+    f = Field(g, (1.0 + np.abs(g.x)) ** -beta * np.exp(noise * rng.standard_normal(g.N)))
+    fits = tail_exponent(f, (10.0, 90.0))
+    for side, fit in fits.items():
+        msk = window_mask(g, (10.0, 90.0), side)
+        ref = stats.linregress(np.log(np.abs(g.x[msk])), np.log(np.abs(f.samples[msk])))
+        assert fit["n_points"] == np.count_nonzero(msk) == 819
+        assert fit["slope"] == pytest.approx(ref.slope, rel=1e-9)
+        assert fit["stderr"] == pytest.approx(ref.stderr, rel=1e-9)
+        assert fit["r_squared"] == pytest.approx(ref.rvalue ** 2, rel=1e-9)
+
 
 def test_exact_power_law_recovery():
     g = Grid(2 ** 16, 400.0)

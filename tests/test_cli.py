@@ -575,6 +575,29 @@ def test_decay_fit_out_writes_the_printed_report(tmp_path, ost_config, capsys):
             -report[f"tail_slope_{side}"], rel=1e-12)
 
 
+def test_decay_fit_out_makes_its_parents_and_a_failed_write_leaves_none(tmp_path, capsys,
+                                                                        monkeypatch):
+    # --out under a missing directory used to be an i/o error, and the
+    # report was written in place, not through a RunDirectory
+    g = Grid(2 ** 12, 400.0)
+    field_to_csv(Field(g, (1.0 + g.x ** 2) ** -1.0), tmp_path / "f.csv")
+    new = tmp_path / "missing"
+    args = ["--out", str(new / "fit.json"), "decay-fit", "--in", str(tmp_path / "f.csv"),
+            "--window", "10,90"]
+    assert main(args) == 0
+    assert (new / "fit.json").read_text() == capsys.readouterr().out
+    (new / "fit.json").unlink()
+    new.rmdir()
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(stratwave.cli, "write_json", fail)   # not a StratwaveError
+    with pytest.raises(RuntimeError, match="injected failure"):
+        main(args)
+    assert not new.exists() and not list(tmp_path.glob("**/.tmp-*"))
+
+
 @pytest.mark.parametrize("bad_line,error", [
     ("-1.75,abc,0", "error [BadParameter]"),   # non-numeric value
     ("-1.75,1", "error [BadParameter]"),       # ragged row
@@ -1426,7 +1449,7 @@ def test_simulate_rejects_non_finite_dt_and_T(tmp_path, capsys, ost_config,
                *[item for pair in args.items() for item in pair]])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error [BadParameter]: dt, T and picard_tol must be finite")
+    assert err.startswith("error [BadParameter]: dt and T must be finite")
     assert "Traceback" not in err
     assert not out.exists() and not list(tmp_path.glob(".tmp-*"))
 

@@ -39,6 +39,13 @@ def test_a_name_loads_its_submodule_and_what_it_imports():
                                                                 "stratwave.errors"}
 
 
+def test_runio_loads_no_other_submodule_and_no_numpy():
+    # the schemas live beside their readers, so the validator and run
+    # directories import only errors and the package's __version__
+    assert _loaded_after("import stratwave.runio") == {"stratwave", "stratwave.errors",
+                                                        "stratwave.runio"}
+
+
 def test_cli_does_not_load_the_acceptance_suite():
     loaded = _loaded_after("import stratwave.cli")
     assert "stratwave.cli" in loaded and "stratwave.acceptance" not in loaded

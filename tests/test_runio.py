@@ -1,8 +1,8 @@
 """Config validation in stratwave.runio, checked against jsonschema.
 
-runio interprets the JSON Schema (Draft 2020-12) keywords its schemas use;
-jsonschema, a test dependency only, is the reference for every message and
-JSON path.
+runio interprets the JSON Schema (Draft 2020-12) keywords the package's config
+schemas use; jsonschema, a test dependency only, is the reference for every
+message and JSON path.
 """
 
 import copy
@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stratwave import runio
-from stratwave.analysis import EXPERIMENT_SCHEMAS
+from stratwave.analysis import EXPERIMENT_SCHEMAS, GRID_SCHEMA, SOLVER_SCHEMA
 from stratwave.errors import ConfigInvalid
-from stratwave.model import _PRESET_READS, _SYMBOL_READS, PRESET_NAMES, model_from_config
-from stratwave.runio import (DATUM_SCHEMA, GRID_SCHEMA, MODEL_SCHEMA, SOLVER_SCHEMA,
-                             validate_config)
-from stratwave.solver import DATUM_KEYS, datum_from_config
+from stratwave.model import (_PRESET_READS, _SYMBOL_READS, MODEL_SCHEMA, PRESET_NAMES,
+                             model_from_config)
+from stratwave.runio import validate_config
+from stratwave.solver import DATUM_KEYS, DATUM_SCHEMA, datum_from_config
 from stratwave.spectral import Grid
 
 SCHEMAS = {"model": MODEL_SCHEMA, "grid": GRID_SCHEMA, "datum": DATUM_SCHEMA,
