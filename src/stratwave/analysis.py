@@ -3,8 +3,8 @@
 tail_exponent fits log|f| against log|x| by least squares on each half-line
 separately; the negated slope is the decay exponent.  A fit is trusted only
 when r^2 >= 0.98.  Windows must stay wrap-safe (x_b <= L/2) and carry at
-least 30 sample points per decade; a non-finite sample in a window is
-refused, and exact zeros are skipped.
+least 30 sample points per decade and at least 3 points; a non-finite sample
+in a window is refused, and exact zeros are skipped.
 
 The experiment drivers operationalize the three spatial-behavior results:
 
@@ -111,12 +111,14 @@ def _fit_side(f: Field, window, side: str) -> dict:
         raise InsufficientDecades(
             f"{side} window [{a}, {b}]: {len(xa)} points over {decades:.2f} "
             f"decades (< {MIN_POINTS_PER_DECADE}/decade)")
+    if len(xa) < 3:
+        raise InsufficientDecades(f"{side} window [{a}, {b}]: {len(xa)} points "
+                                  f"(< 3, the least a fit with a stderr needs)")
     lx, ly = np.log(xa), np.log(ya)
     A = np.vstack([lx, np.ones_like(lx)]).T
     sol, *_ = np.linalg.lstsq(A, ly, rcond=None)
     resid = ly - A @ sol
-    dof = max(len(lx) - 2, 1)
-    var_slope = float(np.sum(resid ** 2) / dof / np.sum((lx - lx.mean()) ** 2))
+    var_slope = float(np.sum(resid ** 2) / (len(lx) - 2) / np.sum((lx - lx.mean()) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
     slope = float(sol[0])
@@ -134,7 +136,8 @@ def tail_exponent(f: Field, window: Tuple[float, float]) -> dict:
     core (x_a >= 10 core widths), its outer edge inside the wrap-safe
     half-box.  Exact zeros in the window are skipped (log 0 has no value and
     n_points does not count them); a NaN or infinite sample raises
-    BadParameter, naming the side, the window and the count.
+    BadParameter, naming the side, the window and the count, and fewer than
+    3 points left (or 30 per decade) raise InsufficientDecades.
     """
     return {side: _fit_side(f, window, side) for side in ("left", "right")}
 

@@ -217,18 +217,28 @@ def half_spectrum_multiplier(grid, sym: DispersionSymbol,
 PRESET_NAMES = ("ost", "gost", "bo_perturbed", "chen_lee", "dgbo_perturbed")
 
 
-def preset(name: str, eta: float = 1.0, k: int = 2, a: float = 0.5):
+def preset(name: str, eta: float = 1.0, k: Optional[int] = None,
+           a: Optional[float] = None):
     """Named model presets returning (DispersionSymbol, ModelParams).
 
     ost             KdV dispersion, m=3, n=1, k=1   (Ostrovsky-Stepanyams-Tsimring)
-    gost            KdV dispersion, m=3, n=1, k in {2,3}
+    gost            KdV dispersion, m=3, n=1, k in {2,3} (default 2)
     bo_perturbed    BO dispersion, m=3, n=1, k=1
     chen_lee        BO dispersion, m=2, n=1, k=1
-    dgbo_perturbed  |xi|^{1+a} dispersion, m=3, n=2, k=1
+    dgbo_perturbed  |xi|^{1+a} dispersion, m=3, n=2, k=1 (default a = 0.5)
+
+    k is read by gost only and a by dgbo_perturbed only (_PRESET_READS);
+    passing either to another preset raises BadParameter.
     """
+    if name not in PRESET_NAMES:
+        raise UnknownPreset(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    for arg, value in (("k", k), ("a", a)):
+        if value is not None and arg not in _PRESET_READS.get(name, {}):
+            raise BadParameter(f"preset {name!r} does not read {arg} (got {value!r})")
     if name == "ost":
         return DispersionSymbol.kdv(), validate_params(3, 1, 1, eta)
     if name == "gost":
+        k = 2 if k is None else k
         if k not in (2, 3):
             raise BadParameter(f"gost requires k in {{2,3}}, got {k}")
         return DispersionSymbol.kdv(), validate_params(3, 1, k, eta)
@@ -236,9 +246,7 @@ def preset(name: str, eta: float = 1.0, k: int = 2, a: float = 0.5):
         return DispersionSymbol.bo(), validate_params(3, 1, 1, eta)
     if name == "chen_lee":
         return DispersionSymbol.bo(), validate_params(2, 1, 1, eta)
-    if name == "dgbo_perturbed":
-        return DispersionSymbol.dgbo(a), validate_params(3, 2, 1, eta)
-    raise UnknownPreset(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return DispersionSymbol.dgbo(0.5 if a is None else a), validate_params(3, 2, 1, eta)
 
 
 #: the schema of a dgbo exponent a, which lies in (0, 1)

@@ -89,17 +89,14 @@ class Grid:
         return f"Grid(N={self.N}, L={self.L})"
 
 
-REAL_HINT_TOL = 1e-10
-
-
 @dataclass
 class Field:
     """Real physical-space samples on a grid, stored as float64.
 
-    Complex input is accepted only when its imaginary part is negligible:
-    finite everywhere and at most REAL_HINT_TOL times max |f| (NaN samples
-    left out of that scale).  That part is dropped, keeping the real part's
-    bits; any other complex input raises BadParameter ("real data").
+    Complex input is accepted only when every imaginary part is exactly 0
+    (of either sign); it then keeps the real part's bits.  Any other complex
+    input, a tiny, nan or inf imaginary part included, raises BadParameter
+    ("real data").
     """
 
     grid: Grid
@@ -112,11 +109,9 @@ class Field:
             )
         if np.iscomplexobj(self.samples):
             s = np.asarray(self.samples)
-            scale = float(np.fmax.reduce(np.abs(s), initial=0.0))
-            worst = float(np.max(np.abs(s.imag)))
-            if not (np.isfinite(worst) and worst <= REAL_HINT_TOL * scale):
+            if np.any(s.imag != 0):                      # nan included
                 raise BadParameter("expected real data; the samples have a "
-                                   "significant imaginary part")
+                                   "nonzero imaginary part")
             self.samples = s.real
         self.samples = np.ascontiguousarray(self.samples, dtype=np.float64)
 
@@ -283,11 +278,10 @@ def field_from_csv(path) -> Field:
 
     The file is a header line, then one 'x,re,im' row per grid point; blank
     lines are skipped, and a '#' is not a comment.  The re column's bits
-    are kept (-0.0, nan and inf included).  An im column of +0.0 only is
-    skipped; any other goes through Field's realness rule, so a negligible
-    im (such as the rounding noise of kernels written before they were
-    built by irfft) is dropped, and a significant, nan or inf one raises
-    BadParameter.  A non-numeric value or a ragged row raises BadParameter;
+    are kept (-0.0, nan and inf included).  The im column must be 0 (of
+    either sign) on every row, as Field's realness rule asks; any other
+    value, a tiny, nan or inf one included, raises BadParameter ("expected
+    real data").  A non-numeric value or a ragged row raises BadParameter;
     an x column that is not the grid's (to 1e-12 L) raises GridMismatch.
 
     The rows are counted first, then parsed CSV_BLOCK_ROWS lines at a time
@@ -295,7 +289,7 @@ def field_from_csv(path) -> Field:
     samples, the grid's x and one block are held.  Every row is parsed
     before any error but a parse error is raised, so the errors come in the
     order of a whole-table read: a bad value or ragged row, the column
-    count, the grid, then the x column.
+    count, the grid, the x column, then the im column.
     """
     try:
         with open(path) as fh:
@@ -309,7 +303,8 @@ def _read_field_csv(fh, path) -> Field:
     body = fh.tell()
     rows = _count_rows(path, fh)
     fh.seek(body)
-    width = problem = samples = im = grid = None
+    width = problem = samples = grid = None
+    imaginary = False
     start, line = 0, 2                         # the first row and line of a block
     for lines in _line_blocks(fh):
         if lines[0] == "\n" and lines.count("\n") == len(lines):
@@ -338,25 +333,13 @@ def _read_field_csv(fh, path) -> Field:
             if not gap.max() <= 1e-12 * grid.L:          # nan included
                 problem = GridMismatch(f"{path}: CSV x column does not match {grid!r}")
             samples[start:stop] = block[:, 1]
-            if im is None and block[:, 2].view(np.uint64).any():    # not +0.0
-                im = np.zeros(rows)
-            if im is not None:
-                im[start:stop] = block[:, 2]
+            imaginary = imaginary or bool(np.any(block[:, 2] != 0))    # nan included
         start = stop
         line += len(lines)
     if width != 3 or rows < 2:
         raise BadParameter(f"{path}: expected 3 columns (x, re, im)")
     if problem is not None:
         raise problem
-    if im is None:
-        return Field(grid=grid, samples=samples)
-    # column by column, so re keeps its bits (no re + 1j*im)
-    full = np.empty(grid.N, dtype=np.complex128)
-    full.real = samples
-    del samples
-    full.imag = im
-    del im
-    try:
-        return Field(grid=grid, samples=full)
-    except BadParameter as exc:
-        raise BadParameter(f"{path}: {exc}") from exc
+    if imaginary:
+        raise BadParameter(f"{path}: expected real data; the im column is not 0")
+    return Field(grid=grid, samples=samples)

@@ -262,10 +262,10 @@ def csv_reference(f, path) -> None:
 def csv_read_reference(path):
     """The whole-table CSV reader: one np.loadtxt of the N x 3 table.
 
-    Kept verbatim as the reference for the block reader field_from_csv,
-    which must give the same bits, or the same exception type and message
-    prefix, on every file but one with a '#' (a comment here, a bad value
-    there).
+    Kept as the reference for the block reader field_from_csv, which must
+    give the same bits, or the same exception type and message prefix, on
+    every file but one with a '#' (a comment here, a bad value there).  Its
+    im column must be 0 (of either sign) on every row.
     """
     from stratwave.errors import BadParameter, GridMismatch
     from stratwave.spectral import Field, Grid
@@ -283,16 +283,9 @@ def csv_read_reference(path):
     if not np.all(gap <= 1e-12 * grid.L):
         raise GridMismatch(f"{path}: CSV x column does not match {grid!r}")
     del gap
-    if not data[:, 2].view(np.uint64).any():     # im all +0.0
-        return Field(grid=grid, samples=data[:, 1])
-    # column by column, so re keeps its bits (no re + 1j*im)
-    samples = np.empty(grid.N, dtype=np.complex128)
-    samples.real = data[:, 1]
-    samples.imag = data[:, 2]
-    try:
-        return Field(grid=grid, samples=samples)
-    except BadParameter as exc:
-        raise BadParameter(f"{path}: {exc}") from exc
+    if np.any(data[:, 2] != 0):                  # nan included
+        raise BadParameter(f"{path}: expected real data; the im column is not 0")
+    return Field(grid=grid, samples=data[:, 1])
 
 
 def energy_csv_reference(traj, path) -> None:

@@ -73,6 +73,18 @@ def test_window_guards():
         tail_exponent(fc, (10.0, 45.0))
 
 
+def test_tail_fit_needs_three_points():
+    # x = 10.0586, 10.1563, 10.2539 on this grid: a one-point fit had a NaN
+    # stderr (and a RuntimeWarning), a two-point one r_squared 1.0 and valid
+    g = Grid(1024, 50.0)
+    f = Field(g, (1.0 + g.x ** 2) ** (-1.0))
+    for b, n in ((10.06, 1), (10.2, 2)):
+        with pytest.raises(InsufficientDecades, match=f"left window .*: {n} points"):
+            tail_exponent(f, (10.05, b))
+    for fit in tail_exponent(f, (10.05, 10.26)).values():
+        assert fit["n_points"] == 3 and math.isfinite(fit["stderr"])
+
+
 # ---------------------------------------------------------------------------
 # weighted norms
 # ---------------------------------------------------------------------------
@@ -155,7 +167,7 @@ def test_mean_gaussian_and_odd():
 def linear_evolve(sym, params, u0, t):
     g = u0.grid
     khat = np.exp(linear_multiplier(fft_xi(g), sym, params) * t)
-    return Field(g, to_physical(g, khat * to_spectral(u0)))
+    return Field(g, to_physical(g, khat * to_spectral(u0)).real)
 
 
 def test_lower_bound_linear_ratio_converges_to_one():

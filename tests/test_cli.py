@@ -268,8 +268,18 @@ _OST_SMALL = {"model": {"preset": "ost"}, "grid": {"N": 256, "L": 20},
                 "grid": {"N": 4096, "L": 400}, "experiment": {"kind": "kernel", "t": 1}},
      "error [BadParameter]: |x|^{n+1} |K| is beyond the float64 range for n = 170 "
      "on the window [10.0, 180.0]"),
+    # one point per side: a RuntimeWarning and a NaN stderr in a valid fit,
+    # which load_json refuses
+    ("decay", {**_OST_SMALL, "grid": {"N": 1024, "L": 50},
+               "datum": {"kind": "algebraic", "gamma": 3.0},
+               "experiment": {"kind": "decay", "window": [10.05, 10.06]}},
+     "error [InsufficientDecades]: left window [10.05, 10.06]: 1 points (< 3"),
+    ("kernel", {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
+                "experiment": {"kind": "kernel", "t": 1, "window": [10.05, 10.06]}},
+     "error [InsufficientDecades]: left window [10.05, 10.06]: 1 points (< 3"),
 ], ids=["datum", "tail-constant", "propagator", "symbol", "norm-underflow",
-        "norm-overflow", "lower-bound-power", "kernel-power"])
+        "norm-overflow", "lower-bound-power", "kernel-power", "decay-one-point",
+        "kernel-one-point"])
 def test_float_range_is_one_typed_line(tmp_path, capsys, kind, cfg, error):
     # no traceback and no RuntimeWarning (an error under this suite's
     # filterwarnings), one line and no run directory
@@ -602,6 +612,7 @@ def test_decay_fit_out_makes_its_parents_and_a_failed_write_leaves_none(tmp_path
     ("-1.75,abc,0", "error [BadParameter]"),   # non-numeric value
     ("-1.75,1", "error [BadParameter]"),       # ragged row
     ("0.01,1,0", "error [GridMismatch]"),      # x off the uniform grid
+    ("-1.75,1,1e-17", "error [BadParameter]: "),   # a nonzero im, however tiny
 ])
 def test_decay_fit_rejects_malformed_csv(tmp_path, capsys, bad_line, error):
     g = Grid(16, 2.0)
@@ -1311,19 +1322,28 @@ def _small_run(kind: str, **datum) -> dict:
             "datum": {**base, **datum}, "experiment": {"kind": kind, **experiment}}
 
 
-@pytest.mark.parametrize("kind", sorted(set(EXPERIMENT_SCHEMAS)
-                                        - {"kernel", "kernel_derivative"}))
+def _input_run(kind: str, value: float) -> dict:
+    """_small_run with the datum's amplitude at value; a kernel kind, which
+    reads no datum, builds its kernel at t = value on a small grid."""
+    if kind.startswith("kernel"):
+        return {"model": {"preset": "ost"}, "grid": {"N": 1024, "L": 50},
+                "experiment": {"kind": kind, "t": value, "window": [10, 20]}}
+    return _small_run(kind, **{_SMALL_RUNS[kind][3]: value})
+
+
+@pytest.mark.parametrize("kind", sorted(EXPERIMENT_SCHEMAS))
 def test_every_experiment_kind_reads_its_datum(tmp_path, kind):
-    # the datum's amplitude reaches the files of every kind: report.json,
-    # and for trajectory, whose report holds no value of u, its CSVs
-    amplitude = _SMALL_RUNS[kind][3]
+    # the datum's amplitude (a kernel kind's t) reaches the files of every
+    # kind: report.json, and for trajectory, whose report holds no value of
+    # u, its CSVs; every report.json reads back through load_json
     digests = []
     for value in (0.5, 1.0):
-        cfg = write_json(tmp_path / "exp.json", _small_run(kind, **{amplitude: value}))
+        cfg = write_json(tmp_path / "exp.json", _input_run(kind, value))
         out = tmp_path / f"run{value}"
         assert main(["--quiet", "--out", str(out), "experiment", kind,
                      "--config", cfg]) in (0, 2)
-        digests.append(json.loads((out / "run.json").read_text())["outputs"])
+        assert load_json(out / "report.json")
+        digests.append(load_json(out / "run.json")["outputs"])
     names = ([name for name in digests[0] if name != "report.json"]
              if kind == "trajectory" else ["report.json"])
     assert names and all(digests[0][name] != digests[1][name] for name in names)

@@ -217,7 +217,7 @@ def test_solution_at_guard_counts_no_per_step_bytes(monkeypatch):
 
 def picard_case(name: str, k: int, N: int, M: int):
     """A small Gaussian on the duhamel_small box, L = 64, dt = 1e-3, M steps."""
-    sym, params = preset(name, k=k)
+    sym, params = preset(name, k=k) if name == "gost" else preset(name)
     u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.01}, Grid(N, 64.0))
     return sym, params, u0, SolverConfig(dt=1e-3, T=M * 1e-3)
 

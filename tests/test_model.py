@@ -240,6 +240,22 @@ def test_presets_match_catalogue():
         preset("nosuch")
 
 
+@pytest.mark.parametrize("name,reads", [
+    ("ost", {"k": 3}), ("ost", {"k": 1}), ("chen_lee", {"k": 7, "a": 0.2}),
+    ("bo_perturbed", {"a": 0.5}), ("gost", {"a": 0.5}), ("dgbo_perturbed", {"k": 1}),
+])
+def test_preset_refuses_an_argument_it_does_not_read(name, reads):
+    # k is read by gost only and a by dgbo_perturbed only, as in MODEL_SCHEMA;
+    # an unread one was silently dropped (ost with k=3 gave k = 1)
+    with pytest.raises(BadParameter, match=f"preset '{name}' does not read "
+                                           f"{next(iter(reads))}"):
+        preset(name, **reads)
+    with pytest.raises(ConfigInvalid):
+        model_from_config({"preset": name, **reads})
+    assert preset("gost", k=3)[1].k == 3 and preset("dgbo_perturbed", a=0.25)[0].a == 0.25
+    assert preset("gost")[1].k == 2 and preset("dgbo_perturbed")[0].a == 0.5
+
+
 def test_model_from_config():
     sym, params = model_from_config(
         {"symbol": {"kind": "dgbo", "a": 0.5}, "m": 3, "n": 2, "k": 1, "eta": 2.0})

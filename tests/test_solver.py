@@ -95,9 +95,9 @@ def test_linear_only_equals_kernel_convolution():
     cfg = SolverConfig(dt=1e-2, T=0.5, snapshot_times=(0.5,), linear_only=True)
     traj = solve(sym, params, u0, cfg)
     khat = np.exp(linear_multiplier(fft_xi(g), sym, params) * 0.5)
-    expect = Field(g, to_physical(g, khat * to_spectral(u0)))
+    expect = Field(g, to_physical(g, khat * to_spectral(u0)).real)
     # note the solver dealiases the datum; apply the same projection
-    expect_deal = Field(g, to_physical(g, khat * dealias(g, to_spectral(u0), params.k)))
+    expect_deal = Field(g, to_physical(g, khat * dealias(g, to_spectral(u0), params.k)).real)
     assert l2_diff(traj.snapshots[-1], expect_deal) <= 1e-10
     assert l2_diff(traj.snapshots[-1], expect) <= 1e-10  # datum is band-limited
 
@@ -201,7 +201,7 @@ def test_real_stepper_matches_reference_on_every_kept_mode(name, k):
     """A datum with every mode |j| <= N/(k+2) nonzero: the nonlinearity
     fills the whole spectrum, so a dealias cutoff other than N/(k+2) (a
     kept mode dropped, or an aliased one kept) moves the result."""
-    sym, params = preset(name, k=k)
+    sym, params = preset(name, k=k) if name == "gost" else preset(name)
     g = Grid(64, 16.0)
     rng = np.random.default_rng(k)
     coeffs = np.zeros(g.N // 2 + 1, dtype=complex)
@@ -219,7 +219,7 @@ def test_real_stepper_matches_reference_on_every_kept_mode(name, k):
 def test_kept_mode_solve_equals_full_half_spectrum_bitwise(name, k, N):
     """solve on the kept modes gives the same bits as stepping all N/2 + 1
     modes with the dealias mask: snapshots, energy and dissipation series."""
-    sym, params = preset(name, k=k)
+    sym, params = preset(name, k=k) if name == "gost" else preset(name)
     g = Grid(N, N / 64.0)
     rng = np.random.default_rng(N + k)
     coeffs = np.zeros(N // 2 + 1, dtype=complex)
@@ -370,7 +370,7 @@ def test_dissipation_rate_amplification_band():
     g = Grid(256, 64.0)   # dxi ~ 0.049: plenty of modes below |xi| = 1
     coeffs = np.where(np.abs(fft_xi(g)) < 0.9, 1.0, 0.0).astype(complex)
     coeffs[fft_j(g) == 0] = 0.0
-    u = Field(g, to_physical(g, coeffs))
+    u = Field(g, to_physical(g, coeffs).real)
     params = validate_params(2, 1, 1, 1.0)
     prop = EtdPropagator(g, DispersionSymbol.kdv(), params, 1e-3)
     rate = prop.monitors(np.fft.rfft(u.samples))[1]
@@ -552,7 +552,7 @@ def _bits(*values) -> bytes:
 @pytest.mark.parametrize("linear_only", [False, True])
 def test_picard_blocks_match_the_streamed_loop_bitwise(N, M, k, linear_only):
     assert max(1, solver_module.PICARD_BLOCK_POINTS // 2 ** 10) == 8
-    sym, params = preset("ost" if k == 1 else "gost", k=k)
+    sym, params = preset("gost", k=k) if k > 1 else preset("ost")
     u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.5}, Grid(N, 64.0))
     dt = 1e-3
     # a snapshot at t = 0 and one mid-run; the field at T comes from traj[M]
