@@ -51,7 +51,7 @@ from .kernel import (asymptotic_coefficient, half_kernel_hat, kernel_derivative_
 from .model import MODEL_SCHEMA, DispersionSymbol, ModelParams, model_from_config
 from .runio import POSITIVE, validate_config
 from .solver import (DATUM_SCHEMA, SolverConfig, _guarded_propagator, datum_from_config,
-                     datum_parameters, picard_solve, solution_at, solve, step_count)
+                     datum_parameters, picard_solve, solution_at, solve)
 from .spectral import (Field, Grid, check_memory, from_half_spectrum, half_spectrum,
                        integral, wrap_contamination)
 
@@ -309,7 +309,7 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
     if not p > 1:
         raise BadParameter("p must exceed 1")
     alpha = params.alpha
-    n_steps = step_count(T, dt)
+    n_steps = SolverConfig(dt=dt, T=T).n_steps
     steps = np.logspace(0.0, math.log10(n_steps), PERSISTENCE_SAMPLES)
     targets = set(np.clip(np.round(steps).astype(int), 1, n_steps).tolist())
 
@@ -463,8 +463,8 @@ def kernel_report(kernel: Field, t: float, sym: DispersionSymbol, params: ModelP
 
 
 def _inputs(cfg: dict, build_datum: bool = True) -> tuple:
-    """(sym, params, grid, u0 (None unless build_datum), solver block,
-    experiment block) of a config; dt and T default to 1e-3 and 1.
+    """(sym, params, grid, u0 (None unless build_datum), solver block
+    (None for a kind that reads none), experiment block) of a config.
 
     The experiment block's window and windows are read as floats, as the
     CLI's --window parsers give them, so a report echoes [5, 40] as
@@ -474,7 +474,7 @@ def _inputs(cfg: dict, build_datum: bool = True) -> tuple:
     u0 = datum_from_config(cfg["datum"], grid) if build_datum else None
     exp = {key: np.array(value, dtype=float).tolist() if key in ("window", "windows")
            else value for key, value in cfg["experiment"].items()}
-    return (sym, params, grid, u0, {"dt": 1e-3, "T": 1.0, **cfg.get("solver", {})}, exp)
+    return sym, params, grid, u0, cfg.get("solver"), exp
 
 
 def _dichotomy(cfg: dict) -> tuple:
@@ -615,8 +615,8 @@ _PARAMETERS = {"window": _PAIR,
 def experiment_schema(kind: str, needs: dict | None = None, blocks=("solver", "datum"),
                       solver_reads=(), parameters=()) -> dict:
     """Schema of a config for the experiment kind: model, grid, the blocks
-    of solver and datum it reads (all required but solver) and experiment,
-    with experiment.kind fixed to kind, solver fields only dt, T and
+    of solver and datum it reads and experiment, all required, with
+    experiment.kind fixed to kind, solver fields only dt, T and
     solver_reads, experiment fields only kind and parameters, and needs,
     the extra schema of what the kind requires."""
     solver = {**SOLVER_SCHEMA, "properties": {
@@ -627,7 +627,7 @@ def experiment_schema(kind: str, needs: dict | None = None, blocks=("solver", "d
     read = ("model", "grid", *blocks)
     return {"allOf": [{
         "type": "object",
-        "required": [name for name in read if name != "solver"] + ["experiment"],
+        "required": [*read, "experiment"],
         "properties": {
             **{name: common[name] for name in read},
             "experiment": {"type": "object", "required": ["kind"],

@@ -27,6 +27,10 @@ the discrete L2 balance of the continuum term up to aliasing residue.
 Both modes run on one real-field core, EtdPropagator: solutions are real,
 so states are rfft half-spectra and every transform is a real FFT.
 
+SolverConfig is a run's one time grid: its constructor checks dt, T and the
+snapshot times and gives n_steps and snapshot_steps, which solve and
+picard_solve read; solution_at builds one from its dt and T.
+
 DATUM_SCHEMA, the JSON schema of a datum config, is built here from
 DATUM_KEYS, the table that datum_from_config reads.
 """
@@ -34,8 +38,8 @@ DATUM_KEYS, the table that datum_from_config reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Container, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Container, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -282,24 +286,49 @@ class EtdPropagator:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """A run's time grid: BadParameter unless dt and T are finite with
+    0 < dt <= T, picard_tol is finite and positive, T is a positive whole
+    number, n_steps, of dt steps and each snapshot time (default (T,)) is
+    finite, in [0, T] and on a step of its own (both to 1e-9 relative): a
+    time is refused, never moved.  snapshot_steps maps step index -> time,
+    in time order."""
+
     dt: float
     T: float
     picard_tol: float = 1e-10
     snapshot_times: Optional[Tuple[float, ...]] = None
     linear_only: bool = False
+    n_steps: int = field(init=False, repr=False, compare=False)
+    snapshot_steps: Dict[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_times(self.dt, self.T)
+        dt, T = self.dt, self.T
+        if not (math.isfinite(dt) and math.isfinite(T)):
+            raise BadParameter(f"dt and T must be finite, got {dt}, {T}")
+        if dt <= 0 or T <= 0 or dt > T:
+            raise BadParameter("require 0 < dt <= T")
         if not 0 < self.picard_tol < math.inf:
             raise BadParameter(f"picard_tol must be finite and positive, got {self.picard_tol}")
-
-
-def _check_times(dt: float, T: float) -> None:
-    """SolverConfig's checks of dt and T, which solution_at runs too."""
-    if not (math.isfinite(dt) and math.isfinite(T)):
-        raise BadParameter(f"dt and T must be finite, got {dt}, {T}")
-    if dt <= 0 or T <= 0 or dt > T:
-        raise BadParameter("require 0 < dt <= T")
+        ratio = T / dt
+        n_steps = int(round(ratio)) if math.isfinite(ratio) else 0
+        if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * T:
+            raise BadParameter(f"T={T} is not a positive whole number of steps of dt={dt}")
+        steps = {}
+        wanted = self.snapshot_times if self.snapshot_times is not None else (T,)
+        for t in sorted(set(wanted)):
+            if not math.isfinite(t):
+                raise BadParameter(f"snapshot time {t} is not finite")
+            step = round(min(max(t / dt, -1), n_steps + 1))   # t / dt is ±inf for |t| far past T
+            if t < 0 or step > n_steps:
+                raise BadParameter(f"snapshot time {t} outside [0, T]")
+            if abs(step * dt - t) > 1e-9 * t:
+                raise BadParameter(f"snapshot time {t} is not a multiple of dt={dt}")
+            if step in steps:
+                raise BadParameter(
+                    f"snapshot times {steps[step]} and {t} fall on the same step {step}")
+            steps[step] = t
+        object.__setattr__(self, "n_steps", n_steps)
+        object.__setattr__(self, "snapshot_steps", steps)
 
 
 @dataclass
@@ -311,40 +340,6 @@ class Trajectory:
     energy_times: np.ndarray
     energy_series: np.ndarray
     dissipation_series: np.ndarray
-
-
-def step_count(T: float, dt: float) -> int:
-    """The number of dt steps that reach T; BadParameter unless T is a
-    positive whole number of them (to 1e-9 relative)."""
-    ratio = T / dt if dt > 0 else math.nan
-    n_steps = int(round(ratio)) if math.isfinite(ratio) else 0
-    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * T:
-        raise BadParameter(f"T={T} is not a positive whole number of steps of dt={dt}")
-    return n_steps
-
-
-def _snapshot_steps(cfg: SolverConfig, n_steps: int) -> dict:
-    """Map step index -> requested snapshot time.
-
-    Each time must be finite, lie on the dt grid (to 1e-9 relative) and on a
-    step of its own; anything else raises BadParameter rather than being
-    moved.
-    """
-    wanted = cfg.snapshot_times if cfg.snapshot_times is not None else (cfg.T,)
-    out = {}
-    for t in sorted(set(wanted)):
-        if not math.isfinite(t):
-            raise BadParameter(f"snapshot time {t} is not finite")
-        step = int(round(t / cfg.dt))
-        if t < 0 or step > n_steps:
-            raise BadParameter(f"snapshot time {t} outside [0, T]")
-        if abs(step * cfg.dt - t) > 1e-9 * t:
-            raise BadParameter(f"snapshot time {t} is not a multiple of dt={cfg.dt}")
-        if step in out:
-            raise BadParameter(
-                f"snapshot times {out[step]} and {t} fall on the same step {step}")
-        out[step] = t
-    return out
 
 
 #: peak bytes allocated per grid point by an ETD2 run: solve with up to two
@@ -371,8 +366,7 @@ def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     Raises BadParameter before building the propagator when the run's
     estimated peak exceeds physical memory.
     """
-    n_steps = step_count(cfg.T, cfg.dt)
-    snap_at = _snapshot_steps(cfg, n_steps)
+    n_steps, snap_at = cfg.n_steps, cfg.snapshot_steps
     prop = _guarded_propagator(
         u0.grid, sym, params, cfg.dt, cfg.linear_only,
         8 * max(0, len(snap_at) - 2) * u0.grid.N + 16 * (n_steps + 1),
@@ -394,9 +388,9 @@ def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
 
 def solution_at(sym: DispersionSymbol, params: ModelParams, u0: Field, T: float,
                 dt: float) -> Field:
-    """u(T), the bits of solve's snapshot at T, by a march that runs no monitor."""
-    _check_times(dt, T)
-    n_steps = step_count(T, dt)
+    """u(T), the bits of solve's snapshot at T, by a march that runs no
+    monitor; dt and T are checked by SolverConfig(dt=dt, T=T)."""
+    n_steps = SolverConfig(dt=dt, T=T).n_steps
     prop = _guarded_propagator(u0.grid, sym, params, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         [(_, uhat)] = prop.march(prop.forward(u0), n_steps, (n_steps,))
@@ -461,18 +455,16 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     keeps (EtdPropagator's state), about 2/(k+2) of the N/2+1.  The tau
     integral uses the midpoint rule with u at midpoints approximated by
     endpoint averages, streamed by _picard_sweeps with E = exp(L dt),
-    E_{1/2} = exp(L dt/2): O(M N) work per iteration.  Raises BadParameter
-    before any step when T is not a whole number of steps, when a snapshot
-    time is off the step grid or collides with another (as solve does), or
-    when the propagator and the array, SOLVE_PEAK_BYTES_PER_POINT N +
-    16 (M+1)(K+1) bytes, would exceed physical memory.  Divergence is
-    detected through per-iteration contraction factors.  The report's
+    E_{1/2} = exp(L dt/2): O(M N) work per iteration, M = cfg.n_steps.
+    Raises BadParameter before any step when the propagator and the array,
+    SOLVE_PEAK_BYTES_PER_POINT N + 16 (M+1)(K+1) bytes, would exceed
+    physical memory.  Divergence is detected through per-iteration
+    contraction factors.  The report's
     "snapshots" entry lists (t, field) at the requested snapshot times
     (default (T,)), taken from the final iterate; when T is one of them,
     the returned field is that snapshot's Field.
     """
-    M = step_count(cfg.T, cfg.dt)
-    snap_at = _snapshot_steps(cfg, M)
+    M, snap_at = cfg.n_steps, cfg.snapshot_steps
     kept = _kept_modes(u0.grid.N, params.k)
     prop = _guarded_propagator(u0.grid, sym, params, cfg.dt, cfg.linear_only,
                                16 * (M + 1) * kept, run="the Picard run",

@@ -416,11 +416,9 @@ def picard_streamed_reference(sym, params, u0, cfg):
     as picard_solve does.
     """
     from stratwave.errors import NoContraction
-    from stratwave.solver import (PICARD_MAX_ITER, EtdPropagator, _snapshot_steps,
-                                  step_count)
+    from stratwave.solver import PICARD_MAX_ITER, EtdPropagator
 
-    M = step_count(cfg.T, cfg.dt)
-    snap_at = _snapshot_steps(cfg, M)
+    M, snap_at = cfg.n_steps, cfg.snapshot_steps
     dt = cfg.dt
     prop = EtdPropagator(u0.grid, sym, params, dt, cfg.linear_only)
     E = prop.exp_full

@@ -127,10 +127,12 @@ def test_weight_guards():
 
 @pytest.mark.parametrize("T", [0.0004, 0.0105])
 def test_weighted_persistence_rejects_partial_steps(T):
-    # T = 0.0004 used to reach log10(0); T = 0.0105 used to stop at t = 0.01
+    # T = 0.0004 used to reach log10(0); T = 0.0105 used to stop at t = 0.01.
+    # T < dt fails SolverConfig's 0 < dt <= T check, as in every stepping kind
     sym, params = preset("ost")
     u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, Grid(1024, 50.0))
-    with pytest.raises(BadParameter, match="whole number of steps"):
+    with pytest.raises(BadParameter,
+                       match="whole number of steps" if T >= 1e-3 else "require 0 < dt <= T"):
         weighted_persistence_experiment(sym, params, u0, p=2.0, gamma=0.5, T=T,
                                         dt=1e-3)
 

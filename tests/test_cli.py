@@ -764,7 +764,8 @@ def test_experiment_weighted_partial_steps_exit_1(tmp_path, capsys, T):
                "--config", cfg])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error [BadParameter]") and "whole number of steps" in err
+    want = "whole number of steps" if T >= 0.001 else "require 0 < dt <= T"
+    assert err.startswith("error [BadParameter]") and want in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
 
@@ -1347,6 +1348,50 @@ def test_every_experiment_kind_reads_its_datum(tmp_path, kind):
     names = ([name for name in digests[0] if name != "report.json"]
              if kind == "trajectory" else ["report.json"])
     assert names and all(digests[0][name] != digests[1][name] for name in names)
+
+
+@pytest.mark.parametrize("kind", list(_SMALL_RUNS))
+def test_experiment_dt_past_T_is_one_line_in_every_stepping_kind(tmp_path, capsys, kind):
+    # weighted used to give its own line, that T is not a whole number of steps
+    cfg = write_json(tmp_path / "exp.json",
+                     {**_small_run(kind), "solver": {"dt": 0.2, "T": 0.1}})
+    out = tmp_path / "run"
+    assert main(["--quiet", "--out", str(out), "experiment", kind, "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error [BadParameter]: require 0 < dt <= T\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--mode", "etd"],
+    ["simulate", "--mode", "picard"],
+    ["experiment", "growth"],
+], ids=["simulate-etd", "simulate-picard", "experiment-growth"])
+@pytest.mark.parametrize("t", [1e308, -1e308])
+def test_a_snapshot_time_whose_t_over_dt_overflows_is_one_line(tmp_path, capsys, ost_config,
+                                                                gauss_datum, command, t):
+    # t / dt = ±1e308 / 1e-3 is ±inf, and round() of it used to escape as an
+    # OverflowError traceback
+    if command[0] == "simulate":
+        args = command + ["--config", ost_config, "--datum", gauss_datum, "--dt", "0.001",
+                          "--T", "0.01", "--grid", "N=256,L=50", "--snapshots", f"0.005,{t}"]
+    else:
+        args = command + ["--config", write_json(tmp_path / "exp.json", {
+            **_small_run("growth"),
+            "solver": {"dt": 0.001, "T": 0.01, "snapshots": [0.005, t]}})]
+    out = tmp_path / "run"
+    assert main(["--quiet", "--out", str(out), *args]) == 1
+    assert capsys.readouterr().err == f"error [BadParameter]: snapshot time {t} outside [0, T]\n"
+    assert not out.exists()
+
+
+def test_experiment_without_a_solver_block_is_a_config_error(tmp_path, capsys):
+    # it used to run at dt = 1e-3 and T = 1 unasked
+    cfg = write_json(tmp_path / "exp.json",
+                     {key: block for key, block in _small_run("energy").items() if key != "solver"})
+    out = tmp_path / "run"
+    assert main(["--quiet", "--out", str(out), "experiment", "energy", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "config error: $: 'solver' is a required property\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("preset_name,datum,error", [

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (FullHalfSpectrumEtd, dealias, dissipation_rate,
                      etd2_reference, fft_j, fft_xi, picard_reference,
@@ -15,7 +15,7 @@ from stratwave import (DispersionSymbol, EtdPropagator, Field, Grid, NoContracti
 from stratwave.errors import BadParameter, ConfigInvalid
 import stratwave.solver as solver_module
 import stratwave.spectral as spectral_module
-from stratwave.solver import _phi, _snapshot_steps, step_count
+from stratwave.solver import _phi
 from stratwave.spectral import to_spectral
 
 
@@ -143,7 +143,7 @@ def test_u_at_T_runs_no_monitor(monkeypatch, experiment):
 @pytest.mark.parametrize("dt,T", [(math.nan, 0.1), (1e-2, math.inf), (0.2, 0.1),
                                   (-1e-2, 0.1), (1e-2, 0.105)])
 def test_solution_at_refuses_dt_and_T_as_solve_does(dt, T):
-    # solution_at builds no SolverConfig, yet gives its error lines
+    # solution_at builds SolverConfig(dt=dt, T=T), so it gives solve's error lines
     sym, params = preset("ost")
     u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, Grid(2 ** 8, 20.0))
     with pytest.raises(BadParameter) as want:
@@ -299,28 +299,70 @@ def test_solver_config_rejects_non_finite_values(name, value):
 
 @pytest.mark.parametrize("T", [0.1005, 0.0004])
 def test_partial_steps_rejected_in_both_modes(T):
-    # picard used to round T to a whole number of steps
-    sym, params = preset("ost")
-    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, Grid(2 ** 8, 20.0))
-    with pytest.raises(BadParameter, match="whole number of steps"):
-        step_count(T, 1e-3)
-    if T >= 1e-3:   # SolverConfig itself rejects T < dt
-        for run in (solve, picard_solve):
-            with pytest.raises(BadParameter, match="whole number of steps"):
-                run(sym, params, u0, SolverConfig(dt=1e-3, T=T))
-    assert step_count(0.1, 1e-3) == 100
+    # picard used to round T to a whole number of steps; both modes now read
+    # SolverConfig.n_steps, so a T between steps builds no config for either
+    # (and a T below dt fails the 0 < dt <= T check first)
+    message = "whole number of steps" if T >= 1e-3 else "require 0 < dt <= T"
+    with pytest.raises(BadParameter, match=message):
+        SolverConfig(dt=1e-3, T=T)
+    assert SolverConfig(dt=1e-3, T=0.1).n_steps == 100
 
 
 def test_snapshot_times_off_grid_or_colliding_rejected():
     # 0.1004 lies between steps; it used to be moved onto step 100 and drop 0.1
-    cfg = SolverConfig(dt=1e-3, T=0.2, snapshot_times=(0.1, 0.1004, 0.1507))
     with pytest.raises(BadParameter, match="not a multiple of dt"):
-        _snapshot_steps(cfg, 200)
-    cfg = SolverConfig(dt=1e-3, T=0.2, snapshot_times=(0.1, 0.1 + 1e-12))
+        SolverConfig(dt=1e-3, T=0.2, snapshot_times=(0.1, 0.1004, 0.1507))
     with pytest.raises(BadParameter, match="same step"):
-        _snapshot_steps(cfg, 200)
+        SolverConfig(dt=1e-3, T=0.2, snapshot_times=(0.1, 0.1 + 1e-12))
     cfg = SolverConfig(dt=1e-3, T=0.2, snapshot_times=(0.15, 0.0, 0.1, 0.1))
-    assert _snapshot_steps(cfg, 200) == {0: 0.0, 100: 0.1, 150: 0.15}
+    assert cfg.n_steps == 200
+    assert list(cfg.snapshot_steps.items()) == [(0, 0.0), (100, 0.1), (150, 0.15)]
+
+
+def test_solver_config_grid_leaves_equality_and_hash_alone():
+    # n_steps and snapshot_steps are derived: two configs of the same
+    # fields are equal and hash alike, and the derived fields are read-only
+    a, b = (SolverConfig(dt=1e-2, T=0.1, snapshot_times=(0.05,)) for _ in range(2))
+    assert a == b and hash(a) == hash(b) and a.snapshot_steps == {5: 0.05}
+    assert "n_steps" not in repr(a)
+    with pytest.raises(AttributeError):
+        a.n_steps = 3
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@st.composite
+def _time_grids(draw):
+    """(dt, T, snapshot_times): any floats, or T a whole number of steps of
+    dt and the times on its steps, so that both refusals and grids occur."""
+    dt = draw(_ANY_FLOAT | st.floats(1e-6, 1.0))
+    n = draw(st.integers(1, 10 ** 6))
+    T = draw(_ANY_FLOAT | st.just(n * dt))
+    times = draw(st.none() | st.lists(
+        _ANY_FLOAT | st.integers(0, n).map(lambda i: i * dt), max_size=5).map(tuple))
+    return dt, T, times
+
+
+@settings(max_examples=400, deadline=None)
+@given(_time_grids())
+@example((1e-3, 0.01, (0.005, 1e308)))
+@example((1e-3, 0.01, (-1e308,)))
+@example((5e-324, 1e308, None))
+def test_solver_config_is_a_time_grid_or_bad_parameter(grid):
+    # no other exception escapes: a finite t whose t/dt overflows used to
+    # raise OverflowError from round()
+    dt, T, times = grid
+    try:
+        cfg = SolverConfig(dt=dt, T=T, snapshot_times=times)
+    except BadParameter:
+        return
+    n = cfg.n_steps
+    assert n >= 1 and abs(n * dt - T) <= 1e-9 * T
+    steps = list(cfg.snapshot_steps)
+    assert steps == sorted(set(steps)) and all(0 <= step <= n for step in steps)
+    assert all(abs(step * dt - t) <= 1e-9 * t for step, t in cfg.snapshot_steps.items())
+    assert set(cfg.snapshot_steps.values()) == set(times if times is not None else (T,))
 
 
 # ---------------------------------------------------------------------------
@@ -614,9 +656,8 @@ def test_linear_semigroup_law(name, N, L, s, t):
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
 def test_snapshot_steps_rejects_non_finite_times(t):
     # nan and inf used to escape as ValueError / OverflowError from round()
-    cfg = SolverConfig(dt=1e-2, T=0.1, snapshot_times=(0.05, t))
     with pytest.raises(BadParameter, match="not finite"):
-        _snapshot_steps(cfg, 10)
+        SolverConfig(dt=1e-2, T=0.1, snapshot_times=(0.05, t))
 
 
 def test_solver_config_guards():
