@@ -40,6 +40,7 @@ GRID_SCHEMA, SOLVER_SCHEMA, MODEL_SCHEMA and DATUM_SCHEMA.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,18 +80,22 @@ KERNEL_MASS_TOL = 1e-6
 LINEAR_LOWER_BOUND_BYTES_PER_POINT = 25
 
 
-def window_mask(grid: Grid, window: Tuple[float, float], side: str) -> np.ndarray:
-    """Samples with a <= x <= b ("right"), -b <= x <= -a ("left") or either ("both").
-
-    Raises BadParameter unless 0 < a < b, and WindowContaminated when b
-    passes the wrap-safe half-box L/2.
-    """
+def check_window(grid: Grid, window: Tuple[float, float]) -> None:
+    """BadParameter unless 0 < a < b, and WindowContaminated when b passes
+    the wrap-safe half-box L/2: what a window needs before any run."""
     a, b = window
     if not 0 < a < b:
         raise BadParameter(f"window must satisfy 0 < a < b, got {window}")
     if b > 0.5 * grid.L:
         raise WindowContaminated(
             f"window edge {b} exceeds wrap-safe half-box {0.5 * grid.L}")
+
+
+def window_mask(grid: Grid, window: Tuple[float, float], side: str) -> np.ndarray:
+    """Samples with a <= x <= b ("right"), -b <= x <= -a ("left") or either
+    ("both"), after check_window."""
+    check_window(grid, window)
+    a, b = window
     right, left = (grid.x >= a) & (grid.x <= b), (grid.x <= -a) & (grid.x >= -b)
     return {"right": right, "left": left, "both": right | left}[side]
 
@@ -178,29 +183,26 @@ def growth_envelope(u: Field, gamma: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _excluded_pair(params: ModelParams) -> bool:
-    return params.m == 2 and (params.n == 1 or params.n % 2 == 0)
-
-
 def _check_decay_order(sym: DispersionSymbol, params: ModelParams) -> None:
     if not sym.supports_decay_order(params.n):
         raise ExcludedParameters(f"the {sym.kind} symbol is C^{sym.origin_regularity} "
                                  f"at 0; the order-{params.n} tail law needs C^{params.n - 1}")
 
 
-def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams,
-                         datum: dict, T: float, grid: Grid,
-                         dt: float = 1e-3, window: Optional[Tuple[float, float]] = None) -> dict:
+def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams, datum: dict,
+                         grid: Grid, run: SolverConfig,
+                         window: Optional[Tuple[float, float]] = None) -> dict:
     """Twin-run decay dichotomy: an algebraic datum (a datum config) vs its
     zero-mean twin, the same config with kind zero_mean_algebraic.
 
     The datum's gamma must equal n+1+eps with eps in (0, 1]; after the
     ExcludedParameters checks, an invalid datum config raises ConfigInvalid
-    and a datum of another kind BadParameter.
+    and a datum of another kind BadParameter; then check_window refuses a bad
+    window (default [20, 0.3 L]), all before either run.
     The nonzero-mean run must show tail exponent n+1 to DICHOTOMY_EXPONENT_TOL;
     the zero-mean run at least n+1 + DICHOTOMY_IMPROVEMENT eps.  Reports both fits per side.
     """
-    if _excluded_pair(params):
+    if params.m == 2 and (params.n == 1 or params.n % 2 == 0):
         raise ExcludedParameters(
             f"(m, n) = ({params.m}, {params.n}): the dichotomy result excludes "
             f"(2, 1) and (2, 2d)")
@@ -216,10 +218,11 @@ def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams,
             f"the datum's gamma must be n+1+eps with eps in (0,1]; got gamma={gamma}")
     if window is None:
         window = (20.0, 0.3 * grid.L)
+    check_window(grid, window)
     datum_raw = datum_from_config(datum, grid)
     datum_zm = datum_from_config({**datum, "kind": "zero_mean_algebraic"}, grid)
     per_side = {name: {side: fit["exponent"] for side, fit in
-                       tail_exponent(solution_at(sym, params, u, T, dt), window).items()}
+                       tail_exponent(solution_at(sym, params, u, run), window).items()}
                 for name, u in (("nonzero_mean", datum_raw), ("zero_mean", datum_zm))}
     exp_raw, exp_zm = (0.5 * (e["left"] + e["right"]) for e in per_side.values())
 
@@ -292,10 +295,9 @@ def lower_bound_check(u: Field, t: float, params: ModelParams, u0_mean: float,
 
 
 def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
-                                    u0: Field, p: float, gamma: float, T: float,
-                                    dt: float = 1e-3) -> dict:
-    """Sample t^alpha ||u(t)||_{L^p_w} at PERSISTENCE_SAMPLES log-spaced
-    times in (0, T].
+                                    u0: Field, p: float, gamma: float,
+                                    run: SolverConfig) -> dict:
+    """Sample t^alpha ||u(t)||_{L^p_w} at PERSISTENCE_SAMPLES log-spaced steps in (0, T].
 
     passed (the series is bounded) = finite sup and small-t log-slope >=
     PERSISTENCE_SLOPE_FLOOR.
@@ -308,12 +310,11 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
         raise BadParameter("persistence weight gamma must be in (0, 1)")
     if not p > 1:
         raise BadParameter("p must exceed 1")
-    alpha = params.alpha
-    n_steps = SolverConfig(dt=dt, T=T).n_steps
+    alpha, dt, n_steps = params.alpha, run.dt, run.n_steps
     steps = np.logspace(0.0, math.log10(n_steps), PERSISTENCE_SAMPLES)
     targets = set(np.clip(np.round(steps).astype(int), 1, n_steps).tolist())
 
-    prop = _guarded_propagator(u0.grid, sym, params, dt)
+    prop = _guarded_propagator(u0.grid, sym, params, run)
     qs, failure = [], None
     with np.errstate(over="ignore", invalid="ignore"):
         for step, uhat in prop.march(prop.forward(u0), n_steps, targets):
@@ -347,34 +348,38 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
 
 
 def lower_bound_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field,
-                           T: float, dt: float, linear_only: bool = False,
+                           run: SolverConfig,
                            windows: Optional[Sequence[Tuple[float, float]]] = None) -> dict:
-    """lower_bound_check on u(T): Khat(T) u0hat when linear_only, else ETD2.
+    """lower_bound_check on u(run.T): the exact kernel product Khat(T) u0hat
+    when run.linear_only, else ETD2.
 
-    A datum with zero integral raises ZeroMean before any evolution.  The
-    linear-only Khat(T) is the kernel build's, half_kernel_hat, with its errors;
-    before it is built, BadParameter is raised when the path's estimated
-    peak exceeds physical memory."""
+    ZeroMean (a datum with zero integral) and check_window (each given
+    window) raise before any evolution.  The linear-only Khat(T) is the
+    kernel build's, half_kernel_hat, with its errors, and before it is built
+    the path raises BadParameter when its estimated peak exceeds physical
+    memory."""
     _check_decay_order(sym, params)
     u0_mean = integral(u0)
     if u0_mean == 0:
         raise ZeroMean("lower bound requires a datum with nonzero integral")
-    if linear_only:
+    for window in windows or ():
+        check_window(u0.grid, window)
+    if run.linear_only:
         check_memory(LINEAR_LOWER_BOUND_BYTES_PER_POINT * u0.grid.N,
                      f"the linear-only lower bound at N={u0.grid.N} (an estimate of "
                      f"{LINEAR_LOWER_BOUND_BYTES_PER_POINT} bytes per grid point)")
-        khat = half_kernel_hat(T, u0.grid, sym, params)
+        khat = half_kernel_hat(run.T, u0.grid, sym, params)
         u = from_half_spectrum(u0.grid, khat * half_spectrum(u0))
     else:
-        u = solution_at(sym, params, u0, T, dt)
-    return lower_bound_check(u, T, params, u0_mean, windows=windows)
+        u = solution_at(sym, params, u0, run)
+    return lower_bound_check(u, run.T, params, u0_mean, windows=windows)
 
 
 def energy_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field,
-                      T: float, dt: float) -> dict:
-    """Checks ||u(t)||_2 <= ||u0|| e^{eta t} * 1.01 at every ETD2 step and,
-    when Re phi <= 0 (n even or n = 3 + 4d), no step increase above 1e-10."""
-    traj = solve(sym, params, u0, SolverConfig(dt=dt, T=T))
+                      run: SolverConfig) -> dict:
+    """Checks ||u(t)||_2 <= ||u0|| e^{eta t} * 1.01 at every ETD2 step of run
+    and, when Re phi <= 0 (n even or n = 3 + 4d), no step increase above 1e-10."""
+    traj = solve(sym, params, u0, run)
     e = traj.energy_series
     increase = float(np.max(np.diff(e)))
     # an exp(eta t) past float64 is an infinite bound, and times a zero
@@ -393,12 +398,10 @@ def energy_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field,
 
 
 def growth_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field,
-                      gamma: float, T: float, dt: float,
-                      snapshot_times: Sequence[float], bound: float) -> dict:
-    """growth_envelope of the datum and every snapshot; passes if all <= bound."""
+                      gamma: float, run: SolverConfig, bound: float) -> dict:
+    """growth_envelope of the datum and every snapshot of run; passes if all <= bound."""
     envs = [growth_envelope(u0, gamma)]
-    traj = solve(sym, params, u0,
-                 SolverConfig(dt=dt, T=T, snapshot_times=tuple(snapshot_times)))
+    traj = solve(sym, params, u0, run)
     envs += [growth_envelope(s, gamma) for s in traj.snapshots]
     worst = float(np.max(envs))
     return {"times": [0.0] + traj.times, "envelopes": envs,
@@ -463,8 +466,9 @@ def kernel_report(kernel: Field, t: float, sym: DispersionSymbol, params: ModelP
 
 
 def _inputs(cfg: dict, build_datum: bool = True) -> tuple:
-    """(sym, params, grid, u0 (None unless build_datum), solver block
-    (None for a kind that reads none), experiment block) of a config.
+    """(sym, params, grid, u0 (None unless build_datum), run: the solver
+    block as the one SolverConfig of the run, built after the datum (None
+    for a kind that reads no solver block), experiment block) of a config.
 
     The experiment block's window and windows are read as floats, as the
     CLI's --window parsers give them, so a report echoes [5, 40] as
@@ -472,47 +476,48 @@ def _inputs(cfg: dict, build_datum: bool = True) -> tuple:
     sym, params = model_from_config(cfg["model"])
     grid = Grid(cfg["grid"]["N"], cfg["grid"]["L"])
     u0 = datum_from_config(cfg["datum"], grid) if build_datum else None
+    solver = cfg.get("solver")
+    run = None if solver is None else SolverConfig(
+        dt=solver["dt"], T=solver["T"], linear_only=solver.get("linear_only", False),
+        snapshot_times=tuple(solver["snapshots"]) if "snapshots" in solver else None)
     exp = {key: np.array(value, dtype=float).tolist() if key in ("window", "windows")
            else value for key, value in cfg["experiment"].items()}
-    return sym, params, grid, u0, cfg.get("solver"), exp
+    return sym, params, grid, u0, run, exp
 
 
 def _dichotomy(cfg: dict) -> tuple:
-    sym, params, grid, _, solver, exp = _inputs(cfg, build_datum=False)
-    return dichotomy_experiment(sym, params, cfg["datum"], solver["T"], grid, solver["dt"],
+    sym, params, grid, _, run, exp = _inputs(cfg, build_datum=False)
+    return dichotomy_experiment(sym, params, cfg["datum"], grid, run,
                                 window=exp.get("window")), {}
 
 
 def _weighted(cfg: dict) -> tuple:
-    sym, params, _, u0, solver, exp = _inputs(cfg)
+    sym, params, _, u0, run, exp = _inputs(cfg)
     return weighted_persistence_experiment(sym, params, u0, exp.get("p", 2.0),
-                                           exp.get("gamma", 0.5), solver["T"],
-                                           solver["dt"]), {}
+                                           exp.get("gamma", 0.5), run), {}
 
 
 def _growth(cfg: dict) -> tuple:
-    sym, params, _, u0, solver, _ = _inputs(cfg)
-    datum, T = datum_parameters(cfg["datum"]), solver["T"]
-    return growth_experiment(sym, params, u0, datum["gamma"], T, solver["dt"],
-                             solver.get("snapshots", [T]), 2.0 * datum["c0"]), {}
+    sym, params, _, u0, run, _ = _inputs(cfg)
+    datum = datum_parameters(cfg["datum"])
+    return growth_experiment(sym, params, u0, datum["gamma"], run, 2.0 * datum["c0"]), {}
 
 
 def _lowerbound(cfg: dict) -> tuple:
-    sym, params, _, u0, solver, exp = _inputs(cfg)
-    return lower_bound_experiment(sym, params, u0, solver["T"], solver["dt"],
-                                  solver.get("linear_only", False), exp.get("windows")), {}
+    sym, params, _, u0, run, exp = _inputs(cfg)
+    return lower_bound_experiment(sym, params, u0, run, exp.get("windows")), {}
 
 
 def _energy(cfg: dict) -> tuple:
-    sym, params, _, u0, solver, _ = _inputs(cfg)
-    return energy_experiment(sym, params, u0, solver["T"], solver["dt"]), {}
+    sym, params, _, u0, run, _ = _inputs(cfg)
+    return energy_experiment(sym, params, u0, run), {}
 
 
 def _decay(cfg: dict) -> tuple:
     """What `stratwave decay-fit` reports on `stratwave simulate`'s u(T)."""
-    sym, params, _, u0, solver, exp = _inputs(cfg)
-    return tail_exponent(solution_at(sym, params, u0, solver["T"], solver["dt"]),
-                         exp["window"]), {}
+    sym, params, grid, u0, run, exp = _inputs(cfg)
+    check_window(grid, exp["window"])
+    return tail_exponent(solution_at(sym, params, u0, run), exp["window"]), {}
 
 
 def _kernel(cfg: dict) -> tuple:
@@ -533,8 +538,8 @@ def _kernel_derivative(cfg: dict) -> tuple:
 def _convergence(cfg: dict) -> tuple:
     """ETD2's observed order log2(d12 / d23), d12 and d23 the L2 distances
     between u(T) at dt and dt/2 and at dt/2 and dt/4."""
-    sym, params, grid, u0, solver, _ = _inputs(cfg)
-    u1, u2, u4 = (solution_at(sym, params, u0, solver["T"], solver["dt"] / halves)
+    sym, params, grid, u0, run, _ = _inputs(cfg)
+    u1, u2, u4 = (solution_at(sym, params, u0, replace(run, dt=run.dt / halves))
                   for halves in (1, 2, 4))
     d12 = Field(grid, u1.samples - u2.samples).l2_norm()
     d23 = Field(grid, u2.samples - u4.samples).l2_norm()
@@ -547,10 +552,9 @@ def _convergence(cfg: dict) -> tuple:
 def _crosscheck(cfg: dict) -> tuple:
     """||u_picard - u_etd||_2 at T, Picard iterated until its update is
     below 1e-12, and picard_solve's report less its snapshots."""
-    sym, params, grid, u0, solver, _ = _inputs(cfg)
-    u_etd = solution_at(sym, params, u0, solver["T"], solver["dt"])
-    u_pic, report = picard_solve(sym, params, u0, SolverConfig(
-        dt=solver["dt"], T=solver["T"], picard_tol=1e-12))
+    sym, params, grid, u0, run, _ = _inputs(cfg)
+    u_etd = solution_at(sym, params, u0, run)
+    u_pic, report = picard_solve(sym, params, u0, replace(run, picard_tol=1e-12))
     del report["snapshots"]
     return {"l2_diff": Field(grid, u_etd.samples - u_pic.samples).l2_norm(), **report}, {}
 
@@ -562,14 +566,11 @@ def _trajectory(cfg: dict) -> tuple:
     holds dt_used (the solver's dt) and, for ETD2, n_steps and the wrap
     contamination of a window edge at 0.45 L, or for Picard picard_solve's
     report less its snapshots."""
-    sym, params, grid, u0, solver, _ = _inputs(cfg)
-    dt, T = solver["dt"], solver["T"]
-    run = SolverConfig(dt=dt, T=T, snapshot_times=tuple(solver.get("snapshots", [T])),
-                       linear_only=solver.get("linear_only", False))
-    if solver.get("mode", "etd") == "picard":
+    sym, params, grid, u0, run, _ = _inputs(cfg)
+    if cfg["solver"].get("mode", "etd") == "picard":
         _, picard = picard_solve(sym, params, u0, run)
         snapshots = picard.pop("snapshots")
-        return ({"picard": picard, "dt_used": dt},
+        return ({"picard": picard, "dt_used": run.dt},
                 {f"snapshot_t{t:g}.csv": snap for t, snap in snapshots})
     traj = solve(sym, params, u0, run)
     outputs = {f"snapshot_t{t:g}.csv": snap for t, snap in zip(traj.times, traj.snapshots)}
@@ -577,7 +578,7 @@ def _trajectory(cfg: dict) -> tuple:
                                                   traj.dissipation_series))
     return ({"wrap_contamination_estimate": wrap_contamination(grid, 0.45 * grid.L,
                                                                params.n + 1),
-             "dt_used": dt, "n_steps": len(traj.energy_series) - 1}, outputs)
+             "dt_used": run.dt, "n_steps": run.n_steps}, outputs)
 
 
 GRID_SCHEMA = {

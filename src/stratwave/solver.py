@@ -29,7 +29,7 @@ so states are rfft half-spectra and every transform is a real FFT.
 
 SolverConfig is a run's one time grid: its constructor checks dt, T and the
 snapshot times and gives n_steps and snapshot_steps, which solve and
-picard_solve read; solution_at builds one from its dt and T.
+picard_solve read; solution_at reads its dt, T, n_steps and linear_only.
 
 DATUM_SCHEMA, the JSON schema of a datum config, is built here from
 DATUM_KEYS, the table that datum_from_config reads.
@@ -350,13 +350,13 @@ SOLVE_PEAK_BYTES_PER_POINT = 79
 
 
 def _guarded_propagator(grid: Grid, sym: DispersionSymbol, params: ModelParams,
-                        dt: float, linear_only: bool = False, extra_bytes: int = 0,
-                        run: str = "the ETD2 run", extra: str = "") -> EtdPropagator:
-    """EtdPropagator after check_memory of SOLVE_PEAK_BYTES_PER_POINT N + extra_bytes."""
+                        cfg: SolverConfig, extra_bytes: int = 0, run: str = "the ETD2 run",
+                        extra: str = "") -> EtdPropagator:
+    """cfg's EtdPropagator after check_memory of SOLVE_PEAK_BYTES_PER_POINT N + extra_bytes."""
     check_memory(SOLVE_PEAK_BYTES_PER_POINT * grid.N + extra_bytes,
                  f"{run} at N={grid.N} (an estimate of {SOLVE_PEAK_BYTES_PER_POINT} "
                  f"bytes per grid point{extra})")
-    return EtdPropagator(grid, sym, params, dt, linear_only)
+    return EtdPropagator(grid, sym, params, cfg.dt, cfg.linear_only)
 
 
 def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
@@ -368,7 +368,7 @@ def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     """
     n_steps, snap_at = cfg.n_steps, cfg.snapshot_steps
     prop = _guarded_propagator(
-        u0.grid, sym, params, cfg.dt, cfg.linear_only,
+        u0.grid, sym, params, cfg,
         8 * max(0, len(snap_at) - 2) * u0.grid.N + 16 * (n_steps + 1),
         extra=f", 8 per further snapshot, 16 per step: {len(snap_at)} snapshots "
               f"and {n_steps} steps")
@@ -386,14 +386,13 @@ def solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
                       energy_series=energies, dissipation_series=rates)
 
 
-def solution_at(sym: DispersionSymbol, params: ModelParams, u0: Field, T: float,
-                dt: float) -> Field:
-    """u(T), the bits of solve's snapshot at T, by a march that runs no
-    monitor; dt and T are checked by SolverConfig(dt=dt, T=T)."""
-    n_steps = SolverConfig(dt=dt, T=T).n_steps
-    prop = _guarded_propagator(u0.grid, sym, params, dt)
+def solution_at(sym: DispersionSymbol, params: ModelParams, u0: Field,
+                cfg: SolverConfig) -> Field:
+    """u(cfg.T), the bits of solve's snapshot at T, by a march that runs no
+    monitor."""
+    prop = _guarded_propagator(u0.grid, sym, params, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
-        [(_, uhat)] = prop.march(prop.forward(u0), n_steps, (n_steps,))
+        [(_, uhat)] = prop.march(prop.forward(u0), cfg.n_steps, (cfg.n_steps,))
         return prop.physical(uhat)
 
 
@@ -466,10 +465,9 @@ def picard_solve(sym: DispersionSymbol, params: ModelParams, u0: Field,
     """
     M, snap_at = cfg.n_steps, cfg.snapshot_steps
     kept = _kept_modes(u0.grid.N, params.k)
-    prop = _guarded_propagator(u0.grid, sym, params, cfg.dt, cfg.linear_only,
-                               16 * (M + 1) * kept, run="the Picard run",
-                               extra=f", and picard iterate storage of 16 (M+1) "
-                                     f"x (K+1) bytes, K+1 = {kept} kept modes")
+    prop = _guarded_propagator(
+        u0.grid, sym, params, cfg, 16 * (M + 1) * kept, run="the Picard run",
+        extra=f", and picard iterate storage of 16 (M+1) x (K+1) bytes, K+1 = {kept} kept modes")
     traj = np.empty((M + 1, kept), dtype=complex)
     traj[0] = prop.forward(u0)
     for i in range(1, M + 1):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,18 +126,6 @@ def test_weight_guards():
         weighted_norm(Field(g, np.full(64, 1000.0)), 1000.0, 0.5)
 
 
-@pytest.mark.parametrize("T", [0.0004, 0.0105])
-def test_weighted_persistence_rejects_partial_steps(T):
-    # T = 0.0004 used to reach log10(0); T = 0.0105 used to stop at t = 0.01.
-    # T < dt fails SolverConfig's 0 < dt <= T check, as in every stepping kind
-    sym, params = preset("ost")
-    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, Grid(1024, 50.0))
-    with pytest.raises(BadParameter,
-                       match="whole number of steps" if T >= 1e-3 else "require 0 < dt <= T"):
-        weighted_persistence_experiment(sym, params, u0, p=2.0, gamma=0.5, T=T,
-                                        dt=1e-3)
-
-
 # ---------------------------------------------------------------------------
 # growth envelope and mean
 # ---------------------------------------------------------------------------
@@ -237,7 +226,8 @@ def test_lower_bound_experiment_zero_mean_before_evolution(monkeypatch, linear_o
     sym, params = preset("ost")
     u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.0}, Grid(2 ** 10, 50.0))
     with pytest.raises(ZeroMean):
-        lower_bound_experiment(sym, params, u0, 0.1, 1e-2, linear_only)
+        lower_bound_experiment(sym, params, u0,
+                               SolverConfig(dt=1e-2, T=0.1, linear_only=linear_only))
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +236,19 @@ def test_lower_bound_experiment_zero_mean_before_evolution(monkeypatch, linear_o
 
 #: the algebraic datum of T3-DICHOTOMY
 ALGEBRAIC_3 = {"kind": "algebraic", "gamma": 3.0, "c": 0.5}
+#: ten steps to T = 0.1
+TEN_STEPS = SolverConfig(dt=1e-2, T=0.1)
 
 
 def test_dichotomy_excluded_pairs():
     grid = Grid(2 ** 10, 50.0)
     sym, params = preset("chen_lee")      # (2, 1)
     with pytest.raises(ExcludedParameters):
-        dichotomy_experiment(sym, params, ALGEBRAIC_3, 0.1, grid)
+        dichotomy_experiment(sym, params, ALGEBRAIC_3, grid, TEN_STEPS)
     params24 = validate_params(2, 4, 1, 1.0)
     with pytest.raises(ExcludedParameters):
         dichotomy_experiment(preset("ost")[0], params24,
-                             {"kind": "algebraic", "gamma": 6.0}, 0.1, grid)
+                             {"kind": "algebraic", "gamma": 6.0}, grid, TEN_STEPS)
 
 
 def test_dichotomy_twin_is_the_datum_with_kind_zero_mean(monkeypatch):
@@ -270,7 +262,8 @@ def test_dichotomy_twin_is_the_datum_with_kind_zero_mean(monkeypatch):
 
     monkeypatch.setattr(analysis_module, "datum_from_config", record)
     datum = {"kind": "algebraic", "gamma": 2.5, "c": 0.25}
-    dichotomy_experiment(*preset("ost"), datum, T=0.01, grid=Grid(2 ** 12, 100.0), dt=5e-3)
+    dichotomy_experiment(*preset("ost"), datum, Grid(2 ** 12, 100.0),
+                         SolverConfig(dt=5e-3, T=0.01))
     assert built == [datum, {**datum, "kind": "zero_mean_algebraic"}]
     assert datum == {"kind": "algebraic", "gamma": 2.5, "c": 0.25}   # not changed
 
@@ -281,23 +274,24 @@ def test_dichotomy_epsilon_range():
     for gamma in (2.0, 3.5, 1.9):
         with pytest.raises(BadParameter, match="must be n\\+1\\+eps"):
             dichotomy_experiment(sym, params, {"kind": "algebraic", "gamma": gamma},
-                                 0.1, grid)
+                                 grid, TEN_STEPS)
 
 
 def test_dichotomy_checks_its_datum_config_first():
     # a datum without kind used to raise KeyError; another kind stays BadParameter
     sym, params = preset("ost")
     with pytest.raises(ConfigInvalid, match="'kind' is a required property"):
-        dichotomy_experiment(sym, params, {"gamma": 2.5}, 0.1, Grid(2 ** 10, 50.0))
+        dichotomy_experiment(sym, params, {"gamma": 2.5}, Grid(2 ** 10, 50.0), TEN_STEPS)
     with pytest.raises(BadParameter, match="not from a gaussian datum"):
-        dichotomy_experiment(sym, params, {"kind": "gaussian"}, 0.1, Grid(2 ** 10, 50.0))
+        dichotomy_experiment(sym, params, {"kind": "gaussian"}, Grid(2 ** 10, 50.0),
+                             TEN_STEPS)
 
 
 def test_dichotomy_default_window():
     # without a window the fits run on [20, 0.3 L]
     sym, params = preset("ost")
-    report = dichotomy_experiment(sym, params, ALGEBRAIC_3, T=0.01,
-                                  grid=Grid(2 ** 12, 100.0), dt=5e-3)
+    report = dichotomy_experiment(sym, params, ALGEBRAIC_3, Grid(2 ** 12, 100.0),
+                                  SolverConfig(dt=5e-3, T=0.01))
     assert report["window"] == [20.0, 30.0]
     assert math.isfinite(report["exponent_nonzero_mean"])
 
@@ -307,8 +301,8 @@ def test_dichotomy_small_run_ordering():
     # robust even when absolute exponents are rough
     sym, params = preset("ost")
     grid = Grid(2 ** 14, 200.0)
-    report = dichotomy_experiment(sym, params, ALGEBRAIC_3, T=0.5,
-                                  grid=grid, dt=2e-3, window=(15.0, 60.0))
+    report = dichotomy_experiment(sym, params, ALGEBRAIC_3, grid,
+                                  SolverConfig(dt=2e-3, T=0.5), window=(15.0, 60.0))
     assert report["checks"]["ordering"]
     assert report["exponent_zero_mean"] >= report["exponent_nonzero_mean"] + 0.5
     assert abs(report["mean"]) > 0.1
@@ -327,16 +321,14 @@ def test_weighted_persistence_rejects_gamma_and_p(p, gamma, message):
     sym, params = preset("ost")
     u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, Grid(1024, 50.0))
     with pytest.raises(BadParameter, match=message):
-        weighted_persistence_experiment(sym, params, u0, p=p, gamma=gamma,
-                                        T=0.1, dt=1e-2)
+        weighted_persistence_experiment(sym, params, u0, p, gamma, TEN_STEPS)
 
 
 def test_weighted_persistence_zero_datum():
     sym, params = preset("ost")
     g = Grid(2 ** 10, 50.0)
     u0 = Field(g, np.zeros(g.N))
-    rep = weighted_persistence_experiment(sym, params, u0, p=2.0, gamma=0.5,
-                                          T=0.1, dt=1e-2)
+    rep = weighted_persistence_experiment(sym, params, u0, 2.0, 0.5, TEN_STEPS)
     assert rep["sup_t_weighted"] == 0.0
     assert rep["passed"]
 
@@ -359,8 +351,8 @@ def test_weighted_persistence_full_run():
     sym, params = preset("ost")
     g = Grid(2 ** 12, 100.0)
     u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 1.0}, g)
-    rep = weighted_persistence_experiment(sym, params, u0, p=2.0, gamma=0.5,
-                                          T=0.5, dt=1e-3)
+    rep = weighted_persistence_experiment(sym, params, u0, 2.0, 0.5,
+                                          SolverConfig(dt=1e-3, T=0.5))
     assert rep["passed"]
     assert rep["low_t_slope"] >= -0.05
     assert rep["fitted_C"] > 0
@@ -372,8 +364,8 @@ def test_weighted_persistence_reports_blow_up():
     g = Grid(2 ** 10, 50.0)
     u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 50.0}, g)
     with pytest.raises(NonFinite):
-        weighted_persistence_experiment(sym, params, u0, p=2.0, gamma=0.5,
-                                        T=5.0, dt=0.1)
+        weighted_persistence_experiment(sym, params, u0, 2.0, 0.5,
+                                        SolverConfig(dt=0.1, T=5.0))
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +387,36 @@ def test_window_mask_sides_and_guards():
         window_mask(g, (2.0, 8.5), "left")
 
 
+@pytest.mark.parametrize("kind,experiment,solver,error,message", [
+    # the default window [20, 0.3 L] on L = 50
+    ("dichotomy", {}, {}, BadParameter, "0 < a < b, got (20.0, 15.0)"),
+    ("dichotomy", {"window": [20, 40]}, {}, WindowContaminated, "edge 40.0"),
+    ("decay", {"window": [10, 5]}, {}, BadParameter, "0 < a < b, got [10.0, 5.0]"),
+    ("decay", {"window": [10, 40]}, {}, WindowContaminated, "edge 40.0"),
+    ("lowerbound", {"windows": [[5, 10], [10, 5]]}, {}, BadParameter, "0 < a < b"),
+    ("lowerbound", {"windows": [[10, 40]]}, {}, WindowContaminated, "edge 40.0"),
+    ("lowerbound", {"windows": [[10, 5]]}, {"linear_only": True}, BadParameter, "0 < a < b"),
+    ("lowerbound", {"windows": [[5, 10], [10, 40]]}, {"linear_only": True},
+     WindowContaminated, "edge 40.0"),
+], ids=["dichotomy-default", "dichotomy-past-L/2", "decay-reversed", "decay-past-L/2",
+        "lowerbound-reversed", "lowerbound-past-L/2", "lowerbound-linear_only-reversed",
+        "lowerbound-linear_only-past-L/2"])
+def test_window_shape_is_refused_before_the_first_step(monkeypatch, kind, experiment, solver,
+                                                       error, message):
+    # these refusals used to come after a whole run: 50 ETD2 steps here
+    def evolved(*args, **kwargs):
+        raise AssertionError("evolved before checking the window")
+
+    import stratwave.analysis as analysis
+    monkeypatch.setattr("stratwave.solver.EtdPropagator.step", evolved)
+    monkeypatch.setattr(analysis, "half_kernel_hat", evolved)
+    with pytest.raises(error, match=re.escape(message)):
+        run_experiment({"model": {"preset": "ost"}, "grid": {"N": 4096, "L": 50.0},
+                        "datum": {"kind": "algebraic", "gamma": 3.0},
+                        "solver": {"dt": 1e-2, "T": 0.5, **solver},
+                        "experiment": {"kind": kind, **experiment}})
+
+
 @pytest.mark.parametrize("linear_only", [True, False])
 def test_lower_bound_experiment_rejects_complex_datum(linear_only):
     sym, params = preset("ost")
@@ -402,7 +424,7 @@ def test_lower_bound_experiment_rejects_complex_datum(linear_only):
     # the complex datum is rejected as its Field is built, before either path
     with pytest.raises(BadParameter, match="real data"):
         lower_bound_experiment(sym, params, Field(u.grid, u.samples * (1.0 + 0.1j)),
-                               0.1, 1e-2, linear_only)
+                               SolverConfig(dt=1e-2, T=0.1, linear_only=linear_only))
 
 
 def test_decay_order_gate():
@@ -411,10 +433,11 @@ def test_decay_order_gate():
     grid = Grid(2 ** 10, 50.0)
     u0 = datum_from_config({"kind": "algebraic", "gamma": 3.0}, grid)
     with pytest.raises(ExcludedParameters, match="C\\^0"):
-        dichotomy_experiment(sym, params, {"kind": "algebraic", "gamma": 4.5}, 0.1, grid)
+        dichotomy_experiment(sym, params, {"kind": "algebraic", "gamma": 4.5}, grid, TEN_STEPS)
     for linear_only in (True, False):
         with pytest.raises(ExcludedParameters):
-            lower_bound_experiment(sym, params, u0, 0.1, 1e-2, linear_only)
+            lower_bound_experiment(sym, params, u0,
+                               SolverConfig(dt=1e-2, T=0.1, linear_only=linear_only))
     kernel = kernel_field(1.0, Grid(2 ** 14, 200.0), sym, params)
     assert kernel_report(kernel, 1.0, sym, params)["theory_applies"] is False
     ost_sym, ost_params = preset("ost")
@@ -437,23 +460,21 @@ def test_energy_experiment_checks():
     grid = Grid(2 ** 10, 50.0)
     u0 = datum_from_config({"kind": "gaussian", "sigma0": 2.0, "amp": 0.5}, grid)
     # n = 2 dissipates: monotone is checked; n = 1 (OST) has an amplification band
-    rep = energy_experiment(preset("ost")[0], validate_params(2, 2, 1, 1.0), u0,
-                            T=0.1, dt=1e-2)
+    rep = energy_experiment(preset("ost")[0], validate_params(2, 2, 1, 1.0), u0, TEN_STEPS)
     assert set(rep["checks"]) == {"growth_bound", "monotone"} and rep["passed"]
     assert rep["max_step_increase"] < 0
     assert rep["peak_energy"] == rep["energy_initial"] == pytest.approx(u0.l2_norm())
-    rep = energy_experiment(*preset("ost"), u0, T=0.1, dt=1e-2)
+    rep = energy_experiment(*preset("ost"), u0, TEN_STEPS)
     assert set(rep["checks"]) == {"growth_bound"} and rep["passed"]
     assert rep["max_envelope_ratio"] <= 1.0
-    zero = energy_experiment(*preset("ost"), Field(grid, np.zeros(grid.N)),
-                             T=0.1, dt=1e-2)
+    zero = energy_experiment(*preset("ost"), Field(grid, np.zeros(grid.N)), TEN_STEPS)
     assert zero["passed"] and zero["peak_energy"] == 0.0
     assert zero["max_envelope_ratio"] == 0.0
     # eta T = 1000: exp(eta t) past float64 is an infinite envelope, which
     # used to overflow with a RuntimeWarning
     for u in (u0, Field(grid, np.zeros(grid.N))):
         rep = energy_experiment(preset("ost")[0], validate_params(2, 2, 1, 1e4), u,
-                                T=0.1, dt=1e-2)
+                                TEN_STEPS)
         assert rep["passed"] and rep["max_envelope_ratio"] <= 1.0
 
 
@@ -461,13 +482,12 @@ def test_growth_experiment_includes_datum():
     sym, params = preset("ost")
     grid = Grid(2 ** 12, 100.0)
     u0 = datum_from_config({"kind": "growth", "gamma": 0.3, "c0": 1e-2}, grid)
-    rep = growth_experiment(sym, params, u0, 0.3, T=0.1, dt=2e-3,
-                            snapshot_times=(0.05, 0.1), bound=2e-2)
+    rep = growth_experiment(sym, params, u0, 0.3,
+                            SolverConfig(dt=2e-3, T=0.1, snapshot_times=(0.05, 0.1)), 2e-2)
     assert rep["times"] == [0.0, 0.05, 0.1]
     assert rep["envelopes"][0] == growth_envelope(u0, 0.3)
     assert rep["max_envelope"] == max(rep["envelopes"]) and rep["passed"]
-    tight = growth_experiment(sym, params, u0, 0.3, T=0.1, dt=2e-3,
-                              snapshot_times=(0.1,), bound=1e-9)
+    tight = growth_experiment(sym, params, u0, 0.3, SolverConfig(dt=2e-3, T=0.1), 1e-9)
     assert not tight["passed"]
 
 

@@ -1350,15 +1350,21 @@ def test_every_experiment_kind_reads_its_datum(tmp_path, kind):
     assert names and all(digests[0][name] != digests[1][name] for name in names)
 
 
-@pytest.mark.parametrize("kind", list(_SMALL_RUNS))
-def test_experiment_dt_past_T_is_one_line_in_every_stepping_kind(tmp_path, capsys, kind):
-    # weighted used to give its own line, that T is not a whole number of steps
-    cfg = write_json(tmp_path / "exp.json",
-                     {**_small_run(kind), "solver": {"dt": 0.2, "T": 0.1}})
-    out = tmp_path / "run"
-    assert main(["--quiet", "--out", str(out), "experiment", kind, "--config", cfg]) == 1
-    assert capsys.readouterr().err == "error [BadParameter]: require 0 < dt <= T\n"
-    assert not out.exists()
+@pytest.mark.parametrize("kind,solver", [*((kind, {}) for kind in _SMALL_RUNS),
+                                         ("lowerbound", {"linear_only": True})],
+                         ids=[*_SMALL_RUNS, "lowerbound-linear_only"])
+def test_experiment_dt_past_T_is_one_line_in_every_stepping_kind(tmp_path, capsys, kind,
+                                                                 solver):
+    # weighted used to give its own line, that T is not a whole number of
+    # steps, and a linear-only lowerbound, which steps nothing, ran on any grid
+    for grid, line in (({"dt": 0.2, "T": 0.1}, "require 0 < dt <= T"),
+                       ({"dt": 0.03, "T": 0.1},
+                        "T=0.1 is not a positive whole number of steps of dt=0.03")):
+        cfg = write_json(tmp_path / "exp.json", {**_small_run(kind), "solver": {**grid, **solver}})
+        out = tmp_path / "run"
+        assert main(["--quiet", "--out", str(out), "experiment", kind, "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"error [BadParameter]: {line}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [

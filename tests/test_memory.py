@@ -116,7 +116,7 @@ def test_weighted_persistence_peak():
     # guard's estimate for solve
     N = 2 ** 16
     datum = {"kind": "algebraic", "gamma": 3.0, "c": 0.5}
-    args = (2.0, 0.5, 0.02, 1e-3)
+    args = (2.0, 0.5, SolverConfig(dt=1e-3, T=0.02))
     weighted_persistence_experiment(SYM, PARAMS, datum_from_config(datum, Grid(64, 4.0)),
                                     *args)
     u0 = datum_from_config(datum, Grid(N, 400.0))
@@ -125,9 +125,10 @@ def test_weighted_persistence_peak():
     assert SOLVE_PEAK_BYTES_PER_POINT >= 8 * bound
 
 
-#: T3-LOWER's linear-only run: its datum, T and windows; L = 800 at N = 2^17
+#: T3-LOWER's linear-only run: its datum, time grid and windows; L = 800 at N = 2^17
 LOWER_DATUM = {"kind": "algebraic", "gamma": 3.0, "c": 1.0}
-LOWER_ARGS = (1.0, 1e-3, True, [[40.0, 80.0], [60.0, 120.0], [100.0, 200.0]])
+LOWER_RUN = SolverConfig(dt=1e-3, T=1.0, linear_only=True)
+LOWER_ARGS = (LOWER_RUN, [[40.0, 80.0], [60.0, 120.0], [100.0, 200.0]])
 
 
 @pytest.mark.parametrize("N", SIZES)
@@ -135,7 +136,7 @@ def test_linear_lower_bound_peak(N):
     # Khat(T) 1.0, u0's half-spectrum 1.0 and their product 1.0; measured
     # 3.03 (2^16) and 3.00 (2^18)
     lower_bound_experiment(SYM, PARAMS, datum_from_config(LOWER_DATUM, Grid(64, 0.4)),
-                           1.0, 1e-3, True, [[0.05, 0.1]])   # lazy set-up
+                           LOWER_RUN, [[0.05, 0.1]])   # lazy set-up
     u0 = datum_from_config(LOWER_DATUM, Grid(N, 800.0 * N / 2 ** 17))
     bound = 3.1
     assert peak_units(N, lower_bound_experiment, SYM, PARAMS, u0, *LOWER_ARGS) <= bound
@@ -193,7 +194,7 @@ def test_solve_guard_raises_before_the_propagator(monkeypatch, snapshots, need):
 def test_weighted_persistence_guard_raises_before_the_propagator(monkeypatch):
     monkeypatch.setattr(solver_module, "EtdPropagator", _no_propagator)
     need = SOLVE_PEAK_BYTES_PER_POINT * 1024
-    args = (2.0, 0.5, 0.1, 1e-2)
+    args = (2.0, 0.5, SolverConfig(dt=1e-2, T=0.1))
     monkeypatch.setattr(spectral_module, "_physical_memory", lambda: need - 1)
     with pytest.raises(BadParameter, match=f"ETD2 run at N=1024.* needs {need} bytes"):
         weighted_persistence_experiment(*_guard_case(), *args)
@@ -209,10 +210,10 @@ def test_solution_at_guard_counts_no_per_step_bytes(monkeypatch):
     need = 79 * 1024
     monkeypatch.setattr(spectral_module, "_physical_memory", lambda: need - 1)
     with pytest.raises(BadParameter, match=f"ETD2 run at N=1024.* needs {need} bytes"):
-        solution_at(*_guard_case(), 0.1, 1e-2)
+        solution_at(*_guard_case(), SolverConfig(dt=1e-2, T=0.1))
     monkeypatch.setattr(spectral_module, "_physical_memory", lambda: need)
     with pytest.raises(AssertionError, match="before the memory check"):
-        solution_at(*_guard_case(), 0.1, 1e-2)
+        solution_at(*_guard_case(), SolverConfig(dt=1e-2, T=0.1))
 
 
 def picard_case(name: str, k: int, N: int, M: int):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -118,11 +119,13 @@ def test_self_convergence_order(name):
 @pytest.mark.parametrize("name", ["ost", "gost", "bo_perturbed", "chen_lee",
                                   "dgbo_perturbed"])
 def test_solution_at_is_solves_snapshot_bitwise(name):
+    # with the nonlinearity and without it: solution_at reads linear_only as solve does
     sym, params = preset(name)
     u0 = datum_from_config({"kind": "gaussian", "sigma0": 2.0, "amp": 0.5}, Grid(2 ** 9, 32.0))
-    want = solve(sym, params, u0, SolverConfig(dt=1e-2, T=0.2, snapshot_times=(0.2,)))
-    assert np.array_equal(solution_at(sym, params, u0, 0.2, 1e-2).samples,
-                          want.snapshots[-1].samples)
+    for linear_only in (False, True):
+        cfg = SolverConfig(dt=1e-2, T=0.2, linear_only=linear_only)
+        assert np.array_equal(solution_at(sym, params, u0, cfg).samples,
+                              solve(sym, params, u0, cfg).snapshots[-1].samples)
 
 
 @pytest.mark.parametrize("experiment", [{"kind": "decay", "window": [5.0, 40.0]},
@@ -143,20 +146,23 @@ def test_u_at_T_runs_no_monitor(monkeypatch, experiment):
 @pytest.mark.parametrize("dt,T", [(math.nan, 0.1), (1e-2, math.inf), (0.2, 0.1),
                                   (-1e-2, 0.1), (1e-2, 0.105)])
 def test_solution_at_refuses_dt_and_T_as_solve_does(dt, T):
-    # solution_at builds SolverConfig(dt=dt, T=T), so it gives solve's error lines
-    sym, params = preset("ost")
-    u0 = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}, Grid(2 ** 8, 20.0))
-    with pytest.raises(BadParameter) as want:
-        solve(sym, params, u0, SolverConfig(dt=dt, T=T, snapshot_times=(T,)))
-    with pytest.raises(BadParameter) as got:
-        solution_at(sym, params, u0, T, dt)
-    assert str(got.value) == str(want.value)
+    # solution_at and solve take one SolverConfig, whose constructor refuses
+    # the grid, with one line for both, before either can be called
+    if not (math.isfinite(dt) and math.isfinite(T)):
+        line = f"dt and T must be finite, got {dt}, {T}"
+    elif 0 < dt <= T:
+        line = f"T={T} is not a positive whole number of steps of dt={dt}"
+    else:
+        line = "require 0 < dt <= T"
+    with pytest.raises(BadParameter) as err:
+        SolverConfig(dt=dt, T=T)
+    assert str(err.value) == line
 
 
 @pytest.mark.parametrize("run", [
     lambda *case: solve(*case, SolverConfig(dt=0.1, T=5.0)),
     # yields only its last step, yet checks every one
-    lambda *case: solution_at(*case, 5.0, 0.1),
+    lambda *case: solution_at(*case, SolverConfig(dt=0.1, T=5.0)),
 ], ids=["solve", "solution_at"])
 def test_nonfinite_detection(run):
     sym, params = preset("ost")
@@ -279,6 +285,36 @@ def test_phi2_finite_where_z_squared_overflows(z):
     got = complex(_phi(np.array([z], dtype=complex), 2)[0])
     assert cmath.isfinite(got)
     assert abs(got + 1 / z) <= 1e-12 * abs(1 / z)
+
+
+def _exact_phi(z: complex, order: int):
+    """(re, im) of sum_q z^q / (q + order)! in exact rationals, to q = 24:
+    for |z| < 0.1 the rest is below 1e-40 of the sum."""
+    x, y = Fraction(z.real), Fraction(z.imag)
+    re, im = Fraction(0), Fraction(0)
+    for q in range(24 + order, order - 1, -1):     # Horner, from the last term
+        re, im = re * x - im * y + Fraction(1, math.factorial(q)), re * y + im * x
+    return re, im
+
+
+_SMALL_Z = sorted({r * cmath.exp(2j * math.pi * j / 36) for j in range(36)
+                   for r in (0.0, 1e-300, 1e-12, 1e-6, 1e-3, 0.01, 0.03, 0.05, 0.07, 0.09,
+                             0.0999)}, key=lambda z: (z.real, z.imag))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_phi_taylor_branch_is_exact_to_rounding(order, dtype):
+    # |z| < 0.1 takes the Taylor branch; each value is within 4 eps of the
+    # exact series (12 terms are within half an ulp here, 5 terms off by 1.4e-8)
+    zs = np.array([z if dtype is complex else z.real for z in _SMALL_Z], dtype=dtype)
+    assert np.all(np.abs(zs) < 0.1)
+    tol = Fraction(4 * np.finfo(float).eps) ** 2
+    for z, got in zip(zs, _phi(zs, order)):
+        re, im = _exact_phi(complex(z), order)
+        got = complex(got)
+        err2 = (Fraction(got.real) - re) ** 2 + (Fraction(got.imag) - im) ** 2
+        assert err2 <= tol * (re ** 2 + im ** 2), (z, order)
 
 
 def test_complex_datum_rejected():
