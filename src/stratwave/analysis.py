@@ -100,6 +100,28 @@ def window_mask(grid: Grid, window: Tuple[float, float], side: str) -> np.ndarra
     return {"right": right, "left": left, "both": right | left}[side]
 
 
+def _check_fit_points(window, side: str, n_points: int) -> None:
+    """InsufficientDecades when a tail fit on a side of window would have
+    fewer than MIN_POINTS_PER_DECADE points per decade, or fewer than 3."""
+    a, b = window
+    decades = math.log10(b / a)
+    if n_points / decades < MIN_POINTS_PER_DECADE:
+        raise InsufficientDecades(
+            f"{side} window [{a}, {b}]: {n_points} points over {decades:.2f} "
+            f"decades (< {MIN_POINTS_PER_DECADE}/decade)")
+    if n_points < 3:
+        raise InsufficientDecades(f"{side} window [{a}, {b}]: {n_points} points "
+                                  f"(< 3, the least a fit with a stderr needs)")
+
+
+def check_fit_window(grid: Grid, window: Tuple[float, float]) -> None:
+    """check_window, then the points that tail_exponent needs on each side,
+    counted on the grid alone: what a fit window needs before any run.  The
+    fit counts again without the exact zeros, which only the field shows."""
+    for side in ("left", "right"):
+        _check_fit_points(window, side, int(np.count_nonzero(window_mask(grid, window, side))))
+
+
 def _fit_side(f: Field, window, side: str) -> dict:
     a, b = window
     msk = window_mask(f.grid, window, side)
@@ -111,14 +133,7 @@ def _fit_side(f: Field, window, side: str) -> dict:
                            f"a tail fit needs finite values")
     keep = ya > 0
     xa, ya = xa[keep], ya[keep]
-    decades = math.log10(b / a)
-    if len(xa) / decades < MIN_POINTS_PER_DECADE:
-        raise InsufficientDecades(
-            f"{side} window [{a}, {b}]: {len(xa)} points over {decades:.2f} "
-            f"decades (< {MIN_POINTS_PER_DECADE}/decade)")
-    if len(xa) < 3:
-        raise InsufficientDecades(f"{side} window [{a}, {b}]: {len(xa)} points "
-                                  f"(< 3, the least a fit with a stderr needs)")
+    _check_fit_points(window, side, len(xa))
     lx, ly = np.log(xa), np.log(ya)
     A = np.vstack([lx, np.ones_like(lx)]).T
     sol, *_ = np.linalg.lstsq(A, ly, rcond=None)
@@ -197,8 +212,8 @@ def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams, datum: dict
 
     The datum's gamma must equal n+1+eps with eps in (0, 1]; after the
     ExcludedParameters checks, an invalid datum config raises ConfigInvalid
-    and a datum of another kind BadParameter; then check_window refuses a bad
-    window (default [20, 0.3 L]), all before either run.
+    and a datum of another kind BadParameter; then check_fit_window refuses a
+    bad window (default [20, 0.3 L]), all before either run.
     The nonzero-mean run must show tail exponent n+1 to DICHOTOMY_EXPONENT_TOL;
     the zero-mean run at least n+1 + DICHOTOMY_IMPROVEMENT eps.  Reports both fits per side.
     """
@@ -218,7 +233,7 @@ def dichotomy_experiment(sym: DispersionSymbol, params: ModelParams, datum: dict
             f"the datum's gamma must be n+1+eps with eps in (0,1]; got gamma={gamma}")
     if window is None:
         window = (20.0, 0.3 * grid.L)
-    check_window(grid, window)
+    check_fit_window(grid, window)
     datum_raw = datum_from_config(datum, grid)
     datum_zm = datum_from_config({**datum, "kind": "zero_mean_algebraic"}, grid)
     per_side = {name: {side: fit["exponent"] for side, fit in
@@ -253,6 +268,25 @@ def _check_power(values: np.ndarray, what: str, n: int, window) -> None:
                            f"window {list(window)}")
 
 
+def check_lower_bound_windows(grid: Grid,
+                              windows: Optional[Sequence[Tuple[float, float]]]) -> list:
+    """The windows of lower_bound_check on grid: the given ones, or three
+    nested windows out to 0.45 L.  An empty list, check_window on each, then
+    a window that holds no sample of the grid raise, before any run."""
+    if windows is None:
+        hi = 0.45 * grid.L
+        windows = [(hi / 4, hi / 2), (hi * 0.375, hi * 0.75), (hi / 2, hi)]
+    elif not windows:
+        raise BadParameter("lower bound needs at least one window")
+    for window in windows:
+        check_window(grid, window)
+    for window in windows:
+        if not window_mask(grid, window, "both").any():
+            raise BadParameter(f"window {list(window)} holds no sample of the grid "
+                               f"(dx = {grid.dx:g})")
+    return windows
+
+
 def lower_bound_check(u: Field, t: float, params: ModelParams, u0_mean: float,
                       windows: Optional[Sequence[Tuple[float, float]]] = None) -> dict:
     """Optimal-decay lower bound: r(x) = |x|^{n+1} |u| / (A(t) |int u0|).
@@ -265,18 +299,11 @@ def lower_bound_check(u: Field, t: float, params: ModelParams, u0_mean: float,
     if u0_mean == 0:
         raise ZeroMean("lower bound requires a datum with nonzero integral")
     grid = u.grid
-    if windows is None:
-        hi = 0.45 * grid.L
-        windows = [(hi / 4, hi / 2), (hi * 0.375, hi * 0.75), (hi / 2, hi)]
-    elif not windows:
-        raise BadParameter("lower bound needs at least one window")
+    windows = check_lower_bound_windows(grid, windows)
     A = asymptotic_coefficient(t, params)
     ratio_series = []
     for window in windows:
         msk = window_mask(grid, window, "both")
-        if not msk.any():
-            raise BadParameter(f"window {list(window)} holds no sample of the grid "
-                               f"(dx = {grid.dx:g})")
         with np.errstate(over="ignore", invalid="ignore"):
             r = np.abs(grid.x[msk]) ** (params.n + 1) * np.abs(u.samples[msk]) / (A * abs(u0_mean))
         _check_power(r, "|x|^{n+1} |u| / (A |int u0|)", params.n, window)
@@ -311,8 +338,9 @@ def weighted_persistence_experiment(sym: DispersionSymbol, params: ModelParams,
     if not p > 1:
         raise BadParameter("p must exceed 1")
     alpha, dt, n_steps = params.alpha, run.dt, run.n_steps
-    steps = np.logspace(0.0, math.log10(n_steps), PERSISTENCE_SAMPLES)
-    targets = set(np.clip(np.round(steps).astype(int), 1, n_steps).tolist())
+    # Python ints, which a step count past int64 cannot overflow
+    targets = {min(max(round(step), 1), n_steps)
+               for step in np.logspace(0.0, math.log10(n_steps), PERSISTENCE_SAMPLES).tolist()}
 
     prop = _guarded_propagator(u0.grid, sym, params, run)
     qs, failure = [], None
@@ -353,8 +381,8 @@ def lower_bound_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field
     """lower_bound_check on u(run.T): the exact kernel product Khat(T) u0hat
     when run.linear_only, else ETD2.
 
-    ZeroMean (a datum with zero integral) and check_window (each given
-    window) raise before any evolution.  The linear-only Khat(T) is the
+    ZeroMean (a datum with zero integral) and check_lower_bound_windows
+    raise before any evolution.  The linear-only Khat(T) is the
     kernel build's, half_kernel_hat, with its errors, and before it is built
     the path raises BadParameter when its estimated peak exceeds physical
     memory."""
@@ -362,8 +390,7 @@ def lower_bound_experiment(sym: DispersionSymbol, params: ModelParams, u0: Field
     u0_mean = integral(u0)
     if u0_mean == 0:
         raise ZeroMean("lower bound requires a datum with nonzero integral")
-    for window in windows or ():
-        check_window(u0.grid, window)
+    check_lower_bound_windows(u0.grid, windows)
     if run.linear_only:
         check_memory(LINEAR_LOWER_BOUND_BYTES_PER_POINT * u0.grid.N,
                      f"the linear-only lower bound at N={u0.grid.N} (an estimate of "
@@ -516,7 +543,7 @@ def _energy(cfg: dict) -> tuple:
 def _decay(cfg: dict) -> tuple:
     """What `stratwave decay-fit` reports on `stratwave simulate`'s u(T)."""
     sym, params, grid, u0, run, exp = _inputs(cfg)
-    check_window(grid, exp["window"])
+    check_fit_window(grid, exp["window"])
     return tail_exponent(solution_at(sym, params, u0, run), exp["window"]), {}
 
 
@@ -524,6 +551,8 @@ def _kernel(cfg: dict) -> tuple:
     """What `stratwave kernel` reports on K(t), and K(t) as kernel.csv."""
     sym, params, grid, _, _, exp = _inputs(cfg, build_datum=False)
     t = exp["t"]
+    if "window" in exp:
+        check_fit_window(grid, exp["window"])
     kernel = kernel_field(t, grid, sym, params)
     return kernel_report(kernel, t, sym, params, exp.get("window")), {"kernel.csv": kernel}
 
@@ -531,6 +560,7 @@ def _kernel(cfg: dict) -> tuple:
 def _kernel_derivative(cfg: dict) -> tuple:
     """The tail_exponent fits of d_x K(t)."""
     sym, params, grid, _, _, exp = _inputs(cfg, build_datum=False)
+    check_fit_window(grid, exp["window"])
     return tail_exponent(kernel_derivative_field(exp["t"], grid, sym, params),
                          exp["window"]), {}
 

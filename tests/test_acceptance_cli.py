@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from cli_cases import tier1_tests
 from stratwave import acceptance, analysis
 from stratwave.acceptance import CRITERIA
 from stratwave.cli import main
@@ -23,6 +24,10 @@ GOLDEN = json.loads((Path(__file__).resolve().parent / "acceptance_golden.json")
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+# every row of tests/cli_cases.py whose node id is in this file, run in-process
+globals().update(tier1_tests("test_acceptance_cli.py"))
 
 
 def _raise_bad_parameter(*args, **kwargs):
@@ -138,38 +143,3 @@ def test_acceptance_opens_its_out_before_the_first_criterion(tmp_path, capsys, m
     assert not new.exists() and not list(tmp_path.glob(".tmp-*"))
 
 
-@pytest.mark.parametrize("selection", [
-    ["--only", "K-MOD-EVEN", "CL-GUARD", "K-MOD-EVEN"],
-    ["--suite", '["K-MOD-EVEN", "CL-GUARD", "K-MOD-EVEN"]'],
-])
-def test_acceptance_refuses_a_repeated_criterion_id(tmp_path, capsys, selection):
-    # it used to run twice and count twice in n_total
-    if selection[0] == "--suite":
-        (tmp_path / "suite.json").write_text(selection[1])
-        selection = ["--suite", str(tmp_path / "suite.json")]
-    out = tmp_path / "summary.json"
-    rc = main(["--out", str(out), "acceptance", *selection])
-    assert rc == 1
-    captured = capsys.readouterr()
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: ")
-    assert "listed more than once: K-MOD-EVEN" in err[0]
-    assert captured.out == "" and not out.exists()
-
-
-@pytest.mark.parametrize("grid", ["N=1024,L=50,X=3", "N=1024,L=50,N=2048",
-                                  "N=1024,N=1024,L=50", "L=50,N=1024,L=60"])
-@pytest.mark.parametrize("command", ["kernel", "simulate"])
-def test_grid_refuses_an_unknown_or_repeated_key(tmp_path, capsys, grid, command):
-    # an unknown key used to be dropped and a repeated one to win silently
-    model = write_json(tmp_path / "model.json", {"preset": "ost"})
-    datum = write_json(tmp_path / "datum.json", {"kind": "gaussian", "sigma0": 1.0})
-    args = {"kernel": ["kernel", "--config", model, "--t", "1.0"],
-            "simulate": ["simulate", "--config", model, "--datum", datum,
-                         "--T", "0.1", "--dt", "0.01"]}[command]
-    out = tmp_path / "out"
-    rc = main(["--quiet", "--out", str(out), *args, "--grid", grid])
-    assert rc == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"config error: --grid {grid!r}")
-    assert not out.exists()

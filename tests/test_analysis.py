@@ -398,22 +398,43 @@ def test_window_mask_sides_and_guards():
     ("lowerbound", {"windows": [[10, 5]]}, {"linear_only": True}, BadParameter, "0 < a < b"),
     ("lowerbound", {"windows": [[5, 10], [10, 40]]}, {"linear_only": True},
      WindowContaminated, "edge 40.0"),
+    # what the grid alone decides (dx = 0.0244): [10.01, 10.02] holds no
+    # sample, and [10, 10.05] two per side
+    ("lowerbound", {"windows": [[5, 10], [10.01, 10.02]]}, {}, BadParameter,
+     "window [10.01, 10.02] holds no sample of the grid (dx = 0.0244141)"),
+    ("lowerbound", {"windows": [[10.01, 10.02]]}, {"linear_only": True}, BadParameter,
+     "window [10.01, 10.02] holds no sample of the grid"),
+    ("decay", {"window": [10.01, 10.02]}, {}, InsufficientDecades,
+     "left window [10.01, 10.02]: 0 points over 0.00 decades (< 30/decade)"),
+    ("decay", {"window": [10, 10.05]}, {}, InsufficientDecades,
+     "left window [10.0, 10.05]: 2 points (< 3, the least a fit with a stderr needs)"),
+    ("dichotomy", {"window": [10.01, 10.02]}, {}, InsufficientDecades,
+     "left window [10.01, 10.02]: 0 points over 0.00 decades"),
+    ("kernel", {"t": 1.0, "window": [10.01, 10.02]}, None, InsufficientDecades,
+     "left window [10.01, 10.02]: 0 points over 0.00 decades"),
+    ("kernel_derivative", {"t": 1.0, "window": [10, 10.05]}, None, InsufficientDecades,
+     "left window [10.0, 10.05]: 2 points (< 3"),
 ], ids=["dichotomy-default", "dichotomy-past-L/2", "decay-reversed", "decay-past-L/2",
         "lowerbound-reversed", "lowerbound-past-L/2", "lowerbound-linear_only-reversed",
-        "lowerbound-linear_only-past-L/2"])
+        "lowerbound-linear_only-past-L/2", "lowerbound-no-sample",
+        "lowerbound-linear_only-no-sample", "decay-no-point", "decay-two-points",
+        "dichotomy-no-point", "kernel-no-point", "kernel_derivative-two-points"])
 def test_window_shape_is_refused_before_the_first_step(monkeypatch, kind, experiment, solver,
                                                        error, message):
-    # these refusals used to come after a whole run: 50 ETD2 steps here
+    # these refusals used to come after a whole run (50 ETD2 steps here) or
+    # after the kernel build; a kernel config (solver None) has no datum and
+    # no solver block
     def evolved(*args, **kwargs):
         raise AssertionError("evolved before checking the window")
 
     import stratwave.analysis as analysis
     monkeypatch.setattr("stratwave.solver.EtdPropagator.step", evolved)
-    monkeypatch.setattr(analysis, "half_kernel_hat", evolved)
+    for built in ("half_kernel_hat", "kernel_field", "kernel_derivative_field"):
+        monkeypatch.setattr(analysis, built, evolved)
+    blocks = {} if solver is None else {"datum": {"kind": "algebraic", "gamma": 3.0},
+                                        "solver": {"dt": 1e-2, "T": 0.5, **solver}}
     with pytest.raises(error, match=re.escape(message)):
-        run_experiment({"model": {"preset": "ost"}, "grid": {"N": 4096, "L": 50.0},
-                        "datum": {"kind": "algebraic", "gamma": 3.0},
-                        "solver": {"dt": 1e-2, "T": 0.5, **solver},
+        run_experiment({"model": {"preset": "ost"}, "grid": {"N": 4096, "L": 50.0}, **blocks,
                         "experiment": {"kind": kind, **experiment}})
 
 

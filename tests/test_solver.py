@@ -54,6 +54,22 @@ def test_growth_datum_envelope():
     assert abs(u.samples[-1]) == 0.0
 
 
+def test_growth_datum_taper():
+    # c0 (1+x)^gamma s(x), s(x) = e(x+1) / (e(x+1) + e(-x)) with e(r) = exp(-1/r),
+    # as written up to 0.8 L, and tapered to 0 from 0.95 L
+    g = Grid(2 ** 12, 100.0)
+    c0, gamma = 0.01, 0.3
+    u = datum_from_config({"kind": "growth", "gamma": gamma, "c0": c0}, g).samples
+    x = g.x
+    switch = [0.0 if v <= -1.0 else 1.0 if v >= 0.0 else
+              math.exp(-1 / (v + 1)) / (math.exp(-1 / (v + 1)) + math.exp(1 / v)) for v in x]
+    untapered = c0 * (1.0 + np.maximum(x, 0.0)) ** gamma * np.array(switch)
+    core = x <= 0.8 * g.L
+    assert np.count_nonzero((x > -1.0) & (x < 0.0)) == 20
+    assert u[core] == pytest.approx(untapered[core], rel=1e-12, abs=0.0)
+    assert np.all(u[x >= 0.95 * g.L] == 0.0)
+
+
 def test_gaussian_datum_mass():
     g = Grid(2 ** 14, 100.0)
     u = datum_from_config({"kind": "gaussian", "sigma0": 1.0, "amp": 1.0}, g)
