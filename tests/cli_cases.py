@@ -8,10 +8,10 @@ must not exist.  A row that runs (exit 0, or 2 for a failed verdict) runs
 --quiet and checks an empty stderr and stdout instead, and no .tmp-* left.
 
 Each row runs in a fresh directory that holds only its files, with relative
-paths in its argv.  Tier-1 runs every row in-process through
-stratwave.cli.main (tier1_tests), with every warning an error.  Run as a
-script, the file runs every row through the `stratwave` on PATH, one
-subprocess each, with the row's environment added:
+paths in its argv, and with every warning an error.  Tier-1 runs every row
+in-process through stratwave.cli.main (tier1_tests).  Run as a script, the
+file runs every row through the `stratwave` on PATH, one subprocess each,
+under PYTHONWARNINGS=error:
 
     python tests/cli_cases.py
 
@@ -32,22 +32,25 @@ import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from stratwave import Field, Grid, field_to_csv, kernel_field, preset
+
 
 @dataclass(frozen=True)
 class Case:
     """One CLI run and what it must do."""
     name: str               # its Tier-1 node id, "<file>::<test>[<id>]"
     argv: tuple             # after `stratwave`, with paths relative to the case's directory
-    files: dict = field(default_factory=dict)   # name -> a JSON value, str or bytes
+    files: dict = field(default_factory=dict)   # name -> a JSON value, str, bytes or Field
     err: str = ""           # the one stderr line; "" for a run, whose stderr is empty
     prefix: bool = False    # err is the line's start, not the whole line
     code: int = 1
-    env: dict = field(default_factory=dict)     # set for the run
 
     def write(self, where: Path) -> None:
         for name, content in self.files.items():
             path = where / name
-            if isinstance(content, bytes):
+            if isinstance(content, Field):
+                field_to_csv(content, path)
+            elif isinstance(content, bytes):
                 path.write_bytes(content)
             else:
                 path.write_text(content if isinstance(content, str) else json.dumps(content))
@@ -75,8 +78,6 @@ class Case:
 OST = {"preset": "ost"}
 GAUSS = {"kind": "gaussian", "sigma0": 1.0, "amp": 0.1}
 ALGEBRAIC = {"kind": "algebraic", "gamma": 3.0}
-#: every warning an error, as Tier-1 runs every row
-STRICT = {"PYTHONWARNINGS": "error"}
 
 
 def kernel(t="1.0", grid="N=256,L=10", *extra, out="k.csv", quiet=True) -> tuple:
@@ -162,11 +163,12 @@ _SOLVER_READS = {("growth", "snapshots"), ("lowerbound", "linear_only"),
                  *(("trajectory", name) for name in ("snapshots", "linear_only", "mode"))}
 
 
-def _csv(L: float, samples) -> str:
-    """field_to_csv's text of samples on the grid of len(samples) points on [-L, L)."""
-    dx = 2.0 * L / len(samples)
-    return "x,re,im\n" + "".join("%.17g,%.17g,0\n" % (-L + dx * j, value)
-                                 for j, value in enumerate(samples))
+def _csv_text(f: Field) -> str:
+    """The text that field_to_csv writes for f."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        field_to_csv(f, path)
+        return path.read_text()
 
 
 def _with_line(text: str, index: int, line: str) -> str:
@@ -176,24 +178,20 @@ def _with_line(text: str, index: int, line: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _spoiled_tails(value: float) -> str:
+def _spoiled_tails(value: float) -> Field:
     """|x|^-2 tails on N = 1024, L = 50, spoiled by value beyond |x| = 10
     (inf) or at the first 10 samples in (5, 6) (nan)."""
-    xs = [-50.0 + 100.0 / 1024 * j for j in range(1024)]
+    grid = Grid(1024, 50.0)
+    xs = grid.x.tolist()
     spoiled = ({x for x in xs if abs(x) > 10.0} if value == float("inf")
                else set([x for x in xs if 5.0 < x < 6.0][:10]))
-    return _csv(50.0, [value if x in spoiled else 1.0 / (1.0 + x * x) for x in xs])
+    return Field(grid, [value if x in spoiled else 1.0 / (1.0 + x * x) for x in xs])
 
 
-def _kernel_csv() -> str:
-    """The kernel.csv of `stratwave kernel --t 1 --grid N=1024,L=50` for OST."""
-    from stratwave import Grid, kernel_field, preset
-
-    return _csv(50.0, kernel_field(1.0, Grid(1024, 50.0), *preset("ost")).samples.tolist())
-
-
-_ONES_16 = _csv(2.0, [1.0] * 16)
-_KERNEL_1024 = _kernel_csv()
+_ONES_16 = _csv_text(Field(Grid(16, 2.0), [1.0] * 16))
+#: the kernel.csv of `stratwave kernel --t 1 --grid N=1024,L=50` for OST
+_KERNEL_1024 = kernel_field(1.0, Grid(1024, 50.0), *preset("ost"))
+_KERNEL_1024_CSV = _csv_text(_KERNEL_1024)
 _PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 _MODEL = {"model.json": OST}
 _MODEL_DATUM = {"model.json": OST, "datum.json": GAUSS}
@@ -214,7 +212,7 @@ CASES = [
            f"report") for out in ("k.json", "sub/k.json")),
     # each used to print numpy RuntimeWarnings, or a window error naming neither t nor L
     *(Case(f"test_cli.py::test_kernel_rejects_t_too_large_for_the_box[{t}-{what}]",
-           kernel(t, quiet=False), _MODEL, f"error [BadParameter]: {err}", env=STRICT)
+           kernel(t, quiet=False), _MODEL, f"error [BadParameter]: {err}")
       for t, what, err in (
           ("1e6", "overflows", f"t = 1000000.0 {_OVERFLOW}380268{_ABOVE}"),
           ("1e300", "overflows", f"t = 1e+300 {_OVERFLOW}3.80268e+299{_ABOVE}"),
@@ -225,8 +223,8 @@ CASES = [
     # to print an overflow RuntimeWarning from the report
     *(Case(f"test_cli.py::test_kernel_rejects_a_kernel_without_unit_mass[{t}]",
            kernel(t, "N=256,L=10", "--window", "1", "4", quiet=False), _MODEL,
-           f"error [BadParameter]: the kernel at t = {float(t)} has mass ", prefix=True,
-           env=STRICT) for t in ("1700", "1860")),
+           f"error [BadParameter]: the kernel at t = {float(t)} has mass ", prefix=True)
+      for t in ("1700", "1860")),
     # neither a preset nor a complete explicit model: the error names both forms
     Case("test_cli.py::test_model_of_neither_form_is_a_config_error",
          kernel(quiet=False), {"model.json": {"symbol": {"kind": "kdv"}, "m": 3}},
@@ -263,7 +261,7 @@ CASES = [
     # each used to end in a traceback or a RuntimeWarning, or to write Infinity
     # or NaN into a report.json that load_json refuses
     *(Case(f"test_cli.py::test_float_range_is_one_typed_line[{name}]", experiment(kind),
-           {"exp.json": {"experiment": {"kind": kind}, **cfg}}, err, env=STRICT)
+           {"exp.json": {"experiment": {"kind": kind}, **cfg}}, err)
       for name, kind, cfg, err in (
           # sigma0 ** 2 past the float range: an OverflowError traceback
           ("datum", "energy", {**_OST_SMALL, "datum": {"kind": "gaussian", "sigma0": 1e200}},
@@ -319,8 +317,7 @@ CASES = [
     # float-range edges that run: i^103 from 1j ** 103 had a real part that
     # swamped the damping, and z^2 in phi_2(z = L dt) overflowed while exp(z) was 0
     *(Case(f"test_cli.py::test_float_range_edges_that_run[{name}]", experiment("energy"),
-           {"exp.json": {**_OST_SMALL, **cfg, "experiment": {"kind": "energy"}}}, code=0,
-           env=STRICT)
+           {"exp.json": {**_OST_SMALL, **cfg, "experiment": {"kind": "energy"}}}, code=0)
       for name, cfg in (
           ("n-102", {"model": {"symbol": {"kind": "kdv"}, "m": 2, "n": 102, "k": 1, "eta": 1.0},
                      "datum": {"kind": "gaussian", "sigma0": 2.0, "amp": 0.5},
@@ -381,17 +378,17 @@ CASES = [
            ("--out", "fit.json", "decay-fit", "--in", "f.csv", "--window", "5,20"),
            {"f.csv": _spoiled_tails(float(value))},
            f"error [BadParameter]: {side} window [5.0, 20.0]: {count} non-finite samples; "
-           f"a tail fit needs finite values", env=STRICT)
+           f"a tail fit needs finite values")
       for value, count, side in (("inf", 102, "left"), ("nan", 10, "right"))),
     # a decay-fit on a kernel CSV: one point per side, and an im of 1e-17
     Case("test_cli.py::test_decay_fit_refusals_on_a_kernel_csv[one-point]",
          ("--out", "fit.json", "decay-fit", "--in", "k.csv", "--window", "10.05,10.06"),
-         {"k.csv": _KERNEL_1024}, f"error [InsufficientDecades]: {_ONE_POINT}", env=STRICT),
+         {"k.csv": _KERNEL_1024}, f"error [InsufficientDecades]: {_ONE_POINT}"),
     Case("test_cli.py::test_decay_fit_refusals_on_a_kernel_csv[im-1e-17]",
          ("--out", "fit.json", "decay-fit", "--in", "im.csv", "--window", "10,20"),
-         {"im.csv": _with_line(_KERNEL_1024, 99, _KERNEL_1024.splitlines()[99][:-1] + "1e-17")},
-         "error [BadParameter]: im.csv: expected real data; the im column is not 0",
-         env=STRICT),
+         {"im.csv": _with_line(_KERNEL_1024_CSV, 99, _KERNEL_1024_CSV.splitlines()[99][:-1]
+                               + "1e-17")},
+         "error [BadParameter]: im.csv: expected real data; the im column is not 0"),
     # 1024.0 is an integer to JSON Schema 2020-12, but not a grid size
     Case("test_cli.py::test_experiment_float_grid_size_is_bad_parameter", experiment("energy"),
          {"exp.json": {"model": OST, "grid": {"N": 1024.0, "L": 50},
@@ -449,13 +446,13 @@ CASES = [
                        "datum": ALGEBRAIC,
                        "experiment": {"kind": "lowerbound", "windows": [[10.0, 10.01]]}}},
          "error [BadParameter]: window [10.0, 10.01] holds no sample of the grid "
-         "(dx = 0.0976562)", env=STRICT),
+         "(dx = 0.0976562)"),
     # so does [10.01, 10.02], which holds no point to fit either; each used to
     # be refused only after the whole run
     *(Case(f"test_cli.py::test_a_window_the_grid_cannot_fill_is_refused[{kind}]",
            experiment(kind),
            {"exp.json": {"model": OST, "grid": {"N": 1024, "L": 50}, **blocks,
-                         "experiment": {"kind": kind, **parameters}}}, err, env=STRICT)
+                         "experiment": {"kind": kind, **parameters}}}, err)
       for kind, blocks, parameters, err in (
           ("lowerbound", {"solver": {"dt": 0.01, "T": 0.1}, "datum": ALGEBRAIC},
            {"windows": [[10.01, 10.02]]},
@@ -601,7 +598,7 @@ CASES = [
                     grid="N=256,L=50", quiet=bool(mode)),
            {**_MODEL_DATUM, "exp.json": {**small_run("growth"), "solver": {
                "dt": 0.001, "T": 0.01, "snapshots": [0.005, t]}}},
-           f"error [BadParameter]: snapshot time {t} outside [0, T]", env=STRICT)
+           f"error [BadParameter]: snapshot time {t} outside [0, T]")
       for t in (1e308, -1e308)
       for command, mode in (("simulate-etd", ("--mode", "etd")),
                             ("simulate-picard", ("--mode", "picard")),
@@ -682,7 +679,7 @@ CASES = [
     # each used to print RuntimeWarnings and exit with error [NonFinite]
     *(Case(f"test_cli.py::test_datum_with_non_finite_samples_is_a_config_error[datum{i}]",
            simulate(T="0.01", dt="0.0025"), {**_MODEL, "datum.json": datum},
-           f"config error: the datum {datum} {_NON_FINITE_DATUM}", env=STRICT)
+           f"config error: the datum {datum} {_NON_FINITE_DATUM}")
       for i, datum in enumerate((
           {"kind": "gaussian", "sigma0": 1e-200},                      # sigma0 ** 2 underflows
           {"kind": "zero_mean_algebraic", "gamma": 0.5, "c": 1e308}))),   # c x overflows
@@ -705,7 +702,7 @@ CASES = [
     Case("test_cli.py::test_a_step_count_past_int64_is_one_line", experiment("weighted"),
          {"exp.json": {**_OST_SMALL, "grid": {"N": 256, "L": 50},
                        "solver": {"dt": 1, "T": 1e300}, "experiment": {"kind": "weighted"}}},
-         "error [NonFinite]: non-finite state at t = 13", env=STRICT),
+         "error [NonFinite]: non-finite state at t = 13"),
     # a repeated criterion used to run twice and count twice in n_total
     *(Case(f"test_acceptance_cli.py::test_acceptance_refuses_a_repeated_criterion_id"
            f"[selection{i}]", ("--out", "summary.json", "acceptance", *selection), files,
@@ -765,8 +762,6 @@ def _run_in_process(case: Case, monkeypatch, capsys) -> None:
         where = Path(tmp)
         case.write(where)
         patch.chdir(where)
-        for key, value in case.env.items():
-            patch.setenv(key, value)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(list(case.argv))
@@ -786,7 +781,7 @@ def run_installed() -> int:
             where = Path(tmp)
             case.write(where)
             done = subprocess.run([exe, *case.argv], cwd=where, capture_output=True, text=True,
-                                  env={**os.environ, **case.env}, timeout=600)
+                                  env={**os.environ, "PYTHONWARNINGS": "error"}, timeout=600)
             try:
                 case.check(where, done.returncode, done.stdout, done.stderr)
             except AssertionError as exc:
